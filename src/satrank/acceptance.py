@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import time
+import traceback
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -303,9 +304,9 @@ def run_criterion(cid: int) -> CriterionResult:
                 details = fn()
                 return CriterionResult(num, desc, True, details,
                                        time.perf_counter() - start, "")
-            except AssertionError as exc:
-                return CriterionResult(num, desc, False, {},
-                                       time.perf_counter() - start, str(exc))
+            except Exception as exc:  # one broken criterion must not stop the table
+                return CriterionResult(num, desc, False, {"traceback": traceback.format_exc()},
+                                       time.perf_counter() - start, f"{type(exc).__name__}: {exc}")
     raise ValueError(f"no criterion {cid}")
 
 

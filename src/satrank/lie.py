@@ -16,6 +16,14 @@ independent tuple of pairwise commuting nullcone points inside the centralizer
 of x, and srk(g) is the minimum of the local ranks over nonzero nullcone
 points.  Tuples related by a base change span the same subalgebra, so the
 search walks candidates in a fixed order modulo the running span.
+
+The search runs on integer coordinates in the space that was enumerated:
+F_q^dim for srk_brute, F_q^d in the centralizer basis for local_rank.  The
+callers' budget checks bound q^dim and q^d, so a dense int32 table with one
+entry per coordinate code maps every nonzero scalar multiple of a candidate
+class to the class index.  A span is held as the array of all its coordinate
+vectors; extending it is one broadcast over F_q^x and one table lookup, and
+the classes commuting with u are the span closure of ker ad(u).
 """
 
 from __future__ import annotations
@@ -397,19 +405,55 @@ def nullcone(g: RestrictedLieAlgebra, budget: int = DEFAULT_BUDGET):
     if total > budget:
         raise BudgetError(
             f"nullcone needs {total} points > budget {budget}; use srk_sampled for a non-certified bound")
+    _, vecs = _nilpotent_span(g, np.eye(g.dim, dtype=np.int64))
+    return [tuple(row.tolist()) for row in vecs]  # row by row: no list-of-lists copy
+
+
+_CHUNK = 1 << 12  # combinations per batch; bounds the p-th power temporaries
+
+
+def _nilpotent_span(g: RestrictedLieAlgebra, basis):
+    """The F_q-combinations of the rows of basis whose p-th power is zero.
+
+    Combination number r has coefficients _digits(r), so ascending r is
+    lexicographic coefficient order.  Returns (codes, vecs): the ascending
+    numbers r of the p-nilpotent combinations and those combinations in g's
+    coordinates.  The q**len(basis) combinations are enumerated in chunks of
+    _CHUNK; over a prime field with a matrix model the p-th powers of a chunk
+    are taken batched, otherwise x^[p] is evaluated point by point.
+    """
     f = g.field
-    if g.matrix_model and f.k == 1:
-        coords = np.array(list(g.iter_elements()), dtype=np.int64)
-        model = np.stack([m.a for m in g.matrix_model])  # dim x n x n
-        x = np.tensordot(coords, model, axes=([1], [0])) % f.p
-        power = _batch_matpow(x, f.p, f.p)
-        mask = ~power.any(axis=(1, 2))
-        return [tuple(int(c) for c in row) for row in coords[mask]]
-    out = []
-    for x in g.iter_elements():
-        if _vec_is_zero(g.pmap_eval(x)):
-            out.append(x)
-    return out
+    d = len(basis)
+    total = f.q ** d
+    model = np.stack([m.a for m in g.matrix_model]) if g.matrix_model and f.k == 1 else None
+    codes, vecs = [], []
+    for start in range(0, total, _CHUNK):
+        r = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        v = _combinations(f, r, basis)
+        if model is not None:
+            x = np.tensordot(v, model, axes=([1], [0])) % f.p
+            nil = ~_batch_matpow(x, f.p, f.p).any(axis=(1, 2))
+        else:
+            nil = np.array([_vec_is_zero(g.pmap_eval(tuple(row.tolist()))) for row in v],
+                           dtype=bool)
+        codes.append(r[nil])
+        vecs.append(v[nil])
+    return np.concatenate(codes), np.concatenate(vecs)
+
+
+def _place_values(q, d):
+    """q**(d-1), ..., q, 1: a digit vector's dot product with these is its code."""
+    return q ** np.arange(d - 1, -1, -1, dtype=np.int64)
+
+
+def _digits(codes, q, d):
+    """The length-d base-q digit vectors (most significant first) of codes."""
+    return (codes[:, None] // _place_values(q, d)) % q
+
+
+def _combinations(f, codes, basis):
+    """The combinations of the rows of basis with coefficient vectors _digits(codes)."""
+    return (Mat(f, _digits(codes, f.q, len(basis))) @ Mat(f, basis)).a
 
 
 def _batch_matpow(x, e, p):
@@ -484,59 +528,63 @@ def _canonical_projective(f, v):
 
 
 class _TupleSearch:
-    """Max independent commuting tuple search over a fixed projective point set."""
+    """Max independent commuting tuple search over a fixed projective point set.
 
-    def __init__(self, g: RestrictedLieAlgebra, proj_points):
+    Points are projective classes of p-nilpotent elements inside a subspace
+    of g with basis rows `basis` (d x dim): the identity for srk_brute, the
+    centralizer basis for local_rank.  Row i of coords holds point i's
+    coordinates in that basis, and a coordinate vector's code is its dot
+    product with q**(d-1), ..., q, 1.  A table with q**d int32 entries (the
+    callers' budget checks bound q**d) maps the code of every nonzero scalar
+    multiple of point i to i and every other code to n, so the classes hit
+    by a batch of vectors are one table lookup.  A span is carried as the
+    array of all its coordinate vectors and grows by one broadcast
+    span + c*v over c in F_q^x.  commuting[i] is the bitmask of the classes
+    in ker(ad(points[i]) . basis^T), the span closure of a kernel basis.
+    """
+
+    def __init__(self, g: RestrictedLieAlgebra, points, coords, basis):
         self.g = g
-        self.f = g.field
-        self.points = list(proj_points)
+        self.f = f = g.field
+        self.points = list(points)
         self.index = {v: i for i, v in enumerate(self.points)}
         self.n = len(self.points)
+        self.basis = basis
+        self.coords = coords
+        d = len(basis)
+        # _multiples[c - 1, i] = c * coords[i]
+        scalars = np.arange(1, f.q, dtype=np.int64)
+        self._multiples = f.varr_mul(scalars[:, None, None], coords[None])
+        self._place = _place_values(f.q, d)
+        self._table = np.full(f.q ** d, self.n, dtype=np.int32)  # n: no class
+        self._table[self._multiples @ self._place] = np.arange(self.n, dtype=np.int32)
         self.commuting = self._commuting_masks()
 
     def _commuting_masks(self):
-        f, g = self.f, self.g
-        n = self.n
-        if n == 0:
-            return []
-        masks = []
-        pts = np.array(self.points, dtype=np.int64).T  # dim x n
-        for i in range(n):
-            ad_u = g.ad(self.points[i])
-            if f.k == 1:
-                br = (ad_u @ pts) % f.p
-            else:
-                br = np.zeros((g.dim, n), dtype=np.int64)
-                for r in range(g.dim):
-                    rowacc = np.zeros(n, dtype=np.int64)
-                    for j in range(g.dim):
-                        if ad_u[r, j]:
-                            rowacc = f.varr_add(rowacc, f.varr_scale(int(ad_u[r, j]), pts[j]))
-                    br[r] = rowacc
-            zero_cols = ~br.any(axis=0)
-            mask = 0
-            for j in np.nonzero(zero_cols)[0]:
-                mask |= 1 << int(j)
-            masks.append(mask)
-        return masks
+        from .fields import mat_kernel_basis
+        basis_t = Mat(self.f, self.basis.T)
+        return [self._span_mask(mat_kernel_basis(Mat(self.f, self.g.ad(u)) @ basis_t))
+                for u in self.points]
 
-    def _span_closure_bits(self, span_vecs):
-        """All projective candidate bits lying in the span of span_vecs."""
-        f = self.f
-        pts = [self.g.zero()]
-        mask = 0
-        for v in span_vecs:
-            new = []
-            for w in pts:
-                for c in range(1, f.q):
-                    u = _vec_add(f, w, _vec_scale(f, c, v))
-                    new.append(u)
-            for u in new:
-                b = self.index.get(_canonical_projective(f, u))
-                if b is not None:
-                    mask |= 1 << b
-            pts.extend(new)
-        return mask, pts
+    def _mask_of(self, vecs):
+        """Bitmask of the classes among the coordinate rows of vecs."""
+        bits = np.zeros(self.n + 1, dtype=bool)
+        bits[self._table[vecs @ self._place]] = True
+        return int.from_bytes(np.packbits(bits[:-1], bitorder="little").tobytes(), "little")
+
+    def _extend_span(self, span, i):
+        """(classes hit by span + F_q^x points[i], that extended span).
+
+        span is the array of all vectors of a subspace not containing points[i].
+        """
+        new = self.f.varr_add(span[None, :, :], self._multiples[:, i, None, :])
+        new = new.reshape(-1, span.shape[1])
+        return self._mask_of(new), np.concatenate([span, new])
+
+    def _span_mask(self, vectors):
+        """Bitmask of the classes in the span of coordinate vectors."""
+        return self._mask_of(_combinations(self.f, np.arange(self.f.q ** len(vectors)),
+                                           np.array(vectors, dtype=np.int64)))
 
     def max_tuple_containing(self, x, stop_at=None):
         """(r, witness, exhausted): r = best tuple size found with x forced in.
@@ -544,14 +592,13 @@ class _TupleSearch:
         A tuple of size stop_at aborts the search early (exhausted=False); the
         returned witness always starts with x.
         """
-        f = self.f
-        xc = _canonical_projective(f, x)
+        xc = _canonical_projective(self.f, x)
         xi = self.index[xc]
-        span_mask, span_pts = self._span_closure_bits([xc])
+        span_mask, span = self._extend_span(np.zeros((1, len(self.basis)), dtype=np.int64), xi)
         best = [1, [xc], True]
         allowed0 = self.commuting[xi]
 
-        def rec(last, allowed, chosen, span_mask, span_pts, pivots_dim):
+        def rec(last, allowed, chosen, span_mask, span, pivots_dim):
             fresh = allowed & ~span_mask
             size = len(chosen)
             if size > best[0]:
@@ -578,18 +625,17 @@ class _TupleSearch:
                     all_comm = False
                     break
             if all_comm:
-                extra = self._rank_mod_span(bits, chosen)
-                total = size + extra
-                if total > best[0]:
-                    # materialize a witness by greedy span extension
-                    wit = list(chosen)
-                    sm, sp = span_mask, list(span_pts)
-                    for i in bits:
-                        if not ((1 << i) & sm):
-                            wit.append(self.points[i])
-                            add_mask, sp = self._extend_span(sp, self.points[i])
-                            sm |= add_mask
-                    best[0], best[1] = total, wit
+                # greedy span extension appends exactly rank(fresh mod span)
+                # points and yields the witness
+                wit = list(chosen)
+                sm, sp = span_mask, span
+                for i in bits:
+                    if not ((1 << i) & sm):
+                        wit.append(self.points[i])
+                        add_mask, sp = self._extend_span(sp, i)
+                        sm |= add_mask
+                if len(wit) > best[0]:
+                    best[0], best[1] = len(wit), wit
                 if stop_at is not None and best[0] >= stop_at:
                     best[2] = False
                     return True
@@ -601,33 +647,14 @@ class _TupleSearch:
                 m ^= b
                 if i <= last:
                     continue
-                v = self.points[i]
-                add_mask, new_pts = self._extend_span(span_pts, v)
-                if rec(i, allowed & self.commuting[i], chosen + [v],
-                       span_mask | add_mask, new_pts, pivots_dim + 1):
+                add_mask, new_span = self._extend_span(span, i)
+                if rec(i, allowed & self.commuting[i], chosen + [self.points[i]],
+                       span_mask | add_mask, new_span, pivots_dim + 1):
                     return True
             return False
 
-        rec(-1, allowed0, [xc], span_mask, span_pts, 1)
+        rec(-1, allowed0, [xc], span_mask, span, 1)
         return best[0], best[1], best[2]
-
-    def _extend_span(self, span_pts, v):
-        f = self.f
-        mask = 0
-        new = []
-        for w in span_pts:
-            for c in range(1, f.q):
-                u = _vec_add(f, w, _vec_scale(f, c, v))
-                new.append(u)
-                b = self.index.get(_canonical_projective(f, u))
-                if b is not None:
-                    mask |= 1 << b
-        return mask, span_pts + new
-
-    def _rank_mod_span(self, bits, chosen):
-        from .fields import mat_rank
-        rows = [list(v) for v in chosen] + [list(self.points[i]) for i in bits]
-        return mat_rank(Mat(self.f, np.array(rows, dtype=np.int64))) - len(chosen)
 
 
 class LocalRank(NamedTuple):
@@ -635,9 +662,15 @@ class LocalRank(NamedTuple):
     witness: ElementarySubalgebra
 
 
-def _projective_reps(f, points):
-    reps = sorted({_canonical_projective(f, v) for v in points if any(v)})
-    return reps
+def _projective_reps(f, vecs):
+    """Rows of vecs whose first nonzero coordinate is 1, in lexicographic order.
+
+    vecs must be closed under F_q^x scaling (a nullcone is), so these rows
+    are exactly one representative per projective class.
+    """
+    lead = vecs[np.arange(len(vecs)), (vecs != 0).argmax(axis=1)]
+    rows = np.nonzero(lead == f.one)[0]
+    return rows[np.lexsort(vecs[rows].T[::-1])]
 
 
 def local_rank(g: RestrictedLieAlgebra, x: Vec, budget: int = DEFAULT_BUDGET) -> LocalRank:
@@ -652,20 +685,11 @@ def local_rank(g: RestrictedLieAlgebra, x: Vec, budget: int = DEFAULT_BUDGET) ->
     d = len(zbasis)
     if f.q ** d > budget:
         raise BudgetError(f"centralizer has {f.q ** d} points > budget {budget}")
-    cand = []
-    basis_arr = np.array(zbasis, dtype=np.int64)
-    for coeffs in itertools.product(range(f.q), repeat=d):
-        if f.k == 1:
-            v = tuple(int(c) for c in (np.array(coeffs, dtype=np.int64) @ basis_arr) % f.p)
-        else:
-            v = g.zero()
-            for c, w in zip(coeffs, zbasis):
-                if c:
-                    v = _vec_add(f, v, _vec_scale(f, c, w))
-        if any(v) and _vec_is_zero(g.pmap_eval(v)):
-            cand.append(v)
-    reps = _projective_reps(f, cand)
-    search = _TupleSearch(g, reps)
+    basis = np.array(zbasis, dtype=np.int64)
+    codes, vecs = _nilpotent_span(g, basis)
+    rows = _projective_reps(f, vecs)
+    reps = [tuple(v) for v in vecs[rows].tolist()]
+    search = _TupleSearch(g, reps, _digits(codes[rows], f.q, d), basis)
     r, witness, _ = search.max_tuple_containing(x)
     wit = list(witness)
     wit[0] = x  # report the caller's point, not its projective representative
@@ -690,13 +714,14 @@ def srk_brute(g: RestrictedLieAlgebra, budget: int = DEFAULT_BUDGET) -> SrkBrute
     minimum is discarded without exhausting its search tree.
     """
     points = nullcone(g, budget=budget)
-    nonzero = [v for v in points if any(v)]
-    if not nonzero:
+    if len(points) == 1:  # just 0
         return SrkBrute(srk=0, r_min=0, o_rmin_count=0, o_rmin=(),
                         witness=None, note="restricted nullcone is {0}; srk reported as 0")
     f = g.field
-    reps = _projective_reps(f, nonzero)
-    search = _TupleSearch(g, reps)
+    vecs = np.array(points, dtype=np.int64)
+    rows = _projective_reps(f, vecs)
+    reps = [points[r] for r in rows]
+    search = _TupleSearch(g, reps, vecs[rows], np.eye(g.dim, dtype=np.int64))
     order = sorted(range(len(reps)), key=lambda i: (search.commuting[i].bit_count(), i))
     m = None
     argmin = []
@@ -772,23 +797,32 @@ def load_lie(data) -> RestrictedLieAlgebra:
         p = int(data["p"])
         k = int(data.get("k", 1))
         dim = int(data["dim"])
+        if dim < 1:
+            raise PreconditionError(f"dim must be >= 1, got {dim}")
+
+        def index(entry, key):
+            i = int(entry[key])
+            if not 0 <= i < dim:
+                raise PreconditionError(f"index {key}={i} outside [0, {dim})")
+            return i
+
         from .fields import field_make
         field = field_make(p, k)
         labels = data.get("labels")
         declared = {}
         for entry in data.get("brackets", []):
-            i, j = int(entry["i"]), int(entry["j"])
-            declared[(i, j)] = {int(t["k"]): _coeff(field, t["c"]) for t in entry.get("out", [])}
+            i, j = index(entry, "i"), index(entry, "j")
+            declared[(i, j)] = {index(t, "k"): _coeff(field, t["c"]) for t in entry.get("out", [])}
         brackets = dict(declared)
         for (i, j), out in declared.items():
             if (j, i) not in declared:
                 brackets[(j, i)] = {kk: field.neg(c) for kk, c in out.items()}
         pmap = [(0,) * dim for _ in range(dim)]
         for entry in data.get("pmap", []):
-            i = int(entry["i"])
+            i = index(entry, "i")
             row = [0] * dim
             for t in entry.get("out", []):
-                row[int(t["k"])] = _coeff(field, t["c"])
+                row[index(t, "k")] = _coeff(field, t["c"])
             pmap[i] = tuple(row)
         model = None
         if data.get("matrix_model"):

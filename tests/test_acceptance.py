@@ -21,3 +21,21 @@ def test_reproduce_paper_exit_code(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == len(CRITERIA)
     assert "FAIL" not in out
+
+
+def test_reproduce_paper_survives_a_raising_criterion(capsys, monkeypatch):
+    from satrank import acceptance
+    from satrank.cli import main
+
+    def broken():
+        raise ValueError("boom")
+
+    # every criterion trivially passes except the third, which raises
+    patched = [(c, d, broken if c == 3 else dict) for c, d, _ in CRITERIA]
+    monkeypatch.setattr(acceptance, "CRITERIA", patched)
+    assert main(["reproduce-paper"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(CRITERIA) == 9
+    assert lines[2].startswith("FAIL  criterion 3") and "ValueError: boom" in lines[2]
+    assert sum(line.startswith("PASS") for line in lines) == 8
+    assert "boom" in acceptance.run_criterion(3).details["traceback"]

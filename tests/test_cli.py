@@ -137,3 +137,19 @@ def test_table_format(capsys):
     code, out, _ = run_cli(capsys, "sln-srk", "--n", "4", "--p", "5", "--format", "table")
     assert code == 0
     assert "srk\t3" in out
+
+
+@pytest.mark.parametrize("data", [
+    # pmap term index beyond dim
+    {"p": 3, "dim": 2, "pmap": [{"i": 0, "out": [{"k": 5, "c": 1}]}]},
+    # bracket index beyond dim
+    {"p": 3, "dim": 2, "brackets": [{"i": 0, "j": 5, "out": []}]},
+    # negative dimension
+    {"p": 3, "dim": -1},
+], ids=["pmap_k", "bracket_j", "dim_negative"])
+def test_lie_srk_rejects_out_of_range_input(capsys, tmp_path, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "lie-srk", "--file", str(path))
+    assert code == 2 and out == ""
+    assert "precondition" in err

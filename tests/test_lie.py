@@ -1,10 +1,12 @@
+import hashlib
+import itertools
 import json
 import random
 
 import numpy as np
 import pytest
 
-from satrank import BudgetError, PreconditionError
+from satrank import BudgetError, PreconditionError, lie
 from satrank.fields import Mat, field_make, mat_rank
 from satrank.lie import (
     CommutingTuple,
@@ -221,6 +223,73 @@ def test_local_rank_witness_contains_x_and_is_elementary():
         assert r0 == r1 == res.rank
 
 
+def _captured_search(monkeypatch, run):
+    """The _TupleSearch that run() builds."""
+    made = []
+
+    class Spy(lie._TupleSearch):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(lie, "_TupleSearch", Spy)
+    run()
+    return made[0]
+
+
+def _naive_span_mask(f, index, vecs):
+    """Classes hit by every sum c_1 v_1 + ... + c_r v_r, scaled by hand so the
+    first nonzero coordinate is 1."""
+    mask = 0
+    for cs in itertools.product(range(f.q), repeat=len(vecs)):
+        u = [0] * len(vecs[0])
+        for c, v in zip(cs, vecs):
+            u = [f.add(a, f.mul(c, b)) for a, b in zip(u, v)]
+        lead = next((a for a in u if a), 0)
+        if lead:
+            j = index.get(tuple(f.mul(f.inv(lead), a) for a in u))
+            if j is not None:
+                mask |= 1 << j
+    return mask
+
+
+@pytest.mark.parametrize("case", ["h3_F5", "sl2_F9", "local_h3_F5", "local_sl3_F3"])
+def test_search_span_masks_and_commuting_masks(monkeypatch, case):
+    # srk_brute searches F_q^dim itself; local_rank searches the centralizer in
+    # its own basis, so its masks go through ker(ad u . B)
+    if case == "h3_F5":
+        g = heisenberg(1, F5)
+        run = lambda: srk_brute(g)
+    elif case == "sl2_F9":
+        g = special_linear(2, field_make(3, 2))
+        run = lambda: srk_brute(g)
+    elif case == "local_h3_F5":
+        g = heisenberg(1, F5)
+        run = lambda: local_rank(g, (1, 2, 0))
+    else:
+        g = special_linear(3, F3)
+        x = g.coords_of_matrix(Mat(F3, [[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
+        run = lambda: local_rank(g, x)
+    search = _captured_search(monkeypatch, run)
+    f, pts = g.field, search.points
+    assert search.n > 3
+    rng = random.Random(case)
+    for _ in range(12):
+        chosen = rng.sample(range(search.n), rng.randint(1, 3))
+        naive = _naive_span_mask(f, search.index, [pts[i] for i in chosen])
+        assert search._span_mask([search.coords[i] for i in chosen]) == naive
+        # the search's incremental form: one broadcast extension per point
+        span, mask = np.zeros((1, len(search.basis)), dtype=np.int64), 0
+        for i in chosen:
+            if not mask >> i & 1:
+                add_mask, span = search._extend_span(span, i)
+                mask |= add_mask
+        assert mask == naive
+    for i, u in enumerate(pts):
+        direct = sum(1 << j for j, v in enumerate(pts) if not any(g.bracket(u, v)))
+        assert search.commuting[i] == direct
+
+
 def test_local_rank_preconditions():
     sl2 = special_linear(2, F3)
     with pytest.raises(PreconditionError):
@@ -233,6 +302,53 @@ def test_srk_brute_examples():
     assert srk_brute(special_linear(2, F3)).srk == 1
     assert srk_brute(heisenberg(1, F3)).srk == 2
     assert srk_brute(heisenberg(2, F3)).srk == 3
+
+
+# Pinned srk_brute results: srk, r_min, o_rmin and the witness must not move
+# by a byte when the search changes.  The digest covers the whole payload,
+# o_rmin included.
+_GOLDEN_BRUTE = {
+    "h5_F3": (3, 3, 242, [[0, 0, 0, 0, 1], [0, 0, 0, 1, 0], [0, 0, 1, 0, 0]],
+              "ba0247d032d19b82b1518412c10de5fe7ac2359d3dd7149d8cc0df1c6a6f171e"),
+    "sl3_F3": (2, 2, 728, [[0, 0, 0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0, 0, 0]],
+               "924b3c325064a4808ff7823a2b6790264019c3bf5f3d4aef6fe48ff76254baf6"),
+    "h3_F9": (2, 2, 728, [[0, 0, 1], [0, 1, 0]],
+              "5d3395d2c4c37e313e4ad1bb2e8be6f3a755f9973bbac053e1dc96c66c75f4ed"),
+    "sl2_struct_F5": (1, 1, 24, [[0, 1, 0]],
+                      "1858ad66d9a9c452050ee4c278151055b997e22701233e6aa5ec0a1f12bde2fa"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_BRUTE))
+def test_srk_brute_golden(name):
+    g = {
+        "h5_F3": lambda: heisenberg(2, F3),
+        "sl3_F3": lambda: special_linear(3, F3),
+        "h3_F9": lambda: heisenberg(1, field_make(3, 2)),
+        "sl2_struct_F5": lambda: sl2_structure_only(F5),
+    }[name]()
+    res = srk_brute(g)
+    payload = {"srk": res.srk, "r_min": res.r_min, "o_rmin_count": res.o_rmin_count,
+               "o_rmin": [list(v) for v in res.o_rmin],
+               "witness": [list(v) for v in res.witness.basis]}
+    srk, r_min, count, witness, digest = _GOLDEN_BRUTE[name]
+    assert (res.srk, res.r_min, res.o_rmin_count) == (srk, r_min, count)
+    assert payload["witness"] == witness
+    assert hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest() == digest
+
+
+def test_local_rank_golden_witnesses():
+    sl4 = special_linear(4, F5)
+    sub = sl4.coords_of_matrix(Mat(F5, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0]]))
+    assert sub == (1, 0, 0, 0, 1) + (0,) * 10
+    res = local_rank(sl4, sub)
+    assert res.rank == 3
+    assert [list(v) for v in res.witness.basis] == [
+        [1, 0, 0, 0, 1] + [0] * 10, [0] * 11 + [1, 0, 0, 0], [0, 1] + [0] * 13]
+    h = heisenberg(1, field_make(3, 2))
+    res = local_rank(h, h.basis_vec(2))  # z is central: the centralizer is all of h
+    assert res.rank == 2
+    assert [list(v) for v in res.witness.basis] == [[0, 0, 1], [0, 1, 0]]
 
 
 def test_srk_brute_o_rmin_sl2():
