@@ -80,8 +80,6 @@ def _parse_partition(text: str) -> Partition:
 def _add_common(sp):
     sp.add_argument("--out", default=None, help="write the report to a file")
     sp.add_argument("--format", choices=["json", "table"], default="json")
-    sp.add_argument("--threads", type=int, default=0,
-                    help="accepted for interface stability; execution is sequential")
 
 
 def build_parser() -> _Parser:

@@ -3,10 +3,19 @@
 A field element is encoded as a plain int in [0, p**k): the base-p digits of
 the code are the coefficients of the residue polynomial, least significant
 digit first, so code = sum(c_i * p**i) for the element sum(c_i * x**i) in
-F_p[x]/(modulus).  For k == 1 this is ordinary arithmetic mod p.  For k >= 2
-the field precomputes q x q add/mul tables (q = p**k), which also back the
-vectorized numpy helpers; above _TABLE_CAP codes it falls back to on-the-fly
-polynomial reduction.
+F_p[x]/(modulus) (Lidl & Niederreiter, Finite Fields, ch. 2).
+
+Multiplication has one definition (FieldSpec._product): split both operands
+into their k base-p digit planes, combine every pair of planes i, j with an
+integer op (elementwise product for a * b, matrix product for a @ b), add the
+result into the output planes with the coefficients of x^(i+j) modulo the
+modulus, and reduce mod p.  For k == 1 that is ordinary arithmetic mod p.
+Addition and negation work plane by plane.  The q x q add/mul tables of
+fields with q <= _TABLE_CAP are a cache filled from these functions and serve
+elementwise ops; above the cap the digit-plane functions are the arithmetic,
+so field size has no limit beyond k <= 4.  Matrix products and powers,
+stacked or not, always take the digit planes (FieldSpec.matmul,
+FieldSpec.matpow).
 
 Matrices are numpy int64 arrays of codes wrapped in Mat.  Rank and kernel go
 through Gaussian elimination over the field; nothing here is sparse.
@@ -14,11 +23,14 @@ through Gaussian elimination over the field; nothing here is sparse.
 
 from __future__ import annotations
 
+import functools
+import operator
+
 import numpy as np
 
 from .errors import PreconditionError
 
-_TABLE_CAP = 2048  # largest q for which the q*q tables are built
+_TABLE_CAP = 2048  # largest q for which the q*q tables are cached
 
 
 def is_prime(n: int) -> bool:
@@ -35,27 +47,6 @@ def is_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 # polynomial helpers over F_p (coefficient tuples, little endian)
 # ---------------------------------------------------------------------------
-
-def _poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return out
-
-
-def _poly_mod(a, m, p):
-    # m monic
-    a = list(a)
-    dm = len(m) - 1
-    for d in range(len(a) - 1, dm - 1, -1):
-        c = a[d] % p
-        if c:
-            for i in range(dm + 1):
-                a[d - dm + i] = (a[d - dm + i] - c * m[i]) % p
-    return [c % p for c in a[:dm]] + [0] * max(0, dm - len(a))
-
 
 def _divides(g, f, p):
     """Whether monic g divides f over F_p."""
@@ -83,12 +74,14 @@ def _is_irreducible(modulus, p, k):
     return True
 
 
+@functools.lru_cache(maxsize=None)
 def field_make(p: int, k: int = 1) -> "FieldSpec":
     """F_{p^k} with the lexicographically smallest irreducible monic modulus.
 
     Candidates x^k + c_{k-1}x^{k-1} + ... + c_0 are scanned in ascending
     lexicographic order on (c_{k-1}, ..., c_0); the first irreducible one
-    wins, so the modulus (and hence every code) is reproducible.
+    wins, so the modulus (and hence every code) is reproducible.  Fields are
+    cached per (p, k).
     """
     if not is_prime(p):
         raise PreconditionError(f"p={p} is not prime")
@@ -102,6 +95,18 @@ def field_make(p: int, k: int = 1) -> "FieldSpec":
         if _is_irreducible(modulus, p, k):
             return FieldSpec(p, k, modulus)
     raise AssertionError("no irreducible polynomial found")  # unreachable
+
+
+def _power(x, e, mul, one):
+    """x**e for e >= 0 by square-and-multiply under mul; one when e == 0."""
+    result = None
+    while e:
+        if e & 1:
+            result = x if result is None else mul(result, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return one if result is None else result
 
 
 class FieldSpec:
@@ -123,52 +128,72 @@ class FieldSpec:
         self.q = p ** k
         self.zero = 0
         self.one = 1 % self.q
+        # _xpow[d] = coefficients of x^d mod the modulus, for the degrees
+        # d <= 2k - 2 of a product of two residues
+        self._xpow = []
+        xd = [1] + [0] * (k - 1)
+        for _ in range(2 * k - 1):
+            self._xpow.append(tuple(xd))
+            top = xd[-1]
+            xd = [(c - top * m) % p for c, m in zip([0] + xd[:-1], modulus)]
         self._add_t = self._mul_t = self._neg_t = self._inv_t = None
         if k > 1 and self.q <= _TABLE_CAP:
-            self._build_tables()
+            codes = np.arange(self.q, dtype=np.int64)
+            self._add_t = self._sum(codes[:, None], codes)
+            self._mul_t = self._product(codes[:, None], codes, operator.mul)
+            self._neg_t = self._negative(codes)
+            self._inv_t = np.argmax(self._mul_t == self.one, axis=1)  # row 0 has no 1: 0
 
-    # -- construction of the q*q tables (k >= 2 only) -----------------------
+    # -- the digit-plane arithmetic --------------------------------------------
 
-    def _build_tables(self):
-        p, k, q = self.p, self.k, self.q
-        codes = np.arange(q, dtype=np.int64)
-        digits = np.stack([(codes // p ** i) % p for i in range(k)], axis=1)
-        # x^d mod modulus for d = k .. 2k-2, as digit vectors
-        xpow = {}
-        cur = [(-c) % p for c in self.modulus[:k]]
-        xpow[k] = list(cur)
-        for d in range(k + 1, 2 * k - 1):
-            top = cur[k - 1]
-            cur = [0] + cur[: k - 1]
-            if top:
-                red = xpow[k]
-                cur = [(cur[i] + top * red[i]) % p for i in range(k)]
-            xpow[d] = list(cur)
+    def _planes(self, a):
+        """The k base-p digits of a code or code array, least significant first."""
+        planes = []
+        for _ in range(self.k - 1):
+            a, digit = divmod(a, self.p)
+            planes.append(digit)
+        planes.append(a)  # codes are < p**k, so the last quotient is the top digit
+        return planes
 
-        acc = np.zeros((q, q, k), dtype=np.int64)
-        for i in range(k):
-            di = digits[:, i][:, None]
-            for j in range(k):
-                contrib = di * digits[:, j][None, :]
-                d = i + j
-                if d < k:
-                    acc[:, :, d] += contrib
+    def _join(self, planes):
+        """The code whose base-p digits are the planes reduced mod p."""
+        out = planes[-1] % self.p
+        for c in reversed(planes[:-1]):
+            out *= self.p
+            out += c % self.p
+        return out
+
+    def _sum(self, a, b):
+        return self._join([x + y for x, y in zip(self._planes(a), self._planes(b))])
+
+    def _negative(self, a):
+        return self._join([-x for x in self._planes(a)])
+
+    def _product(self, a, b, op):
+        """a * b (op = operator.mul) or a @ b (op = operator.matmul) over F_q.
+
+        The integer sum of op(plane i of a, plane j of b) over i + j = d is
+        the coefficient of x^d; the degrees d >= k are folded into the low
+        ones with the coefficients of x^d mod the modulus, then every plane is
+        reduced mod p.
+        """
+        k, pa, pb = self.k, self._planes(a), self._planes(b)
+        out = []
+        for d in range(2 * k - 1):
+            coeff = None
+            for i in range(max(0, d - k + 1), min(d, k - 1) + 1):
+                xy = op(pa[i], pb[d - i])
+                if coeff is None:
+                    coeff = xy
                 else:
-                    red = xpow[d]
-                    for t in range(k):
-                        if red[t]:
-                            acc[:, :, t] += contrib * red[t]
-        acc %= p
-        weights = np.array([p ** i for i in range(k)], dtype=np.int64)
-        self._mul_t = (acc * weights).sum(axis=2)
-
-        s = (digits[:, None, :] + digits[None, :, :]) % p
-        self._add_t = (s * weights).sum(axis=2)
-        self._neg_t = ((-digits) % p * weights).sum(axis=1)
-        inv = np.zeros(q, dtype=np.int64)
-        for a in range(1, q):
-            inv[a] = int(np.nonzero(self._mul_t[a] == 1)[0][0])
-        self._inv_t = inv
+                    coeff += xy
+            if d < k:
+                out.append(coeff)
+                continue
+            for t, r in enumerate(self._xpow[d]):
+                if r:
+                    out[t] += coeff if r == 1 else r * coeff
+        return self._join(out)
 
     # -- scalar ops ----------------------------------------------------------
 
@@ -177,14 +202,14 @@ class FieldSpec:
             return (a + b) % self.p
         if self._add_t is not None:
             return int(self._add_t[a, b])
-        return self.from_coeffs([(x + y) % self.p for x, y in zip(self.coeffs(a), self.coeffs(b))])
+        return self._sum(a, b)
 
     def neg(self, a: int) -> int:
         if self.k == 1:
             return (-a) % self.p
         if self._neg_t is not None:
             return int(self._neg_t[a])
-        return self.from_coeffs([(-x) % self.p for x in self.coeffs(a)])
+        return self._negative(a)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -194,8 +219,7 @@ class FieldSpec:
             return (a * b) % self.p
         if self._mul_t is not None:
             return int(self._mul_t[a, b])
-        prod = _poly_mul(self.coeffs(a), self.coeffs(b), self.p)
-        return self.from_coeffs(_poly_mod(prod, self.modulus, self.p))
+        return self._product(a, b, operator.mul)
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -209,13 +233,7 @@ class FieldSpec:
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)
-        r, b = self.one, a
-        while e:
-            if e & 1:
-                r = self.mul(r, b)
-            b = self.mul(b, b)
-            e >>= 1
-        return r
+        return _power(a, e, self.mul, self.one)
 
     def frob(self, a: int) -> int:
         return self.pow(a, self.p)
@@ -238,46 +256,48 @@ class FieldSpec:
         return range(self.q)
 
     # -- vectorized ops on numpy code arrays ----------------------------------
+    #
+    # For k == 1 a code is its only digit plane and the digit-plane functions
+    # reduce to one integer op mod p; these ops, like the scalar ones, take
+    # that op directly.
 
     def varr_add(self, a, b):
         if self.k == 1:
             return (a + b) % self.p
-        if self._add_t is None:
-            return self._vectorized(self.add, a, b)
-        return self._add_t[a, b]
+        return self._sum(a, b) if self._add_t is None else self._add_t[a, b]
 
     def varr_mul(self, a, b):
         if self.k == 1:
             return (a * b) % self.p
-        if self._mul_t is None:
-            return self._vectorized(self.mul, a, b)
-        return self._mul_t[a, b]
+        return self._product(a, b, operator.mul) if self._mul_t is None else self._mul_t[a, b]
 
     def varr_neg(self, a):
         if self.k == 1:
             return (-a) % self.p
-        if self._neg_t is None:
-            return self._vectorized(lambda x, _: self.neg(x), a, a)
-        return self._neg_t[a]
+        return self._negative(a) if self._neg_t is None else self._neg_t[a]
 
     def varr_scale(self, c, a):
         if self.k == 1:
             return (c * a) % self.p
-        if self._mul_t is None:
-            return self._vectorized(lambda x, y: self.mul(int(c), x), a, a)
-        return self._mul_t[c][a]
+        return self._product(c, a, operator.mul) if self._mul_t is None else self._mul_t[c][a]
 
-    @staticmethod
-    def _vectorized(op, a, b):
-        # slow elementwise fallback for fields above the table cap
-        a = np.asarray(a)
-        b = np.broadcast_to(np.asarray(b), np.broadcast_shapes(a.shape, np.shape(b)))
-        a = np.broadcast_to(a, b.shape)
-        out = np.empty(b.shape, dtype=np.int64)
-        flat_a, flat_b, flat_o = a.ravel(), b.ravel(), out.ravel()
-        for idx in range(flat_o.size):
-            flat_o[idx] = op(int(flat_a[idx]), int(flat_b[idx]))
-        return out
+    def varr_pow(self, a, e: int):
+        """Elementwise a**e for e >= 0."""
+        a = np.array(a, dtype=np.int64)
+        return _power(a, e, self.varr_mul, np.ones_like(a))
+
+    def matmul(self, a, b):
+        """a @ b over F_q, with np.matmul shape rules (stacks, 1-D operands)."""
+        if self.k == 1:
+            return np.matmul(a, b) % self.p
+        return self._product(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64),
+                             operator.matmul)
+
+    def matpow(self, a, e: int):
+        """a**e for e >= 0, for a square matrix or a stack of them."""
+        a = np.array(a, dtype=np.int64)
+        eye = np.broadcast_to(np.eye(a.shape[-1], dtype=np.int64), a.shape).copy()
+        return _power(a, e, self.matmul, eye)
 
     def __eq__(self, other):
         return (isinstance(other, FieldSpec)
@@ -340,14 +360,7 @@ class Mat:
         return Mat(self.field, self.field.varr_neg(self.a))
 
     def __matmul__(self, other):
-        f = self.field
-        if f.k == 1:
-            return Mat(f, (self.a @ other.a) % f.p)
-        acc = np.zeros((self.rows, other.cols), dtype=np.int64)
-        for t in range(self.cols):
-            term = f.varr_mul(self.a[:, t][:, None], other.a[t, :][None, :])
-            acc = f.varr_add(acc, term)
-        return Mat(f, acc)
+        return Mat(self.field, self.field.matmul(self.a, other.a))
 
     def scale(self, c: int):
         return Mat(self.field, self.field.varr_scale(c % self.field.q, self.a))
@@ -357,14 +370,7 @@ class Mat:
             raise PreconditionError("matrix power needs a square matrix")
         if e < 0:
             raise PreconditionError("negative matrix powers not supported")
-        r = Mat.identity(self.field, self.rows)
-        b = self
-        while e:
-            if e & 1:
-                r = r @ b
-            b = b @ b
-            e >>= 1
-        return r
+        return Mat(self.field, self.field.matpow(self.a, e))
 
     def t(self):
         return Mat(self.field, self.a.T.copy())
@@ -398,43 +404,47 @@ class Mat:
 # ---------------------------------------------------------------------------
 
 def _rref(field, a):
-    """Reduced row echelon form of a code array; returns (array, pivot cols)."""
+    """Reduced row echelon form of a code array: (array, pivot cols, det).
+
+    det is the determinant when a is square of full rank: the product of the
+    pivots, negated once per row swap.  Each pivot column is cleared by one
+    rank-1 update of the whole array.
+    """
     a = a.copy()
     rows, cols = a.shape
     pivots = []
-    r = 0
+    det = field.one
     for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if a[i, c]:
-                piv = i
-                break
-        if piv is None:
+        r = len(pivots)
+        nonzero = np.flatnonzero(a[r:, c])
+        if not nonzero.size:
             continue
+        piv = r + int(nonzero[0])
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
-        ic = field.inv(int(a[r, c]))
-        a[r] = field.varr_scale(ic, a[r])
-        for i in range(rows):
-            if i != r and a[i, c]:
-                factor = field.neg(int(a[i, c]))
-                a[i] = field.varr_add(a[i], field.varr_scale(factor, a[r]))
+            det = field.neg(det)
+        lead = int(a[r, c])
+        det = field.mul(det, lead)
+        row = field.varr_scale(field.inv(lead), a[r])
+        factors = field.varr_neg(a[:, c])
+        factors[r] = 0
+        a = field.varr_add(a, field.varr_mul(factors[:, None], row))
+        a[r] = row
         pivots.append(c)
-        r += 1
-        if r == rows:
+        if r + 1 == rows:
             break
-    return a, pivots
+    return a, pivots, det
 
 
 def mat_rank(m: Mat) -> int:
-    _, pivots = _rref(m.field, m.a)
+    _, pivots, _ = _rref(m.field, m.a)
     return len(pivots)
 
 
 def mat_kernel_basis(m: Mat):
     """Basis of the right null space as coordinate tuples; [] iff full column rank."""
     f = m.field
-    r, pivots = _rref(f, m.a)
+    r, pivots, _ = _rref(f, m.a)
     free = [c for c in range(m.cols) if c not in pivots]
     basis = []
     for fc in free:
@@ -447,31 +457,11 @@ def mat_kernel_basis(m: Mat):
 
 
 def mat_det(m: Mat) -> int:
-    """Determinant by fraction-free elimination over the field."""
+    """Determinant by Gaussian elimination over the field."""
     if m.rows != m.cols:
         raise PreconditionError("determinant needs a square matrix")
-    f = m.field
-    a = m.a.copy()
-    det = f.one
-    n = m.rows
-    for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if a[r, c]:
-                piv = r
-                break
-        if piv is None:
-            return 0
-        if piv != c:
-            a[[c, piv]] = a[[piv, c]]
-            det = f.neg(det)
-        det = f.mul(det, int(a[c, c]))
-        ic = f.inv(int(a[c, c]))
-        for r in range(c + 1, n):
-            if a[r, c]:
-                factor = f.neg(f.mul(int(a[r, c]), ic))
-                a[r] = f.varr_add(a[r], f.varr_scale(factor, a[c]))
-    return det
+    _, pivots, det = _rref(m.field, m.a)
+    return det if len(pivots) == m.rows else 0
 
 
 def mat_is_p_nilpotent(m: Mat, p: int) -> bool:
@@ -485,7 +475,7 @@ def mat_solve(m: Mat, rhs):
     """One solution x of m @ x = rhs as a tuple, or None if inconsistent."""
     f = m.field
     aug = np.concatenate([m.a, np.array(rhs, dtype=np.int64).reshape(-1, 1)], axis=1)
-    r, pivots = _rref(f, aug)
+    r, pivots, _ = _rref(f, aug)
     if m.cols in pivots:
         return None
     x = [0] * m.cols

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import BudgetError, PreconditionError
+from .fields import is_prime
 
 Perm = tuple
 
@@ -310,18 +311,30 @@ def elementary_abelian(p: int, r: int) -> PermGroup:
 # ---------------------------------------------------------------------------
 
 def load_group(data) -> tuple:
-    """Parse {"degree": n, "generators": [[...], ...], "p": p}; returns (group, p)."""
+    """Parse {"degree": n, "generators": [[...], ...], "p": p}; returns (group, p).
+
+    degree, p, element_bound and every generator entry must be JSON integers,
+    and p must be prime.
+    """
     if isinstance(data, str):
         with open(data) as fp:
             data = json.load(fp)
     try:
-        degree = int(data["degree"])
-        gens = data["generators"]
-        p = int(data["p"])
+        degree = _integer(data["degree"], "degree")
+        gens = [[_integer(i, "generator entry") for i in gen] for gen in data["generators"]]
+        p = _integer(data["p"], "p")
+        bound = _integer(data.get("element_bound", DEFAULT_ELEMENT_BOUND), "element_bound")
     except (KeyError, TypeError) as exc:
         raise PreconditionError(f"malformed group input: {exc}")
-    bound = int(data.get("element_bound", DEFAULT_ELEMENT_BOUND))
+    if not is_prime(p):
+        raise PreconditionError(f"p={p} is not prime")
     return PermGroup(degree, gens, element_bound=bound), p
+
+
+def _integer(value, what):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise PreconditionError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def group_report(g: PermGroup, p: int) -> dict:

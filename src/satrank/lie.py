@@ -5,10 +5,11 @@ coordinates [b_i, b_j] and, per basis vector, the p-map image b_i^[p]; an
 optional matrix model realizes the basis inside gl_m and must agree with both
 tables.  Elements are coordinate tuples of field codes.
 
-x^[p] for a general element is evaluated with Jacobson's formula, folding the
-coordinate expansion pairwise; the correction terms s_i(x, y) are read off as
-t-coefficients of (ad(tx+y))^(p-1)(x) over g[t].  Matrix models shortcut this
-with a plain p-th matrix power.
+x^[p] is evaluated for a whole array of elements at once.  Matrix models take
+the batched p-th matrix power and solve back to coordinates; otherwise
+Jacobson's formula folds the coordinate expansion pairwise, reading the
+correction terms s_i(x, y) off as t-coefficients of (ad(tx+y))^(p-1)(x) over
+g[t].  All field arithmetic, batched or not, goes through satrank.fields.
 
 The saturation rank machinery works over the restricted nullcone
 V(g) = {x : x^[p] = 0}: the local rank of x is the largest size of a linearly
@@ -28,6 +29,7 @@ the classes commuting with u are the span closure of ker ad(u).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -72,17 +74,19 @@ class RestrictedLieAlgebra:
         if len(self.labels) != self.dim:
             raise PreconditionError("label count must match dimension")
         # ad tensor: _adb[i][:, j] = coords of [b_i, b_j]
-        self._adb = [np.zeros((self.dim, self.dim), dtype=np.int64) for _ in range(self.dim)]
+        self._adb = np.zeros((self.dim, self.dim, self.dim), dtype=np.int64)
         for (i, j), out in brackets.items():
             for k, c in out.items():
-                self._adb[i][k, j] = c % field.q
+                self._adb[i, k, j] = c % field.q
         self.pmap = [tuple(int(c) % field.q for c in row) for row in pmap]
+        self._pmap = np.array(self.pmap, dtype=np.int64).reshape(self.dim, self.dim)
         self.matrix_model = list(matrix_model) if matrix_model else None
         self._coord_solver = None
         if self.matrix_model:
             if len(self.matrix_model) != self.dim:
                 raise PreconditionError("matrix model must have one matrix per basis vector")
             self._coord_solver = _CoordSolver(field, self.matrix_model)
+            self._model = np.stack([m.a for m in self.matrix_model])
         if validate == "auto":
             validate = "model" if self.matrix_model else "full"
         if validate != "none":
@@ -90,26 +94,18 @@ class RestrictedLieAlgebra:
 
     # -- structure access ----------------------------------------------------
 
-    def ad(self, x: Vec) -> np.ndarray:
-        """Matrix of ad(x) on the basis, as a code array."""
-        f = self.field
-        acc = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for i, c in enumerate(x):
-            if c:
-                acc = f.varr_add(acc, f.varr_scale(c, self._adb[i]))
-        return acc
+    def ad(self, x) -> np.ndarray:
+        """Matrix of ad(x) on the basis, as a code array; x may be a stack of rows."""
+        x = np.asarray(x, dtype=np.int64)
+        ad = self.field.matmul(x, self._adb.reshape(self.dim, self.dim * self.dim))
+        return ad.reshape(x.shape[:-1] + (self.dim, self.dim))
 
     def bracket(self, x: Vec, y: Vec) -> Vec:
+        # sum of x_i y_j [b_i, b_j] over the supports of x and y only
         f = self.field
-        ax = self.ad(x)
-        col = np.array(y, dtype=np.int64)
-        if f.k == 1:
-            return tuple(int(v) for v in (ax @ col) % f.p)
-        out = np.zeros(self.dim, dtype=np.int64)
-        for j, c in enumerate(y):
-            if c:
-                out = f.varr_add(out, f.varr_scale(c, ax[:, j]))
-        return tuple(int(v) for v in out)
+        x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
+        i, j = np.flatnonzero(x), np.flatnonzero(y)
+        return tuple(f.matmul(x[i], f.matmul(self._adb[i][:, :, j], y[j])).tolist())
 
     def basis_vec(self, i: int) -> Vec:
         v = [0] * self.dim
@@ -122,13 +118,12 @@ class RestrictedLieAlgebra:
     def matrix_of(self, x: Vec) -> Mat:
         if not self.matrix_model:
             raise PreconditionError("algebra has no matrix model")
-        f = self.field
-        n = self.matrix_model[0].rows
-        acc = Mat.zeros(f, n, n)
-        for i, c in enumerate(x):
-            if c:
-                acc = acc + self.matrix_model[i].scale(c)
-        return acc
+        return Mat(self.field, self._matrices(np.asarray(x, dtype=np.int64)))
+
+    def _matrices(self, x):
+        """The model matrices of the rows of x, stacked."""
+        m = self.field.matmul(x, self._model.reshape(self.dim, -1))
+        return m.reshape(x.shape[:-1] + self._model.shape[1:])
 
     def coords_of_matrix(self, m: Mat) -> Vec:
         if not self._coord_solver:
@@ -142,59 +137,40 @@ class RestrictedLieAlgebra:
 
     def pmap_eval(self, x: Vec) -> Vec:
         """x^[p], via the matrix model when present, else Jacobson's formula."""
+        return tuple(self._pmap_rows(np.array([x], dtype=np.int64))[0].tolist())
+
+    def _pmap_rows(self, x):
+        """x^[p] for every row of the code array x (N x dim)."""
+        f, p = self.field, self.field.p
         if self.matrix_model:
-            return self.coords_of_matrix(self.matrix_of(x) ** self.field.p)
-        return self._pmap_jacobson(x)
-
-    def _pmap_jacobson(self, x: Vec) -> Vec:
-        f = self.field
-        terms = [(i, c) for i, c in enumerate(x) if c]
-        if not terms:
-            return self.zero()
-
-        def single(i, c):
-            return _vec_scale(f, f.pow(c, f.p), self.pmap[i])
-
-        i0, c0 = terms[-1]
-        acc = single(i0, c0)
-        suffix = _vec_scale(f, c0, self.basis_vec(i0))
-        for i, c in reversed(terms[:-1]):
-            u = _vec_scale(f, c, self.basis_vec(i))
-            acc = _vec_add(f, _vec_add(f, single(i, c), acc), self._jacobson_terms(u, suffix))
-            suffix = _vec_add(f, u, suffix)
+            powers = f.matpow(self._matrices(x), p).reshape(len(x), -1)
+            coords, inside = self._coord_solver.solve_rows(powers)
+            if not inside.all():
+                raise PreconditionError("p-th power lies outside the span of the model basis")
+            return coords
+        # Jacobson: (u + v)^[p] = u^[p] + v^[p] + sum_i s_i(u, v), folded over
+        # u = x_i b_i, v = x_(i+1) b_(i+1) + ... from the last coordinate down.
+        # The u^[p] terms sum to sum_i x_i^p b_i^[p]; i * s_i(u, v) is the
+        # t^(i-1) coefficient of (ad(tu + v))^(p-1)(u), and w[:, d] holds the
+        # t^d coefficient (d < p - 1; the t^(p-1) one is ad(u)^(p-1)(u) = 0).
+        acc = f.matmul(f.varr_pow(x, p), self._pmap)
+        inverses = [f.inv(i) for i in range(1, p)]
+        for i in range(self.dim - 2, -1, -1):
+            if not (x[:, i].any() and x[:, i + 1:].any()):
+                continue  # s_i(0, v) = s_i(u, 0) = 0
+            u = np.zeros_like(x)
+            u[:, i] = x[:, i]
+            v = np.zeros_like(x)
+            v[:, i + 1:] = x[:, i + 1:]
+            ad_u, ad_v = (np.swapaxes(self.ad(y), 1, 2) for y in (u, v))
+            w = np.zeros((len(x), p - 1, self.dim), dtype=np.int64)
+            w[:, 0] = u
+            for _ in range(p - 1):
+                nw = f.matmul(w, ad_v)
+                nw[:, 1:] = f.varr_add(nw[:, 1:], f.matmul(w[:, :-1], ad_u))
+                w = nw
+            acc = f.varr_add(acc, f.matmul(inverses, w))
         return acc
-
-    def _jacobson_terms(self, u: Vec, v: Vec) -> Vec:
-        # sum of s_i(u, v): i * s_i = coefficient of t^(i-1) in (ad(tu+v))^(p-1)(u)
-        f = self.field
-        p = f.p
-        ad_u = self.ad(u)
-        ad_v = self.ad(v)
-        w = np.zeros((p, self.dim), dtype=np.int64)  # w[d] = t^d coefficient
-        w[0] = np.array(u, dtype=np.int64)
-        for _ in range(p - 1):
-            nw = np.zeros_like(w)
-            for d in range(p):
-                col = self._apply(ad_v, w[d])
-                if d > 0:
-                    col = f.varr_add(col, self._apply(ad_u, w[d - 1]))
-                nw[d] = col
-            w = nw
-        acc = np.zeros(self.dim, dtype=np.int64)
-        for i in range(1, p):
-            inv_i = f.inv(i % p)
-            acc = f.varr_add(acc, f.varr_scale(inv_i, w[i - 1]))
-        return tuple(int(c) for c in acc)
-
-    def _apply(self, ad_mat, col):
-        f = self.field
-        if f.k == 1:
-            return (ad_mat @ col) % f.p
-        out = np.zeros(self.dim, dtype=np.int64)
-        for j, c in enumerate(col):
-            if c:
-                out = f.varr_add(out, f.varr_scale(int(c), ad_mat[:, j]))
-        return out
 
     # -- validation ------------------------------------------------------------
 
@@ -202,13 +178,13 @@ class RestrictedLieAlgebra:
         f = self.field
         if level == "model" and not self.matrix_model:
             level = "full"
-        # antisymmetry on the stored table
+        # antisymmetry on the stored table: [b_i, b_j] = -[b_j, b_i], [b_i, b_i] = 0
         for i in range(self.dim):
-            for j in range(self.dim):
-                lhs = self._adb[i][:, j]
-                rhs = f.varr_neg(self._adb[j][:, i])
-                if (lhs != rhs).any():
-                    raise PreconditionError(f"bracket table is not antisymmetric at ({i},{j})")
+            # column j of _adb[i] is [b_i, b_j], row j of _adb[:, :, i] is [b_j, b_i]
+            bad = (self._adb[i] != f.varr_neg(self._adb[:, :, i].T)).any(axis=0)
+            if bad.any():
+                raise PreconditionError(
+                    f"bracket table is not antisymmetric at ({i},{np.flatnonzero(bad)[0]})")
             if self._adb[i][:, i].any():
                 raise PreconditionError(f"[b_{i}, b_{i}] != 0")
         if self.matrix_model:
@@ -218,38 +194,38 @@ class RestrictedLieAlgebra:
             self._validate_restricted()
 
     def _validate_jacobi(self):
+        # given antisymmetry, the Jacobi identity on all basis triples says
+        # ad([b_i, b_j]) = ad(b_i) ad(b_j) - ad(b_j) ad(b_i); column k of
+        # either side is the triple (i, j, k)
         f = self.field
         for i in range(self.dim):
-            bi = self.basis_vec(i)
-            for j in range(i + 1, self.dim):
-                bj = self.basis_vec(j)
-                bij = self.bracket(bi, bj)
-                for k in range(j, self.dim):
-                    bk = self.basis_vec(k)
-                    s = _vec_add(f, self.bracket(bij, bk),
-                                 _vec_add(f, self.bracket(self.bracket(bj, bk), bi),
-                                          self.bracket(self.bracket(bk, bi), bj)))
-                    if not _vec_is_zero(s):
-                        raise PreconditionError(f"Jacobi fails on basis triple ({i},{j},{k})")
+            lhs = self.ad(self._adb[i].T)  # row j of _adb[i].T is [b_i, b_j]
+            rhs = f.varr_add(f.matmul(self._adb[i], self._adb),
+                             f.varr_neg(f.matmul(self._adb, self._adb[i])))
+            bad = (lhs != rhs).any(axis=1)
+            if bad.any():
+                j, k = np.argwhere(bad)[0]
+                raise PreconditionError(f"Jacobi fails on basis triple ({i},{j},{k})")
 
     def _validate_restricted(self):
-        # ad(b_i^[p]) == ad(b_i)^p as matrices
-        f = self.field
+        # ad(b_i^[p]) == ad(b_i)^p as matrices; ad(b_i) is _adb[i]
+        lhs = self.ad(self._pmap)
+        rhs = self.field.matpow(self._adb, self.field.p)
         for i in range(self.dim):
-            lhs = self.ad(self.pmap[i])
-            rhs = (Mat(f, self.ad(self.basis_vec(i))) ** f.p).a
-            if (lhs != rhs).any():
+            if (lhs[i] != rhs[i]).any():
                 raise PreconditionError(f"restrictedness fails: ad(b_{i}^[p]) != ad(b_{i})^p")
 
     def _validate_model(self):
-        f = self.field
-        for i, mi in enumerate(self.matrix_model):
-            for j, mj in enumerate(self.matrix_model):
-                comm = mi @ mj - mj @ mi
-                if self.coords_of_matrix(comm) != self.bracket(self.basis_vec(i), self.basis_vec(j)):
-                    raise PreconditionError(f"model commutator disagrees with table at ({i},{j})")
-            if self.coords_of_matrix(mi ** f.p) != self.pmap[i]:
-                raise PreconditionError(f"model p-th power disagrees with p-map at {i}")
+        f, solver = self.field, self._coord_solver
+        for i, (coords, inside) in enumerate(solver.commutator_rows(self._model)):
+            bad = ~inside | (coords != self._adb[i].T).any(axis=1)  # row j: [b_i, b_j]
+            if bad.any():
+                raise PreconditionError(
+                    f"model commutator disagrees with table at ({i},{np.flatnonzero(bad)[0]})")
+        powers, inside = solver.solve_rows(f.matpow(self._model, f.p).reshape(self.dim, -1))
+        bad = ~inside | (powers != self._pmap).any(axis=1)
+        if bad.any():
+            raise PreconditionError(f"model p-th power disagrees with p-map at {np.flatnonzero(bad)[0]}")
 
     # -- element enumeration ----------------------------------------------------
 
@@ -264,43 +240,39 @@ class RestrictedLieAlgebra:
 
 
 class _CoordSolver:
-    """Precomputed elimination expressing matrices in a fixed matrix basis."""
+    """Precomputed elimination expressing matrices in a fixed matrix basis.
+
+    Row-reducing [B | I], with the raveled basis matrices as the columns of B,
+    gives E with E @ vec(m) = (coordinates of m, residual); m lies in the span
+    exactly when the residual is zero.
+    """
 
     def __init__(self, field, basis_mats):
         self.field = field
         self.dim = len(basis_mats)
-        n2 = basis_mats[0].rows * basis_mats[0].cols
-        cols = [m.a.ravel() for m in basis_mats]
-        b = np.stack(cols, axis=1)  # n2 x dim
-        aug = np.concatenate([b, np.eye(n2, dtype=np.int64)], axis=1)
-        r, pivots = _rref(field, aug)
-        if any(pc >= self.dim for pc in pivots[: self.dim]) or len([pc for pc in pivots if pc < self.dim]) != self.dim:
+        b = np.stack([m.a.ravel() for m in basis_mats], axis=1)  # n2 x dim
+        aug = np.concatenate([b, np.eye(b.shape[0], dtype=np.int64)], axis=1)
+        r, pivots, _ = _rref(field, aug)
+        if pivots[: self.dim] != list(range(self.dim)):
             raise PreconditionError("matrix model basis is linearly dependent")
-        self._rows = r
-        self._pivots = pivots
-        self._n2 = n2
+        self._e_t = r[:, self.dim:].T
+
+    def solve_rows(self, flat):
+        """(coordinates, inside span) for raveled matrices, one per row of flat."""
+        t = self.field.matmul(flat, self._e_t)
+        return t[..., : self.dim], ~t[..., self.dim:].any(axis=-1)
 
     def solve(self, m: Mat) -> Optional[Vec]:
+        coords, inside = self.solve_rows(m.a.ravel())
+        return tuple(coords.tolist()) if inside else None
+
+    def commutator_rows(self, model):
+        """For each i, solve_rows of the commutators [m_i, m_j] over all j, for
+        the stacked basis matrices m."""
         f = self.field
-        vec = m.a.ravel()
-        transformed = np.zeros(self._rows.shape[0], dtype=np.int64)
-        e = self._rows[:, self.dim:]
-        if f.k == 1:
-            transformed = (e @ vec) % f.p
-        else:
-            for j, c in enumerate(vec):
-                if c:
-                    transformed = f.varr_add(transformed, f.varr_scale(int(c), e[:, j]))
-        coords = [0] * self.dim
-        for row, pc in enumerate(self._pivots):
-            if pc < self.dim:
-                coords[pc] = int(transformed[row])
-            elif transformed[row]:
-                return None  # inconsistent: m outside the span
-        for row in range(len(self._pivots), self._rows.shape[0]):
-            if transformed[row]:
-                return None
-        return tuple(coords)
+        for m in model:
+            comm = f.varr_add(f.matmul(m, model), f.varr_neg(f.matmul(model, m)))
+            yield self.solve_rows(comm.reshape(self.dim, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -340,37 +312,25 @@ def toral(dim: int, field: FieldSpec) -> RestrictedLieAlgebra:
 
 def from_matrix_basis(field: FieldSpec, mats, labels=None, validate="model") -> RestrictedLieAlgebra:
     """Algebra spanned by commutator-closed, p-power-closed matrices."""
-    solver = _CoordSolver(field, list(mats))
-    dim = len(mats)
+    mats = list(mats)
+    solver = _CoordSolver(field, mats)
+    model = np.stack([m.a for m in mats])
     brackets = {}
-    pmap = []
-    for i in range(dim):
-        for j in range(dim):
-            if i == j:
-                continue
-            comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-            coords = solver.solve(comm)
-            if coords is None:
-                raise PreconditionError("matrix span is not closed under commutators")
-            out = {k: c for k, c in enumerate(coords) if c}
-            if out:
-                brackets[(i, j)] = out
-        pc = solver.solve(mats[i] ** field.p)
-        if pc is None:
-            raise PreconditionError("matrix span is not closed under p-th powers")
-        pmap.append(pc)
-    return RestrictedLieAlgebra(field, brackets, pmap, labels=labels,
-                                matrix_model=list(mats), validate=validate)
+    for i, (coords, inside) in enumerate(solver.commutator_rows(model)):
+        if not inside.all():
+            raise PreconditionError("matrix span is not closed under commutators")
+        for j in np.flatnonzero(coords.any(axis=1)).tolist():
+            brackets[(i, j)] = {k: c for k, c in enumerate(coords[j].tolist()) if c}
+    pmap, inside = solver.solve_rows(field.matpow(model, field.p).reshape(len(mats), -1))
+    if not inside.all():
+        raise PreconditionError("matrix span is not closed under p-th powers")
+    return RestrictedLieAlgebra(field, brackets, pmap.tolist(), labels=labels,
+                                matrix_model=mats, validate=validate)
 
 
-_SL_CACHE = {}
-
-
+@functools.lru_cache(maxsize=None)
 def special_linear(n: int, field: FieldSpec, validate="model") -> RestrictedLieAlgebra:
     """sl_n as a restricted matrix algebra: basis E_ij (i != j) then h_i = E_ii - E_(i+1)(i+1)."""
-    key = (n, field.p, field.k, field.modulus)
-    if key in _SL_CACHE:
-        return _SL_CACHE[key]
     if n < 2:
         raise PreconditionError("n must be >= 2")
     one = field.one
@@ -390,9 +350,7 @@ def special_linear(n: int, field: FieldSpec, validate="model") -> RestrictedLieA
         m[i + 1, i + 1] = field.neg(one)
         mats.append(Mat(field, m))
         labels.append(f"h{i+1}")
-    alg = from_matrix_basis(field, mats, labels=labels, validate=validate)
-    _SL_CACHE[key] = alg
-    return alg
+    return from_matrix_basis(field, mats, labels=labels, validate=validate)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +367,7 @@ def nullcone(g: RestrictedLieAlgebra, budget: int = DEFAULT_BUDGET):
     return [tuple(row.tolist()) for row in vecs]  # row by row: no list-of-lists copy
 
 
-_CHUNK = 1 << 12  # combinations per batch; bounds the p-th power temporaries
+_CHUNK = 1 << 11  # combinations per batch; bounds the p-th power temporaries
 
 
 def _nilpotent_span(g: RestrictedLieAlgebra, basis):
@@ -418,27 +376,23 @@ def _nilpotent_span(g: RestrictedLieAlgebra, basis):
     Combination number r has coefficients _digits(r), so ascending r is
     lexicographic coefficient order.  Returns (codes, vecs): the ascending
     numbers r of the p-nilpotent combinations and those combinations in g's
-    coordinates.  The q**len(basis) combinations are enumerated in chunks of
-    _CHUNK; over a prime field with a matrix model the p-th powers of a chunk
-    are taken batched, otherwise x^[p] is evaluated point by point.
+    coordinates.  The q**len(basis) combinations are enumerated, and their
+    p-th powers taken, in batches of _CHUNK.
     """
     f = g.field
-    d = len(basis)
-    total = f.q ** d
-    model = np.stack([m.a for m in g.matrix_model]) if g.matrix_model and f.k == 1 else None
     codes, vecs = [], []
-    for start in range(0, total, _CHUNK):
-        r = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+    for r in _code_chunks(f.q ** len(basis)):
         v = _combinations(f, r, basis)
-        if model is not None:
-            x = np.tensordot(v, model, axes=([1], [0])) % f.p
-            nil = ~_batch_matpow(x, f.p, f.p).any(axis=(1, 2))
-        else:
-            nil = np.array([_vec_is_zero(g.pmap_eval(tuple(row.tolist()))) for row in v],
-                           dtype=bool)
+        nil = ~g._pmap_rows(v).any(axis=1)
         codes.append(r[nil])
         vecs.append(v[nil])
     return np.concatenate(codes), np.concatenate(vecs)
+
+
+def _code_chunks(total):
+    """0, 1, ..., total - 1 as ascending arrays of at most _CHUNK codes."""
+    for start in range(0, total, _CHUNK):
+        yield np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
 
 
 def _place_values(q, d):
@@ -453,19 +407,7 @@ def _digits(codes, q, d):
 
 def _combinations(f, codes, basis):
     """The combinations of the rows of basis with coefficient vectors _digits(codes)."""
-    return (Mat(f, _digits(codes, f.q, len(basis))) @ Mat(f, basis)).a
-
-
-def _batch_matpow(x, e, p):
-    n = x.shape[-1]
-    result = np.broadcast_to(np.eye(n, dtype=np.int64), x.shape).copy()
-    base = x
-    while e:
-        if e & 1:
-            result = np.matmul(result, base) % p
-        base = np.matmul(base, base) % p
-        e >>= 1
-    return result
+    return f.matmul(_digits(codes, f.q, len(basis)), basis)
 
 
 def centralizer(g: RestrictedLieAlgebra, x: Vec):
@@ -562,8 +504,8 @@ class _TupleSearch:
 
     def _commuting_masks(self):
         from .fields import mat_kernel_basis
-        basis_t = Mat(self.f, self.basis.T)
-        return [self._span_mask(mat_kernel_basis(Mat(self.f, self.g.ad(u)) @ basis_t))
+        f, basis_t = self.f, self.basis.T
+        return [self._span_mask(mat_kernel_basis(Mat(f, f.matmul(self.g.ad(u), basis_t))))
                 for u in self.points]
 
     def _mask_of(self, vecs):
@@ -583,8 +525,11 @@ class _TupleSearch:
 
     def _span_mask(self, vectors):
         """Bitmask of the classes in the span of coordinate vectors."""
-        return self._mask_of(_combinations(self.f, np.arange(self.f.q ** len(vectors)),
-                                           np.array(vectors, dtype=np.int64)))
+        vectors = np.array(vectors, dtype=np.int64)
+        mask = 0
+        for r in _code_chunks(self.f.q ** len(vectors)):
+            mask |= self._mask_of(_combinations(self.f, r, vectors))
+        return mask
 
     def max_tuple_containing(self, x, stop_at=None):
         """(r, witness, exhausted): r = best tuple size found with x forced in.

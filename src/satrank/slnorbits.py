@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import PreconditionError
-from .fields import FieldSpec, Mat, mat_rank
+from .fields import FieldSpec, Mat, field_make, is_prime, mat_rank
 from .lie import ElementarySubalgebra, special_linear
 
 
@@ -104,10 +104,7 @@ def nullcone_top_partition(n: int, p: int) -> Partition:
         raise PreconditionError("n must be >= 1")
     q, r = divmod(n, p)
     parts = (p,) * q + ((r,) if r else ())
-    top = Partition(parts)
-    for mu in partitions(n, max_part=p):
-        assert dominance_leq(mu, top), (mu, top)
-    return top
+    return Partition(parts)
 
 
 def partition_of_nilpotent(m: Mat) -> Partition:
@@ -518,7 +515,7 @@ def srk_sln(n: int, p: int) -> SlnSrk:
     """
     if n < 2:
         raise PreconditionError("n must be >= 2")
-    if p < 2 or not _is_prime_cached(p):
+    if not is_prime(p):
         raise PreconditionError(f"p={p} must be prime")
     if p >= n - 1:
         return SlnSrk(value=n - 1, exact=True, note="")
@@ -527,7 +524,7 @@ def srk_sln(n: int, p: int) -> SlnSrk:
     # p < n-2: build and validate the witness at the dense orbit of V(sl_n)
     from .lie import is_elementary
     top = nullcone_top_partition(n, p)
-    field = _field_cached(p)
+    field = field_make(p, 1)
     mats = _case_split_witness(top, field)
     alg = special_linear(n, field)
     basis = [alg.coords_of_matrix(m) for m in mats]
@@ -540,21 +537,6 @@ def srk_sln(n: int, p: int) -> SlnSrk:
     return SlnSrk(value=len(basis), exact=False, note="derived-not-paper")
 
 
-def _is_prime_cached(p):
-    from .fields import is_prime
-    return is_prime(p)
-
-
-_FIELD_CACHE = {}
-
-
-def _field_cached(p):
-    if p not in _FIELD_CACHE:
-        from .fields import field_make
-        _FIELD_CACHE[p] = field_make(p, 1)
-    return _FIELD_CACHE[p]
-
-
 def o_rmin_sln(n: int, p: int):
     """Partitions whose orbits realize the minimal local rank: (n) and (n-1,1)."""
     if n < 3:
@@ -565,7 +547,7 @@ def o_rmin_sln(n: int, p: int):
 
 
 def sln_report(n: int, p: int) -> dict:
-    field = _field_cached(p)
+    field = field_make(p, 1)
     srk = srk_sln(n, p)
     orbits = []
     for lam in partitions(n):

@@ -153,3 +153,19 @@ def test_lie_srk_rejects_out_of_range_input(capsys, tmp_path, data):
     code, out, err = run_cli(capsys, "lie-srk", "--file", str(path))
     assert code == 2 and out == ""
     assert "precondition" in err
+
+
+@pytest.mark.parametrize("data", [
+    {"degree": 4, "generators": [[1, 2, 3, 0]], "p": 4},
+    {"degree": 4, "generators": [[1, 2, 3, 0]], "p": 1},
+    {"degree": 4, "generators": [[1, 2, 3, 0]], "p": "abc"},
+    {"degree": "four", "generators": [[1, 2, 3, 0]], "p": 2},
+    {"degree": 4, "generators": [[1, 2, 3, "x"]], "p": 2},
+    {"degree": 2, "generators": [[1, 0.5]], "p": 2},
+], ids=["p_composite", "p_one", "p_text", "degree_text", "entry_text", "entry_fraction"])
+def test_group_srk_rejects_bad_input(capsys, tmp_path, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "group-srk", "--file", str(path))
+    assert code == 2 and out == ""
+    assert "precondition" in err

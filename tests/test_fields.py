@@ -236,3 +236,88 @@ def test_field_element_roundtrip():
     f = field_make(3, 4)
     for a in itertools.islice(f.elements(), 0, 81, 7):
         assert f.from_coeffs(f.coeffs(a)) == a
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel, above-cap fields included
+# ---------------------------------------------------------------------------
+
+KERNEL_FIELDS = [(5, 1), (3, 2), (2, 4), (5, 3), (7, 4)]  # F_{7^4} is above _TABLE_CAP
+
+
+def naive_matmul(f, a, b):
+    """Scalar triple loop over 2-D code lists."""
+    return [[_naive_dot(f, row, [r[j] for r in b]) for j in range(len(b[0]))] for row in a]
+
+
+def _naive_dot(f, u, v):
+    s = 0
+    for x, y in zip(u, v):
+        s = f.add(s, f.mul(int(x), int(y)))
+    return s
+
+
+@pytest.mark.parametrize("p,k", KERNEL_FIELDS)
+def test_kernel_matmul_agrees_with_scalar_triple_loop(p, k):
+    f = field_make(p, k)
+    rng = np.random.default_rng(p * 10 + k)
+    a = rng.integers(0, f.q, size=(3, 4, 5))
+    b = rng.integers(0, f.q, size=(3, 5, 2))
+    c = f.matmul(a, b)
+    assert c.shape == (3, 4, 2)
+    for s in range(3):
+        assert c[s].tolist() == naive_matmul(f, a[s].tolist(), b[s].tolist())
+    # broadcasting a single matrix against the stack
+    assert f.matmul(a[0], b).tolist() == [naive_matmul(f, a[0].tolist(), b[s].tolist())
+                                          for s in range(3)]
+    # 1-D operands follow np.matmul: vector @ matrix, matrix @ vector, dot product
+    u, v = a[0, 0], b[0, :, 0]
+    assert f.matmul(u, b[0]).tolist() == naive_matmul(f, [u.tolist()], b[0].tolist())[0]
+    assert f.matmul(a[0], v).tolist() == [r[0] for r in naive_matmul(
+        f, a[0].tolist(), [[x] for x in v.tolist()])]
+    assert int(f.matmul(u, v)) == _naive_dot(f, u.tolist(), v.tolist())
+
+
+@pytest.mark.parametrize("p,k", KERNEL_FIELDS)
+def test_kernel_matpow_agrees_with_repeated_products(p, k):
+    f = field_make(p, k)
+    rng = np.random.default_rng(k)
+    a = rng.integers(0, f.q, size=(2, 3, 3))
+    acc = np.broadcast_to(np.eye(3, dtype=np.int64), a.shape)
+    for e in range(7):
+        assert (f.matpow(a, e) == acc).all()
+        assert (Mat(f, a[1]) ** e).a.tolist() == acc[1].tolist()
+        acc = f.matmul(acc, a)
+
+
+def test_elimination_above_table_cap():
+    # F_{7^4}: q = 2401 > _TABLE_CAP, so no q x q tables back the arithmetic
+    f = field_make(7, 4)
+    rng = np.random.default_rng(74)
+    for rank in (12, 9, 5):
+        # random 12 x 12 of the given rank: (12 x rank) @ (rank x 12)
+        left, right = rng.integers(0, f.q, size=(12, rank)), rng.integers(0, f.q, size=(rank, 12))
+        m = Mat(f, left) @ Mat(f, right)
+        r = mat_rank(m)
+        kernel = mat_kernel_basis(m)
+        assert r == rank and r + len(kernel) == 12
+        for v in kernel:
+            assert (m @ Mat(f, np.array(v, dtype=np.int64).reshape(-1, 1))).is_zero()
+        x = rng.integers(0, f.q, size=12)
+        rhs = (m @ Mat(f, x.reshape(-1, 1))).a.ravel().tolist()
+        sol = mat_solve(m, rhs)
+        assert sol is not None
+        assert (m @ Mat(f, np.array(sol, dtype=np.int64).reshape(-1, 1))).a.ravel().tolist() == rhs
+
+
+@given(st.integers(0, 2400), st.integers(0, 2400), st.integers(0, 2400))
+@settings(max_examples=200, deadline=None)
+def test_field_axioms_sampled_f2401(a, b, c):
+    f = field_make(7, 4)  # |F| = 2401 > _TABLE_CAP: sampled
+    assert f.mul(a, b) == f.mul(b, a)
+    assert f.mul(a, f.mul(b, c)) == f.mul(f.mul(a, b), c)
+    assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+    assert f.add(a, f.neg(a)) == 0
+    if a:
+        assert f.mul(a, f.inv(a)) == f.one
+    assert f.frob(f.add(a, b)) == f.add(f.frob(a), f.frob(b))

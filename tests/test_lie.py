@@ -88,6 +88,34 @@ def test_bad_structure_constants_rejected():
                              [(0, 1, 0)] + [(0,) * 3] * 2)
 
 
+
+def test_validation_names_the_broken_identity():
+    one, neg = F3.one, F3.neg(F3.one)
+    # antisymmetric, but [[b0, b1], b2] + [[b1, b2], b0] + [[b2, b0], b1] = b0 != 0
+    with pytest.raises(PreconditionError, match="Jacobi"):
+        RestrictedLieAlgebra(F3, {(0, 1): {2: one}, (1, 0): {2: neg},
+                                  (0, 2): {0: one}, (2, 0): {0: neg}}, [(0,) * 3] * 3)
+    # [b0, b0] != 0 passes the antisymmetry test in characteristic 2
+    with pytest.raises(PreconditionError, match=r"\[b_0, b_0\] != 0"):
+        RestrictedLieAlgebra(field_make(2, 1), {(0, 0): {1: 1}}, [(0, 0), (0, 0)])
+    # a matrix model that contradicts the bracket table or the p-map
+    sl2 = special_linear(2, F3)
+    table = {(i, j): {k: int(sl2._adb[i][k, j]) for k in range(3) if sl2._adb[i][k, j]}
+             for i in range(3) for j in range(3)}
+    flipped = dict(table)
+    flipped[(0, 1)], flipped[(1, 0)] = table[(1, 0)], table[(0, 1)]  # [e, f] = -h
+    with pytest.raises(PreconditionError, match="commutator disagrees"):
+        RestrictedLieAlgebra(F3, flipped, sl2.pmap, matrix_model=sl2.matrix_model)
+    with pytest.raises(PreconditionError, match="p-th power disagrees"):
+        RestrictedLieAlgebra(F3, table, [(0, 0, 0)] * 3, matrix_model=sl2.matrix_model)
+
+
+@pytest.mark.parametrize("field", [F3, field_make(3, 2)], ids=["F3", "F9"])
+def test_zero_dimensional_algebra(field):
+    g = abelian_p_trivial(0, field)
+    assert g.pmap_eval(()) == () and nullcone(g) == [()]
+    assert srk_brute(g).srk == 0
+
 def test_pmap_examples():
     h = heisenberg(1, F3)
     for x in h.iter_elements():
@@ -124,6 +152,25 @@ def test_jacobson_p2_matrix_algebra():
     for x in gl2.iter_elements():
         assert bare.pmap_eval(x) == gl2.pmap_eval(x)
 
+
+
+def _without_model(g):
+    """g rebuilt from its bracket table and p-map alone, so x^[p] goes through
+    Jacobson's formula instead of the matrix power."""
+    d = g.dim
+    brackets = {(i, j): {k: int(g._adb[i][k, j]) for k in range(d) if g._adb[i][k, j]}
+                for i in range(d) for j in range(d)}
+    return RestrictedLieAlgebra(g.field, brackets, g.pmap, labels=g.labels)
+
+
+@pytest.mark.parametrize("n,p,k", [(2, 3, 2), (3, 3, 1)], ids=["sl2_F9", "sl3_F3"])
+def test_jacobson_agrees_with_matrix_model_everywhere(n, p, k):
+    with_model = special_linear(n, field_make(p, k))
+    bare = _without_model(with_model)
+    assert bare.matrix_model is None
+    for x in with_model.iter_elements():
+        assert bare.pmap_eval(x) == with_model.pmap_eval(x)
+    assert nullcone(bare) == nullcone(with_model)
 
 def test_pmap_semilinear():
     rng = random.Random(5)
@@ -350,6 +397,26 @@ def test_local_rank_golden_witnesses():
     assert res.rank == 2
     assert [list(v) for v in res.witness.basis] == [[0, 0, 1], [0, 1, 0]]
 
+
+
+def test_srk_brute_golden_sl2_f25_matrix_model():
+    # extension field with a matrix model: x^[p] is a matrix power over F_25
+    res = srk_brute(special_linear(2, field_make(5, 2)))
+    payload = {"srk": res.srk, "r_min": res.r_min, "o_rmin_count": res.o_rmin_count,
+               "o_rmin": [list(v) for v in res.o_rmin],
+               "witness": [list(v) for v in res.witness.basis]}
+    assert (res.srk, res.r_min, res.o_rmin_count) == (1, 1, 624)
+    assert payload["witness"] == [[0, 1, 0]]
+    assert hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest() == \
+        "da130b5a39210934e29dd6502cba4fac7ce7632c613b467d55c96f4432067bfb"
+
+
+def test_nullcone_golden_h3_f27_jacobson():
+    # structure constants only, k = 3: x^[p] goes through Jacobson's formula
+    pts = nullcone(heisenberg(1, field_make(3, 3)))
+    assert len(pts) == 27 ** 3
+    assert hashlib.sha256(json.dumps([list(v) for v in pts]).encode()).hexdigest() == \
+        "37b8691d6ccd431bec492b03bbb8acb49d41253f84b5bb219a8e417312f8e8af"
 
 def test_srk_brute_o_rmin_sl2():
     res = srk_brute(special_linear(2, F3))
