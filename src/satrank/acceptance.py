@@ -24,7 +24,7 @@ from .frobkernel import (
     trunc_exp,
     u_e_data,
 )
-from .groups import dihedral_square, maximal_elemab, quillen_dim, srk_group
+from .groups import dihedral_square, group_ranks
 from .lie import heisenberg, is_elementary, special_linear, srk_brute
 from .oracle import oracle_srk_lie
 from .slnorbits import (
@@ -53,10 +53,10 @@ def _smallest_prime_geq(n):
 
 def criterion_1_dihedral():
     """srk(D8, p=2) = 2 = quillen_dim with exactly two rank-2 classes."""
-    g = dihedral_square()
-    res = maximal_elemab(g, 2)
-    assert srk_group(g, 2) == 2
-    assert quillen_dim(g, 2) == 2
+    ranks = group_ranks(dihedral_square(), 2)
+    res = ranks.elemab
+    assert ranks.srk == 2
+    assert ranks.quillen_dim == 2
     assert len(res.representatives) == 2
     assert all(s.rank == 2 for s in res.representatives)
     assert len(res.all_subgroups) == 2

@@ -7,10 +7,12 @@ listing is sorted lexicographically on image tuples so output is reproducible.
 
 The saturation rank of the associated constant group scheme is the minimal
 rank of a maximal elementary abelian p-subgroup; the dimension of the support
-variety is the maximal such rank.  Enumeration works by extension: a set of
-pairwise commuting order-p elements generates an elementary abelian group, so
-growing seeds by commuting order-p elements (in canonical order) reaches every
-maximal subgroup exactly once from its least member.
+variety is the maximal such rank.  For p prime, the maximal ones are exactly
+the sets C | {e} for C a maximal clique of the commuting graph on the elements
+of order p: pairwise commuting elements of order p generate a group whose
+other elements also have order p and commute with all of C, so maximality of
+the clique and of the subgroup each give the other.  Cliques are enumerated by
+Bron-Kerbosch with Tomita's pivot (CACM 1973; Theor. Comp. Sci. 2006).
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import BudgetError, PreconditionError
 from .fields import is_prime
@@ -61,7 +65,7 @@ class PermGroup:
         self.degree = int(degree)
         self.generators = [_check_perm(g, self.degree) for g in generators]
         self.element_bound = element_bound
-        self._elements = None
+        self._elements = self._members = None
 
     def identity(self) -> Perm:
         return tuple(range(self.degree))
@@ -69,37 +73,25 @@ class PermGroup:
     def elements(self):
         """Sorted tuple of all elements (BFS closure, deterministic)."""
         if self._elements is None:
-            e = self.identity()
-            seen = {e}
-            frontier = [e]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for g in self.generators:
-                        y = perm_mul(x, g)
-                        if y not in seen:
-                            if len(seen) >= self.element_bound:
-                                raise BudgetError(
-                                    f"group closure exceeds element bound {self.element_bound}")
-                            seen.add(y)
-                            nxt.append(y)
-                frontier = nxt
-            self._elements = tuple(sorted(seen))
+            self._members = _closure(self.degree, self.generators, self.element_bound)
+            self._elements = tuple(sorted(self._members))
         return self._elements
 
     def order(self) -> int:
         return len(self.elements())
 
     def __contains__(self, perm):
-        return tuple(perm) in set(self.elements())
+        self.elements()
+        return tuple(perm) in self._members
 
 
 def group_elements(g: PermGroup):
     return g.elements()
 
 
-def _closure(degree, gens):
-    """Subgroup generated by gens, as a frozenset (no bound; caller-scale only)."""
+def _closure(degree, gens, bound=None):
+    """Subgroup generated by gens, as a frozenset; BudgetError past bound elements
+    (bound None: unbounded, caller-scale only)."""
     e = tuple(range(degree))
     seen = {e}
     frontier = [e]
@@ -110,6 +102,8 @@ def _closure(degree, gens):
             for g in gens:
                 y = perm_mul(x, g)
                 if y not in seen:
+                    if bound is not None and len(seen) >= bound:
+                        raise BudgetError(f"group closure exceeds element bound {bound}")
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt
@@ -161,79 +155,74 @@ class MaximalElemAb(NamedTuple):
     all_subgroups: list    # every maximal elementary abelian subgroup, sorted
 
 
+def _bits(mask):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _maximal_cliques(adj):
+    """Maximal cliques, as bitsets, of the graph with neighbour bitsets adj, by
+    Bron-Kerbosch with Tomita's pivot on an explicit stack (no recursion limit)."""
+    cliques = []
+    stack = [(0, (1 << len(adj)) - 1, 0)]
+    while stack:
+        clique, cand, done = stack.pop()
+        if not cand:
+            if not done:
+                cliques.append(clique)
+            continue
+        pivot = max((adj[u] for u in _bits(cand | done)), key=lambda m: (m & cand).bit_count())
+        for v in _bits(cand & ~pivot):
+            stack.append((clique | 1 << v, cand & adj[v], done & adj[v]))
+            cand &= ~(1 << v)
+            done |= 1 << v
+    return cliques
+
+
 def maximal_elemab(g: PermGroup, p: int) -> MaximalElemAb:
-    """All maximal elementary abelian p-subgroups, plus conjugacy representatives.
-
-    Complete by construction: any maximal subgroup E is reached from the seed
-    min(E) by adjoining the least order-p element of E outside the running
-    closure, and such adjoin chains are strictly increasing.
-    """
-    if not 0 < p:
-        raise PreconditionError("p must be a positive prime")
+    """All maximal elementary abelian p-subgroups, plus conjugacy representatives:
+    the sets C | {e} for the maximal cliques C of the commuting graph (module
+    docstring).  Classes are orbits under conjugation by the generators, each
+    represented by its least member in sorted-element order."""
+    if not is_prime(p):
+        raise PreconditionError(f"p={p} is not prime")
     els = g.elements()
-    torsion = sorted(x for x in els if perm_order(x) == p)
-    if not torsion:
+    if p > g.degree:  # an element of order p is a product of p-cycles
         return MaximalElemAb([], [])
-    idx = {x: i for i, x in enumerate(torsion)}
-    n = len(torsion)
-    commutes = [0] * n
-    for i, x in enumerate(torsion):
-        mask = 0
-        for j, y in enumerate(torsion):
-            if perm_mul(x, y) == perm_mul(y, x):
-                mask |= 1 << j
-        commutes[i] = mask
-
-    found = {}
-
-    def extend(cur_set, cur_gens, last, allowed):
-        # allowed: bitset of torsion elements commuting with everything chosen
-        candidates = allowed
-        fresh = []
-        i = 0
-        while candidates:
-            b = candidates & -candidates
-            i = b.bit_length() - 1
-            candidates ^= b
-            if torsion[i] not in cur_set:
-                fresh.append(i)
-        if not fresh:
-            key = frozenset(cur_set)
-            if key not in found:
-                found[key] = _subgroup_from_elements(g.degree, p, cur_set)
-            return
-        progressed = False
-        for i in fresh:
-            if i <= last:
-                continue
-            progressed = True
-            x = torsion[i]
-            new_set = _closure(g.degree, cur_gens + [x])
-            extend(new_set, cur_gens + [x], i, allowed & commutes[i])
-        if not progressed:
-            # candidates exist but all precede the last adjoin: this chain is a
-            # subgroup of a maximal one found along the increasing chain; drop it
-            return
-
-    for i in range(n):
-        x = torsion[i]
-        seed = _closure(g.degree, [x])
-        extend(seed, [x], i, commutes[i])
-
-    subs = sorted(found.values())
-
-    # conjugacy classes by brute force over all group elements
-    remaining = {frozenset(s.elements): s for s in subs}
-    reps = []
-    while remaining:
-        key = min(remaining, key=lambda fs: sorted(fs))
-        rep = remaining.pop(key)
-        for h in els:
-            hinv = perm_inv(h)
-            conj = frozenset(perm_mul(perm_mul(h, x), hinv) for x in key)
-            remaining.pop(conj, None)
-        reps.append(rep)
-    return MaximalElemAb(sorted(reps), subs)
+    x = y = np.array(els, dtype=np.intp)
+    for _ in range(p - 1):
+        y = np.take_along_axis(x, y, axis=1)  # x o x^k = x^(k+1)
+    ident = np.arange(g.degree)
+    t = x[(y == ident).all(axis=1) & (x != ident).any(axis=1)]  # sorted, as els is
+    if not len(t):
+        return MaximalElemAb([], [])
+    adj = []
+    for i in range(len(t)):  # neighbours of x_i: the x_j != x_i with x_i x_j == x_j x_i
+        row = (t[i][t] == t[:, t[i]]).all(axis=1)
+        adj.append(int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") ^ 1 << i)
+    cliques = sorted(_maximal_cliques(adj), key=lambda c: list(_bits(c)))  # as sorted elements
+    torsion = [tuple(r) for r in t.tolist()]
+    index = {z: i for i, z in enumerate(torsion)}
+    conj = [[index[tuple(r)] for r in np.array(h)[t[:, perm_inv(h)]].tolist()]
+            for h in g.generators]  # (h x h^-1)(j) = h[x[h^-1[j]]]
+    reps, seen = [], set()
+    for c in cliques:  # ascending, so the first unseen clique is least in its class
+        if c not in seen:
+            reps.append(c)
+            seen.add(c)
+            orbit = [c]
+            for s in orbit:  # grows as new conjugates are found
+                for perm in conj:
+                    image = sum(1 << perm[i] for i in _bits(s))
+                    if image not in seen:
+                        seen.add(image)
+                        orbit.append(image)
+    subs = {c: _subgroup_from_elements(
+        g.degree, p, frozenset([g.identity()] + [torsion[i] for i in _bits(c)])) for c in cliques}
+    return MaximalElemAb([subs[c] for c in reps], [subs[c] for c in cliques])
 
 
 def conjugate_subgroup(sub: ElemAbSubgroup, h: Perm, p: int) -> ElemAbSubgroup:
@@ -242,28 +231,39 @@ def conjugate_subgroup(sub: ElemAbSubgroup, h: Perm, p: int) -> ElemAbSubgroup:
     return _subgroup_from_elements(len(h), p, elems)
 
 
+class GroupRanks(NamedTuple):
+    srk: int
+    quillen_dim: int
+    equidimensional: bool
+    elemab: MaximalElemAb
+
+
+def group_ranks(g: PermGroup, p: int):
+    """GroupRanks from one maximal_elemab call, or None if G has no element of order p."""
+    res = maximal_elemab(g, p)
+    ranks = {s.rank for s in res.all_subgroups}
+    return GroupRanks(min(ranks), max(ranks), len(ranks) == 1, res) if ranks else None
+
+
+def _ranks_or_raise(g: PermGroup, p: int) -> GroupRanks:
+    ranks = group_ranks(g, p)
+    if ranks is None:
+        raise PreconditionError(f"no element of order {p}: rank undefined at this prime")
+    return ranks
+
+
 def srk_group(g: PermGroup, p: int) -> int:
     """Minimal rank of a maximal elementary abelian p-subgroup."""
-    res = maximal_elemab(g, p)
-    if not res.all_subgroups:
-        raise PreconditionError(f"no element of order {p}: saturation rank undefined at this prime")
-    return min(s.rank for s in res.all_subgroups)
+    return _ranks_or_raise(g, p).srk
 
 
 def quillen_dim(g: PermGroup, p: int) -> int:
     """Maximal rank of an elementary abelian p-subgroup (support variety dimension)."""
-    res = maximal_elemab(g, p)
-    if not res.all_subgroups:
-        raise PreconditionError(f"no element of order {p}: rank undefined at this prime")
-    return max(s.rank for s in res.all_subgroups)
+    return _ranks_or_raise(g, p).quillen_dim
 
 
 def is_equidimensional(g: PermGroup, p: int) -> bool:
-    res = maximal_elemab(g, p)
-    if not res.all_subgroups:
-        raise PreconditionError(f"no element of order {p}")
-    ranks = {s.rank for s in res.all_subgroups}
-    return len(ranks) == 1
+    return _ranks_or_raise(g, p).equidimensional
 
 
 # ---------------------------------------------------------------------------
@@ -338,16 +338,16 @@ def _integer(value, what):
 
 
 def group_report(g: PermGroup, p: int) -> dict:
-    res = maximal_elemab(g, p)
-    if not res.all_subgroups:
+    ranks = group_ranks(g, p)
+    if ranks is None:
         return {"srk": None, "quillen_dim": None, "classes": [],
                 "equidimensional": None, "note": f"no {p}-torsion"}
     return {
-        "srk": min(s.rank for s in res.all_subgroups),
-        "quillen_dim": max(s.rank for s in res.all_subgroups),
+        "srk": ranks.srk,
+        "quillen_dim": ranks.quillen_dim,
         "classes": [
             {"rank": s.rank, "generators": [list(x) for x in s.generators]}
-            for s in res.representatives
+            for s in ranks.elemab.representatives
         ],
-        "equidimensional": len({s.rank for s in res.all_subgroups}) == 1,
+        "equidimensional": ranks.equidimensional,
     }

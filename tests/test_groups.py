@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import json
 import random
 
 import pytest
@@ -11,7 +14,10 @@ from satrank.groups import (
     dihedral_square,
     direct_product,
     elementary_abelian,
+    _closure,
+    _maximal_cliques,
     group_elements,
+    group_ranks,
     group_report,
     is_equidimensional,
     load_group,
@@ -190,3 +196,119 @@ def test_json_roundtrip(tmp_path):
 def test_load_group_malformed():
     with pytest.raises(PreconditionError):
         load_group({"degree": 4})
+
+
+def test_maximal_elemab_rejects_non_prime_p():
+    # Z4 is not elementary abelian, and the clique argument needs p prime
+    for g, p in [(cyclic(4), 4), (symmetric(4), 4), (symmetric(4), 1), (cyclic(2), 0)]:
+        with pytest.raises(PreconditionError, match="not prime"):
+            group_report(g, p)
+
+
+def test_element_bound_shares_closure():
+    g = PermGroup(7, symmetric(7).generators, element_bound=100)
+    with pytest.raises(BudgetError, match="group closure exceeds element bound 100"):
+        g.elements()
+    with pytest.raises(BudgetError, match="group closure exceeds element bound 100"):
+        _closure(7, symmetric(7).generators, 100)
+    assert len(_closure(4, symmetric(4).generators, 24)) == 24  # a bound of exactly |G| holds
+    assert len(_closure(7, symmetric(7).generators)) == 5040   # no bound
+
+
+def test_contains():
+    g = dihedral_square()
+    a, b = g.generators
+    assert a in g and list(perm_mul(a, b)) in g
+    assert (1, 0, 2, 3) not in g
+
+
+def test_maximal_cliques_match_brute_force():
+    rng = random.Random(11)
+    for n in range(9):
+        for _ in range(6):
+            edges = {(i, j) for i, j in itertools.combinations(range(n), 2) if rng.random() < 0.6}
+            adj = [sum(1 << j for j in range(n) if (min(i, j), max(i, j)) in edges)
+                   for i in range(n)]
+            cliques = [set(s) for r in range(n + 1) for s in itertools.combinations(range(n), r)
+                       if all(pair in edges for pair in itertools.combinations(s, 2))]
+            maximal = {frozenset(c) for c in cliques if not any(c < d for d in cliques)}
+            found = [frozenset(i for i in range(n) if c >> i & 1) for c in _maximal_cliques(adj)]
+            assert len(found) == len(set(found)) and set(found) == maximal
+
+
+def _relabelled(g, seed):
+    """g with its points renamed by a seeded permutation sigma: sigma o x o sigma^-1."""
+    sigma = list(range(g.degree))
+    random.Random(seed).shuffle(sigma)
+    gens = []
+    for gen in g.generators:
+        img = [0] * g.degree
+        for i, gi in enumerate(gen):
+            img[sigma[i]] = sigma[gi]
+        gens.append(tuple(img))
+    return PermGroup(g.degree, gens)
+
+
+# sha256 of json.dumps(group_report(g, p), sort_keys=True), recorded before the
+# clique search replaced the extension search; relabelled groups use
+# _relabelled(g, "pin:<name>")
+_GOLDEN_REPORTS = {
+    "Z2^4": (lambda: elementary_abelian(2, 4), 2, True,
+             "7c1cd862eed994713620060f78ba0aaa76fa977bcc6295c2ccef2fc308abcb78"),
+    "Z3^3": (lambda: elementary_abelian(3, 3), 3, True,
+             "59d08820a38787982a27e289c41619a43d567616a17fa2bf67d817ac287b88fa"),
+    "D8xD8": (lambda: direct_product(dihedral_square(), dihedral_square()), 2, True,
+              "b1c1910a313d53f998f175711d28ecfb9c9d8cb18cc3ef9d5bb25746512c56df"),
+    "S7_p3": (lambda: symmetric(7), 3, True,
+              "72c7ca23a91ad0b5c4b58ee71605f6a58150c24dc9415073ba83f78568977300"),
+    "S7_p2": (lambda: symmetric(7), 2, True,
+              "afe3d09ca5e53e3cac8ff5221ca90caf6aae81759383bcd2070773725ef5c058"),
+    "S4xS4": (lambda: direct_product(symmetric(4), symmetric(4)), 2, True,
+              "a01c6eade5418fdbf903525ca2854b929cd79b662094640bb02915a50f5d9f49"),
+    "Z2^5": (lambda: elementary_abelian(2, 5), 2, False,
+             "e19745c3f3cc67e22fe1d43b844e0658ac5f6f545afedf783c70a0403dc99d2d"),
+    "S6_p2": (lambda: symmetric(6), 2, False,
+              "193b5649f2f0b26c93417c7d41b6c21f0e8db4dfb0b60d798d1b33129d2222d5"),
+    "S6_p3": (lambda: symmetric(6), 3, False,
+              "0da2457e6492a14f57978bd551e258cc2e92836050d79cb23bb928b81fe925c0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_REPORTS))
+def test_group_report_golden(name):
+    build, p, relabel, digest = _GOLDEN_REPORTS[name]
+    g = _relabelled(build(), f"pin:{name}") if relabel else build()
+    payload = json.dumps(group_report(g, p), sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == digest
+
+
+_POOLS = {
+    2: [lambda: cyclic(2), lambda: cyclic(4), dihedral_square, quaternion8,
+        lambda: symmetric(3), lambda: symmetric(4), lambda: elementary_abelian(2, 2)],
+    3: [lambda: cyclic(3), lambda: cyclic(9), lambda: symmetric(3), lambda: symmetric(4),
+        lambda: elementary_abelian(3, 2)],
+}
+
+
+def _answers(g, p):
+    r = group_ranks(g, p)
+    return (r.srk, r.quillen_dim, len(r.elemab.representatives), r.equidimensional)
+
+
+def test_metamorphic_direct_products_and_relabelling():
+    # a maximal elementary abelian subgroup of A x B is a product of maximal
+    # ones, and conjugacy in A x B is conjugacy in each factor
+    rng = random.Random(2017)
+    for trial in range(12):
+        p = rng.choice([2, 3])
+        a, b = rng.choice(_POOLS[p])(), rng.choice(_POOLS[p])()
+        ra, rb = group_ranks(a, p), group_ranks(b, p)
+        g = direct_product(a, b)
+        rg = group_ranks(g, p)
+        assert rg.srk == ra.srk + rb.srk
+        assert rg.quillen_dim == ra.quillen_dim + rb.quillen_dim
+        assert rg.equidimensional == (ra.equidimensional and rb.equidimensional)
+        for field in ("all_subgroups", "representatives"):
+            assert len(getattr(rg.elemab, field)) == \
+                len(getattr(ra.elemab, field)) * len(getattr(rb.elemab, field))
+        assert _answers(_relabelled(g, trial), p) == _answers(g, p)

@@ -139,3 +139,13 @@ def test_commuting_pairs_deterministic():
     b = oracle_commuting_pairs(3, F5, budget=SearchBudget(deterministic_seed=9))
     assert [(x.tolist(), y.tolist()) for x, y in a.samples] == \
         [(x.tolist(), y.tolist()) for x, y in b.samples]
+
+
+def test_oracle_matches_clique_search_on_order_16_and_48():
+    for g in [direct_product(dihedral_square(), cyclic(2)),
+              direct_product(symmetric(4), cyclic(2)),
+              elementary_abelian(2, 4)]:
+        oracle = oracle_maximal_elemab(g, 2)
+        structured = maximal_elemab(g, 2).all_subgroups
+        assert [s.elements for s in oracle] == [s.elements for s in structured]
+        assert [s.generators for s in oracle] == [s.generators for s in structured]
