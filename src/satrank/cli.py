@@ -153,14 +153,13 @@ def _cmd_group_srk(args):
 
 
 def _cmd_lie_srk(args):
-    g = load_lie(args.file)
     budget = args.budget if args.budget is not None else _default_budget()
-    return lie_report(g, budget=budget)
+    return lie_report(load_lie(args.file, budget=budget), budget=budget)
 
 
 def _cmd_lie_nullcone(args):
-    g = load_lie(args.file)
     budget = args.budget if args.budget is not None else _default_budget()
+    g = load_lie(args.file, budget=budget)
     pts = nullcone(g, budget=budget)
     report = {"dim": g.dim, "q": g.field.q, "count": len(pts)}
     if len(pts) <= args.list_limit:

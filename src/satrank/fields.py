@@ -12,13 +12,17 @@ result into the output planes with the coefficients of x^(i+j) modulo the
 modulus, and reduce mod p.  For k == 1 that is ordinary arithmetic mod p.
 Addition and negation work plane by plane.  The q x q add/mul tables of
 fields with q <= _TABLE_CAP are a cache filled from these functions and serve
-elementwise ops; above the cap the digit-plane functions are the arithmetic,
-so field size has no limit beyond k <= 4.  Matrix products and powers,
-stacked or not, always take the digit planes (FieldSpec.matmul,
-FieldSpec.matpow).
+elementwise ops, as does the length-q inverse table (built for k == 1 too);
+above the cap the digit-plane functions are the arithmetic, so field size has
+no limit beyond k <= 4.  Matrix products and powers, stacked or not, always
+take the digit planes (FieldSpec.matmul, FieldSpec.matpow).
 
-Matrices are numpy int64 arrays of codes wrapped in Mat.  Rank and kernel go
-through Gaussian elimination over the field; nothing here is sparse.
+Matrices are numpy int64 arrays of codes wrapped in Mat.  Rank, kernel,
+determinant and solve all go through one Gaussian elimination, _rref, which
+takes a stack of matrices and row-reduces every slice; a single matrix is a
+stack of one.  _kernels reads every slice's kernel basis off its RREF, so
+callers with many small matrices (the commuting masks of satrank.lie) make
+one call for all of them.  Nothing here is sparse.
 """
 
 from __future__ import annotations
@@ -142,7 +146,9 @@ class FieldSpec:
             self._add_t = self._sum(codes[:, None], codes)
             self._mul_t = self._product(codes[:, None], codes, operator.mul)
             self._neg_t = self._negative(codes)
-            self._inv_t = np.argmax(self._mul_t == self.one, axis=1)  # row 0 has no 1: 0
+        if self.q <= _TABLE_CAP:  # for k == 1 too: varr_inv reads it
+            self._inv_t = self.varr_pow(np.arange(self.q, dtype=np.int64), self.q - 2)
+            self._inv_t[0] = 0
 
     # -- the digit-plane arithmetic --------------------------------------------
 
@@ -281,6 +287,12 @@ class FieldSpec:
             return (c * a) % self.p
         return self._product(c, a, operator.mul) if self._mul_t is None else self._mul_t[c][a]
 
+    def varr_inv(self, a):
+        """Elementwise inverse, with 0 sent to 0."""
+        if self._inv_t is not None:
+            return self._inv_t[a]
+        return self.varr_pow(a, self.q - 2)
+
     def varr_pow(self, a, e: int):
         """Elementwise a**e for e >= 0."""
         a = np.array(a, dtype=np.int64)
@@ -313,7 +325,10 @@ class FieldSpec:
 
 
 class Mat:
-    """Dense matrix of field codes; all operations return new matrices."""
+    """Dense matrix of field codes; all operations return new matrices.
+
+    Mat(field, array) copies array; the operators wrap their fresh results.
+    """
 
     __slots__ = ("field", "a")
 
@@ -323,6 +338,13 @@ class Mat:
         if a.ndim != 2:
             raise PreconditionError("matrix data must be 2-dimensional")
         self.a = a
+
+    @classmethod
+    def _wrap(cls, field, a):
+        """A Mat around a fresh 2-D int64 array that nothing else holds, uncopied."""
+        m = cls.__new__(cls)
+        m.field, m.a = field, a
+        return m
 
     @classmethod
     def zeros(cls, field, rows, cols):
@@ -348,32 +370,32 @@ class Mat:
         return self.a.shape[1]
 
     def copy(self):
-        return Mat(self.field, self.a.copy())
+        return Mat._wrap(self.field, self.a.copy())
 
     def __add__(self, other):
-        return Mat(self.field, self.field.varr_add(self.a, other.a))
+        return Mat._wrap(self.field, self.field.varr_add(self.a, other.a))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Mat(self.field, self.field.varr_neg(self.a))
+        return Mat._wrap(self.field, self.field.varr_neg(self.a))
 
     def __matmul__(self, other):
-        return Mat(self.field, self.field.matmul(self.a, other.a))
+        return Mat._wrap(self.field, self.field.matmul(self.a, other.a))
 
     def scale(self, c: int):
-        return Mat(self.field, self.field.varr_scale(c % self.field.q, self.a))
+        return Mat._wrap(self.field, self.field.varr_scale(c % self.field.q, self.a))
 
     def __pow__(self, e: int):
         if self.rows != self.cols:
             raise PreconditionError("matrix power needs a square matrix")
         if e < 0:
             raise PreconditionError("negative matrix powers not supported")
-        return Mat(self.field, self.field.matpow(self.a, e))
+        return Mat._wrap(self.field, self.field.matpow(self.a, e))
 
     def t(self):
-        return Mat(self.field, self.a.T.copy())
+        return Mat._wrap(self.field, self.a.T.copy())
 
     def trace(self) -> int:
         f = self.field
@@ -404,10 +426,28 @@ class Mat:
 # ---------------------------------------------------------------------------
 
 def _rref(field, a):
-    """Reduced row echelon form of a code array: (array, pivot cols, det).
+    """Reduced row echelon forms of the slices of an (N, R, C) code array.
 
-    det is the determinant when a is square of full rank: the product of the
-    pivots, negated once per row swap.  Each pivot column is cleared by one
+    Returns (rref, pivots, det): the (N, R, C) forms, the (N, C) bool array
+    of each slice's pivot columns, and each slice's determinant when it is
+    square of full rank (the product of the pivots, negated for an odd row
+    permutation).  A stack of one takes a loop over that matrix alone, any
+    other stack one column loop over all slices; both give the unique RREF.
+    The stacked loop pays for its per-slice bookkeeping with several times
+    the numpy calls per column, which a single small matrix would feel.
+    """
+    if len(a) == 1:
+        r, pivots, det = _rref_matrix(field, a[0])
+        mask = np.zeros((1, a.shape[2]), dtype=bool)
+        mask[0, pivots] = True
+        return r[None], mask, np.array([det], dtype=np.int64)
+    return _rref_stack(field, a)
+
+
+def _rref_matrix(field, a):
+    """_rref of one matrix: (rref, pivot column list, det).
+
+    Rows are swapped into place, and each pivot column is cleared by one
     rank-1 update of the whole array.
     """
     a = a.copy()
@@ -436,32 +476,85 @@ def _rref(field, a):
     return a, pivots, det
 
 
+def _rref_stack(field, a):
+    """_rref of a stack, one column loop over every slice.
+
+    Rows stay in place during the loop: in each slice the first row without
+    a pivot that is nonzero in column c becomes the pivot row, is scaled to
+    1 there, and column c is cleared from the other rows by one rank-1 update
+    of the stack (all zero for slices without a pivot in c).  Pivot rows are
+    moved to the top, in pivot column order, at the end.
+    """
+    a = np.array(a, dtype=np.int64)
+    n, rows, cols = a.shape
+    at = np.arange(n)
+    free = np.ones((n, rows), dtype=bool)  # rows not yet holding a pivot
+    pivots = np.zeros((n, cols), dtype=bool)
+    det = np.full(n, field.one, dtype=np.int64)
+    for c in range(cols):
+        col = a[:, :, c]
+        cand = (col != 0) & free
+        has = cand.any(axis=1)
+        if not has.any():
+            continue
+        piv = cand.argmax(axis=1)
+        lead = col[at, piv]
+        det = field.varr_mul(det, np.where(has, lead, field.one))
+        # a free row is zero left of c, so only columns c: change
+        row = field.varr_mul((field.varr_inv(lead) * has)[:, None], a[at, piv, c:])
+        a[:, :, c:] = field.varr_add(
+            a[:, :, c:], field.varr_mul(field.varr_neg(col)[:, :, None], row[:, None, :]))
+        a[at, piv, c:] += row  # the update zeroed the pivot row; 0 + row, or + 0
+        free[at, piv] &= ~has
+        pivots[:, c] = has
+        if not free.any():
+            break
+    if not pivots.any():
+        return a, pivots, det
+    # a pivot row's first nonzero entry is its pivot
+    key = np.where(free, cols + np.arange(rows), (a != 0).argmax(axis=2))
+    order = np.argsort(key, axis=1, kind="stable")
+    odd = np.triu(order[:, :, None] > order[:, None, :], 1).sum(axis=(1, 2)) % 2 == 1
+    return (np.take_along_axis(a, order[:, :, None], axis=1), pivots,
+            np.where(odd, field.varr_neg(det), det))
+
+
+def _kernels(field, a):
+    """Right null spaces of the slices of an (N, R, C) code array: (vectors, free).
+
+    With M the C x C array holding each RREF row at its pivot column's row,
+    column j of I - M is zero for a pivot column j and, for a free column j,
+    the kernel vector with 1 at j and minus the RREF entries of column j at
+    the pivot columns.  vectors[s] is (I - M)^T of slice s and free[s] marks
+    its free columns, so vectors[s][free[s]] is slice s's kernel basis in
+    free column order.
+    """
+    r, pivots, _ = _rref(field, a)
+    n, _, cols = r.shape
+    s, c = np.nonzero(pivots)
+    m = np.zeros((n, cols, cols), dtype=np.int64)
+    m[s, c] = r[s, np.cumsum(pivots, axis=1)[s, c] - 1]
+    eye = np.eye(cols, dtype=np.int64) * field.one
+    return np.swapaxes(field.varr_add(eye, field.varr_neg(m)), 1, 2), ~pivots
+
+
 def mat_rank(m: Mat) -> int:
-    _, pivots, _ = _rref(m.field, m.a)
-    return len(pivots)
+    _, pivots, _ = _rref(m.field, m.a[None])
+    return int(pivots.sum())
 
 
 def mat_kernel_basis(m: Mat):
     """Basis of the right null space as coordinate tuples; [] iff full column rank."""
-    f = m.field
-    r, pivots, _ = _rref(f, m.a)
-    free = [c for c in range(m.cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * m.cols
-        v[fc] = f.one
-        for row, pc in enumerate(pivots):
-            v[pc] = f.neg(int(r[row, fc]))
-        basis.append(tuple(v))
-    return basis
+    vectors, free = _kernels(m.field, m.a[None])
+    return [tuple(v) for v in vectors[0][free[0]].tolist()]
 
 
 def mat_det(m: Mat) -> int:
     """Determinant by Gaussian elimination over the field."""
     if m.rows != m.cols:
         raise PreconditionError("determinant needs a square matrix")
-    _, pivots, det = _rref(m.field, m.a)
-    return det if len(pivots) == m.rows else 0
+    _, pivots, det = _rref(m.field, m.a[None])
+    return int(det[0]) if pivots.all() else 0
 
 
 def mat_is_p_nilpotent(m: Mat, p: int) -> bool:
@@ -473,12 +566,11 @@ def mat_is_p_nilpotent(m: Mat, p: int) -> bool:
 
 def mat_solve(m: Mat, rhs):
     """One solution x of m @ x = rhs as a tuple, or None if inconsistent."""
-    f = m.field
     aug = np.concatenate([m.a, np.array(rhs, dtype=np.int64).reshape(-1, 1)], axis=1)
-    r, pivots, _ = _rref(f, aug)
-    if m.cols in pivots:
+    r, pivots, _ = _rref(m.field, aug[None])
+    if pivots[0, m.cols]:
         return None
-    x = [0] * m.cols
-    for row, pc in enumerate(pivots):
-        x[pc] = int(r[row, m.cols])
-    return tuple(x)
+    x = np.zeros(m.cols, dtype=np.int64)
+    pcs = np.flatnonzero(pivots[0])
+    x[pcs] = r[0, : len(pcs), m.cols]
+    return tuple(x.tolist())

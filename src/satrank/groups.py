@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BudgetError, PreconditionError
+from .errors import BudgetError, PreconditionError, expect
 from .fields import is_prime
 
 Perm = tuple
@@ -320,21 +320,15 @@ def load_group(data) -> tuple:
         with open(data) as fp:
             data = json.load(fp)
     try:
-        degree = _integer(data["degree"], "degree")
-        gens = [[_integer(i, "generator entry") for i in gen] for gen in data["generators"]]
-        p = _integer(data["p"], "p")
-        bound = _integer(data.get("element_bound", DEFAULT_ELEMENT_BOUND), "element_bound")
+        degree = expect(data["degree"], int, "degree")
+        gens = [[expect(i, int, "generator entry") for i in gen] for gen in data["generators"]]
+        p = expect(data["p"], int, "p")
+        bound = expect(data.get("element_bound", DEFAULT_ELEMENT_BOUND), int, "element_bound")
     except (KeyError, TypeError) as exc:
         raise PreconditionError(f"malformed group input: {exc}")
     if not is_prime(p):
         raise PreconditionError(f"p={p} is not prime")
     return PermGroup(degree, gens, element_bound=bound), p
-
-
-def _integer(value, what):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise PreconditionError(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 def group_report(g: PermGroup, p: int) -> dict:

@@ -24,7 +24,10 @@ callers' budget checks bound q^dim and q^d, so a dense int32 table with one
 entry per coordinate code maps every nonzero scalar multiple of a candidate
 class to the class index.  A span is held as the array of all its coordinate
 vectors; extending it is one broadcast over F_q^x and one table lookup, and
-the classes commuting with u are the span closure of ker ad(u).
+the classes commuting with u are the span closure of ker ad(u).  Those
+commuting masks are built for a batch of classes at a time: one stacked
+product ad(u) . basis^T, one stacked elimination (fields._kernels), and span
+closures batched by kernel dimension.
 """
 
 from __future__ import annotations
@@ -32,14 +35,15 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import random
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import BudgetError, PreconditionError
-from .fields import FieldSpec, Mat, _rref
+from .errors import BudgetError, PreconditionError, expect
+from .fields import FieldSpec, Mat, _kernels, _rref
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -252,10 +256,10 @@ class _CoordSolver:
         self.dim = len(basis_mats)
         b = np.stack([m.a.ravel() for m in basis_mats], axis=1)  # n2 x dim
         aug = np.concatenate([b, np.eye(b.shape[0], dtype=np.int64)], axis=1)
-        r, pivots, _ = _rref(field, aug)
-        if pivots[: self.dim] != list(range(self.dim)):
+        r, pivots, _ = _rref(field, aug[None])
+        if not pivots[0, : self.dim].all():
             raise PreconditionError("matrix model basis is linearly dependent")
-        self._e_t = r[:, self.dim:].T
+        self._e_t = r[0, :, self.dim:].T
 
     def solve_rows(self, flat):
         """(coordinates, inside span) for raveled matrices, one per row of flat."""
@@ -395,6 +399,19 @@ def _code_chunks(total):
         yield np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
 
 
+def _line_codes(q, d):
+    """The codes whose digit vectors have first nonzero digit 1, one per line
+    of F_q^d, as ascending arrays of at most _CHUNK codes.
+
+    They fill the ranges [q**t, 2 q**t) for t < d; entry i of the listing
+    lies in range t with (q**t - 1) / (q - 1) <= i.
+    """
+    offsets = (q ** np.arange(d, dtype=np.int64) - 1) // (q - 1)
+    for i in _code_chunks((q ** d - 1) // (q - 1)):
+        t = np.searchsorted(offsets, i, side="right") - 1
+        yield q ** t + i - offsets[t]
+
+
 def _place_values(q, d):
     """q**(d-1), ..., q, 1: a digit vector's dot product with these is its code."""
     return q ** np.arange(d - 1, -1, -1, dtype=np.int64)
@@ -482,7 +499,10 @@ class _TupleSearch:
     by a batch of vectors are one table lookup.  A span is carried as the
     array of all its coordinate vectors and grows by one broadcast
     span + c*v over c in F_q^x.  commuting[i] is the bitmask of the classes
-    in ker(ad(points[i]) . basis^T), the span closure of a kernel basis.
+    in ker(ad(points[i]) . basis^T), the span closure of a kernel basis.  The
+    kernels of a batch of points come from one stacked elimination, and the
+    closures of all kernels of one dimension from batched table lookups,
+    with the span vectors and mask bits of a batch bounded by _CHUNK.
     """
 
     def __init__(self, g: RestrictedLieAlgebra, points, coords, basis):
@@ -503,10 +523,27 @@ class _TupleSearch:
         self.commuting = self._commuting_masks()
 
     def _commuting_masks(self):
-        from .fields import mat_kernel_basis
-        f, basis_t = self.f, self.basis.T
-        return [self._span_mask(mat_kernel_basis(Mat(f, f.matmul(self.g.ad(u), basis_t))))
-                for u in self.points]
+        """commuting[i] for every class i, batch by batch.
+
+        A batch of classes takes one stacked product ad(u) . basis^T and one
+        stacked elimination for all its u; the kernels of equal dimension
+        then go through _span_masks together.
+        """
+        f, g, d = self.f, self.g, len(self.basis)
+        step = max(1, (_CHUNK << 2) // (g.dim * d))  # (step, dim, d) stacks: <= 4 * _CHUNK codes
+        masks = []
+        for start in range(0, self.n, step):
+            points = np.array(self.points[start:start + step], dtype=np.int64)
+            vectors, free = _kernels(f, f.matmul(g.ad(points), self.basis.T))
+            dims = free.sum(axis=1)
+            batch = [0] * len(dims)
+            for k in np.flatnonzero(np.bincount(dims)).tolist():
+                rows = np.flatnonzero(dims == k)
+                kernels = vectors[rows][free[rows]].reshape(len(rows), k, d)
+                for i, mask in zip(rows.tolist(), self._span_masks(kernels)):
+                    batch[i] = mask
+            masks += batch
+        return masks
 
     def _mask_of(self, vecs):
         """Bitmask of the classes among the coordinate rows of vecs."""
@@ -525,11 +562,38 @@ class _TupleSearch:
 
     def _span_mask(self, vectors):
         """Bitmask of the classes in the span of coordinate vectors."""
-        vectors = np.array(vectors, dtype=np.int64)
-        mask = 0
-        for r in _code_chunks(self.f.q ** len(vectors)):
-            mask |= self._mask_of(_combinations(self.f, r, vectors))
-        return mask
+        return self._span_masks(np.array(vectors, dtype=np.int64)[None])[0]
+
+    def _span_masks(self, kernels):
+        """Bitmasks of the classes in the span of the rows of each kernels[s] (k x d).
+
+        The table sends every nonzero multiple of a class to it, so one vector
+        per line of the span is enough: the combinations whose first nonzero
+        coefficient is 1.  A batch holds at most _CHUNK span vectors and at
+        most about 128 * _CHUNK mask bits, so neither q**k nor the class count
+        sets the memory taken.
+        """
+        f = self.f
+        count, k, _ = kernels.shape
+        lines = (f.q ** k - 1) // (f.q - 1)
+        size = max(1, _CHUNK // max(min(lines, _CHUNK), (self.n >> 7) + 1))
+        masks = []
+        for start in range(0, count, size):
+            part = kernels[start:start + size]
+            bits = [0] * len(part)
+            for r in _line_codes(f.q, k):
+                vecs = f.matmul(_digits(r, f.q, k), part)
+                bits = [a | b for a, b in zip(bits, self._masks_of(vecs))]
+            masks += bits
+        return masks
+
+    def _masks_of(self, vecs):
+        """_mask_of for each vecs[s], vecs a stack of coordinate row arrays."""
+        bits = np.zeros((len(vecs), self.n + 1), dtype=bool)
+        bits[np.arange(len(vecs))[:, None], self._table[vecs @ self._place]] = True
+        packed = np.packbits(bits[:, :-1], axis=1, bitorder="little")
+        data, w = packed.tobytes(), packed.shape[1]
+        return [int.from_bytes(data[i * w:(i + 1) * w], "little") for i in range(len(vecs))]
 
     def max_tuple_containing(self, x, stop_at=None):
         """(r, witness, exhausted): r = best tuple size found with x forced in.
@@ -728,58 +792,78 @@ def srk_sampled(g: RestrictedLieAlgebra, samples: int = 32, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 def _coeff(field, payload):
-    if isinstance(payload, int):
-        return field.from_int(payload)
-    return field.from_coeffs(list(payload) + [0] * (field.k - len(payload)))
+    """A coefficient: an integer mod p, or the list of a residue's digits."""
+    if isinstance(payload, list):
+        digits = [expect(c, int, "coefficient digit") for c in payload]
+        return field.from_coeffs(digits + [0] * (field.k - len(digits)))
+    return field.from_int(expect(payload, int, "coefficient"))
 
 
-def load_lie(data) -> RestrictedLieAlgebra:
-    """Parse the structure-constant JSON schema into an algebra."""
+def load_lie(data, budget: Optional[int] = None) -> RestrictedLieAlgebra:
+    """Parse the structure-constant JSON schema into an algebra.
+
+    p, k, dim, every index and every coefficient must be JSON integers (a
+    coefficient may also be a list of integer digits), labels a list of
+    strings, and matrix_model a list of flat square matrices of one size;
+    anything else raises PreconditionError.  With a budget, an algebra of
+    more than budget elements raises BudgetError before any table is built.
+    """
     if isinstance(data, str):
         with open(data) as fp:
             data = json.load(fp)
+    data = expect(data, dict, "Lie algebra input")
     try:
-        p = int(data["p"])
-        k = int(data.get("k", 1))
-        dim = int(data["dim"])
+        p = expect(data["p"], int, "p")
+        k = expect(data.get("k", 1), int, "k")
+        dim = expect(data["dim"], int, "dim")
         if dim < 1:
             raise PreconditionError(f"dim must be >= 1, got {dim}")
+        from .fields import field_make
+        field = field_make(p, k)
+        if budget is not None and (dim >= budget.bit_length() or field.q ** dim > budget):
+            raise BudgetError(f"the algebra has {field.q}**{dim} elements > budget {budget}")
 
         def index(entry, key):
-            i = int(entry[key])
+            i = expect(entry[key], int, f"index {key}")
             if not 0 <= i < dim:
                 raise PreconditionError(f"index {key}={i} outside [0, {dim})")
             return i
 
-        from .fields import field_make
-        field = field_make(p, k)
+        def entries(container, key, what):
+            return [expect(e, dict, what) for e in expect(container.get(key, []), list, key)]
+
         labels = data.get("labels")
+        if labels is not None:
+            labels = [expect(label, str, "label") for label in expect(labels, list, "labels")]
         declared = {}
-        for entry in data.get("brackets", []):
+        for entry in entries(data, "brackets", "bracket entry"):
             i, j = index(entry, "i"), index(entry, "j")
-            declared[(i, j)] = {index(t, "k"): _coeff(field, t["c"]) for t in entry.get("out", [])}
+            declared[(i, j)] = {index(t, "k"): _coeff(field, t["c"])
+                                for t in entries(entry, "out", "bracket term")}
         brackets = dict(declared)
         for (i, j), out in declared.items():
             if (j, i) not in declared:
                 brackets[(j, i)] = {kk: field.neg(c) for kk, c in out.items()}
         pmap = [(0,) * dim for _ in range(dim)]
-        for entry in data.get("pmap", []):
+        for entry in entries(data, "pmap", "pmap entry"):
             i = index(entry, "i")
             row = [0] * dim
-            for t in entry.get("out", []):
+            for t in entries(entry, "out", "pmap term"):
                 row[index(t, "k")] = _coeff(field, t["c"])
             pmap[i] = tuple(row)
         model = None
         if data.get("matrix_model"):
-            model = []
-            for flat in data["matrix_model"]:
-                n = int(round(len(flat) ** 0.5))
-                if n * n != len(flat):
-                    raise PreconditionError("matrix model entries must form square matrices")
-                codes = [_coeff(field, e) for e in flat]
-                model.append(Mat(field, np.array(codes, dtype=np.int64).reshape(n, n)))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PreconditionError(f"malformed Lie algebra input: {exc}")
+            flats = [expect(flat, list, "model matrix")
+                     for flat in expect(data["matrix_model"], list, "matrix_model")]
+            if len({len(flat) for flat in flats}) != 1:
+                raise PreconditionError("matrix model matrices must all have one size")
+            n = math.isqrt(len(flats[0]))
+            if n * n != len(flats[0]):
+                raise PreconditionError("matrix model entries must form square matrices")
+            model = [Mat(field, np.array([_coeff(field, e) for e in flat],
+                                         dtype=np.int64).reshape(n, n)) for flat in flats]
+    except KeyError as exc:
+        raise PreconditionError(f"malformed Lie algebra input: missing key {exc}")
     return RestrictedLieAlgebra(field, brackets, pmap, labels=labels,
                                 matrix_model=model, validate="full")
 

@@ -1,6 +1,11 @@
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satrank.cli import main
 
@@ -169,3 +174,111 @@ def test_group_srk_rejects_bad_input(capsys, tmp_path, data):
     code, out, err = run_cli(capsys, "group-srk", "--file", str(path))
     assert code == 2 and out == ""
     assert "precondition" in err
+
+
+def _h3_input():
+    return {
+        "p": 3, "k": 1, "dim": 3,
+        "labels": ["x", "y", "z"],
+        "brackets": [{"i": 0, "j": 1, "out": [{"k": 2, "c": [1]}]}],
+        "pmap": [{"i": 0, "out": []}, {"i": 1, "out": []}, {"i": 2, "out": []}],
+    }
+
+
+def _with(path, value):
+    """_h3_input() with the entry at path (a key sequence) set to value."""
+    data = _h3_input()
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize("data", [
+    _with(["labels"], 5),
+    _with(["labels"], ["x", 1, "z"]),
+    # three matrices for dim 3, but 2 x 2, 2 x 2 and 3 x 3
+    _with(["matrix_model"], [[0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0, 0, 0, 0, 0, 0]]),
+    _with(["p"], 3.7),
+    _with(["p"], True),
+    _with(["k"], "1"),
+    _with(["dim"], 3.5),
+    _with(["brackets", 0, "i"], 0.5),
+    _with(["brackets", 0, "out", 0, "c"], [1.5]),
+    _with(["brackets", 0, "out", 0, "c"], 1.5),
+    _with(["brackets", 0], [0, 1]),
+    [_h3_input()],
+], ids=["labels_int", "label_int", "model_sizes", "p_float", "p_bool", "k_text", "dim_float",
+        "index_float", "coeff_digit_float", "coeff_float", "entry_list", "top_level_list"])
+def test_lie_srk_rejects_malformed_input(capsys, tmp_path, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "lie-srk", "--file", str(path))
+    assert code == 2 and out == ""
+    assert "precondition" in err
+
+
+def test_lie_srk_checks_budget_before_building_tables(capsys, tmp_path):
+    # 3**2000 elements: refused before the 2000**3 bracket tensor is allocated
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"p": 3, "dim": 2000}))
+    for command in ("lie-srk", "lie-nullcone"):
+        code, out, err = run_cli(capsys, command, "--file", str(path))
+        assert code == 3 and out == "" and "3**2000 elements" in err
+
+
+_D8_INPUT = {"degree": 4, "generators": [[1, 2, 3, 0], [0, 3, 2, 1]], "p": 2}
+_WRONG_TYPES = [None, True, 1.5, "x", [], {}]
+_OUT_OF_RANGE = [-1, 3, 4, 7, 10 ** 6]
+
+
+def _locations(node, path=()):
+    """The key paths of every value below node."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _locations(child, path + (key,))
+
+
+@st.composite
+def _mutated(draw, base):
+    """base after one to three edits: drop a key or item, give a value the
+    wrong type, or replace it with an out-of-range integer."""
+    data = copy.deepcopy(base)
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_locations(data))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        edit = draw(st.sampled_from(["drop", "type", "range"]))
+        if edit == "drop":
+            del node[path[-1]]
+        else:
+            node[path[-1]] = draw(st.sampled_from(_WRONG_TYPES if edit == "type" else _OUT_OF_RANGE))
+    return data
+
+
+def _exit_code(tmp_dir, argv, data):
+    path = tmp_dir / "input.json"
+    path.write_text(json.dumps(data))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv + ["--file", str(path)])
+
+
+# deadline=None: the host this runs on may slow single examples down by 2x
+@settings(max_examples=150, deadline=None)
+@given(data=_mutated(_h3_input()))
+def test_lie_srk_fuzzed_input_exits_cleanly(tmp_path_factory, data):
+    code = _exit_code(tmp_path_factory.mktemp("lie"), ["lie-srk", "--budget", "200"], data)
+    assert code in (0, 2, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_mutated(_D8_INPUT))
+def test_group_srk_fuzzed_input_exits_cleanly(tmp_path_factory, data):
+    code = _exit_code(tmp_path_factory.mktemp("group"), ["group-srk"], data)
+    assert code in (0, 2, 3)

@@ -9,6 +9,8 @@ from satrank import PreconditionError
 from satrank.fields import (
     FieldSpec,
     Mat,
+    _kernels,
+    _rref,
     field_make,
     is_prime,
     mat_is_p_nilpotent,
@@ -321,3 +323,52 @@ def test_field_axioms_sampled_f2401(a, b, c):
     if a:
         assert f.mul(a, f.inv(a)) == f.one
     assert f.frob(f.add(a, b)) == f.add(f.frob(a), f.frob(b))
+
+
+# ---------------------------------------------------------------------------
+# stacked elimination
+# ---------------------------------------------------------------------------
+
+def _stack_of_every_rank(f, rng, rows, cols):
+    """A shuffled stack with a zero slice, random slices, a product
+    (rows x r) @ (r x cols) for every r below full rank, and a repeated slice."""
+    slices = [np.zeros((rows, cols), dtype=np.int64)]
+    slices += [rng.integers(0, f.q, size=(rows, cols)) for _ in range(3)]
+    for r in range(1, min(rows, cols)):
+        slices.append(f.matmul(rng.integers(0, f.q, size=(rows, r)),
+                               rng.integers(0, f.q, size=(r, cols))))
+    slices.append(slices[-1])
+    return np.stack(slices)[rng.permutation(len(slices))]
+
+
+@pytest.mark.parametrize("rows,cols", [(4, 7), (7, 4), (6, 6)])
+@pytest.mark.parametrize("p,k", [(5, 1), (3, 2), (7, 4)])  # F_{7^4} is above _TABLE_CAP
+def test_stacked_elimination_matches_each_slice_alone(p, k, rows, cols):
+    f = field_make(p, k)
+    rng = np.random.default_rng(100 * p + 10 * rows + cols)
+    a = _stack_of_every_rank(f, rng, rows, cols)
+    r, pivots, det = _rref(f, a)
+    vectors, free = _kernels(f, a)
+    ranks = pivots.sum(axis=1)
+    assert set(ranks.tolist()) == set(range(min(rows, cols) + 1))
+    for s in range(len(a)):
+        alone = _rref(f, a[s:s + 1])
+        assert (r[s] == alone[0][0]).all() and (pivots[s] == alone[1][0]).all()
+        if rows == cols and ranks[s] == rows:
+            assert det[s] == alone[2][0]
+        basis = vectors[s][free[s]]
+        assert ranks[s] + len(basis) == cols
+        assert not f.matmul(a[s], basis.T).any()
+        assert [tuple(v) for v in basis.tolist()] == mat_kernel_basis(Mat(f, a[s]))
+
+
+def test_mat_copies_its_source_and_operators_return_fresh_arrays():
+    f = field_make(5)
+    source = np.array([[1, 2], [3, 4]])
+    m = Mat(f, source)
+    source[0, 0] = 0
+    assert m.tolist() == [[1, 2], [3, 4]]
+    for result in (m + m, m - m, -m, m @ m, m.scale(2), m ** 0, m ** 1, m ** 3,
+                   m.t(), m.copy()):
+        assert not np.shares_memory(result.a, m.a)
+    assert (m + m).tolist() == [[2, 4], [1, 3]] and m.tolist() == [[1, 2], [3, 4]]

@@ -337,6 +337,24 @@ def test_search_span_masks_and_commuting_masks(monkeypatch, case):
         assert search.commuting[i] == direct
 
 
+def test_commuting_masks_across_batches(monkeypatch):
+    # sl_3/F_3 has 364 classes, more than one stacked elimination and one
+    # span-closure batch hold, so masks on both sides of a batch boundary
+    # are checked against direct brackets
+    g = special_linear(3, F3)
+    search = _captured_search(monkeypatch, lambda: srk_brute(g))
+    pts = search.points
+    assert search.n == 364
+    for i, u in enumerate(pts):
+        direct = sum(1 << j for j, v in enumerate(pts) if not any(g.bracket(u, v)))
+        assert search.commuting[i] == direct
+    rng = random.Random(3)
+    for _ in range(12):
+        chosen = rng.sample(range(search.n), rng.randint(1, 3))
+        naive = _naive_span_mask(g.field, search.index, [pts[i] for i in chosen])
+        assert search._span_mask([search.coords[i] for i in chosen]) == naive
+
+
 def test_local_rank_preconditions():
     sl2 = special_linear(2, F3)
     with pytest.raises(PreconditionError):
