@@ -28,6 +28,7 @@ one call for all of them.  Nothing here is sparse.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 
 import numpy as np
@@ -37,14 +38,33 @@ from .errors import PreconditionError
 _TABLE_CAP = 2048  # largest q for which the q*q tables are cached
 
 
+# the first 13 primes as Miller-Rabin bases decide every n < _MR_EXACT
+# (Sorenson and Webster 2017); 2..37 alone fail at 318665857834031151167461
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin below _MR_EXACT, trial division above."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= _MR_EXACT:
+        return all(n % d for d in range(43, math.isqrt(n) + 1, 2))
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s, d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -11,8 +11,8 @@ variety is the maximal such rank.  For p prime, the maximal ones are exactly
 the sets C | {e} for C a maximal clique of the commuting graph on the elements
 of order p: pairwise commuting elements of order p generate a group whose
 other elements also have order p and commute with all of C, so maximality of
-the clique and of the subgroup each give the other.  Cliques are enumerated by
-Bron-Kerbosch with Tomita's pivot (CACM 1973; Theor. Comp. Sci. 2006).
+the clique and of the subgroup each give the other.  The cliques come from
+satrank.cliques, the engine that satrank.lie shares.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .cliques import _bits, _maximal_cliques
 from .errors import BudgetError, PreconditionError, expect
 from .fields import is_prime
 
@@ -153,33 +154,6 @@ def _subgroup_from_elements(degree, p, elems):
 class MaximalElemAb(NamedTuple):
     representatives: list  # one ElemAbSubgroup per conjugacy class, sorted
     all_subgroups: list    # every maximal elementary abelian subgroup, sorted
-
-
-def _bits(mask):
-    """Indices of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _maximal_cliques(adj):
-    """Maximal cliques, as bitsets, of the graph with neighbour bitsets adj, by
-    Bron-Kerbosch with Tomita's pivot on an explicit stack (no recursion limit)."""
-    cliques = []
-    stack = [(0, (1 << len(adj)) - 1, 0)]
-    while stack:
-        clique, cand, done = stack.pop()
-        if not cand:
-            if not done:
-                cliques.append(clique)
-            continue
-        pivot = max((adj[u] for u in _bits(cand | done)), key=lambda m: (m & cand).bit_count())
-        for v in _bits(cand & ~pivot):
-            stack.append((clique | 1 << v, cand & adj[v], done & adj[v]))
-            cand &= ~(1 << v)
-            done |= 1 << v
-    return cliques
 
 
 def maximal_elemab(g: PermGroup, p: int) -> MaximalElemAb:
@@ -314,7 +288,8 @@ def load_group(data) -> tuple:
     """Parse {"degree": n, "generators": [[...], ...], "p": p}; returns (group, p).
 
     degree, p, element_bound and every generator entry must be JSON integers,
-    and p must be prime.
+    and p must be prime.  A degree above element_bound raises BudgetError
+    before any permutation is built: every permutation has degree entries.
     """
     if isinstance(data, str):
         with open(data) as fp:
@@ -328,6 +303,8 @@ def load_group(data) -> tuple:
         raise PreconditionError(f"malformed group input: {exc}")
     if not is_prime(p):
         raise PreconditionError(f"p={p} is not prime")
+    if degree > bound:
+        raise BudgetError(f"degree {degree} exceeds element bound {bound}")
     return PermGroup(degree, gens, element_bound=bound), p
 
 

@@ -12,22 +12,25 @@ correction terms s_i(x, y) off as t-coefficients of (ad(tx+y))^(p-1)(x) over
 g[t].  All field arithmetic, batched or not, goes through satrank.fields.
 
 The saturation rank machinery works over the restricted nullcone
-V(g) = {x : x^[p] = 0}: the local rank of x is the largest size of a linearly
-independent tuple of pairwise commuting nullcone points inside the centralizer
-of x, and srk(g) is the minimum of the local ranks over nonzero nullcone
-points.  Tuples related by a base change span the same subalgebra, so the
-search walks candidates in a fixed order modulo the running span.
+V(g) = {x : x^[p] = 0}: the local rank r(x) is the largest dimension of an
+elementary subalgebra through x, and srk(g) is the minimum of the local ranks
+over nonzero nullcone points.  Pairwise commuting p-nilpotent vectors span an
+elementary subalgebra (the Jacobson terms of a sum are iterated brackets), so
+the maximal cliques of the commuting graph on projective nullcone classes are
+exactly the maximal elementary subalgebras, and a clique of (q^r - 1)/(q - 1)
+classes has rank r.  One enumeration (satrank.cliques, shared with
+satrank.groups) gives r(x) for every class at once.
 
-The search runs on integer coordinates in the space that was enumerated:
+The graph lives on integer coordinates in the space that was enumerated:
 F_q^dim for srk_brute, F_q^d in the centralizer basis for local_rank.  The
 callers' budget checks bound q^dim and q^d, so a dense int32 table with one
-entry per coordinate code maps every nonzero scalar multiple of a candidate
-class to the class index.  A span is held as the array of all its coordinate
-vectors; extending it is one broadcast over F_q^x and one table lookup, and
-the classes commuting with u are the span closure of ker ad(u).  Those
-commuting masks are built for a batch of classes at a time: one stacked
-product ad(u) . basis^T, one stacked elimination (fields._kernels), and span
-closures batched by kernel dimension.
+entry per coordinate code maps every nonzero scalar multiple of a class to
+the class index.  A span is held as the array of all its coordinate vectors;
+extending it is one broadcast over F_q^x and one table lookup, and the
+classes commuting with u are the span closure of ker ad(u).  Those commuting
+masks are built for a batch of classes at a time: one stacked product
+ad(u) . basis^T, one stacked elimination (fields._kernels), and span closures
+batched by kernel dimension.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .cliques import _bits, _maximal_cliques
 from .errors import BudgetError, PreconditionError, expect
 from .fields import FieldSpec, Mat, _kernels, _rref
 
@@ -487,22 +491,19 @@ def _canonical_projective(f, v):
 
 
 class _TupleSearch:
-    """Max independent commuting tuple search over a fixed projective point set.
+    """Local ranks and witnesses over a fixed projective point set.
 
     Points are projective classes of p-nilpotent elements inside a subspace
     of g with basis rows `basis` (d x dim): the identity for srk_brute, the
     centralizer basis for local_rank.  Row i of coords holds point i's
-    coordinates in that basis, and a coordinate vector's code is its dot
-    product with q**(d-1), ..., q, 1.  A table with q**d int32 entries (the
-    callers' budget checks bound q**d) maps the code of every nonzero scalar
-    multiple of point i to i and every other code to n, so the classes hit
-    by a batch of vectors are one table lookup.  A span is carried as the
-    array of all its coordinate vectors and grows by one broadcast
-    span + c*v over c in F_q^x.  commuting[i] is the bitmask of the classes
-    in ker(ad(points[i]) . basis^T), the span closure of a kernel basis.  The
-    kernels of a batch of points come from one stacked elimination, and the
-    closures of all kernels of one dimension from batched table lookups,
-    with the span vectors and mask bits of a batch bounded by _CHUNK.
+    coordinates in that basis; a coordinate vector's code is its dot product
+    with q**(d-1), ..., q, 1, and _table sends the code of every nonzero
+    multiple of point i to i and every other code to n.  commuting[i] is the
+    bitmask of the classes in ker(ad(points[i]) . basis^T), built batch by
+    batch in _commuting_masks.  cliques holds (rank, bitmask) for each
+    maximal clique of the commuting graph, a maximal elementary subalgebra,
+    and ranks[i] is the largest rank of a clique through class i, that is
+    r(points[i]).
     """
 
     def __init__(self, g: RestrictedLieAlgebra, points, coords, basis):
@@ -521,6 +522,13 @@ class _TupleSearch:
         self._table = np.full(f.q ** d, self.n, dtype=np.int32)  # n: no class
         self._table[self._multiples @ self._place] = np.arange(self.n, dtype=np.int32)
         self.commuting = self._commuting_masks()
+        # a maximal clique of rank r has (q**r - 1) / (q - 1) classes
+        rank_of = {(f.q ** r - 1) // (f.q - 1): r for r in range(d + 1)}
+        self.cliques = [(rank_of[c.bit_count()], c) for c in _maximal_cliques(self.commuting)]
+        self.ranks = [0] * self.n
+        for r, c in self.cliques:
+            for i in _bits(c):
+                self.ranks[i] = max(self.ranks[i], r)
 
     def _commuting_masks(self):
         """commuting[i] for every class i, batch by batch.
@@ -595,75 +603,30 @@ class _TupleSearch:
         data, w = packed.tobytes(), packed.shape[1]
         return [int.from_bytes(data[i * w:(i + 1) * w], "little") for i in range(len(vecs))]
 
-    def max_tuple_containing(self, x, stop_at=None):
-        """(r, witness, exhausted): r = best tuple size found with x forced in.
-
-        A tuple of size stop_at aborts the search early (exhausted=False); the
-        returned witness always starts with x.
+    def max_tuple_containing(self, x):
+        """(r(x), witness, True).  The witness is the least, in class index
+        order, of the greedy bases of the rank-r(x) cliques through x: x, then
+        each class of the clique in ascending order that lies outside the
+        running span.  That is the least maximal commuting tuple through x.
+        The constant third entry keeps the old (r, witness, exhausted) shape
+        that bench/layers.py reads.
         """
         xc = _canonical_projective(self.f, x)
         xi = self.index[xc]
-        span_mask, span = self._extend_span(np.zeros((1, len(self.basis)), dtype=np.int64), xi)
-        best = [1, [xc], True]
-        allowed0 = self.commuting[xi]
-
-        def rec(last, allowed, chosen, span_mask, span, pivots_dim):
-            fresh = allowed & ~span_mask
-            size = len(chosen)
-            if size > best[0]:
-                best[0], best[1] = size, list(chosen)
-            if stop_at is not None and best[0] >= stop_at:
-                best[2] = False
-                return True  # abort
-            # best < stop_at here (else we already aborted), so a branch that
-            # cannot beat best cannot reach stop_at either
-            cap = size + min(fresh.bit_count(), self.g.dim - pivots_dim)
-            if cap <= best[0]:
-                return False
-            # if the remaining candidates all pairwise commute, the maximum is
-            # size + rank(fresh modulo span): close the node in one step
-            m = fresh
-            all_comm = True
-            bits = []
-            while m:
-                b = m & -m
-                i = b.bit_length() - 1
-                m ^= b
-                bits.append(i)
-                if fresh & ~self.commuting[i]:
-                    all_comm = False
-                    break
-            if all_comm:
-                # greedy span extension appends exactly rank(fresh mod span)
-                # points and yields the witness
-                wit = list(chosen)
-                sm, sp = span_mask, span
-                for i in bits:
-                    if not ((1 << i) & sm):
-                        wit.append(self.points[i])
-                        add_mask, sp = self._extend_span(sp, i)
-                        sm |= add_mask
-                if len(wit) > best[0]:
-                    best[0], best[1] = len(wit), wit
-                if stop_at is not None and best[0] >= stop_at:
-                    best[2] = False
-                    return True
-                return False
-            m = fresh
-            while m:
-                b = m & -m
-                i = b.bit_length() - 1
-                m ^= b
-                if i <= last:
-                    continue
-                add_mask, new_span = self._extend_span(span, i)
-                if rec(i, allowed & self.commuting[i], chosen + [self.points[i]],
-                       span_mask | add_mask, new_span, pivots_dim + 1):
-                    return True
-            return False
-
-        rec(-1, allowed0, [xc], span_mask, span, 1)
-        return best[0], best[1], best[2]
+        r = self.ranks[xi]
+        start = self._extend_span(np.zeros((1, len(self.basis)), dtype=np.int64), xi)
+        best = None
+        for rank, clique in self.cliques:
+            if rank != r or not clique >> xi & 1:
+                continue
+            (span_mask, span), chosen = start, []
+            for i in _bits(clique):
+                if not span_mask >> i & 1:
+                    chosen.append(i)
+                    add_mask, span = self._extend_span(span, i)
+                    span_mask |= add_mask
+            best = chosen if best is None else min(best, chosen)
+        return r, [xc] + [self.points[i] for i in best], True
 
 
 class LocalRank(NamedTuple):
@@ -683,7 +646,11 @@ def _projective_reps(f, vecs):
 
 
 def local_rank(g: RestrictedLieAlgebra, x: Vec, budget: int = DEFAULT_BUDGET) -> LocalRank:
-    """Largest elementary-subalgebra dimension at x, with a witness containing x."""
+    """Largest elementary-subalgebra dimension at x, with a witness containing x.
+
+    The cliques run over the nullcone of the centralizer z(x); x commutes
+    with all of it, so every maximal clique there contains x.
+    """
     x = tuple(x)
     if _vec_is_zero(x):
         raise PreconditionError("local rank is defined for nonzero nullcone points")
@@ -717,10 +684,10 @@ class SrkBrute(NamedTuple):
 def srk_brute(g: RestrictedLieAlgebra, budget: int = DEFAULT_BUDGET) -> SrkBrute:
     """Exact saturation rank by exhausting the restricted nullcone.
 
-    Local ranks are scalar-invariant, so the search runs once per projective
-    class and results are expanded back to points.  The minimum is maintained
-    with an early-abort threshold: a class proven to exceed the current
-    minimum is discarded without exhausting its search tree.
+    Local ranks are scalar-invariant, so they are found per projective class
+    and expanded back to points.  Every class's local rank comes from one
+    enumeration of the maximal cliques (_TupleSearch.ranks); the witness is
+    the least maximal tuple through the least class of minimal rank.
     """
     points = nullcone(g, budget=budget)
     if len(points) == 1:  # just 0
@@ -731,26 +698,11 @@ def srk_brute(g: RestrictedLieAlgebra, budget: int = DEFAULT_BUDGET) -> SrkBrute
     rows = _projective_reps(f, vecs)
     reps = [points[r] for r in rows]
     search = _TupleSearch(g, reps, vecs[rows], np.eye(g.dim, dtype=np.int64))
-    order = sorted(range(len(reps)), key=lambda i: (search.commuting[i].bit_count(), i))
-    m = None
-    argmin = []
-    witnesses = {}
-    for i in order:
-        x = reps[i]
-        stop = None if m is None else m + 1
-        r, wit, exhausted = search.max_tuple_containing(x, stop_at=stop)
-        if not exhausted:
-            continue  # r_x > current minimum
-        if m is None or r < m:
-            m = r
-            argmin = [x]
-            witnesses = {x: wit}
-        elif r == m:
-            argmin.append(x)
-            witnesses[x] = wit
+    m = min(search.ranks)
+    argmin = [x for x, r in zip(reps, search.ranks) if r == m]
     o_rmin = sorted(_vec_scale(f, c, x) for x in argmin for c in range(1, f.q))
-    wx = min(argmin)
-    witness = ElementarySubalgebra(rank=m, basis=tuple(witnesses[wx]))
+    _, wit, _ = search.max_tuple_containing(min(argmin))
+    witness = ElementarySubalgebra(rank=m, basis=tuple(wit))
     return SrkBrute(srk=m, r_min=m, o_rmin_count=len(o_rmin), o_rmin=tuple(o_rmin),
                     witness=witness, note="")
 

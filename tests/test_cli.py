@@ -176,6 +176,17 @@ def test_group_srk_rejects_bad_input(capsys, tmp_path, data):
     assert "precondition" in err
 
 
+@pytest.mark.parametrize("data", [
+    {"degree": 10 ** 6, "generators": [], "p": 2},
+    {"degree": 6, "generators": [[1, 0, 2, 3, 4, 5]], "p": 2, "element_bound": 5},
+], ids=["default_bound", "explicit_bound"])
+def test_group_srk_refuses_degree_above_element_bound(capsys, tmp_path, data):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "group-srk", "--file", str(path))
+    assert code == 3 and out == "" and f"degree {data['degree']}" in err
+
+
 def _h3_input():
     return {
         "p": 3, "k": 1, "dim": 3,

@@ -234,6 +234,23 @@ def test_is_prime():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
 
 
+def test_is_prime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    assert [n for n in range(2, 10 ** 4 + 1) if is_prime(n)] == list(sympy.primerange(2, 10 ** 4 + 1))
+    # Carmichael numbers fool the Fermat test to every coprime base
+    for n in (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
+              5394826801, 232250619601, 9746347772161):
+        factors = sympy.factorint(n)
+        assert len(factors) > 1 and set(factors.values()) == {1}  # Korselt's criterion
+        assert all((n - 1) % (f - 1) == 0 for f in factors) and not is_prime(n)
+    # strong pseudoprimes to the bases 2..23 and 2..37
+    for n in (3825123056546413051, 318665857834031151167461):
+        assert not sympy.isprime(n) and not is_prime(n)
+    near = range(10 ** 18 - 200, 10 ** 18 + 200)
+    assert [n for n in near if is_prime(n)] == [n for n in near if sympy.isprime(n)]
+    assert is_prime(2 ** 61 - 1) and is_prime(10 ** 13 + 37)
+
+
 def test_field_element_roundtrip():
     f = field_make(3, 4)
     for a in itertools.islice(f.elements(), 0, 81, 7):

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -353,6 +354,128 @@ def test_commuting_masks_across_batches(monkeypatch):
         chosen = rng.sample(range(search.n), rng.randint(1, 3))
         naive = _naive_span_mask(g.field, search.index, [pts[i] for i in chosen])
         assert search._span_mask([search.coords[i] for i in chosen]) == naive
+
+
+def _commutes(g, pts):
+    """commutes[i, j]: [pts[i], pts[j]] == 0, from the bracket table directly."""
+    arr = np.array(pts, dtype=np.int64)
+    return ~g.field.matmul(g.ad(arr), arr.T).any(axis=1)
+
+
+def _independent(g, vecs):
+    """Row reduction by hand with the field's scalar ops."""
+    f, rows = g.field, [list(v) for v in vecs]
+    for col in range(g.dim):
+        pivot = next((r for r in rows if r[col]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        inv = f.inv(pivot[col])
+        rows = [[f.add(a, f.neg(f.mul(f.mul(r[col], inv), b))) for a, b in zip(r, pivot)]
+                for r in rows]
+    return not rows
+
+
+_CLIQUE_CASES = {
+    # case: (algebra, number of maximal cliques); h_{2n+1} has one per
+    # Lagrangian subspace of F_q^(2n), (q + 1)...(q^n + 1) of them
+    "h3_F5": (lambda: heisenberg(1, F5), 6),
+    "h5_F3": (lambda: heisenberg(2, F3), 40),
+    "sl3_F3": (lambda: special_linear(3, F3), 130),
+    "sl2_F9": (lambda: special_linear(2, field_make(3, 2)), 10),
+    "sl4_F2": (lambda: special_linear(4, field_make(2, 1)), 170),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CLIQUE_CASES))
+def test_maximal_cliques_are_maximal_elementary_subalgebras(monkeypatch, case):
+    build, count = _CLIQUE_CASES[case]
+    g = build()
+    search = _captured_search(monkeypatch, lambda: srk_brute(g))
+    pts = search.points
+    commutes = _commutes(g, pts)
+    assert len(search.cliques) == count
+    for rank, clique in search.cliques:
+        members = [i for i in range(search.n) if clique >> i & 1]
+        basis = []
+        for i in members:  # greedy basis in ascending class order
+            if _independent(g, [pts[j] for j in basis] + [pts[i]]):
+                basis.append(i)
+        assert len(basis) == rank
+        assert search._span_mask([search.coords[i] for i in basis]) == clique
+        assert is_elementary(g, [pts[i] for i in basis])
+        outside = [j for j in range(search.n) if not clique >> j & 1]
+        assert not commutes[np.ix_(basis, outside)].all(axis=0).any()
+    # every class lies in a clique, and its rank is the best clique through it
+    for i in range(search.n):
+        assert search.ranks[i] == max(r for r, c in search.cliques if c >> i & 1)
+
+
+def _least_maximal_tuple(g, pts, commutes, xi):
+    """The lexicographically least increasing index tuple of maximal size whose
+    classes commute with x = pts[xi] and each other and are independent with x."""
+    f, commutes = g.field, commutes.tolist()
+
+    @functools.lru_cache(maxsize=None)
+    def span(t):
+        """All vectors of span(x, pts[t]), or None when they are dependent."""
+        if not t:
+            return frozenset(tuple(f.mul(c, a) for a in pts[xi]) for c in range(f.q))
+        prev = span(t[:-1])
+        if prev is None or pts[t[-1]] in prev:
+            return None
+        return frozenset(tuple(f.add(a, f.mul(c, b)) for a, b in zip(u, pts[t[-1]]))
+                         for u in prev for c in range(f.q))
+
+    cands = [j for j in range(len(pts)) if j != xi and commutes[xi][j]]
+    best = ()
+    for size in itertools.count(1):
+        found = next((t for t in itertools.combinations(cands, size)
+                      if all(commutes[a][b] for a, b in itertools.combinations(t, 2))
+                      and span(t) is not None), None)
+        if found is None:
+            return best
+        best = found
+
+
+@pytest.mark.parametrize("case", ["h3_F5", "h5_F3", "sl3_F3"])
+def test_witness_is_least_maximal_tuple(monkeypatch, case):
+    g = _CLIQUE_CASES[case][0]()
+    search = _captured_search(monkeypatch, lambda: srk_brute(g))
+    pts = search.points
+    commutes = _commutes(g, pts)
+    classes = range(search.n)
+    if case == "sl3_F3":
+        classes = sorted(random.Random(case).sample(classes, 20))
+    for xi in classes:
+        r, witness, exhausted = search.max_tuple_containing(pts[xi])
+        tail = _least_maximal_tuple(g, pts, commutes, xi)
+        assert exhausted and r == len(tail) + 1
+        assert witness == [pts[xi]] + [pts[j] for j in tail]
+
+
+# pinned like _GOLDEN_BRUTE, recorded with the tuple search the cliques
+# replaced; sl_4/F_2 has maximal cliques of rank 3 and 4
+_GOLDEN_BRUTE_CLIQUES = {
+    "h5_F5": (3, 3, 3124, [[0, 0, 0, 0, 1], [0, 0, 0, 1, 0], [0, 0, 1, 0, 0]],
+              "bd73cb0e2e92a1d8a65fc076ffd82e74334f23b941666ccb5dc4b6d6081c0ff5"),
+    "sl4_F2": (4, 4, 315, [[0] * 11 + [1, 0, 0, 0], [0] * 10 + [1] + [0] * 4,
+                           [0, 1] + [0] * 13, [1] + [0] * 14],
+               "694adcefdd95edc86856bece20a0e64a8da74b651f3c1b00feb49af1f0d2bb83"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_BRUTE_CLIQUES))
+def test_srk_brute_golden_cliques(name):
+    g = heisenberg(2, F5) if name == "h5_F5" else special_linear(4, field_make(2, 1))
+    res = srk_brute(g)
+    payload = {"srk": res.srk, "r_min": res.r_min, "o_rmin_count": res.o_rmin_count,
+               "o_rmin": [list(v) for v in res.o_rmin],
+               "witness": [list(v) for v in res.witness.basis]}
+    srk, r_min, count, witness, digest = _GOLDEN_BRUTE_CLIQUES[name]
+    assert (res.srk, res.r_min, res.o_rmin_count) == (srk, r_min, count)
+    assert payload["witness"] == witness
+    assert hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest() == digest
 
 
 def test_local_rank_preconditions():
