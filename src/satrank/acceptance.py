@@ -18,6 +18,7 @@ from .fields import Mat, field_make, mat_rank
 from .frobkernel import (
     NilPair,
     OneParamSubgroup,
+    _check_rows,
     homomorphism_sweep,
     srk_height_bound,
     srk_sln2,
@@ -206,6 +207,59 @@ def criterion_8_bound_attained():
     return out
 
 
+def _check_shift_maps(lam, field):
+    """xi_to_matrix is a homomorphism for compose and bracket on the shift
+    basis of lam; returns the number of basis pairs.
+
+    All products come from one stacked matmul, the brackets from rows and
+    columns of that stack.  Row a compares them with the images of a . b and
+    [a, b] for every b at once; a failure names the first failing basis pair
+    in row-major order.
+    """
+    basis = xi_basis(lam)
+    assert len(basis) == sum(min(a, b) for a in lam.parts for b in lam.parts)
+    m = np.array([xi_to_matrix(lam, el, field).a for el in basis])
+    prod = field.matmul(m[:, None], m[None])  # prod[a, b] = m[a] @ m[b]
+    checked = 0
+    for i, a in enumerate(basis):
+        compose = np.array([xi_to_matrix(lam, xi_compose(a, b), field).a for b in basis])
+        bracket = np.array([xi_to_matrix(lam, xi_bracket(a, b), field).a for b in basis])
+        comm = field.varr_add(prod[i], field.varr_neg(prod[:, i]))
+        bad = ((compose != prod[i]) | (bracket != comm)).any(axis=(1, 2))
+        if bad.any():
+            raise AssertionError(f"shift maps of {lam.parts} fail at ({a}, {basis[bad.argmax()]})")
+        checked += len(bad)
+    return checked
+
+
+def _check_exp_law(n, field):
+    """exp(x + y) = exp(x) exp(y) for every pair of points of u_e; returns the
+    number of pairs.
+
+    The points are the coefficient vectors (in itertools.product order) times
+    the stacked basis of u_e, and x + y is found by its matrix: each matrix
+    is keyed by its entries read as base-q digits.
+    """
+    basis = np.array([b.a for b in u_e_data(n, field).basis])
+    coeffs = np.array(list(itertools.product(range(field.q), repeat=len(basis))))
+    pts = field.matmul(coeffs, basis.reshape(len(basis), -1)).reshape(-1, n, n)
+    assert field.q ** (n * n) < 2 ** 63  # the keys fit in int64
+    weights = field.q ** np.arange(n * n, dtype=np.int64)
+    keys = pts.reshape(len(pts), -1) @ weights
+    order = np.argsort(keys)
+    keys = keys[order]
+    assert (np.diff(keys) != 0).all()  # the points are distinct
+
+    def row_sums(i):
+        want = field.varr_add(pts[i], pts).reshape(len(pts), -1) @ weights
+        at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        assert (keys[at] == want).all()  # x + y lies in u_e
+        return order[at]
+
+    exps = np.array([trunc_exp(Mat(field, x), field.p).a for x in pts])
+    return _check_rows(field, exps, row_sums)
+
+
 def criterion_9_property_suites():
     """Exhaustive structural identities at the stated scales."""
     f5 = field_make(5, 1)
@@ -230,35 +284,14 @@ def criterion_9_property_suites():
     hom_pairs = 0
     for n in range(1, 7):
         for lam in partitions(n):
-            basis = xi_basis(lam)
-            assert len(basis) == sum(min(a, b) for a in lam.parts for b in lam.parts)
-            mats = {el: xi_to_matrix(lam, el, f5) for el in basis}
-            for a in basis:
-                for b in basis:
-                    assert xi_to_matrix(lam, xi_compose(a, b), f5) == mats[a] @ mats[b]
-                    comm = mats[a] @ mats[b] - mats[b] @ mats[a]
-                    assert xi_to_matrix(lam, xi_bracket(a, b), f5) == comm
-                    hom_pairs += 1
+            hom_pairs += _check_shift_maps(lam, f5)
     # truncated exponential group law over u_e, n <= 4, p <= 7
     exp_pairs = 0
     for n in (2, 3, 4):
         for p in (2, 3, 5, 7):
             if p < n:
                 continue
-            f = field_make(p, 1)
-            basis = u_e_data(n, f).basis
-            pts = []
-            for coeffs in itertools.product(range(f.q), repeat=len(basis)):
-                x = Mat.zeros(f, n, n)
-                for c, b in zip(coeffs, basis):
-                    x = x + b.scale(c)
-                pts.append(x)
-            exps = [trunc_exp(x, p) for x in pts]
-            index = {x: i for i, x in enumerate(pts)}
-            for i, x in enumerate(pts):
-                for j, y in enumerate(pts):
-                    assert exps[index[x + y]] == exps[i] @ exps[j]
-                    exp_pairs += 1
+            exp_pairs += _check_exp_law(n, field_make(p, 1))
     # restrictedness (full validation) on every constructed algebra family
     f3 = field_make(3, 1)
     from .lie import abelian_p_trivial, toral

@@ -1,7 +1,9 @@
 """Command line surface.
 
 Every subcommand emits a JSON report (or a lossy key/value table with
---format table) on stdout or to --out.  Exit codes: 0 success, 2 precondition
+--format table) on stdout or to --out; reproduce-paper defaults to its
+PASS/FAIL table, and --format json gives every criterion with its details
+dict.  Exit codes: 0 success, 2 precondition
 violated (including malformed input files), 3 enumeration budget exceeded,
 64 usage errors, 1 failed cross-checks in oracle-crosscheck/reproduce-paper.
 Identical invocations produce byte-identical output.
@@ -62,6 +64,10 @@ def _emit(report: dict, args) -> None:
         text = "\n".join(lines) + "\n"
     else:
         text = json.dumps(report, indent=2) + "\n"
+    _write(text, args)
+
+
+def _write(text: str, args) -> None:
     if args.out:
         with open(args.out, "w") as fp:
             fp.write(text)
@@ -77,9 +83,9 @@ def _parse_partition(text: str) -> Partition:
     return Partition(parts)
 
 
-def _add_common(sp):
+def _add_common(sp, default_format="json"):
     sp.add_argument("--out", default=None, help="write the report to a file")
-    sp.add_argument("--format", choices=["json", "table"], default="json")
+    sp.add_argument("--format", choices=["json", "table"], default=default_format)
 
 
 def build_parser() -> _Parser:
@@ -141,8 +147,9 @@ def build_parser() -> _Parser:
     sp.add_argument("--seed", type=int, default=0)
     _add_common(sp)
 
-    sp = sub.add_parser("reproduce-paper", help="run the acceptance table, PASS/FAIL per line")
-    _add_common(sp)
+    sp = sub.add_parser("reproduce-paper", help="run the acceptance table, PASS/FAIL per line "
+                        "(--format json: every criterion with its details)")
+    _add_common(sp, default_format="table")
 
     return parser
 
@@ -275,23 +282,25 @@ def _cmd_oracle_crosscheck(args):
 
 
 def _cmd_reproduce_paper(args):
+    """Run every criterion and write the table (or JSON); returns whether all passed."""
     from .acceptance import run_all
     results = run_all()
-    lines = []
-    ok = True
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        ok = ok and r.passed
-        line = f"{status}  criterion {r.cid}: {r.description} ({r.seconds:.1f}s)"
-        if not r.passed:
-            line += f"  [{r.error}]"
-        lines.append(line)
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fp:
-            fp.write(text)
+    ok = all(r.passed for r in results)
+    if args.format == "json":
+        criteria = [{"cid": r.cid, "description": r.description, "passed": r.passed,
+                     "seconds": r.seconds, "error": r.error, "details": r.details}
+                    for r in results]
+        text = json.dumps({"criteria": criteria, "all_pass": ok}, indent=2) + "\n"
     else:
-        sys.stdout.write(text)
+        lines = []
+        for r in results:
+            line = (f"{'PASS' if r.passed else 'FAIL'}  criterion {r.cid}: "
+                    f"{r.description} ({r.seconds:.1f}s)")
+            if not r.passed:
+                line += f"  [{r.error}]"
+            lines.append(line)
+        text = "\n".join(lines) + "\n"
+    _write(text, args)
     return ok
 
 

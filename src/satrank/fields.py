@@ -28,12 +28,11 @@ one call for all of them.  Nothing here is sparse.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import BudgetError, PreconditionError
 
 _TABLE_CAP = 2048  # largest q for which the q*q tables are cached
 
@@ -45,14 +44,18 @@ _MR_EXACT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin below _MR_EXACT, trial division above."""
+    """Deterministic Miller-Rabin to the bases _MR_BASES.
+
+    A base that witnesses n composite decides n at any size.  Passing every
+    base proves n prime only below _MR_EXACT; above it BudgetError is raised
+    rather than running a primality proof (trial division up to sqrt(n)
+    would take hours).
+    """
     if n < 2:
         return False
     for b in _MR_BASES:
         if n % b == 0:
             return n == b
-    if n >= _MR_EXACT:
-        return all(n % d for d in range(43, math.isqrt(n) + 1, 2))
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s, d odd
     d = (n - 1) >> s
     for a in _MR_BASES:
@@ -65,6 +68,9 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MR_EXACT:
+        raise BudgetError(f"p={n} passes Miller-Rabin to the bases 2..41, which proves "
+                          f"primality only below {_MR_EXACT}")
     return True
 
 

@@ -293,3 +293,79 @@ def test_lie_srk_fuzzed_input_exits_cleanly(tmp_path_factory, data):
 def test_group_srk_fuzzed_input_exits_cleanly(tmp_path_factory, data):
     code = _exit_code(tmp_path_factory.mktemp("group"), ["group-srk"], data)
     assert code in (0, 2, 3)
+
+
+def test_frob2_verify_exp_over_f49(capsys):
+    code, out, _ = run_cli(capsys, "frob2-verify-exp", "--n", "5", "--p", "7", "--k", "2")
+    assert code == 0
+    assert json.loads(out) == {"n": 5, "p": 7, "k": 2, "pairs_checked": 2401, "holds": True}
+
+
+def _criteria_stub(monkeypatch, failing=()):
+    """Criteria that return their cid as details, and raise for the cids in failing."""
+    from satrank import acceptance
+
+    def make(cid):
+        def run():
+            if cid in failing:
+                raise AssertionError(f"broken {cid}")
+            return {"cid": cid, "pairs": [cid, cid * cid]}
+        return run
+
+    monkeypatch.setattr(acceptance, "CRITERIA",
+                        [(c, d, make(c)) for c, d, _ in acceptance.CRITERIA])
+    return acceptance.CRITERIA
+
+
+@pytest.mark.parametrize("args", [(), ("--format", "table")])
+def test_reproduce_paper_table_is_the_default(capsys, monkeypatch, args):
+    criteria = _criteria_stub(monkeypatch, failing=(4,))
+    code, out, _ = run_cli(capsys, "reproduce-paper", *args)
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == len(criteria)
+    for line, (cid, desc, _) in zip(lines, criteria):
+        status = "FAIL" if cid == 4 else "PASS"
+        assert line.startswith(f"{status}  criterion {cid}: {desc} (0.0s)")
+    assert lines[3].endswith("  [AssertionError: broken 4]")
+
+
+def test_reproduce_paper_json(capsys, monkeypatch, tmp_path):
+    criteria = _criteria_stub(monkeypatch, failing=(4,))
+    target = tmp_path / "paper.json"
+    code, out, _ = run_cli(capsys, "reproduce-paper", "--format", "json", "--out", str(target))
+    assert code == 1 and out == ""
+    rep = json.loads(target.read_text())
+    assert rep["all_pass"] is False
+    assert [c["cid"] for c in rep["criteria"]] == [cid for cid, _, _ in criteria]
+    for entry, (cid, desc, _) in zip(rep["criteria"], criteria):
+        assert set(entry) == {"cid", "description", "passed", "seconds", "error", "details"}
+        assert entry["description"] == desc and entry["seconds"] >= 0
+        if cid == 4:
+            assert not entry["passed"] and entry["error"] == "AssertionError: broken 4"
+            assert "broken 4" in entry["details"]["traceback"]
+        else:
+            assert entry["passed"] and entry["error"] == ""
+            assert entry["details"] == {"cid": cid, "pairs": [cid, cid * cid]}
+    _criteria_stub(monkeypatch)
+    code, out, _ = run_cli(capsys, "reproduce-paper", "--format", "json")
+    assert code == 0 and json.loads(out)["all_pass"] is True
+
+
+# 10**25 + 1 is composite (11 divides it); 2**89 - 1 is a Mersenne prime and
+# 3317044064679887385961981 a strong pseudoprime to the bases 2..41, both
+# above the bound below which passing those bases proves a prime
+@pytest.mark.parametrize("p,exit_code", [
+    (10 ** 25 + 1, 2), (2 ** 89 - 1, 3), (3317044064679887385961981, 3),
+], ids=["composite", "mersenne_89", "pseudoprime_2_41"])
+def test_huge_p_exits_at_once(capsys, tmp_path, p, exit_code):
+    import time
+    lie = tmp_path / "lie.json"
+    lie.write_text(json.dumps({"p": p, "dim": 1}))
+    group = tmp_path / "group.json"
+    group.write_text(json.dumps({"degree": 2, "generators": [[1, 0]], "p": p}))
+    for argv in (["lie-srk", "--file", str(lie)], ["group-srk", "--file", str(group)]):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == exit_code and out == "" and f"p={p}" in err

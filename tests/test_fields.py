@@ -389,3 +389,16 @@ def test_mat_copies_its_source_and_operators_return_fresh_arrays():
                    m.t(), m.copy()):
         assert not np.shares_memory(result.a, m.a)
     assert (m + m).tolist() == [[2, 4], [1, 3]] and m.tolist() == [[1, 2], [3, 4]]
+
+
+def test_is_prime_above_the_exact_bound():
+    from satrank import BudgetError
+    assert 10 ** 25 + 1 > 3317044064679887385961981
+    assert is_prime(10 ** 25 + 1) is False  # 11 divides it
+    # no factor below 43, so a Miller-Rabin base is the witness: proof at any size
+    assert is_prime((2 ** 89 - 1) * (2 ** 61 - 1)) is False
+    for n in (2 ** 89 - 1, 3317044064679887385961981):
+        with pytest.raises(BudgetError, match=f"p={n} "):
+            is_prime(n)
+    # 3317044064679887385961981 = 1287836182261 * 2575672364521 passes every base
+    assert 1287836182261 * 2575672364521 == 3317044064679887385961981

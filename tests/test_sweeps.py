@@ -1,0 +1,210 @@
+"""The stacked homomorphism sweeps of frobkernel and of criteria 7 and 9.
+
+Each check is compared with the pairwise loop it replaces: the same pairs,
+the same identity, and on failure the same first pair in row-major order.
+"""
+
+import itertools
+import re
+
+import numpy as np
+import pytest
+
+from satrank import acceptance, frobkernel
+from satrank.fields import Mat, field_make
+from satrank.frobkernel import (
+    NilPair,
+    OneParamSubgroup,
+    _check_rows,
+    eval_one_param,
+    homomorphism_sweep,
+    regular_nilpotent,
+)
+from satrank.slnorbits import Partition, xi_basis, xi_bracket, xi_compose, xi_to_matrix
+
+F5 = field_make(5, 1)
+
+
+def _subgroup(n, f):
+    e = regular_nilpotent(n, f)
+    return OneParamSubgroup(pair=NilPair(e, e + (e @ e)), n=n, p=f.p)
+
+
+def _corrupt(m: Mat) -> Mat:
+    """m with one added to its top right entry."""
+    a = m.a.copy()
+    a[0, -1] = m.field.add(int(a[0, -1]), m.field.one)
+    return Mat(m.field, a)
+
+
+def _first_failure(pts, exps):
+    """The first (i, j) in row-major order with exps[x_i + x_j] != exps[i] @ exps[j],
+    found pair by pair with a dict from matrices to indices."""
+    index = {x: i for i, x in enumerate(pts)}
+    for i, x in enumerate(pts):
+        for j, y in enumerate(pts):
+            if exps[index[x + y]] != exps[i] @ exps[j]:
+                return i, j
+    return None
+
+
+def test_pair_counts_are_pinned():
+    nine = acceptance.run_criterion(9)
+    assert nine.passed, nine.error
+    assert nine.details == {"dominance_pairs": 918, "hom_pairs": 5671,
+                            "exp_pairs": 136468, "algebras_validated": 10}
+    seven = acceptance.run_criterion(7)
+    assert seven.passed, seven.error
+    assert {k: v for k, v in seven.details.items() if k.endswith("_pairs")} == {
+        "n3_p5_k1_pairs": 25, "n3_p5_k2_pairs": 625,
+        "n4_p5_k1_pairs": 25, "n4_p5_k2_pairs": 625,
+        "n5_p7_k1_pairs": 49, "n5_p7_k2_pairs": 2401,
+    }
+
+
+@pytest.mark.parametrize("n,p,k", [(3, 5, 1), (4, 5, 2), (5, 7, 1), (2, 3, 2)])
+def test_sweep_counts_every_pair(n, p, k):
+    f = field_make(p, k)
+    assert homomorphism_sweep(_subgroup(n, f)) == f.q ** 2
+
+
+def _first_sweep_failure(f, table):
+    """The first (s, t) of the pairwise loop that homomorphism_sweep ran before."""
+    for s in f.elements():
+        for t in f.elements():
+            if table[f.add(s, t)] != table[s] @ table[t]:
+                return s, t
+    return None
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("bad", [0, 1, 3, 4])
+def test_sweep_names_the_pairwise_first_failure(monkeypatch, k, bad):
+    f = field_make(5, k)
+    u = _subgroup(3, f)
+    table = [eval_one_param(u, s) for s in f.elements()]
+    table[bad] = _corrupt(table[bad])
+    expect = _first_sweep_failure(f, table)
+    assert expect is not None
+    monkeypatch.setattr(frobkernel, "eval_one_param", lambda sub, s: table[s])
+    with pytest.raises(AssertionError, match=rf"fails at \({expect[0]}, {expect[1]}\)$"):
+        homomorphism_sweep(u)
+
+
+def test_check_rows_checks_every_row():
+    f = field_make(7, 1)
+    u = _subgroup(4, f)
+    table = np.array([eval_one_param(u, s).a for s in f.elements()])
+    codes = np.arange(f.q)
+    assert _check_rows(f, table, lambda s: f.varr_add(s, codes)) == f.q ** 2
+    for row in range(f.q):
+        for col in (0, f.q - 1):
+            def sums(s, row=row, col=col):
+                out = f.varr_add(s, codes)
+                if s == row:  # a wrong index at (row, col) alone
+                    out[col] = f.add(out[col], 1)
+                return out
+
+            with pytest.raises(AssertionError, match=rf"\({row}, {col}\)$"):
+                _check_rows(f, table, sums)
+
+
+@pytest.mark.parametrize("bad", range(7))
+def test_check_rows_names_the_pairwise_first_failure(bad):
+    f = field_make(7, 1)
+    table = np.array([eval_one_param(_subgroup(5, f), s).a for s in f.elements()])
+    table[bad] = _corrupt(Mat(f, table[bad])).a
+    s, t = _first_sweep_failure(f, [Mat(f, m) for m in table])
+    codes = np.arange(f.q)
+    with pytest.raises(AssertionError, match=rf"\({s}, {t}\)$"):
+        _check_rows(f, table, lambda s: f.varr_add(s, codes))
+
+
+def _u_e_points(n, f):
+    basis = frobkernel.u_e_data(n, f).basis
+    pts = []
+    for coeffs in itertools.product(range(f.q), repeat=len(basis)):
+        x = Mat.zeros(f, n, n)
+        for c, b in zip(coeffs, basis):
+            x = x + b.scale(c)
+        pts.append(x)
+    return pts
+
+
+@pytest.mark.parametrize("n,p,bad", [(3, 5, 0), (3, 5, 7), (3, 5, 24), (2, 7, 3), (4, 5, 60)])
+def test_exp_law_names_the_pairwise_first_failure(monkeypatch, n, p, bad):
+    f = field_make(p, 1)
+    pts = _u_e_points(n, f)
+    exps = [frobkernel.trunc_exp(x, p) for x in pts]
+    exps[bad] = _corrupt(exps[bad])
+    expect = _first_failure(pts, exps)
+    assert expect is not None
+    images = {x: e for x, e in zip(pts, exps)}
+
+    def corrupted(x, p):
+        return images[x]
+
+    monkeypatch.setattr(acceptance, "trunc_exp", corrupted)
+    with pytest.raises(AssertionError, match=rf"fails at \({expect[0]}, {expect[1]}\)$"):
+        acceptance._check_exp_law(n, f)
+
+
+def test_exp_law_counts_every_pair():
+    for n, p in [(2, 2), (3, 3), (3, 7)]:
+        f = field_make(p, 1)
+        assert acceptance._check_exp_law(n, f) == f.q ** (2 * (n - 1))
+
+
+def _first_shift_failure(lam, f, compose, bracket):
+    """The first (a, b) of the pairwise loop that criterion 9 ran before."""
+    basis = xi_basis(lam)
+    mats = {el: xi_to_matrix(lam, el, f) for el in basis}
+    for a in basis:
+        for b in basis:
+            comm = mats[a] @ mats[b] - mats[b] @ mats[a]
+            if (xi_to_matrix(lam, compose(a, b), f) != mats[a] @ mats[b]
+                    or xi_to_matrix(lam, bracket(a, b), f) != comm):
+                return a, b
+    return None
+
+
+@pytest.mark.parametrize("which", ["compose", "bracket"])
+@pytest.mark.parametrize("parts,at", [((3, 2, 1), 5), ((2, 2), 0), ((4, 1, 1), 13)])
+def test_shift_maps_name_the_pairwise_first_failure(monkeypatch, which, parts, at):
+    lam = Partition(parts)
+    basis = xi_basis(lam)
+    a0, b0 = basis[at % len(basis)], basis[(3 * at + 1) % len(basis)]
+
+    def skewed(op):
+        def wrong(a, b):
+            out = op(a, b)
+            if (a, b) == (a0, b0):  # one corrupted product: the identity map added
+                for el in basis:
+                    if el.i == el.j and el.s == 0:
+                        out = out + xi_compose(el, el)
+            return out
+        return wrong
+
+    compose = skewed(xi_compose) if which == "compose" else xi_compose
+    bracket = skewed(xi_bracket) if which == "bracket" else xi_bracket
+    assert _first_shift_failure(lam, F5, compose, bracket) == (a0, b0)
+    monkeypatch.setattr(acceptance, "xi_compose", compose)
+    monkeypatch.setattr(acceptance, "xi_bracket", bracket)
+    with pytest.raises(AssertionError, match=re.escape(f"fail at ({a0}, {b0})") + "$"):
+        acceptance._check_shift_maps(lam, F5)
+
+
+def test_shift_maps_catch_a_flipped_bracket(monkeypatch):
+    lam = Partition((3, 1))
+    expect = _first_shift_failure(lam, F5, xi_compose, lambda a, b: xi_bracket(b, a))
+    assert expect is not None
+    monkeypatch.setattr(acceptance, "xi_bracket", lambda a, b: xi_bracket(b, a))
+    with pytest.raises(AssertionError) as info:
+        acceptance._check_shift_maps(lam, F5)
+    assert str(info.value).endswith(f"({expect[0]}, {expect[1]})")
+
+
+def test_shift_maps_count_every_pair():
+    for parts in [(1,), (2, 1), (3, 3), (2, 2, 1, 1)]:
+        lam = Partition(parts)
+        assert acceptance._check_shift_maps(lam, F5) == len(xi_basis(lam)) ** 2
