@@ -327,7 +327,9 @@ class FieldSpec:
     def matmul(self, a, b):
         """a @ b over F_q, with np.matmul shape rules (stacks, 1-D operands)."""
         if self.k == 1:
-            return np.matmul(a, b) % self.p
+            out = np.matmul(a, b)
+            out %= self.p  # in place: one result-sized array, not two
+            return out
         return self._product(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64),
                              operator.matmul)
 

@@ -25,12 +25,13 @@ The graph lives on integer coordinates in the space that was enumerated:
 F_q^dim for srk_brute, F_q^d in the centralizer basis for local_rank.  The
 callers' budget checks bound q^dim and q^d, so a dense int32 table with one
 entry per coordinate code maps every nonzero scalar multiple of a class to
-the class index.  A span is held as the array of all its coordinate vectors;
-extending it is one broadcast over F_q^x and one table lookup, and the
-classes commuting with u are the span closure of ker ad(u).  Those commuting
-masks are built for a batch of classes at a time: one stacked product
-ad(u) . basis^T, one stacked elimination (fields._kernels), and span closures
-batched by kernel dimension.
+the class index.  The classes commuting with u are the span closure of
+ker ad(u): one vector per line of the kernel, looked up in the table.  Those
+commuting masks are built for a batch of classes at a time: one stacked
+product ad(u) . basis^T, one stacked elimination (fields._kernels), and span
+closures batched by kernel dimension.  A witness is a greedy basis of a
+maximal clique, read off as pivot columns: one more stacked elimination per
+batch of the maximal-rank cliques through the class.
 """
 
 from __future__ import annotations
@@ -62,6 +63,14 @@ def _vec_scale(f, c, u):
     return tuple(f.mul(c, a) for a in u)
 
 
+def _canonical_projective(f, v):
+    """Scale v so its first nonzero coordinate is 1."""
+    for c in v:
+        if c:
+            return _vec_scale(f, f.inv(c), v)
+    return v
+
+
 def _vec_is_zero(u):
     return not any(u)
 
@@ -88,17 +97,20 @@ class RestrictedLieAlgebra:
                 self._adb[i, k, j] = c % field.q
         self.pmap = [tuple(int(c) % field.q for c in row) for row in pmap]
         self._pmap = np.array(self.pmap, dtype=np.int64).reshape(self.dim, self.dim)
-        self.matrix_model = list(matrix_model) if matrix_model else None
-        self._coord_solver = None
-        if self.matrix_model:
-            if len(self.matrix_model) != self.dim:
+        self.matrix_model = self._coord_solver = None
+        if matrix_model:
+            if len(matrix_model) != self.dim:
                 raise PreconditionError("matrix model must have one matrix per basis vector")
-            self._coord_solver = _CoordSolver(field, self.matrix_model)
-            self._model = np.stack([m.a for m in self.matrix_model])
+            self._set_model(_CoordSolver(field, matrix_model))
         if validate == "auto":
             validate = "model" if self.matrix_model else "full"
         if validate != "none":
             self.validate(validate)
+
+    def _set_model(self, solver):
+        self.matrix_model = solver.mats
+        self._coord_solver = solver
+        self._model = solver.model
 
     # -- structure access ----------------------------------------------------
 
@@ -225,7 +237,7 @@ class RestrictedLieAlgebra:
 
     def _validate_model(self):
         f, solver = self.field, self._coord_solver
-        for i, (coords, inside) in enumerate(solver.commutator_rows(self._model)):
+        for i, (coords, inside) in enumerate(solver.commutator_rows()):
             bad = ~inside | (coords != self._adb[i].T).any(axis=1)  # row j: [b_i, b_j]
             if bad.any():
                 raise PreconditionError(
@@ -257,8 +269,10 @@ class _CoordSolver:
 
     def __init__(self, field, basis_mats):
         self.field = field
-        self.dim = len(basis_mats)
-        b = np.stack([m.a.ravel() for m in basis_mats], axis=1)  # n2 x dim
+        self.mats = list(basis_mats)
+        self.dim = len(self.mats)
+        self.model = np.stack([m.a for m in self.mats])
+        b = self.model.reshape(self.dim, -1).T  # n2 x dim
         aug = np.concatenate([b, np.eye(b.shape[0], dtype=np.int64)], axis=1)
         r, pivots, _ = _rref(field, aug[None])
         if not pivots[0, : self.dim].all():
@@ -274,10 +288,10 @@ class _CoordSolver:
         coords, inside = self.solve_rows(m.a.ravel())
         return tuple(coords.tolist()) if inside else None
 
-    def commutator_rows(self, model):
-        """For each i, solve_rows of the commutators [m_i, m_j] over all j, for
-        the stacked basis matrices m."""
-        f = self.field
+    def commutator_rows(self):
+        """For each i, solve_rows of the commutators [m_i, m_j] of the basis
+        matrices over all j."""
+        f, model = self.field, self.model
         for m in model:
             comm = f.varr_add(f.matmul(m, model), f.varr_neg(f.matmul(model, m)))
             yield self.solve_rows(comm.reshape(self.dim, -1))
@@ -318,26 +332,26 @@ def toral(dim: int, field: FieldSpec) -> RestrictedLieAlgebra:
     return RestrictedLieAlgebra(field, {}, pmap, validate="full")
 
 
-def from_matrix_basis(field: FieldSpec, mats, labels=None, validate="model") -> RestrictedLieAlgebra:
+def from_matrix_basis(field: FieldSpec, mats, labels=None) -> RestrictedLieAlgebra:
     """Algebra spanned by commutator-closed, p-power-closed matrices."""
-    mats = list(mats)
     solver = _CoordSolver(field, mats)
-    model = np.stack([m.a for m in mats])
     brackets = {}
-    for i, (coords, inside) in enumerate(solver.commutator_rows(model)):
+    for i, (coords, inside) in enumerate(solver.commutator_rows()):
         if not inside.all():
             raise PreconditionError("matrix span is not closed under commutators")
         for j in np.flatnonzero(coords.any(axis=1)).tolist():
             brackets[(i, j)] = {k: c for k, c in enumerate(coords[j].tolist()) if c}
-    pmap, inside = solver.solve_rows(field.matpow(model, field.p).reshape(len(mats), -1))
+    pmap, inside = solver.solve_rows(field.matpow(solver.model, field.p).reshape(solver.dim, -1))
     if not inside.all():
         raise PreconditionError("matrix span is not closed under p-th powers")
-    return RestrictedLieAlgebra(field, brackets, pmap.tolist(), labels=labels,
-                                matrix_model=mats, validate=validate)
+    # the tables are this solve: checking the model against them would repeat it
+    g = RestrictedLieAlgebra(field, brackets, pmap.tolist(), labels=labels, validate="none")
+    g._set_model(solver)
+    return g
 
 
 @functools.lru_cache(maxsize=None)
-def special_linear(n: int, field: FieldSpec, validate="model") -> RestrictedLieAlgebra:
+def special_linear(n: int, field: FieldSpec) -> RestrictedLieAlgebra:
     """sl_n as a restricted matrix algebra: basis E_ij (i != j) then h_i = E_ii - E_(i+1)(i+1)."""
     if n < 2:
         raise PreconditionError("n must be >= 2")
@@ -358,7 +372,7 @@ def special_linear(n: int, field: FieldSpec, validate="model") -> RestrictedLieA
         m[i + 1, i + 1] = field.neg(one)
         mats.append(Mat(field, m))
         labels.append(f"h{i+1}")
-    return from_matrix_basis(field, mats, labels=labels, validate=validate)
+    return from_matrix_basis(field, mats, labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +386,8 @@ def nullcone(g: RestrictedLieAlgebra, budget: int = DEFAULT_BUDGET):
         raise BudgetError(
             f"nullcone needs {total} points > budget {budget}; use srk_sampled for a non-certified bound")
     _, vecs = _nilpotent_span(g, np.eye(g.dim, dtype=np.int64))
-    return [tuple(row.tolist()) for row in vecs]  # row by row: no list-of-lists copy
+    # _CHUNK rows at a time: no list-of-lists copy of the whole array
+    return [t for s in range(0, len(vecs), _CHUNK) for t in map(tuple, vecs[s:s + _CHUNK].tolist())]
 
 
 _CHUNK = 1 << 11  # combinations per batch; bounds the p-th power temporaries
@@ -482,45 +497,35 @@ class CommutingTuple:
 # local rank search
 # ---------------------------------------------------------------------------
 
-def _canonical_projective(f, v):
-    """Scale v so its first nonzero coordinate is 1."""
-    for c in v:
-        if c:
-            return _vec_scale(f, f.inv(c), v)
-    return v
-
-
 class _TupleSearch:
     """Local ranks and witnesses over a fixed projective point set.
 
     Points are projective classes of p-nilpotent elements inside a subspace
     of g with basis rows `basis` (d x dim): the identity for srk_brute, the
-    centralizer basis for local_rank.  Row i of coords holds point i's
-    coordinates in that basis; a coordinate vector's code is its dot product
-    with q**(d-1), ..., q, 1, and _table sends the code of every nonzero
-    multiple of point i to i and every other code to n.  commuting[i] is the
-    bitmask of the classes in ker(ad(points[i]) . basis^T), built batch by
-    batch in _commuting_masks.  cliques holds (rank, bitmask) for each
-    maximal clique of the commuting graph, a maximal elementary subalgebra,
-    and ranks[i] is the largest rank of a clique through class i, that is
-    r(points[i]).
+    centralizer basis for local_rank.  Row i of coords holds class i's
+    coordinates in that basis and row i of points (n x dim) the same vector
+    in g's coordinates.  A coordinate vector's code is its dot product with
+    q**(d-1), ..., q, 1, and _table sends the code of every nonzero multiple
+    of class i to i and every other code to n.  commuting[i] is the bitmask
+    of the classes in ker(ad(points[i]) . basis^T), built batch by batch in
+    _commuting_masks.  cliques holds (rank, bitmask) for each maximal clique
+    of the commuting graph, a maximal elementary subalgebra, and ranks[i] is
+    the largest rank of a clique through class i, that is r(points[i]).
     """
 
-    def __init__(self, g: RestrictedLieAlgebra, points, coords, basis):
+    def __init__(self, g: RestrictedLieAlgebra, coords, basis):
         self.g = g
         self.f = f = g.field
-        self.points = list(points)
-        self.index = {v: i for i, v in enumerate(self.points)}
-        self.n = len(self.points)
+        self.n = len(coords)
         self.basis = basis
         self.coords = coords
+        self.points = f.matmul(coords, basis)
         d = len(basis)
-        # _multiples[c - 1, i] = c * coords[i]
         scalars = np.arange(1, f.q, dtype=np.int64)
-        self._multiples = f.varr_mul(scalars[:, None, None], coords[None])
+        multiples = f.varr_mul(scalars[:, None, None], coords[None])  # [c - 1, i] = c * coords[i]
         self._place = _place_values(f.q, d)
         self._table = np.full(f.q ** d, self.n, dtype=np.int32)  # n: no class
-        self._table[self._multiples @ self._place] = np.arange(self.n, dtype=np.int32)
+        self._table[multiples @ self._place] = np.arange(self.n, dtype=np.int32)
         self.commuting = self._commuting_masks()
         # a maximal clique of rank r has (q**r - 1) / (q - 1) classes
         rank_of = {(f.q ** r - 1) // (f.q - 1): r for r in range(d + 1)}
@@ -541,7 +546,7 @@ class _TupleSearch:
         step = max(1, (_CHUNK << 2) // (g.dim * d))  # (step, dim, d) stacks: <= 4 * _CHUNK codes
         masks = []
         for start in range(0, self.n, step):
-            points = np.array(self.points[start:start + step], dtype=np.int64)
+            points = self.points[start:start + step]
             vectors, free = _kernels(f, f.matmul(g.ad(points), self.basis.T))
             dims = free.sum(axis=1)
             batch = [0] * len(dims)
@@ -552,21 +557,6 @@ class _TupleSearch:
                     batch[i] = mask
             masks += batch
         return masks
-
-    def _mask_of(self, vecs):
-        """Bitmask of the classes among the coordinate rows of vecs."""
-        bits = np.zeros(self.n + 1, dtype=bool)
-        bits[self._table[vecs @ self._place]] = True
-        return int.from_bytes(np.packbits(bits[:-1], bitorder="little").tobytes(), "little")
-
-    def _extend_span(self, span, i):
-        """(classes hit by span + F_q^x points[i], that extended span).
-
-        span is the array of all vectors of a subspace not containing points[i].
-        """
-        new = self.f.varr_add(span[None, :, :], self._multiples[:, i, None, :])
-        new = new.reshape(-1, span.shape[1])
-        return self._mask_of(new), np.concatenate([span, new])
 
     def _span_mask(self, vectors):
         """Bitmask of the classes in the span of coordinate vectors."""
@@ -596,37 +586,42 @@ class _TupleSearch:
         return masks
 
     def _masks_of(self, vecs):
-        """_mask_of for each vecs[s], vecs a stack of coordinate row arrays."""
+        """Bitmasks of the classes among the coordinate rows of each vecs[s]."""
         bits = np.zeros((len(vecs), self.n + 1), dtype=bool)
         bits[np.arange(len(vecs))[:, None], self._table[vecs @ self._place]] = True
         packed = np.packbits(bits[:, :-1], axis=1, bitorder="little")
         data, w = packed.tobytes(), packed.shape[1]
         return [int.from_bytes(data[i * w:(i + 1) * w], "little") for i in range(len(vecs))]
 
-    def max_tuple_containing(self, x):
-        """(r(x), witness, True).  The witness is the least, in class index
-        order, of the greedy bases of the rank-r(x) cliques through x: x, then
-        each class of the clique in ascending order that lies outside the
-        running span.  That is the least maximal commuting tuple through x.
-        The constant third entry keeps the old (r, witness, exhausted) shape
-        that bench/layers.py reads.
+    def max_tuple_containing(self, xi):
+        """(r, witness, True) for r = ranks[xi].  The witness is the least,
+        in class index order, of the greedy bases of the rank-r cliques
+        through class xi: the pivot columns of the matrix whose columns are
+        class xi and the clique's classes in ascending order.  That is the
+        least maximal commuting tuple through xi, as points.  The cliques all
+        have (q**r - 1) / (q - 1) classes, so one stacked elimination serves
+        a batch of them, with a running minimum across batches.  The constant
+        third entry keeps the (r, witness, exhausted) shape that
+        bench/layers.py reads.
         """
-        xc = _canonical_projective(self.f, x)
-        xi = self.index[xc]
-        r = self.ranks[xi]
-        start = self._extend_span(np.zeros((1, len(self.basis)), dtype=np.int64), xi)
+        r, q = self.ranks[xi], self.f.q
+        through = [c for rank, c in self.cliques if rank == r and c >> xi & 1]
+        # classes ahead of the last pick lie in the span of x and the other
+        # picks, which has (q**(r-1) - 1) / (q - 1) classes: only the first
+        # head classes of a clique can be picked
+        head = (q ** (r - 1) - 1) // (q - 1) + 1
+        step = max(1, (_CHUNK << 2) // (len(self.basis) * (head + 1)))  # <= 4 * _CHUNK entries
         best = None
-        for rank, clique in self.cliques:
-            if rank != r or not clique >> xi & 1:
-                continue
-            (span_mask, span), chosen = start, []
-            for i in _bits(clique):
-                if not span_mask >> i & 1:
-                    chosen.append(i)
-                    add_mask, span = self._extend_span(span, i)
-                    span_mask |= add_mask
-            best = chosen if best is None else min(best, chosen)
-        return r, [xc] + [self.points[i] for i in best], True
+        for start in range(0, len(through), step):
+            members = np.array([list(itertools.islice(_bits(c), head))
+                                for c in through[start:start + step]], dtype=np.int64)
+            cols = np.concatenate([np.full((len(members), 1), xi), members], axis=1)
+            _, pivots, _ = _rref(self.f, np.swapaxes(self.coords[cols], 1, 2))
+            # column 0 is a pivot of every slice, and r - 1 columns follow it
+            picks = np.nonzero(pivots[:, 1:])[1].reshape(len(members), r - 1)
+            least = min(np.take_along_axis(members, picks, axis=1).tolist())
+            best = least if best is None else min(best, least)
+        return r, [tuple(v) for v in self.points[[xi] + best].tolist()], True
 
 
 class LocalRank(NamedTuple):
@@ -664,12 +659,11 @@ def local_rank(g: RestrictedLieAlgebra, x: Vec, budget: int = DEFAULT_BUDGET) ->
     basis = np.array(zbasis, dtype=np.int64)
     codes, vecs = _nilpotent_span(g, basis)
     rows = _projective_reps(f, vecs)
-    reps = [tuple(v) for v in vecs[rows].tolist()]
-    search = _TupleSearch(g, reps, _digits(codes[rows], f.q, d), basis)
-    r, witness, _ = search.max_tuple_containing(x)
-    wit = list(witness)
-    wit[0] = x  # report the caller's point, not its projective representative
-    return LocalRank(rank=r, witness=ElementarySubalgebra(rank=r, basis=tuple(wit)))
+    search = _TupleSearch(g, _digits(codes[rows], f.q, d), basis)
+    xi = int(search._table[codes[(vecs == x).all(axis=1)][0]])
+    r, witness, _ = search.max_tuple_containing(xi)
+    witness[0] = x  # report the caller's point, not its projective representative
+    return LocalRank(rank=r, witness=ElementarySubalgebra(rank=r, basis=tuple(witness)))
 
 
 class SrkBrute(NamedTuple):
@@ -693,17 +687,16 @@ def srk_brute(g: RestrictedLieAlgebra, budget: int = DEFAULT_BUDGET) -> SrkBrute
     if len(points) == 1:  # just 0
         return SrkBrute(srk=0, r_min=0, o_rmin_count=0, o_rmin=(),
                         witness=None, note="restricted nullcone is {0}; srk reported as 0")
-    f = g.field
     vecs = np.array(points, dtype=np.int64)
-    rows = _projective_reps(f, vecs)
-    reps = [points[r] for r in rows]
-    search = _TupleSearch(g, reps, vecs[rows], np.eye(g.dim, dtype=np.int64))
+    rows = _projective_reps(g.field, vecs)
+    search = _TupleSearch(g, vecs[rows], np.eye(g.dim, dtype=np.int64))
     m = min(search.ranks)
-    argmin = [x for x, r in zip(reps, search.ranks) if r == m]
-    o_rmin = sorted(_vec_scale(f, c, x) for x in argmin for c in range(1, f.q))
-    _, wit, _ = search.max_tuple_containing(min(argmin))
+    # the points come in lexicographic order; code 0 has no class, rank -1
+    keep = np.array(search.ranks + [-1])[search._table[vecs @ search._place]] == m
+    o_rmin = tuple(itertools.compress(points, keep.tolist()))
+    _, wit, _ = search.max_tuple_containing(search.ranks.index(m))
     witness = ElementarySubalgebra(rank=m, basis=tuple(wit))
-    return SrkBrute(srk=m, r_min=m, o_rmin_count=len(o_rmin), o_rmin=tuple(o_rmin),
+    return SrkBrute(srk=m, r_min=m, o_rmin_count=len(o_rmin), o_rmin=o_rmin,
                     witness=witness, note="")
 
 

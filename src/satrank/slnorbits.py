@@ -242,10 +242,6 @@ def xi_compose_combo(a: XiCombination, b: XiCombination) -> XiCombination:
     return out
 
 
-def xi_bracket_combo(a: XiCombination, b: XiCombination) -> XiCombination:
-    return xi_compose_combo(a, b) - xi_compose_combo(b, a)
-
-
 def _block_offsets(lam: Partition):
     offs = []
     off = 0

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -402,3 +403,19 @@ def test_is_prime_above_the_exact_bound():
             is_prime(n)
     # 3317044064679887385961981 = 1287836182261 * 2575672364521 passes every base
     assert 1287836182261 * 2575672364521 == 3317044064679887385961981
+
+
+def test_prime_matmul_holds_one_result():
+    # a stacked F_p product is reduced mod p in place, so its peak memory is
+    # the result itself, not the result and a reduced copy
+    f = field_make(5, 1)
+    m = np.random.default_rng(0).integers(0, 5, size=(36, 6, 6))
+    tracemalloc.start()
+    try:
+        out = f.matmul(m[:, None], m[None])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (36, 36, 6, 6)
+    assert ((out >= 0) & (out < 5)).all()
+    assert peak <= 1.1 * out.nbytes

@@ -77,6 +77,28 @@ def test_sl2_validates_fully():
     sl2_structure_only(F3).validate("full")
 
 
+def test_matrix_model_solved_once(monkeypatch):
+    # from_matrix_basis solves the 8 commutator rows and the p-th powers of
+    # sl_3 once, with one solver, and does not check the tables it got
+    # against that same solve a second time
+    made, calls = [], []
+    init, solve_rows = lie._CoordSolver.__init__, lie._CoordSolver.solve_rows
+
+    def counting_init(self, *args):
+        made.append(self)
+        init(self, *args)
+
+    def counting_solve_rows(self, flat):
+        calls.append(len(flat))
+        return solve_rows(self, flat)
+
+    monkeypatch.setattr(lie._CoordSolver, "__init__", counting_init)
+    monkeypatch.setattr(lie._CoordSolver, "solve_rows", counting_solve_rows)
+    g = special_linear.__wrapped__(3, F5)
+    assert len(made) == 1 and len(calls) == 9
+    assert g.coords_of_matrix(g.matrix_of(g.basis_vec(2))) == g.basis_vec(2)
+
+
 def test_bad_structure_constants_rejected():
     one = F3.one
     with pytest.raises(PreconditionError):
@@ -285,6 +307,12 @@ def _captured_search(monkeypatch, run):
     return made[0]
 
 
+def _points(search):
+    """The search's class points as tuples, and the point -> class dict."""
+    pts = [tuple(v) for v in search.points.tolist()]
+    return pts, {v: i for i, v in enumerate(pts)}
+
+
 def _naive_span_mask(f, index, vecs):
     """Classes hit by every sum c_1 v_1 + ... + c_r v_r, scaled by hand so the
     first nonzero coordinate is 1."""
@@ -319,20 +347,13 @@ def test_search_span_masks_and_commuting_masks(monkeypatch, case):
         x = g.coords_of_matrix(Mat(F3, [[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
         run = lambda: local_rank(g, x)
     search = _captured_search(monkeypatch, run)
-    f, pts = g.field, search.points
+    f, (pts, index) = g.field, _points(search)
     assert search.n > 3
     rng = random.Random(case)
     for _ in range(12):
         chosen = rng.sample(range(search.n), rng.randint(1, 3))
-        naive = _naive_span_mask(f, search.index, [pts[i] for i in chosen])
+        naive = _naive_span_mask(f, index, [pts[i] for i in chosen])
         assert search._span_mask([search.coords[i] for i in chosen]) == naive
-        # the search's incremental form: one broadcast extension per point
-        span, mask = np.zeros((1, len(search.basis)), dtype=np.int64), 0
-        for i in chosen:
-            if not mask >> i & 1:
-                add_mask, span = search._extend_span(span, i)
-                mask |= add_mask
-        assert mask == naive
     for i, u in enumerate(pts):
         direct = sum(1 << j for j, v in enumerate(pts) if not any(g.bracket(u, v)))
         assert search.commuting[i] == direct
@@ -344,7 +365,7 @@ def test_commuting_masks_across_batches(monkeypatch):
     # are checked against direct brackets
     g = special_linear(3, F3)
     search = _captured_search(monkeypatch, lambda: srk_brute(g))
-    pts = search.points
+    pts, index = _points(search)
     assert search.n == 364
     for i, u in enumerate(pts):
         direct = sum(1 << j for j, v in enumerate(pts) if not any(g.bracket(u, v)))
@@ -352,7 +373,7 @@ def test_commuting_masks_across_batches(monkeypatch):
     rng = random.Random(3)
     for _ in range(12):
         chosen = rng.sample(range(search.n), rng.randint(1, 3))
-        naive = _naive_span_mask(g.field, search.index, [pts[i] for i in chosen])
+        naive = _naive_span_mask(g.field, index, [pts[i] for i in chosen])
         assert search._span_mask([search.coords[i] for i in chosen]) == naive
 
 
@@ -392,7 +413,7 @@ def test_maximal_cliques_are_maximal_elementary_subalgebras(monkeypatch, case):
     build, count = _CLIQUE_CASES[case]
     g = build()
     search = _captured_search(monkeypatch, lambda: srk_brute(g))
-    pts = search.points
+    pts, _ = _points(search)
     commutes = _commutes(g, pts)
     assert len(search.cliques) == count
     for rank, clique in search.cliques:
@@ -442,16 +463,30 @@ def _least_maximal_tuple(g, pts, commutes, xi):
 def test_witness_is_least_maximal_tuple(monkeypatch, case):
     g = _CLIQUE_CASES[case][0]()
     search = _captured_search(monkeypatch, lambda: srk_brute(g))
-    pts = search.points
+    pts, _ = _points(search)
     commutes = _commutes(g, pts)
     classes = range(search.n)
     if case == "sl3_F3":
         classes = sorted(random.Random(case).sample(classes, 20))
     for xi in classes:
-        r, witness, exhausted = search.max_tuple_containing(pts[xi])
+        r, witness, exhausted = search.max_tuple_containing(xi)
         tail = _least_maximal_tuple(g, pts, commutes, xi)
         assert exhausted and r == len(tail) + 1
         assert witness == [pts[xi]] + [pts[j] for j in tail]
+
+
+@pytest.mark.parametrize("chunk", [1, 24])
+def test_witness_across_batches(monkeypatch, chunk):
+    # the center of h_5/F_3 lies in all 40 Lagrangian cliques; a small _CHUNK
+    # splits them into batches of 1 or 3 (the last one short), and the running
+    # minimum must give the single-batch witness for every class
+    g = _CLIQUE_CASES["h5_F3"][0]()
+    search = _captured_search(monkeypatch, lambda: srk_brute(g))
+    whole = [search.max_tuple_containing(xi) for xi in range(search.n)]
+    z = _points(search)[1][(0, 0, 0, 0, 1)]
+    assert sum(c >> z & 1 for _, c in search.cliques) == 40
+    monkeypatch.setattr(lie, "_CHUNK", chunk)
+    assert [search.max_tuple_containing(xi) for xi in range(search.n)] == whole
 
 
 # pinned like _GOLDEN_BRUTE, recorded with the tuple search the cliques
@@ -476,6 +511,20 @@ def test_srk_brute_golden_cliques(name):
     assert (res.srk, res.r_min, res.o_rmin_count) == (srk, r_min, count)
     assert payload["witness"] == witness
     assert hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("x", [(0, 0, 1), (1, 0, 1)])
+def test_local_rank_same_class_for_every_scalar(x):
+    # z and x_1 + z of h_3/F_9: every c x, c in F_9^x, is found as the class
+    # of x, and the witness keeps the caller's point in front of one tail
+    f = field_make(3, 2)
+    g = heisenberg(1, f)
+    results = [(cx, local_rank(g, cx)) for cx in
+               (tuple(f.mul(c, a) for a in x) for c in range(1, f.q))]
+    assert {res.rank for _, res in results} == {2}
+    assert all(res.witness.basis[0] == cx for cx, res in results)
+    assert len({res.witness.basis[1:] for _, res in results}) == 1
+    assert all(is_elementary(g, res.witness.basis) for _, res in results)
 
 
 def test_local_rank_preconditions():
