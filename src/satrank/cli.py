@@ -39,14 +39,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-def _default_budget():
-    env = os.environ.get("SATRANK_BUDGET")
-    if env:
+def _budget(args):
+    """--budget, else SATRANK_BUDGET, else DEFAULT_BUDGET; negative is invalid input."""
+    budget, source = args.budget, "--budget"
+    if budget is None:
+        env, source = os.environ.get("SATRANK_BUDGET"), "SATRANK_BUDGET"
         try:
-            return int(env)
+            budget = int(env) if env else DEFAULT_BUDGET
         except ValueError:
             raise PreconditionError(f"SATRANK_BUDGET is not an integer: {env!r}")
-    return DEFAULT_BUDGET
+    if budget < 0:
+        raise PreconditionError(f"{source} must be >= 0, got {budget}")
+    return budget
 
 
 def _emit(report: dict, args) -> None:
@@ -160,12 +164,12 @@ def _cmd_group_srk(args):
 
 
 def _cmd_lie_srk(args):
-    budget = args.budget if args.budget is not None else _default_budget()
+    budget = _budget(args)
     return lie_report(load_lie(args.file, budget=budget), budget=budget)
 
 
 def _cmd_lie_nullcone(args):
-    budget = args.budget if args.budget is not None else _default_budget()
+    budget = _budget(args)
     g = load_lie(args.file, budget=budget)
     pts = nullcone(g, budget=budget)
     report = {"dim": g.dim, "q": g.field.q, "count": len(pts)}
@@ -233,6 +237,8 @@ def _cmd_frob2_srk(args):
 
 
 def _cmd_frob2_verify_exp(args):
+    if args.n < 2:
+        raise PreconditionError("n must be >= 2")
     field = field_make(args.p, args.k)
     from .frobkernel import regular_nilpotent
     e = regular_nilpotent(args.n, field)

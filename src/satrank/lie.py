@@ -12,14 +12,17 @@ correction terms s_i(x, y) off as t-coefficients of (ad(tx+y))^(p-1)(x) over
 g[t].  All field arithmetic, batched or not, goes through satrank.fields.
 
 The saturation rank machinery works over the restricted nullcone
-V(g) = {x : x^[p] = 0}: the local rank r(x) is the largest dimension of an
-elementary subalgebra through x, and srk(g) is the minimum of the local ranks
-over nonzero nullcone points.  Pairwise commuting p-nilpotent vectors span an
-elementary subalgebra (the Jacobson terms of a sum are iterated brackets), so
-the maximal cliques of the commuting graph on projective nullcone classes are
-exactly the maximal elementary subalgebras, and a clique of (q^r - 1)/(q - 1)
-classes has rank r.  One enumeration (satrank.cliques, shared with
-satrank.groups) gives r(x) for every class at once.
+V(g) = {x : x^[p] = 0}.  It is a cone, (cx)^[p] = c^p x^[p], so it is
+enumerated by lines: one p-th power per projective class, then each
+p-nilpotent line expanded by the nonzero scalars.  The local rank r(x) is
+the largest dimension of an elementary subalgebra through x, and srk(g) is
+the minimum of the local ranks over nonzero nullcone points.  Pairwise
+commuting p-nilpotent vectors span an elementary subalgebra (the Jacobson
+terms of a sum are iterated brackets), so the maximal cliques of the
+commuting graph on projective nullcone classes are exactly the maximal
+elementary subalgebras, and a clique of (q^r - 1)/(q - 1) classes has rank
+r.  One enumeration (satrank.cliques, shared with satrank.groups) gives r(x)
+for every class at once.
 
 The graph lives on integer coordinates in the space that was enumerated:
 F_q^dim for srk_brute, F_q^d in the centralizer basis for local_rank.  The
@@ -398,18 +401,25 @@ def _nilpotent_span(g: RestrictedLieAlgebra, basis):
 
     Combination number r has coefficients _digits(r), so ascending r is
     lexicographic coefficient order.  Returns (codes, vecs): the ascending
-    numbers r of the p-nilpotent combinations and those combinations in g's
-    coordinates.  The q**len(basis) combinations are enumerated, and their
-    p-th powers taken, in batches of _CHUNK.
+    numbers r of the p-nilpotent combinations, zero first, and those
+    combinations in g's coordinates.  (cx)^[p] = c^p x^[p], so the p-th
+    power is taken once per line, on the _line_codes combinations in batches
+    of _CHUNK, and each p-nilpotent one is expanded by the q - 1 nonzero
+    scalars.
     """
-    f = g.field
-    codes, vecs = [], []
-    for r in _code_chunks(f.q ** len(basis)):
+    f, d = g.field, len(basis)
+    place = _place_values(f.q, d)
+    codes, vecs = [np.zeros(1, dtype=np.int64)], [np.zeros((1, basis.shape[1]), dtype=np.int64)]
+    for r in _line_codes(f.q, d):
         v = _combinations(f, r, basis)
         nil = ~g._pmap_rows(v).any(axis=1)
-        codes.append(r[nil])
-        vecs.append(v[nil])
-    return np.concatenate(codes), np.concatenate(vecs)
+        digits, v = _digits(r[nil], f.q, d), v[nil]
+        for c in range(1, f.q):
+            codes.append(f.varr_scale(c, digits) @ place)
+            vecs.append(f.varr_scale(c, v))
+    codes, vecs = np.concatenate(codes), np.concatenate(vecs)  # drops the pieces
+    order = np.argsort(codes)
+    return codes[order], vecs[order]
 
 
 def _code_chunks(total):
@@ -420,7 +430,8 @@ def _code_chunks(total):
 
 def _line_codes(q, d):
     """The codes whose digit vectors have first nonzero digit 1, one per line
-    of F_q^d, as ascending arrays of at most _CHUNK codes.
+    of F_q^d, as ascending arrays of at most _CHUNK codes.  They serve the
+    nullcone (_nilpotent_span) and the span closures of the commuting masks.
 
     They fill the ranges [q**t, 2 q**t) for t < d; entry i of the listing
     lies in range t with (q**t - 1) / (q - 1) <= i.

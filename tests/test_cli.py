@@ -125,6 +125,25 @@ def test_exit_codes(capsys, h3_file, tmp_path):
     assert exc.value.code == 64
 
 
+@pytest.mark.parametrize("n", ["-1", "0", "1"])
+def test_frob2_verify_exp_rejects_n_below_2(capsys, n):
+    # no vacuous "holds" over 0 x 0 or 1 x 1 matrices
+    code, out, err = run_cli(capsys, "frob2-verify-exp", "--n", n, "--p", "5")
+    assert code == 2 and out == "" and "n must be >= 2" in err
+
+
+@pytest.mark.parametrize("command", ["lie-srk", "lie-nullcone"])
+def test_negative_budget_is_invalid_input(capsys, monkeypatch, h3_file, command):
+    code, out, err = run_cli(capsys, command, "--file", h3_file, "--budget", "-1")
+    assert code == 2 and out == "" and "--budget must be >= 0" in err
+    monkeypatch.setenv("SATRANK_BUDGET", "-5")
+    code, out, err = run_cli(capsys, command, "--file", h3_file)
+    assert code == 2 and out == "" and "SATRANK_BUDGET must be >= 0" in err
+    # a budget of 0 is valid and exceeded
+    code, _, err = run_cli(capsys, command, "--file", h3_file, "--budget", "0")
+    assert code == 3 and "budget" in err
+
+
 def test_byte_identical_output(capsys, d8_file):
     _, out1, _ = run_cli(capsys, "group-srk", "--file", d8_file)
     _, out2, _ = run_cli(capsys, "group-srk", "--file", d8_file)

@@ -6,9 +6,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satrank import BudgetError, PreconditionError, lie
-from satrank.fields import Mat, field_make, mat_rank
+from satrank.fields import Mat, field_make, mat_rank, mat_solve
 from satrank.lie import (
     CommutingTuple,
     RestrictedLieAlgebra,
@@ -207,6 +209,34 @@ def test_pmap_semilinear():
             assert lhs == rhs
 
 
+_SEMILINEAR_ALGEBRAS = {
+    "h3_F9": lambda: heisenberg(1, field_make(3, 2)),
+    "h5_F9": lambda: heisenberg(2, field_make(3, 2)),
+    "h3_F27": lambda: heisenberg(1, field_make(3, 3)),
+    "h5_F27": lambda: heisenberg(2, field_make(3, 3)),
+    "sl2_F25": lambda: special_linear(2, field_make(5, 2)),
+    "sl2_bare_F9": lambda: _without_model(special_linear(2, field_make(3, 2))),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _semilinear_algebra(name):
+    return _SEMILINEAR_ALGEBRAS[name]()
+
+
+@pytest.mark.parametrize("name", sorted(_SEMILINEAR_ALGEBRAS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_pmap_is_p_semilinear_over_extension_fields(name, data):
+    # (cx)^[p] = c^p x^[p]: the premise of enumerating the nullcone by lines
+    g = _semilinear_algebra(name)
+    f = g.field
+    x = tuple(data.draw(st.lists(st.integers(0, f.q - 1), min_size=g.dim, max_size=g.dim)))
+    c = data.draw(st.integers(1, f.q - 1))
+    lhs = g.pmap_eval(tuple(f.mul(c, a) for a in x))
+    assert lhs == tuple(f.mul(f.pow(c, f.p), a) for a in g.pmap_eval(x))
+
+
 # ---------------------------------------------------------------------------
 # nullcone / centralizer
 # ---------------------------------------------------------------------------
@@ -233,6 +263,68 @@ def test_toral_nullcone_trivial():
     assert nullcone(t) == [(0, 0)]
     res = srk_brute(t)
     assert res.srk == 0 and "0" in res.note
+
+
+def _nilpotent_span_all_points(g, basis):
+    """The filter the line enumeration replaced: the p-th power of every
+    combination, in ascending code order."""
+    f = g.field
+    codes, vecs = [], []
+    for r in lie._code_chunks(f.q ** len(basis)):
+        v = lie._combinations(f, r, basis)
+        nil = ~g._pmap_rows(v).any(axis=1)
+        codes.append(r[nil])
+        vecs.append(v[nil])
+    return np.concatenate(codes), np.concatenate(vecs)
+
+
+def _whole(g):
+    return g, np.eye(g.dim, dtype=np.int64)
+
+
+def _sl4_f3_highest_root_centralizer():
+    # the centralizer basis local_rank enumerates at x = E_03
+    g = special_linear(4, F3)
+    return g, np.array(centralizer(g, g.basis_vec(2)), dtype=np.int64)
+
+
+_SPAN_CASES = {  # name -> (algebra, basis rows)
+    "sl2_F9": lambda: _whole(special_linear(2, field_make(3, 2))),
+    "sl2_F25": lambda: _whole(special_linear(2, field_make(5, 2))),
+    "h3_F27": lambda: _whole(heisenberg(1, field_make(3, 3))),
+    "sl3_F3": lambda: _whole(special_linear(3, F3)),
+    "h5_F3": lambda: _whole(heisenberg(2, F3)),
+    "dim0_F9": lambda: _whole(abelian_p_trivial(0, field_make(3, 2))),
+    "centralizer_sl4_F3": _sl4_f3_highest_root_centralizer,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SPAN_CASES))
+def test_nilpotent_span_matches_all_points_filter(name):
+    g, basis = _SPAN_CASES[name]()
+    codes, vecs = lie._nilpotent_span(g, basis)
+    want_codes, want_vecs = _nilpotent_span_all_points(g, basis)
+    assert codes.dtype == want_codes.dtype and vecs.dtype == want_vecs.dtype
+    assert vecs.shape == want_vecs.shape
+    assert np.array_equal(codes, want_codes) and np.array_equal(vecs, want_vecs)
+    assert codes[0] == 0 and not vecs[0].any()
+
+
+@pytest.mark.parametrize("name", ["sl2_F25", "h3_F27", "sl3_F3", "centralizer_sl4_F3"])
+def test_nilpotent_span_takes_one_pth_power_per_line(monkeypatch, name):
+    g, basis = _SPAN_CASES[name]()
+    q, d = g.field.q, len(basis)
+    rows = []
+    pmap_rows = RestrictedLieAlgebra._pmap_rows
+
+    def counted(self, x):
+        rows.append(len(x))
+        return pmap_rows(self, x)
+
+    monkeypatch.setattr(RestrictedLieAlgebra, "_pmap_rows", counted)
+    lie._nilpotent_span(g, basis)
+    assert sum(rows) == (q ** d - 1) // (q - 1)
+    assert max(rows) <= lie._CHUNK
 
 
 def test_centralizer_examples():
@@ -607,6 +699,51 @@ def test_nullcone_golden_h3_f27_jacobson():
     assert len(pts) == 27 ** 3
     assert hashlib.sha256(json.dumps([list(v) for v in pts]).encode()).hexdigest() == \
         "37b8691d6ccd431bec492b03bbb8acb49d41253f84b5bb219a8e417312f8e8af"
+
+
+def _rebased(g, a):
+    """g rewritten in the basis whose vector i has coordinates a[i] in g's basis."""
+    f, d = g.field, g.dim
+    inv = np.array([mat_solve(Mat(f, a), e) for e in np.eye(d, dtype=np.int64)]).T
+
+    def coords(v):  # v = y . a, so y = v . a^-1
+        return f.matmul(np.array(v, dtype=np.int64), inv).tolist()
+
+    rows = [tuple(r) for r in a.tolist()]
+    brackets = {(i, j): {k: c for k, c in enumerate(coords(g.bracket(rows[i], rows[j]))) if c}
+                for i in range(d) for j in range(d)}
+    pmap = [tuple(coords(g.pmap_eval(r))) for r in rows]
+    return RestrictedLieAlgebra(f, brackets, pmap)
+
+
+_REBASED_CASES = {
+    "sl3_F3": lambda: special_linear(3, F3),
+    "h5_F3": lambda: heisenberg(2, F3),
+    "h3_F9": lambda: heisenberg(1, field_make(3, 2)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _brute(name):
+    g = _REBASED_CASES[name]()
+    return g, srk_brute(g)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(_REBASED_CASES))
+def test_srk_brute_invariant_under_base_change(name, seed):
+    g, res = _brute(name)
+    f = g.field
+    rng = np.random.default_rng(seed)
+    while True:  # F_p <= F_q: the codes 0, ..., p - 1 are the prime field
+        a = rng.integers(0, f.p, size=(g.dim, g.dim))
+        if mat_rank(Mat(f, a)) == g.dim and (a != np.eye(g.dim)).any():
+            break
+    moved = srk_brute(_rebased(g, a))
+    assert (moved.srk, moved.r_min, moved.o_rmin_count) == (res.srk, res.r_min, res.o_rmin_count)
+    # y -> y . a sends the new coordinates of o_rmin onto the old ones
+    assert {tuple(v) for v in f.matmul(np.array(moved.o_rmin), a).tolist()} == set(res.o_rmin)
+
 
 def test_srk_brute_o_rmin_sl2():
     res = srk_brute(special_linear(2, F3))
