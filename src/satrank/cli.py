@@ -3,9 +3,10 @@
 Every subcommand emits a JSON report (or a lossy key/value table with
 --format table) on stdout or to --out; reproduce-paper defaults to its
 PASS/FAIL table, and --format json gives every criterion with its details
-dict.  Exit codes: 0 success, 2 precondition
-violated (including malformed input files), 3 enumeration budget exceeded,
-64 usage errors, 1 failed cross-checks in oracle-crosscheck/reproduce-paper.
+dict.  Exit codes: 0 success, 2 precondition violated (including malformed
+or unreadable input files and an unwritable --out), 3 enumeration budget
+exceeded, 64 usage errors, 1 failed cross-checks in
+oracle-crosscheck/reproduce-paper.
 Identical invocations produce byte-identical output.
 """
 
@@ -341,8 +342,11 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"satrank: budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"satrank: cannot read input: {exc}", file=sys.stderr)
+    except OSError as exc:  # a missing or unreadable --file, an unwritable --out
+        print(f"satrank: cannot access file: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"satrank: input is not UTF-8 text: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:
         print(f"satrank: malformed JSON input: {exc}", file=sys.stderr)

@@ -521,10 +521,11 @@ class _TupleSearch:
     of the classes in ker(ad(points[i]) . basis^T), built batch by batch in
     _commuting_masks.  cliques holds (rank, bitmask) for each maximal clique
     of the commuting graph, a maximal elementary subalgebra, and ranks[i] is
-    the largest rank of a clique through class i, that is r(points[i]).
+    the largest rank of a clique through class i, that is r(points[i]).  The
+    clique enumeration visits at most budget nodes.
     """
 
-    def __init__(self, g: RestrictedLieAlgebra, coords, basis):
+    def __init__(self, g: RestrictedLieAlgebra, coords, basis, budget):
         self.g = g
         self.f = f = g.field
         self.n = len(coords)
@@ -540,7 +541,8 @@ class _TupleSearch:
         self.commuting = self._commuting_masks()
         # a maximal clique of rank r has (q**r - 1) / (q - 1) classes
         rank_of = {(f.q ** r - 1) // (f.q - 1): r for r in range(d + 1)}
-        self.cliques = [(rank_of[c.bit_count()], c) for c in _maximal_cliques(self.commuting)]
+        self.cliques = [(rank_of[c.bit_count()], c)
+                        for c in _maximal_cliques(self.commuting, budget)]
         self.ranks = [0] * self.n
         for r, c in self.cliques:
             for i in _bits(c):
@@ -655,7 +657,8 @@ def local_rank(g: RestrictedLieAlgebra, x: Vec, budget: int = DEFAULT_BUDGET) ->
     """Largest elementary-subalgebra dimension at x, with a witness containing x.
 
     The cliques run over the nullcone of the centralizer z(x); x commutes
-    with all of it, so every maximal clique there contains x.
+    with all of it, so every maximal clique there contains x.  budget caps
+    the points of z(x) and the nodes of the clique search.
     """
     x = tuple(x)
     if _vec_is_zero(x):
@@ -670,7 +673,7 @@ def local_rank(g: RestrictedLieAlgebra, x: Vec, budget: int = DEFAULT_BUDGET) ->
     basis = np.array(zbasis, dtype=np.int64)
     codes, vecs = _nilpotent_span(g, basis)
     rows = _projective_reps(f, vecs)
-    search = _TupleSearch(g, _digits(codes[rows], f.q, d), basis)
+    search = _TupleSearch(g, _digits(codes[rows], f.q, d), basis, budget)
     xi = int(search._table[codes[(vecs == x).all(axis=1)][0]])
     r, witness, _ = search.max_tuple_containing(xi)
     witness[0] = x  # report the caller's point, not its projective representative
@@ -692,7 +695,8 @@ def srk_brute(g: RestrictedLieAlgebra, budget: int = DEFAULT_BUDGET) -> SrkBrute
     Local ranks are scalar-invariant, so they are found per projective class
     and expanded back to points.  Every class's local rank comes from one
     enumeration of the maximal cliques (_TupleSearch.ranks); the witness is
-    the least maximal tuple through the least class of minimal rank.
+    the least maximal tuple through the least class of minimal rank.  budget
+    caps the nullcone points and the nodes of the clique search.
     """
     points = nullcone(g, budget=budget)
     if len(points) == 1:  # just 0
@@ -700,7 +704,7 @@ def srk_brute(g: RestrictedLieAlgebra, budget: int = DEFAULT_BUDGET) -> SrkBrute
                         witness=None, note="restricted nullcone is {0}; srk reported as 0")
     vecs = np.array(points, dtype=np.int64)
     rows = _projective_reps(g.field, vecs)
-    search = _TupleSearch(g, vecs[rows], np.eye(g.dim, dtype=np.int64))
+    search = _TupleSearch(g, vecs[rows], np.eye(g.dim, dtype=np.int64), budget)
     m = min(search.ranks)
     # the points come in lexicographic order; code 0 has no class, rank -1
     keep = np.array(search.ranks + [-1])[search._table[vecs @ search._place]] == m

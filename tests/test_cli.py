@@ -388,3 +388,58 @@ def test_huge_p_exits_at_once(capsys, tmp_path, p, exit_code):
         code, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 1.0
         assert code == exit_code and out == "" and f"p={p}" in err
+
+
+def test_lie_srk_clique_nodes_count_against_the_budget(capsys, tmp_path):
+    # h_7/F_3 has 3**7 = 2187 points, within the budget; its clique search
+    # visits far more than 50000 nodes
+    path = tmp_path / "h7.json"
+    path.write_text(json.dumps({
+        "p": 3, "dim": 7,
+        "brackets": [{"i": i, "j": 3 + i, "out": [{"k": 6, "c": 1}]} for i in range(3)],
+        "pmap": [{"i": i, "out": []} for i in range(7)],
+    }))
+    code, out, err = run_cli(capsys, "lie-srk", "--file", str(path), "--budget", "50000")
+    assert code == 3 and out == ""
+    assert "budget exceeded: maximal cliques: 50001 nodes visited > budget 50000, " in err
+    assert err.rstrip().endswith("cliques found so far")
+
+
+def _unreadable(tmp_path, kind):
+    if kind == "directory":
+        path = tmp_path / "a_directory"
+        path.mkdir()
+    else:
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"p": 3, "labels": ["\xe9"]}')
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+@pytest.mark.parametrize("command", ["group-srk", "lie-srk", "lie-nullcone"])
+def test_unreadable_file_exits_2(capsys, tmp_path, command, kind):
+    code, out, err = run_cli(capsys, command, "--file", _unreadable(tmp_path, kind))
+    assert code == 2 and out == ""
+    assert err.startswith("satrank: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["group-srk", "--file", None],
+    ["lie-srk", "--file", None],
+    ["lie-nullcone", "--file", None],
+    ["sln-srk", "--n", "3", "--p", "3"],
+    ["sln-orbits", "--n", "3", "--p", "3"],
+    ["sln-centralizer", "--n", "3", "--p", "3", "--partition", "2,1"],
+    ["sln-witness", "--n", "3", "--p", "3", "--partition", "2,1"],
+    ["frob2-srk", "--n", "2", "--p", "3"],
+    ["frob2-verify-exp", "--n", "2", "--p", "3"],
+    ["oracle-crosscheck"],
+    ["reproduce-paper"],
+], ids=lambda argv: argv[0])
+def test_out_naming_a_directory_exits_2(capsys, monkeypatch, tmp_path, d8_file, h3_file, argv):
+    # for reproduce-paper, exit 1 would mean that a criterion failed
+    _criteria_stub(monkeypatch)
+    argv = [{"group-srk": d8_file}.get(argv[0], h3_file) if a is None else a for a in argv]
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("satrank: cannot access file: ") and str(tmp_path) in err

@@ -582,19 +582,28 @@ def test_witness_across_batches(monkeypatch, chunk):
 
 
 # pinned like _GOLDEN_BRUTE, recorded with the tuple search the cliques
-# replaced; sl_4/F_2 has maximal cliques of rank 3 and 4
+# replaced; sl_4/F_2 has maximal cliques of rank 3 and 4.  h7_F3 was recorded
+# with the clique engine before its pruning rules, at 5-7 s
 _GOLDEN_BRUTE_CLIQUES = {
     "h5_F5": (3, 3, 3124, [[0, 0, 0, 0, 1], [0, 0, 0, 1, 0], [0, 0, 1, 0, 0]],
               "bd73cb0e2e92a1d8a65fc076ffd82e74334f23b941666ccb5dc4b6d6081c0ff5"),
     "sl4_F2": (4, 4, 315, [[0] * 11 + [1, 0, 0, 0], [0] * 10 + [1] + [0] * 4,
                            [0, 1] + [0] * 13, [1] + [0] * 14],
                "694adcefdd95edc86856bece20a0e64a8da74b651f3c1b00feb49af1f0d2bb83"),
+    "h7_F3": (4, 4, 2186, [[0] * 6 + [1], [0] * 5 + [1, 0], [0] * 4 + [1, 0, 0],
+                           [0] * 3 + [1, 0, 0, 0]],
+              "26d88328ddad355a91f379c91ea9f9a5feb0b55dff0625e12aaecd39b0eae302"),
+}
+_GOLDEN_BRUTE_CLIQUES_ALGEBRAS = {
+    "h5_F5": lambda: heisenberg(2, F5),
+    "sl4_F2": lambda: special_linear(4, field_make(2, 1)),
+    "h7_F3": lambda: heisenberg(3, F3),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_GOLDEN_BRUTE_CLIQUES))
 def test_srk_brute_golden_cliques(name):
-    g = heisenberg(2, F5) if name == "h5_F5" else special_linear(4, field_make(2, 1))
+    g = _GOLDEN_BRUTE_CLIQUES_ALGEBRAS[name]()
     res = srk_brute(g)
     payload = {"srk": res.srk, "r_min": res.r_min, "o_rmin_count": res.o_rmin_count,
                "o_rmin": [list(v) for v in res.o_rmin],
@@ -603,6 +612,17 @@ def test_srk_brute_golden_cliques(name):
     assert (res.srk, res.r_min, res.o_rmin_count) == (srk, r_min, count)
     assert payload["witness"] == witness
     assert hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest() == digest
+
+
+def test_h7_F3_frontier(monkeypatch):
+    # every class of h_7/F_3 has rank 4: the maximal cliques are the
+    # Lagrangian subspaces of F_3^6 lifted by the centre, (3 + 1)(9 + 1)(27 + 1)
+    # of them
+    found = []
+    search = _captured_search(monkeypatch, lambda: found.append(srk_brute(heisenberg(3, F3))))
+    assert (found[0].srk, found[0].o_rmin_count) == (4, 2186)
+    assert len(search.cliques) == 28 * 10 * 4
+    assert {rank for rank, _ in search.cliques} == {4}
 
 
 @pytest.mark.parametrize("x", [(0, 0, 1), (1, 0, 1)])
