@@ -35,6 +35,17 @@ product ad(u) . basis^T, one stacked elimination (fields._kernels), and span
 closures batched by kernel dimension.  A witness is a greedy basis of a
 maximal clique, read off as pivot columns: one more stacked elimination per
 batch of the maximal-rank cliques through the class.
+
+Local rank is invariant under automorphisms of (g, [p]), so srk_brute needs
+it at one class per orbit.  _automorphisms builds a few candidates, truncated
+exponentials of nullcone classes, and keeps those that pass one stacked check
+on the basis brackets and p-th powers; an algebra with a central nonzero
+nullcone class gets none, as orbits save nothing there.  The orbits come from
+label propagation over the code -> class table, and the least class of each
+is its root.  Masks are built for the roots and their neighbours only, and
+the clique search starts from the roots (satrank.cliques), so it finds
+exactly the maximal cliques that meet a root; every class takes its root's
+rank.  Without automorphisms every class is a root.
 """
 
 from __future__ import annotations
@@ -43,6 +54,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -56,22 +68,6 @@ from .fields import FieldSpec, Mat, _kernels, _rref
 DEFAULT_BUDGET = 10_000_000
 
 Vec = tuple
-
-
-def _vec_add(f, u, v):
-    return tuple(f.add(a, b) for a, b in zip(u, v))
-
-
-def _vec_scale(f, c, u):
-    return tuple(f.mul(c, a) for a in u)
-
-
-def _canonical_projective(f, v):
-    """Scale v so its first nonzero coordinate is 1."""
-    for c in v:
-        if c:
-            return _vec_scale(f, f.inv(c), v)
-    return v
 
 
 def _vec_is_zero(u):
@@ -394,6 +390,9 @@ def nullcone(g: RestrictedLieAlgebra, budget: int = DEFAULT_BUDGET):
 
 
 _CHUNK = 1 << 11  # combinations per batch; bounds the p-th power temporaries
+# commuting-mask bits allowed per unit of budget: the default budget admits
+# 3.2e8 bits (40 MB), sl_3/F_5's full graph takes 1.5e7 and h_7/F_3's 1.2e6
+_MASK_BITS_PER_BUDGET = 32
 
 
 def _nilpotent_span(g: RestrictedLieAlgebra, basis):
@@ -505,6 +504,91 @@ class CommutingTuple:
 
 
 # ---------------------------------------------------------------------------
+# automorphisms
+# ---------------------------------------------------------------------------
+
+_GENERATOR_SOURCES = 4  # classes whose exponentials are the candidates
+
+
+def _automorphisms(g: RestrictedLieAlgebra, classes):
+    """Verified automorphisms of (g, [p]), as an (N, dim, dim) stack of
+    matrices A acting on coordinate rows, x -> x . A.
+
+    The candidates come from x = c * classes[j] for _GENERATOR_SOURCES evenly
+    spaced classes j and c in the F_p-basis 1, w, ..., w^(k-1) of F_q: with a
+    matrix model, conjugation by the truncated exponential exp(x), whose
+    inverse is exp(-x) because x^p = 0; without one, the truncated exp(ad x).
+    (The first classes in lexicographic order lie in a small coordinate
+    subspace: in the standard basis of sl_3 over F_5 the first four give 186
+    orbits on the 3906 classes, four spaced ones the 2 nilpotent orbits.)
+    _verified keeps the candidates that are automorphisms.  A central
+    nonzero class is its own orbit and lies in every maximal clique, so
+    orbits save nothing there and none is returned: Heisenberg and abelian
+    algebras skip the search.
+    """
+    f = g.field
+    if _has_central_class(g, classes):
+        return np.zeros((0, g.dim, g.dim), dtype=np.int64)
+    picks = sorted({j * len(classes) // _GENERATOR_SOURCES for j in range(_GENERATOR_SOURCES)})
+    xs = np.concatenate([f.varr_scale(f.p ** i, classes[picks]) for i in range(f.k)])
+    if g.matrix_model:
+        exp, exp_neg = _truncated_exps(f, g._matrices(xs))
+        images = f.matmul(f.matmul(exp[:, None], g._model[None]), exp_neg[:, None])
+        a, inside = g._coord_solver.solve_rows(images.reshape(len(xs), g.dim, -1))
+        return _verified(g, a[inside.all(axis=1)])
+    exp, _ = _truncated_exps(f, g.ad(xs))  # column j of exp(ad x): the image of b_j
+    return _verified(g, np.swapaxes(exp, 1, 2))
+
+
+def _truncated_exps(f, m):
+    """(exp(m), exp(-m)) as sum_{t<p} (+-m)^t / t! for a stack of square m."""
+    power = np.broadcast_to(np.eye(m.shape[-1], dtype=np.int64), m.shape).copy()
+    exp, exp_neg = power.copy(), power.copy()
+    for t in range(1, f.p):
+        power = f.matmul(power, m)
+        term = f.varr_scale(f.from_int(pow(math.factorial(t), f.p - 2, f.p)), power)
+        exp = f.varr_add(exp, term)
+        exp_neg = f.varr_add(exp_neg, term if t % 2 == 0 else f.varr_neg(term))
+    return exp, exp_neg
+
+
+def _verified(g: RestrictedLieAlgebra, a):
+    """The matrices of the stack a that are automorphisms of (g, [p]).
+
+    A with rows a_i = A(b_i) is one when it is invertible, [a_i, a_j] is the
+    image of [b_i, b_j] and a_i^[p] the image of b_i^[p], for all basis
+    indices: then A keeps every bracket by bilinearity and every p-th power
+    by Jacobson's formula, whose correction terms are brackets, and by
+    (cx)^[p] = c^p x^[p].  One stacked check covers every matrix.
+    """
+    f, n, dim = g.field, len(a), g.dim
+    at = np.swapaxes(a, 1, 2)
+    ad = g.ad(a.reshape(n * dim, dim)).reshape(n, dim, dim, dim)  # [s, i]: ad(a_i)
+    brackets = f.matmul(ad, at[:, None])  # [s, i][:, j]: [a_i, a_j]
+    ok = (brackets == f.matmul(at[:, None], g._adb[None])).all(axis=(1, 2, 3))
+    powers = g._pmap_rows(a.reshape(n * dim, dim)).reshape(n, dim, dim)
+    ok &= (powers == f.matmul(g._pmap[None], a)).all(axis=(1, 2))
+    ok &= _rref(f, a)[1].all(axis=1)
+    return a[ok]
+
+
+def _has_central_class(g: RestrictedLieAlgebra, classes):
+    """Whether some row of classes lies in the centre of g.
+
+    The centre is the null space of x -> ad(x); a row lies in it when its
+    products with a basis of the centre's annihilator all vanish.
+    """
+    from .fields import mat_kernel_basis
+    f = g.field
+    centre = mat_kernel_basis(Mat(f, g._adb.reshape(g.dim, -1).T))
+    if not centre:
+        return False
+    annihilator = np.array(mat_kernel_basis(Mat(f, np.array(centre, dtype=np.int64))),
+                           dtype=np.int64).reshape(-1, g.dim)
+    return bool((~f.matmul(classes, annihilator.T).any(axis=1)).any())
+
+
+# ---------------------------------------------------------------------------
 # local rank search
 # ---------------------------------------------------------------------------
 
@@ -517,15 +601,24 @@ class _TupleSearch:
     coordinates in that basis and row i of points (n x dim) the same vector
     in g's coordinates.  A coordinate vector's code is its dot product with
     q**(d-1), ..., q, 1, and _table sends the code of every nonzero multiple
-    of class i to i and every other code to n.  commuting[i] is the bitmask
-    of the classes in ker(ad(points[i]) . basis^T), built batch by batch in
-    _commuting_masks.  cliques holds (rank, bitmask) for each maximal clique
-    of the commuting graph, a maximal elementary subalgebra, and ranks[i] is
-    the largest rank of a clique through class i, that is r(points[i]).  The
-    clique enumeration visits at most budget nodes.
+    of class i to i and every other code to n.
+
+    automorphisms are verified automorphisms of (g, [p]) as d x d matrices
+    acting on coordinate rows (srk_brute passes _automorphisms(g, coords)).
+    labels[i] is the least class of class i's orbit under the group they
+    generate, and the roots are the classes with labels[i] == i; without
+    automorphisms every class is a root.  commuting[i] is the bitmask of the
+    classes in ker(ad(points[i]) . basis^T), built batch by batch in
+    _commuting_masks for the roots and their neighbours only; the other
+    entries are 0.  cliques holds (rank, bitmask) for each maximal clique of
+    the commuting graph that meets a root, a maximal elementary subalgebra,
+    and ranks[i] is the largest rank of a clique through labels[i], that is
+    r(points[i]): local rank is invariant under automorphisms.  The clique
+    enumeration visits at most budget nodes, and the masks hold at most
+    _MASK_BITS_PER_BUDGET * budget bits.
     """
 
-    def __init__(self, g: RestrictedLieAlgebra, coords, basis, budget):
+    def __init__(self, g: RestrictedLieAlgebra, coords, basis, budget, automorphisms=()):
         self.g = g
         self.f = f = g.field
         self.n = len(coords)
@@ -538,38 +631,76 @@ class _TupleSearch:
         self._place = _place_values(f.q, d)
         self._table = np.full(f.q ** d, self.n, dtype=np.int32)  # n: no class
         self._table[multiples @ self._place] = np.arange(self.n, dtype=np.int32)
-        self.commuting = self._commuting_masks()
+        self.labels = self._orbit_labels(automorphisms)
+        roots = np.flatnonzero(self.labels == np.arange(self.n))
+        self.commuting = self._commuting_masks(roots, budget)
         # a maximal clique of rank r has (q**r - 1) / (q - 1) classes
         rank_of = {(f.q ** r - 1) // (f.q - 1): r for r in range(d + 1)}
+        root_mask = _bitset(roots, self.n)
         self.cliques = [(rank_of[c.bit_count()], c)
-                        for c in _maximal_cliques(self.commuting, budget)]
-        self.ranks = [0] * self.n
+                        for c in _maximal_cliques(self.commuting, budget, root_mask)]
+        best = [0] * self.n
         for r, c in self.cliques:
-            for i in _bits(c):
-                self.ranks[i] = max(self.ranks[i], r)
+            for i in _bits(c & root_mask):
+                best[i] = max(best[i], r)
+        self.ranks = [best[i] for i in self.labels.tolist()]
 
-    def _commuting_masks(self):
-        """commuting[i] for every class i, batch by batch.
+    def _orbit_labels(self, automorphisms):
+        """labels[i], the least class in the orbit of class i.
+
+        Each automorphism permutes the classes (image codes through _table),
+        and each label takes the least label of its class's images until
+        nothing changes.  The labels then hold the least class reachable by
+        words in the automorphisms: in a finite permutation group, the
+        orbit.  A few rounds suffice (4 to 6 on sl_3 over F_5 and F_7).
+        """
+        labels = np.arange(self.n)
+        images = [self._table[self.f.matmul(self.coords, a) @ self._place] for a in automorphisms]
+        while True:
+            old = labels
+            for image in images:
+                labels = np.minimum(labels, labels[image])
+            if (labels == old).all():
+                return labels
+
+    def _commuting_masks(self, roots, budget):
+        """commuting[i] for the roots and then for their neighbours, 0 elsewhere.
+
+        The cliques through the roots use no other mask.  Before each of the
+        two stages, BudgetError when the masks built by its end would hold
+        more than _MASK_BITS_PER_BUDGET * budget bits.
+        """
+        masks = [0] * self.n
+        self._build_masks(masks, roots, 0, budget)
+        reach = functools.reduce(operator.or_, (masks[i] for i in roots.tolist()), 0)
+        neighbours = [i for i in _bits(reach) if not masks[i]]  # a built mask has its own bit
+        self._build_masks(masks, np.array(neighbours, dtype=np.int64), len(roots), budget)
+        return masks
+
+    def _build_masks(self, masks, which, built, budget):
+        """Fill masks[i] for the classes i in which, batch by batch.
 
         A batch of classes takes one stacked product ad(u) . basis^T and one
         stacked elimination for all its u; the kernels of equal dimension
         then go through _span_masks together.
         """
+        total, bound = (built + len(which)) * self.n, _MASK_BITS_PER_BUDGET * budget
+        if total > bound:
+            raise BudgetError(
+                f"commuting masks: {built + len(which)} masks of {self.n} classes are {total} bits "
+                f"> budget {bound} bits ({_MASK_BITS_PER_BUDGET} per budget unit); "
+                f"{built} masks built so far")
         f, g, d = self.f, self.g, len(self.basis)
         step = max(1, (_CHUNK << 2) // (g.dim * d))  # (step, dim, d) stacks: <= 4 * _CHUNK codes
-        masks = []
-        for start in range(0, self.n, step):
-            points = self.points[start:start + step]
-            vectors, free = _kernels(f, f.matmul(g.ad(points), self.basis.T))
+        for start in range(0, len(which), step):
+            part = which[start:start + step]
+            vectors, free = _kernels(f, f.matmul(g.ad(self.points[part]), self.basis.T))
             dims = free.sum(axis=1)
-            batch = [0] * len(dims)
             for k in np.flatnonzero(np.bincount(dims)).tolist():
                 rows = np.flatnonzero(dims == k)
                 kernels = vectors[rows][free[rows]].reshape(len(rows), k, d)
-                for i, mask in zip(rows.tolist(), self._span_masks(kernels)):
-                    batch[i] = mask
-            masks += batch
-        return masks
+                for i, mask in zip(part[rows].tolist(), self._span_masks(kernels)):
+                    masks[i] = mask
 
     def _span_mask(self, vectors):
         """Bitmask of the classes in the span of coordinate vectors."""
@@ -637,6 +768,13 @@ class _TupleSearch:
         return r, [tuple(v) for v in self.points[[xi] + best].tolist()], True
 
 
+def _bitset(indices, n):
+    """The int with bits indices set, for indices < n."""
+    flags = np.zeros(n, dtype=bool)
+    flags[indices] = True
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
 class LocalRank(NamedTuple):
     rank: int
     witness: ElementarySubalgebra
@@ -693,18 +831,21 @@ def srk_brute(g: RestrictedLieAlgebra, budget: int = DEFAULT_BUDGET) -> SrkBrute
     """Exact saturation rank by exhausting the restricted nullcone.
 
     Local ranks are scalar-invariant, so they are found per projective class
-    and expanded back to points.  Every class's local rank comes from one
-    enumeration of the maximal cliques (_TupleSearch.ranks); the witness is
-    the least maximal tuple through the least class of minimal rank.  budget
-    caps the nullcone points and the nodes of the clique search.
+    and expanded back to points.  They are also constant on the orbits of
+    the verified automorphisms (_automorphisms), so one enumeration of the
+    maximal cliques through the orbit roots gives every class's local rank
+    (_TupleSearch.ranks).  The witness is the least maximal tuple through the
+    least class of minimal rank, which is a root.  budget caps the nullcone
+    points, the commuting-mask bits and the nodes of the clique search.
     """
     points = nullcone(g, budget=budget)
     if len(points) == 1:  # just 0
         return SrkBrute(srk=0, r_min=0, o_rmin_count=0, o_rmin=(),
                         witness=None, note="restricted nullcone is {0}; srk reported as 0")
     vecs = np.array(points, dtype=np.int64)
-    rows = _projective_reps(g.field, vecs)
-    search = _TupleSearch(g, vecs[rows], np.eye(g.dim, dtype=np.int64), budget)
+    classes = vecs[_projective_reps(g.field, vecs)]
+    search = _TupleSearch(g, classes, np.eye(g.dim, dtype=np.int64), budget,
+                          _automorphisms(g, classes))
     m = min(search.ranks)
     # the points come in lexicographic order; code 0 has no class, rank -1
     keep = np.array(search.ranks + [-1])[search._table[vecs @ search._place]] == m

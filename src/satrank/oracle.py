@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .errors import BudgetError, PreconditionError
 from .fields import FieldSpec, Mat, mat_is_p_nilpotent
 from .groups import ElemAbSubgroup, PermGroup, _closure, _subgroup_from_elements, perm_mul, perm_order
-from .lie import RestrictedLieAlgebra, _canonical_projective, _vec_add, _vec_scale
+from .lie import RestrictedLieAlgebra
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,22 @@ def oracle_maximal_elemab(g: PermGroup, p: int, cap: int = 5000):
     if maximal == [frozenset({e})]:
         return []
     return sorted(_subgroup_from_elements(g.degree, p, h) for h in maximal)
+
+
+def _vec_add(f, u, v):
+    return tuple(f.add(a, b) for a, b in zip(u, v))
+
+
+def _vec_scale(f, c, u):
+    return tuple(f.mul(c, a) for a in u)
+
+
+def _canonical_projective(f, v):
+    """Scale v so its first nonzero coordinate is 1."""
+    for c in v:
+        if c:
+            return _vec_scale(f, f.inv(c), v)
+    return v
 
 
 def _nullcone_points(g: RestrictedLieAlgebra, budget: SearchBudget):

@@ -405,6 +405,21 @@ def test_lie_srk_clique_nodes_count_against_the_budget(capsys, tmp_path):
     assert err.rstrip().endswith("cliques found so far")
 
 
+def test_lie_srk_commuting_masks_count_against_the_budget(capsys, tmp_path):
+    # abelian_p_trivial(10, F_3): 3**10 points pass the default budget, but
+    # each of the 29524 classes commutes with all of them, and the 29524**2
+    # bits of their masks are refused before any is built
+    import time
+    path = tmp_path / "abelian10.json"
+    path.write_text(json.dumps({"p": 3, "dim": 10}))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "lie-srk", "--file", str(path))
+    assert time.perf_counter() - start < 30
+    assert code == 3 and out == ""
+    assert ("budget exceeded: commuting masks: 29524 masks of 29524 classes are 871666576 bits "
+            "> budget 320000000 bits (32 per budget unit); 0 masks built so far") in err
+
+
 def _unreadable(tmp_path, kind):
     if kind == "directory":
         path = tmp_path / "a_directory"

@@ -121,6 +121,40 @@ def test_complete_graph_is_absorbed_at_the_root():
             _maximal_cliques(adj, 1)
 
 
+def _check_roots_against_networkx(n, edges, roots):
+    """With roots, the engine finds networkx's cliques that meet roots, each
+    once, and reads adj only at the roots and their neighbours: the other
+    bitsets are zeroed here."""
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n))
+    graph.add_edges_from(edges)
+    expected = {frozenset(c) for c in nx.find_cliques(graph) if roots & set(c)}
+    reach = set(roots).union(*(graph[v] for v in roots))
+    for loops in (False, True):
+        adj = [m if v in reach else 0 for v, m in enumerate(_adj(n, edges, loops))]
+        found = [frozenset(i for i in range(n) if c >> i & 1)
+                 for c in _maximal_cliques(adj, None, sum(1 << v for v in roots))]
+        assert len(found) == len(set(found)) and set(found) == expected
+
+
+@pytest.mark.parametrize("density", [0.1, 0.3, 0.5, 0.7])
+def test_root_restricted_random_graphs_match_networkx(density):
+    rng = random.Random(f"roots:{density}")
+    for n in (1, 2, 3, 7, 15, 30, 45):
+        for _ in range(3):
+            edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
+            for count in sorted({0, 1, rng.randint(1, n), n}):
+                _check_roots_against_networkx(n, edges, set(rng.sample(range(n), count)))
+
+
+@pytest.mark.parametrize("name", sorted(_STRUCTURED))
+def test_root_restricted_structured_graphs_match_networkx(name):
+    n, edges = _STRUCTURED[name]
+    rng = random.Random(name)
+    for count in sorted({c for c in (1, 2, n // 2, n - 1, n) if 0 < c <= n}):
+        _check_roots_against_networkx(n, edges, set(rng.sample(range(n), count)))
+
+
 def test_node_limit_reports_progress():
     n, edges = _disjoint_cliques([3] * 40)
     adj = _adj(n, edges, False)
@@ -131,3 +165,14 @@ def test_node_limit_reports_progress():
     assert message.startswith("maximal cliques: 31 nodes visited > budget 30, ")
     found = int(message.rsplit(", ", 1)[1].split()[0])
     assert 0 < found < 40
+
+
+def test_node_limit_holds_with_roots():
+    # one root per triangle: every clique is found, each from its root's node,
+    # and the limit counts those nodes too
+    n, edges = _disjoint_cliques([3] * 40)
+    adj = _adj(n, edges, False)
+    roots = sum(1 << v for v in range(0, n, 3))
+    assert sorted(_maximal_cliques(adj, None, roots)) == sorted(_maximal_cliques(adj))
+    with pytest.raises(BudgetError, match=r"^maximal cliques: 31 nodes visited > budget 30, "):
+        _maximal_cliques(adj, 30, roots)

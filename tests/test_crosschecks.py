@@ -7,7 +7,6 @@ import pytest
 
 from satrank.fields import Mat, field_make, mat_rank
 from satrank.lie import (
-    _canonical_projective,
     centralizer,
     is_elementary,
     local_rank,
@@ -15,6 +14,7 @@ from satrank.lie import (
     special_linear,
     srk_brute,
 )
+from satrank.oracle import _canonical_projective
 from satrank.slnorbits import (
     Partition,
     jordan_matrix,

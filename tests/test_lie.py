@@ -385,8 +385,9 @@ def test_local_rank_witness_contains_x_and_is_elementary():
         assert r0 == r1 == res.rank
 
 
-def _captured_search(monkeypatch, run):
-    """The _TupleSearch that run() builds."""
+def _captured_search(monkeypatch, run, automorphisms=False):
+    """The _TupleSearch that run() builds, by default over the whole graph:
+    srk_brute gets no automorphisms, so every class is a root."""
     made = []
 
     class Spy(lie._TupleSearch):
@@ -395,6 +396,8 @@ def _captured_search(monkeypatch, run):
             made.append(self)
 
     monkeypatch.setattr(lie, "_TupleSearch", Spy)
+    if not automorphisms:
+        monkeypatch.setattr(lie, "_automorphisms", lambda g, classes: ())
     run()
     return made[0]
 
@@ -623,6 +626,154 @@ def test_h7_F3_frontier(monkeypatch):
     assert (found[0].srk, found[0].o_rmin_count) == (4, 2186)
     assert len(search.cliques) == 28 * 10 * 4
     assert {rank for rank, _ in search.cliques} == {4}
+
+
+# ---------------------------------------------------------------------------
+# automorphism orbits
+# ---------------------------------------------------------------------------
+
+def _classes(g):
+    """One point per projective class of nonzero nullcone points, in srk_brute's order."""
+    vecs = np.array(nullcone(g), dtype=np.int64)
+    return vecs[lie._projective_reps(g.field, vecs)]
+
+
+def _gl_based(g, seed):
+    """g in a random basis of F_q^dim, rebuilt with from_matrix_basis from
+    the model matrices of the new basis vectors, as the benchmark disguises
+    its sl_n inputs."""
+    rng = np.random.default_rng(seed)
+    while True:
+        a = rng.integers(0, g.field.q, size=(g.dim, g.dim))
+        if mat_rank(Mat(g.field, a)) == g.dim:
+            return from_matrix_basis(g.field, [g.matrix_of(tuple(row)) for row in a.tolist()])
+
+
+_ORBIT_CASES = {
+    "h3_F5": lambda: heisenberg(1, F5),
+    "h5_F3": lambda: heisenberg(2, F3),
+    "h3_F9": lambda: heisenberg(1, field_make(3, 2)),
+    "sl2_F9": lambda: special_linear(2, field_make(3, 2)),
+    "sl2_F25": lambda: special_linear(2, field_make(5, 2)),
+    "sl3_F3": lambda: special_linear(3, F3),
+    "sl3_F5": lambda: special_linear(3, F5),
+    "sl4_F2": lambda: special_linear(4, field_make(2, 1)),
+    "sl2_struct_F5": lambda: sl2_structure_only(F5),
+    "sl3_F3_gl": lambda: _gl_based(special_linear(3, F3), 1),
+    "sl3_F5_gl": lambda: _gl_based(special_linear(3, F5), 2),
+}
+
+
+def _payload_digest(res):
+    payload = {"srk": res.srk, "r_min": res.r_min, "o_rmin_count": res.o_rmin_count,
+               "o_rmin": [list(v) for v in res.o_rmin],
+               "witness": [list(v) for v in res.witness.basis]}
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(_ORBIT_CASES))
+def test_srk_brute_same_with_and_without_automorphisms(monkeypatch, name):
+    g = _ORBIT_CASES[name]()
+    reduced = _payload_digest(srk_brute(g))
+    monkeypatch.setattr(lie, "_automorphisms", lambda g, classes: ())
+    assert _payload_digest(srk_brute(g)) == reduced
+
+
+@pytest.mark.parametrize("name,orbits", [("sl3_F3", 2), ("sl3_F3_gl", 2), ("sl4_F2", 2),
+                                         ("sl2_struct_F5", 1), ("sl2_F9", 1)])
+def test_reduced_search_matches_the_whole_graph(monkeypatch, name, orbits):
+    # the roots' ranks are the whole graph's, and its cliques are the whole
+    # graph's that meet a root; masks exist for the roots and their
+    # neighbours and are the whole graph's there
+    g = _ORBIT_CASES[name]()
+    whole = _captured_search(monkeypatch, lambda: srk_brute(g))
+    monkeypatch.undo()
+    reduced = _captured_search(monkeypatch, lambda: srk_brute(g), automorphisms=True)
+    roots = [i for i in range(reduced.n) if reduced.labels[i] == i]
+    assert len(roots) == orbits < reduced.n == whole.n
+    assert reduced.ranks == whole.ranks
+    root_mask = sum(1 << i for i in roots)
+    assert sorted(reduced.cliques) == sorted((r, c) for r, c in whole.cliques if c & root_mask)
+    near = functools.reduce(lambda a, b: a | b, (whole.commuting[i] for i in roots))
+    for i, mask in enumerate(reduced.commuting):
+        assert mask == (whole.commuting[i] if near >> i & 1 else 0)
+
+
+@pytest.mark.parametrize("name", ["sl3_F3", "sl4_F2", "sl2_struct_F5", "sl2_F9"])
+def test_automorphisms_preserve_local_rank_and_structure(name):
+    # sl_3 and sl_2/F_9 conjugate by exp(x), sl_4/F_2 by 1 + x, and the
+    # structure-only sl_2 takes exp(ad x)
+    g = _ORBIT_CASES[name]()
+    f, classes = g.field, _classes(g)
+    autos = lie._automorphisms(g, classes)
+    assert len(autos)
+    rng = random.Random(name)
+    for a in autos:
+        def image(v):
+            return tuple(f.matmul(np.array(v, dtype=np.int64), a).tolist())
+
+        for x in rng.sample(classes.tolist(), 3):
+            assert local_rank(g, image(x)).rank == local_rank(g, tuple(x)).rank
+        for _ in range(5):  # whole elements, not only the basis the check used
+            u, v = (tuple(rng.randrange(f.q) for _ in range(g.dim)) for _ in range(2))
+            assert g.bracket(image(u), image(v)) == image(g.bracket(u, v))
+            assert g.pmap_eval(image(u)) == image(g.pmap_eval(u))
+
+
+@pytest.mark.parametrize("name", ["sl3_F3", "sl2_struct_F5"])
+def test_non_automorphisms_are_rejected(name):
+    # a random invertible matrix breaks the brackets; the zero matrix keeps
+    # every bracket and p-th power but is not invertible
+    g = _ORBIT_CASES[name]()
+    rng = np.random.default_rng(7)
+    while True:
+        a = rng.integers(0, g.field.q, size=(g.dim, g.dim))
+        if mat_rank(Mat(g.field, a)) == g.dim:
+            break
+    eye = np.eye(g.dim, dtype=np.int64)
+    kept = lie._verified(g, np.stack([a, np.zeros_like(a), eye]))
+    assert kept.tolist() == [eye.tolist()]
+
+
+@pytest.mark.parametrize("case", ["p_map", "brackets"])
+def test_map_breaking_one_condition_is_rejected(case):
+    # each swap is invertible.  Abelian with b_0^[p] = b_1: swapping b_0 and
+    # b_1 keeps every bracket, but b_1^[p] = 0 while b_0^[p] = b_1.  h_3
+    # (p-map zero): swapping x and z keeps every p-th power, but [x, y] = z
+    # while [z, y] = 0
+    if case == "p_map":
+        g, swap = RestrictedLieAlgebra(F3, {}, [(0, 1), (0, 0)]), [[0, 1], [1, 0]]
+    else:
+        g, swap = heisenberg(1, F5), [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+    assert len(lie._verified(g, np.array([swap], dtype=np.int64))) == 0
+    assert len(lie._verified(g, np.eye(g.dim, dtype=np.int64)[None])) == 1
+
+
+def test_commuting_mask_budget_boundary():
+    # abelian of dimension 5 over F_3: 243 points, 121 classes, all of them
+    # roots (every class is central), so 121**2 = 14641 mask bits: 32 * 458
+    # covers them, 32 * 457 does not.  The complete commuting graph is one
+    # clique, found in 2 nodes
+    g = abelian_p_trivial(5, F3)
+    assert srk_brute(g, budget=458).srk == 5
+    with pytest.raises(BudgetError, match=r"^commuting masks: 121 masks of 121 classes are "
+                                          r"14641 bits > budget 14624 bits .*; 0 masks built"):
+        srk_brute(g, budget=457)
+
+
+@pytest.mark.parametrize("name", ["h3_F5", "h5_F3", "h3_F9", "abelian3_F3"])
+def test_central_class_skips_the_automorphism_search(monkeypatch, name):
+    g = abelian_p_trivial(3, F3) if name == "abelian3_F3" else _ORBIT_CASES[name]()
+    monkeypatch.setattr(lie, "_verified", lambda g, a: pytest.fail("candidates were built"))
+    assert len(lie._automorphisms(g, _classes(g))) == 0
+
+
+def test_centre_without_nilpotents_keeps_the_search():
+    # the scalar matrices are the centre of sl_3 over F_3, and none is nilpotent
+    g = special_linear(3, F3)
+    assert not g.ad(g.coords_of_matrix(Mat(F3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))).any()
+    assert not lie._has_central_class(g, _classes(g))
+    assert len(lie._automorphisms(g, _classes(g))) == 4
 
 
 @pytest.mark.parametrize("x", [(0, 0, 1), (1, 0, 1)])
