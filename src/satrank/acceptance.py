@@ -16,7 +16,6 @@ import numpy as np
 
 from .fields import Mat, field_make, mat_rank
 from .frobkernel import (
-    NilPair,
     OneParamSubgroup,
     _check_rows,
     homomorphism_sweep,
@@ -30,8 +29,10 @@ from .lie import heisenberg, is_elementary, special_linear, srk_brute
 from .oracle import oracle_srk_lie
 from .slnorbits import (
     Partition,
+    _span_contains,
     dominance_leq,
     jordan_matrix,
+    lower_orbit_min_p,
     lower_orbit_witness,
     o_rmin_sln,
     partitions,
@@ -99,13 +100,6 @@ def criterion_3_srk_sln():
     return out
 
 
-def _span_contains(field, basis, x):
-    rows = [list(v) for v in basis]
-    r0 = mat_rank(Mat(field, np.array(rows, dtype=np.int64)))
-    r1 = mat_rank(Mat(field, np.array(rows + [list(x)], dtype=np.int64)))
-    return r0 == r1
-
-
 def criterion_4_subregular():
     """Subregular witnesses: dimension n-1, elementary, centralizing x_tau."""
     out = {}
@@ -131,7 +125,7 @@ def criterion_5_lower_orbits():
     """Lower-orbit witnesses of dimension >= n; floor(n^2/4) at (2,1^(n-2))."""
     out = {}
     for n in (4, 5, 6, 7):
-        p = _smallest_prime_geq(max(2, n - 2))
+        p = _smallest_prime_geq(lower_orbit_min_p(n))
         f = field_make(p, 1)
         alg = special_linear(n, f)
         checked = 0
@@ -146,7 +140,7 @@ def criterion_5_lower_orbits():
             checked += 1
         out[f"n{n}_p{p}_orbits"] = checked
     for n, expect in [(4, 4), (5, 6)]:
-        p = _smallest_prime_geq(max(2, n - 2))
+        p = _smallest_prime_geq(lower_orbit_min_p(n))
         f = field_make(p, 1)
         lam = Partition((2,) + (1,) * (n - 2))
         w = lower_orbit_witness(lam, p, f, maximal=True)
@@ -183,12 +177,7 @@ def criterion_7_frobenius_height_two():
         res.pair.validate(p)
         for k in (1, 2):
             f = field_make(p, k)
-            e = res.pair.alpha0
-            pair = NilPair(
-                Mat(f, e.a.copy()),
-                Mat(f, res.pair.alpha1.a.copy()),
-            )
-            u = OneParamSubgroup(pair=pair, n=n, p=p)
+            u = OneParamSubgroup(pair=srk_sln2(n, p, f).pair, n=n, p=p)
             checked = homomorphism_sweep(u)
             assert checked == f.q ** 2
             out[f"n{n}_p{p}_k{k}_pairs"] = checked

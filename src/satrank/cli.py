@@ -19,7 +19,7 @@ import sys
 
 from .errors import BudgetError, PreconditionError
 from .fields import field_make
-from .frobkernel import NilPair, OneParamSubgroup, frob2_report, homomorphism_sweep, srk_sln2
+from .frobkernel import OneParamSubgroup, frob2_report, homomorphism_sweep, srk_sln2
 from .groups import group_report, load_group, maximal_elemab
 from .lie import DEFAULT_BUDGET, lie_report, load_lie, nullcone
 from .oracle import oracle_commuting_pairs, oracle_maximal_elemab, oracle_srk_lie
@@ -170,6 +170,8 @@ def _cmd_lie_srk(args):
 
 
 def _cmd_lie_nullcone(args):
+    if args.list_limit < 0:
+        raise PreconditionError(f"--list-limit must be >= 0, got {args.list_limit}")
     budget = _budget(args)
     g = load_lie(args.file, budget=budget)
     pts = nullcone(g, budget=budget)
@@ -238,12 +240,7 @@ def _cmd_frob2_srk(args):
 
 
 def _cmd_frob2_verify_exp(args):
-    if args.n < 2:
-        raise PreconditionError("n must be >= 2")
-    field = field_make(args.p, args.k)
-    from .frobkernel import regular_nilpotent
-    e = regular_nilpotent(args.n, field)
-    pair = NilPair(e, e + (e @ e))
+    pair = srk_sln2(args.n, args.p, field_make(args.p, args.k)).pair
     u = OneParamSubgroup(pair=pair, n=args.n, p=args.p)
     checked = homomorphism_sweep(u)
     return {"n": args.n, "p": args.p, "k": args.k, "pairs_checked": checked, "holds": True}

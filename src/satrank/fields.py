@@ -339,6 +339,18 @@ class FieldSpec:
         eye = np.broadcast_to(np.eye(a.shape[-1], dtype=np.int64), a.shape).copy()
         return _power(a, e, self.matmul, eye)
 
+    def trunc_exp(self, m):
+        """sum_{t<p} m^t / t! for a square matrix or a stack of them: the
+        truncated exponential, exp(m) when m^p = 0 (not checked here)."""
+        m = np.asarray(m, dtype=np.int64)
+        power = np.broadcast_to(np.eye(m.shape[-1], dtype=np.int64), m.shape).copy()
+        exp, inv_fact = power.copy(), 1
+        for t in range(1, self.p):
+            power = self.matmul(power, m)
+            inv_fact = inv_fact * pow(t, -1, self.p) % self.p
+            exp = self.varr_add(exp, self.varr_scale(inv_fact, power))
+        return exp
+
     def __eq__(self, other):
         return (isinstance(other, FieldSpec)
                 and (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus))

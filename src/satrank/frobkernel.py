@@ -18,22 +18,19 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PreconditionError
-from .fields import FieldSpec, Mat, field_make, mat_is_p_nilpotent, mat_rank
+from .fields import FieldSpec, Mat, field_make, mat_is_p_nilpotent
+from .slnorbits import Partition, partition_of_nilpotent, regular_powers
 
 
 def trunc_exp(x: Mat, p: int) -> Mat:
-    """exp(x) = 1 + x + x^2/2 + ... + x^(p-1)/(p-1)! for p-nilpotent x."""
+    """exp(x) = 1 + x + x^2/2 + ... + x^(p-1)/(p-1)! for p-nilpotent x over a
+    field of characteristic p (FieldSpec.trunc_exp)."""
+    if p != x.field.p:
+        raise PreconditionError(f"truncated exponential needs p = {x.field.p}, "
+                                f"the field's characteristic, got p = {p}")
     if not mat_is_p_nilpotent(x, p):
         raise PreconditionError("truncated exponential needs a p-nilpotent argument")
-    f = x.field
-    acc = Mat.identity(f, x.rows)
-    term = Mat.identity(f, x.rows)
-    fact = 1
-    for i in range(1, p):
-        term = term @ x
-        fact = (fact * i) % p
-        acc = acc + term.scale(f.from_int(pow(fact, p - 2, p)))
-    return acc
+    return Mat._wrap(x.field, x.field.trunc_exp(x.a))
 
 
 @dataclass(frozen=True)
@@ -97,13 +94,6 @@ def srk_height_bound(r: int, srk1: int) -> int:
     return r * srk1
 
 
-def regular_nilpotent(n: int, field: FieldSpec) -> Mat:
-    a = np.zeros((n, n), dtype=np.int64)
-    for i in range(n - 1):
-        a[i, i + 1] = field.one
-    return Mat(field, a)
-
-
 class UEData(NamedTuple):
     basis: tuple   # e, e^2, ..., e^(n-1)
     v2_dim: int    # 2 dim u_e = 2(n-1)
@@ -111,15 +101,7 @@ class UEData(NamedTuple):
 
 def u_e_data(n: int, field: FieldSpec) -> UEData:
     """The abelian unipotent u_e = span{e, ..., e^(n-1)}; needs p >= n."""
-    if field.p < n:
-        raise PreconditionError("u_e needs p >= n so that powers of e are p-nilpotent")
-    e = regular_nilpotent(n, field)
-    basis = []
-    cur = e
-    for _ in range(n - 1):
-        basis.append(cur)
-        cur = cur @ e
-    return UEData(basis=tuple(basis), v2_dim=2 * (n - 1))
+    return UEData(basis=tuple(regular_powers(n, field)), v2_dim=2 * (n - 1))
 
 
 class Sln2Result(NamedTuple):
@@ -132,27 +114,21 @@ def srk_sln2(n: int, p: int, field: FieldSpec = None) -> Sln2Result:
     """srk of the second Frobenius kernel of SL_n: 2(n-1) for p >= n.
 
     The witness pair is (e, e + e^2) with e regular nilpotent; e + e^2 is
-    again regular (same rank sequence, checked), and the elementary abelian
+    again regular (Jordan type (n), checked), and the elementary abelian
     subgroup carrying the value is the height-2 kernel of u_e, i.e. n-1
     height-2 factors of complexity 2(n-1).
     """
     if n < 2:
         raise PreconditionError("n must be >= 2")
-    if p < n:
-        raise PreconditionError("srk(SL_n(2)) = 2(n-1) needs p >= n")
     if field is None:
         field = field_make(p, 1)
     if field.p != p:
         raise PreconditionError("field characteristic must match p")
-    e = regular_nilpotent(n, field)
+    e = regular_powers(n, field)[0]  # refuses p < n
     e0 = e + (e @ e)
     pair = NilPair(alpha0=e, alpha1=e0).validate(p)
-    # e0 is regular: its rank powers match those of e
-    a, b = e, e0
-    for _ in range(n):
-        if mat_rank(a) != mat_rank(b):
-            raise PreconditionError("witness e + e^2 is not regular")
-        a, b = a @ e, b @ e0
+    if partition_of_nilpotent(e0) != Partition((n,)):
+        raise PreconditionError("witness e + e^2 is not regular")
     datum = ElemAbComplexity(multiplicities=(0, n - 1))
     assert complexity(datum) == 2 * (n - 1)
     return Sln2Result(value=2 * (n - 1), pair=pair, datum=datum)

@@ -86,10 +86,6 @@ class PermGroup:
         return tuple(perm) in self._members
 
 
-def group_elements(g: PermGroup):
-    return g.elements()
-
-
 def _closure(degree, gens, bound=None):
     """Subgroup generated by gens, as a frozenset; BudgetError past bound elements
     (bound None: unbounded, caller-scale only)."""
@@ -288,8 +284,9 @@ def load_group(data) -> tuple:
     """Parse {"degree": n, "generators": [[...], ...], "p": p}; returns (group, p).
 
     degree, p, element_bound and every generator entry must be JSON integers,
-    and p must be prime.  A degree above element_bound raises BudgetError
-    before any permutation is built: every permutation has degree entries.
+    and p must be prime, and element_bound must be >= 0.  A degree above
+    element_bound raises BudgetError before any permutation is built: every
+    permutation has degree entries.
     """
     if isinstance(data, str):
         with open(data) as fp:
@@ -303,6 +300,8 @@ def load_group(data) -> tuple:
         raise PreconditionError(f"malformed group input: {exc}")
     if not is_prime(p):
         raise PreconditionError(f"p={p} is not prime")
+    if bound < 0:
+        raise PreconditionError(f"element_bound must be >= 0, got {bound}")
     if degree > bound:
         raise BudgetError(f"degree {degree} exceeds element bound {bound}")
     return PermGroup(degree, gens, element_bound=bound), p

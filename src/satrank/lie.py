@@ -70,10 +70,6 @@ DEFAULT_BUDGET = 10_000_000
 Vec = tuple
 
 
-def _vec_is_zero(u):
-    return not any(u)
-
-
 class RestrictedLieAlgebra:
     """Basis-indexed bracket table, p-map, and optional matrix model.
 
@@ -463,44 +459,25 @@ def centralizer(g: RestrictedLieAlgebra, x: Vec):
 
 
 def is_elementary(g: RestrictedLieAlgebra, basis) -> bool:
-    """Independent, pairwise commuting, p-map zero."""
-    basis = [tuple(v) for v in basis]
-    if not basis:
+    """Independent, pairwise commuting, p-map zero.
+
+    The rows B of basis are independent when every row of their RREF holds
+    a pivot, commute when every [b_i, b_j], read off ad(B) . B^T, is zero,
+    and are p-nilpotent when every b_i^[p] is zero.
+    """
+    b = np.array(basis, dtype=np.int64).reshape(-1, g.dim)
+    if not len(b):
         return True
-    from .fields import mat_rank
-    if mat_rank(Mat(g.field, np.array(basis, dtype=np.int64))) != len(basis):
-        return False
-    for i, u in enumerate(basis):
-        for v in basis[i + 1:]:
-            if not _vec_is_zero(g.bracket(u, v)):
-                return False
-    return all(_vec_is_zero(g.pmap_eval(v)) for v in basis)
+    f = g.field
+    return bool(_rref(f, b[None])[1].sum() == len(b)
+                and not f.matmul(g.ad(b), b.T).any()
+                and not g._pmap_rows(b).any())
 
 
 @dataclass(frozen=True)
 class ElementarySubalgebra:
     rank: int
     basis: tuple  # tuple of coordinate tuples
-
-
-@dataclass(frozen=True)
-class CommutingTuple:
-    entries: tuple
-    independent: bool
-
-    @classmethod
-    def of(cls, g: RestrictedLieAlgebra, entries):
-        from .fields import mat_rank
-        entries = tuple(tuple(v) for v in entries)
-        for u in entries:
-            if not _vec_is_zero(g.pmap_eval(u)):
-                raise PreconditionError("tuple entry outside the restricted nullcone")
-        for i, u in enumerate(entries):
-            for v in entries[i + 1:]:
-                if not _vec_is_zero(g.bracket(u, v)):
-                    raise PreconditionError("tuple entries do not commute")
-        indep = mat_rank(Mat(g.field, np.array(entries, dtype=np.int64))) == len(entries)
-        return cls(entries=entries, independent=indep)
 
 
 # ---------------------------------------------------------------------------
@@ -532,24 +509,13 @@ def _automorphisms(g: RestrictedLieAlgebra, classes):
     picks = sorted({j * len(classes) // _GENERATOR_SOURCES for j in range(_GENERATOR_SOURCES)})
     xs = np.concatenate([f.varr_scale(f.p ** i, classes[picks]) for i in range(f.k)])
     if g.matrix_model:
-        exp, exp_neg = _truncated_exps(f, g._matrices(xs))
+        m = g._matrices(xs)
+        exp, exp_neg = np.split(f.trunc_exp(np.concatenate([m, f.varr_neg(m)])), 2)
         images = f.matmul(f.matmul(exp[:, None], g._model[None]), exp_neg[:, None])
         a, inside = g._coord_solver.solve_rows(images.reshape(len(xs), g.dim, -1))
         return _verified(g, a[inside.all(axis=1)])
-    exp, _ = _truncated_exps(f, g.ad(xs))  # column j of exp(ad x): the image of b_j
+    exp = f.trunc_exp(g.ad(xs))  # column j of exp(ad x): the image of b_j
     return _verified(g, np.swapaxes(exp, 1, 2))
-
-
-def _truncated_exps(f, m):
-    """(exp(m), exp(-m)) as sum_{t<p} (+-m)^t / t! for a stack of square m."""
-    power = np.broadcast_to(np.eye(m.shape[-1], dtype=np.int64), m.shape).copy()
-    exp, exp_neg = power.copy(), power.copy()
-    for t in range(1, f.p):
-        power = f.matmul(power, m)
-        term = f.varr_scale(f.from_int(pow(math.factorial(t), f.p - 2, f.p)), power)
-        exp = f.varr_add(exp, term)
-        exp_neg = f.varr_add(exp_neg, term if t % 2 == 0 else f.varr_neg(term))
-    return exp, exp_neg
 
 
 def _verified(g: RestrictedLieAlgebra, a):
@@ -702,10 +668,6 @@ class _TupleSearch:
                 for i, mask in zip(part[rows].tolist(), self._span_masks(kernels)):
                     masks[i] = mask
 
-    def _span_mask(self, vectors):
-        """Bitmask of the classes in the span of coordinate vectors."""
-        return self._span_masks(np.array(vectors, dtype=np.int64)[None])[0]
-
     def _span_masks(self, kernels):
         """Bitmasks of the classes in the span of the rows of each kernels[s] (k x d).
 
@@ -799,9 +761,9 @@ def local_rank(g: RestrictedLieAlgebra, x: Vec, budget: int = DEFAULT_BUDGET) ->
     the points of z(x) and the nodes of the clique search.
     """
     x = tuple(x)
-    if _vec_is_zero(x):
+    if not any(x):
         raise PreconditionError("local rank is defined for nonzero nullcone points")
-    if not _vec_is_zero(g.pmap_eval(x)):
+    if any(g.pmap_eval(x)):
         raise PreconditionError("x is outside the restricted nullcone")
     f = g.field
     zbasis = centralizer(g, x)
@@ -877,7 +839,7 @@ def srk_sampled(g: RestrictedLieAlgebra, samples: int = 32, seed: int = 0,
     while found < samples and attempts < 1000 * samples:
         attempts += 1
         x = tuple(rng.randrange(f.q) for _ in range(g.dim))
-        if _vec_is_zero(x) or not _vec_is_zero(g.pmap_eval(x)):
+        if not any(x) or any(g.pmap_eval(x)):
             continue
         found += 1
         r = local_rank(g, x, budget=budget).rank

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .fields import FieldSpec, Mat, field_make, is_prime, mat_rank
-from .lie import ElementarySubalgebra, special_linear
+from .lie import ElementarySubalgebra, is_elementary, special_linear
 
 
 @dataclass(frozen=True, order=True)
@@ -96,6 +96,18 @@ def jordan_matrix(lam: Partition, field: FieldSpec) -> Mat:
             a[off + m, off + m + 1] = field.one
         off += part
     return Mat(field, a)
+
+
+def regular_powers(n: int, field: FieldSpec):
+    """[e, e^2, ..., e^(n-1)] for the regular nilpotent e = x_(n); they are
+    p-nilpotent, and span an elementary subalgebra, only for p >= n."""
+    if field.p < n:
+        raise PreconditionError(f"powers of the regular nilpotent need p >= n = {n}, got {field.p}")
+    e = jordan_matrix(Partition((n,)), field)
+    powers = []
+    for _ in range(n - 1):
+        powers.append(powers[-1] @ e if powers else e)
+    return powers
 
 
 def nullcone_top_partition(n: int, p: int) -> Partition:
@@ -311,6 +323,14 @@ def centralizer_sl_basis(lam: Partition, field: FieldSpec) -> CentralizerBasis:
 # witnesses
 # ---------------------------------------------------------------------------
 
+def _span_contains(field, basis, x) -> bool:
+    """Whether the coordinate vector x lies in the span of the vectors basis."""
+    rows = [list(v) for v in basis]
+    r0 = mat_rank(Mat(field, np.array(rows, dtype=np.int64)))
+    r1 = mat_rank(Mat(field, np.array(rows + [list(x)], dtype=np.int64)))
+    return r0 == r1
+
+
 def _subalgebra_from_mats(n, field, mats) -> ElementarySubalgebra:
     alg = special_linear(n, field)
     basis = tuple(alg.coords_of_matrix(m) for m in mats)
@@ -319,15 +339,7 @@ def _subalgebra_from_mats(n, field, mats) -> ElementarySubalgebra:
 
 def regular_witness(n: int, field: FieldSpec) -> ElementarySubalgebra:
     """span{e, ..., e^(n-1)} for the regular nilpotent; needs p >= n."""
-    if field.p < n:
-        raise PreconditionError("regular witness needs p >= n for p-nilpotency")
-    e = jordan_matrix(Partition((n,)), field)
-    mats = []
-    cur = e
-    for _ in range(n - 1):
-        mats.append(cur)
-        cur = cur @ e
-    return _subalgebra_from_mats(n, field, mats)
+    return _subalgebra_from_mats(n, field, regular_powers(n, field))
 
 
 def subregular_witnesses(n: int, p: int, field: FieldSpec):
@@ -384,6 +396,18 @@ def highest_root_witness(n: int, field: FieldSpec, contain=None) -> ElementarySu
     return _subalgebra_from_mats(n, field, mats)
 
 
+def lower_orbit_min_p(n: int) -> int:
+    """The least p for which the lower-orbit witnesses are built: max(2, n-2)."""
+    return max(2, n - 2)
+
+
+def _nilradical_orbit(lam: Partition) -> bool:
+    """Whether lam is (2,1^(n-2)) or (1^n): the orbits inside the
+    floor(n^2/4) dimensional nilradical witness."""
+    n = lam.n
+    return lam in (Partition((2,) + (1,) * (n - 2)), Partition((1,) * n))
+
+
 def _case_split_witness(lam: Partition, field: FieldSpec):
     """Dimension >= n witness containing x_lam, per the three-branch construction."""
     t = lam.length
@@ -437,11 +461,10 @@ def lower_orbit_witness(lam: Partition, p: int, field: FieldSpec,
         raise PreconditionError("field characteristic must match p")
     if not dominance_leq(lam, Partition((n - 2, 2))):
         raise PreconditionError(f"{lam} is not below (n-2, 2)")
-    if p < max(2, n - 2):
+    if p < lower_orbit_min_p(n):
         raise PreconditionError("lower-orbit witnesses need p >= max(2, n-2)")
-    two_special = lam in (Partition((2,) + (1,) * (n - 2)), Partition((1,) * n))
     if maximal:
-        if not two_special:
+        if not _nilradical_orbit(lam):
             raise PreconditionError(
                 "the maximal nilradical witness applies to (2,1^(n-2)) and (1^n) only")
         contain = "x_lambda" if lam.parts[0] == 2 else None
@@ -480,18 +503,14 @@ class OrbitClass:
             kind = "lower"
         if lam.parts[0] > p:
             return cls(lam, kind, None)  # representative outside the restricted nullcone
-        if kind == "regular":
+        if kind != "lower":
             info = LocalRankInfo(n - 1, True, "")
-        elif kind == "subregular":
-            info = LocalRankInfo(n - 1, True, "")
+        elif p < lower_orbit_min_p(n):
+            info = LocalRankInfo(n, False, "derived-not-paper")
+        elif _nilradical_orbit(lam):
+            info = LocalRankInfo(n * n // 4, True, "")
         else:
-            floor_special = lam in (Partition((2,) + (1,) * (n - 2)), Partition((1,) * n))
-            if floor_special and p >= max(2, n - 2):
-                info = LocalRankInfo(n * n // 4, True, "")
-            elif p >= max(2, n - 2):
-                info = LocalRankInfo(n, False, "lower bound")
-            else:
-                info = LocalRankInfo(n, False, "derived-not-paper")
+            info = LocalRankInfo(n, False, "lower bound")
         return cls(lam, kind, info)
 
 
@@ -518,17 +537,12 @@ def srk_sln(n: int, p: int) -> SlnSrk:
     if p == n - 2:
         return SlnSrk(value=n, exact=False, note="strict_inequality")
     # p < n-2: build and validate the witness at the dense orbit of V(sl_n)
-    from .lie import is_elementary
     top = nullcone_top_partition(n, p)
     field = field_make(p, 1)
-    mats = _case_split_witness(top, field)
     alg = special_linear(n, field)
-    basis = [alg.coords_of_matrix(m) for m in mats]
+    basis = [alg.coords_of_matrix(m) for m in _case_split_witness(top, field)]
     x_top = alg.coords_of_matrix(jordan_matrix(top, field))
-    rows = [list(v) for v in basis]
-    ok = (is_elementary(alg, basis)
-          and mat_rank(Mat(field, np.array(rows + [list(x_top)], dtype=np.int64))) == len(basis))
-    if not ok:
+    if not (is_elementary(alg, basis) and _span_contains(field, basis, x_top)):
         raise PreconditionError(f"witness construction failed for top partition {top} at p={p}")
     return SlnSrk(value=len(basis), exact=False, note="derived-not-paper")
 
@@ -561,9 +575,9 @@ def sln_report(n: int, p: int) -> dict:
                 dims = [len(regular_witness(n, field).basis)]
             elif oc.kind == "subregular" and (p >= n - 1 or (n, p) == (3, 2)):
                 dims = sorted({s.rank for s in subregular_witnesses(n, p, field)})
-            elif oc.kind == "lower" and n >= 4 and p >= max(2, n - 2):
+            elif oc.kind == "lower" and n >= 4 and p >= lower_orbit_min_p(n):
                 dims = [lower_orbit_witness(lam, p, field).rank]
-                if lam in (Partition((2,) + (1,) * (n - 2)), Partition((1,) * n)):
+                if _nilradical_orbit(lam):
                     dims.append(lower_orbit_witness(lam, p, field, maximal=True).rank)
             entry["witness_dims"] = dims
         orbits.append(entry)

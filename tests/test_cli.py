@@ -206,6 +206,21 @@ def test_group_srk_refuses_degree_above_element_bound(capsys, tmp_path, data):
     assert code == 3 and out == "" and f"degree {data['degree']}" in err
 
 
+def test_group_srk_rejects_negative_element_bound(capsys, tmp_path):
+    path = tmp_path / "bound.json"
+    path.write_text(json.dumps({"degree": 3, "generators": [[1, 2, 0]], "p": 3,
+                                "element_bound": -1}))
+    code, out, err = run_cli(capsys, "group-srk", "--file", str(path))
+    assert code == 2 and out == "" and "element_bound must be >= 0" in err
+
+
+def test_lie_nullcone_rejects_negative_list_limit(capsys, h3_file):
+    code, out, err = run_cli(capsys, "lie-nullcone", "--file", h3_file, "--list-limit", "-1")
+    assert code == 2 and out == "" and "--list-limit must be >= 0" in err
+    code, out, _ = run_cli(capsys, "lie-nullcone", "--file", h3_file, "--list-limit", "0")
+    assert code == 0 and json.loads(out)["points_omitted"] is True
+
+
 def _h3_input():
     return {
         "p": 3, "k": 1, "dim": 3,

@@ -310,6 +310,37 @@ def test_kernel_matpow_agrees_with_repeated_products(p, k):
         acc = f.matmul(acc, a)
 
 
+def _naive_trunc_exp(f, m):
+    """sum_{t<p} m^t / t! for one matrix, by scalar ops and naive_matmul."""
+    n = len(m)
+    out = power = [[f.one if i == j else f.zero for j in range(n)] for i in range(n)]
+    fact = 1
+    for t in range(1, f.p):
+        power = naive_matmul(f, power, m)
+        fact = fact * t % f.p
+        c = f.inv(f.from_int(fact))
+        out = [[f.add(x, f.mul(c, y)) for x, y in zip(ro, rp)] for ro, rp in zip(out, power)]
+    return out
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (5, 1), (3, 2), (7, 2)])
+def test_trunc_exp_matches_a_per_slice_loop(p, k):
+    f = field_make(p, k)
+    rng = np.random.default_rng(10 * p + k)
+    n = min(p, 4)
+    m = np.triu(rng.integers(0, f.q, size=(6, n, n)), 1)  # m^n = 0 with n <= p
+    exp = f.trunc_exp(m)
+    assert [e.tolist() for e in exp] == [_naive_trunc_exp(f, x.tolist()) for x in m]
+    eye = np.broadcast_to(np.eye(n, dtype=np.int64), m.shape)
+    assert (f.matmul(exp, f.trunc_exp(f.varr_neg(m))) == eye).all()
+    if p == 2:
+        assert (exp == f.varr_add(eye, m)).all()
+    # the sum is truncated whatever m is: no nilpotency check at this level
+    a = rng.integers(0, f.q, size=(2, 3, 3))
+    assert [e.tolist() for e in f.trunc_exp(a)] == [_naive_trunc_exp(f, x.tolist()) for x in a]
+    assert f.trunc_exp(a[0]).tolist() == _naive_trunc_exp(f, a[0].tolist())
+
+
 def test_elimination_above_table_cap():
     # F_{7^4}: q = 2401 > _TABLE_CAP, so no q x q tables back the arithmetic
     f = field_make(7, 4)

@@ -15,12 +15,12 @@ from satrank.frobkernel import (
     eval_one_param,
     frob2_report,
     homomorphism_sweep,
-    regular_nilpotent,
     srk_height_bound,
     srk_sln2,
     trunc_exp,
     u_e_data,
 )
+from satrank.slnorbits import Partition, jordan_matrix
 
 F5 = field_make(5, 1)
 F7 = field_make(7, 1)
@@ -31,14 +31,14 @@ def test_trunc_exp_zero():
 
 
 def test_trunc_exp_regular_sl3_p5():
-    e = regular_nilpotent(3, F5)
+    e = jordan_matrix(Partition((3,)), F5)
     # I + e + e^2 / 2 with 1/2 = 3 mod 5
     assert trunc_exp(e, 5) == Mat.from_rows(F5, [[1, 1, 3], [0, 1, 1], [0, 0, 1]])
 
 
 def test_trunc_exp_inverse():
     for n in (2, 3, 4):
-        e = regular_nilpotent(n, F5)
+        e = jordan_matrix(Partition((n,)), F5)
         x = e + (e @ e).scale(2)
         assert trunc_exp(x, 5) @ trunc_exp(-x, 5) == Mat.identity(F5, n)
 
@@ -48,7 +48,17 @@ def test_trunc_exp_rejects_non_nilpotent():
         trunc_exp(Mat.identity(F5, 2), 5)
     # regular nilpotent of size 4 is not 3-nilpotent
     with pytest.raises(PreconditionError):
-        trunc_exp(regular_nilpotent(4, field_make(3, 1)), 3)
+        trunc_exp(jordan_matrix(Partition((4,)), field_make(3, 1)), 3)
+
+
+def test_trunc_exp_rejects_p_other_than_the_characteristic():
+    e = jordan_matrix(Partition((3,)), F5)  # e^3 = 0, so e is also "3-nilpotent"
+    for p in (3, 7):
+        with pytest.raises(PreconditionError, match="characteristic"):
+            trunc_exp(e, p)
+    f25 = field_make(5, 2)
+    e25 = jordan_matrix(Partition((3,)), f25)
+    assert trunc_exp(e25, 5).a.tolist() == trunc_exp(e, 5).a.tolist()
 
 
 def test_trunc_exp_unipotent_det_one():
@@ -56,7 +66,7 @@ def test_trunc_exp_unipotent_det_one():
     rng = random.Random(2)
     for n, p in [(3, 5), (4, 5), (4, 7)]:
         f = field_make(p, 1)
-        e = regular_nilpotent(n, f)
+        e = jordan_matrix(Partition((n,)), f)
         for _ in range(6):
             x = Mat.zeros(f, n, n)
             power = e
@@ -71,7 +81,7 @@ def test_trunc_exp_unipotent_det_one():
 
 def test_eval_one_param_lands_in_sl():
     from satrank.fields import mat_det
-    e = regular_nilpotent(4, F5)
+    e = jordan_matrix(Partition((4,)), F5)
     u = OneParamSubgroup(pair=NilPair(e, e + (e @ e)), n=4, p=5)
     for s in F5.elements():
         assert mat_det(eval_one_param(u, s)) == F5.one
@@ -99,7 +109,7 @@ def test_trunc_exp_additive_on_commuting_exhaustive():
 
 
 def test_nilpair_validation():
-    e = regular_nilpotent(3, F5)
+    e = jordan_matrix(Partition((3,)), F5)
     NilPair(e, e @ e).validate(5)
     with pytest.raises(PreconditionError):
         NilPair(e, Mat.identity(F5, 3)).validate(5)  # not nilpotent
@@ -111,7 +121,7 @@ def test_nilpair_validation():
 
 
 def test_eval_one_param_degenerate():
-    e = regular_nilpotent(3, F5)
+    e = jordan_matrix(Partition((3,)), F5)
     u = OneParamSubgroup(pair=NilPair(e, Mat.zeros(F5, 3, 3)), n=3, p=5)
     assert eval_one_param(u, 0) == Mat.identity(F5, 3)
     for s in F5.elements():
@@ -120,7 +130,7 @@ def test_eval_one_param_degenerate():
 
 def test_homomorphism_sweep_f25():
     f25 = field_make(5, 2)
-    e = regular_nilpotent(4, f25)
+    e = jordan_matrix(Partition((4,)), f25)
     u = OneParamSubgroup(pair=NilPair(e, e @ e), n=4, p=5)
     assert homomorphism_sweep(u) == 625
 
@@ -129,7 +139,7 @@ def test_conjugation_equivariance():
     rng = random.Random(17)
     n, p = 3, 5
     f = field_make(p, 1)
-    e = regular_nilpotent(n, f)
+    e = jordan_matrix(Partition((n,)), f)
     u = OneParamSubgroup(pair=NilPair(e, e + (e @ e)), n=n, p=p)
     for _ in range(5):
         g = Mat.identity(f, n)

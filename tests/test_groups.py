@@ -16,7 +16,6 @@ from satrank.groups import (
     elementary_abelian,
     _closure,
     _maximal_cliques,
-    group_elements,
     group_ranks,
     group_report,
     is_equidimensional,
@@ -42,9 +41,9 @@ def test_d8_presentation():
 
 
 def test_group_elements_examples():
-    assert group_elements(PermGroup(1, [])) == ((0,),)
-    assert len(group_elements(dihedral_square())) == 8
-    assert len(group_elements(PermGroup(3, [(1, 2, 0)]))) == 3
+    assert PermGroup(1, []).elements() == ((0,),)
+    assert len(dihedral_square().elements()) == 8
+    assert len(PermGroup(3, [(1, 2, 0)]).elements()) == 3
 
 
 def test_element_bound():

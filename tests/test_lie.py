@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from satrank import BudgetError, PreconditionError, lie
 from satrank.fields import Mat, field_make, mat_rank, mat_solve
 from satrank.lie import (
-    CommutingTuple,
     RestrictedLieAlgebra,
     abelian_p_trivial,
     centralizer,
@@ -359,6 +358,51 @@ def test_is_elementary_examples():
     assert not is_elementary(sl2, [e, e])    # dependent
 
 
+def _is_elementary_pairwise(g, basis):
+    """The pairwise loop is_elementary replaced: rank, then every bracket
+    u, v of the list, then every p-th power, one vector at a time."""
+    basis = [tuple(v) for v in basis]
+    if not basis:
+        return True
+    if mat_rank(Mat(g.field, np.array(basis, dtype=np.int64))) != len(basis):
+        return False
+    for i, u in enumerate(basis):
+        for v in basis[i + 1:]:
+            if any(g.bracket(u, v)):
+                return False
+    return not any(any(g.pmap_eval(v)) for v in basis)
+
+
+@pytest.mark.parametrize("case", ["sl3_F3", "h5_F3"])
+def test_is_elementary_matches_the_pairwise_loop(case):
+    g = special_linear(3, F3) if case == "sl3_F3" else heisenberg(2, F3)
+    pts = [v for v in nullcone(g) if any(v)]
+    commutes = _commutes(g, pts)
+    rng = random.Random(case)
+    seen = set()
+    for _ in range(300):
+        # half the picks commute with every earlier one, so both answers occur
+        chosen = [rng.randrange(len(pts))]
+        for _ in range(rng.randint(0, 3)):
+            pool = np.flatnonzero(commutes[chosen].all(axis=0))
+            chosen.append(int(rng.choice(pool)) if rng.random() < 0.5 and len(pool)
+                          else rng.randrange(len(pts)))
+        basis = [pts[i] for i in chosen]
+        want = _is_elementary_pairwise(g, basis)
+        assert is_elementary(g, basis) == want, basis
+        seen.add((len(basis) > 1, want))
+    # a single nonzero nullcone point is elementary; longer lists go both ways
+    assert seen == {(False, True), (True, True), (True, False)}
+    x = pts[0]
+    assert is_elementary(g, [])
+    assert not is_elementary(g, [x, tuple(g.field.varr_scale(2, np.array(x)).tolist())])
+    assert not is_elementary(g, [x, g.zero()])
+    if case == "sl3_F3":  # h_5's p-map is zero: all of it is p-nilpotent
+        t = g.coords_of_matrix(Mat(F3, [[1, 0, 0], [0, 2, 0], [0, 0, 0]]))
+        assert any(g.pmap_eval(t))
+        assert not is_elementary(g, [t]) and not _is_elementary_pairwise(g, [t])
+
+
 def test_local_rank_examples():
     sl2 = special_linear(2, F3)
     assert local_rank(sl2, sl2.basis_vec(0)).rank == 1
@@ -448,7 +492,7 @@ def test_search_span_masks_and_commuting_masks(monkeypatch, case):
     for _ in range(12):
         chosen = rng.sample(range(search.n), rng.randint(1, 3))
         naive = _naive_span_mask(f, index, [pts[i] for i in chosen])
-        assert search._span_mask([search.coords[i] for i in chosen]) == naive
+        assert search._span_masks(search.coords[chosen][None])[0] == naive
     for i, u in enumerate(pts):
         direct = sum(1 << j for j, v in enumerate(pts) if not any(g.bracket(u, v)))
         assert search.commuting[i] == direct
@@ -469,7 +513,7 @@ def test_commuting_masks_across_batches(monkeypatch):
     for _ in range(12):
         chosen = rng.sample(range(search.n), rng.randint(1, 3))
         naive = _naive_span_mask(g.field, index, [pts[i] for i in chosen])
-        assert search._span_mask([search.coords[i] for i in chosen]) == naive
+        assert search._span_masks(search.coords[chosen][None])[0] == naive
 
 
 def _commutes(g, pts):
@@ -518,7 +562,7 @@ def test_maximal_cliques_are_maximal_elementary_subalgebras(monkeypatch, case):
             if _independent(g, [pts[j] for j in basis] + [pts[i]]):
                 basis.append(i)
         assert len(basis) == rank
-        assert search._span_mask([search.coords[i] for i in basis]) == clique
+        assert search._span_masks(search.coords[basis][None])[0] == clique
         assert is_elementary(g, [pts[i] for i in basis])
         outside = [j for j in range(search.n) if not clique >> j & 1]
         assert not commutes[np.ix_(basis, outside)].all(axis=0).any()
@@ -977,12 +1021,10 @@ def test_adjoint_invariance_sl2():
             assert local_rank(sl2, y).rank == rx
 
 
-def test_commuting_tuple_wrapper():
+def test_is_elementary_on_heisenberg_pairs():
     h = heisenberg(1, F3)
-    t = CommutingTuple.of(h, [h.basis_vec(0), h.basis_vec(2)])
-    assert t.independent
-    with pytest.raises(PreconditionError):
-        CommutingTuple.of(h, [h.basis_vec(0), h.basis_vec(1)])  # [x,y] = z
+    assert is_elementary(h, [h.basis_vec(0), h.basis_vec(2)])
+    assert not is_elementary(h, [h.basis_vec(0), h.basis_vec(1)])  # [x,y] = z
 
 
 def test_srk_sampled_is_upper_bound():

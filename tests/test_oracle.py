@@ -1,6 +1,8 @@
+import ast
+
 import pytest
 
-from satrank import BudgetError, PreconditionError
+from satrank import BudgetError, PreconditionError, oracle
 from satrank.fields import field_make, mat_is_p_nilpotent
 from satrank.groups import (
     cyclic,
@@ -149,3 +151,20 @@ def test_oracle_matches_clique_search_on_order_16_and_48():
         structured = maximal_elemab(g, 2).all_subgroups
         assert [s.elements for s in oracle] == [s.elements for s in structured]
         assert [s.generators for s in oracle] == [s.generators for s in structured]
+
+
+def test_oracle_takes_only_the_algebra_type_from_lie():
+    # the oracles are evidence only while they share no code with the
+    # optimized search: from satrank.lie they may take the algebra type alone
+    with open(oracle.__file__) as fp:
+        tree = ast.parse(fp.read())
+    from_lie = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module in ("lie", "satrank.lie"):
+                from_lie += [a.name for a in node.names]
+            else:
+                assert "lie" not in [a.name for a in node.names], ast.dump(node)
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.endswith("lie") for a in node.names), ast.dump(node)
+    assert from_lie == ["RestrictedLieAlgebra"]

@@ -18,15 +18,21 @@ from satrank.frobkernel import (
     _check_rows,
     eval_one_param,
     homomorphism_sweep,
-    regular_nilpotent,
 )
-from satrank.slnorbits import Partition, xi_basis, xi_bracket, xi_compose, xi_to_matrix
+from satrank.slnorbits import (
+    Partition,
+    jordan_matrix,
+    xi_basis,
+    xi_bracket,
+    xi_compose,
+    xi_to_matrix,
+)
 
 F5 = field_make(5, 1)
 
 
 def _subgroup(n, f):
-    e = regular_nilpotent(n, f)
+    e = jordan_matrix(Partition((n,)), f)
     return OneParamSubgroup(pair=NilPair(e, e + (e @ e)), n=n, p=f.p)
 
 
