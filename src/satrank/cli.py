@@ -21,7 +21,7 @@ from .errors import BudgetError, PreconditionError
 from .fields import field_make
 from .frobkernel import OneParamSubgroup, frob2_report, homomorphism_sweep, srk_sln2
 from .groups import group_report, load_group, maximal_elemab
-from .lie import DEFAULT_BUDGET, lie_report, load_lie, nullcone
+from .lie import DEFAULT_BUDGET, lie_report, load_lie, nullcone, sl_matrices
 from .oracle import oracle_commuting_pairs, oracle_maximal_elemab, oracle_srk_lie
 from .slnorbits import (
     Partition,
@@ -126,7 +126,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--partition", required=True, help="comma separated, e.g. 3,1")
-    sp.add_argument("--k", type=int, default=1)
     _add_common(sp)
 
     sp = sub.add_parser("sln-witness", help="elementary subalgebra witnesses at a Jordan type")
@@ -200,8 +199,7 @@ def _cmd_sln_centralizer(args):
     lam = _parse_partition(args.partition)
     if lam.n != args.n:
         raise PreconditionError(f"partition {lam.parts} does not sum to n={args.n}")
-    field = field_make(args.p, args.k)
-    res = centralizer_sl_basis(lam, field)
+    res = centralizer_sl_basis(lam, field_make(args.p))
     return {
         "n": args.n,
         "p": args.p,
@@ -224,14 +222,8 @@ def _cmd_sln_witness(args):
         subs = subregular_witnesses(n, args.p, field)
     else:
         subs = [lower_orbit_witness(lam, args.p, field, maximal=args.maximal)]
-    from .lie import special_linear
-    alg = special_linear(n, field)
-    out = []
-    for s in subs:
-        out.append({
-            "dim": s.rank,
-            "basis_matrices": [alg.matrix_of(v).tolist() for v in s.basis],
-        })
+    out = [{"dim": s.rank, "basis_matrices": sl_matrices(n, field, s.basis).tolist()}
+           for s in subs]
     return {"n": n, "p": args.p, "partition": list(lam.parts), "witnesses": out}
 
 

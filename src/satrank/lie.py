@@ -345,29 +345,42 @@ def from_matrix_basis(field: FieldSpec, mats, labels=None) -> RestrictedLieAlgeb
     return g
 
 
+def sl_coords(field: FieldSpec, mats) -> np.ndarray:
+    """Coordinates in the basis of special_linear(n, field) of traceless
+    matrices, for an (..., n, n) code array: the off-diagonal entries in
+    row-major order, then the prefix sums of the diagonal, which are the
+    coefficients of the h_i.  The last prefix sum is the trace."""
+    mats = np.asarray(mats, dtype=np.int64)
+    n = mats.shape[-1]
+    sums = field.matmul(np.diagonal(mats, axis1=-2, axis2=-1),
+                        np.triu(np.ones((n, n), dtype=np.int64)))
+    if sums[..., -1].any():
+        raise PreconditionError("matrix lies outside sl_n: its trace is nonzero")
+    return np.concatenate([mats[..., ~np.eye(n, dtype=bool)], sums[..., :-1]], axis=-1)
+
+
+def sl_matrices(n: int, field: FieldSpec, coords) -> np.ndarray:
+    """The traceless matrices with the given coordinates, for an (..., n*n - 1)
+    code array; the inverse of sl_coords."""
+    coords = np.asarray(coords, dtype=np.int64)
+    mats = np.zeros(coords.shape[:-1] + (n, n), dtype=np.int64)
+    mats[..., ~np.eye(n, dtype=bool)] = coords[..., : n * n - n]
+    # row i of steps is the diagonal of h_i = E_ii - E_(i+1)(i+1)
+    steps = np.eye(n - 1, n, dtype=np.int64) + field.neg(1) * np.eye(n - 1, n, 1, dtype=np.int64)
+    mats[..., range(n), range(n)] = field.matmul(coords[..., n * n - n:], steps)
+    return mats
+
+
 @functools.lru_cache(maxsize=None)
 def special_linear(n: int, field: FieldSpec) -> RestrictedLieAlgebra:
-    """sl_n as a restricted matrix algebra: basis E_ij (i != j) then h_i = E_ii - E_(i+1)(i+1)."""
+    """sl_n as a restricted matrix algebra: basis E_ij (i != j) in row-major
+    order, then h_i = E_ii - E_(i+1)(i+1), as sl_matrices lays them out."""
     if n < 2:
         raise PreconditionError("n must be >= 2")
-    one = field.one
-    mats = []
-    labels = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            m = np.zeros((n, n), dtype=np.int64)
-            m[i, j] = one
-            mats.append(Mat(field, m))
-            labels.append(f"E{i}{j}")
-    for i in range(n - 1):
-        m = np.zeros((n, n), dtype=np.int64)
-        m[i, i] = one
-        m[i + 1, i + 1] = field.neg(one)
-        mats.append(Mat(field, m))
-        labels.append(f"h{i+1}")
-    return from_matrix_basis(field, mats, labels=labels)
+    mats = sl_matrices(n, field, np.eye(n * n - 1, dtype=np.int64))
+    labels = ([f"E{i}{j}" for i in range(n) for j in range(n) if i != j]
+              + [f"h{i+1}" for i in range(n - 1)])
+    return from_matrix_basis(field, [Mat(field, m) for m in mats], labels=labels)
 
 
 # ---------------------------------------------------------------------------

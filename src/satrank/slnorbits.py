@@ -23,6 +23,7 @@ and O_rmin = regular + subregular.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -30,7 +31,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .fields import FieldSpec, Mat, field_make, is_prime, mat_rank
-from .lie import ElementarySubalgebra, is_elementary, special_linear
+from .lie import ElementarySubalgebra, from_matrix_basis, is_elementary, sl_coords
 
 
 @dataclass(frozen=True, order=True)
@@ -254,15 +255,6 @@ def xi_compose_combo(a: XiCombination, b: XiCombination) -> XiCombination:
     return out
 
 
-def _block_offsets(lam: Partition):
-    offs = []
-    off = 0
-    for part in lam.parts:
-        offs.append(off)
-        off += part
-    return offs
-
-
 def xi_to_matrix(lam: Partition, x, field: FieldSpec) -> Mat:
     """Matrix of a shift map (or combination) in the ordered block basis."""
     if isinstance(x, XiElement):
@@ -270,16 +262,17 @@ def xi_to_matrix(lam: Partition, x, field: FieldSpec) -> Mat:
     if x.lam != lam:
         raise PreconditionError("combination anchored to a different partition")
     n = lam.n
-    offs = _block_offsets(lam)
+    offs = list(itertools.accumulate(lam.parts, initial=0))
     a = np.zeros((n, n), dtype=np.int64)
+    # distinct (i, j, s) fill disjoint diagonals of the block (j, i), so each
+    # term writes its coefficient, an F_p code, without adding
     for el, coeff in x.terms.items():
-        c = field.from_int(coeff)
         li = lam.parts[el.i - 1]
         lj = lam.parts[el.j - 1]
-        row0 = offs[el.j - 1] + (lj - li - el.s)
-        col0 = offs[el.i - 1]
-        for m in range(max(0, el.s + li - lj), li):
-            a[row0 + m, col0 + m] = field.add(int(a[row0 + m, col0 + m]), c)
+        m0 = max(0, el.s + li - lj)
+        row0 = offs[el.j - 1] + (lj - li - el.s) + m0
+        col0 = offs[el.i - 1] + m0
+        np.fill_diagonal(a[row0:row0 + li - m0, col0:col0 + li - m0], field.from_int(coeff))
     return Mat(field, a)
 
 
@@ -331,15 +324,14 @@ def _span_contains(field, basis, x) -> bool:
     return r0 == r1
 
 
-def _subalgebra_from_mats(n, field, mats) -> ElementarySubalgebra:
-    alg = special_linear(n, field)
-    basis = tuple(alg.coords_of_matrix(m) for m in mats)
+def _subalgebra_from_mats(field, mats) -> ElementarySubalgebra:
+    basis = tuple(map(tuple, sl_coords(field, [m.a for m in mats]).tolist()))
     return ElementarySubalgebra(rank=len(basis), basis=basis)
 
 
 def regular_witness(n: int, field: FieldSpec) -> ElementarySubalgebra:
     """span{e, ..., e^(n-1)} for the regular nilpotent; needs p >= n."""
-    return _subalgebra_from_mats(n, field, regular_powers(n, field))
+    return _subalgebra_from_mats(field, regular_powers(n, field))
 
 
 def subregular_witnesses(n: int, p: int, field: FieldSpec):
@@ -364,12 +356,12 @@ def subregular_witnesses(n: int, p: int, field: FieldSpec):
     out = []
     if special:
         for corner in (corner_a, corner_b):
-            out.append(_subalgebra_from_mats(n, field, shifts + [corner]))
+            out.append(_subalgebra_from_mats(field, shifts + [corner]))
         return out
     pline = [(field.one, b) for b in field.elements()] + [(0, field.one)]
     for a, b in pline:
         mixed = corner_a.scale(a) + corner_b.scale(b)
-        out.append(_subalgebra_from_mats(n, field, shifts + [mixed]))
+        out.append(_subalgebra_from_mats(field, shifts + [mixed]))
     return out
 
 
@@ -393,7 +385,7 @@ def highest_root_witness(n: int, field: FieldSpec, contain=None) -> ElementarySu
             a = np.zeros((n, n), dtype=np.int64)
             a[perm[i], perm[j]] = field.one
             mats.append(Mat(field, a))
-    return _subalgebra_from_mats(n, field, mats)
+    return _subalgebra_from_mats(field, mats)
 
 
 def lower_orbit_min_p(n: int) -> int:
@@ -473,7 +465,7 @@ def lower_orbit_witness(lam: Partition, p: int, field: FieldSpec,
         # x_lam = 0; the case split degenerates, the nilradical witness applies
         return highest_root_witness(n, field)
     mats = _case_split_witness(lam, field)
-    return _subalgebra_from_mats(n, field, mats)
+    return _subalgebra_from_mats(field, mats)
 
 
 # ---------------------------------------------------------------------------
@@ -536,15 +528,17 @@ def srk_sln(n: int, p: int) -> SlnSrk:
         return SlnSrk(value=n - 1, exact=True, note="")
     if p == n - 2:
         return SlnSrk(value=n, exact=False, note="strict_inequality")
-    # p < n-2: build and validate the witness at the dense orbit of V(sl_n)
+    # p < n-2: build and validate the witness at the dense orbit of V(sl_n),
+    # as an algebra on its own span; x_top lies in that span
     top = nullcone_top_partition(n, p)
     field = field_make(p, 1)
-    alg = special_linear(n, field)
-    basis = [alg.coords_of_matrix(m) for m in _case_split_witness(top, field)]
-    x_top = alg.coords_of_matrix(jordan_matrix(top, field))
-    if not (is_elementary(alg, basis) and _span_contains(field, basis, x_top)):
+    mats = _case_split_witness(top, field)
+    span = from_matrix_basis(field, mats)
+    rows = sl_coords(field, [m.a for m in mats + [jordan_matrix(top, field)]])
+    if not (is_elementary(span, np.eye(span.dim, dtype=np.int64))
+            and _span_contains(field, rows[:-1], rows[-1])):
         raise PreconditionError(f"witness construction failed for top partition {top} at p={p}")
-    return SlnSrk(value=len(basis), exact=False, note="derived-not-paper")
+    return SlnSrk(value=span.dim, exact=False, note="derived-not-paper")
 
 
 def o_rmin_sln(n: int, p: int):

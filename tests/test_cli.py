@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satrank.cli import main
+from satrank.slnorbits import partitions
 
 
 def run_cli(capsys, *argv):
@@ -89,6 +91,120 @@ def test_sln_witness(capsys):
     assert [w["dim"] for w in rep["witnesses"]] == [3] * 6
 
 
+# sha256 of the stdout of the sl_n commands, recorded before their coordinates
+# stopped going through special_linear
+_SLN_ORBITS_PINS = {
+    (4, 5): "e104faa010024a002eacc439a6217a00c3aa0becfa5ac91b8523209e0292f444",
+    (5, 5): "f46d8b24fef4bbe8c079e6e8b941d91c206750f636b748a8aa152e18c2da6fd2",
+    (6, 7): "b23a59cbe87bb7602ea8ef3019e37b0fd610e98474d8c7c4cf53cb207dabe24f",
+    (5, 2): "d97a887ff8da26f66a83f00f169974b467b105d1f9ce242950a8cbc1c8993e34",
+    (7, 3): "0bf7130a07f7d9231b1e8499c48b93eeda98870ba2abdadbe13549fc4f0408da",
+}
+_SLN_SRK_PINS = {
+    (5, 2): "3acd258baa9930e7198d791336f3634835f24adaec1d008c33b2248ffefca8e0",
+    (6, 3): "403a1fff38c6d1424896893b836d62c18eaeeedef6cf67cda39768d04c027ff4",
+    (8, 3): "66ed3ad3f47f349f2e434130fe1da034620cfed82bcb4d2c8626424c6cc84f28",
+    (9, 3): "6e68170405a14a2ddd291c7807ecf6c12bc61c560ed06309b1f47791d8e4e6b1",
+}
+# (n, partition, k) at p = 5: the digests without and with --maximal, None
+# where --maximal exits 2
+_SLN_WITNESS_PINS = {
+    (4, "4", 1): ("9167d4467c666fa3e9d65451f65557c308d8fa792d7008ece4e0910a4fac481e",
+                  "9167d4467c666fa3e9d65451f65557c308d8fa792d7008ece4e0910a4fac481e"),
+    (4, "4", 2): ("9167d4467c666fa3e9d65451f65557c308d8fa792d7008ece4e0910a4fac481e",
+                  "9167d4467c666fa3e9d65451f65557c308d8fa792d7008ece4e0910a4fac481e"),
+    (4, "3,1", 1): ("7a56634990d953d74ee9ad267947bae3208ce3e96f4d48d0f925b40e50b4e1eb",
+                    "7a56634990d953d74ee9ad267947bae3208ce3e96f4d48d0f925b40e50b4e1eb"),
+    (4, "3,1", 2): ("e03bf82c6e2661253e29a5ed904b9c9faa94d589f03f2c61c39d15ed43128458",
+                    "e03bf82c6e2661253e29a5ed904b9c9faa94d589f03f2c61c39d15ed43128458"),
+    (4, "2,2", 1): ("6c2816443d5bc6d9f6bf07263b034cc814740920498021c64549b73fdf605d25",
+                    None),
+    (4, "2,2", 2): ("6c2816443d5bc6d9f6bf07263b034cc814740920498021c64549b73fdf605d25",
+                    None),
+    (4, "2,1,1", 1): ("d7bdba8e7b11bcb308653dfb43bf402b3f0af6d90f7ee1a1dea2142573cc658b",
+                      "7cde766e58fd3538e258228251050102af98ae10a955278b31529351ad8a2fff"),
+    (4, "2,1,1", 2): ("d7bdba8e7b11bcb308653dfb43bf402b3f0af6d90f7ee1a1dea2142573cc658b",
+                      "7cde766e58fd3538e258228251050102af98ae10a955278b31529351ad8a2fff"),
+    (4, "1,1,1,1", 1): ("e9c0325d3b24a1ea61093b089bc2761c1c6566d8663e19bd9e785f2e7c951a55",
+                        "e9c0325d3b24a1ea61093b089bc2761c1c6566d8663e19bd9e785f2e7c951a55"),
+    (4, "1,1,1,1", 2): ("e9c0325d3b24a1ea61093b089bc2761c1c6566d8663e19bd9e785f2e7c951a55",
+                        "e9c0325d3b24a1ea61093b089bc2761c1c6566d8663e19bd9e785f2e7c951a55"),
+    (5, "5", 1): ("7b7b8fdc75ffce866b049b74da8ef6a30be482ca9bbe29077c28940be9585e45",
+                  "7b7b8fdc75ffce866b049b74da8ef6a30be482ca9bbe29077c28940be9585e45"),
+    (5, "5", 2): ("7b7b8fdc75ffce866b049b74da8ef6a30be482ca9bbe29077c28940be9585e45",
+                  "7b7b8fdc75ffce866b049b74da8ef6a30be482ca9bbe29077c28940be9585e45"),
+    (5, "4,1", 1): ("b2e73214e425c8878eca4629f1ad57376c47bdac2de2d6f46ce4d81dcae6c732",
+                    "b2e73214e425c8878eca4629f1ad57376c47bdac2de2d6f46ce4d81dcae6c732"),
+    (5, "4,1", 2): ("394cc76cf7c2600d6faecf6745c82e4b16a886ae3a9853bdd0c97865fd4ad921",
+                    "394cc76cf7c2600d6faecf6745c82e4b16a886ae3a9853bdd0c97865fd4ad921"),
+    (5, "3,2", 1): ("f0989886e2e0829bc9c6276ab84da5bf9f928659d1d0ab0b69d008a6f4da1fd8",
+                    None),
+    (5, "3,2", 2): ("f0989886e2e0829bc9c6276ab84da5bf9f928659d1d0ab0b69d008a6f4da1fd8",
+                    None),
+    (5, "3,1,1", 1): ("9b616f40c4a132b5cb5763f71c2fe5186363c3e2f071f6c08a7caa2a3f99c946",
+                      None),
+    (5, "3,1,1", 2): ("9b616f40c4a132b5cb5763f71c2fe5186363c3e2f071f6c08a7caa2a3f99c946",
+                      None),
+    (5, "2,2,1", 1): ("16be6c1dfa9a36668700499fd81144dab77b9b04334d838d834fe195262cdd16",
+                      None),
+    (5, "2,2,1", 2): ("16be6c1dfa9a36668700499fd81144dab77b9b04334d838d834fe195262cdd16",
+                      None),
+    (5, "2,1,1,1", 1): ("781ed8d8fb1d219692a0c84639e7744768edf8a782c01fc5ac87e23d03f0c73f",
+                        "eaf24a1dd8b9aa257ff43036a436c65dd83d66ec52365b383c6eee1c1ca5c99c"),
+    (5, "2,1,1,1", 2): ("781ed8d8fb1d219692a0c84639e7744768edf8a782c01fc5ac87e23d03f0c73f",
+                        "eaf24a1dd8b9aa257ff43036a436c65dd83d66ec52365b383c6eee1c1ca5c99c"),
+    (5, "1,1,1,1,1", 1): ("2eee51a0d570f0f5be987c7a3ce4e481e6a3ef473efe281283fff51373689182",
+                          "2eee51a0d570f0f5be987c7a3ce4e481e6a3ef473efe281283fff51373689182"),
+    (5, "1,1,1,1,1", 2): ("2eee51a0d570f0f5be987c7a3ce4e481e6a3ef473efe281283fff51373689182",
+                          "2eee51a0d570f0f5be987c7a3ce4e481e6a3ef473efe281283fff51373689182"),
+}
+
+
+def _digest(capsys, *argv):
+    code, out, err = run_cli(capsys, *map(str, argv))
+    return code, hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n,p", sorted(_SLN_ORBITS_PINS))
+def test_sln_orbits_pinned(capsys, n, p):
+    assert _digest(capsys, "sln-orbits", "--n", n, "--p", p) == (0, _SLN_ORBITS_PINS[n, p])
+
+
+@pytest.mark.parametrize("n,p", sorted(_SLN_SRK_PINS))
+def test_sln_srk_pinned(capsys, n, p):
+    assert _digest(capsys, "sln-srk", "--n", n, "--p", p) == (0, _SLN_SRK_PINS[n, p])
+
+
+@pytest.mark.parametrize("n,partition,k", sorted(_SLN_WITNESS_PINS))
+def test_sln_witness_pinned(capsys, n, partition, k):
+    argv = ["sln-witness", "--n", n, "--p", 5, "--partition", partition, "--k", k]
+    plain, maximal = _SLN_WITNESS_PINS[n, partition, k]
+    assert _digest(capsys, *argv) == (0, plain)
+    code, digest = _digest(capsys, *argv, "--maximal")
+    if maximal is None:
+        assert code == 2 and digest == hashlib.sha256(b"").hexdigest()
+    else:
+        assert (code, digest) == (0, maximal)
+
+
+def test_sln_commands_do_not_build_sl_n(capsys, monkeypatch):
+    # the sl_n commands read witness coordinates off lie.sl_coords/sl_matrices
+    def refuse(n, field):
+        raise AssertionError(f"special_linear({n}, {field}) was built")
+
+    monkeypatch.setattr("satrank.lie.special_linear", refuse)
+    runs = [["sln-orbits", "--n", 6, "--p", 7], ["sln-orbits", "--n", 6, "--p", 3],
+            ["sln-srk", "--n", 6, "--p", 3]]  # p < n - 2 builds and checks a witness
+    for lam in partitions(6):
+        part = ",".join(map(str, lam.parts))
+        runs.append(["sln-witness", "--n", 6, "--p", 7, "--partition", part])
+        runs.append(["sln-witness", "--n", 6, "--p", 7, "--partition", part, "--k", 2])
+    runs.append(["sln-witness", "--n", 6, "--p", 7, "--partition", "2,1,1,1,1", "--maximal"])
+    for argv in runs:
+        code, _ = _digest(capsys, *argv)
+        assert code == 0, argv
+
+
 def test_frob2_srk(capsys):
     code, out, _ = run_cli(capsys, "frob2-srk", "--n", "3", "--p", "5")
     assert code == 0
@@ -122,6 +238,9 @@ def test_exit_codes(capsys, h3_file, tmp_path):
     assert code == 2
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
+    assert exc.value.code == 64
+    with pytest.raises(SystemExit) as exc:  # sln-centralizer works over F_p only
+        main(["sln-centralizer", "--n", "3", "--p", "3", "--partition", "2,1", "--k", "2"])
     assert exc.value.code == 64
 
 

@@ -22,6 +22,8 @@ from satrank.lie import (
     load_lie,
     local_rank,
     nullcone,
+    sl_coords,
+    sl_matrices,
     special_linear,
     srk_brute,
     srk_sampled,
@@ -98,6 +100,27 @@ def test_matrix_model_solved_once(monkeypatch):
     g = special_linear.__wrapped__(3, F5)
     assert len(made) == 1 and len(calls) == 9
     assert g.coords_of_matrix(g.matrix_of(g.basis_vec(2))) == g.basis_vec(2)
+
+
+@pytest.mark.parametrize("field", [F5, field_make(3, 2)], ids=["F5", "F9"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sl_maps_agree_with_special_linear(n, field):
+    g = special_linear(n, field)
+    coords = np.random.default_rng(n).integers(0, field.q, (16, g.dim))
+    mats = sl_matrices(n, field, coords)
+    assert [m.tolist() for m in mats] == [g.matrix_of(tuple(x)).tolist() for x in coords]
+    assert [tuple(x) for x in sl_coords(field, mats).tolist()] == \
+        [g.coords_of_matrix(Mat(field, m)) for m in mats]
+    assert (sl_coords(field, mats) == coords).all()
+
+
+def test_sl_coords_rejects_a_nonzero_trace():
+    with pytest.raises(PreconditionError, match="trace"):
+        sl_coords(F5, np.diag([1, 0, 0]))
+    f9 = field_make(3, 2)  # codes 1, 2 are 1, -1; code 3 is x, so diag(x, x) has trace 2x
+    assert sl_coords(f9, np.diag([1, 2])).tolist() == [0, 0, 1]
+    with pytest.raises(PreconditionError, match="trace"):
+        sl_coords(f9, np.diag([3, 3]))
 
 
 def test_bad_structure_constants_rejected():

@@ -180,6 +180,14 @@ def test_xi_to_matrix_examples():
         assert xi_to_matrix(lam, total, F5) == jordan_matrix(lam, F5)
     lam = Partition((4,))
     assert xi_to_matrix(lam, XiElement(lam, 1, 1, 0), F5) == Mat.identity(F5, 4)
+    # over F_9 the integer coefficients land on F_p codes: -1 is 2, 4 is 1
+    f9 = field_make(3, 2)
+    lam = Partition((3, 2))
+    expect = np.zeros((5, 5), dtype=np.int64)
+    expect[0, 1] = expect[1, 2] = 2  # -xi_1^(1,1), the Jordan block of size 3
+    expect[3, 1] = expect[4, 2] = 1  # 4 xi_1^(2,0)
+    combo = xi_term(lam, 1, 1, 1, -1) + xi_term(lam, 1, 2, 0, 4)
+    assert xi_to_matrix(lam, combo, f9) == Mat(f9, expect)
 
 
 def test_xi_matrix_homomorphism_exhaustive():

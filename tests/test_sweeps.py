@@ -147,10 +147,10 @@ def test_exp_law_names_the_pairwise_first_failure(monkeypatch, n, p, bad):
     assert expect is not None
     images = {x: e for x, e in zip(pts, exps)}
 
-    def corrupted(x, p):
-        return images[x]
+    def corrupted(stack):  # the field's stacked exponential, one image wrong
+        return np.array([images[Mat(f, x)].a for x in stack])
 
-    monkeypatch.setattr(acceptance, "trunc_exp", corrupted)
+    monkeypatch.setattr(f, "trunc_exp", corrupted)
     with pytest.raises(AssertionError, match=rf"fails at \({expect[0]}, {expect[1]}\)$"):
         acceptance._check_exp_law(n, f)
 
