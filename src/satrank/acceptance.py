@@ -15,14 +15,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .fields import field_make, mat_rank
-from .frobkernel import (
-    OneParamSubgroup,
-    _check_rows,
-    homomorphism_sweep,
-    srk_height_bound,
-    srk_sln2,
-    u_e_data,
-)
+from .frobkernel import _check_rows, homomorphism_sweep, srk_height_bound, srk_sln2
 from .groups import dihedral_square, group_ranks
 from .lie import heisenberg, is_elementary, special_linear, srk_brute
 from .oracle import oracle_srk_lie
@@ -35,6 +28,7 @@ from .slnorbits import (
     lower_orbit_witness,
     o_rmin_sln,
     partitions,
+    regular_powers,
     srk_sln,
     subregular_witnesses,
     xi_basis,
@@ -108,7 +102,7 @@ def criterion_4_subregular():
         alg = special_linear(n, f)
         lam = Partition((n - 1, 1))
         xj = alg.coords_of_matrix(jordan_matrix(lam, f))
-        subs = subregular_witnesses(n, p, f)
+        subs = subregular_witnesses(n, f)
         expected = 2 if (n, p) == (3, 2) else f.q + 1
         assert len(subs) == expected, (n, p, len(subs))
         for s in subs:
@@ -131,7 +125,7 @@ def criterion_5_lower_orbits():
         for lam in partitions(n):
             if not dominance_leq(lam, Partition((n - 2, 2))) or lam.parts[0] > p:
                 continue
-            w = lower_orbit_witness(lam, p, f)
+            w = lower_orbit_witness(lam, f)
             assert w.rank >= n, (n, p, lam, w.rank)
             assert is_elementary(alg, w.basis)
             xj = alg.coords_of_matrix(jordan_matrix(lam, f))
@@ -142,7 +136,7 @@ def criterion_5_lower_orbits():
         p = _smallest_prime_geq(lower_orbit_min_p(n))
         f = field_make(p, 1)
         lam = Partition((2,) + (1,) * (n - 2))
-        w = lower_orbit_witness(lam, p, f, maximal=True)
+        w = lower_orbit_witness(lam, f, maximal=True)
         assert w.rank == expect == n * n // 4
         assert is_elementary(special_linear(n, f), w.basis)
         out[f"max_witness_n{n}"] = w.rank
@@ -157,11 +151,11 @@ def criterion_6_o_rmin():
         assert [lam.parts for lam in got] == [(n,), (n - 1, 1)]
         f = field_make(p, 1)
         # consistency: members carry dimension n-1 witnesses, everything else >= n
-        assert all(s.rank == n - 1 for s in subregular_witnesses(n, p, f))
+        assert all(s.rank == n - 1 for s in subregular_witnesses(n, f))
         for lam in partitions(n):
             if lam in got or lam.parts[0] > p or n < 4:
                 continue
-            assert lower_orbit_witness(lam, p, f).rank >= n > n - 1
+            assert lower_orbit_witness(lam, f).rank >= n > n - 1
         out[f"n{n}_p{p}"] = [list(lam.parts) for lam in got]
     return out
 
@@ -170,14 +164,12 @@ def criterion_7_frobenius_height_two():
     """srk(SL_n(2)) = 2(n-1): witness pair and exhaustive exp sweeps."""
     out = {}
     for n, p in [(3, 5), (4, 5), (5, 7)]:
-        res = srk_sln2(n, p)
+        res = srk_sln2(n, field_make(p, 1))
         assert res.value == 2 * (n - 1)
-        assert u_e_data(n, field_make(p, 1)).v2_dim == 2 * (n - 1)
-        res.pair.validate(p)
+        res.pair.validate()
         for k in (1, 2):
             f = field_make(p, k)
-            u = OneParamSubgroup(pair=srk_sln2(n, p, f).pair, n=n, p=p)
-            checked = homomorphism_sweep(u)
+            checked = homomorphism_sweep(srk_sln2(n, f).pair)
             assert checked == f.q ** 2
             out[f"n{n}_p{p}_k{k}_pairs"] = checked
         out[f"n{n}_p{p}"] = res.value
@@ -189,7 +181,7 @@ def criterion_8_bound_attained():
     out = {}
     for n, p in [(3, 5), (4, 5), (5, 7)]:
         lhs = srk_height_bound(2, srk_sln(n, p).value)
-        rhs = srk_sln2(n, p).value
+        rhs = srk_sln2(n, field_make(p, 1)).value
         assert lhs == rhs == 2 * (n - 1)
         out[f"n{n}_p{p}"] = lhs
     return out
@@ -228,7 +220,7 @@ def _check_exp_law(n, field):
     the stacked basis of u_e, and x + y is found by its matrix: each matrix
     is keyed by its entries read as base-q digits.
     """
-    basis = np.array([b.a for b in u_e_data(n, field).basis])
+    basis = np.array([b.a for b in regular_powers(n, field)])
     coeffs = np.array(list(itertools.product(range(field.q), repeat=len(basis))))
     pts = field.matmul(coeffs, basis.reshape(len(basis), -1)).reshape(-1, n, n)
     assert field.q ** (n * n) < 2 ** 63  # the keys fit in int64

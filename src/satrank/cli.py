@@ -19,7 +19,7 @@ import sys
 
 from .errors import BudgetError, PreconditionError
 from .fields import field_make
-from .frobkernel import OneParamSubgroup, frob2_report, homomorphism_sweep, srk_sln2
+from .frobkernel import frob2_report, homomorphism_sweep, srk_sln2
 from .groups import group_report, load_group, maximal_elemab
 from .lie import DEFAULT_BUDGET, lie_report, load_lie, nullcone, sl_matrices
 from .oracle import oracle_commuting_pairs, oracle_maximal_elemab, oracle_srk_lie
@@ -219,9 +219,9 @@ def _cmd_sln_witness(args):
     if lam.parts == (n,):
         subs = [regular_witness(n, field)]
     elif lam.parts == (n - 1, 1):
-        subs = subregular_witnesses(n, args.p, field)
+        subs = subregular_witnesses(n, field)
     else:
-        subs = [lower_orbit_witness(lam, args.p, field, maximal=args.maximal)]
+        subs = [lower_orbit_witness(lam, field, maximal=args.maximal)]
     out = [{"dim": s.rank, "basis_matrices": sl_matrices(n, field, s.basis).tolist()}
            for s in subs]
     return {"n": n, "p": args.p, "partition": list(lam.parts), "witnesses": out}
@@ -232,9 +232,7 @@ def _cmd_frob2_srk(args):
 
 
 def _cmd_frob2_verify_exp(args):
-    pair = srk_sln2(args.n, args.p, field_make(args.p, args.k)).pair
-    u = OneParamSubgroup(pair=pair, n=args.n, p=args.p)
-    checked = homomorphism_sweep(u)
+    checked = homomorphism_sweep(srk_sln2(args.n, field_make(args.p, args.k)).pair)
     return {"n": args.n, "p": args.p, "k": args.k, "pairs_checked": checked, "holds": True}
 
 

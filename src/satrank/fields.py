@@ -341,12 +341,16 @@ class FieldSpec:
 
     def trunc_exp(self, m):
         """sum_{t<p} m^t / t! for a square matrix or a stack of them: the
-        truncated exponential, exp(m) when m^p = 0 (not checked here)."""
+        truncated exponential, exp(m) when m^p = 0 (not checked here).  The
+        sum stops at the first power that is zero on every slice, since all
+        later terms are zero too."""
         m = np.asarray(m, dtype=np.int64)
         power = np.broadcast_to(np.eye(m.shape[-1], dtype=np.int64), m.shape).copy()
         exp, inv_fact = power.copy(), 1
         for t in range(1, self.p):
             power = self.matmul(power, m)
+            if not power.any():
+                break
             inv_fact = inv_fact * pow(t, -1, self.p) % self.p
             exp = self.varr_add(exp, self.varr_scale(inv_fact, power))
         return exp

@@ -12,7 +12,7 @@ unipotent of dimension n-1 whose height-2 kernel has complexity 2(n-1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -22,52 +22,48 @@ from .fields import FieldSpec, Mat, field_make, mat_is_p_nilpotent
 from .slnorbits import Partition, partition_of_nilpotent, regular_powers
 
 
-def trunc_exp(x: Mat, p: int) -> Mat:
+def trunc_exp(x: Mat) -> Mat:
     """exp(x) = 1 + x + x^2/2 + ... + x^(p-1)/(p-1)! for p-nilpotent x over a
     field of characteristic p (FieldSpec.trunc_exp)."""
-    if p != x.field.p:
-        raise PreconditionError(f"truncated exponential needs p = {x.field.p}, "
-                                f"the field's characteristic, got p = {p}")
-    if not mat_is_p_nilpotent(x, p):
+    if not mat_is_p_nilpotent(x, x.field.p):
         raise PreconditionError("truncated exponential needs a p-nilpotent argument")
     return Mat._wrap(x.field, x.field.trunc_exp(x.a))
 
 
 @dataclass(frozen=True)
 class NilPair:
-    """Commuting pair of p-nilpotent traceless matrices."""
+    """Commuting pair of p-nilpotent traceless matrices over a field of
+    characteristic p: the datum of an infinitesimal one-parameter subgroup."""
 
     alpha0: Mat
     alpha1: Mat
 
-    def validate(self, p: int):
+    def validate(self):
         for m in (self.alpha0, self.alpha1):
             if m.rows != m.cols:
                 raise PreconditionError("pair entries must be square")
             if m.trace() != 0:
                 raise PreconditionError("pair entries must be traceless")
-            if not mat_is_p_nilpotent(m, p):
+            if not mat_is_p_nilpotent(m, m.field.p):
                 raise PreconditionError("pair entries must be p-nilpotent")
         if not (self.alpha0 @ self.alpha1 - self.alpha1 @ self.alpha0).is_zero():
             raise PreconditionError("pair entries must commute")
         return self
 
 
-@dataclass(frozen=True)
-class OneParamSubgroup:
-    pair: NilPair
-    n: int
-    p: int
+def _one_param_images(pair: NilPair, codes) -> np.ndarray:
+    """The (len(codes), n, n) stack of exp(s a0) . exp(s^p a1) over the field
+    codes s, from one stacked exponential of each factor (pair not checked)."""
+    f = pair.alpha0.field
+    s = np.asarray(codes, dtype=np.int64)[:, None, None]
+    return f.matmul(f.trunc_exp(f.varr_mul(s, pair.alpha0.a)),
+                    f.trunc_exp(f.varr_mul(f.varr_pow(s, f.p), pair.alpha1.a)))
 
-    def __post_init__(self):
-        self.pair.validate(self.p)
 
-
-def eval_one_param(u: OneParamSubgroup, s: int) -> Mat:
+def eval_one_param(pair: NilPair, s: int) -> Mat:
     """exp(s a0) . exp(s^p a1) at the field code s."""
-    f = u.pair.alpha0.field
-    sp = f.pow(s, u.p)
-    return trunc_exp(u.pair.alpha0.scale(s), u.p) @ trunc_exp(u.pair.alpha1.scale(sp), u.p)
+    pair.validate()
+    return Mat._wrap(pair.alpha0.field, _one_param_images(pair, [s])[0])
 
 
 @dataclass(frozen=True)
@@ -94,24 +90,14 @@ def srk_height_bound(r: int, srk1: int) -> int:
     return r * srk1
 
 
-class UEData(NamedTuple):
-    basis: tuple   # e, e^2, ..., e^(n-1)
-    v2_dim: int    # 2 dim u_e = 2(n-1)
-
-
-def u_e_data(n: int, field: FieldSpec) -> UEData:
-    """The abelian unipotent u_e = span{e, ..., e^(n-1)}; needs p >= n."""
-    return UEData(basis=tuple(regular_powers(n, field)), v2_dim=2 * (n - 1))
-
-
 class Sln2Result(NamedTuple):
     value: int
     pair: NilPair
     datum: ElemAbComplexity
 
 
-def srk_sln2(n: int, p: int, field: FieldSpec = None) -> Sln2Result:
-    """srk of the second Frobenius kernel of SL_n: 2(n-1) for p >= n.
+def srk_sln2(n: int, field: FieldSpec) -> Sln2Result:
+    """srk of the second Frobenius kernel of SL_n over field: 2(n-1) for p >= n.
 
     The witness pair is (e, e + e^2) with e regular nilpotent; e + e^2 is
     again regular (Jordan type (n), checked), and the elementary abelian
@@ -120,13 +106,9 @@ def srk_sln2(n: int, p: int, field: FieldSpec = None) -> Sln2Result:
     """
     if n < 2:
         raise PreconditionError("n must be >= 2")
-    if field is None:
-        field = field_make(p, 1)
-    if field.p != p:
-        raise PreconditionError("field characteristic must match p")
     e = regular_powers(n, field)[0]  # refuses p < n
     e0 = e + (e @ e)
-    pair = NilPair(alpha0=e, alpha1=e0).validate(p)
+    pair = NilPair(alpha0=e, alpha1=e0).validate()
     if partition_of_nilpotent(e0) != Partition((n,)):
         raise PreconditionError("witness e + e^2 is not regular")
     datum = ElemAbComplexity(multiplicities=(0, n - 1))
@@ -156,16 +138,21 @@ def _check_rows(field: FieldSpec, table, row_sums) -> int:
     return checked
 
 
-def homomorphism_sweep(u: OneParamSubgroup) -> int:
-    """Exhaustively confirm eval(s+t) = eval(s) eval(t); returns pair count."""
-    f = u.pair.alpha0.field
+def homomorphism_sweep(pair: NilPair) -> int:
+    """Exhaustively confirm eval(s+t) = eval(s) eval(t); returns pair count.
+
+    The images of all q codes are one stacked evaluation, and _check_rows
+    compares them one row of pairs at a time.
+    """
+    pair.validate()
+    f = pair.alpha0.field
     codes = np.arange(f.q, dtype=np.int64)  # f.elements() in order: code s is row s
-    table = np.array([eval_one_param(u, s).a for s in f.elements()])
+    table = _one_param_images(pair, codes)
     return _check_rows(f, table, lambda s: f.varr_add(s, codes))
 
 
-def frob2_report(n: int, p: int, field: FieldSpec = None) -> dict:
-    res = srk_sln2(n, p, field=field)
+def frob2_report(n: int, p: int) -> dict:
+    res = srk_sln2(n, field_make(p, 1))
     return {
         "n": n,
         "p": p,

@@ -489,8 +489,11 @@ def is_elementary(g: RestrictedLieAlgebra, basis) -> bool:
 
 @dataclass(frozen=True)
 class ElementarySubalgebra:
-    rank: int
     basis: tuple  # tuple of coordinate tuples
+
+    @property
+    def rank(self) -> int:
+        return len(self.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -790,7 +793,7 @@ def local_rank(g: RestrictedLieAlgebra, x: Vec, budget: int = DEFAULT_BUDGET) ->
     xi = int(search._table[codes[(vecs == x).all(axis=1)][0]])
     r, witness, _ = search.max_tuple_containing(xi)
     witness[0] = x  # report the caller's point, not its projective representative
-    return LocalRank(rank=r, witness=ElementarySubalgebra(rank=r, basis=tuple(witness)))
+    return LocalRank(rank=r, witness=ElementarySubalgebra(tuple(witness)))
 
 
 class SrkBrute(NamedTuple):
@@ -826,7 +829,7 @@ def srk_brute(g: RestrictedLieAlgebra, budget: int = DEFAULT_BUDGET) -> SrkBrute
     keep = np.array(search.ranks + [-1])[search._table[vecs @ search._place]] == m
     o_rmin = tuple(itertools.compress(points, keep.tolist()))
     _, wit, _ = search.max_tuple_containing(search.ranks.index(m))
-    witness = ElementarySubalgebra(rank=m, basis=tuple(wit))
+    witness = ElementarySubalgebra(tuple(wit))
     return SrkBrute(srk=m, r_min=m, o_rmin_count=len(o_rmin), o_rmin=o_rmin,
                     witness=witness, note="")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetError, PreconditionError
 from .fields import FieldSpec, Mat, mat_is_p_nilpotent
-from .groups import ElemAbSubgroup, PermGroup, _closure, _subgroup_from_elements, perm_mul, perm_order
+from .groups import PermGroup, _closure, _subgroup_from_elements, perm_mul, perm_order
 from .lie import RestrictedLieAlgebra
 
 

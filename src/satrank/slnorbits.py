@@ -326,7 +326,7 @@ def _span_contains(field, basis, x) -> bool:
 
 def _subalgebra_from_mats(field, mats) -> ElementarySubalgebra:
     basis = tuple(map(tuple, sl_coords(field, [m.a for m in mats]).tolist()))
-    return ElementarySubalgebra(rank=len(basis), basis=basis)
+    return ElementarySubalgebra(basis=basis)
 
 
 def regular_witness(n: int, field: FieldSpec) -> ElementarySubalgebra:
@@ -334,7 +334,7 @@ def regular_witness(n: int, field: FieldSpec) -> ElementarySubalgebra:
     return _subalgebra_from_mats(field, regular_powers(n, field))
 
 
-def subregular_witnesses(n: int, p: int, field: FieldSpec):
+def subregular_witnesses(n: int, field: FieldSpec):
     """The dimension n-1 elementary subalgebras attached to the (n-1,1) orbit.
 
     For n > 3, p >= n-1 (or n = 3, p > 2) this is the line family
@@ -342,10 +342,14 @@ def subregular_witnesses(n: int, p: int, field: FieldSpec):
     projective point (a : b); at (n, p) = (3, 2) only the two degenerate
     members with a b = 0 survive, since the mixed square is a b xi_1^(1,n-2).
     """
+    return list(_subregular_family(n, field))
+
+
+def _subregular_family(n: int, field: FieldSpec):
+    """The members of subregular_witnesses, one at a time."""
+    p = field.p
     if n < 3:
         raise PreconditionError("subregular witnesses need n >= 3")
-    if field.p != p:
-        raise PreconditionError("field characteristic must match p")
     special = (n == 3 and p == 2)
     if not special and p < n - 1:
         raise PreconditionError("subregular witnesses need p >= n-1")
@@ -353,16 +357,14 @@ def subregular_witnesses(n: int, p: int, field: FieldSpec):
     shifts = [xi_to_matrix(lam, xi_term(lam, 1, 1, s), field) for s in range(1, n - 1)]
     corner_a = xi_to_matrix(lam, xi_term(lam, 1, 2, 0), field)
     corner_b = xi_to_matrix(lam, xi_term(lam, 2, 1, n - 2), field)
-    out = []
     if special:
         for corner in (corner_a, corner_b):
-            out.append(_subalgebra_from_mats(field, shifts + [corner]))
-        return out
-    pline = [(field.one, b) for b in field.elements()] + [(0, field.one)]
+            yield _subalgebra_from_mats(field, shifts + [corner])
+        return
+    pline = itertools.chain(((field.one, b) for b in field.elements()), [(0, field.one)])
     for a, b in pline:
         mixed = corner_a.scale(a) + corner_b.scale(b)
-        out.append(_subalgebra_from_mats(field, shifts + [mixed]))
-    return out
+        yield _subalgebra_from_mats(field, shifts + [mixed])
 
 
 def highest_root_witness(n: int, field: FieldSpec, contain=None) -> ElementarySubalgebra:
@@ -439,7 +441,7 @@ def _case_split_witness(lam: Partition, field: FieldSpec):
     return mats
 
 
-def lower_orbit_witness(lam: Partition, p: int, field: FieldSpec,
+def lower_orbit_witness(lam: Partition, field: FieldSpec,
                         maximal: bool = False) -> ElementarySubalgebra:
     """Elementary subalgebra of dimension >= n containing x_lam, lam below (n-2,2).
 
@@ -449,11 +451,9 @@ def lower_orbit_witness(lam: Partition, p: int, field: FieldSpec,
     n = lam.n
     if n < 4:
         raise PreconditionError("lower orbits need n >= 4")
-    if field.p != p:
-        raise PreconditionError("field characteristic must match p")
     if not dominance_leq(lam, Partition((n - 2, 2))):
         raise PreconditionError(f"{lam} is not below (n-2, 2)")
-    if p < lower_orbit_min_p(n):
+    if field.p < lower_orbit_min_p(n):
         raise PreconditionError("lower-orbit witnesses need p >= max(2, n-2)")
     if maximal:
         if not _nilradical_orbit(lam):
@@ -566,13 +566,14 @@ def sln_report(n: int, p: int) -> dict:
                                    else f">={oc.local_rank.value}")
             dims = []
             if oc.kind == "regular" and p >= n:
-                dims = [len(regular_witness(n, field).basis)]
+                dims = [regular_witness(n, field).rank]
             elif oc.kind == "subregular" and (p >= n - 1 or (n, p) == (3, 2)):
-                dims = sorted({s.rank for s in subregular_witnesses(n, p, field)})
+                # every member has the n - 1 basis matrices of the first
+                dims = [next(_subregular_family(n, field)).rank]
             elif oc.kind == "lower" and n >= 4 and p >= lower_orbit_min_p(n):
-                dims = [lower_orbit_witness(lam, p, field).rank]
+                dims = [lower_orbit_witness(lam, field).rank]
                 if _nilradical_orbit(lam):
-                    dims.append(lower_orbit_witness(lam, p, field, maximal=True).rank)
+                    dims.append(lower_orbit_witness(lam, field, maximal=True).rank)
             entry["witness_dims"] = dims
         orbits.append(entry)
     report = {"n": n, "p": p, "srk": srk.value, "exact": srk.exact}

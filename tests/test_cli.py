@@ -159,6 +159,21 @@ _SLN_WITNESS_PINS = {
                           "2eee51a0d570f0f5be987c7a3ce4e481e6a3ef473efe281283fff51373689182"),
 }
 
+# sha256 of the stdout of the height-2 commands, recorded before the sweep
+# became one stacked exponential: frob2-srk at (n, p), frob2-verify-exp at
+# (n, p, k)
+_FROB2_SRK_PINS = {
+    (2, 3): "2fa0b62cf5c1a75eb73c5e5f07fc76dd1310db24cc049f3cb2aa6ac78e109607",
+    (3, 5): "ab3a0f7ec358fb6c889d200fa9217c9804284b1d7673f57613eba154b3921538",
+    (5, 7): "a4d2480e7192b14e718e6d5baf4acfe2e57a12a201680ac41f2eeea226a4d866",
+}
+_FROB2_VERIFY_PINS = {
+    (2, 3, 1): "9a4d91e5d77bdf2325c53aaa507c779449ed7cb7a6997afa966aae659f0dafff",
+    (3, 5, 1): "8bc7763c4c4409c5d7266ce66e5788112a7dbbe945fb16dbefa2e1043f76de9c",
+    (4, 5, 2): "9874476ad268e7a4988136d4cb12fdcdfc66136c84604964782d4d1783db4cea",
+    (5, 7, 2): "0c6ab966cedcee1f053f78ef2b906aab908470596eb0c46540587713710b43ed",
+}
+
 
 def _digest(capsys, *argv):
     code, out, err = run_cli(capsys, *map(str, argv))
@@ -185,6 +200,31 @@ def test_sln_witness_pinned(capsys, n, partition, k):
         assert code == 2 and digest == hashlib.sha256(b"").hexdigest()
     else:
         assert (code, digest) == (0, maximal)
+
+
+@pytest.mark.parametrize("n,p", sorted(_FROB2_SRK_PINS))
+def test_frob2_srk_pinned(capsys, n, p):
+    assert _digest(capsys, "frob2-srk", "--n", n, "--p", p) == (0, _FROB2_SRK_PINS[n, p])
+
+
+@pytest.mark.parametrize("n,p,k", sorted(_FROB2_VERIFY_PINS))
+def test_frob2_verify_exp_pinned(capsys, n, p, k):
+    argv = ["frob2-verify-exp", "--n", n, "--p", p, "--k", k]
+    assert _digest(capsys, *argv) == (0, _FROB2_VERIFY_PINS[n, p, k])
+
+
+def test_frob2_verify_exp_at_a_large_prime(capsys):
+    code, out, _ = run_cli(capsys, "frob2-verify-exp", "--n", "2", "--p", "1009")
+    assert code == 0 and json.loads(out)["pairs_checked"] == 1009 ** 2 == 1018081
+
+
+def test_sln_orbits_reads_one_subregular_member(capsys):
+    # the subregular family has q + 1 members, 4294967312 here; the
+    # dimension is read off the first alone
+    code, out, _ = run_cli(capsys, "sln-orbits", "--n", "5", "--p", "4294967311")
+    assert code == 0
+    orbits = {tuple(o["partition"]): o for o in json.loads(out)["orbits"]}
+    assert orbits[4, 1]["kind"] == "subregular" and orbits[4, 1]["witness_dims"] == [4]
 
 
 def test_sln_commands_do_not_build_sl_n(capsys, monkeypatch):

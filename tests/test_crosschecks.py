@@ -87,6 +87,6 @@ def test_subregular_family_is_complete(n, p):
             continue
         found.add(_span_points(f, [a, b], alg.dim))
     emitted = {_span_points(f, s.basis, alg.dim)
-               for s in subregular_witnesses(n, p, f)}
+               for s in subregular_witnesses(n, f)}
     assert found == emitted
     assert len(emitted) == f.q + 1

@@ -341,6 +341,27 @@ def test_trunc_exp_matches_a_per_slice_loop(p, k):
     assert f.trunc_exp(a[0]).tolist() == _naive_trunc_exp(f, a[0].tolist())
 
 
+@pytest.mark.parametrize("p,k", [(5, 1), (7, 1), (3, 2)])
+def test_trunc_exp_stops_at_the_first_zero_power(monkeypatch, p, k):
+    f = field_make(p, k)
+    rng = np.random.default_rng(p + k)
+    n = p
+    top = np.zeros((n, n), dtype=np.int64)
+    top[0, n - 1] = f.one  # index 2: top @ top = 0
+    full = np.triu(rng.integers(0, f.q, size=(n, n)), 1)
+    full[np.arange(n - 1), np.arange(1, n)] = rng.integers(1, f.q, size=n - 1)  # index p
+    stack = np.array([np.zeros((n, n), dtype=np.int64), top, full])
+    assert f.matpow(full, p - 1).any() and not f.matpow(full, p).any()
+    assert [e.tolist() for e in f.trunc_exp(stack)] == [
+        _naive_trunc_exp(f, x.tolist()) for x in stack]
+    products = []
+    matmul = f.matmul
+    monkeypatch.setattr(f, "matmul", lambda a, b: products.append(1) or matmul(a, b))
+    assert [e.tolist() for e in f.trunc_exp(stack[:2])] == [
+        _naive_trunc_exp(f, x.tolist()) for x in stack[:2]]
+    assert len(products) == 2  # the zero second power ends the sum
+
+
 def test_elimination_above_table_cap():
     # F_{7^4}: q = 2401 > _TABLE_CAP, so no q x q tables back the arithmetic
     f = field_make(7, 4)

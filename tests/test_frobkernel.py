@@ -9,7 +9,6 @@ from satrank.fields import Mat, field_make, mat_is_p_nilpotent
 from satrank.frobkernel import (
     ElemAbComplexity,
     NilPair,
-    OneParamSubgroup,
     complexity,
     conjugate_pair,
     eval_one_param,
@@ -18,47 +17,43 @@ from satrank.frobkernel import (
     srk_height_bound,
     srk_sln2,
     trunc_exp,
-    u_e_data,
 )
-from satrank.slnorbits import Partition, jordan_matrix
+from satrank.slnorbits import Partition, jordan_matrix, regular_powers
 
 F5 = field_make(5, 1)
 F7 = field_make(7, 1)
 
 
 def test_trunc_exp_zero():
-    assert trunc_exp(Mat.zeros(F5, 3, 3), 5) == Mat.identity(F5, 3)
+    assert trunc_exp(Mat.zeros(F5, 3, 3)) == Mat.identity(F5, 3)
 
 
 def test_trunc_exp_regular_sl3_p5():
     e = jordan_matrix(Partition((3,)), F5)
     # I + e + e^2 / 2 with 1/2 = 3 mod 5
-    assert trunc_exp(e, 5) == Mat.from_rows(F5, [[1, 1, 3], [0, 1, 1], [0, 0, 1]])
+    assert trunc_exp(e) == Mat.from_rows(F5, [[1, 1, 3], [0, 1, 1], [0, 0, 1]])
 
 
 def test_trunc_exp_inverse():
     for n in (2, 3, 4):
         e = jordan_matrix(Partition((n,)), F5)
         x = e + (e @ e).scale(2)
-        assert trunc_exp(x, 5) @ trunc_exp(-x, 5) == Mat.identity(F5, n)
+        assert trunc_exp(x) @ trunc_exp(-x) == Mat.identity(F5, n)
 
 
 def test_trunc_exp_rejects_non_nilpotent():
     with pytest.raises(PreconditionError):
-        trunc_exp(Mat.identity(F5, 2), 5)
+        trunc_exp(Mat.identity(F5, 2))
     # regular nilpotent of size 4 is not 3-nilpotent
     with pytest.raises(PreconditionError):
-        trunc_exp(jordan_matrix(Partition((4,)), field_make(3, 1)), 3)
+        trunc_exp(jordan_matrix(Partition((4,)), field_make(3, 1)))
 
 
-def test_trunc_exp_rejects_p_other_than_the_characteristic():
-    e = jordan_matrix(Partition((3,)), F5)  # e^3 = 0, so e is also "3-nilpotent"
-    for p in (3, 7):
-        with pytest.raises(PreconditionError, match="characteristic"):
-            trunc_exp(e, p)
+def test_trunc_exp_takes_p_from_the_field():
+    e = jordan_matrix(Partition((3,)), F5)
     f25 = field_make(5, 2)
     e25 = jordan_matrix(Partition((3,)), f25)
-    assert trunc_exp(e25, 5).a.tolist() == trunc_exp(e, 5).a.tolist()
+    assert trunc_exp(e25).a.tolist() == trunc_exp(e).a.tolist()
 
 
 def test_trunc_exp_unipotent_det_one():
@@ -73,18 +68,18 @@ def test_trunc_exp_unipotent_det_one():
             for _ in range(n - 1):
                 x = x + power.scale(rng.randrange(f.q))
                 power = power @ e
-            u = trunc_exp(x, p)
+            u = trunc_exp(x)
             assert mat_det(u) == f.one
             assert mat_is_p_nilpotent(u - Mat.identity(f, n), p)
-            assert trunc_exp(-x, p) @ u == Mat.identity(f, n)
+            assert trunc_exp(-x) @ u == Mat.identity(f, n)
 
 
 def test_eval_one_param_lands_in_sl():
     from satrank.fields import mat_det
     e = jordan_matrix(Partition((4,)), F5)
-    u = OneParamSubgroup(pair=NilPair(e, e + (e @ e)), n=4, p=5)
+    pair = NilPair(e, e + (e @ e))
     for s in F5.elements():
-        assert mat_det(eval_one_param(u, s)) == F5.one
+        assert mat_det(eval_one_param(pair, s)) == F5.one
 
 
 def test_trunc_exp_additive_on_commuting_exhaustive():
@@ -93,7 +88,7 @@ def test_trunc_exp_additive_on_commuting_exhaustive():
         if p < n:
             continue
         f = field_make(p, 1)
-        basis = u_e_data(n, f).basis
+        basis = regular_powers(n, f)
         d = len(basis)
         pts = []
         for coeffs in itertools.product(range(f.q), repeat=d):
@@ -101,7 +96,7 @@ def test_trunc_exp_additive_on_commuting_exhaustive():
             for c, b in zip(coeffs, basis):
                 x = x + b.scale(c)
             pts.append(x)
-        exps = [trunc_exp(x, p) for x in pts]
+        exps = [trunc_exp(x) for x in pts]
         index = {x: i for i, x in enumerate(pts)}
         for i, x in enumerate(pts):
             for j, y in enumerate(pts):
@@ -110,29 +105,33 @@ def test_trunc_exp_additive_on_commuting_exhaustive():
 
 def test_nilpair_validation():
     e = jordan_matrix(Partition((3,)), F5)
-    NilPair(e, e @ e).validate(5)
+    NilPair(e, e @ e).validate()
     with pytest.raises(PreconditionError):
-        NilPair(e, Mat.identity(F5, 3)).validate(5)  # not nilpotent
+        NilPair(e, Mat.identity(F5, 3)).validate()  # not nilpotent
     f3 = field_make(3, 1)
     a = Mat.from_rows(f3, [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
     b = Mat.from_rows(f3, [[0, 0, 0], [0, 0, 1], [0, 0, 0]])
     with pytest.raises(PreconditionError):
-        NilPair(a, b).validate(3)  # do not commute
+        NilPair(a, b).validate()  # do not commute
+    # the pair is checked before it is evaluated
+    with pytest.raises(PreconditionError):
+        eval_one_param(NilPair(a, b), 1)
+    with pytest.raises(PreconditionError):
+        homomorphism_sweep(NilPair(a, b))
 
 
 def test_eval_one_param_degenerate():
     e = jordan_matrix(Partition((3,)), F5)
-    u = OneParamSubgroup(pair=NilPair(e, Mat.zeros(F5, 3, 3)), n=3, p=5)
-    assert eval_one_param(u, 0) == Mat.identity(F5, 3)
+    pair = NilPair(e, Mat.zeros(F5, 3, 3))
+    assert eval_one_param(pair, 0) == Mat.identity(F5, 3)
     for s in F5.elements():
-        assert eval_one_param(u, s) == trunc_exp(e.scale(s), 5)
+        assert eval_one_param(pair, s) == trunc_exp(e.scale(s))
 
 
 def test_homomorphism_sweep_f25():
     f25 = field_make(5, 2)
     e = jordan_matrix(Partition((4,)), f25)
-    u = OneParamSubgroup(pair=NilPair(e, e @ e), n=4, p=5)
-    assert homomorphism_sweep(u) == 625
+    assert homomorphism_sweep(NilPair(e, e @ e)) == 625
 
 
 def test_conjugation_equivariance():
@@ -140,7 +139,7 @@ def test_conjugation_equivariance():
     n, p = 3, 5
     f = field_make(p, 1)
     e = jordan_matrix(Partition((n,)), f)
-    u = OneParamSubgroup(pair=NilPair(e, e + (e @ e)), n=n, p=p)
+    pair = NilPair(e, e + (e @ e))
     for _ in range(5):
         g = Mat.identity(f, n)
         ginv = Mat.identity(f, n)
@@ -154,35 +153,33 @@ def test_conjugation_equivariance():
             g = g @ Mat(f, t)
             ginv = Mat(f, tinv) @ ginv
         assert (g @ ginv) == Mat.identity(f, n)
-        gu = OneParamSubgroup(pair=conjugate_pair(u.pair, g, ginv), n=n, p=p)
+        gpair = conjugate_pair(pair, g, ginv)
         for s in f.elements():
-            assert eval_one_param(gu, s) == g @ eval_one_param(u, s) @ ginv
+            assert eval_one_param(gpair, s) == g @ eval_one_param(pair, s) @ ginv
 
 
-def test_u_e_data_examples():
-    d3 = u_e_data(3, F5)
-    assert len(d3.basis) == 2 and d3.v2_dim == 4
-    assert u_e_data(4, F5).v2_dim == 6
+def test_regular_powers_span_u_e():
+    basis = regular_powers(3, F5)
+    assert len(basis) == 2
     with pytest.raises(PreconditionError):
-        u_e_data(4, field_make(3, 1))
+        regular_powers(4, field_make(3, 1))
     # every pair from u_e x u_e is a valid commuting p-nilpotent pair
-    basis = d3.basis
     for a in basis:
         for b in basis:
-            NilPair(a, b).validate(5)
+            NilPair(a, b).validate()
 
 
 def test_srk_sln2_examples():
-    assert srk_sln2(3, 5).value == 4
-    assert srk_sln2(5, 7).value == 8
-    res = srk_sln2(4, 5)
+    assert srk_sln2(3, F5).value == 4
+    assert srk_sln2(5, F7).value == 8
+    res = srk_sln2(4, F5)
     assert res.value == 6
-    res.pair.validate(5)
+    res.pair.validate()
     assert complexity(res.datum) == 6
     with pytest.raises(PreconditionError):
-        srk_sln2(4, 3)
+        srk_sln2(4, field_make(3, 1))
     with pytest.raises(PreconditionError):
-        srk_sln2(1, 5)
+        srk_sln2(1, F5)
 
 
 def test_srk_height_bound():
@@ -196,7 +193,7 @@ def test_srk_height_bound():
 def test_bound_attained_at_height_two():
     from satrank.slnorbits import srk_sln
     for n, p in [(2, 3), (3, 5), (4, 5), (5, 7)]:
-        assert srk_sln2(n, p).value == srk_height_bound(2, srk_sln(n, p).value)
+        assert srk_sln2(n, field_make(p, 1)).value == srk_height_bound(2, srk_sln(n, p).value)
 
 
 def test_complexity_examples():

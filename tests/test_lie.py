@@ -449,7 +449,7 @@ def test_local_rank_witness_contains_x_and_is_elementary():
         rows = [list(v) for v in res.witness.basis]
         r0 = mat_rank(Mat(g.field, np.array(rows, dtype=np.int64)))
         r1 = mat_rank(Mat(g.field, np.array(rows + [list(x)], dtype=np.int64)))
-        assert r0 == r1 == res.rank
+        assert r0 == r1 == res.rank == res.witness.rank
 
 
 def _captured_search(monkeypatch, run, automorphisms=False):
@@ -680,7 +680,7 @@ def test_srk_brute_golden_cliques(name):
                "witness": [list(v) for v in res.witness.basis]}
     srk, r_min, count, witness, digest = _GOLDEN_BRUTE_CLIQUES[name]
     assert (res.srk, res.r_min, res.o_rmin_count) == (srk, r_min, count)
-    assert payload["witness"] == witness
+    assert payload["witness"] == witness and res.witness.rank == srk
     assert hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest() == digest
 
 

@@ -287,7 +287,7 @@ def test_subregular_witnesses_validated(n, p):
     lam = Partition((n - 1, 1))
     alg = special_linear(n, f)
     xj = alg.coords_of_matrix(jordan_matrix(lam, f))
-    subs = subregular_witnesses(n, p, f)
+    subs = subregular_witnesses(n, f)
     assert len(subs) == f.q + 1
     for s in subs:
         assert s.rank == n - 1
@@ -299,7 +299,7 @@ def test_subregular_witnesses_validated(n, p):
 
 def test_subregular_witnesses_special_branch():
     f2 = field_make(2, 1)
-    subs = subregular_witnesses(3, 2, f2)
+    subs = subregular_witnesses(3, f2)
     assert len(subs) == 2
     alg = special_linear(3, f2)
     for s in subs:
@@ -309,16 +309,16 @@ def test_subregular_witnesses_special_branch():
 
 def test_subregular_preconditions():
     with pytest.raises(PreconditionError):
-        subregular_witnesses(2, 3, F3)
+        subregular_witnesses(2, F3)
     with pytest.raises(PreconditionError):
-        subregular_witnesses(5, 3, F3)  # p = 3 < n-1 = 4
+        subregular_witnesses(5, F3)  # p = 3 < n-1 = 4
 
 
 def test_lower_orbit_witnesses_examples():
     f3 = field_make(3, 1)
-    w22 = lower_orbit_witness(Partition((2, 2)), 3, f3)
+    w22 = lower_orbit_witness(Partition((2, 2)), f3)
     assert w22.rank == 4
-    w211 = lower_orbit_witness(Partition((2, 1, 1)), 3, f3)
+    w211 = lower_orbit_witness(Partition((2, 1, 1)), f3)
     assert w211.rank == 4
     alg = special_linear(4, f3)
     for lam, w in [(Partition((2, 2)), w22), (Partition((2, 1, 1)), w211)]:
@@ -332,7 +332,7 @@ def test_lower_orbit_maximal_witness():
         p = 3 if n == 4 else 3
         f = field_make(p, 1)
         lam = Partition((2,) + (1,) * (n - 2))
-        w = lower_orbit_witness(lam, p, f, maximal=True)
+        w = lower_orbit_witness(lam, f, maximal=True)
         assert w.rank == expect == n * n // 4
         alg = special_linear(n, f)
         assert is_elementary(alg, w.basis)
@@ -353,11 +353,11 @@ def test_highest_root_witness_contains_corner():
 def test_lower_orbit_preconditions():
     f = field_make(3, 1)
     with pytest.raises(PreconditionError):
-        lower_orbit_witness(Partition((3, 1)), 3, f)  # subregular, not lower
+        lower_orbit_witness(Partition((3, 1)), f)  # subregular, not lower
     with pytest.raises(PreconditionError):
-        lower_orbit_witness(Partition((2, 2, 2)), 3, f)  # p < n-2 = 4
+        lower_orbit_witness(Partition((2, 2, 2)), f)  # p < n-2 = 4
     with pytest.raises(PreconditionError):
-        lower_orbit_witness(Partition((2, 2)), 3, f, maximal=True)
+        lower_orbit_witness(Partition((2, 2)), f, maximal=True)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +397,7 @@ def test_o_rmin_sln():
     for lam in partitions(n):
         if lam in inside:
             continue
-        w = lower_orbit_witness(lam, p, f)
+        w = lower_orbit_witness(lam, f)
         assert w.rank >= n > n - 1
 
 

@@ -12,16 +12,11 @@ import pytest
 
 from satrank import acceptance, frobkernel
 from satrank.fields import Mat, field_make
-from satrank.frobkernel import (
-    NilPair,
-    OneParamSubgroup,
-    _check_rows,
-    eval_one_param,
-    homomorphism_sweep,
-)
+from satrank.frobkernel import NilPair, _check_rows, eval_one_param, homomorphism_sweep
 from satrank.slnorbits import (
     Partition,
     jordan_matrix,
+    regular_powers,
     xi_basis,
     xi_bracket,
     xi_compose,
@@ -31,9 +26,9 @@ from satrank.slnorbits import (
 F5 = field_make(5, 1)
 
 
-def _subgroup(n, f):
+def _pair(n, f):
     e = jordan_matrix(Partition((n,)), f)
-    return OneParamSubgroup(pair=NilPair(e, e + (e @ e)), n=n, p=f.p)
+    return NilPair(e, e + (e @ e))
 
 
 def _corrupt(m: Mat) -> Mat:
@@ -71,7 +66,7 @@ def test_pair_counts_are_pinned():
 @pytest.mark.parametrize("n,p,k", [(3, 5, 1), (4, 5, 2), (5, 7, 1), (2, 3, 2)])
 def test_sweep_counts_every_pair(n, p, k):
     f = field_make(p, k)
-    assert homomorphism_sweep(_subgroup(n, f)) == f.q ** 2
+    assert homomorphism_sweep(_pair(n, f)) == f.q ** 2
 
 
 def _first_sweep_failure(f, table):
@@ -87,20 +82,21 @@ def _first_sweep_failure(f, table):
 @pytest.mark.parametrize("bad", [0, 1, 3, 4])
 def test_sweep_names_the_pairwise_first_failure(monkeypatch, k, bad):
     f = field_make(5, k)
-    u = _subgroup(3, f)
-    table = [eval_one_param(u, s) for s in f.elements()]
+    pair = _pair(3, f)
+    table = [eval_one_param(pair, s) for s in f.elements()]
     table[bad] = _corrupt(table[bad])
     expect = _first_sweep_failure(f, table)
     assert expect is not None
-    monkeypatch.setattr(frobkernel, "eval_one_param", lambda sub, s: table[s])
+    monkeypatch.setattr(frobkernel, "_one_param_images",
+                        lambda pair, codes: np.array([table[s].a for s in codes]))
     with pytest.raises(AssertionError, match=rf"fails at \({expect[0]}, {expect[1]}\)$"):
-        homomorphism_sweep(u)
+        homomorphism_sweep(pair)
 
 
 def test_check_rows_checks_every_row():
     f = field_make(7, 1)
-    u = _subgroup(4, f)
-    table = np.array([eval_one_param(u, s).a for s in f.elements()])
+    pair = _pair(4, f)
+    table = np.array([eval_one_param(pair, s).a for s in f.elements()])
     codes = np.arange(f.q)
     assert _check_rows(f, table, lambda s: f.varr_add(s, codes)) == f.q ** 2
     for row in range(f.q):
@@ -118,7 +114,7 @@ def test_check_rows_checks_every_row():
 @pytest.mark.parametrize("bad", range(7))
 def test_check_rows_names_the_pairwise_first_failure(bad):
     f = field_make(7, 1)
-    table = np.array([eval_one_param(_subgroup(5, f), s).a for s in f.elements()])
+    table = np.array([eval_one_param(_pair(5, f), s).a for s in f.elements()])
     table[bad] = _corrupt(Mat(f, table[bad])).a
     s, t = _first_sweep_failure(f, [Mat(f, m) for m in table])
     codes = np.arange(f.q)
@@ -127,7 +123,7 @@ def test_check_rows_names_the_pairwise_first_failure(bad):
 
 
 def _u_e_points(n, f):
-    basis = frobkernel.u_e_data(n, f).basis
+    basis = regular_powers(n, f)
     pts = []
     for coeffs in itertools.product(range(f.q), repeat=len(basis)):
         x = Mat.zeros(f, n, n)
@@ -141,7 +137,7 @@ def _u_e_points(n, f):
 def test_exp_law_names_the_pairwise_first_failure(monkeypatch, n, p, bad):
     f = field_make(p, 1)
     pts = _u_e_points(n, f)
-    exps = [frobkernel.trunc_exp(x, p) for x in pts]
+    exps = [frobkernel.trunc_exp(x) for x in pts]
     exps[bad] = _corrupt(exps[bad])
     expect = _first_failure(pts, exps)
     assert expect is not None
@@ -214,3 +210,14 @@ def test_shift_maps_count_every_pair():
     for parts in [(1,), (2, 1), (3, 3), (2, 2, 1, 1)]:
         lam = Partition(parts)
         assert acceptance._check_shift_maps(lam, F5) == len(xi_basis(lam)) ** 2
+
+
+@pytest.mark.parametrize("n,p,k", [(3, 5, 1), (4, 5, 2), (5, 7, 2), (2, 1009, 1)])
+def test_sweep_images_are_the_per_point_exponentials(n, p, k):
+    f = field_make(p, k)
+    pair = _pair(n, f)
+    table = frobkernel._one_param_images(pair, np.arange(f.q))
+    for s in (0, 1, f.q // 2, f.q - 1):
+        want = (frobkernel.trunc_exp(pair.alpha0.scale(s))
+                @ frobkernel.trunc_exp(pair.alpha1.scale(f.pow(s, p))))
+        assert table[s].tolist() == want.a.tolist()
