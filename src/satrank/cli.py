@@ -134,6 +134,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--partition", required=True)
     sp.add_argument("--maximal", action="store_true")
     sp.add_argument("--k", type=int, default=1)
+    sp.add_argument("--budget", type=int, default=None)
     _add_common(sp)
 
     sp = sub.add_parser("frob2-srk", help="saturation rank of the second Frobenius kernel")
@@ -145,6 +146,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--k", type=int, default=1)
+    sp.add_argument("--budget", type=int, default=None)
     _add_common(sp)
 
     sp = sub.add_parser("oracle-crosscheck", help="agreement of oracles with structured modules")
@@ -215,11 +217,12 @@ def _cmd_sln_witness(args):
     n = args.n
     if lam.n != n:
         raise PreconditionError(f"partition {lam.parts} does not sum to n={n}")
+    budget = _budget(args)
     field = field_make(args.p, args.k)
     if lam.parts == (n,):
         subs = [regular_witness(n, field)]
     elif lam.parts == (n - 1, 1):
-        subs = subregular_witnesses(n, field)
+        subs = subregular_witnesses(n, field, budget)
     else:
         subs = [lower_orbit_witness(lam, field, maximal=args.maximal)]
     out = [{"dim": s.rank, "basis_matrices": sl_matrices(n, field, s.basis).tolist()}
@@ -232,7 +235,13 @@ def _cmd_frob2_srk(args):
 
 
 def _cmd_frob2_verify_exp(args):
-    checked = homomorphism_sweep(srk_sln2(args.n, field_make(args.p, args.k)).pair)
+    budget = _budget(args)
+    field = field_make(args.p, args.k)
+    pair = srk_sln2(args.n, field).pair  # refuses n < 2 and p < n first
+    pairs = field.q ** 2
+    if pairs > budget:
+        raise BudgetError(f"the sweep checks {pairs} pairs, over the budget {budget}")
+    checked = homomorphism_sweep(pair)
     return {"n": args.n, "p": args.p, "k": args.k, "pairs_checked": checked, "holds": True}
 
 

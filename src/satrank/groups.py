@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -30,6 +31,7 @@ from .fields import is_prime
 Perm = tuple
 
 DEFAULT_ELEMENT_BOUND = 20000
+_GATHER_CAP = 1 << 18  # entries per block of products in the commuting test
 
 
 def perm_mul(a: Perm, b: Perm) -> Perm:
@@ -88,16 +90,20 @@ class PermGroup:
 
 def _closure(degree, gens, bound=None):
     """Subgroup generated by gens, as a frozenset; BudgetError past bound elements
-    (bound None: unbounded, caller-scale only)."""
+    (bound None: unbounded, caller-scale only).  x o g is itemgetter(*g)(x),
+    built in C; degrees 0 and 1 have only the identity, and there itemgetter
+    would not return a tuple."""
     e = tuple(range(degree))
     seen = {e}
+    if degree < 2:
+        return frozenset(seen)
     frontier = [e]
-    gens = list(gens)
+    right = [itemgetter(*g) for g in gens]
     while frontier:
         nxt = []
         for x in frontier:
-            for g in gens:
-                y = perm_mul(x, g)
+            for g in right:
+                y = g(x)
                 if y not in seen:
                     if bound is not None and len(seen) >= bound:
                         raise BudgetError(f"group closure exceeds element bound {bound}")
@@ -134,14 +140,18 @@ class ElemAbSubgroup:
 
 
 def _subgroup_from_elements(degree, p, elems):
-    """Wrap a known elementary abelian element set with a minimal generator chain."""
-    e = tuple(range(degree))
+    """Wrap a known elementary abelian element set with a minimal generator chain:
+    the greedy chain over the sorted elements, each new generator x growing the
+    span H to H | Hx | ... | Hx^(p-1)."""
     gens = []
-    have = frozenset({e})
+    have = {tuple(range(degree))}
     for x in sorted(elems):
         if x not in have:
             gens.append(x)
-            have = _closure(degree, gens)
+            times_x, coset = itemgetter(*x), list(have)
+            for _ in range(p - 1):
+                coset = list(map(times_x, coset))
+                have.update(coset)
     rank = len(gens)
     assert len(elems) == p ** rank
     return ElemAbSubgroup(rank=rank, generators=tuple(gens), elements=frozenset(elems))
@@ -162,7 +172,7 @@ def maximal_elemab(g: PermGroup, p: int) -> MaximalElemAb:
     els = g.elements()
     if p > g.degree:  # an element of order p is a product of p-cycles
         return MaximalElemAb([], [])
-    x = y = np.array(els, dtype=np.intp)
+    x = y = np.array(els, dtype=np.min_scalar_type(g.degree))  # uint8 below degree 256
     for _ in range(p - 1):
         y = np.take_along_axis(x, y, axis=1)  # x o x^k = x^(k+1)
     ident = np.arange(g.degree)
@@ -170,9 +180,12 @@ def maximal_elemab(g: PermGroup, p: int) -> MaximalElemAb:
     if not len(t):
         return MaximalElemAb([], [])
     adj = []
-    for i in range(len(t)):  # neighbours of x_i: the x_j != x_i with x_i x_j == x_j x_i
-        row = (t[i][t] == t[:, t[i]]).all(axis=1)
-        adj.append(int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") ^ 1 << i)
+    step = max(1, _GATHER_CAP // (len(t) * g.degree))
+    for lo in range(0, len(t), step):  # neighbours of x_i: the x_j != x_i with x_i x_j == x_j x_i
+        blk = t[lo:lo + step]
+        commute = (blk[:, t] == t[:, blk].swapaxes(0, 1)).all(axis=2)
+        rows = np.packbits(commute, axis=1, bitorder="little")
+        adj += [int.from_bytes(r.tobytes(), "little") ^ 1 << i for i, r in enumerate(rows, lo)]
     cliques = sorted(_maximal_cliques(adj), key=lambda c: list(_bits(c)))  # as sorted elements
     torsion = [tuple(r) for r in t.tolist()]
     index = {z: i for i, z in enumerate(torsion)}

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BudgetError, PreconditionError
 from .fields import FieldSpec, Mat, mat_is_p_nilpotent
-from .groups import PermGroup, _closure, _subgroup_from_elements, perm_mul, perm_order
+from .groups import PermGroup, perm_mul, perm_order
 from .lie import RestrictedLieAlgebra
 
 
@@ -29,9 +30,53 @@ class SearchBudget:
             raise PreconditionError("budget caps must be positive")
 
 
+def _closure(degree, gens, bound=None):
+    """Subgroup generated by gens, as a frozenset; BudgetError past bound elements
+    (bound None: unbounded, caller-scale only)."""
+    e = tuple(range(degree))
+    seen = {e}
+    frontier = [e]
+    gens = list(gens)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = perm_mul(x, g)
+                if y not in seen:
+                    if bound is not None and len(seen) >= bound:
+                        raise BudgetError(f"group closure exceeds element bound {bound}")
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return frozenset(seen)
+
+
+class OracleSubgroup(NamedTuple):
+    """An elementary abelian p-subgroup as the oracle reports it."""
+
+    rank: int
+    generators: tuple
+    elements: frozenset
+
+
+def _subgroup_from_elements(degree, p, elems):
+    """Wrap a known elementary abelian element set with a minimal generator chain."""
+    e = tuple(range(degree))
+    gens = []
+    have = frozenset({e})
+    for x in sorted(elems):
+        if x not in have:
+            gens.append(x)
+            have = _closure(degree, gens)
+    rank = len(gens)
+    assert len(elems) == p ** rank
+    return OracleSubgroup(rank=rank, generators=tuple(gens), elements=frozenset(elems))
+
+
 def all_subgroups(g: PermGroup, cap: int = 5000):
-    """Every subgroup, by joining cyclic subgroups until the lattice closes."""
-    els = g.elements()
+    """Every subgroup, by joining cyclic subgroups until the lattice closes.
+    The elements come from this module's own closure, not g.elements()."""
+    els = sorted(_closure(g.degree, g.generators, g.element_bound))
     if len(els) > cap:
         raise BudgetError(f"group order {len(els)} exceeds oracle cap {cap}")
     e = g.identity()
@@ -69,7 +114,8 @@ def oracle_maximal_elemab(g: PermGroup, p: int, cap: int = 5000):
     maximal = [h for h in elem_ab if not any(h < other for other in elem_ab)]
     if maximal == [frozenset({e})]:
         return []
-    return sorted(_subgroup_from_elements(g.degree, p, h) for h in maximal)
+    return sorted((_subgroup_from_elements(g.degree, p, h) for h in maximal),
+                  key=lambda s: sorted(s.elements))
 
 
 def _vec_add(f, u, v):

@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import BudgetError, PreconditionError
 from .fields import FieldSpec, Mat, field_make, is_prime, mat_rank
 from .lie import ElementarySubalgebra, from_matrix_basis, is_elementary, sl_coords
 
@@ -334,15 +334,24 @@ def regular_witness(n: int, field: FieldSpec) -> ElementarySubalgebra:
     return _subalgebra_from_mats(field, regular_powers(n, field))
 
 
-def subregular_witnesses(n: int, field: FieldSpec):
+def subregular_witnesses(n: int, field: FieldSpec, budget: Optional[int] = None):
     """The dimension n-1 elementary subalgebras attached to the (n-1,1) orbit.
 
     For n > 3, p >= n-1 (or n = 3, p > 2) this is the line family
     span{xi_1^(1,1), ..., xi_1^(1,n-2), a xi_1^(2,0) + b xi_2^(1,n-2)} at every
     projective point (a : b); at (n, p) = (3, 2) only the two degenerate
     members with a b = 0 survive, since the mixed square is a b xi_1^(1,n-2).
+    With a budget, BudgetError after the first member (which settles the
+    preconditions) when the (q + 1)(n - 1) n^2 matrix entries of the family
+    exceed it.
     """
-    return list(_subregular_family(n, field))
+    family = _subregular_family(n, field)
+    first = next(family)
+    entries = (field.q + 1) * (n - 1) * n * n
+    if budget is not None and entries > budget:
+        raise BudgetError(f"the subregular family has {entries} matrix entries, "
+                          f"over the budget {budget}")
+    return [first, *family]
 
 
 def _subregular_family(n: int, field: FieldSpec):

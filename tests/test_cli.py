@@ -632,3 +632,60 @@ def test_out_naming_a_directory_exits_2(capsys, monkeypatch, tmp_path, d8_file, 
     code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
     assert code == 2 and out == ""
     assert err.startswith("satrank: cannot access file: ") and str(tmp_path) in err
+
+
+@pytest.mark.parametrize("data", [
+    {"degree": 0, "generators": [[]], "p": 2},
+    {"degree": 1, "generators": [[0]], "p": 2},
+    {"degree": 0, "generators": [], "p": 3},
+], ids=["degree_0", "degree_1", "degree_0_no_generators"])
+def test_group_srk_on_the_trivial_group_of_degree_0_and_1(capsys, tmp_path, data):
+    # the closure composes with itemgetter(*g), which returns a scalar for one
+    # index and raises for none; these groups have only the identity
+    path = tmp_path / "trivial.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run_cli(capsys, "group-srk", "--file", str(path))
+    assert code == 0
+    assert json.loads(out) == {"srk": None, "quillen_dim": None, "classes": [],
+                               "equidimensional": None, "note": f"no {data['p']}-torsion"}
+
+
+def test_sln_witness_budget_bounds_the_subregular_family(capsys, monkeypatch):
+    import time
+    # q + 1 = 10000020 members of 4 matrices of 5 x 5: refused before any is built
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "sln-witness", "--n", "5", "--p", "10000019",
+                             "--partition", "4,1")
+    assert code == 3 and out == "" and "budget" in err
+    assert time.perf_counter() - start < 1
+    argv = ["sln-witness", "--n", "5", "--p", "7", "--partition", "4,1"]  # 8 * 4 * 25 entries
+    code, out, _ = run_cli(capsys, *argv, "--budget", "800")
+    assert code == 0 and len(json.loads(out)["witnesses"]) == 8
+    assert run_cli(capsys, *argv, "--budget", "799")[0] == 3
+    monkeypatch.setenv("SATRANK_BUDGET", "799")
+    assert run_cli(capsys, *argv)[0] == 3
+    assert run_cli(capsys, *argv, "--budget", "-1")[0] == 2
+    # invalid input is refused as such, whatever the budget
+    bad = ["sln-witness", "--n", "5", "--p", "3", "--partition", "4,1", "--budget", "0"]
+    code, _, err = run_cli(capsys, *bad)
+    assert code == 2 and "p >= n-1" in err
+
+
+def test_frob2_verify_exp_budget_bounds_the_sweep(capsys, monkeypatch):
+    import time
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "frob2-verify-exp", "--n", "2", "--p", "10007")
+    assert code == 3 and out == "" and "budget" in err
+    assert time.perf_counter() - start < 1
+    # within the budget the sweep runs; it takes about 10 s at q = 10007, so
+    # it is stubbed here and only the gate is tested
+    monkeypatch.setattr("satrank.cli.homomorphism_sweep", lambda pair: pair.alpha0.field.q ** 2)
+    argv = ["frob2-verify-exp", "--n", "2", "--p", "10007", "--budget"]
+    code, out, _ = run_cli(capsys, *argv, str(10007 ** 2))
+    assert code == 0 and json.loads(out)["pairs_checked"] == 10007 ** 2
+    assert run_cli(capsys, *argv, str(10007 ** 2 - 1))[0] == 3
+    monkeypatch.setenv("SATRANK_BUDGET", str(10007 ** 2 - 1))
+    assert run_cli(capsys, *argv[:-1])[0] == 3
+    assert run_cli(capsys, *argv, "-1")[0] == 2
+    code, _, err = run_cli(capsys, "frob2-verify-exp", "--n", "1", "--p", "10007")
+    assert code == 2 and "n must be >= 2" in err

@@ -4,8 +4,10 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from satrank import BudgetError, PreconditionError
+from satrank import BudgetError, PreconditionError, oracle
 from satrank.groups import (
     ElemAbSubgroup,
     PermGroup,
@@ -212,6 +214,57 @@ def test_element_bound_shares_closure():
         _closure(7, symmetric(7).generators, 100)
     assert len(_closure(4, symmetric(4).generators, 24)) == 24  # a bound of exactly |G| holds
     assert len(_closure(7, symmetric(7).generators)) == 5040   # no bound
+
+
+@st.composite
+def _generator_sets(draw):
+    """(degree, generators, bound): up to three permutations of degree 0-9,
+    each moving at most five points, and an element bound up to 3000."""
+    degree = draw(st.integers(0, 9))
+    gens = []
+    for _ in range(draw(st.integers(0, 3))):
+        moved = draw(st.lists(st.integers(0, degree - 1), unique=True, max_size=5)) if degree else []
+        g = list(range(degree))
+        for i, j in zip(moved, draw(st.permutations(moved))):
+            g[i] = j
+        gens.append(tuple(g))
+    return degree, gens, draw(st.integers(0, 3000))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_generator_sets())
+def test_closure_matches_the_oracle_closure(case):
+    degree, gens, bound = case
+
+    def close(closure, b):
+        try:
+            return closure(degree, gens, b)
+        except BudgetError:
+            return None
+
+    fast = close(_closure, bound)
+    assert fast == close(oracle._closure, bound)
+    if fast is not None:
+        assert PermGroup(degree, gens, bound).elements() == tuple(sorted(fast))
+        # both refuse one element fewer (the identity alone fits any bound)
+        tight = len(fast) - 1
+        assert (close(_closure, tight) is None) == (close(oracle._closure, tight) is None) \
+            == (len(fast) > 1)
+
+
+def test_generator_chains_match_the_oracle_chains():
+    # the greedy chain over the sorted elements, grown by cosets here and by
+    # re-closing the chain in the oracle
+    for g, p in [(elementary_abelian(3, 3), 3), (symmetric(7), 3), (symmetric(6), 2),
+                 (direct_product(dihedral_square(), dihedral_square()), 2)]:
+        subs = maximal_elemab(g, p).all_subgroups
+        for s in subs:
+            o = oracle._subgroup_from_elements(g.degree, p, s.elements)
+            assert (o.rank, o.generators, o.elements) == (s.rank, s.generators, s.elements)
+        h = g.generators[-1]
+        c = conjugate_subgroup(subs[-1], h, p)
+        o = oracle._subgroup_from_elements(g.degree, p, c.elements)
+        assert (o.rank, o.generators) == (c.rank, c.generators)
 
 
 def test_contains():

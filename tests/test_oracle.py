@@ -168,3 +168,21 @@ def test_oracle_takes_only_the_algebra_type_from_lie():
         elif isinstance(node, ast.Import):
             assert not any(a.name.endswith("lie") for a in node.names), ast.dump(node)
     assert from_lie == ["RestrictedLieAlgebra"]
+
+
+def test_oracle_takes_only_permutation_primitives_from_groups():
+    # the group oracle lists elements and generator chains with its own naive
+    # closure: from satrank.groups it may take the group type and the
+    # permutation product and order alone
+    with open(oracle.__file__) as fp:
+        tree = ast.parse(fp.read())
+    from_groups = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module in ("groups", "satrank.groups"):
+                from_groups += [a.name for a in node.names]
+            else:
+                assert "groups" not in [a.name for a in node.names], ast.dump(node)
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.endswith("groups") for a in node.names), ast.dump(node)
+    assert from_groups == ["PermGroup", "perm_mul", "perm_order"]
