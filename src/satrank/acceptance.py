@@ -14,14 +14,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .fields import field_make, mat_rank
+from .fields import Mat, field_make, mat_rank, mat_solve
 from .frobkernel import _check_rows, homomorphism_sweep, srk_height_bound, srk_sln2
 from .groups import dihedral_square, group_ranks
 from .lie import heisenberg, is_elementary, special_linear, srk_brute
 from .oracle import oracle_srk_lie
 from .slnorbits import (
     Partition,
-    _span_contains,
     dominance_leq,
     jordan_matrix,
     lower_orbit_min_p,
@@ -109,7 +108,7 @@ def criterion_4_subregular():
             assert s.rank == n - 1
             assert is_elementary(alg, s.basis)
             assert all(not any(alg.bracket(v, xj)) for v in s.basis)
-            assert _span_contains(f, s.basis, xj)
+            assert mat_solve(Mat(f, s.basis).t(), xj) is not None
         out[f"n{n}_p{p}"] = len(subs)
     return out
 
@@ -129,7 +128,7 @@ def criterion_5_lower_orbits():
             assert w.rank >= n, (n, p, lam, w.rank)
             assert is_elementary(alg, w.basis)
             xj = alg.coords_of_matrix(jordan_matrix(lam, f))
-            assert _span_contains(f, w.basis, xj)
+            assert mat_solve(Mat(f, w.basis).t(), xj) is not None
             checked += 1
         out[f"n{n}_p{p}_orbits"] = checked
     for n, expect in [(4, 4), (5, 6)]:

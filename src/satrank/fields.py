@@ -17,12 +17,13 @@ above the cap the digit-plane functions are the arithmetic, so field size has
 no limit beyond k <= 4.  Matrix products and powers, stacked or not, always
 take the digit planes (FieldSpec.matmul, FieldSpec.matpow).
 
-Matrices are numpy int64 arrays of codes wrapped in Mat.  Rank, kernel,
-determinant and solve all go through one Gaussian elimination, _rref, which
-takes a stack of matrices and row-reduces every slice; a single matrix is a
-stack of one.  _kernels reads every slice's kernel basis off its RREF, so
-callers with many small matrices (the commuting masks of satrank.lie) make
-one call for all of them.  Nothing here is sparse.
+Matrices are numpy int64 arrays of codes wrapped in Mat.  Rank, kernel and
+solve all go through one Gaussian elimination, _rref, which takes a stack of
+matrices and row-reduces every slice; a single matrix is a stack of one.
+_kernels reads every slice's kernel basis off its RREF, so callers with many
+small matrices (the commuting masks of satrank.lie) make one call for all of
+them.  The determinant comes from the single-matrix elimination
+(_rref_matrix) alone, the one place that tracks it.  Nothing here is sparse.
 """
 
 from __future__ import annotations
@@ -472,24 +473,25 @@ class Mat:
 def _rref(field, a):
     """Reduced row echelon forms of the slices of an (N, R, C) code array.
 
-    Returns (rref, pivots, det): the (N, R, C) forms, the (N, C) bool array
-    of each slice's pivot columns, and each slice's determinant when it is
-    square of full rank (the product of the pivots, negated for an odd row
-    permutation).  A stack of one takes a loop over that matrix alone, any
-    other stack one column loop over all slices; both give the unique RREF.
-    The stacked loop pays for its per-slice bookkeeping with several times
-    the numpy calls per column, which a single small matrix would feel.
+    Returns (rref, pivots): the (N, R, C) forms and the (N, C) bool array of
+    each slice's pivot columns.  A stack of one takes a loop over that
+    matrix alone, any other stack one column loop over all slices; both give
+    the unique RREF.  The stacked loop pays for its per-slice bookkeeping
+    with several times the numpy calls per column, which a single small
+    matrix would feel.
     """
     if len(a) == 1:
-        r, pivots, det = _rref_matrix(field, a[0])
+        r, pivots, _ = _rref_matrix(field, a[0])
         mask = np.zeros((1, a.shape[2]), dtype=bool)
         mask[0, pivots] = True
-        return r[None], mask, np.array([det], dtype=np.int64)
+        return r[None], mask
     return _rref_stack(field, a)
 
 
 def _rref_matrix(field, a):
-    """_rref of one matrix: (rref, pivot column list, det).
+    """_rref of one matrix: (rref, pivot column list, det), where det is the
+    determinant when the matrix is square of full rank (the product of the
+    pivots, negated for each row swap).
 
     Rows are swapped into place, and each pivot column is cleared by one
     rank-1 update of the whole array.
@@ -534,7 +536,6 @@ def _rref_stack(field, a):
     at = np.arange(n)
     free = np.ones((n, rows), dtype=bool)  # rows not yet holding a pivot
     pivots = np.zeros((n, cols), dtype=bool)
-    det = np.full(n, field.one, dtype=np.int64)
     for c in range(cols):
         col = a[:, :, c]
         cand = (col != 0) & free
@@ -543,7 +544,6 @@ def _rref_stack(field, a):
             continue
         piv = cand.argmax(axis=1)
         lead = col[at, piv]
-        det = field.varr_mul(det, np.where(has, lead, field.one))
         # a free row is zero left of c, so only columns c: change
         row = field.varr_mul((field.varr_inv(lead) * has)[:, None], a[at, piv, c:])
         a[:, :, c:] = field.varr_add(
@@ -554,13 +554,11 @@ def _rref_stack(field, a):
         if not free.any():
             break
     if not pivots.any():
-        return a, pivots, det
+        return a, pivots
     # a pivot row's first nonzero entry is its pivot
     key = np.where(free, cols + np.arange(rows), (a != 0).argmax(axis=2))
     order = np.argsort(key, axis=1, kind="stable")
-    odd = np.triu(order[:, :, None] > order[:, None, :], 1).sum(axis=(1, 2)) % 2 == 1
-    return (np.take_along_axis(a, order[:, :, None], axis=1), pivots,
-            np.where(odd, field.varr_neg(det), det))
+    return np.take_along_axis(a, order[:, :, None], axis=1), pivots
 
 
 def _kernels(field, a):
@@ -573,7 +571,7 @@ def _kernels(field, a):
     its free columns, so vectors[s][free[s]] is slice s's kernel basis in
     free column order.
     """
-    r, pivots, _ = _rref(field, a)
+    r, pivots = _rref(field, a)
     n, _, cols = r.shape
     s, c = np.nonzero(pivots)
     m = np.zeros((n, cols, cols), dtype=np.int64)
@@ -583,7 +581,7 @@ def _kernels(field, a):
 
 
 def mat_rank(m: Mat) -> int:
-    _, pivots, _ = _rref(m.field, m.a[None])
+    _, pivots = _rref(m.field, m.a[None])
     return int(pivots.sum())
 
 
@@ -597,8 +595,8 @@ def mat_det(m: Mat) -> int:
     """Determinant by Gaussian elimination over the field."""
     if m.rows != m.cols:
         raise PreconditionError("determinant needs a square matrix")
-    _, pivots, det = _rref(m.field, m.a[None])
-    return int(det[0]) if pivots.all() else 0
+    _, pivots, det = _rref_matrix(m.field, m.a)
+    return int(det) if len(pivots) == m.rows else 0
 
 
 def mat_is_p_nilpotent(m: Mat, p: int) -> bool:
@@ -611,7 +609,7 @@ def mat_is_p_nilpotent(m: Mat, p: int) -> bool:
 def mat_solve(m: Mat, rhs):
     """One solution x of m @ x = rhs as a tuple, or None if inconsistent."""
     aug = np.concatenate([m.a, np.array(rhs, dtype=np.int64).reshape(-1, 1)], axis=1)
-    r, pivots, _ = _rref(m.field, aug[None])
+    r, pivots = _rref(m.field, aug[None])
     if pivots[0, m.cols]:
         return None
     x = np.zeros(m.cols, dtype=np.int64)

@@ -55,7 +55,6 @@ import itertools
 import json
 import math
 import operator
-import random
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -63,7 +62,7 @@ import numpy as np
 
 from .cliques import _bits, _maximal_cliques
 from .errors import BudgetError, PreconditionError, expect
-from .fields import FieldSpec, Mat, _kernels, _rref
+from .fields import FieldSpec, Mat, _kernels, _rref, field_make, mat_kernel_basis
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -257,22 +256,30 @@ class RestrictedLieAlgebra:
 class _CoordSolver:
     """Precomputed elimination expressing matrices in a fixed matrix basis.
 
-    Row-reducing [B | I], with the raveled basis matrices as the columns of B,
-    gives E with E @ vec(m) = (coordinates of m, residual); m lies in the span
-    exactly when the residual is zero.
+    Row-reducing [B | I_d], with the d raveled basis matrices (N entries
+    each) as the rows of B, gives R = E . B in RREF with pivot columns P and
+    R[:, P] = I.  A raveled matrix m lies in the span exactly when
+    m = m[P] . R, and then its coordinates are m[P] . E; the residual
+    m - m[P] . R is zero on P, so only its other columns are kept.  One
+    N x N solve matrix holds both: coordinates in its first d columns, the
+    residual after them.  The elimination takes d pivot steps, not N.
     """
 
     def __init__(self, field, basis_mats):
         self.field = field
         self.mats = list(basis_mats)
-        self.dim = len(self.mats)
+        self.dim = d = len(self.mats)
         self.model = np.stack([m.a for m in self.mats])
-        b = self.model.reshape(self.dim, -1).T  # n2 x dim
-        aug = np.concatenate([b, np.eye(b.shape[0], dtype=np.int64)], axis=1)
-        r, pivots, _ = _rref(field, aug[None])
-        if not pivots[0, : self.dim].all():
+        b = self.model.reshape(d, -1)
+        n = b.shape[1]
+        r, pivots = _rref(field, np.concatenate([b, np.eye(d, dtype=np.int64)], axis=1)[None])
+        if pivots[0, :n].sum() != d:
             raise PreconditionError("matrix model basis is linearly dependent")
-        self._e_t = r[0, :, self.dim:].T
+        pcs, rest = np.flatnonzero(pivots[0, :n]), np.flatnonzero(~pivots[0, :n])
+        self._e_t = np.zeros((n, n), dtype=np.int64)
+        self._e_t[pcs, :d] = r[0, :, n:]
+        self._e_t[pcs, d:] = field.varr_neg(r[0][:, rest])
+        self._e_t[rest, np.arange(d, n)] = field.one
 
     def solve_rows(self, flat):
         """(coordinates, inside span) for raveled matrices, one per row of flat."""
@@ -391,8 +398,7 @@ def nullcone(g: RestrictedLieAlgebra, budget: int = DEFAULT_BUDGET):
     """All x with x^[p] = 0, in lexicographic coordinate order (zero first)."""
     total = g.element_count()
     if total > budget:
-        raise BudgetError(
-            f"nullcone needs {total} points > budget {budget}; use srk_sampled for a non-certified bound")
+        raise BudgetError(f"nullcone needs {total} points > budget {budget}")
     _, vecs = _nilpotent_span(g, np.eye(g.dim, dtype=np.int64))
     # _CHUNK rows at a time: no list-of-lists copy of the whole array
     return [t for s in range(0, len(vecs), _CHUNK) for t in map(tuple, vecs[s:s + _CHUNK].tolist())]
@@ -467,7 +473,6 @@ def _combinations(f, codes, basis):
 
 def centralizer(g: RestrictedLieAlgebra, x: Vec):
     """Basis of ker(ad x) as coordinate tuples."""
-    from .fields import mat_kernel_basis
     return mat_kernel_basis(Mat(g.field, g.ad(x)))
 
 
@@ -557,17 +562,13 @@ def _verified(g: RestrictedLieAlgebra, a):
 def _has_central_class(g: RestrictedLieAlgebra, classes):
     """Whether some row of classes lies in the centre of g.
 
-    The centre is the null space of x -> ad(x); a row lies in it when its
-    products with a basis of the centre's annihilator all vanish.
+    x is central when x . A = 0 for the bracket table A, whose row i is
+    ad(b_i) raveled.  The pivot columns of A's RREF pick columns of A that
+    span all of them, so x . A = 0 exactly when x is zero on those columns.
     """
-    from .fields import mat_kernel_basis
-    f = g.field
-    centre = mat_kernel_basis(Mat(f, g._adb.reshape(g.dim, -1).T))
-    if not centre:
-        return False
-    annihilator = np.array(mat_kernel_basis(Mat(f, np.array(centre, dtype=np.int64))),
-                           dtype=np.int64).reshape(-1, g.dim)
-    return bool((~f.matmul(classes, annihilator.T).any(axis=1)).any())
+    a = g._adb.reshape(g.dim, -1)
+    _, pivots = _rref(g.field, a[None])
+    return bool((~g.field.matmul(classes, a[:, pivots[0]]).any(axis=1)).any())
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +739,7 @@ class _TupleSearch:
             members = np.array([list(itertools.islice(_bits(c), head))
                                 for c in through[start:start + step]], dtype=np.int64)
             cols = np.concatenate([np.full((len(members), 1), xi), members], axis=1)
-            _, pivots, _ = _rref(self.f, np.swapaxes(self.coords[cols], 1, 2))
+            _, pivots = _rref(self.f, np.swapaxes(self.coords[cols], 1, 2))
             # column 0 is a pivot of every slice, and r - 1 columns follow it
             picks = np.nonzero(pivots[:, 1:])[1].reshape(len(members), r - 1)
             least = min(np.take_along_axis(members, picks, axis=1).tolist())
@@ -834,38 +835,6 @@ def srk_brute(g: RestrictedLieAlgebra, budget: int = DEFAULT_BUDGET) -> SrkBrute
                     witness=witness, note="")
 
 
-class SampledBound(NamedTuple):
-    srk_upper_bound: int
-    certified: bool
-    samples: int
-
-
-def srk_sampled(g: RestrictedLieAlgebra, samples: int = 32, seed: int = 0,
-                budget: int = DEFAULT_BUDGET) -> SampledBound:
-    """Non-certified bound: min of exact local ranks over sampled nullcone points.
-
-    Each sampled local rank is >= srk(g), so the reported minimum is an upper
-    bound for the saturation rank, not a certificate.
-    """
-    rng = random.Random(seed)
-    f = g.field
-    best = None
-    found = 0
-    attempts = 0
-    while found < samples and attempts < 1000 * samples:
-        attempts += 1
-        x = tuple(rng.randrange(f.q) for _ in range(g.dim))
-        if not any(x) or any(g.pmap_eval(x)):
-            continue
-        found += 1
-        r = local_rank(g, x, budget=budget).rank
-        if best is None or r < best:
-            best = r
-    if best is None:
-        raise PreconditionError("no nonzero nullcone point found by sampling")
-    return SampledBound(srk_upper_bound=best, certified=False, samples=found)
-
-
 # ---------------------------------------------------------------------------
 # JSON interface
 # ---------------------------------------------------------------------------
@@ -897,7 +866,6 @@ def load_lie(data, budget: Optional[int] = None) -> RestrictedLieAlgebra:
         dim = expect(data["dim"], int, "dim")
         if dim < 1:
             raise PreconditionError(f"dim must be >= 1, got {dim}")
-        from .fields import field_make
         field = field_make(p, k)
         if budget is not None and (dim >= budget.bit_length() or field.q ** dim > budget):
             raise BudgetError(f"the algebra has {field.q}**{dim} elements > budget {budget}")

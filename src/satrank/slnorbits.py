@@ -30,7 +30,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import BudgetError, PreconditionError
-from .fields import FieldSpec, Mat, field_make, is_prime, mat_rank
+from .fields import FieldSpec, Mat, field_make, is_prime, mat_rank, mat_solve
 from .lie import ElementarySubalgebra, from_matrix_basis, is_elementary, sl_coords
 
 
@@ -316,14 +316,6 @@ def centralizer_sl_basis(lam: Partition, field: FieldSpec) -> CentralizerBasis:
 # witnesses
 # ---------------------------------------------------------------------------
 
-def _span_contains(field, basis, x) -> bool:
-    """Whether the coordinate vector x lies in the span of the vectors basis."""
-    rows = [list(v) for v in basis]
-    r0 = mat_rank(Mat(field, np.array(rows, dtype=np.int64)))
-    r1 = mat_rank(Mat(field, np.array(rows + [list(x)], dtype=np.int64)))
-    return r0 == r1
-
-
 def _subalgebra_from_mats(field, mats) -> ElementarySubalgebra:
     basis = tuple(map(tuple, sl_coords(field, [m.a for m in mats]).tolist()))
     return ElementarySubalgebra(basis=basis)
@@ -545,7 +537,7 @@ def srk_sln(n: int, p: int) -> SlnSrk:
     span = from_matrix_basis(field, mats)
     rows = sl_coords(field, [m.a for m in mats + [jordan_matrix(top, field)]])
     if not (is_elementary(span, np.eye(span.dim, dtype=np.int64))
-            and _span_contains(field, rows[:-1], rows[-1])):
+            and mat_solve(Mat(field, rows[:-1]).t(), rows[-1]) is not None):
         raise PreconditionError(f"witness construction failed for top partition {top} at p={p}")
     return SlnSrk(value=span.dim, exact=False, note="derived-not-paper")
 

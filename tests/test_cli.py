@@ -105,6 +105,8 @@ _SLN_SRK_PINS = {
     (6, 3): "403a1fff38c6d1424896893b836d62c18eaeeedef6cf67cda39768d04c027ff4",
     (8, 3): "66ed3ad3f47f349f2e434130fe1da034620cfed82bcb4d2c8626424c6cc84f28",
     (9, 3): "6e68170405a14a2ddd291c7807ecf6c12bc61c560ed06309b1f47791d8e4e6b1",
+    # the p < n - 2 witness check with d = 20 basis matrices of 400 entries
+    (20, 3): "52435f031f131fe9d6c41f12be2ac5f1cb7c90bc777ec7dfbd154d50249b0c77",
 }
 # (n, partition, k) at p = 5: the digests without and with --maximal, None
 # where --maximal exits 2

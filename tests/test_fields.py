@@ -417,15 +417,13 @@ def test_stacked_elimination_matches_each_slice_alone(p, k, rows, cols):
     f = field_make(p, k)
     rng = np.random.default_rng(100 * p + 10 * rows + cols)
     a = _stack_of_every_rank(f, rng, rows, cols)
-    r, pivots, det = _rref(f, a)
+    r, pivots = _rref(f, a)
     vectors, free = _kernels(f, a)
     ranks = pivots.sum(axis=1)
     assert set(ranks.tolist()) == set(range(min(rows, cols) + 1))
     for s in range(len(a)):
         alone = _rref(f, a[s:s + 1])
         assert (r[s] == alone[0][0]).all() and (pivots[s] == alone[1][0]).all()
-        if rows == cols and ranks[s] == rows:
-            assert det[s] == alone[2][0]
         basis = vectors[s][free[s]]
         assert ranks[s] + len(basis) == cols
         assert not f.matmul(a[s], basis.T).any()

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satrank import BudgetError, PreconditionError, lie
-from satrank.fields import Mat, field_make, mat_rank, mat_solve
+from satrank.fields import Mat, _rref, field_make, mat_rank, mat_solve
 from satrank.lie import (
     RestrictedLieAlgebra,
     abelian_p_trivial,
@@ -26,7 +26,6 @@ from satrank.lie import (
     sl_matrices,
     special_linear,
     srk_brute,
-    srk_sampled,
     toral,
 )
 
@@ -100,6 +99,56 @@ def test_matrix_model_solved_once(monkeypatch):
     g = special_linear.__wrapped__(3, F5)
     assert len(made) == 1 and len(calls) == 9
     assert g.coords_of_matrix(g.matrix_of(g.basis_vec(2))) == g.basis_vec(2)
+
+
+def _reference_solve(field, mats, flat):
+    """(coordinates, inside span) of the raveled matrices flat by row-reducing
+    the N x (d + N) matrix [B^T | I_N], whose first d columns are the d
+    raveled basis matrices: the first d rows of the identity block give the
+    coordinates, the other rows the residual."""
+    b = np.stack([m.a for m in mats]).reshape(len(mats), -1).T
+    n, d = b.shape
+    r, pivots = _rref(field, np.concatenate([b, np.eye(n, dtype=np.int64)], axis=1)[None])
+    assert pivots[0, :d].all()
+    t = field.matmul(flat, r[0, :, d:].T)
+    return t[:, :d], ~t[:, d:].any(axis=1)
+
+
+def _random_basis(field, rng, d, m):
+    """d independent random m x m matrices."""
+    while True:
+        a = rng.integers(0, field.q, size=(d, m * m))
+        if mat_rank(Mat(field, a)) == d:
+            return [Mat(field, row.reshape(m, m)) for row in a]
+
+
+@pytest.mark.parametrize("field", [F5, field_make(3, 2)], ids=["F5", "F9"])
+@pytest.mark.parametrize("shape", ["5_of_6x6", "sl3"])
+def test_coord_solver_matches_full_elimination(field, shape):
+    # d much smaller than N (5 matrices in a space of 36) and d = N - 1 (sl_3)
+    rng = np.random.default_rng(7 * field.q)
+    mats = (_random_basis(field, rng, 5, 6) if shape == "5_of_6x6"
+            else special_linear(3, field).matrix_model)
+    solver = lie._CoordSolver(field, mats)
+    d, n = len(mats), mats[0].a.size
+    c = rng.integers(0, field.q, size=(40, d))
+    inside_rows = field.matmul(c, solver.model.reshape(d, -1))
+    flat = np.concatenate([inside_rows, rng.integers(0, field.q, size=(40, n))])
+    coords, inside = solver.solve_rows(flat)
+    ref_coords, ref_inside = _reference_solve(field, mats, flat)
+    assert (inside == ref_inside).all()
+    assert inside[:40].all() and not inside[40:].all()
+    assert (coords[inside] == ref_coords[inside]).all()
+    assert (coords[:40] == c).all()
+    assert solver.solve(Mat(field, flat[0].reshape(mats[0].a.shape))) == tuple(c[0].tolist())
+
+
+@pytest.mark.parametrize("field", [F5, field_make(3, 2)], ids=["F5", "F9"])
+def test_coord_solver_rejects_a_dependent_basis(field):
+    mats = _random_basis(field, np.random.default_rng(field.q), 4, 3)
+    for extra in (mats[0] + mats[1].scale(2), Mat.zeros(field, 3, 3), mats[2]):
+        with pytest.raises(PreconditionError):
+            lie._CoordSolver(field, mats + [extra])
 
 
 @pytest.mark.parametrize("field", [F5, field_make(3, 2)], ids=["F5", "F9"])
@@ -843,6 +892,43 @@ def test_centre_without_nilpotents_keeps_the_search():
     assert len(lie._automorphisms(g, _classes(g))) == 4
 
 
+def _direct_sum(a, b):
+    """a + b as one algebra: a's basis first, then b's, with [a, b] = 0."""
+    n, dim = a.dim, a.dim + b.dim
+    brackets = {}
+    for g, off in ((a, 0), (b, n)):
+        for i, j in np.argwhere(g._adb.any(axis=1)).tolist():
+            brackets[(off + i, off + j)] = {off + k: int(c) for k, c in enumerate(g._adb[i][:, j]) if c}
+    pmap = ([tuple(row) + (0,) * b.dim for row in a.pmap]
+            + [(0,) * n + tuple(row) for row in b.pmap])
+    assert len(pmap) == dim
+    return RestrictedLieAlgebra(a.field, brackets, pmap, validate="full")
+
+
+_CENTRE_CASES = {
+    "h3_F5": lambda: heisenberg(1, F5),
+    "abelian3_F3": lambda: abelian_p_trivial(3, F3),
+    "sl3_F3": lambda: special_linear(3, F3),
+    "h3_plus_sl2_F5": lambda: _direct_sum(heisenberg(1, F5), special_linear(2, F5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CENTRE_CASES))
+def test_has_central_class_matches_ad_per_class(name):
+    g = _CENTRE_CASES[name]()
+    rng = np.random.default_rng(len(name))
+    classes = _classes(g)
+    rows = np.concatenate([classes[rng.choice(len(classes), min(len(classes), 24), replace=False)],
+                           np.eye(g.dim, dtype=np.int64),
+                           rng.integers(0, g.field.q, size=(24, g.dim))])
+    if name == "sl3_F3":  # the identity matrix: central, not p-nilpotent
+        rows = np.concatenate([rows, [g.coords_of_matrix(Mat.identity(F3, 3))]])
+    central = [not g.ad(x).any() for x in rows]
+    assert [lie._has_central_class(g, x[None]) for x in rows] == central
+    assert any(central) and all(central) == (name == "abelian3_F3")
+    assert lie._has_central_class(g, classes) == any(not g.ad(x).any() for x in classes)
+
+
 @pytest.mark.parametrize("x", [(0, 0, 1), (1, 0, 1)])
 def test_local_rank_same_class_for_every_scalar(x):
     # z and x_1 + z of h_3/F_9: every c x, c in F_9^x, is found as the class
@@ -1048,13 +1134,6 @@ def test_is_elementary_on_heisenberg_pairs():
     h = heisenberg(1, F3)
     assert is_elementary(h, [h.basis_vec(0), h.basis_vec(2)])
     assert not is_elementary(h, [h.basis_vec(0), h.basis_vec(1)])  # [x,y] = z
-
-
-def test_srk_sampled_is_upper_bound():
-    g = heisenberg(1, F3)
-    res = srk_sampled(g, samples=8, seed=3)
-    assert not res.certified
-    assert res.srk_upper_bound >= srk_brute(g).srk
 
 
 # ---------------------------------------------------------------------------
