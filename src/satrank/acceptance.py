@@ -14,10 +14,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .fields import Mat, field_make, mat_rank, mat_solve
+from .fields import Mat, field_make, is_prime, mat_rank, mat_solve
 from .frobkernel import _check_rows, homomorphism_sweep, srk_height_bound, srk_sln2
 from .groups import dihedral_square, group_ranks
-from .lie import heisenberg, is_elementary, special_linear, srk_brute
+from .lie import abelian_p_trivial, heisenberg, is_elementary, special_linear, srk_brute, toral
 from .oracle import oracle_srk_lie
 from .slnorbits import (
     Partition,
@@ -38,7 +38,6 @@ from .slnorbits import (
 
 
 def _smallest_prime_geq(n):
-    from .fields import is_prime
     p = max(2, n)
     while not is_prime(p):
         p += 1
@@ -273,14 +272,13 @@ def criterion_9_property_suites():
             exp_pairs += _check_exp_law(n, field_make(p, 1))
     # restrictedness (full validation) on every constructed algebra family
     f3 = field_make(3, 1)
-    from .lie import abelian_p_trivial, toral
     validated = 0
     for alg in (heisenberg(1, f3), heisenberg(2, f3), heisenberg(1, f5),
                 special_linear(2, f3), special_linear(2, f5),
                 special_linear(3, f3), special_linear(3, f5),
                 abelian_p_trivial(3, f3), toral(2, f3),
                 special_linear(2, field_make(3, 2))):
-        alg.validate("full")
+        alg.validate()
         validated += 1
     return {"dominance_pairs": pairs, "hom_pairs": hom_pairs,
             "exp_pairs": exp_pairs, "algebras_validated": validated}

@@ -18,17 +18,21 @@ import os
 import sys
 
 from .errors import BudgetError, PreconditionError
-from .fields import field_make
+from .fields import field_make, mat_is_p_nilpotent
 from .frobkernel import frob2_report, homomorphism_sweep, srk_sln2
-from .groups import group_report, load_group, maximal_elemab
-from .lie import DEFAULT_BUDGET, lie_report, load_lie, nullcone, sl_matrices
-from .oracle import oracle_commuting_pairs, oracle_maximal_elemab, oracle_srk_lie
+from .groups import (dihedral_square, elementary_abelian, group_report, load_group,
+                     maximal_elemab, quaternion8, symmetric)
+from .lie import (DEFAULT_BUDGET, heisenberg, lie_report, load_lie, nullcone, sl_matrices,
+                  special_linear, srk_brute)
+from .oracle import SearchBudget, oracle_commuting_pairs, oracle_maximal_elemab, oracle_srk_lie
 from .slnorbits import (
+    OrbitClass,
     Partition,
     centralizer_sl_basis,
     lower_orbit_witness,
     regular_witness,
     sln_report,
+    srk_sln,
     subregular_witnesses,
 )
 
@@ -178,14 +182,13 @@ def _cmd_lie_nullcone(args):
     pts = nullcone(g, budget=budget)
     report = {"dim": g.dim, "q": g.field.q, "count": len(pts)}
     if len(pts) <= args.list_limit:
-        report["points"] = [[list(g.field.coeffs(c)) for c in v] for v in pts]
+        report["points"] = [[list(g.field.coeffs(c)) for c in v] for v in pts.tolist()]
     else:
         report["points_omitted"] = True
     return report
 
 
 def _cmd_sln_srk(args):
-    from .slnorbits import srk_sln
     res = srk_sln(args.n, args.p)
     report = {"n": args.n, "p": args.p, "srk": res.value, "exact": res.exact}
     if res.note:
@@ -219,9 +222,10 @@ def _cmd_sln_witness(args):
         raise PreconditionError(f"partition {lam.parts} does not sum to n={n}")
     budget = _budget(args)
     field = field_make(args.p, args.k)
-    if lam.parts == (n,):
+    kind = OrbitClass.of(lam, args.p).kind
+    if kind == "regular":
         subs = [regular_witness(n, field)]
-    elif lam.parts == (n - 1, 1):
+    elif kind == "subregular":
         subs = subregular_witnesses(n, field, budget)
     else:
         subs = [lower_orbit_witness(lam, field, maximal=args.maximal)]
@@ -246,8 +250,6 @@ def _cmd_frob2_verify_exp(args):
 
 
 def _cmd_oracle_crosscheck(args):
-    from .groups import dihedral_square, elementary_abelian, quaternion8, symmetric
-    from .lie import heisenberg, special_linear, srk_brute
     checks = []
 
     def record(name, ok, **info):
@@ -270,8 +272,6 @@ def _cmd_oracle_crosscheck(args):
         record(f"lie_{lname}", a == b, oracle=a, structured=b)
     pairs = oracle_commuting_pairs(2, f3)
     record("commuting_pairs_sl2_F3", pairs.count == 33, count=pairs.count)
-    from .fields import mat_is_p_nilpotent
-    from .oracle import SearchBudget
     sampled = oracle_commuting_pairs(3, f5, budget=SearchBudget(deterministic_seed=args.seed))
     ok = bool(sampled.samples) and all(
         x.trace() == 0 and y.trace() == 0

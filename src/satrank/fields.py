@@ -244,9 +244,6 @@ class FieldSpec:
             return int(self._neg_t[a])
         return self._negative(a)
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a * b) % self.p
@@ -267,9 +264,6 @@ class FieldSpec:
         if e < 0:
             return self.pow(self.inv(a), -e)
         return _power(a, e, self.mul, self.one)
-
-    def frob(self, a: int) -> int:
-        return self.pow(a, self.p)
 
     def coeffs(self, a: int):
         """Little-endian coefficient tuple of a code."""

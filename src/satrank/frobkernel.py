@@ -116,10 +116,6 @@ def srk_sln2(n: int, field: FieldSpec) -> Sln2Result:
     return Sln2Result(value=2 * (n - 1), pair=pair, datum=datum)
 
 
-def conjugate_pair(pair: NilPair, g: Mat, ginv: Mat) -> NilPair:
-    return NilPair(alpha0=g @ pair.alpha0 @ ginv, alpha1=g @ pair.alpha1 @ ginv)
-
-
 def _check_rows(field: FieldSpec, table, row_sums) -> int:
     """Check table[x_i + x_j] = table[i] @ table[j] for every pair; returns the pair count.
 

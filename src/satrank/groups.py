@@ -68,7 +68,7 @@ class PermGroup:
         self.degree = int(degree)
         self.generators = [_check_perm(g, self.degree) for g in generators]
         self.element_bound = element_bound
-        self._elements = self._members = None
+        self._elements = None
 
     def identity(self) -> Perm:
         return tuple(range(self.degree))
@@ -76,16 +76,9 @@ class PermGroup:
     def elements(self):
         """Sorted tuple of all elements (BFS closure, deterministic)."""
         if self._elements is None:
-            self._members = _closure(self.degree, self.generators, self.element_bound)
-            self._elements = tuple(sorted(self._members))
+            members = _closure(self.degree, self.generators, self.element_bound)
+            self._elements = tuple(sorted(members))
         return self._elements
-
-    def order(self) -> int:
-        return len(self.elements())
-
-    def __contains__(self, perm):
-        self.elements()
-        return tuple(perm) in self._members
 
 
 def _closure(degree, gens, bound=None):
@@ -208,12 +201,6 @@ def maximal_elemab(g: PermGroup, p: int) -> MaximalElemAb:
     return MaximalElemAb([subs[c] for c in reps], [subs[c] for c in cliques])
 
 
-def conjugate_subgroup(sub: ElemAbSubgroup, h: Perm, p: int) -> ElemAbSubgroup:
-    hinv = perm_inv(h)
-    elems = frozenset(perm_mul(perm_mul(h, x), hinv) for x in sub.elements)
-    return _subgroup_from_elements(len(h), p, elems)
-
-
 class GroupRanks(NamedTuple):
     srk: int
     quillen_dim: int
@@ -222,31 +209,15 @@ class GroupRanks(NamedTuple):
 
 
 def group_ranks(g: PermGroup, p: int):
-    """GroupRanks from one maximal_elemab call, or None if G has no element of order p."""
+    """GroupRanks from one maximal_elemab call, or None if G has no element of order p.
+
+    srk is the minimal rank of a maximal elementary abelian p-subgroup,
+    quillen_dim the maximal one (the support variety dimension), and
+    equidimensional whether they agree.
+    """
     res = maximal_elemab(g, p)
     ranks = {s.rank for s in res.all_subgroups}
     return GroupRanks(min(ranks), max(ranks), len(ranks) == 1, res) if ranks else None
-
-
-def _ranks_or_raise(g: PermGroup, p: int) -> GroupRanks:
-    ranks = group_ranks(g, p)
-    if ranks is None:
-        raise PreconditionError(f"no element of order {p}: rank undefined at this prime")
-    return ranks
-
-
-def srk_group(g: PermGroup, p: int) -> int:
-    """Minimal rank of a maximal elementary abelian p-subgroup."""
-    return _ranks_or_raise(g, p).srk
-
-
-def quillen_dim(g: PermGroup, p: int) -> int:
-    """Maximal rank of an elementary abelian p-subgroup (support variety dimension)."""
-    return _ranks_or_raise(g, p).quillen_dim
-
-
-def is_equidimensional(g: PermGroup, p: int) -> bool:
-    return _ranks_or_raise(g, p).equidimensional
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 An algebra of dimension n over F_q keeps, per basis pair, the bracket
 coordinates [b_i, b_j] and, per basis vector, the p-map image b_i^[p]; an
 optional matrix model realizes the basis inside gl_m and must agree with both
-tables.  Elements are coordinate tuples of field codes.
+tables.  Elements are coordinate tuples of field codes; point sets, such as
+the nullcone and srk_brute's o_rmin, are int64 arrays with one coordinate
+row per point.
 
 x^[p] is evaluated for a whole array of elements at once.  Matrix models take
 the batched p-th matrix power and solve back to coordinates; otherwise
@@ -75,10 +77,12 @@ class RestrictedLieAlgebra:
     brackets maps (i, j) to {k: c} with [b_i, b_j] = sum_k c b_k; pmap lists
     the coordinates of b_i^[p].  Coefficients are field codes (use
     field.neg/from_int rather than raw negative ints over extension fields).
+    validate="full" runs validate(); "none" skips it, for tables that are
+    right by construction.
     """
 
     def __init__(self, field: FieldSpec, brackets, pmap, labels=None,
-                 matrix_model=None, validate="auto"):
+                 matrix_model=None, validate="full"):
         self.field = field
         self.dim = len(pmap)
         self.labels = list(labels) if labels else [f"b{i}" for i in range(self.dim)]
@@ -96,10 +100,10 @@ class RestrictedLieAlgebra:
             if len(matrix_model) != self.dim:
                 raise PreconditionError("matrix model must have one matrix per basis vector")
             self._set_model(_CoordSolver(field, matrix_model))
-        if validate == "auto":
-            validate = "model" if self.matrix_model else "full"
-        if validate != "none":
-            self.validate(validate)
+        if validate == "full":
+            self.validate()
+        elif validate != "none":
+            raise PreconditionError(f"validate must be 'full' or 'none', got {validate!r}")
 
     def _set_model(self, solver):
         self.matrix_model = solver.mats
@@ -188,10 +192,10 @@ class RestrictedLieAlgebra:
 
     # -- validation ------------------------------------------------------------
 
-    def validate(self, level="full"):
+    def validate(self):
+        """Antisymmetry, then the matrix model against the tables (when there
+        is one), then the Jacobi identity and restrictedness."""
         f = self.field
-        if level == "model" and not self.matrix_model:
-            level = "full"
         # antisymmetry on the stored table: [b_i, b_j] = -[b_j, b_i], [b_i, b_i] = 0
         for i in range(self.dim):
             # column j of _adb[i] is [b_i, b_j], row j of _adb[:, :, i] is [b_j, b_i]
@@ -203,9 +207,8 @@ class RestrictedLieAlgebra:
                 raise PreconditionError(f"[b_{i}, b_{i}] != 0")
         if self.matrix_model:
             self._validate_model()
-        if level == "full":
-            self._validate_jacobi()
-            self._validate_restricted()
+        self._validate_jacobi()
+        self._validate_restricted()
 
     def _validate_jacobi(self):
         # given antisymmetry, the Jacobi identity on all basis triples says
@@ -260,9 +263,10 @@ class _CoordSolver:
     each) as the rows of B, gives R = E . B in RREF with pivot columns P and
     R[:, P] = I.  A raveled matrix m lies in the span exactly when
     m = m[P] . R, and then its coordinates are m[P] . E; the residual
-    m - m[P] . R is zero on P, so only its other columns are kept.  One
-    N x N solve matrix holds both: coordinates in its first d columns, the
-    residual after them.  The elimination takes d pivot steps, not N.
+    m - m[P] . R is zero on P, so only its other columns are checked.  One
+    d x N matrix [E | -R[:, rest]] gives both from the d entries m[P]:
+    coordinates in its first d columns, the residual less m[rest] after
+    them.  The elimination takes d pivot steps, not N.
     """
 
     def __init__(self, field, basis_mats):
@@ -275,16 +279,15 @@ class _CoordSolver:
         r, pivots = _rref(field, np.concatenate([b, np.eye(d, dtype=np.int64)], axis=1)[None])
         if pivots[0, :n].sum() != d:
             raise PreconditionError("matrix model basis is linearly dependent")
-        pcs, rest = np.flatnonzero(pivots[0, :n]), np.flatnonzero(~pivots[0, :n])
-        self._e_t = np.zeros((n, n), dtype=np.int64)
-        self._e_t[pcs, :d] = r[0, :, n:]
-        self._e_t[pcs, d:] = field.varr_neg(r[0][:, rest])
-        self._e_t[rest, np.arange(d, n)] = field.one
+        self._pcs, self._rest = np.flatnonzero(pivots[0, :n]), np.flatnonzero(~pivots[0, :n])
+        self._e_t = np.concatenate([r[0, :, n:], field.varr_neg(r[0][:, self._rest])], axis=1)
 
     def solve_rows(self, flat):
         """(coordinates, inside span) for raveled matrices, one per row of flat."""
-        t = self.field.matmul(flat, self._e_t)
-        return t[..., : self.dim], ~t[..., self.dim:].any(axis=-1)
+        f = self.field
+        t = f.matmul(flat[..., self._pcs], self._e_t)
+        residual = f.varr_add(t[..., self.dim:], flat[..., self._rest])
+        return t[..., : self.dim], ~residual.any(axis=-1)
 
     def solve(self, m: Mat) -> Optional[Vec]:
         coords, inside = self.solve_rows(m.a.ravel())
@@ -394,14 +397,13 @@ def special_linear(n: int, field: FieldSpec) -> RestrictedLieAlgebra:
 # nullcone, centralizers, elementary subalgebras
 # ---------------------------------------------------------------------------
 
-def nullcone(g: RestrictedLieAlgebra, budget: int = DEFAULT_BUDGET):
-    """All x with x^[p] = 0, in lexicographic coordinate order (zero first)."""
+def nullcone(g: RestrictedLieAlgebra, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    """All x with x^[p] = 0: an (N, dim) int64 array of coordinate rows in
+    lexicographic order, zero first."""
     total = g.element_count()
     if total > budget:
         raise BudgetError(f"nullcone needs {total} points > budget {budget}")
-    _, vecs = _nilpotent_span(g, np.eye(g.dim, dtype=np.int64))
-    # _CHUNK rows at a time: no list-of-lists copy of the whole array
-    return [t for s in range(0, len(vecs), _CHUNK) for t in map(tuple, vecs[s:s + _CHUNK].tolist())]
+    return _nilpotent_span(g, np.eye(g.dim, dtype=np.int64))[1]
 
 
 _CHUNK = 1 << 11  # combinations per batch; bounds the p-th power temporaries
@@ -798,10 +800,13 @@ def local_rank(g: RestrictedLieAlgebra, x: Vec, budget: int = DEFAULT_BUDGET) ->
 
 
 class SrkBrute(NamedTuple):
+    """srk_brute's result.  o_rmin is an (o_rmin_count, dim) int64 array of
+    the nonzero nullcone points of minimal local rank, in lexicographic order."""
+
     srk: int
     r_min: int
     o_rmin_count: int
-    o_rmin: tuple       # all nonzero nullcone points of minimal local rank, sorted
+    o_rmin: np.ndarray
     witness: Optional[ElementarySubalgebra]
     note: str
 
@@ -817,18 +822,17 @@ def srk_brute(g: RestrictedLieAlgebra, budget: int = DEFAULT_BUDGET) -> SrkBrute
     least class of minimal rank, which is a root.  budget caps the nullcone
     points, the commuting-mask bits and the nodes of the clique search.
     """
-    points = nullcone(g, budget=budget)
-    if len(points) == 1:  # just 0
-        return SrkBrute(srk=0, r_min=0, o_rmin_count=0, o_rmin=(),
+    vecs = nullcone(g, budget=budget)
+    if len(vecs) == 1:  # just 0
+        return SrkBrute(srk=0, r_min=0, o_rmin_count=0, o_rmin=vecs[1:],
                         witness=None, note="restricted nullcone is {0}; srk reported as 0")
-    vecs = np.array(points, dtype=np.int64)
     classes = vecs[_projective_reps(g.field, vecs)]
     search = _TupleSearch(g, classes, np.eye(g.dim, dtype=np.int64), budget,
                           _automorphisms(g, classes))
     m = min(search.ranks)
     # the points come in lexicographic order; code 0 has no class, rank -1
     keep = np.array(search.ranks + [-1])[search._table[vecs @ search._place]] == m
-    o_rmin = tuple(itertools.compress(points, keep.tolist()))
+    o_rmin = vecs[keep]
     _, wit, _ = search.max_tuple_containing(search.ranks.index(m))
     witness = ElementarySubalgebra(tuple(wit))
     return SrkBrute(srk=m, r_min=m, o_rmin_count=len(o_rmin), o_rmin=o_rmin,

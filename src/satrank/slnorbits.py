@@ -166,14 +166,11 @@ class XiCombination:
     """Integer linear combination of shift maps anchored to one partition."""
 
     def __init__(self, lam: Partition, terms=None):
+        terms = terms or {}
+        if any(el.lam != lam for el in terms):
+            raise PreconditionError("mixed partitions in a combination")
         self.lam = lam
-        self.terms = {}
-        for el, c in (terms or {}).items():
-            if el.lam != lam:
-                raise PreconditionError("mixed partitions in a combination")
-            if c:
-                self.terms[el] = self.terms.get(el, 0) + c
-        self.terms = {el: c for el, c in self.terms.items() if c}
+        self.terms = {el: c for el, c in terms.items() if c}
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -191,10 +188,6 @@ class XiCombination:
 
     def scale(self, c: int):
         return XiCombination(self.lam, {el: c * v for el, v in self.terms.items()})
-
-    def reduced(self, p: int):
-        """Coefficients normalized into [0, p)."""
-        return XiCombination(self.lam, {el: c % p for el, c in self.terms.items()})
 
     def __eq__(self, other):
         return (isinstance(other, XiCombination) and self.lam == other.lam
@@ -322,7 +315,9 @@ def _subalgebra_from_mats(field, mats) -> ElementarySubalgebra:
 
 
 def regular_witness(n: int, field: FieldSpec) -> ElementarySubalgebra:
-    """span{e, ..., e^(n-1)} for the regular nilpotent; needs p >= n."""
+    """span{e, ..., e^(n-1)} for the regular nilpotent; needs n >= 2 and p >= n."""
+    if n < 2:
+        raise PreconditionError("n must be >= 2")
     return _subalgebra_from_mats(field, regular_powers(n, field))
 
 
@@ -490,7 +485,7 @@ class OrbitClass:
         n = lam.n
         if lam.parts == (n,):
             kind = "regular"
-        elif lam.parts == (n - 1, 1):
+        elif lam.parts == (n - 1, 1) and n >= 3:  # (1, 1) is sl_2's zero orbit
             kind = "subregular"
         else:
             kind = "lower"

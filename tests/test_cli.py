@@ -91,6 +91,25 @@ def test_sln_witness(capsys):
     assert [w["dim"] for w in rep["witnesses"]] == [3] * 6
 
 
+@pytest.mark.parametrize("p", ["2", "3", "5"])
+def test_sln_orbits_at_n_2(capsys, p):
+    code, out, err = run_cli(capsys, "sln-orbits", "--n", "2", "--p", p)
+    assert code == 0 and err == ""
+    orbits = json.loads(out)["orbits"]
+    assert [(o["partition"], o["kind"], o["local_rank"], o["witness_dims"]) for o in orbits] \
+        == [([2], "regular", 1, [1]), ([1, 1], "lower", 1, [])]
+
+
+def test_sln_witness_below_n_3_exits_2(capsys):
+    code, out, err = run_cli(capsys, "sln-witness", "--n", "1", "--p", "3", "--partition", "1")
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err == "satrank: precondition error: n must be >= 2\n"
+    # (1, 1) is sl_2's zero orbit, a lower orbit, not the subregular one
+    code, out, err = run_cli(capsys, "sln-witness", "--n", "2", "--p", "3", "--partition", "1,1")
+    assert code == 2 and out == ""
+    assert err == "satrank: precondition error: lower orbits need n >= 4\n"
+
+
 # sha256 of the stdout of the sl_n commands, recorded before their coordinates
 # stopped going through special_linear
 _SLN_ORBITS_PINS = {

@@ -10,7 +10,6 @@ from satrank.frobkernel import (
     ElemAbComplexity,
     NilPair,
     complexity,
-    conjugate_pair,
     eval_one_param,
     frob2_report,
     homomorphism_sweep,
@@ -153,7 +152,7 @@ def test_conjugation_equivariance():
             g = g @ Mat(f, t)
             ginv = Mat(f, tinv) @ ginv
         assert (g @ ginv) == Mat.identity(f, n)
-        gpair = conjugate_pair(pair, g, ginv)
+        gpair = NilPair(g @ pair.alpha0 @ ginv, g @ pair.alpha1 @ ginv)
         for s in f.elements():
             assert eval_one_param(gpair, s) == g @ eval_one_param(pair, s) @ ginv
 

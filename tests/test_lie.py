@@ -56,7 +56,7 @@ def sl2_structure_only(field):
 def test_heisenberg_examples():
     h = heisenberg(1, F3)
     assert h.dim == 3
-    h.validate("full")
+    h.validate()
     h2 = heisenberg(2, F5)
     assert h2.dim == 5
     x1, y2 = h2.basis_vec(0), h2.basis_vec(3)
@@ -75,8 +75,10 @@ def test_heisenberg_rejects_p2():
 
 def test_sl2_validates_fully():
     for f in (F3, F5, field_make(3, 2)):
-        special_linear(2, f).validate("full")
-    sl2_structure_only(F3).validate("full")
+        special_linear(2, f).validate()
+    sl2_structure_only(F3).validate()
+    with pytest.raises(PreconditionError, match="validate must be 'full' or 'none'"):
+        RestrictedLieAlgebra(F3, {}, [(0,)], validate="model")
 
 
 def test_matrix_model_solved_once(monkeypatch):
@@ -209,7 +211,7 @@ def test_validation_names_the_broken_identity():
 @pytest.mark.parametrize("field", [F3, field_make(3, 2)], ids=["F3", "F9"])
 def test_zero_dimensional_algebra(field):
     g = abelian_p_trivial(0, field)
-    assert g.pmap_eval(()) == () and nullcone(g) == [()]
+    assert g.pmap_eval(()) == () and nullcone(g).shape == (1, 0)
     assert srk_brute(g).srk == 0
 
 def test_pmap_examples():
@@ -266,7 +268,7 @@ def test_jacobson_agrees_with_matrix_model_everywhere(n, p, k):
     assert bare.matrix_model is None
     for x in with_model.iter_elements():
         assert bare.pmap_eval(x) == with_model.pmap_eval(x)
-    assert nullcone(bare) == nullcone(with_model)
+    assert np.array_equal(nullcone(bare), nullcone(with_model))
 
 def test_pmap_semilinear():
     rng = random.Random(5)
@@ -318,10 +320,22 @@ def test_nullcone_examples():
     assert len(nullcone(heisenberg(1, F3))) == 27
 
 
-def test_nullcone_matches_direct_check():
-    sl2 = special_linear(2, F3)
-    expect = {x for x in sl2.iter_elements() if not any(sl2.pmap_eval(x))}
-    assert set(nullcone(sl2)) == expect
+_NULLCONE_FILTER_CASES = {
+    "sl2_F3": lambda: special_linear(2, F3),
+    "h3_F9": lambda: heisenberg(1, field_make(3, 2)),
+    "dim0_F3": lambda: abelian_p_trivial(0, F3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NULLCONE_FILTER_CASES))
+def test_nullcone_is_the_pointwise_filter_as_an_array(name):
+    # iter_elements runs in lexicographic order, so the list comparison also
+    # pins the row order, zero first
+    g = _NULLCONE_FILTER_CASES[name]()
+    pts = nullcone(g)
+    assert isinstance(pts, np.ndarray) and pts.dtype == np.int64
+    assert pts.ndim == 2 and pts.shape[1] == g.dim
+    assert pts.tolist() == [list(x) for x in g.iter_elements() if not any(g.pmap_eval(x))]
 
 
 def test_nullcone_budget():
@@ -331,9 +345,10 @@ def test_nullcone_budget():
 
 def test_toral_nullcone_trivial():
     t = toral(2, F3)
-    assert nullcone(t) == [(0, 0)]
+    assert nullcone(t).tolist() == [[0, 0]]
     res = srk_brute(t)
     assert res.srk == 0 and "0" in res.note
+    assert res.o_rmin.shape == (0, 2) and res.o_rmin_count == 0
 
 
 def _nilpotent_span_all_points(g, basis):
@@ -725,7 +740,7 @@ def test_srk_brute_golden_cliques(name):
     g = _GOLDEN_BRUTE_CLIQUES_ALGEBRAS[name]()
     res = srk_brute(g)
     payload = {"srk": res.srk, "r_min": res.r_min, "o_rmin_count": res.o_rmin_count,
-               "o_rmin": [list(v) for v in res.o_rmin],
+               "o_rmin": res.o_rmin.tolist(),
                "witness": [list(v) for v in res.witness.basis]}
     srk, r_min, count, witness, digest = _GOLDEN_BRUTE_CLIQUES[name]
     assert (res.srk, res.r_min, res.o_rmin_count) == (srk, r_min, count)
@@ -750,7 +765,7 @@ def test_h7_F3_frontier(monkeypatch):
 
 def _classes(g):
     """One point per projective class of nonzero nullcone points, in srk_brute's order."""
-    vecs = np.array(nullcone(g), dtype=np.int64)
+    vecs = nullcone(g)
     return vecs[lie._projective_reps(g.field, vecs)]
 
 
@@ -782,7 +797,7 @@ _ORBIT_CASES = {
 
 def _payload_digest(res):
     payload = {"srk": res.srk, "r_min": res.r_min, "o_rmin_count": res.o_rmin_count,
-               "o_rmin": [list(v) for v in res.o_rmin],
+               "o_rmin": res.o_rmin.tolist(),
                "witness": [list(v) for v in res.witness.basis]}
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
@@ -982,7 +997,7 @@ def test_srk_brute_golden(name):
     }[name]()
     res = srk_brute(g)
     payload = {"srk": res.srk, "r_min": res.r_min, "o_rmin_count": res.o_rmin_count,
-               "o_rmin": [list(v) for v in res.o_rmin],
+               "o_rmin": res.o_rmin.tolist(),
                "witness": [list(v) for v in res.witness.basis]}
     srk, r_min, count, witness, digest = _GOLDEN_BRUTE[name]
     assert (res.srk, res.r_min, res.o_rmin_count) == (srk, r_min, count)
@@ -1009,7 +1024,7 @@ def test_srk_brute_golden_sl2_f25_matrix_model():
     # extension field with a matrix model: x^[p] is a matrix power over F_25
     res = srk_brute(special_linear(2, field_make(5, 2)))
     payload = {"srk": res.srk, "r_min": res.r_min, "o_rmin_count": res.o_rmin_count,
-               "o_rmin": [list(v) for v in res.o_rmin],
+               "o_rmin": res.o_rmin.tolist(),
                "witness": [list(v) for v in res.witness.basis]}
     assert (res.srk, res.r_min, res.o_rmin_count) == (1, 1, 624)
     assert payload["witness"] == [[0, 1, 0]]
@@ -1021,7 +1036,7 @@ def test_nullcone_golden_h3_f27_jacobson():
     # structure constants only, k = 3: x^[p] goes through Jacobson's formula
     pts = nullcone(heisenberg(1, field_make(3, 3)))
     assert len(pts) == 27 ** 3
-    assert hashlib.sha256(json.dumps([list(v) for v in pts]).encode()).hexdigest() == \
+    assert hashlib.sha256(json.dumps(pts.tolist()).encode()).hexdigest() == \
         "37b8691d6ccd431bec492b03bbb8acb49d41253f84b5bb219a8e417312f8e8af"
 
 
@@ -1066,7 +1081,8 @@ def test_srk_brute_invariant_under_base_change(name, seed):
     moved = srk_brute(_rebased(g, a))
     assert (moved.srk, moved.r_min, moved.o_rmin_count) == (res.srk, res.r_min, res.o_rmin_count)
     # y -> y . a sends the new coordinates of o_rmin onto the old ones
-    assert {tuple(v) for v in f.matmul(np.array(moved.o_rmin), a).tolist()} == set(res.o_rmin)
+    image = f.matmul(moved.o_rmin, a)
+    assert np.array_equal(image[np.lexsort(image.T[::-1])], res.o_rmin)
 
 
 def test_srk_brute_o_rmin_sl2():

@@ -216,6 +216,11 @@ def test_xi_matrices_commute_with_jordan():
 # centralizer basis
 # ---------------------------------------------------------------------------
 
+def _reduced(c, p):
+    """c with its coefficients normalized into [0, p)."""
+    return XiCombination(c.lam, {el: v % p for el, v in c.terms.items()})
+
+
 def test_centralizer_sl_basis_subregular():
     n = 5
     lam = Partition((n - 1, 1))
@@ -223,8 +228,8 @@ def test_centralizer_sl_basis_subregular():
     assert not res.degenerate
     expect = {xi_term(lam, 1, 1, s) for s in range(1, n - 1)}
     expect |= {xi_term(lam, 1, 2, 0), xi_term(lam, 2, 1, n - 2)}
-    expect.add((xi_term(lam, 1, 1, 0) + xi_term(lam, 2, 2, 0, -(n - 1))).reduced(5))
-    assert {c.reduced(5) for c in res.basis} == {c.reduced(5) for c in expect}
+    expect.add(_reduced(xi_term(lam, 1, 1, 0) + xi_term(lam, 2, 2, 0, -(n - 1)), 5))
+    assert {_reduced(c, 5) for c in res.basis} == {_reduced(c, 5) for c in expect}
 
 
 def test_centralizer_sl_basis_regular():
@@ -232,7 +237,7 @@ def test_centralizer_sl_basis_regular():
     lam = Partition((n,))
     res = centralizer_sl_basis(lam, F5)
     assert not res.degenerate
-    assert {c.reduced(5) for c in res.basis} == \
+    assert {_reduced(c, 5) for c in res.basis} == \
         {xi_term(lam, 1, 1, s) for s in range(1, n)}
 
 
@@ -279,6 +284,8 @@ def test_regular_witness():
     assert is_elementary(alg, w.basis)
     with pytest.raises(PreconditionError):
         regular_witness(4, F3)
+    with pytest.raises(PreconditionError, match="n must be >= 2"):
+        regular_witness(1, F3)
 
 
 @pytest.mark.parametrize("n,p", [(3, 3), (4, 5), (4, 3), (5, 5), (6, 7)])
@@ -412,6 +419,15 @@ def test_orbit_class():
     assert oc.local_rank.value == 4 and oc.local_rank.exact  # floor(16/4)
     oc = OrbitClass.of(Partition((4,)), 3)  # not in the restricted nullcone
     assert oc.local_rank is None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_orbit_class_of_sl2_zero_orbit_is_lower(p):
+    # (n - 1, 1) is subregular only from n = 3 on; at n = 2 it is the zero
+    # orbit, "lower" as (1, 1, 1) is at n = 3
+    assert OrbitClass.of(Partition((1, 1)), p).kind == "lower"
+    assert OrbitClass.of(Partition((1, 1, 1)), p).kind == "lower"
+    assert OrbitClass.of(Partition((2, 1)), p).kind == "subregular"
 
 
 def test_sln_report_shape():
