@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .fields import Mat, field_make, is_prime, mat_rank, mat_solve
+from .fields import Mat, field_make, is_prime, mat_solve
 from .frobkernel import _check_rows, homomorphism_sweep, srk_height_bound, srk_sln2
 from .groups import dihedral_square, group_ranks
 from .lie import abelian_p_trivial, heisenberg, is_elementary, special_linear, srk_brute, toral
@@ -27,6 +27,7 @@ from .slnorbits import (
     lower_orbit_witness,
     o_rmin_sln,
     partitions,
+    rank_sequence,
     regular_powers,
     srk_sln,
     subregular_witnesses,
@@ -245,14 +246,7 @@ def criterion_9_property_suites():
     pairs = 0
     for n in range(1, 9):
         pts = list(partitions(n))
-        ranks = {}
-        for lam in pts:
-            j = jordan_matrix(lam, f5)
-            x, seq = j, []
-            for _ in range(n):
-                seq.append(mat_rank(x))
-                x = x @ j
-            ranks[lam] = seq
+        ranks = {lam: rank_sequence(jordan_matrix(lam, f5)) for lam in pts}
         for mu in pts:
             for lam in pts:
                 assert dominance_leq(mu, lam) == all(

@@ -32,7 +32,7 @@ from .slnorbits import (
     lower_orbit_witness,
     regular_witness,
     sln_report,
-    srk_sln,
+    sln_srk_report,
     subregular_witnesses,
 )
 
@@ -189,11 +189,7 @@ def _cmd_lie_nullcone(args):
 
 
 def _cmd_sln_srk(args):
-    res = srk_sln(args.n, args.p)
-    report = {"n": args.n, "p": args.p, "srk": res.value, "exact": res.exact}
-    if res.note:
-        report["note"] = res.note
-    return report
+    return sln_srk_report(args.n, args.p)
 
 
 def _cmd_sln_orbits(args):

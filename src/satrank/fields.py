@@ -233,23 +233,17 @@ class FieldSpec:
     def add(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a + b) % self.p
-        if self._add_t is not None:
-            return int(self._add_t[a, b])
-        return self._sum(a, b)
+        return int(self.varr_add(a, b))
 
     def neg(self, a: int) -> int:
         if self.k == 1:
             return (-a) % self.p
-        if self._neg_t is not None:
-            return int(self._neg_t[a])
-        return self._negative(a)
+        return int(self.varr_neg(a))
 
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a * b) % self.p
-        if self._mul_t is not None:
-            return int(self._mul_t[a, b])
-        return self._product(a, b, operator.mul)
+        return int(self.varr_mul(a, b))
 
     def inv(self, a: int) -> int:
         if a == 0:

@@ -128,9 +128,6 @@ class ElemAbSubgroup:
             sub = _closure(len(e), rest) if rest else frozenset({e})
             assert self.generators[i] not in sub
 
-    def __lt__(self, other):
-        return sorted(self.elements) < sorted(other.elements)
-
 
 def _subgroup_from_elements(degree, p, elems):
     """Wrap a known elementary abelian element set with a minimal generator chain:

@@ -4,8 +4,10 @@ A nilpotent orbit is labelled by a partition of n; orbit closure is dominance
 order.  For the Jordan representative x_lam the centralizer in gl_n has the
 shift-map basis xi_i^(j,s): the endomorphism sending the i-th block cyclic
 vector v_i to e^s . v_j and every other cyclic vector to 0, subject to
-max(lam_j - lam_i, 0) <= s < lam_j; out-of-bound symbols are read as zero.
-Composition and bracket stay inside this basis:
+max(lam_j - lam_i, 0) <= s < lam_j.  An XiCombination keys its integer
+coefficients by the triples (i, j, s); a shift map is a one-term combination.
+xi builds one and refuses an out-of-bound triple, xi_term reads such a triple
+as zero.  Composition and bracket are bilinear and stay inside this basis:
 
     xi_i^(j,s) . xi_p^(q,r) = delta(q,i) xi_p^(j,s+r)
     [xi_i^(j,s), xi_p^(q,r)] = delta(q,i) xi_p^(j,s+r) - delta(j,p) xi_i^(q,s+r)
@@ -58,9 +60,8 @@ class Partition:
         return f"Partition{self.parts}"
 
 
-def partitions(n: int, max_part: Optional[int] = None):
-    """All partitions of n with parts <= max_part, in descending lex order."""
-    cap = n if max_part is None else min(max_part, n)
+def partitions(n: int):
+    """All partitions of n, in descending lex order."""
 
     def gen(rest, bound):
         if rest == 0:
@@ -70,7 +71,7 @@ def partitions(n: int, max_part: Optional[int] = None):
             for tail in gen(rest - first, first):
                 yield (first,) + tail
 
-    for parts in gen(n, cap):
+    for parts in gen(n, n):
         yield Partition(parts)
 
 
@@ -120,57 +121,46 @@ def nullcone_top_partition(n: int, p: int) -> Partition:
     return Partition(parts)
 
 
-def partition_of_nilpotent(m: Mat) -> Partition:
-    """Jordan type of a nilpotent matrix from its rank sequence."""
-    n = m.rows
-    ranks = [n]
-    x = Mat.identity(m.field, n)
-    for _ in range(n):
-        x = x @ m
+def rank_sequence(m: Mat) -> list:
+    """[rank(m^k) for k = 1, ..., n] for an n x n matrix m."""
+    ranks, x = [], m
+    for _ in range(m.rows):
         ranks.append(mat_rank(x))
+        x = x @ m
+    return ranks
+
+
+def partition_of_nilpotent(m: Mat) -> Partition:
+    """Jordan type of a nilpotent matrix from its rank sequence: the number
+    of parts >= k is rank(m^(k-1)) - rank(m^k)."""
+    ranks = rank_sequence(m)
     if ranks[-1] != 0:
         raise PreconditionError("matrix is not nilpotent")
-    geq = [ranks[k - 1] - ranks[k] for k in range(1, n + 1)]  # #parts >= k
-    parts = []
-    for k in range(n, 0, -1):
-        new = geq[k - 1] - (geq[k] if k < n else 0)
-        parts.extend([k] * new)
-    return Partition(tuple(sorted(parts, reverse=True)))
+    geq = [a - b for a, b in zip([m.rows] + ranks, ranks)]
+    return Partition(tuple(sum(g >= i for g in geq) for i in range(1, geq[0] + 1)))
 
 
 # ---------------------------------------------------------------------------
 # the shift-map calculus
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class XiElement:
-    lam: Partition
-    i: int
-    j: int
-    s: int
-
-    def __post_init__(self):
-        t = self.lam.length
-        if not (1 <= self.i <= t and 1 <= self.j <= t):
-            raise PreconditionError(f"block indices out of range for {self.lam}")
-        li, lj = self.lam.parts[self.i - 1], self.lam.parts[self.j - 1]
-        if not max(lj - li, 0) <= self.s < lj:
-            raise PreconditionError(
-                f"shift {self.s} out of bounds for xi_{self.i}^({self.j},{self.s})")
-
-    def __repr__(self):
-        return f"xi_{self.i}^({self.j},{self.s})"
+def _shifts(lam: Partition, i: int, j: int) -> range:
+    """The s with xi_i^(j,s) in bounds, max(lam_j - lam_i, 0) <= s < lam_j;
+    empty when a block index is out of range."""
+    t = lam.length
+    if not (1 <= i <= t and 1 <= j <= t):
+        return range(0)
+    li, lj = lam.parts[i - 1], lam.parts[j - 1]
+    return range(max(lj - li, 0), lj)
 
 
 class XiCombination:
-    """Integer linear combination of shift maps anchored to one partition."""
+    """Integer linear combination of the shift maps of one partition, each
+    term keyed by its (i, j, s)."""
 
     def __init__(self, lam: Partition, terms=None):
-        terms = terms or {}
-        if any(el.lam != lam for el in terms):
-            raise PreconditionError("mixed partitions in a combination")
         self.lam = lam
-        self.terms = {el: c for el, c in terms.items() if c}
+        self.terms = {key: c for key, c in (terms or {}).items() if c}
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -179,79 +169,69 @@ class XiCombination:
         if self.lam != other.lam:
             raise PreconditionError("mixed partitions in a combination")
         out = dict(self.terms)
-        for el, c in other.terms.items():
-            out[el] = out.get(el, 0) + c
+        for key, c in other.terms.items():
+            out[key] = out.get(key, 0) + c
         return XiCombination(self.lam, out)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c: int):
-        return XiCombination(self.lam, {el: c * v for el, v in self.terms.items()})
+        return XiCombination(self.lam, {key: c * v for key, v in self.terms.items()})
 
     def __eq__(self, other):
         return (isinstance(other, XiCombination) and self.lam == other.lam
                 and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.lam, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
+        return hash((self.lam, tuple(sorted(self.terms.items()))))
 
     def __repr__(self):
         if not self.terms:
             return "0"
-        return " + ".join(f"{c}*{el}" for el, c in sorted(self.terms.items(), key=lambda t: t[0]))
+        return " + ".join(f"{c}*xi_{i}^({j},{s})" for (i, j, s), c in sorted(self.terms.items()))
 
 
 def xi_term(lam: Partition, i: int, j: int, s: int, coeff: int = 1) -> XiCombination:
-    """Single shift map, normalizing out-of-bound triples to the zero combination."""
-    t = lam.length
-    if not (1 <= i <= t and 1 <= j <= t):
-        return XiCombination(lam)
-    li, lj = lam.parts[i - 1], lam.parts[j - 1]
-    if not max(lj - li, 0) <= s < lj:
-        return XiCombination(lam)
-    return XiCombination(lam, {XiElement(lam, i, j, s): coeff})
+    """coeff * xi_i^(j,s), the zero combination when the triple is out of bounds."""
+    return XiCombination(lam, {(i, j, s): coeff} if s in _shifts(lam, i, j) else None)
+
+
+def xi(lam: Partition, i: int, j: int, s: int) -> XiCombination:
+    """The shift map xi_i^(j,s); PreconditionError when it is out of bounds."""
+    if s not in _shifts(lam, i, j):
+        raise PreconditionError(f"xi_{i}^({j},{s}) is out of bounds for {lam}")
+    return xi_term(lam, i, j, s)
 
 
 def xi_basis(lam: Partition):
     """All in-bound shift maps; count is sum_{i,j} min(lam_i, lam_j)."""
-    out = []
     t = lam.length
-    for i in range(1, t + 1):
-        for j in range(1, t + 1):
-            li, lj = lam.parts[i - 1], lam.parts[j - 1]
-            for s in range(max(lj - li, 0), lj):
-                out.append(XiElement(lam, i, j, s))
-    return out
+    return [xi_term(lam, i, j, s) for i in range(1, t + 1) for j in range(1, t + 1)
+            for s in _shifts(lam, i, j)]
 
 
-def xi_compose(a: XiElement, b: XiElement) -> XiCombination:
-    """a . b as endomorphisms: delta(b.j == a.i) shifts compose."""
+def xi_compose(a: XiCombination, b: XiCombination) -> XiCombination:
+    """a . b as endomorphisms, bilinear in the terms:
+    xi_i^(j,s) . xi_p^(q,r) = delta(q,i) xi_p^(j,s+r)."""
     if a.lam != b.lam:
         raise PreconditionError("composition across different partitions")
-    if b.j != a.i:
-        return XiCombination(a.lam)
-    return xi_term(a.lam, b.i, a.j, a.s + b.s)
+    out = {}
+    for (i, j, s), ca in a.terms.items():
+        for (p, q, r), cb in b.terms.items():
+            if q == i and s + r in _shifts(a.lam, p, j):
+                out[p, j, s + r] = out.get((p, j, s + r), 0) + ca * cb
+    return XiCombination(a.lam, out)
 
 
-def xi_bracket(a: XiElement, b: XiElement) -> XiCombination:
+def xi_bracket(a: XiCombination, b: XiCombination) -> XiCombination:
     if a.lam != b.lam:
         raise PreconditionError("bracket across different partitions")
     return xi_compose(a, b) - xi_compose(b, a)
 
 
-def xi_compose_combo(a: XiCombination, b: XiCombination) -> XiCombination:
-    out = XiCombination(a.lam)
-    for ea, ca in a.terms.items():
-        for eb, cb in b.terms.items():
-            out = out + xi_compose(ea, eb).scale(ca * cb)
-    return out
-
-
-def xi_to_matrix(lam: Partition, x, field: FieldSpec) -> Mat:
-    """Matrix of a shift map (or combination) in the ordered block basis."""
-    if isinstance(x, XiElement):
-        x = XiCombination(lam, {x: 1})
+def xi_to_matrix(lam: Partition, x: XiCombination, field: FieldSpec) -> Mat:
+    """Matrix of a combination in the ordered block basis."""
     if x.lam != lam:
         raise PreconditionError("combination anchored to a different partition")
     n = lam.n
@@ -259,12 +239,12 @@ def xi_to_matrix(lam: Partition, x, field: FieldSpec) -> Mat:
     a = np.zeros((n, n), dtype=np.int64)
     # distinct (i, j, s) fill disjoint diagonals of the block (j, i), so each
     # term writes its coefficient, an F_p code, without adding
-    for el, coeff in x.terms.items():
-        li = lam.parts[el.i - 1]
-        lj = lam.parts[el.j - 1]
-        m0 = max(0, el.s + li - lj)
-        row0 = offs[el.j - 1] + (lj - li - el.s) + m0
-        col0 = offs[el.i - 1] + m0
+    for (i, j, s), coeff in x.terms.items():
+        li = lam.parts[i - 1]
+        lj = lam.parts[j - 1]
+        m0 = max(0, s + li - lj)
+        row0 = offs[j - 1] + (lj - li - s) + m0
+        col0 = offs[i - 1] + m0
         np.fill_diagonal(a[row0:row0 + li - m0, col0:col0 + li - m0], field.from_int(coeff))
     return Mat(field, a)
 
@@ -284,24 +264,15 @@ def centralizer_sl_basis(lam: Partition, field: FieldSpec) -> CentralizerBasis:
     """
     p = field.p
     t = lam.length
-    singles = [XiCombination(lam, {el: 1}) for el in xi_basis(lam)
-               if not (el.i == el.j and el.s == 0)]
+    blocks = [xi_term(lam, i, i, 0) for i in range(1, t + 1)]
+    singles = [c for c in xi_basis(lam) if c not in blocks]
     weights = [part % p for part in lam.parts]
     if all(w == 0 for w in weights):
-        diag = [xi_term(lam, i, i, 0) for i in range(1, t + 1)]
-        return CentralizerBasis(basis=singles + diag, degenerate=True)
+        return CentralizerBasis(basis=singles + blocks, degenerate=True)
     pivot = max(i for i in range(t) if weights[i])
     inv_pivot = pow(weights[pivot], p - 2, p)
-    diag = []
-    for i in range(t):
-        if i == pivot:
-            continue
-        if weights[i] == 0:
-            diag.append(xi_term(lam, i + 1, i + 1, 0))
-        else:
-            coeff = -(weights[i] * inv_pivot % p)
-            diag.append(xi_term(lam, i + 1, i + 1, 0)
-                        + xi_term(lam, pivot + 1, pivot + 1, 0, coeff))
+    diag = [blocks[i] + blocks[pivot].scale(-(weights[i] * inv_pivot % p))
+            for i in range(t) if i != pivot]
     return CentralizerBasis(basis=singles + diag, degenerate=False)
 
 
@@ -428,7 +399,7 @@ def _case_split_witness(lam: Partition, field: FieldSpec):
         chain_mats = []
         for _ in range(ones - 1):
             chain_mats.append(power)
-            power = xi_compose_combo(power, chain)
+            power = xi_compose(power, chain)
         combos.extend(chain_mats)
         for i in range(1, s + 1):
             combos.append(xi_term(lam, i, i + 1, lam.parts[i] - 1))
@@ -468,7 +439,9 @@ def lower_orbit_witness(lam: Partition, field: FieldSpec,
 # orbit table / closed forms
 # ---------------------------------------------------------------------------
 
-class LocalRankInfo(NamedTuple):
+class Rank(NamedTuple):
+    """A rank, whether it is exact or a lower bound, and a note on where it
+    comes from."""
     value: int
     exact: bool
     note: str
@@ -478,7 +451,7 @@ class LocalRankInfo(NamedTuple):
 class OrbitClass:
     partition: Partition
     kind: str            # regular | subregular | lower
-    local_rank: Optional[LocalRankInfo]
+    local_rank: Optional[Rank]
 
     @classmethod
     def of(cls, lam: Partition, p: int) -> "OrbitClass":
@@ -492,23 +465,17 @@ class OrbitClass:
         if lam.parts[0] > p:
             return cls(lam, kind, None)  # representative outside the restricted nullcone
         if kind != "lower":
-            info = LocalRankInfo(n - 1, True, "")
+            info = Rank(n - 1, True, "")
         elif p < lower_orbit_min_p(n):
-            info = LocalRankInfo(n, False, "derived-not-paper")
+            info = Rank(n, False, "derived-not-paper")
         elif _nilradical_orbit(lam):
-            info = LocalRankInfo(n * n // 4, True, "")
+            info = Rank(n * n // 4, True, "")
         else:
-            info = LocalRankInfo(n, False, "lower bound")
+            info = Rank(n, False, "lower bound")
         return cls(lam, kind, info)
 
 
-class SlnSrk(NamedTuple):
-    value: int
-    exact: bool
-    note: str
-
-
-def srk_sln(n: int, p: int) -> SlnSrk:
+def srk_sln(n: int, p: int) -> Rank:
     """Saturation rank of sl_n in characteristic p.
 
     Exact n-1 for p >= n-1.  At p = n-2 the rank strictly exceeds n-1 and is
@@ -521,9 +488,9 @@ def srk_sln(n: int, p: int) -> SlnSrk:
     if not is_prime(p):
         raise PreconditionError(f"p={p} must be prime")
     if p >= n - 1:
-        return SlnSrk(value=n - 1, exact=True, note="")
+        return Rank(value=n - 1, exact=True, note="")
     if p == n - 2:
-        return SlnSrk(value=n, exact=False, note="strict_inequality")
+        return Rank(value=n, exact=False, note="strict_inequality")
     # p < n-2: build and validate the witness at the dense orbit of V(sl_n),
     # as an algebra on its own span; x_top lies in that span
     top = nullcone_top_partition(n, p)
@@ -534,7 +501,7 @@ def srk_sln(n: int, p: int) -> SlnSrk:
     if not (is_elementary(span, np.eye(span.dim, dtype=np.int64))
             and mat_solve(Mat(field, rows[:-1]).t(), rows[-1]) is not None):
         raise PreconditionError(f"witness construction failed for top partition {top} at p={p}")
-    return SlnSrk(value=span.dim, exact=False, note="derived-not-paper")
+    return Rank(value=span.dim, exact=False, note="derived-not-paper")
 
 
 def o_rmin_sln(n: int, p: int):
@@ -546,9 +513,18 @@ def o_rmin_sln(n: int, p: int):
     return [Partition((n,)), Partition((n - 1, 1))]
 
 
+def sln_srk_report(n: int, p: int) -> dict:
+    """{n, p, srk, exact[, note]} for srk_sln(n, p)."""
+    srk = srk_sln(n, p)
+    report = {"n": n, "p": p, "srk": srk.value, "exact": srk.exact}
+    if srk.note:
+        report["note"] = srk.note
+    return report
+
+
 def sln_report(n: int, p: int) -> dict:
     field = field_make(p, 1)
-    srk = srk_sln(n, p)
+    report = sln_srk_report(n, p)
     orbits = []
     for lam in partitions(n):
         oc = OrbitClass.of(lam, p)
@@ -560,21 +536,20 @@ def sln_report(n: int, p: int) -> dict:
             entry["in_nullcone"] = True
             entry["local_rank"] = (oc.local_rank.value if oc.local_rank.exact
                                    else f">={oc.local_rank.value}")
+            # in the nullcone, lam_1 <= p: p >= n at the regular orbit and
+            # p >= n - 1 at the subregular one, so both witnesses are built
             dims = []
-            if oc.kind == "regular" and p >= n:
+            if oc.kind == "regular":
                 dims = [regular_witness(n, field).rank]
-            elif oc.kind == "subregular" and (p >= n - 1 or (n, p) == (3, 2)):
+            elif oc.kind == "subregular":
                 # every member has the n - 1 basis matrices of the first
                 dims = [next(_subregular_family(n, field)).rank]
-            elif oc.kind == "lower" and n >= 4 and p >= lower_orbit_min_p(n):
+            elif n >= 4 and p >= lower_orbit_min_p(n):  # a lower orbit
                 dims = [lower_orbit_witness(lam, field).rank]
                 if _nilradical_orbit(lam):
                     dims.append(lower_orbit_witness(lam, field, maximal=True).rank)
             entry["witness_dims"] = dims
         orbits.append(entry)
-    report = {"n": n, "p": p, "srk": srk.value, "exact": srk.exact}
-    if srk.note:
-        report["note"] = srk.note
     report["orbits"] = orbits
     report["o_rmin"] = ([list(lam.parts) for lam in o_rmin_sln(n, p)]
                         if (n >= 3 and p >= n) else None)

@@ -127,6 +127,16 @@ _SLN_SRK_PINS = {
     # the p < n - 2 witness check with d = 20 basis matrices of 400 entries
     (20, 3): "52435f031f131fe9d6c41f12be2ac5f1cb7c90bc777ec7dfbd154d50249b0c77",
 }
+# (n, p, partition): the stdout is the repr of each basis combination, recorded
+# before shift maps became one-term combinations; (3, 1, 1) at p = 5 has a
+# negative coefficient and (3, 3) at p = 3 and (2, 2, 2) at p = 2 are degenerate
+_SLN_CENTRALIZER_PINS = {
+    (5, 5, "3,1,1"): "27f87f393e3ce9a854da1d6dabd2c1521c97da0d95f68e313e6ac73df1cfa482",
+    (6, 3, "3,3"): "884307a050b7b73a0baf80b21904c6f4b63a0a87cac735030401eb9dacafa875",
+    (5, 5, "4,1"): "a87a98fb0a6ae604d57576a41a39c002272538124c8a493d9689604c735bf6c7",
+    (6, 5, "3,2,1"): "b23bcfd0d5b69441820610fd374b9fa18ded9dba6a50ff2016e6024d351f0109",
+    (6, 2, "2,2,2"): "6ca3119960951cd891893db2dc6594557caa759271a4ec866120715666c7a179",
+}
 # (n, partition, k) at p = 5: the digests without and with --maximal, None
 # where --maximal exits 2
 _SLN_WITNESS_PINS = {
@@ -209,6 +219,12 @@ def test_sln_orbits_pinned(capsys, n, p):
 @pytest.mark.parametrize("n,p", sorted(_SLN_SRK_PINS))
 def test_sln_srk_pinned(capsys, n, p):
     assert _digest(capsys, "sln-srk", "--n", n, "--p", p) == (0, _SLN_SRK_PINS[n, p])
+
+
+@pytest.mark.parametrize("n,p,partition", sorted(_SLN_CENTRALIZER_PINS))
+def test_sln_centralizer_pinned(capsys, n, p, partition):
+    argv = ["sln-centralizer", "--n", n, "--p", p, "--partition", partition]
+    assert _digest(capsys, *argv) == (0, _SLN_CENTRALIZER_PINS[n, p, partition])
 
 
 @pytest.mark.parametrize("n,partition,k", sorted(_SLN_WITNESS_PINS))

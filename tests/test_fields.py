@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satrank import PreconditionError
+from satrank import BudgetError, PreconditionError
 from satrank.fields import (
     FieldSpec,
     Mat,
@@ -14,6 +14,7 @@ from satrank.fields import (
     _rref,
     field_make,
     is_prime,
+    mat_det,
     mat_is_p_nilpotent,
     mat_kernel_basis,
     mat_rank,
@@ -194,7 +195,6 @@ def test_matmul_extension_field_agrees_with_scalar_loop():
 
 
 def test_mat_det():
-    from satrank.fields import mat_det
     f = field_make(5, 1)
     assert mat_det(Mat.identity(f, 3)) == 1
     assert mat_det(Mat.zeros(f, 2, 2)) == 0
@@ -443,7 +443,6 @@ def test_mat_copies_its_source_and_operators_return_fresh_arrays():
 
 
 def test_is_prime_above_the_exact_bound():
-    from satrank import BudgetError
     assert 10 ** 25 + 1 > 3317044064679887385961981
     assert is_prime(10 ** 25 + 1) is False  # 11 divides it
     # no factor below 43, so a Miller-Rabin base is the witness: proof at any size

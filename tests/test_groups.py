@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from satrank import BudgetError, PreconditionError, oracle
 from satrank.groups import (
-    ElemAbSubgroup,
     PermGroup,
     cyclic,
     dihedral_square,

@@ -1,5 +1,6 @@
-"""Every name a satrank module imports is used in that module, and no
-function imports again from a module that its file imports at top level."""
+"""Every name a satrank module or test file imports is used in that file,
+and no function imports again from a module that its file imports at top
+level."""
 
 import ast
 import pathlib
@@ -10,6 +11,7 @@ import satrank
 
 MODULES = sorted(p for p in pathlib.Path(satrank.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+FILES = MODULES + sorted(pathlib.Path(__file__).parent.glob("*.py"))
 
 
 def _unused_imports(source: str):
@@ -26,7 +28,7 @@ def _unused_imports(source: str):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
 
@@ -57,7 +59,7 @@ def _redundant_local_imports(source: str):
                    for module in modules(node) if module in top})
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)
 def test_no_function_level_import_of_a_top_level_module(path):
     assert _redundant_local_imports(path.read_text()) == []
 

@@ -10,13 +10,13 @@ from satrank.groups import (
     direct_product,
     elementary_abelian,
     maximal_elemab,
+    perm_inv,
     perm_mul,
     quaternion8,
     symmetric,
 )
-from satrank.lie import heisenberg, special_linear, srk_brute
+from satrank.lie import abelian_p_trivial, heisenberg, special_linear, srk_brute
 from satrank.oracle import (
-    CommutingPairsResult,
     SearchBudget,
     all_subgroups,
     oracle_commuting_pairs,
@@ -79,7 +79,6 @@ def test_oracle_zp_squared():
 
 def test_oracle_representative_completeness():
     # every oracle subgroup conjugate to exactly one structured representative
-    from satrank.groups import perm_inv
     for g, p in [(dihedral_square(), 2), (symmetric(4), 2)]:
         oracle = oracle_maximal_elemab(g, p)
         reps = maximal_elemab(g, p).representatives
@@ -97,7 +96,6 @@ def test_oracle_srk_lie_fixtures():
     assert oracle_srk_lie(special_linear(2, F3)) == 1
     assert oracle_srk_lie(special_linear(2, F5)) == 1
     assert oracle_srk_lie(heisenberg(1, F3)) == 2
-    from satrank.lie import abelian_p_trivial
     assert oracle_srk_lie(abelian_p_trivial(2, F3)) == 2
 
 

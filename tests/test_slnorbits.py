@@ -5,11 +5,9 @@ from satrank import PreconditionError
 from satrank.fields import Mat, field_make, mat_kernel_basis, mat_rank
 from satrank.lie import is_elementary, special_linear
 from satrank.slnorbits import (
-    CentralizerBasis,
     OrbitClass,
     Partition,
     XiCombination,
-    XiElement,
     centralizer_sl_basis,
     dominance_leq,
     highest_root_witness,
@@ -19,10 +17,12 @@ from satrank.slnorbits import (
     o_rmin_sln,
     partition_of_nilpotent,
     partitions,
+    rank_sequence,
     regular_witness,
     sln_report,
     srk_sln,
     subregular_witnesses,
+    xi,
     xi_basis,
     xi_bracket,
     xi_compose,
@@ -62,13 +62,7 @@ def test_dominance_iff_rank_sequences():
         pts = list(partitions(n))
         ranks = {}
         for lam in pts:
-            j = jordan_matrix(lam, F5)
-            x = j
-            seq = []
-            for _ in range(n):
-                seq.append(mat_rank(x))
-                x = x @ j
-            ranks[lam] = seq
+            ranks[lam] = rank_sequence(jordan_matrix(lam, F5))
         for mu in pts:
             for lam in pts:
                 lhs = dominance_leq(mu, lam)
@@ -88,6 +82,8 @@ def test_jordan_matrix_examples():
         for k in range(1, lam.n + 1):
             x = x @ j
             assert mat_rank(x) == sum(max(part - k, 0) for part in parts)
+        assert rank_sequence(j) == [sum(max(part - k, 0) for part in parts)
+                                    for k in range(1, lam.n + 1)]
 
 
 def test_partition_of_nilpotent_roundtrip():
@@ -104,8 +100,9 @@ def test_nullcone_top_partition():
     for n in range(1, 9):
         for p in (2, 3, 5, 7):
             top = nullcone_top_partition(n, p)
-            for mu in partitions(n, max_part=p):
-                assert dominance_leq(mu, top)
+            for mu in partitions(n):
+                if mu.parts[0] <= p:
+                    assert dominance_leq(mu, top)
 
 
 # ---------------------------------------------------------------------------
@@ -114,13 +111,13 @@ def test_nullcone_top_partition():
 
 def test_xi_basis_counts():
     lam = Partition((1,))
-    assert xi_basis(lam) == [XiElement(lam, 1, 1, 0)]
+    assert xi_basis(lam) == [xi(lam, 1, 1, 0)]
     assert len(xi_basis(Partition((2, 1)))) == 5
     for n in (3, 4, 6):
         lam = Partition((n - 1, 1))
         basis = set(xi_basis(lam))
-        expect = {XiElement(lam, 1, 1, s) for s in range(n - 1)}
-        expect |= {XiElement(lam, 1, 2, 0), XiElement(lam, 2, 1, n - 2), XiElement(lam, 2, 2, 0)}
+        expect = {xi(lam, 1, 1, s) for s in range(n - 1)}
+        expect |= {xi(lam, 1, 2, 0), xi(lam, 2, 1, n - 2), xi(lam, 2, 2, 0)}
         assert basis == expect and len(basis) == n + 2
     # count identity: |basis| = sum min(lam_i, lam_j) = dim ker(ad x_lam on gl_n)
     for n in range(1, 8):
@@ -134,26 +131,36 @@ def test_xi_basis_counts():
 
 def test_xi_element_bounds():
     lam = Partition((3, 1))
-    XiElement(lam, 2, 1, 2)  # max(3-1, 0) = 2 <= s < 3
+    assert xi(lam, 2, 1, 2).terms == {(2, 1, 2): 1}  # max(3-1, 0) = 2 <= s < 3
     with pytest.raises(PreconditionError):
-        XiElement(lam, 2, 1, 1)
+        xi(lam, 2, 1, 1)
     with pytest.raises(PreconditionError):
-        XiElement(lam, 1, 2, 1)  # s < lam_2 = 1
+        xi(lam, 1, 2, 1)  # s < lam_2 = 1
+    with pytest.raises(PreconditionError):
+        xi(lam, 3, 1, 0)  # block index out of range
     assert xi_term(lam, 2, 1, 1).is_zero()
+    assert xi_term(lam, 3, 1, 0).is_zero()
 
 
 def test_xi_compose_examples():
     lam = Partition((4,))
-    a = XiElement(lam, 1, 1, 1)
+    a = xi(lam, 1, 1, 1)
     assert xi_compose(a, a) == xi_term(lam, 1, 1, 2)
     n = 5
     lam = Partition((n - 1, 1))
-    assert xi_compose(XiElement(lam, 2, 1, n - 2), XiElement(lam, 1, 2, 0)) == \
+    assert xi_compose(xi(lam, 2, 1, n - 2), xi(lam, 1, 2, 0)) == \
         xi_term(lam, 1, 1, n - 2)
-    c = XiElement(lam, 1, 2, 0)
+    c = xi(lam, 1, 2, 0)
     assert xi_compose(c, c).is_zero()
     with pytest.raises(PreconditionError):
         xi_compose(a, c)
+    # bilinear on combinations: the matrices multiply
+    lam = Partition((3, 2, 1))
+    x = xi_term(lam, 1, 1, 1, 2) + xi_term(lam, 2, 1, 1) + xi_term(lam, 3, 2, 1, -1)
+    y = xi_term(lam, 1, 2, 0) + xi_term(lam, 2, 2, 1, 3) + xi_term(lam, 1, 3, 0)
+    assert len(x.terms) == len(y.terms) == 3
+    assert xi_to_matrix(lam, xi_compose(x, y), F5) == \
+        xi_to_matrix(lam, x, F5) @ xi_to_matrix(lam, y, F5)
 
 
 def test_xi_bracket_examples():
@@ -161,8 +168,8 @@ def test_xi_bracket_examples():
     lam = Partition((n - 1, 1))
     for s in range(1, n - 1):
         for s2 in range(1, n - 1):
-            assert xi_bracket(XiElement(lam, 1, 1, s), XiElement(lam, 1, 1, s2)).is_zero()
-    br = xi_bracket(XiElement(lam, 1, 2, 0), XiElement(lam, 2, 1, n - 2))
+            assert xi_bracket(xi(lam, 1, 1, s), xi(lam, 1, 1, s2)).is_zero()
+    br = xi_bracket(xi(lam, 1, 2, 0), xi(lam, 2, 1, n - 2))
     assert not br.is_zero()
     assert br == xi_term(lam, 1, 1, n - 2, -1)
     for el in xi_basis(lam):
@@ -179,7 +186,7 @@ def test_xi_to_matrix_examples():
                 total = total + xi_term(lam, i + 1, i + 1, 1)
         assert xi_to_matrix(lam, total, F5) == jordan_matrix(lam, F5)
     lam = Partition((4,))
-    assert xi_to_matrix(lam, XiElement(lam, 1, 1, 0), F5) == Mat.identity(F5, 4)
+    assert xi_to_matrix(lam, xi(lam, 1, 1, 0), F5) == Mat.identity(F5, 4)
     # over F_9 the integer coefficients land on F_p codes: -1 is 2, 4 is 1
     f9 = field_make(3, 2)
     lam = Partition((3, 2))
@@ -218,7 +225,7 @@ def test_xi_matrices_commute_with_jordan():
 
 def _reduced(c, p):
     """c with its coefficients normalized into [0, p)."""
-    return XiCombination(c.lam, {el: v % p for el, v in c.terms.items()})
+    return XiCombination(c.lam, {key: v % p for key, v in c.terms.items()})
 
 
 def test_centralizer_sl_basis_subregular():
