@@ -34,7 +34,7 @@ from .slnorbits import (
     xi_basis,
     xi_bracket,
     xi_compose,
-    xi_to_matrix,
+    xi_to_matrices,
 )
 
 
@@ -187,22 +187,23 @@ def criterion_8_bound_attained():
 
 
 def _check_shift_maps(lam, field):
-    """xi_to_matrix is a homomorphism for compose and bracket on the shift
-    basis of lam; returns the number of basis pairs.
+    """The matrix map of the shift maps (xi_to_matrices) is a homomorphism
+    for compose and bracket on the shift basis of lam; returns the number of
+    basis pairs.
 
     All products come from one stacked matmul, the brackets from rows and
-    columns of that stack.  Row a compares them with the images of a . b and
-    [a, b] for every b at once; a failure names the first failing basis pair
-    in row-major order.
+    columns of that stack.  Row a stacks the images of a . b and [a, b] for
+    every b and compares them at once; a failure names the first failing
+    basis pair in row-major order.
     """
     basis = xi_basis(lam)
     assert len(basis) == sum(min(a, b) for a in lam.parts for b in lam.parts)
-    m = np.array([xi_to_matrix(lam, el, field).a for el in basis])
+    m = xi_to_matrices(lam, basis, field)
     prod = field.matmul(m[:, None], m[None])  # prod[a, b] = m[a] @ m[b]
     checked = 0
     for i, a in enumerate(basis):
-        compose = np.array([xi_to_matrix(lam, xi_compose(a, b), field).a for b in basis])
-        bracket = np.array([xi_to_matrix(lam, xi_bracket(a, b), field).a for b in basis])
+        compose = xi_to_matrices(lam, [xi_compose(a, b) for b in basis], field)
+        bracket = xi_to_matrices(lam, [xi_bracket(a, b) for b in basis], field)
         comm = field.varr_add(prod[i], field.varr_neg(prod[:, i]))
         bad = ((compose != prod[i]) | (bracket != comm)).any(axis=(1, 2))
         if bad.any():

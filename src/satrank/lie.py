@@ -34,20 +34,31 @@ the class index.  The classes commuting with u are the span closure of
 ker ad(u): one vector per line of the kernel, looked up in the table.  Those
 commuting masks are built for a batch of classes at a time: one stacked
 product ad(u) . basis^T, one stacked elimination (fields._kernels), and span
-closures batched by kernel dimension.  A witness is a greedy basis of a
-maximal clique, read off as pivot columns: one more stacked elimination per
-batch of the maximal-rank cliques through the class.
+closures batched by kernel dimension.  A witness is the least basis of a
+maximal-rank subalgebra through the point, picked greedily against the
+cliques (_TupleSearch.max_tuple_containing).
+
+Every maximal elementary subalgebra holds the central elementary ideal
+C = {x central : x^[p] = 0} (_central_elementary): adding C keeps a subalgebra
+abelian and p-nilpotent.  With B the standard basis vectors off C's pivot
+columns, g = span B + C, and (b + c)^[p] = b^[p], [b + c, b' + c'] = [b, b'].
+So the nullcone is (V(g) n span B) + C, the maximal elementary subalgebras
+are W + C for the maximal cliques W on the classes of V(g) n span B, and
+srk_brute searches that graph only: r(b + c) = dim C + r_B(b) for b != 0.
+C = {0} leaves the whole graph.
 
 Local rank is invariant under automorphisms of (g, [p]), so srk_brute needs
-it at one class per orbit.  _automorphisms builds a few candidates, truncated
-exponentials of nullcone classes, and keeps those that pass one stacked check
-on the basis brackets and p-th powers; an algebra with a central nonzero
-nullcone class gets none, as orbits save nothing there.  The orbits come from
-label propagation over the code -> class table, and the least class of each
-is its root.  Masks are built for the roots and their neighbours only, and
-the clique search starts from the roots (satrank.cliques), so it finds
-exactly the maximal cliques that meet a root; every class takes its root's
-rank.  Without automorphisms every class is a root.
+it at one class per orbit.  _automorphisms builds a few candidates and keeps
+those that pass one stacked check on the basis brackets and p-th powers:
+truncated exponentials of nullcone classes when C = {0}, and on a large
+quotient the truncated exponentials of the nilpotent basis derivations,
+acting on g/C in B's coordinates (inner automorphisms fix g/C pointwise on
+Heisenberg algebras).  The orbits come from label propagation over the
+code -> class table, and the least class of each is its root.  Masks are
+built for the roots and their neighbours only, and the clique search starts
+from the roots (satrank.cliques), so it finds exactly the maximal cliques
+that meet a root; every class takes its root's rank.  Without automorphisms
+every class is a root.
 """
 
 from __future__ import annotations
@@ -95,6 +106,7 @@ class RestrictedLieAlgebra:
                 self._adb[i, k, j] = c % field.q
         self.pmap = [tuple(int(c) % field.q for c in row) for row in pmap]
         self._pmap = np.array(self.pmap, dtype=np.int64).reshape(self.dim, self.dim)
+        self._central = None  # _central_elementary's basis, once asked for
         self.matrix_model = self._coord_solver = None
         if matrix_model:
             if len(matrix_model) != self.dim:
@@ -399,11 +411,55 @@ def special_linear(n: int, field: FieldSpec) -> RestrictedLieAlgebra:
 
 def nullcone(g: RestrictedLieAlgebra, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """All x with x^[p] = 0: an (N, dim) int64 array of coordinate rows in
-    lexicographic order, zero first."""
+    lexicographic order, zero first.
+
+    It is (V(g) n span B) + C for the central elementary ideal C and the
+    standard basis vectors B off its pivot columns (_central_elementary), so
+    p-th powers are taken on span B only and the sums with C are array adds.
+    """
     total = g.element_count()
     if total > budget:
         raise BudgetError(f"nullcone needs {total} points > budget {budget}")
-    return _nilpotent_span(g, np.eye(g.dim, dtype=np.int64))[1]
+    f, centre = g.field, _central_elementary(g)
+    vecs = _nilpotent_span(g, np.eye(g.dim, dtype=np.int64)[_off_pivots(centre)])[1]
+    if not len(centre):
+        return vecs
+    shifts = _combinations(f, np.arange(f.q ** len(centre), dtype=np.int64), centre)
+    vecs = f.varr_add(vecs[:, None], shifts[None]).reshape(-1, g.dim)
+    return np.take(vecs, np.argsort(vecs @ _place_values(f.q, g.dim)), axis=0)
+
+
+def _central_elementary(g: RestrictedLieAlgebra) -> np.ndarray:
+    """Basis rows, in RREF, of the ideal C = {x central : x^[p] = 0}; computed
+    once per algebra.
+
+    The centre is the left kernel of the bracket table, whose row i is
+    ad(b_i) raveled.  On it the p-map is p-semilinear, since the Jacobson
+    terms are brackets: (sum c_i z_i)^[p] = sum c_i^p z_i^[p].  So the sum
+    lies in C exactly when (c_i^p) lies in the left kernel K of the matrix
+    of the z_i^[p], and C is spanned by the combinations of the z_i whose
+    coefficients are the Frobenius preimages c -> c^(q/p) of a basis of K.
+    """
+    if g._central is None:
+        f = g.field
+        centre = _left_kernel(f, g._adb.reshape(g.dim, g.dim * g.dim))
+        if len(centre):
+            twisted = f.varr_pow(_left_kernel(f, g._pmap_rows(centre)), f.q // f.p)
+            centre = _rref(f, f.matmul(twisted, centre)[None])[0][0]
+        g._central = centre
+    return g._central
+
+
+def _left_kernel(f, a):
+    """Basis rows of {y : y . a = 0}."""
+    vectors, free = _kernels(f, a.T[None])
+    return vectors[0][free[0]]
+
+
+def _off_pivots(rref):
+    """The bool mask of the columns that are no pivot of the RREF rows rref."""
+    nonzero = rref != 0  # a pivot is its row's first nonzero entry
+    return ~(nonzero & (nonzero.cumsum(axis=1) == 1)).any(axis=0)
 
 
 _CHUNK = 1 << 11  # combinations per batch; bounds the p-th power temporaries
@@ -508,27 +564,42 @@ class ElementarySubalgebra:
 # ---------------------------------------------------------------------------
 
 _GENERATOR_SOURCES = 4  # classes whose exponentials are the candidates
+# quotient classes from which on Der(g) is solved for orbit candidates.  Below
+# it the whole quotient graph costs less: srk_brute takes 1.8 ms without them
+# and 2.8 ms with them on h_5/F_3 (40 classes), 4.9 and 8.3 ms on h_3/F_27
+# (28), but 12.5 and 8.2 ms on h_5/F_5 (156) and 241 and 24 ms on h_7/F_3 (364)
+_DERIVATION_MIN_CLASSES = 100
 
 
 def _automorphisms(g: RestrictedLieAlgebra, classes):
-    """Verified automorphisms of (g, [p]), as an (N, dim, dim) stack of
-    matrices A acting on coordinate rows, x -> x . A.
+    """Verified automorphisms of (g, [p]), as an (N, d, d) stack of matrices
+    A acting on the coordinate rows of srk_brute's search, x -> x . A: g's
+    own coordinates when the central elementary ideal C is {0}, else B's
+    coordinates on g/C (_central_elementary).  classes holds the search's
+    classes in those coordinates.
 
-    The candidates come from x = c * classes[j] for _GENERATOR_SOURCES evenly
-    spaced classes j and c in the F_p-basis 1, w, ..., w^(k-1) of F_q: with a
-    matrix model, conjugation by the truncated exponential exp(x), whose
-    inverse is exp(-x) because x^p = 0; without one, the truncated exp(ad x).
-    (The first classes in lexicographic order lie in a small coordinate
-    subspace: in the standard basis of sl_3 over F_5 the first four give 186
-    orbits on the 3906 classes, four spaced ones the 2 nilpotent orbits.)
-    _verified keeps the candidates that are automorphisms.  A central
-    nonzero class is its own orbit and lies in every maximal clique, so
-    orbits save nothing there and none is returned: Heisenberg and abelian
-    algebras skip the search.
+    With C = {0} the candidates come from x = c * classes[j] for
+    _GENERATOR_SOURCES evenly spaced classes j and c in the F_p-basis 1, w,
+    ..., w^(k-1) of F_q: with a matrix model, conjugation by the truncated
+    exponential exp(x), whose inverse is exp(-x) because x^p = 0; without
+    one, the truncated exp(ad x).  (The first classes in lexicographic order
+    lie in a small coordinate subspace: in the standard basis of sl_3 over
+    F_5 the first four give 186 orbits on the 3906 classes, four spaced ones
+    the 2 nilpotent orbits.)  With C != {0} inner automorphisms may act
+    trivially on g/C (they do on Heisenberg algebras), so the candidates are
+    the truncated exponentials of the basis derivations with D^p = 0
+    (_derivation_exps), and only on a quotient of at least
+    _DERIVATION_MIN_CLASSES classes.  _verified keeps the candidates that are
+    automorphisms.
     """
-    f = g.field
-    if _has_central_class(g, classes):
-        return np.zeros((0, g.dim, g.dim), dtype=np.int64)
+    f, centre = g.field, _central_elementary(g)
+    if len(centre):
+        keep = _off_pivots(centre)
+        if len(classes) < _DERIVATION_MIN_CLASSES:
+            return np.zeros((0, keep.sum(), keep.sum()), dtype=np.int64)
+        a = _verified(g, _derivation_exps(g))[:, keep]
+        # the image of b in B's coordinates drops its part in C
+        return f.varr_add(a[:, :, keep], f.varr_neg(f.matmul(a[:, :, ~keep], centre[:, keep])))
     picks = sorted({j * len(classes) // _GENERATOR_SOURCES for j in range(_GENERATOR_SOURCES)})
     xs = np.concatenate([f.varr_scale(f.p ** i, classes[picks]) for i in range(f.k)])
     if g.matrix_model:
@@ -539,6 +610,27 @@ def _automorphisms(g: RestrictedLieAlgebra, classes):
         return _verified(g, a[inside.all(axis=1)])
     exp = f.trunc_exp(g.ad(xs))  # column j of exp(ad x): the image of b_j
     return _verified(g, np.swapaxes(exp, 1, 2))
+
+
+def _derivation_exps(g: RestrictedLieAlgebra):
+    """Truncated exponentials of c * D, for the basis derivations D of g with
+    D^p = 0 and c in the F_p-basis 1, w, ..., w^(k-1) of F_q, as (N, dim,
+    dim) matrices acting on coordinate rows.
+
+    D, with row i the image of b_i, is a derivation when
+    D[b_i, b_j] = [D b_i, b_j] + [b_i, D b_j] for all i, j: linear in D's
+    entries, so Der(g) is the left kernel of one dim^2 x dim^3 matrix M,
+    with M[(a, b), (i, j, l)] the coefficient of D[a, b] in coordinate l of
+    the left side less the right.  Not every such exponential is an
+    automorphism in characteristic p; _verified decides.
+    """
+    f, n = g.field, g.dim
+    adb, eye = g._adb, np.eye(n, dtype=np.int64)  # adb[i, l, j]: coordinate l of [b_i, b_j]
+    lhs = np.einsum("iaj,bl->abijl", adb, eye)
+    rhs = f.varr_add(np.einsum("ai,blj->abijl", eye, adb), np.einsum("aj,ilb->abijl", eye, adb))
+    ders = _left_kernel(f, f.varr_add(lhs, f.varr_neg(rhs)).reshape(n * n, -1)).reshape(-1, n, n)
+    ders = ders[~f.matpow(ders, f.p).any(axis=(1, 2))]
+    return f.trunc_exp(np.concatenate([f.varr_scale(f.p ** i, ders) for i in range(f.k)]))
 
 
 def _verified(g: RestrictedLieAlgebra, a):
@@ -561,18 +653,6 @@ def _verified(g: RestrictedLieAlgebra, a):
     return a[ok]
 
 
-def _has_central_class(g: RestrictedLieAlgebra, classes):
-    """Whether some row of classes lies in the centre of g.
-
-    x is central when x . A = 0 for the bracket table A, whose row i is
-    ad(b_i) raveled.  The pivot columns of A's RREF pick columns of A that
-    span all of them, so x . A = 0 exactly when x is zero on those columns.
-    """
-    a = g._adb.reshape(g.dim, -1)
-    _, pivots = _rref(g.field, a[None])
-    return bool((~g.field.matmul(classes, a[:, pivots[0]]).any(axis=1)).any())
-
-
 # ---------------------------------------------------------------------------
 # local rank search
 # ---------------------------------------------------------------------------
@@ -581,12 +661,13 @@ class _TupleSearch:
     """Local ranks and witnesses over a fixed projective point set.
 
     Points are projective classes of p-nilpotent elements inside a subspace
-    of g with basis rows `basis` (d x dim): the identity for srk_brute, the
-    centralizer basis for local_rank.  Row i of coords holds class i's
-    coordinates in that basis and row i of points (n x dim) the same vector
-    in g's coordinates.  A coordinate vector's code is its dot product with
-    q**(d-1), ..., q, 1, and _table sends the code of every nonzero multiple
-    of class i to i and every other code to n.
+    of g with basis rows `basis` (d x dim): for srk_brute the standard basis
+    vectors B off the pivots of the central elementary ideal (the identity
+    when that is {0}), for local_rank the centralizer basis.  Row i of coords
+    holds class i's coordinates in that basis and row i of points (n x dim)
+    the same vector in g's coordinates.  A coordinate vector's code is its
+    dot product with q**(d-1), ..., q, 1, and _table sends the code of every
+    nonzero multiple of class i to i and every other code to n.
 
     automorphisms are verified automorphisms of (g, [p]) as d x d matrices
     acting on coordinate rows (srk_brute passes _automorphisms(g, coords)).
@@ -594,13 +675,14 @@ class _TupleSearch:
     generate, and the roots are the classes with labels[i] == i; without
     automorphisms every class is a root.  commuting[i] is the bitmask of the
     classes in ker(ad(points[i]) . basis^T), built batch by batch in
-    _commuting_masks for the roots and their neighbours only; the other
-    entries are 0.  cliques holds (rank, bitmask) for each maximal clique of
-    the commuting graph that meets a root, a maximal elementary subalgebra,
-    and ranks[i] is the largest rank of a clique through labels[i], that is
-    r(points[i]): local rank is invariant under automorphisms.  The clique
-    enumeration visits at most budget nodes, and the masks hold at most
-    _MASK_BITS_PER_BUDGET * budget bits.
+    _commuting_masks for the roots and their neighbours, and later for any
+    class a witness search asks about; the other entries are 0.  cliques
+    holds (rank, bitmask) for each maximal clique of the commuting graph that
+    meets a root, a maximal elementary subalgebra of the subspace, and
+    ranks[i] is the largest rank of a clique through labels[i], that is
+    r(points[i]) there: local rank is invariant under automorphisms.  Each
+    clique enumeration visits at most budget nodes, and the masks hold at
+    most _MASK_BITS_PER_BUDGET * budget bits.
     """
 
     def __init__(self, g: RestrictedLieAlgebra, coords, basis, budget, automorphisms=()):
@@ -610,6 +692,7 @@ class _TupleSearch:
         self.basis = basis
         self.coords = coords
         self.points = f.matmul(coords, basis)
+        self._budget = budget
         d = len(basis)
         scalars = np.arange(1, f.q, dtype=np.int64)
         multiples = f.varr_mul(scalars[:, None, None], coords[None])  # [c - 1, i] = c * coords[i]
@@ -618,17 +701,22 @@ class _TupleSearch:
         self._table[multiples @ self._place] = np.arange(self.n, dtype=np.int32)
         self.labels = self._orbit_labels(automorphisms)
         roots = np.flatnonzero(self.labels == np.arange(self.n))
-        self.commuting = self._commuting_masks(roots, budget)
-        # a maximal clique of rank r has (q**r - 1) / (q - 1) classes
-        rank_of = {(f.q ** r - 1) // (f.q - 1): r for r in range(d + 1)}
-        root_mask = _bitset(roots, self.n)
-        self.cliques = [(rank_of[c.bit_count()], c)
-                        for c in _maximal_cliques(self.commuting, budget, root_mask)]
+        self.commuting, self._built = [0] * self.n, 0
+        self._commuting_masks(roots)
+        self._roots = _bitset(roots, self.n)
+        self.cliques = self._cliques(self.commuting, self._roots)
         best = [0] * self.n
         for r, c in self.cliques:
-            for i in _bits(c & root_mask):
+            for i in _bits(c & self._roots):
                 best[i] = max(best[i], r)
         self.ranks = [best[i] for i in self.labels.tolist()]
+
+    def _cliques(self, adj, roots):
+        """(rank, bitmask) of the maximal cliques of adj that meet roots; a
+        maximal clique of rank r has (q**r - 1) / (q - 1) classes."""
+        q = self.f.q
+        rank_of = {(q ** r - 1) // (q - 1): r for r in range(len(self.basis) + 1)}
+        return [(rank_of[c.bit_count()], c) for c in _maximal_cliques(adj, self._budget, roots)]
 
     def _orbit_labels(self, automorphisms):
         """labels[i], the least class in the orbit of class i.
@@ -648,35 +736,35 @@ class _TupleSearch:
             if (labels == old).all():
                 return labels
 
-    def _commuting_masks(self, roots, budget):
-        """commuting[i] for the roots and then for their neighbours, 0 elsewhere.
+    def _commuting_masks(self, roots):
+        """commuting[i] for the roots and then for their neighbours.
 
-        The cliques through the roots use no other mask.  Before each of the
-        two stages, BudgetError when the masks built by its end would hold
-        more than _MASK_BITS_PER_BUDGET * budget bits.
+        The cliques through the roots use no other mask.
         """
-        masks = [0] * self.n
-        self._build_masks(masks, roots, 0, budget)
-        reach = functools.reduce(operator.or_, (masks[i] for i in roots.tolist()), 0)
-        neighbours = [i for i in _bits(reach) if not masks[i]]  # a built mask has its own bit
-        self._build_masks(masks, np.array(neighbours, dtype=np.int64), len(roots), budget)
-        return masks
+        self._build_masks(roots)
+        reach = functools.reduce(operator.or_, (self.commuting[i] for i in roots.tolist()), 0)
+        self._build_masks(np.fromiter(_bits(reach), dtype=np.int64))
 
-    def _build_masks(self, masks, which, built, budget):
-        """Fill masks[i] for the classes i in which, batch by batch.
+    def _build_masks(self, which):
+        """Fill commuting[i] for the classes i in which that have none yet,
+        batch by batch; a built mask has its own bit, so it is never 0.
 
-        A batch of classes takes one stacked product ad(u) . basis^T and one
-        stacked elimination for all its u; the kernels of equal dimension
-        then go through _span_masks together.
+        BudgetError first when the masks built by the end would hold more
+        than _MASK_BITS_PER_BUDGET * budget bits.  A batch of classes takes
+        one stacked product ad(u) . basis^T and one stacked elimination for
+        all its u; the kernels of equal dimension then go through _span_masks
+        together.
         """
-        total, bound = (built + len(which)) * self.n, _MASK_BITS_PER_BUDGET * budget
+        masks, built = self.commuting, self._built
+        which = np.array([i for i in which.tolist() if not masks[i]], dtype=np.int64)
+        total, bound = (built + len(which)) * self.n, _MASK_BITS_PER_BUDGET * self._budget
         if total > bound:
             raise BudgetError(
                 f"commuting masks: {built + len(which)} masks of {self.n} classes are {total} bits "
                 f"> budget {bound} bits ({_MASK_BITS_PER_BUDGET} per budget unit); "
                 f"{built} masks built so far")
         f, g, d = self.f, self.g, len(self.basis)
-        step = max(1, (_CHUNK << 2) // (g.dim * d))  # (step, dim, d) stacks: <= 4 * _CHUNK codes
+        step = (_CHUNK << 2) // max(1, g.dim * d)  # (step, dim, d) stacks: <= 4 * _CHUNK codes
         for start in range(0, len(which), step):
             part = which[start:start + step]
             vectors, free = _kernels(f, f.matmul(g.ad(self.points[part]), self.basis.T))
@@ -686,6 +774,7 @@ class _TupleSearch:
                 kernels = vectors[rows][free[rows]].reshape(len(rows), k, d)
                 for i, mask in zip(part[rows].tolist(), self._span_masks(kernels)):
                     masks[i] = mask
+        self._built = built + len(which)
 
     def _span_masks(self, kernels):
         """Bitmasks of the classes in the span of the rows of each kernels[s] (k x d).
@@ -718,35 +807,84 @@ class _TupleSearch:
         data, w = packed.tobytes(), packed.shape[1]
         return [int.from_bytes(data[i * w:(i + 1) * w], "little") for i in range(len(vecs))]
 
-    def max_tuple_containing(self, xi):
-        """(r, witness, True) for r = ranks[xi].  The witness is the least,
-        in class index order, of the greedy bases of the rank-r cliques
-        through class xi: the pivot columns of the matrix whose columns are
-        class xi and the clique's classes in ascending order.  That is the
-        least maximal commuting tuple through xi, as points.  The cliques all
-        have (q**r - 1) / (q - 1) classes, so one stacked elimination serves
-        a batch of them, with a running minimum across batches.  The constant
-        third entry keeps the (r, witness, exhausted) shape that
+    def max_tuple_containing(self, xi, points=None, classes=None, centre_dim=0):
+        """(r, witness, True): the largest rank r of an elementary subalgebra
+        through candidate xi, and the least basis, in candidate order, of
+        such a subalgebra that starts with the candidate.
+
+        The candidates are the rows of points (in g's coordinates, in the
+        order that defines "least"), and classes[j] is the class of points[j]
+        modulo an ideal of dimension centre_dim that lies in every maximal
+        elementary subalgebra, or n when points[j] lies in that ideal.
+        srk_brute passes g's classes and its central elementary ideal; by
+        default the candidates are the search's own classes.  So r is
+        centre_dim plus s, the largest rank of a clique through classes[xi]
+        (through any class when that is n).
+
+        The witness is picked greedily: each pick is the least candidate
+        outside the span of the picks so far whose class, with the classes
+        of those picks, lies in a clique of rank s (_allowed, else
+        _clique_through).  A candidate passed over at one pick lies in no
+        rank-r subalgebra over the picks, so none later either: the greedy
+        basis is the lexicographically least tuple that spans one.  The
+        constant third entry keeps the (r, witness, exhausted) shape that
         bench/layers.py reads.
         """
-        r, q = self.ranks[xi], self.f.q
-        through = [c for rank, c in self.cliques if rank == r and c >> xi & 1]
-        # classes ahead of the last pick lie in the span of x and the other
-        # picks, which has (q**(r-1) - 1) / (q - 1) classes: only the first
-        # head classes of a clique can be picked
-        head = (q ** (r - 1) - 1) // (q - 1) + 1
-        step = max(1, (_CHUNK << 2) // (len(self.basis) * (head + 1)))  # <= 4 * _CHUNK entries
-        best = None
-        for start in range(0, len(through), step):
-            members = np.array([list(itertools.islice(_bits(c), head))
-                                for c in through[start:start + step]], dtype=np.int64)
-            cols = np.concatenate([np.full((len(members), 1), xi), members], axis=1)
-            _, pivots = _rref(self.f, np.swapaxes(self.coords[cols], 1, 2))
-            # column 0 is a pivot of every slice, and r - 1 columns follow it
-            picks = np.nonzero(pivots[:, 1:])[1].reshape(len(members), r - 1)
-            least = min(np.take_along_axis(members, picks, axis=1).tolist())
-            best = least if best is None else min(best, least)
-        return r, [tuple(v) for v in self.points[[xi] + best].tolist()], True
+        f, n = self.f, self.n
+        if points is None:
+            points, classes = self.points, np.arange(n)
+        ranks = np.array(self.ranks + [max(self.ranks, default=0)], dtype=np.int64)
+        s = int(ranks[classes[xi]])
+        picks, members = [xi], 0 if classes[xi] == n else 1 << int(classes[xi])
+        for _ in range(centre_dim + s - 1):
+            span, pivots = _rref(f, points[picks][None])
+            cols = np.flatnonzero(pivots[0])
+            residual = f.varr_add(points, f.varr_neg(f.matmul(points[:, cols], span[0])))
+            outside = residual.any(axis=1)
+            allowed = self._allowed(members, s)
+            if allowed is not None:
+                j = int(np.flatnonzero(outside & allowed[classes])[0])
+            else:  # a clique search per class that commutes with the picks
+                near = np.append(_flags(self._common(members), n), True)
+                j = next(j for j in np.flatnonzero(outside & near[classes]).tolist()
+                         if classes[j] == n
+                         or self._clique_through(members | 1 << int(classes[j]), s))
+            picks.append(j)
+            if classes[j] < n:
+                members |= 1 << int(classes[j])
+        return centre_dim + s, [tuple(v) for v in points[picks].tolist()], True
+
+    def _allowed(self, members, s):
+        """Flags over the classes, and a last True for "in the ideal": class
+        v lies with the classes in members in a clique of rank s.  None when
+        that takes a clique search per class.
+
+        When members holds a root, every maximal clique through members is
+        one of cliques; with no members, the rank of v decides.
+        """
+        if members & self._roots:
+            union = functools.reduce(operator.or_, (c for r, c in self.cliques
+                                                    if r == s and c & members == members), 0)
+            flags = _flags(union, self.n)
+        elif not members:
+            flags = np.array(self.ranks, dtype=np.int64) == s
+        else:
+            return None
+        return np.append(flags, True)
+
+    def _common(self, members):
+        """The bitmask of the classes that commute with all classes in members."""
+        self._build_masks(np.fromiter(_bits(members), dtype=np.int64))
+        return functools.reduce(operator.and_, (self.commuting[i] for i in _bits(members)))
+
+    def _clique_through(self, members, s):
+        """Whether a clique of rank s contains the classes in members: the
+        maximal cliques through them are those of the graph on their common
+        neighbours, all through the least member."""
+        common = self._common(members)
+        self._build_masks(np.fromiter(_bits(common), dtype=np.int64))
+        adj = [m & common for m in self.commuting]
+        return any(r == s for r, _ in self._cliques(adj, members & -members))
 
 
 def _bitset(indices, n):
@@ -756,20 +894,28 @@ def _bitset(indices, n):
     return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
+def _flags(mask, n):
+    """The bool array of the bits 0, ..., n - 1 of the int mask."""
+    data = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(data, count=n, bitorder="little").astype(bool)
+
+
 class LocalRank(NamedTuple):
     rank: int
     witness: ElementarySubalgebra
 
 
 def _projective_reps(f, vecs):
-    """Rows of vecs whose first nonzero coordinate is 1, in lexicographic order.
+    """The ascending indices of the rows of vecs whose first nonzero
+    coordinate is 1.
 
     vecs must be closed under F_q^x scaling (a nullcone is), so these rows
     are exactly one representative per projective class.
     """
+    if not vecs.shape[1]:  # F_q^0 has no nonzero vector
+        return np.zeros(0, dtype=np.int64)
     lead = vecs[np.arange(len(vecs)), (vecs != 0).argmax(axis=1)]
-    rows = np.nonzero(lead == f.one)[0]
-    return rows[np.lexsort(vecs[rows].T[::-1])]
+    return np.flatnonzero(lead == f.one)
 
 
 def local_rank(g: RestrictedLieAlgebra, x: Vec, budget: int = DEFAULT_BUDGET) -> LocalRank:
@@ -792,6 +938,7 @@ def local_rank(g: RestrictedLieAlgebra, x: Vec, budget: int = DEFAULT_BUDGET) ->
     basis = np.array(zbasis, dtype=np.int64)
     codes, vecs = _nilpotent_span(g, basis)
     rows = _projective_reps(f, vecs)
+    rows = rows[np.lexsort(vecs[rows].T[::-1])]  # in g's lexicographic order
     search = _TupleSearch(g, _digits(codes[rows], f.q, d), basis, budget)
     xi = int(search._table[codes[(vecs == x).all(axis=1)][0]])
     r, witness, _ = search.max_tuple_containing(xi)
@@ -814,29 +961,52 @@ class SrkBrute(NamedTuple):
 def srk_brute(g: RestrictedLieAlgebra, budget: int = DEFAULT_BUDGET) -> SrkBrute:
     """Exact saturation rank by exhausting the restricted nullcone.
 
-    Local ranks are scalar-invariant, so they are found per projective class
-    and expanded back to points.  They are also constant on the orbits of
-    the verified automorphisms (_automorphisms), so one enumeration of the
-    maximal cliques through the orbit roots gives every class's local rank
-    (_TupleSearch.ranks).  The witness is the least maximal tuple through the
-    least class of minimal rank, which is a root.  budget caps the nullcone
-    points, the commuting-mask bits and the nodes of the clique search.
+    Every maximal elementary subalgebra is W + C, for the central elementary
+    ideal C (_central_elementary) and W a maximal clique on the classes of
+    V(g) n span B, B the standard basis vectors off C's pivots.  So one
+    search over those classes (_TupleSearch, in B's coordinates) gives every
+    local rank: r(b + c) = dim C + r_B(b) for b != 0, and r(c) = dim C plus
+    the largest clique rank for c in C, nonzero.  Local ranks are
+    scalar-invariant, so they are found per projective class and expanded
+    back to points, and they are constant on the orbits of the verified
+    automorphisms (_automorphisms), so the cliques are enumerated through
+    the orbit roots only.  The witness is the least maximal tuple through the
+    least point of minimal rank, in g's lexicographic order.  budget caps
+    the nullcone points, the commuting-mask bits and the nodes of each
+    clique search.
     """
     vecs = nullcone(g, budget=budget)
     if len(vecs) == 1:  # just 0
         return SrkBrute(srk=0, r_min=0, o_rmin_count=0, o_rmin=vecs[1:],
                         witness=None, note="restricted nullcone is {0}; srk reported as 0")
-    classes = vecs[_projective_reps(g.field, vecs)]
-    search = _TupleSearch(g, classes, np.eye(g.dim, dtype=np.int64), budget,
-                          _automorphisms(g, classes))
-    m = min(search.ranks)
-    # the points come in lexicographic order; code 0 has no class, rank -1
-    keep = np.array(search.ranks + [-1])[search._table[vecs @ search._place]] == m
-    o_rmin = vecs[keep]
-    _, wit, _ = search.max_tuple_containing(search.ranks.index(m))
-    witness = ElementarySubalgebra(tuple(wit))
+    f, centre = g.field, _central_elementary(g)
+    keep = _off_pivots(centre)
+    reps = _projective_reps(f, vecs)  # one point per class of g, in lexicographic order
+    # the classes of V(g) n span B are those zero on C's pivots, and their
+    # coordinates in B are their entries off the pivots
+    classes = vecs[np.ix_(reps[~vecs[np.ix_(reps, ~keep)].any(axis=1)], keep)]
+    basis = np.eye(g.dim, dtype=np.int64)[keep]
+    search = _TupleSearch(g, classes, basis, budget, _automorphisms(g, classes))
+    # every point's class modulo C, n for the points of C; vecs[0] is zero
+    of = search._table[_part_in_span(f, vecs, centre, keep) @ search._place]
+    ranks = len(centre) + np.array(search.ranks + [max(search.ranks, default=0)])[of]
+    m = int(ranks[1:].min())
+    o_rmin = vecs[1:][ranks[1:] == m]
+    _, wit, _ = search.max_tuple_containing(int(np.argmax(ranks[reps] == m)), vecs[reps],
+                                            of[reps], len(centre))
     return SrkBrute(srk=m, r_min=m, o_rmin_count=len(o_rmin), o_rmin=o_rmin,
-                    witness=witness, note="")
+                    witness=ElementarySubalgebra(tuple(wit)), note="")
+
+
+def _part_in_span(f, vecs, centre, keep):
+    """The coordinates in B of b, for each row x = b + c of vecs with b in
+    span B and c in C: c = x[pivots] . centre, since centre is in RREF, and
+    B's coordinates are the entries off the pivots.  One elementwise product
+    per row of centre keeps the temporaries at the size of the result."""
+    part, negated = vecs[:, keep], f.varr_neg(centre[:, keep])
+    for t, col in enumerate(np.flatnonzero(~keep).tolist()):
+        part = f.varr_add(part, f.varr_mul(vecs[:, col, None], negated[t]))
+    return part
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ and O_rmin = regular + subregular.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -32,7 +33,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import BudgetError, PreconditionError
-from .fields import FieldSpec, Mat, field_make, is_prime, mat_rank, mat_solve
+from .fields import FieldSpec, Mat, _rref, field_make, is_prime, mat_solve
 from .lie import ElementarySubalgebra, from_matrix_basis, is_elementary, sl_coords
 
 
@@ -122,12 +123,12 @@ def nullcone_top_partition(n: int, p: int) -> Partition:
 
 
 def rank_sequence(m: Mat) -> list:
-    """[rank(m^k) for k = 1, ..., n] for an n x n matrix m."""
-    ranks, x = [], m
-    for _ in range(m.rows):
-        ranks.append(mat_rank(x))
-        x = x @ m
-    return ranks
+    """[rank(m^k) for k = 1, ..., n] for an n x n matrix m, from one stacked
+    elimination of the powers."""
+    f, powers = m.field, [m.a]
+    for _ in range(m.rows - 1):
+        powers.append(f.matmul(powers[-1], m.a))
+    return _rref(f, np.stack(powers))[1].sum(axis=1).tolist()
 
 
 def partition_of_nilpotent(m: Mat) -> Partition:
@@ -173,9 +174,6 @@ class XiCombination:
             out[key] = out.get(key, 0) + c
         return XiCombination(self.lam, out)
 
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
     def scale(self, c: int):
         return XiCombination(self.lam, {key: c * v for key, v in self.terms.items()})
 
@@ -216,37 +214,60 @@ def xi_compose(a: XiCombination, b: XiCombination) -> XiCombination:
     xi_i^(j,s) . xi_p^(q,r) = delta(q,i) xi_p^(j,s+r)."""
     if a.lam != b.lam:
         raise PreconditionError("composition across different partitions")
-    out = {}
-    for (i, j, s), ca in a.terms.items():
-        for (p, q, r), cb in b.terms.items():
-            if q == i and s + r in _shifts(a.lam, p, j):
-                out[p, j, s + r] = out.get((p, j, s + r), 0) + ca * cb
-    return XiCombination(a.lam, out)
+    return XiCombination(a.lam, _add_product({}, a, b, 1))
 
 
 def xi_bracket(a: XiCombination, b: XiCombination) -> XiCombination:
     if a.lam != b.lam:
         raise PreconditionError("bracket across different partitions")
-    return xi_compose(a, b) - xi_compose(b, a)
+    return XiCombination(a.lam, _add_product(_add_product({}, a, b, 1), b, a, -1))
+
+
+def _add_product(out, a, b, sign):
+    """out with sign * (a . b) added to its (i, j, s) -> coefficient terms."""
+    for (i, j, s), ca in a.terms.items():
+        for (p, q, r), cb in b.terms.items():
+            if q == i and s + r in _shifts(a.lam, p, j):
+                out[p, j, s + r] = out.get((p, j, s + r), 0) + sign * ca * cb
+    return out
 
 
 def xi_to_matrix(lam: Partition, x: XiCombination, field: FieldSpec) -> Mat:
     """Matrix of a combination in the ordered block basis."""
-    if x.lam != lam:
-        raise PreconditionError("combination anchored to a different partition")
-    n = lam.n
+    return Mat._wrap(field, xi_to_matrices(lam, [x], field)[0])
+
+
+def xi_to_matrices(lam: Partition, combos, field: FieldSpec) -> np.ndarray:
+    """The matrices of the combinations in the ordered block basis, as an
+    (N, n, n) code array.  Distinct (i, j, s) fill disjoint diagonals of the
+    block (j, i), so each term writes its coefficient, an F_p code, into its
+    cells (_cells) without adding."""
+    cells = _cells(lam)
+    out = np.zeros((len(combos), lam.n, lam.n), dtype=np.int64)
+    for k, x in enumerate(combos):
+        if x.lam != lam:
+            raise PreconditionError("combination anchored to a different partition")
+        for key, coeff in x.terms.items():
+            rows, cols = cells[key]
+            out[k, rows, cols] = field.from_int(coeff)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _cells(lam: Partition) -> dict:
+    """(rows, cols) of the matrix entries of each in-bound xi_i^(j,s): it
+    sends e^u v_i to e^(u+s) v_j, which is zero from u + s = lam_j on, so
+    its entries are a diagonal of the block (j, i) clipped there."""
     offs = list(itertools.accumulate(lam.parts, initial=0))
-    a = np.zeros((n, n), dtype=np.int64)
-    # distinct (i, j, s) fill disjoint diagonals of the block (j, i), so each
-    # term writes its coefficient, an F_p code, without adding
-    for (i, j, s), coeff in x.terms.items():
-        li = lam.parts[i - 1]
-        lj = lam.parts[j - 1]
-        m0 = max(0, s + li - lj)
-        row0 = offs[j - 1] + (lj - li - s) + m0
-        col0 = offs[i - 1] + m0
-        np.fill_diagonal(a[row0:row0 + li - m0, col0:col0 + li - m0], field.from_int(coeff))
-    return Mat(field, a)
+    t, cells = lam.length, {}
+    for i in range(1, t + 1):
+        for j in range(1, t + 1):
+            li, lj = lam.parts[i - 1], lam.parts[j - 1]
+            for s in _shifts(lam, i, j):
+                m0 = max(0, s + li - lj)
+                step = np.arange(li - m0)
+                cells[i, j, s] = (offs[j - 1] + lj - li - s + m0 + step, offs[i - 1] + m0 + step)
+    return cells
 
 
 class CentralizerBasis(NamedTuple):

@@ -601,34 +601,64 @@ def test_huge_p_exits_at_once(capsys, tmp_path, p, exit_code):
         assert code == exit_code and out == "" and f"p={p}" in err
 
 
-def test_lie_srk_clique_nodes_count_against_the_budget(capsys, tmp_path):
-    # h_7/F_3 has 3**7 = 2187 points, within the budget; its clique search
-    # visits far more than 50000 nodes
-    path = tmp_path / "h7.json"
+def _heisenberg_file(tmp_path, n, p):
+    # h_{2n+1}/F_p by structure constants, [x_i, y_i] = z
+    path = tmp_path / f"h{2 * n + 1}.json"
     path.write_text(json.dumps({
-        "p": 3, "dim": 7,
-        "brackets": [{"i": i, "j": 3 + i, "out": [{"k": 6, "c": 1}]} for i in range(3)],
-        "pmap": [{"i": i, "out": []} for i in range(7)],
+        "p": p, "dim": 2 * n + 1,
+        "brackets": [{"i": i, "j": n + i, "out": [{"k": 2 * n, "c": 1}]} for i in range(n)],
+        "pmap": [{"i": i, "out": []} for i in range(2 * n + 1)],
     }))
-    code, out, err = run_cli(capsys, "lie-srk", "--file", str(path), "--budget", "50000")
+    return str(path)
+
+
+def test_lie_srk_clique_nodes_count_against_the_budget(capsys, tmp_path):
+    # h_5/F_3: its 3**5 = 243 points and the 40**2 mask bits of its quotient
+    # by the centre fit a budget of 243; the clique search over the 40
+    # quotient classes visits more than 243 nodes
+    code, out, err = run_cli(capsys, "lie-srk", "--file", _heisenberg_file(tmp_path, 2, 3),
+                             "--budget", "243")
     assert code == 3 and out == ""
-    assert "budget exceeded: maximal cliques: 50001 nodes visited > budget 50000, " in err
-    assert err.rstrip().endswith("cliques found so far")
+    assert err.rstrip().endswith("budget exceeded: maximal cliques: 244 nodes visited "
+                                 "> budget 243, 37 cliques found so far")
 
 
 def test_lie_srk_commuting_masks_count_against_the_budget(capsys, tmp_path):
-    # abelian_p_trivial(10, F_3): 3**10 points pass the default budget, but
-    # each of the 29524 classes commutes with all of them, and the 29524**2
-    # bits of their masks are refused before any is built
+    # h_7/F_5 with a budget of 80000: its 5**7 = 78125 points pass, and the
+    # derivations leave one orbit on the 3906 quotient classes; the root's
+    # mask is built, but with its 780 neighbours' the masks would hold
+    # 781 * 3906 bits, which are refused before any of those is built
+    import time
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "lie-srk", "--file", _heisenberg_file(tmp_path, 3, 5),
+                             "--budget", "80000")
+    assert time.perf_counter() - start < 30
+    assert code == 3 and out == ""
+    assert ("budget exceeded: commuting masks: 781 masks of 3906 classes are 3050586 bits "
+            "> budget 2560000 bits (32 per budget unit); 1 masks built so far") in err
+
+
+def test_lie_srk_h7_f3_fits_the_old_clique_budget(capsys, tmp_path):
+    # a budget of 50000 stopped the whole-graph clique search of h_7/F_3;
+    # modulo the centre, with one orbit of quotient classes, it suffices
+    code, out, _ = run_cli(capsys, "lie-srk", "--file", _heisenberg_file(tmp_path, 3, 3),
+                           "--budget", "50000")
+    rep = json.loads(out)
+    assert code == 0 and (rep["srk"], rep["r_min"], rep["o_rmin_count"]) == (4, 4, 2186)
+
+
+def test_lie_srk_abelian_10_runs_modulo_its_centre(capsys, tmp_path):
+    # abelian_p_trivial(10, F_3) is its own central elementary ideal: no
+    # masks and no cliques, every nonzero point has rank 10
     import time
     path = tmp_path / "abelian10.json"
     path.write_text(json.dumps({"p": 3, "dim": 10}))
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "lie-srk", "--file", str(path))
-    assert time.perf_counter() - start < 30
-    assert code == 3 and out == ""
-    assert ("budget exceeded: commuting masks: 29524 masks of 29524 classes are 871666576 bits "
-            "> budget 320000000 bits (32 per budget unit); 0 masks built so far") in err
+    code, out, _ = run_cli(capsys, "lie-srk", "--file", str(path))
+    assert time.perf_counter() - start < 2
+    rep = json.loads(out)
+    assert code == 0 and (rep["srk"], rep["r_min"], rep["o_rmin_count"]) == (10, 10, 59048)
+    assert rep["witnesses"] == [[[int(i == j)] for i in range(10)] for j in range(9, -1, -1)]
 
 
 def _unreadable(tmp_path, kind):

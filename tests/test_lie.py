@@ -28,6 +28,7 @@ from satrank.lie import (
     srk_brute,
     toral,
 )
+from satrank.oracle import oracle_srk_lie
 
 F3 = field_make(3, 1)
 F5 = field_make(5, 1)
@@ -516,9 +517,16 @@ def test_local_rank_witness_contains_x_and_is_elementary():
         assert r0 == r1 == res.rank == res.witness.rank
 
 
+def _no_centre(monkeypatch):
+    """srk_brute and nullcone take the central elementary ideal to be {0},
+    so they search the commuting graph on all of g's classes."""
+    monkeypatch.setattr(lie, "_central_elementary", lambda g: np.zeros((0, g.dim), dtype=np.int64))
+
+
 def _captured_search(monkeypatch, run, automorphisms=False):
     """The _TupleSearch that run() builds, by default over the whole graph:
-    srk_brute gets no automorphisms, so every class is a root."""
+    srk_brute gets no central ideal and no automorphisms, so every class of
+    g is a root."""
     made = []
 
     class Spy(lie._TupleSearch):
@@ -528,6 +536,7 @@ def _captured_search(monkeypatch, run, automorphisms=False):
 
     monkeypatch.setattr(lie, "_TupleSearch", Spy)
     if not automorphisms:
+        _no_centre(monkeypatch)
         monkeypatch.setattr(lie, "_automorphisms", lambda g, classes: ())
     run()
     return made[0]
@@ -703,9 +712,8 @@ def test_witness_is_least_maximal_tuple(monkeypatch, case):
 
 @pytest.mark.parametrize("chunk", [1, 24])
 def test_witness_across_batches(monkeypatch, chunk):
-    # the center of h_5/F_3 lies in all 40 Lagrangian cliques; a small _CHUNK
-    # splits them into batches of 1 or 3 (the last one short), and the running
-    # minimum must give the single-batch witness for every class
+    # the center of h_5/F_3 lies in all 40 Lagrangian cliques; the witness of
+    # every class must not depend on the batch size _CHUNK
     g = _CLIQUE_CASES["h5_F3"][0]()
     search = _captured_search(monkeypatch, lambda: srk_brute(g))
     whole = [search.max_tuple_containing(xi) for xi in range(search.n)]
@@ -830,6 +838,20 @@ def test_reduced_search_matches_the_whole_graph(monkeypatch, name, orbits):
         assert mask == (whole.commuting[i] if near >> i & 1 else 0)
 
 
+@pytest.mark.parametrize("name", ["sl3_F3", "sl3_F3_gl", "sl4_F2"])
+def test_witness_through_any_class_matches_the_whole_graph(monkeypatch, name):
+    # with orbits, the cliques through a class that is no root are not
+    # enumerated, and each pick is decided by a clique search among the
+    # classes commuting with the picks so far
+    g = _ORBIT_CASES[name]()
+    whole = _captured_search(monkeypatch, lambda: srk_brute(g))
+    monkeypatch.undo()
+    reduced = _captured_search(monkeypatch, lambda: srk_brute(g), automorphisms=True)
+    others = [i for i in range(reduced.n) if reduced.labels[i] != i]
+    for xi in sorted(random.Random(name).sample(others, 12)):
+        assert reduced.max_tuple_containing(xi) == whole.max_tuple_containing(xi)
+
+
 @pytest.mark.parametrize("name", ["sl3_F3", "sl4_F2", "sl2_struct_F5", "sl2_F9"])
 def test_automorphisms_preserve_local_rank_and_structure(name):
     # sl_3 and sl_2/F_9 conjugate by exp(x), sl_4/F_2 by 1 + x, and the
@@ -880,12 +902,14 @@ def test_map_breaking_one_condition_is_rejected(case):
     assert len(lie._verified(g, np.eye(g.dim, dtype=np.int64)[None])) == 1
 
 
-def test_commuting_mask_budget_boundary():
-    # abelian of dimension 5 over F_3: 243 points, 121 classes, all of them
-    # roots (every class is central), so 121**2 = 14641 mask bits: 32 * 458
+def test_commuting_mask_budget_boundary(monkeypatch):
+    # abelian of dimension 5 over F_3 searched as if its central elementary
+    # ideal were {0}: 243 points, 121 classes, all of them roots (the
+    # exponentials of ad x are the identity), so 121**2 = 14641 mask bits: 32 * 458
     # covers them, 32 * 457 does not.  The complete commuting graph is one
     # clique, found in 2 nodes
     g = abelian_p_trivial(5, F3)
+    _no_centre(monkeypatch)
     assert srk_brute(g, budget=458).srk == 5
     with pytest.raises(BudgetError, match=r"^commuting masks: 121 masks of 121 classes are "
                                           r"14641 bits > budget 14624 bits .*; 0 masks built"):
@@ -894,16 +918,21 @@ def test_commuting_mask_budget_boundary():
 
 @pytest.mark.parametrize("name", ["h3_F5", "h5_F3", "h3_F9", "abelian3_F3"])
 def test_central_class_skips_the_automorphism_search(monkeypatch, name):
+    # srk_brute searches modulo the central elementary ideal, and these
+    # quotients have under _DERIVATION_MIN_CLASSES classes: no candidate is
+    # built, and every class is a root
     g = abelian_p_trivial(3, F3) if name == "abelian3_F3" else _ORBIT_CASES[name]()
     monkeypatch.setattr(lie, "_verified", lambda g, a: pytest.fail("candidates were built"))
-    assert len(lie._automorphisms(g, _classes(g))) == 0
+    search = _captured_search(monkeypatch, lambda: srk_brute(g), automorphisms=True)
+    assert len(lie._automorphisms(g, search.coords)) == 0
+    assert (search.labels == np.arange(search.n)).all()
 
 
 def test_centre_without_nilpotents_keeps_the_search():
     # the scalar matrices are the centre of sl_3 over F_3, and none is nilpotent
     g = special_linear(3, F3)
     assert not g.ad(g.coords_of_matrix(Mat(F3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))).any()
-    assert not lie._has_central_class(g, _classes(g))
+    assert lie._central_elementary(g).shape == (0, g.dim)
     assert len(lie._automorphisms(g, _classes(g))) == 4
 
 
@@ -925,23 +954,131 @@ _CENTRE_CASES = {
     "abelian3_F3": lambda: abelian_p_trivial(3, F3),
     "sl3_F3": lambda: special_linear(3, F3),
     "h3_plus_sl2_F5": lambda: _direct_sum(heisenberg(1, F5), special_linear(2, F5)),
+    "h3_F9": lambda: heisenberg(1, field_make(3, 2)),
+    "h3_F27": lambda: heisenberg(1, field_make(3, 3)),
+    # the centre is span(t, z), and t^[p] = t: C is span(z) alone
+    "toral1_plus_h3_F3": lambda: _direct_sum(toral(1, F3), heisenberg(1, F3)),
+    # abelian over F_9 with b_0^[p] = b_2 and b_1^[p] = w b_2 (code 3 is w):
+    # a b_0 + b b_1 is p-nilpotent when a^3 + w b^3 = 0, which is not the
+    # linear condition a + w b = 0, as w is outside F_3
+    "twisted_F9": lambda: RestrictedLieAlgebra(field_make(3, 2), {},
+                                               [(0, 0, 1), (0, 0, 3), (0, 0, 0)]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_CENTRE_CASES))
-def test_has_central_class_matches_ad_per_class(name):
+def test_central_elementary_matches_the_pointwise_filter(name):
+    # C is the set of the elements x with ad(x) = 0 and x^[p] = 0, tested on
+    # every element of iter_elements, in its lexicographic order
     g = _CENTRE_CASES[name]()
-    rng = np.random.default_rng(len(name))
-    classes = _classes(g)
-    rows = np.concatenate([classes[rng.choice(len(classes), min(len(classes), 24), replace=False)],
-                           np.eye(g.dim, dtype=np.int64),
-                           rng.integers(0, g.field.q, size=(24, g.dim))])
-    if name == "sl3_F3":  # the identity matrix: central, not p-nilpotent
-        rows = np.concatenate([rows, [g.coords_of_matrix(Mat.identity(F3, 3))]])
-    central = [not g.ad(x).any() for x in rows]
-    assert [lie._has_central_class(g, x[None]) for x in rows] == central
-    assert any(central) and all(central) == (name == "abelian3_F3")
-    assert lie._has_central_class(g, classes) == any(not g.ad(x).any() for x in classes)
+    f = g.field
+    elements = np.array(list(g.iter_elements()), dtype=np.int64)
+    central = ~g.ad(elements).any(axis=(1, 2))
+    members = elements[central & ~g._pmap_rows(elements).any(axis=1)]
+    centre = lie._central_elementary(g)
+    span = lie._combinations(f, np.arange(f.q ** len(centre)), centre)
+    assert np.array_equal(span[np.lexsort(span.T[::-1])], members)
+    assert len(members) == f.q ** len(centre)  # the rows are independent
+    assert lie._central_elementary(g) is centre  # once per algebra
+    assert (len(centre) == 0) == (name == "sl3_F3")
+    if name in ("toral1_plus_h3_F3", "twisted_F9"):
+        assert central.sum() > len(members)
+
+
+def _gl_rebased(g, seed):
+    """g in a random basis of F_q^dim, rebuilt from brackets and p-th powers
+    as the benchmark disguises its structure-constant inputs."""
+    rng = np.random.default_rng(seed)
+    while True:
+        a = rng.integers(0, g.field.q, size=(g.dim, g.dim))
+        if mat_rank(Mat(g.field, a)) == g.dim:
+            return _rebased(g, a)
+
+
+_QUOTIENT_CASES = {
+    "h3_F3": lambda: heisenberg(1, F3),
+    "h3_F5": lambda: heisenberg(1, F5),
+    "h5_F3": lambda: heisenberg(2, F3),
+    "h3_F9": lambda: heisenberg(1, field_make(3, 2)),
+    "h3_F27": lambda: heisenberg(1, field_make(3, 3)),
+    "abelian3_F3": lambda: abelian_p_trivial(3, F3),
+    "abelian4_F3": lambda: abelian_p_trivial(4, F3),
+    "abelian5_F3": lambda: abelian_p_trivial(5, F3),
+    "h3_plus_abelian1_F3": lambda: _direct_sum(heisenberg(1, F3), abelian_p_trivial(1, F3)),
+    "h3_plus_sl2_F5": lambda: _direct_sum(heisenberg(1, F5), special_linear(2, F5)),
+    "toral1_plus_h3_F3": lambda: _direct_sum(toral(1, F3), heisenberg(1, F3)),
+    "h5_F3_gl": lambda: _gl_rebased(heisenberg(2, F3), 5),
+    "h3_F9_gl": lambda: _gl_rebased(heisenberg(1, field_make(3, 2)), 9),
+}
+
+
+@pytest.mark.parametrize("derivations", [False, True], ids=["default", "derivations"])
+@pytest.mark.parametrize("name", sorted(_QUOTIENT_CASES))
+def test_quotient_search_matches_the_whole_graph(monkeypatch, name, derivations):
+    # the search modulo the central elementary ideal gives the whole graph's
+    # payload byte for byte; "derivations" takes orbits from Der(g) on every
+    # quotient, however small, so witnesses also go through classes that are
+    # no orbit root
+    g = _QUOTIENT_CASES[name]()
+    assert len(lie._central_elementary(g))
+    if derivations:
+        monkeypatch.setattr(lie, "_DERIVATION_MIN_CLASSES", 0)
+    quotient = _payload_digest(srk_brute(g))
+    monkeypatch.undo()
+    _no_centre(monkeypatch)
+    monkeypatch.setattr(lie, "_automorphisms", lambda g, classes: ())
+    assert _payload_digest(srk_brute(g)) == quotient
+
+
+@pytest.mark.parametrize("name,roots", [("h5_F3", 1), ("h3_F9", 1), ("h5_F3_gl", 1),
+                                        ("h3_plus_sl2_F5", 3)])
+def test_derivation_automorphisms_give_orbits_on_the_quotient(monkeypatch, name, roots):
+    # Sp_4(F_3) and SL_2(F_9) are transitive on the nonzero vectors of the
+    # quotient, and their transvections are exponentials of derivations; the
+    # quotient F_5^2 + sl_2 of h_3 + sl_2 has the three orbits of (v, 0),
+    # (0, e) and (v, e)
+    g = _QUOTIENT_CASES[name]()
+    monkeypatch.setattr(lie, "_DERIVATION_MIN_CLASSES", 0)
+    search = _captured_search(monkeypatch, lambda: srk_brute(g), automorphisms=True)
+    assert sum(search.labels == np.arange(search.n)) == roots < search.n
+    exps = lie._verified(g, lie._derivation_exps(g))
+    assert len(exps)
+    f, rng = g.field, random.Random(name)
+    for a in exps[:6]:
+        for _ in range(4):
+            u, v = (np.array([rng.randrange(f.q) for _ in range(g.dim)]) for _ in range(2))
+            image = lambda x: tuple(f.matmul(x, a).tolist())
+            assert g.bracket(image(u), image(v)) == image(np.array(g.bracket(u, v)))
+            assert g.pmap_eval(image(u)) == image(np.array(g.pmap_eval(u)))
+
+
+def test_oracle_agrees_on_a_two_dimensional_centre():
+    g = _QUOTIENT_CASES["h3_plus_abelian1_F3"]()
+    assert len(lie._central_elementary(g)) == 2
+    assert oracle_srk_lie(g) == srk_brute(g).srk == 3
+
+
+@pytest.mark.parametrize("a,b", [("h3", "abelian1"), ("h3", "sl2"), ("h5", "abelian2")])
+def test_srk_adds_under_direct_sums(a, b):
+    # r(x_1, x_2) = r(x_1) + r(x_2) for nonzero parts, and a point with a
+    # zero part has no smaller rank
+    f = F5 if "sl2" in (a, b) else F3
+    build = {"h3": lambda: heisenberg(1, f), "h5": lambda: heisenberg(2, f),
+             "sl2": lambda: special_linear(2, f), "abelian1": lambda: abelian_p_trivial(1, f),
+             "abelian2": lambda: abelian_p_trivial(2, f)}
+    ga, gb = build[a](), build[b]()
+    total = srk_brute(_direct_sum(ga, gb))
+    assert total.srk == total.r_min == srk_brute(ga).srk + srk_brute(gb).srk
+
+
+@pytest.mark.parametrize("name", ["h3", "sl2", "abelian2"])
+def test_srk_is_invariant_under_extension_to_f9(name):
+    build = {"h3": lambda f: heisenberg(1, f), "sl2": lambda f: special_linear(2, f),
+             "abelian2": lambda f: abelian_p_trivial(2, f)}[name]
+    small, large = srk_brute(build(F3)), srk_brute(build(field_make(3, 2)))
+    assert (small.srk, small.r_min) == (large.srk, large.r_min)
+    if name == "sl2":  # o_rmin_count counts points, so it grows with the field
+        assert (small.o_rmin_count, large.o_rmin_count) == (8, 80)
 
 
 @pytest.mark.parametrize("x", [(0, 0, 1), (1, 0, 1)])
