@@ -19,22 +19,9 @@ import sys
 
 from .errors import BudgetError, PreconditionError
 from .fields import field_make, mat_is_p_nilpotent
-from .frobkernel import frob2_report, homomorphism_sweep, srk_sln2
-from .groups import (dihedral_square, elementary_abelian, group_report, load_group,
-                     maximal_elemab, quaternion8, symmetric)
-from .lie import (DEFAULT_BUDGET, heisenberg, lie_report, load_lie, nullcone, sl_matrices,
-                  special_linear, srk_brute)
-from .oracle import SearchBudget, oracle_commuting_pairs, oracle_maximal_elemab, oracle_srk_lie
-from .slnorbits import (
-    OrbitClass,
-    Partition,
-    centralizer_sl_basis,
-    lower_orbit_witness,
-    regular_witness,
-    sln_report,
-    sln_srk_report,
-    subregular_witnesses,
-)
+
+# Each _cmd_* imports the layers it uses when it runs, so a subcommand loads
+# only those: group-srk never compiles lie or the sl_n modules.
 
 USAGE_EXIT = 64
 
@@ -46,6 +33,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _budget(args):
     """--budget, else SATRANK_BUDGET, else DEFAULT_BUDGET; negative is invalid input."""
+    from .lie import DEFAULT_BUDGET
     budget, source = args.budget, "--budget"
     if budget is None:
         env, source = os.environ.get("SATRANK_BUDGET"), "SATRANK_BUDGET"
@@ -84,7 +72,8 @@ def _write(text: str, args) -> None:
         sys.stdout.write(text)
 
 
-def _parse_partition(text: str) -> Partition:
+def _parse_partition(text: str):
+    from .slnorbits import Partition
     try:
         parts = tuple(int(x) for x in text.split(","))
     except ValueError:
@@ -165,16 +154,19 @@ def build_parser() -> _Parser:
 
 
 def _cmd_group_srk(args):
+    from .groups import group_report, load_group
     g, p = load_group(args.file)
     return group_report(g, p)
 
 
 def _cmd_lie_srk(args):
+    from .lie import lie_report, load_lie
     budget = _budget(args)
     return lie_report(load_lie(args.file, budget=budget), budget=budget)
 
 
 def _cmd_lie_nullcone(args):
+    from .lie import load_lie, nullcone
     if args.list_limit < 0:
         raise PreconditionError(f"--list-limit must be >= 0, got {args.list_limit}")
     budget = _budget(args)
@@ -189,14 +181,17 @@ def _cmd_lie_nullcone(args):
 
 
 def _cmd_sln_srk(args):
+    from .slnorbits import sln_srk_report
     return sln_srk_report(args.n, args.p)
 
 
 def _cmd_sln_orbits(args):
+    from .slnorbits import sln_report
     return sln_report(args.n, args.p)
 
 
 def _cmd_sln_centralizer(args):
+    from .slnorbits import centralizer_sl_basis
     lam = _parse_partition(args.partition)
     if lam.n != args.n:
         raise PreconditionError(f"partition {lam.parts} does not sum to n={args.n}")
@@ -212,6 +207,8 @@ def _cmd_sln_centralizer(args):
 
 
 def _cmd_sln_witness(args):
+    from .lie import sl_matrices
+    from .slnorbits import OrbitClass, lower_orbit_witness, regular_witness, subregular_witnesses
     lam = _parse_partition(args.partition)
     n = args.n
     if lam.n != n:
@@ -231,10 +228,12 @@ def _cmd_sln_witness(args):
 
 
 def _cmd_frob2_srk(args):
+    from .frobkernel import frob2_report
     return frob2_report(args.n, args.p)
 
 
 def _cmd_frob2_verify_exp(args):
+    from .frobkernel import homomorphism_sweep, srk_sln2
     budget = _budget(args)
     field = field_make(args.p, args.k)
     pair = srk_sln2(args.n, field).pair  # refuses n < 2 and p < n first
@@ -246,6 +245,9 @@ def _cmd_frob2_verify_exp(args):
 
 
 def _cmd_oracle_crosscheck(args):
+    from .groups import dihedral_square, elementary_abelian, maximal_elemab, quaternion8, symmetric
+    from .lie import heisenberg, special_linear, srk_brute
+    from .oracle import SearchBudget, oracle_commuting_pairs, oracle_maximal_elemab, oracle_srk_lie
     checks = []
 
     def record(name, ok, **info):

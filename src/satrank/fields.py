@@ -322,6 +322,16 @@ class FieldSpec:
         return self._product(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64),
                              operator.matmul)
 
+    def quadratic(self, x, form):
+        """x . form . x^T over F_q for every row x of x (the last axis): the
+        quadratic form with Gram matrix form, evaluated row by row."""
+        y = self.matmul(x, form)
+        if self.k == 1:
+            out = np.einsum("...i,...i->...", y, x)
+            out %= self.p
+            return out
+        return self.matmul(y[..., None, :], x[..., :, None])[..., 0, 0]
+
     def matpow(self, a, e: int):
         """a**e for e >= 0, for a square matrix or a stack of them."""
         a = np.array(a, dtype=np.int64)

@@ -15,16 +15,18 @@ g[t].  All field arithmetic, batched or not, goes through satrank.fields.
 
 The saturation rank machinery works over the restricted nullcone
 V(g) = {x : x^[p] = 0}.  It is a cone, (cx)^[p] = c^p x^[p], so it is
-enumerated by lines: one p-th power per projective class, then each
-p-nilpotent line expanded by the nonzero scalars.  The local rank r(x) is
-the largest dimension of an elementary subalgebra through x, and srk(g) is
-the minimum of the local ranks over nonzero nullcone points.  Pairwise
-commuting p-nilpotent vectors span an elementary subalgebra (the Jacobson
-terms of a sum are iterated brackets), so the maximal cliques of the
-commuting graph on projective nullcone classes are exactly the maximal
-elementary subalgebras, and a clique of (q^r - 1)/(q - 1) classes has rank
-r.  One enumeration (satrank.cliques, shared with satrank.groups) gives r(x)
-for every class at once.
+enumerated by lines: at most one p-th power per projective class, then each
+p-nilpotent line expanded by the nonzero scalars.  A line gets its p-th
+power only where the trace form tr(X^2) of the matrix model (else the
+Killing form tr(ad(x)^2)) vanishes, as it does on every p-nilpotent x.
+The local rank r(x) is the largest dimension of an elementary subalgebra
+through x, and srk(g) is the minimum of the local ranks over nonzero
+nullcone points.  Pairwise commuting p-nilpotent vectors span an elementary
+subalgebra (the Jacobson terms of a sum are iterated brackets), so the
+maximal cliques of the commuting graph on projective nullcone classes are
+exactly the maximal elementary subalgebras, and a clique of
+(q^r - 1)/(q - 1) classes has rank r.  One enumeration (satrank.cliques,
+shared with satrank.groups) gives r(x) for every class at once.
 
 The graph lives on integer coordinates in the space that was enumerated:
 F_q^dim for srk_brute, F_q^d in the centralizer basis for local_rank.  The
@@ -48,17 +50,18 @@ srk_brute searches that graph only: r(b + c) = dim C + r_B(b) for b != 0.
 C = {0} leaves the whole graph.
 
 Local rank is invariant under automorphisms of (g, [p]), so srk_brute needs
-it at one class per orbit.  _automorphisms builds a few candidates and keeps
-those that pass one stacked check on the basis brackets and p-th powers:
-truncated exponentials of nullcone classes when C = {0}, and on a large
-quotient the truncated exponentials of the nilpotent basis derivations,
-acting on g/C in B's coordinates (inner automorphisms fix g/C pointwise on
-Heisenberg algebras).  The orbits come from label propagation over the
-code -> class table, and the least class of each is its root.  Masks are
-built for the roots and their neighbours only, and the clique search starts
-from the roots (satrank.cliques), so it finds exactly the maximal cliques
-that meet a root; every class takes its root's rank.  Without automorphisms
-every class is a root.
+it at one class per orbit.  On a search of at least _ORBIT_MIN_CLASSES
+classes, _automorphisms builds a few candidates and keeps those that pass
+one stacked check on the basis brackets and p-th powers: truncated
+exponentials of nullcone classes when C = {0}, and on the quotient the
+truncated exponentials of the nilpotent basis derivations, acting on g/C in
+B's coordinates (inner automorphisms fix g/C pointwise on Heisenberg
+algebras).  The orbits come from label propagation over the code -> class
+table, and the least class of each is its root.  Masks are built for the
+roots and their neighbours only, and the clique search starts from the roots
+(satrank.cliques), so it finds exactly the maximal cliques that meet a root;
+every class takes its root's rank.  Without automorphisms every class is a
+root.
 """
 
 from __future__ import annotations
@@ -107,6 +110,7 @@ class RestrictedLieAlgebra:
         self.pmap = [tuple(int(c) % field.q for c in row) for row in pmap]
         self._pmap = np.array(self.pmap, dtype=np.int64).reshape(self.dim, self.dim)
         self._central = None  # _central_elementary's basis, once asked for
+        self._form = None  # _trace_form's Gram matrix, once asked for
         self.matrix_model = self._coord_solver = None
         if matrix_model:
             if len(matrix_model) != self.dim:
@@ -416,6 +420,10 @@ def nullcone(g: RestrictedLieAlgebra, budget: int = DEFAULT_BUDGET) -> np.ndarra
     It is (V(g) n span B) + C for the central elementary ideal C and the
     standard basis vectors B off its pivot columns (_central_elementary), so
     p-th powers are taken on span B only and the sums with C are array adds.
+    Within span B they are taken only on the lines where the trace form
+    (_trace_form) vanishes: x^[p] = 0 forces ad(x)^p = ad(x^[p]) = 0 and,
+    with a matrix model, X^p = 0, so tr(ad(x)^2) = 0 and tr(X^2) = 0, and
+    the form rejects no nullcone point (_nilpotent_span).
     """
     total = g.element_count()
     if total > budget:
@@ -475,23 +483,51 @@ def _nilpotent_span(g: RestrictedLieAlgebra, basis):
     lexicographic coefficient order.  Returns (codes, vecs): the ascending
     numbers r of the p-nilpotent combinations, zero first, and those
     combinations in g's coordinates.  (cx)^[p] = c^p x^[p], so the p-th
-    power is taken once per line, on the _line_codes combinations in batches
-    of _CHUNK, and each p-nilpotent one is expanded by the q - 1 nonzero
-    scalars.
+    power is taken at most once per line, on the _line_codes combinations
+    in batches of _CHUNK, and each p-nilpotent one is expanded by the q - 1
+    nonzero scalars.
+
+    A line is first tested against the trace form Q of _trace_form, pulled
+    back to basis; only the lines with Q = 0 get a p-th power.  That rejects
+    no p-nilpotent x: x^[p] = 0 forces ad(x)^p = ad(x^[p]) = 0 and, with a
+    matrix model, X^p = 0, so tr(ad(x)^2) = 0 and tr(X^2) = 0.  Where Q
+    vanishes identically as a quadratic form (Heisenberg and abelian
+    algebras, sl_n in characteristic 2) the test is skipped.
     """
     f, d = g.field, len(basis)
     place = _place_values(f.q, d)
+    form = f.matmul(f.matmul(basis, _trace_form(g)), basis.T)
+    # Q(x) = x . form . x^T vanishes identically when its coefficients do:
+    # the diagonal and form[i, j] + form[j, i] off it
+    if not (form.diagonal().any() or f.varr_add(form, form.T).any()):
+        form = None
     codes, vecs = [np.zeros(1, dtype=np.int64)], [np.zeros((1, basis.shape[1]), dtype=np.int64)]
     for r in _line_codes(f.q, d):
-        v = _combinations(f, r, basis)
+        digits = _digits(r, f.q, d)
+        if form is not None:
+            digits = digits[f.quadratic(digits, form) == 0]
+        v = f.matmul(digits, basis)
         nil = ~g._pmap_rows(v).any(axis=1)
-        digits, v = _digits(r[nil], f.q, d), v[nil]
+        digits, v = digits[nil], v[nil]
         for c in range(1, f.q):
             codes.append(f.varr_scale(c, digits) @ place)
             vecs.append(f.varr_scale(c, v))
     codes, vecs = np.concatenate(codes), np.concatenate(vecs)  # drops the pieces
     order = np.argsort(codes)
     return codes[order], vecs[order]
+
+
+def _trace_form(g: RestrictedLieAlgebra) -> np.ndarray:
+    """The Gram matrix tr(M_a M_b) on g's basis, computed once per algebra:
+    M the model matrices when g has a matrix model, else ad(b_a) (the
+    Killing form).  Its quadratic form vanishes on the restricted nullcone."""
+    if g._form is None:
+        mats = g._model if g.matrix_model else g._adb
+        size = math.prod(mats.shape[1:])
+        # tr(M_a M_b) is the dot product of M_a and M_b^T, both raveled
+        g._form = g.field.matmul(mats.reshape(g.dim, size),
+                                 np.swapaxes(mats, 1, 2).reshape(g.dim, size).T)
+    return g._form
 
 
 def _code_chunks(total):
@@ -564,11 +600,15 @@ class ElementarySubalgebra:
 # ---------------------------------------------------------------------------
 
 _GENERATOR_SOURCES = 4  # classes whose exponentials are the candidates
-# quotient classes from which on Der(g) is solved for orbit candidates.  Below
-# it the whole quotient graph costs less: srk_brute takes 1.8 ms without them
-# and 2.8 ms with them on h_5/F_3 (40 classes), 4.9 and 8.3 ms on h_3/F_27
-# (28), but 12.5 and 8.2 ms on h_5/F_5 (156) and 241 and 24 ms on h_7/F_3 (364)
-_DERIVATION_MIN_CLASSES = 100
+# searched classes from which on automorphism candidates are built.  Below it
+# the whole graph costs less.  Derivations on a quotient: srk_brute takes
+# 1.8 ms without them and 2.8 ms with them on h_5/F_3 (40 classes), 4.9 and
+# 8.3 ms on h_3/F_27 (28), but 12.5 and 8.2 ms on h_5/F_5 (156) and 241 and
+# 24 ms on h_7/F_3 (364).  Inner candidates (C = {0}): 0.8 and 1.6 ms on
+# sl_2/F_9 (10), 1.2 and 1.9 ms on sl_2/F_25 (26), 9.3 and 12.3 ms on
+# sl_2/F_81 (82), 12.9 and 12.5 ms on sl_2/F_121 (122), but 9.4 and 4.1 ms
+# on sl_3/F_3 (364) and 137 and 46 ms on sl_3/F_5 (3906)
+_ORBIT_MIN_CLASSES = 100
 
 
 def _automorphisms(g: RestrictedLieAlgebra, classes):
@@ -588,15 +628,15 @@ def _automorphisms(g: RestrictedLieAlgebra, classes):
     the 2 nilpotent orbits.)  With C != {0} inner automorphisms may act
     trivially on g/C (they do on Heisenberg algebras), so the candidates are
     the truncated exponentials of the basis derivations with D^p = 0
-    (_derivation_exps), and only on a quotient of at least
-    _DERIVATION_MIN_CLASSES classes.  _verified keeps the candidates that are
+    (_derivation_exps).  Either way candidates are built only for at least
+    _ORBIT_MIN_CLASSES classes, and _verified keeps the ones that are
     automorphisms.
     """
+    if len(classes) < _ORBIT_MIN_CLASSES:
+        return np.zeros((0,) + classes.shape[1:] * 2, dtype=np.int64)
     f, centre = g.field, _central_elementary(g)
     if len(centre):
         keep = _off_pivots(centre)
-        if len(classes) < _DERIVATION_MIN_CLASSES:
-            return np.zeros((0, keep.sum(), keep.sum()), dtype=np.int64)
         a = _verified(g, _derivation_exps(g))[:, keep]
         # the image of b in B's coordinates drops its part in C
         return f.varr_add(a[:, :, keep], f.varr_neg(f.matmul(a[:, :, ~keep], centre[:, keep])))

@@ -3,6 +3,10 @@ import copy
 import hashlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -52,6 +56,34 @@ def test_lie_srk(capsys, h3_file):
     assert code == 0
     rep = json.loads(out)
     assert rep["srk"] == 2 and rep["o_rmin_count"] == 26
+
+
+_LOADED_LAYERS = """
+import json, sys
+from satrank import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("satrank."))]))
+"""
+
+
+@pytest.mark.parametrize("command,absent", [
+    ("group-srk", {"satrank.lie", "satrank.slnorbits", "satrank.frobkernel", "satrank.oracle",
+                   "satrank.acceptance"}),
+    ("lie-srk", {"satrank.groups", "satrank.slnorbits", "satrank.frobkernel", "satrank.oracle",
+                 "satrank.acceptance"}),
+])
+def test_subcommand_loads_only_its_layers(tmp_path, d8_file, h3_file, command, absent):
+    # a fresh interpreter, so that no other test's imports are counted
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = tmp_path / "report.json"
+    argv = [command, "--file", d8_file if command == "group-srk" else h3_file, "--out", str(out)]
+    run = subprocess.run([sys.executable, "-c", _LOADED_LAYERS, *argv], env=env,
+                         capture_output=True, text=True, check=True)
+    code, loaded = json.loads(run.stdout)
+    assert code == 0 and json.loads(out.read_text())["srk"] == 2
+    assert not absent & set(loaded)
+    assert ("satrank.groups" if command == "group-srk" else "satrank.lie") in loaded
 
 
 def test_lie_nullcone(capsys, h3_file):
@@ -746,7 +778,8 @@ def test_frob2_verify_exp_budget_bounds_the_sweep(capsys, monkeypatch):
     assert time.perf_counter() - start < 1
     # within the budget the sweep runs; it takes about 10 s at q = 10007, so
     # it is stubbed here and only the gate is tested
-    monkeypatch.setattr("satrank.cli.homomorphism_sweep", lambda pair: pair.alpha0.field.q ** 2)
+    monkeypatch.setattr("satrank.frobkernel.homomorphism_sweep",
+                        lambda pair: pair.alpha0.field.q ** 2)
     argv = ["frob2-verify-exp", "--n", "2", "--p", "10007", "--budget"]
     code, out, _ = run_cli(capsys, *argv, str(10007 ** 2))
     assert code == 0 and json.loads(out)["pairs_checked"] == 10007 ** 2

@@ -298,6 +298,20 @@ def test_kernel_matmul_agrees_with_scalar_triple_loop(p, k):
     assert int(f.matmul(u, v)) == _naive_dot(f, u.tolist(), v.tolist())
 
 
+@pytest.mark.parametrize("p,k", KERNEL_FIELDS + [(1000003, 1)])
+def test_kernel_quadratic_agrees_with_scalar_loop(p, k):
+    # one value per row of a stack, x . form . x^T; p = 1000003 has p^3 > 2^63
+    f = field_make(p, k)
+    rng = np.random.default_rng(p + k)
+    x = rng.integers(0, f.q, size=(2, 3, 5))
+    form = rng.integers(0, f.q, size=(5, 5))
+    values = f.quadratic(x, form)
+    assert values.shape == (2, 3)
+    for s, t in itertools.product(range(2), range(3)):
+        row = x[s, t].tolist()
+        assert values[s, t] == _naive_dot(f, naive_matmul(f, [row], form.tolist())[0], row)
+
+
 @pytest.mark.parametrize("p,k", KERNEL_FIELDS)
 def test_kernel_matpow_agrees_with_repeated_products(p, k):
     f = field_make(p, k)

@@ -379,7 +379,14 @@ _SPAN_CASES = {  # name -> (algebra, basis rows)
     "sl2_F9": lambda: _whole(special_linear(2, field_make(3, 2))),
     "sl2_F25": lambda: _whole(special_linear(2, field_make(5, 2))),
     "h3_F27": lambda: _whole(heisenberg(1, field_make(3, 3))),
+    # the Killing form of sl_3 is 0 in characteristic 3, its trace form is not
     "sl3_F3": lambda: _whole(special_linear(3, F3)),
+    "sl3_F5": lambda: _whole(special_linear(3, F5)),
+    "sl3_F5_gl": lambda: _whole(_gl_based(special_linear(3, F5), 2)),
+    # no matrix model: the Killing form
+    "sl2_struct_F5": lambda: _whole(sl2_structure_only(F5)),
+    # tr(X^2) = tr(X)^2 = 0 on sl_n in characteristic 2: the form test is skipped
+    "sl4_F2": lambda: _whole(special_linear(4, field_make(2, 1))),
     "h5_F3": lambda: _whole(heisenberg(2, F3)),
     "dim0_F9": lambda: _whole(abelian_p_trivial(0, field_make(3, 2))),
     "centralizer_sl4_F3": _sl4_f3_highest_root_centralizer,
@@ -397,21 +404,90 @@ def test_nilpotent_span_matches_all_points_filter(name):
     assert codes[0] == 0 and not vecs[0].any()
 
 
-@pytest.mark.parametrize("name", ["sl2_F25", "h3_F27", "sl3_F3", "centralizer_sl4_F3"])
+def _form_matrix(g, x):
+    """The matrix the trace form squares: x's model matrix, else ad(x)."""
+    return g.matrix_of(x) if g.matrix_model else Mat(g.field, g.ad(x))
+
+
+def _pointwise_square_trace(g, x):
+    m = _form_matrix(g, x)
+    return (m @ m).trace()
+
+
+def _leading_one(f, v):
+    """v scaled so that its first nonzero coordinate is 1."""
+    lead = next(c for c in v if c)
+    return tuple(f.mul(f.inv(lead), c) for c in v)
+
+
+@pytest.mark.parametrize("name", ["sl2_F25", "h3_F27", "sl3_F3", "centralizer_sl4_F3",
+                                  "sl2_struct_F5", "sl4_F2"])
 def test_nilpotent_span_takes_one_pth_power_per_line(monkeypatch, name):
+    # at most one p-th power per line, and as many as there are lines whose
+    # square trace is 0; those are counted here point by point, one
+    # coefficient vector with first nonzero coefficient 1 per line
     g, basis = _SPAN_CASES[name]()
-    q, d = g.field.q, len(basis)
-    rows = []
+    f, d = g.field, len(basis)
+    seen = []
     pmap_rows = RestrictedLieAlgebra._pmap_rows
 
     def counted(self, x):
-        rows.append(len(x))
+        seen.append(x.copy())
         return pmap_rows(self, x)
 
     monkeypatch.setattr(RestrictedLieAlgebra, "_pmap_rows", counted)
     lie._nilpotent_span(g, basis)
-    assert sum(rows) == (q ** d - 1) // (q - 1)
-    assert max(rows) <= lie._CHUNK
+    rows = [tuple(v) for part in seen for v in part.tolist()]
+    assert len({_leading_one(f, v) for v in rows}) == len(rows)
+    vanishing = 0
+    for coeffs in itertools.product(range(f.q), repeat=d):
+        if any(coeffs) and next(c for c in coeffs if c) == f.one:
+            x = tuple(f.matmul(np.array(coeffs, dtype=np.int64), basis).tolist())
+            vanishing += _pointwise_square_trace(g, x) == 0
+    assert len(rows) == vanishing
+    assert max(map(len, seen)) <= lie._CHUNK
+
+
+@pytest.mark.parametrize("name,skipped", [("sl3_F3", False), ("sl3_F5", False),
+                                          ("sl2_struct_F5", False), ("sl4_F2", True),
+                                          ("h5_F3", True), ("h3_F27", True)])
+def test_trace_form_is_the_square_trace(name, skipped):
+    # the Gram matrix is tr(M_a M_b) (the Killing form without a model); its
+    # quadratic form is tr(X^2) and vanishes identically exactly when skipped
+    g, _ = _SPAN_CASES[name]()
+    f, form = g.field, lie._trace_form(g)
+    assert lie._trace_form(g) is form  # once per algebra
+    basis = [g.basis_vec(i) for i in range(g.dim)]
+    for a, b in itertools.product(range(g.dim), repeat=2):
+        assert form[a, b] == (_form_matrix(g, basis[a]) @ _form_matrix(g, basis[b])).trace()
+    elements = np.array(list(itertools.islice(g.iter_elements(), 0, None, 7)), dtype=np.int64)
+    values = f.quadratic(elements, form)
+    assert values.tolist() == [_pointwise_square_trace(g, tuple(x)) for x in elements.tolist()]
+    assert (not values.any()) == skipped
+    if name == "sl3_F3":  # the Killing form would reject nothing here
+        assert all((Mat(f, g.ad(u)) @ Mat(f, g.ad(v))).trace() == 0
+                   for u, v in itertools.product(basis, repeat=2))
+
+
+_FORM_ALGEBRAS = {
+    "sl2_F9": lambda: special_linear(2, field_make(3, 2)),
+    "sl2_F25": lambda: special_linear(2, field_make(5, 2)),
+    "sl3_F3": lambda: special_linear(3, F3),
+    "sl2_struct_F5": lambda: sl2_structure_only(F5),
+    "sl2_struct_F7": lambda: sl2_structure_only(field_make(7, 1)),
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(sorted(_FORM_ALGEBRAS)), seed=st.integers(0, 2 ** 16))
+def test_nullcone_rows_have_zero_trace_form(name, seed):
+    # the premise of the form test: no nullcone point has Q != 0, in a random
+    # basis, rebuilt from the model when there is one
+    g = _FORM_ALGEBRAS[name]()
+    g = (_gl_based if g.matrix_model else _gl_rebased)(g, seed)
+    pts = nullcone(g)
+    assert len(pts) > 1
+    assert not g.field.quadratic(pts, lie._trace_form(g)).any()
 
 
 def test_centralizer_examples():
@@ -812,7 +888,9 @@ def _payload_digest(res):
 
 @pytest.mark.parametrize("name", sorted(_ORBIT_CASES))
 def test_srk_brute_same_with_and_without_automorphisms(monkeypatch, name):
+    # orbits on every search, however small
     g = _ORBIT_CASES[name]()
+    monkeypatch.setattr(lie, "_ORBIT_MIN_CLASSES", 0)
     reduced = _payload_digest(srk_brute(g))
     monkeypatch.setattr(lie, "_automorphisms", lambda g, classes: ())
     assert _payload_digest(srk_brute(g)) == reduced
@@ -827,6 +905,7 @@ def test_reduced_search_matches_the_whole_graph(monkeypatch, name, orbits):
     g = _ORBIT_CASES[name]()
     whole = _captured_search(monkeypatch, lambda: srk_brute(g))
     monkeypatch.undo()
+    monkeypatch.setattr(lie, "_ORBIT_MIN_CLASSES", 0)
     reduced = _captured_search(monkeypatch, lambda: srk_brute(g), automorphisms=True)
     roots = [i for i in range(reduced.n) if reduced.labels[i] == i]
     assert len(roots) == orbits < reduced.n == whole.n
@@ -853,9 +932,10 @@ def test_witness_through_any_class_matches_the_whole_graph(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", ["sl3_F3", "sl4_F2", "sl2_struct_F5", "sl2_F9"])
-def test_automorphisms_preserve_local_rank_and_structure(name):
+def test_automorphisms_preserve_local_rank_and_structure(monkeypatch, name):
     # sl_3 and sl_2/F_9 conjugate by exp(x), sl_4/F_2 by 1 + x, and the
     # structure-only sl_2 takes exp(ad x)
+    monkeypatch.setattr(lie, "_ORBIT_MIN_CLASSES", 0)
     g = _ORBIT_CASES[name]()
     f, classes = g.field, _classes(g)
     autos = lie._automorphisms(g, classes)
@@ -919,12 +999,24 @@ def test_commuting_mask_budget_boundary(monkeypatch):
 @pytest.mark.parametrize("name", ["h3_F5", "h5_F3", "h3_F9", "abelian3_F3"])
 def test_central_class_skips_the_automorphism_search(monkeypatch, name):
     # srk_brute searches modulo the central elementary ideal, and these
-    # quotients have under _DERIVATION_MIN_CLASSES classes: no candidate is
+    # quotients have under _ORBIT_MIN_CLASSES classes: no candidate is
     # built, and every class is a root
     g = abelian_p_trivial(3, F3) if name == "abelian3_F3" else _ORBIT_CASES[name]()
     monkeypatch.setattr(lie, "_verified", lambda g, a: pytest.fail("candidates were built"))
     search = _captured_search(monkeypatch, lambda: srk_brute(g), automorphisms=True)
     assert len(lie._automorphisms(g, search.coords)) == 0
+    assert (search.labels == np.arange(search.n)).all()
+
+
+@pytest.mark.parametrize("name", ["sl2_F9", "sl2_F25", "sl2_struct_F5"])
+def test_small_search_without_centre_skips_the_automorphisms(monkeypatch, name):
+    # C = {0} and fewer than _ORBIT_MIN_CLASSES classes: no inner candidate
+    # is built, and every class is a root
+    g = _ORBIT_CASES[name]()
+    assert not len(lie._central_elementary(g))
+    monkeypatch.setattr(lie, "_verified", lambda g, a: pytest.fail("candidates were built"))
+    search = _captured_search(monkeypatch, lambda: srk_brute(g), automorphisms=True)
+    assert search.n < lie._ORBIT_MIN_CLASSES
     assert (search.labels == np.arange(search.n)).all()
 
 
@@ -1022,7 +1114,7 @@ def test_quotient_search_matches_the_whole_graph(monkeypatch, name, derivations)
     g = _QUOTIENT_CASES[name]()
     assert len(lie._central_elementary(g))
     if derivations:
-        monkeypatch.setattr(lie, "_DERIVATION_MIN_CLASSES", 0)
+        monkeypatch.setattr(lie, "_ORBIT_MIN_CLASSES", 0)
     quotient = _payload_digest(srk_brute(g))
     monkeypatch.undo()
     _no_centre(monkeypatch)
@@ -1038,7 +1130,7 @@ def test_derivation_automorphisms_give_orbits_on_the_quotient(monkeypatch, name,
     # quotient F_5^2 + sl_2 of h_3 + sl_2 has the three orbits of (v, 0),
     # (0, e) and (v, e)
     g = _QUOTIENT_CASES[name]()
-    monkeypatch.setattr(lie, "_DERIVATION_MIN_CLASSES", 0)
+    monkeypatch.setattr(lie, "_ORBIT_MIN_CLASSES", 0)
     search = _captured_search(monkeypatch, lambda: srk_brute(g), automorphisms=True)
     assert sum(search.labels == np.arange(search.n)) == roots < search.n
     exps = lie._verified(g, lie._derivation_exps(g))
