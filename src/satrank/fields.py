@@ -7,15 +7,22 @@ F_p[x]/(modulus) (Lidl & Niederreiter, Finite Fields, ch. 2).
 
 Multiplication has one definition (FieldSpec._product): split both operands
 into their k base-p digit planes, combine every pair of planes i, j with an
-integer op (elementwise product for a * b, matrix product for a @ b), add the
-result into the output planes with the coefficients of x^(i+j) modulo the
-modulus, and reduce mod p.  For k == 1 that is ordinary arithmetic mod p.
-Addition and negation work plane by plane.  The q x q add/mul tables of
-fields with q <= _TABLE_CAP are a cache filled from these functions and serve
-elementwise ops, as does the length-q inverse table (built for k == 1 too);
-above the cap the digit-plane functions are the arithmetic, so field size has
-no limit beyond k <= 4.  Matrix products and powers, stacked or not, always
-take the digit planes (FieldSpec.matmul, FieldSpec.matpow).
+integer op (elementwise product for a * b, matrix product for a @ b, row dot
+product for FieldSpec.quadratic), add the result into the output planes with
+the coefficients of x^(i+j) modulo the modulus, and reduce mod p.  For
+k == 1 that is ordinary arithmetic mod p.  Addition and negation work plane
+by plane.  The q x q add/mul tables of fields with q <= _TABLE_CAP are a
+cache filled from these functions and serve elementwise ops, as does the
+length-q inverse table (built for k == 1 too); above the cap the digit-plane
+functions are the arithmetic.  Matrix products and powers, stacked or not,
+always take the digit planes (FieldSpec.matmul, FieldSpec.matpow).
+
+The integer op runs in the narrowest exact regime for the largest sum it can
+build (FieldSpec._dtype): float64 through BLAS for matrix products whose
+sums stay below 2**53 and whose shape pays for the casts (_blas_shape),
+int64 below 2**63, and object arrays of Python ints above that.  Results are
+int64 codes in every regime.  A field whose codes do not fit in int64
+(q > 2**63) takes scalar ops only; its array ops raise PreconditionError.
 
 Matrices are numpy int64 arrays of codes wrapped in Mat.  Rank, kernel and
 solve all go through one Gaussian elimination, _rref, which takes a stack of
@@ -36,6 +43,24 @@ import numpy as np
 from .errors import BudgetError, PreconditionError
 
 _TABLE_CAP = 2048  # largest q for which the q*q tables are cached
+_F64_EXACT = 1 << 53  # float64 holds every integer below this exactly
+_I64_EXACT = 1 << 63  # int64 holds every integer below this
+# A float64 matrix product pays a cast of each operand and of the result.
+# Below _BLAS_MIN multiply-adds int64 is faster ((8 x 8) @ (8 x 8): 1.7 us in
+# int64, 2.8 us in float64; (64 x 8) @ (8 x 8): 6.4 against 4.8 us; 2-vCPU
+# VM).  OpenBLAS keeps a call of at most _BLAS_CALL multiply-adds on one
+# thread (more wakes workers that then spin between calls), so larger
+# products are cut into row blocks of that size.
+_BLAS_MIN = 1 << 12
+_BLAS_CALL = 1 << 18
+# numpy divides int64 by a scalar with libdivide, but x % p and np.divmod take
+# a hardware division per entry: x - p * (x // p) reduces 2048 x 8 codes in
+# 23 us, x % p in 62 us.  It takes three numpy calls, which pay off from about
+# 512 entries (1024: 2.5 against 3.4 us; 64: 1.3 against 0.8 us), and a
+# temporary of x's size, so _reduce and _planes take it for sizes in
+# _LIBDIVIDE only.
+_LIBDIVIDE = range(1 << 9, (1 << 15) + 1)
+_INT64 = np.dtype(np.int64)
 
 
 # the first 13 primes as Miller-Rabin bases decide every n < _MR_EXACT
@@ -167,11 +192,18 @@ class FieldSpec:
             self._xpow.append(tuple(xd))
             top = xd[-1]
             xd = [(c - top * m) % p for c, m in zip([0] + xd[:-1], modulus)]
+        # a sum over `inner` products of two digit planes, folded into one
+        # output plane by _product, is below inner * _digit_bound; for k == 1
+        # that is inner * (p - 1)**2
+        self._digit_bound = k * (p - 1) ** 2 * (1 + (k - 1) * (p - 1))
+        # elementwise ops of F_p run as one int64 op and one reduction
+        self._int64 = k == 1 and self._digit_bound < _I64_EXACT
         self._add_t = self._mul_t = self._neg_t = self._inv_t = None
         if k > 1 and self.q <= _TABLE_CAP:
             codes = np.arange(self.q, dtype=np.int64)
             self._add_t = self._sum(codes[:, None], codes)
-            self._mul_t = self._product(codes[:, None], codes, operator.mul)
+            self._mul_t = self._product(codes[:, None], codes, operator.mul,
+                                        self._dtype(self._digit_bound))
             self._neg_t = self._negative(codes)
         if self.q <= _TABLE_CAP:  # for k == 1 too: varr_inv reads it
             self._inv_t = self.varr_pow(np.arange(self.q, dtype=np.int64), self.q - 2)
@@ -179,38 +211,80 @@ class FieldSpec:
 
     # -- the digit-plane arithmetic --------------------------------------------
 
-    def _planes(self, a):
-        """The k base-p digits of a code or code array, least significant first."""
+    def _dtype(self, bound, blas=False):
+        """The dtype in which integer sums below bound are exact: float64 (BLAS)
+        when blas and bound < 2**53, int64 when bound < 2**63, else object
+        arrays of Python ints.  PreconditionError when the codes themselves do
+        not fit in int64."""
+        if self.q > _I64_EXACT:
+            raise PreconditionError(f"the codes of {self!r} do not fit in int64 (q > 2**63): "
+                                    f"array arithmetic is not supported")
+        if blas and bound < _F64_EXACT:
+            return np.float64
+        return np.int64 if bound < _I64_EXACT else object
+
+    def _planes(self, a, dtype):
+        """The k base-p digits of a code array, least significant first, as
+        dtype arrays."""
+        a = np.asarray(a, dtype=np.int64)
         planes = []
         for _ in range(self.k - 1):
-            a, digit = divmod(a, self.p)
-            planes.append(digit)
-        planes.append(a)  # codes are < p**k, so the last quotient is the top digit
+            if a.size in _LIBDIVIDE:
+                high = a // self.p
+                digit = a - self.p * high
+            else:
+                high, digit = np.divmod(a, self.p)
+            planes.append(digit.astype(dtype, copy=False))
+            a = high
+        # codes are < p**k, so the last quotient is the top digit
+        planes.append(a.astype(dtype, copy=False))
         return planes
 
+    def _reduce(self, x):
+        """x mod p: int64 codes for an array, reduced in place when x is an
+        int64 array; a scalar for a scalar."""
+        if not isinstance(x, np.ndarray):
+            return x % self.p
+        if x.dtype is not _INT64:
+            if x.dtype == object:
+                return (x % self.p).astype(np.int64)
+            x = x.astype(np.int64)  # float64 % is several times slower than int64 %
+        if x.size in _LIBDIVIDE:
+            high = x // self.p
+            high *= self.p
+            x -= high
+        else:
+            x %= self.p
+        return x
+
     def _join(self, planes):
-        """The code whose base-p digits are the planes reduced mod p."""
-        out = planes[-1] % self.p
+        """The int64 codes whose base-p digits are the planes reduced mod p."""
+        out = self._reduce(planes[-1])
         for c in reversed(planes[:-1]):
             out *= self.p
-            out += c % self.p
+            out += self._reduce(c)
         return out
 
     def _sum(self, a, b):
-        return self._join([x + y for x, y in zip(self._planes(a), self._planes(b))])
+        dtype = self._dtype(2 * self.p)
+        return self._join([x + y for x, y in zip(self._planes(a, dtype), self._planes(b, dtype))])
 
     def _negative(self, a):
-        return self._join([-x for x in self._planes(a)])
+        return self._join([-x for x in self._planes(a, self._dtype(self.p))])
 
-    def _product(self, a, b, op):
-        """a * b (op = operator.mul) or a @ b (op = operator.matmul) over F_q.
+    def _product(self, a, b, op, dtype):
+        """a * b, a @ b or the row dot products of a and b over F_q, for op
+        one of operator.mul, a matrix product or _rowdot that is exact in
+        dtype (_dtype of inner * _digit_bound, inner the length of op's sums).
 
         The integer sum of op(plane i of a, plane j of b) over i + j = d is
         the coefficient of x^d; the degrees d >= k are folded into the low
         ones with the coefficients of x^d mod the modulus, then every plane is
         reduced mod p.
         """
-        k, pa, pb = self.k, self._planes(a), self._planes(b)
+        k, pa, pb = self.k, self._planes(a, dtype), self._planes(b, dtype)
+        if k == 1:  # a code is its only digit plane
+            return self._reduce(op(pa[0], pb[0]))
         out = []
         for d in range(2 * k - 1):
             coeff = None
@@ -229,10 +303,13 @@ class FieldSpec:
         return self._join(out)
 
     # -- scalar ops ----------------------------------------------------------
+    #
+    # For k == 1 the operands are made Python ints first: numpy integers would
+    # wrap past 2**63.
 
     def add(self, a: int, b: int) -> int:
         if self.k == 1:
-            return (a + b) % self.p
+            return (int(a) + int(b)) % self.p
         return int(self.varr_add(a, b))
 
     def neg(self, a: int) -> int:
@@ -242,14 +319,14 @@ class FieldSpec:
 
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
-            return (a * b) % self.p
+            return (int(a) * int(b)) % self.p
         return int(self.varr_mul(a, b))
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
         if self.k == 1:
-            return pow(a, self.p - 2, self.p)
+            return pow(int(a), self.p - 2, self.p)
         if self._inv_t is not None:
             return int(self._inv_t[a])
         return self.pow(a, self.q - 2)
@@ -279,28 +356,29 @@ class FieldSpec:
     # -- vectorized ops on numpy code arrays ----------------------------------
     #
     # For k == 1 a code is its only digit plane and the digit-plane functions
-    # reduce to one integer op mod p; these ops, like the scalar ones, take
-    # that op directly.
+    # reduce to one integer op mod p; while that op cannot leave int64
+    # (_int64), these ops, like the scalar ones, take it directly.
 
     def varr_add(self, a, b):
-        if self.k == 1:
-            return (a + b) % self.p
+        if self._int64:
+            return self._reduce(a + b)
         return self._sum(a, b) if self._add_t is None else self._add_t[a, b]
 
     def varr_mul(self, a, b):
-        if self.k == 1:
-            return (a * b) % self.p
-        return self._product(a, b, operator.mul) if self._mul_t is None else self._mul_t[a, b]
+        if self._int64:
+            return self._reduce(a * b)
+        if self._mul_t is not None:
+            return self._mul_t[a, b]
+        return self._product(a, b, operator.mul, self._dtype(self._digit_bound))
 
     def varr_neg(self, a):
-        if self.k == 1:
-            return (-a) % self.p
+        if self._int64:
+            return self._reduce(-a)
         return self._negative(a) if self._neg_t is None else self._neg_t[a]
 
     def varr_scale(self, c, a):
-        if self.k == 1:
-            return (c * a) % self.p
-        return self._product(c, a, operator.mul) if self._mul_t is None else self._mul_t[c][a]
+        """c * a for a scalar c."""
+        return self.varr_mul(c, a)
 
     def varr_inv(self, a):
         """Elementwise inverse, with 0 sent to 0."""
@@ -314,23 +392,25 @@ class FieldSpec:
         return _power(a, e, self.varr_mul, np.ones_like(a))
 
     def matmul(self, a, b):
-        """a @ b over F_q, with np.matmul shape rules (stacks, 1-D operands)."""
-        if self.k == 1:
-            out = np.matmul(a, b)
-            out %= self.p  # in place: one result-sized array, not two
-            return out
-        return self._product(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64),
-                             operator.matmul)
+        """a @ b over F_q, with np.matmul shape rules (stacks, 1-D operands).
+
+        The one F_q matrix product: float64 through BLAS where _blas_shape
+        says it pays and every sum stays below 2**53, else int64 (reduced in
+        place, one result-sized array) or Python ints (_dtype).
+        """
+        a, b = np.asarray(a), np.asarray(b)
+        dtype = self._dtype(a.shape[-1] * self._digit_bound, _blas_shape(a, b))
+        if dtype is np.int64 and self.k == 1:  # the common case, without _product's calls
+            return self._reduce(np.matmul(a, b))
+        return self._product(a, b, _blas_matmul if dtype is np.float64 else np.matmul, dtype)
 
     def quadratic(self, x, form):
         """x . form . x^T over F_q for every row x of x (the last axis): the
-        quadratic form with Gram matrix form, evaluated row by row."""
-        y = self.matmul(x, form)
-        if self.k == 1:
-            out = np.einsum("...i,...i->...", y, x)
-            out %= self.p
-            return out
-        return self.matmul(y[..., None, :], x[..., :, None])[..., 0, 0]
+        quadratic form with Gram matrix form, evaluated row by row; form need
+        not be symmetric."""
+        x = np.asarray(x)
+        return self._product(self.matmul(x, form), x, _rowdot,
+                             self._dtype(x.shape[-1] * self._digit_bound))
 
     def matpow(self, a, e: int):
         """a**e for e >= 0, for a square matrix or a stack of them."""
@@ -365,6 +445,34 @@ class FieldSpec:
         if self.k == 1:
             return f"F_{self.p}"
         return f"F_{self.p}^{self.k}(mod={self.modulus})"
+
+
+def _blas_shape(a, b):
+    """Whether the product of an (..., n, m) stack a by an (m, l) matrix b is
+    worth a float64 round trip through BLAS: b is 2-D, the product has at
+    least two rows and two columns (fewer take BLAS's vector kernels), and it
+    takes at least _BLAS_MIN multiply-adds (a.size * l).  Stacked right
+    operands stay in int64: numpy runs them as one small BLAS call per slice,
+    which loses to int64 on 3 x 3 slices (834 of them: 58 against 49 us)."""
+    if b.ndim != 2 or a.ndim < 2 or a.size * b.shape[1] < _BLAS_MIN:
+        return False
+    return b.shape[1] > 1 and a.size > a.shape[-1] and 2 * b.size <= _BLAS_CALL
+
+
+def _blas_matmul(a, b):
+    """a @ b for a float64 (..., n, m) stack a and an (m, l) matrix b, as one
+    2-D product in row blocks of at most _BLAS_CALL multiply-adds."""
+    flat = a.reshape(-1, a.shape[-1])
+    out = np.empty((len(flat), b.shape[1]))
+    step = _BLAS_CALL // b.size
+    for start in range(0, len(flat), step):
+        np.matmul(flat[start:start + step], b, out=out[start:start + step])
+    return out.reshape(a.shape[:-1] + b.shape[1:])
+
+
+def _rowdot(x, y):
+    """The dot products of matching rows (last axis) of x and y."""
+    return np.einsum("...i,...i->...", x, y)
 
 
 class Mat:

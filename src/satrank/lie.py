@@ -17,8 +17,10 @@ The saturation rank machinery works over the restricted nullcone
 V(g) = {x : x^[p] = 0}.  It is a cone, (cx)^[p] = c^p x^[p], so it is
 enumerated by lines: at most one p-th power per projective class, then each
 p-nilpotent line expanded by the nonzero scalars.  A line gets its p-th
-power only where the trace form tr(X^2) of the matrix model (else the
-Killing form tr(ad(x)^2)) vanishes, as it does on every p-nilpotent x.
+power only where sigma_2, the sum of the principal 2 x 2 minors, of its
+model matrix X (else of ad(x)) vanishes, as it does on every nilpotent
+matrix in every characteristic.  With a model the power is read as X^p = 0,
+with no solve back to coordinates.
 The local rank r(x) is the largest dimension of an elementary subalgebra
 through x, and srk(g) is the minimum of the local ranks over nonzero
 nullcone points.  Pairwise commuting p-nilpotent vectors span an elementary
@@ -420,10 +422,10 @@ def nullcone(g: RestrictedLieAlgebra, budget: int = DEFAULT_BUDGET) -> np.ndarra
     It is (V(g) n span B) + C for the central elementary ideal C and the
     standard basis vectors B off its pivot columns (_central_elementary), so
     p-th powers are taken on span B only and the sums with C are array adds.
-    Within span B they are taken only on the lines where the trace form
-    (_trace_form) vanishes: x^[p] = 0 forces ad(x)^p = ad(x^[p]) = 0 and,
-    with a matrix model, X^p = 0, so tr(ad(x)^2) = 0 and tr(X^2) = 0, and
-    the form rejects no nullcone point (_nilpotent_span).
+    Within span B they are taken only on the lines where sigma_2 (_trace_form)
+    vanishes: x^[p] = 0 forces ad(x)^p = ad(x^[p]) = 0 and, with a matrix
+    model, X^p = 0, and sigma_2 of a nilpotent matrix is 0, so the form
+    rejects no nullcone point (_nilpotent_span).
     """
     total = g.element_count()
     if total > budget:
@@ -487,12 +489,22 @@ def _nilpotent_span(g: RestrictedLieAlgebra, basis):
     in batches of _CHUNK, and each p-nilpotent one is expanded by the q - 1
     nonzero scalars.
 
-    A line is first tested against the trace form Q of _trace_form, pulled
-    back to basis; only the lines with Q = 0 get a p-th power.  That rejects
-    no p-nilpotent x: x^[p] = 0 forces ad(x)^p = ad(x^[p]) = 0 and, with a
-    matrix model, X^p = 0, so tr(ad(x)^2) = 0 and tr(X^2) = 0.  Where Q
-    vanishes identically as a quadratic form (Heisenberg and abelian
-    algebras, sl_n in characteristic 2) the test is skipped.
+    A line is first tested against sigma_2 (_trace_form), pulled back to
+    basis; only the lines with sigma_2 = 0 get a p-th power.  That rejects no
+    p-nilpotent x: x^[p] = 0 forces ad(x)^p = ad(x^[p]) = 0 and, with a
+    matrix model, X^p = 0, and sigma_2 vanishes on nilpotent matrices.  Where
+    it vanishes identically as a quadratic form (Heisenberg and abelian
+    algebras) the test is skipped.
+
+    With a matrix model x^[p] = 0 is read as X^p = 0 on the model matrices of
+    the combinations, taken straight from those of the basis rows.  That
+    needs the model to be faithful (_CoordSolver checks it) and its p-th
+    powers to be the p-map's (from_matrix_basis builds the p-map from them,
+    and RestrictedLieAlgebra.validate checks them in _validate_model, so a
+    model whose p-th powers leave its span is refused there).  An n x n
+    matrix with X^p = 0 is nilpotent, and a nilpotent one has X^n = 0, so
+    X^min(p, n) = 0 is the same test.  Without a model the p-th power is
+    _pmap_rows (Jacobson's formula).
     """
     f, d = g.field, len(basis)
     place = _place_values(f.q, d)
@@ -501,32 +513,53 @@ def _nilpotent_span(g: RestrictedLieAlgebra, basis):
     # the diagonal and form[i, j] + form[j, i] off it
     if not (form.diagonal().any() or f.varr_add(form, form.T).any()):
         form = None
+    if g.matrix_model:
+        shape = g._model.shape[1:]
+        model = f.matmul(basis, g._model.reshape(g.dim, -1))  # the basis rows' matrices
+    scalars = np.arange(1, f.q, dtype=np.int64)[:, None, None]
     codes, vecs = [np.zeros(1, dtype=np.int64)], [np.zeros((1, basis.shape[1]), dtype=np.int64)]
     for r in _line_codes(f.q, d):
         digits = _digits(r, f.q, d)
         if form is not None:
             digits = digits[f.quadratic(digits, form) == 0]
-        v = f.matmul(digits, basis)
-        nil = ~g._pmap_rows(v).any(axis=1)
-        digits, v = digits[nil], v[nil]
-        for c in range(1, f.q):
-            codes.append(f.varr_scale(c, digits) @ place)
-            vecs.append(f.varr_scale(c, v))
+        if g.matrix_model:
+            m = f.matmul(digits, model).reshape((-1,) + shape)
+            digits = digits[~f.matpow(m, min(f.p, shape[0])).any(axis=(1, 2))]
+            v = f.matmul(digits, basis)
+        else:
+            v = f.matmul(digits, basis)
+            nil = ~g._pmap_rows(v).any(axis=1)
+            digits, v = digits[nil], v[nil]
+        codes.append((f.varr_mul(scalars, digits) @ place).ravel())
+        vecs.append(f.varr_mul(scalars, v).reshape(-1, v.shape[1]))
     codes, vecs = np.concatenate(codes), np.concatenate(vecs)  # drops the pieces
     order = np.argsort(codes)
     return codes[order], vecs[order]
 
 
 def _trace_form(g: RestrictedLieAlgebra) -> np.ndarray:
-    """The Gram matrix tr(M_a M_b) on g's basis, computed once per algebra:
-    M the model matrices when g has a matrix model, else ad(b_a) (the
-    Killing form).  Its quadratic form vanishes on the restricted nullcone."""
+    """The Gram matrix G of sigma_2 on g's basis, computed once per algebra:
+    x . G . x^T is sigma_2(X), the sum of the principal 2 x 2 minors of X, the
+    model matrix of x when g has a matrix model, else ad(x).
+
+    sigma_2 is the coefficient of t^(n-2) in det(t - X), so it vanishes on
+    every nilpotent matrix in every characteristic; on traceless X with
+    p != 2 it is -tr(X^2)/2.  G[a, b] is the sum over i < j of
+    M_a[i, i] M_b[j, j] - M_a[i, j] M_b[j, i]; it is not symmetric, which
+    FieldSpec.quadratic allows (in characteristic 2 no symmetric G exists).
+    """
     if g._form is None:
+        f = g.field
         mats = g._model if g.matrix_model else g._adb
-        size = math.prod(mats.shape[1:])
-        # tr(M_a M_b) is the dot product of M_a and M_b^T, both raveled
-        g._form = g.field.matmul(mats.reshape(g.dim, size),
-                                 np.swapaxes(mats, 1, 2).reshape(g.dim, size).T)
+        n = mats.shape[-1]
+        upper = np.triu(np.ones((n, n), dtype=np.int64), 1)  # the pairs i < j
+        diagonals = np.diagonal(mats, axis1=1, axis2=2)
+        minors = f.matmul(f.matmul(diagonals, upper), diagonals.T)
+        # M_a[i, j] M_b[j, i] over i < j: the dot product of M_a's strict
+        # upper triangle with M_b^T, both raveled
+        swaps = f.matmul((mats * upper).reshape(g.dim, n * n),
+                         np.swapaxes(mats, 1, 2).reshape(g.dim, n * n).T)
+        g._form = f.varr_add(minors, f.varr_neg(swaps))
     return g._form
 
 
@@ -556,8 +589,18 @@ def _place_values(q, d):
 
 
 def _digits(codes, q, d):
-    """The length-d base-q digit vectors (most significant first) of codes."""
-    return (codes[:, None] // _place_values(q, d)) % q
+    """The length-d base-q digit vectors (most significant first) of codes.
+
+    One column at a time: numpy divides int64 by a scalar with libdivide,
+    while % and division by an array take a hardware division per entry
+    (2048 codes, d = 8: 37 against 126 us).
+    """
+    out = np.empty((d, len(codes)), dtype=np.int64)
+    for i in range(d - 1, -1, -1):
+        high = codes // q
+        np.subtract(codes, q * high, out=out[i])
+        codes = high
+    return out.T
 
 
 def _combinations(f, codes, basis):

@@ -472,7 +472,7 @@ class Rank(NamedTuple):
 class OrbitClass:
     partition: Partition
     kind: str            # regular | subregular | lower
-    local_rank: Optional[Rank]
+    local_rank: Optional[Rank]  # None outside the nullcone and at the zero orbit (1^n)
 
     @classmethod
     def of(cls, lam: Partition, p: int) -> "OrbitClass":
@@ -483,8 +483,10 @@ class OrbitClass:
             kind = "subregular"
         else:
             kind = "lower"
-        if lam.parts[0] > p:
-            return cls(lam, kind, None)  # representative outside the restricted nullcone
+        if lam.parts[0] > p or lam.parts[0] == 1:
+            # outside the restricted nullcone, or the zero orbit: local rank
+            # is defined at nonzero nullcone points only
+            return cls(lam, kind, None)
         if kind != "lower":
             info = Rank(n - 1, True, "")
         elif p < lower_orbit_min_p(n):
@@ -550,12 +552,13 @@ def sln_report(n: int, p: int) -> dict:
     for lam in partitions(n):
         oc = OrbitClass.of(lam, p)
         entry = {"partition": list(lam.parts), "kind": oc.kind}
-        if oc.local_rank is None:
+        if lam.parts[0] > p:
             entry["local_rank"] = None
             entry["in_nullcone"] = False
         else:
             entry["in_nullcone"] = True
-            entry["local_rank"] = (oc.local_rank.value if oc.local_rank.exact
+            entry["local_rank"] = (None if oc.local_rank is None
+                                   else oc.local_rank.value if oc.local_rank.exact
                                    else f">={oc.local_rank.value}")
             # in the nullcone, lam_1 <= p: p >= n at the regular orbit and
             # p >= n - 1 at the subregular one, so both witnesses are built

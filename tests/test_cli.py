@@ -129,7 +129,7 @@ def test_sln_orbits_at_n_2(capsys, p):
     assert code == 0 and err == ""
     orbits = json.loads(out)["orbits"]
     assert [(o["partition"], o["kind"], o["local_rank"], o["witness_dims"]) for o in orbits] \
-        == [([2], "regular", 1, [1]), ([1, 1], "lower", 1, [])]
+        == [([2], "regular", 1, [1]), ([1, 1], "lower", None, [])]
 
 
 def test_sln_witness_below_n_3_exits_2(capsys):
@@ -143,13 +143,17 @@ def test_sln_witness_below_n_3_exits_2(capsys):
 
 
 # sha256 of the stdout of the sl_n commands, recorded before their coordinates
-# stopped going through special_linear
+# stopped going through special_linear; the sln-orbits pins were moved once
+# since, when the zero orbit (1^n) stopped reporting a local rank, and differ
+# from the earlier output in that one "local_rank" line.  At p = 4294967311
+# the products of codes pass 2**63 and take Python ints.
 _SLN_ORBITS_PINS = {
-    (4, 5): "e104faa010024a002eacc439a6217a00c3aa0becfa5ac91b8523209e0292f444",
-    (5, 5): "f46d8b24fef4bbe8c079e6e8b941d91c206750f636b748a8aa152e18c2da6fd2",
-    (6, 7): "b23a59cbe87bb7602ea8ef3019e37b0fd610e98474d8c7c4cf53cb207dabe24f",
-    (5, 2): "d97a887ff8da26f66a83f00f169974b467b105d1f9ce242950a8cbc1c8993e34",
-    (7, 3): "0bf7130a07f7d9231b1e8499c48b93eeda98870ba2abdadbe13549fc4f0408da",
+    (4, 5): "43cff82f68fdf4916d790f6c09d49e659952c0bca748cf0725603e7ad0131d91",
+    (5, 5): "7ac5f92df62a8d2d24c1cbf21f227d10f03c1dd825da4bfe135cc58621faf380",
+    (6, 7): "3fc7c4279c0ed06603e74fee962cf6d5674e64893bf792b730a33446c99ef483",
+    (5, 2): "0dce1c041a13e6d757a9010be245e637c26ee53e161508c77cfab897eadea491",
+    (7, 3): "697e1d8402dee18deff15a750b2b091d541754d33051d2ee60868a5a4fcc94b1",
+    (5, 4294967311): "6184b5ebba3a2565b6f55b7367ca543b6cb1a13b80a29e435231f3752833cf76",
 }
 _SLN_SRK_PINS = {
     (5, 2): "3acd258baa9930e7198d791336f3634835f24adaec1d008c33b2248ffefca8e0",
@@ -285,6 +289,25 @@ def test_frob2_verify_exp_pinned(capsys, n, p, k):
 def test_frob2_verify_exp_at_a_large_prime(capsys):
     code, out, _ = run_cli(capsys, "frob2-verify-exp", "--n", "2", "--p", "1009")
     assert code == 0 and json.loads(out)["pairs_checked"] == 1009 ** 2 == 1018081
+
+
+@pytest.mark.parametrize("argv", [["sln-orbits", "--n", "3"], ["frob2-srk", "--n", "3"],
+                                  ["sln-witness", "--n", "3", "--partition", "3"]],
+                         ids=lambda argv: argv[0])
+def test_codes_past_int64_exit_2(capsys, argv):
+    # p > 2**63: the codes do not fit in int64, and the array arithmetic
+    # refuses them instead of raising OverflowError
+    code, out, err = run_cli(capsys, *argv, "--p", "9223372036854775837")
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith("satrank: precondition error: the codes of F_9223372036854775837 ")
+
+
+def test_zero_orbit_has_no_local_rank(capsys):
+    code, out, _ = run_cli(capsys, "sln-orbits", "--n", "3", "--p", "5")
+    assert code == 0
+    zero = json.loads(out)["orbits"][-1]
+    assert zero["partition"] == [1, 1, 1] and zero["in_nullcone"] is True
+    assert zero["local_rank"] is None
 
 
 def test_sln_orbits_reads_one_subregular_member(capsys):

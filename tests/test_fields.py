@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 
 from satrank import BudgetError, PreconditionError
 from satrank.fields import (
+    _BLAS_MIN,
     FieldSpec,
     Mat,
+    _blas_matmul,
+    _blas_shape,
     _kernels,
     _rref,
     field_make,
@@ -482,3 +485,110 @@ def test_prime_matmul_holds_one_result():
     assert out.shape == (36, 36, 6, 6)
     assert ((out >= 0) & (out < 5)).all()
     assert peak <= 1.1 * out.nbytes
+
+
+# ---------------------------------------------------------------------------
+# exactness regimes of the integer kernel
+# ---------------------------------------------------------------------------
+
+def _python_matmul(f, a, b):
+    """a @ b mod p with Python ints, for a prime field."""
+    return (np.asarray(a, dtype=object) @ np.asarray(b, dtype=object)) % f.p
+
+
+def test_products_past_int64_are_exact():
+    # int64 wraps once (p - 1)**2 or inner * (p - 1)**2 passes 2**63: the
+    # kernel then takes Python ints
+    p = 3037000493  # 2 (p - 1)**2 > 2**63 > (p - 1)**2
+    f = field_make(p)
+    assert f.matmul([[p - 1, p - 1]], [[p - 1], [p - 1]]).tolist() == [[2]]
+    p = 4294967311  # (p - 1)**2 > 2**63
+    f = field_make(p)
+    top = np.int64(p - 1)
+    assert f.varr_mul(top, top) == 1 and f.varr_mul(p - 1, p - 1) == 1
+    assert f.mul(top, top) == 1 and f.pow(top, 3) == p - 1 and f.inv(top) == p - 1
+    assert f.varr_mul(np.array([p - 1, 2]), np.array([p - 1, p - 1])).tolist() == [1, p - 2]
+    assert f.varr_scale(p - 1, np.array([p - 1, 2])).tolist() == [1, p - 2]
+    assert f.quadratic(np.array([[p - 1, p - 1]]), np.array([[p - 1, 0], [0, p - 1]])).tolist() \
+        == [p - 2]  # -1 - 1
+    rng = np.random.default_rng(0)
+    a, b = rng.integers(p - 3, p, size=(5, 4)), rng.integers(p - 3, p, size=(4, 3))
+    assert f.matmul(a, b).tolist() == _python_matmul(f, a, b).tolist()
+    assert f.matmul(a, b).dtype == np.int64
+    p = 9223372036854775783  # the largest prime below 2**63: even p + p wraps
+    f = field_make(p)
+    assert f.varr_add(np.array([p - 1]), np.array([p - 1])).tolist() == [p - 2]
+    assert f.add(np.int64(p - 1), np.int64(p - 1)) == p - 2
+    assert f.varr_neg(np.array([1, 0])).tolist() == [p - 1, 0]
+    assert (f.matpow(np.array([[p - 1, 1], [0, p - 1]]), 3).tolist()
+            == [[p - 1, 3], [0, p - 1]])
+
+
+def test_codes_past_int64_are_refused():
+    # q > 2**63: the scalar ops stay exact, the array ops raise
+    p = 9223372036854775837
+    f = field_make(p)
+    assert f.mul(p - 1, p - 1) == 1 and f.add(p - 1, 2) == 1
+    for op in (lambda: f.matmul([[1]], [[1]]), lambda: f.varr_add(np.ones(2, dtype=np.int64), 1),
+               lambda: f.varr_mul(np.ones(2, dtype=np.int64), 1),
+               lambda: f.varr_neg(np.ones(2, dtype=np.int64)),
+               lambda: f.quadratic(np.ones((1, 1), dtype=np.int64), np.ones((1, 1), dtype=np.int64))):
+        with pytest.raises(PreconditionError, match="do not fit in int64"):
+            op()
+
+
+def test_kernel_regimes():
+    # float64 for BLAS-sized products whose sums stay below 2**53, int64
+    # below 2**63, Python ints above
+    f = field_make(5)
+    assert f._dtype(2 ** 53 - 1, blas=True) is np.float64
+    assert f._dtype(2 ** 53, blas=True) is np.int64
+    assert f._dtype(2 ** 53 - 1) is np.int64
+    assert f._dtype(2 ** 63 - 1) is np.int64 and f._dtype(2 ** 63) is object
+
+    def blas(a, b):
+        return _blas_shape(np.empty(a), np.empty(b))
+
+    assert blas((2048, 8), (8, 9)) and blas((256, 8, 8), (8, 8))
+    assert not blas((834, 3, 3), (834, 3, 3))  # stacked right operands
+    assert not blas((8, 8), (8, 8))  # below _BLAS_MIN multiply-adds
+    assert not blas((1, 4096), (4096, 2)) and not blas((4096, 8), (8, 1))
+    assert not blas((8,), (8, 4096))
+
+
+# (k, inner, the largest prime below the float64 bound, a prime above it):
+# inner * k (p - 1)**2 (1 + (k - 1)(p - 1)) < 2**53 holds for the first; for
+# the second it is 16 times 2**53, where float64 would round odd sums
+_FLOAT_BOUND_PRIMES = [(1, 64, 11863279, 47453149), (2, 64, 41281, 104047)]
+
+
+@settings(max_examples=12, deadline=None)
+@given(case=st.sampled_from(_FLOAT_BOUND_PRIMES), above=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1), extreme=st.booleans())
+def test_float64_products_equal_int64_products(case, above, seed, extreme):
+    # on both sides of the float64 exactness bound: below it the float64 and
+    # the int64 kernels agree, above it the product takes int64, and both
+    # agree with Python ints
+    k, inner, below_p, above_p = case
+    f = field_make(above_p if above else below_p, k)
+    rng = np.random.default_rng(seed)
+    shape = (3, _BLAS_MIN // inner, inner)
+    if extreme:  # codes whose digits are all p - 1 maximise every sum
+        a = np.full(shape, f.q - 1, dtype=np.int64)
+        b = np.full((inner, 2), f.q - 1, dtype=np.int64)
+        a[rng.random(shape) < 0.2] = 0
+    else:
+        a, b = rng.integers(0, f.q, size=shape), rng.integers(0, f.q, size=(inner, 2))
+    bound = inner * f._digit_bound
+    assert (bound < 2 ** 53) != above
+    assert _blas_shape(a, b)
+    got = f.matmul(a, b)
+    assert got.dtype == np.int64
+    want = f._product(a, b, np.matmul, np.int64)
+    assert np.array_equal(got, want)
+    if not above:
+        assert np.array_equal(f._product(a, b, _blas_matmul, np.float64), want)
+    if k == 1:
+        assert got.tolist() == _python_matmul(f, a, b).tolist()
+    else:  # every slice against the scalar loop would be slow: one row
+        assert got[0, 0].tolist() == naive_matmul(f, a[0, :1].tolist(), b.tolist())[0]

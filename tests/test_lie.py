@@ -339,6 +339,37 @@ def test_nullcone_is_the_pointwise_filter_as_an_array(name):
     assert pts.tolist() == [list(x) for x in g.iter_elements() if not any(g.pmap_eval(x))]
 
 
+@pytest.mark.parametrize("n,p,seed", [(3, 2, 0), (4, 2, 1), (3, 3, 2)])
+def test_nullcone_is_the_pmap_scan_in_a_random_basis(n, p, seed):
+    # nullcone reads x^[p] = 0 as X^p = 0 on the model matrices, filtered by
+    # sigma_2 and with no solve back to coordinates; _pmap_rows solves every
+    # p-th power back.  They pick the same points, in the same order, in a
+    # random basis of sl_n (characteristic 2 included, where sigma_2 is the
+    # only nonzero form)
+    g = _gl_based(special_linear(n, field_make(p, 1)), seed)
+    elements = np.array(list(g.iter_elements()), dtype=np.int64)
+    assert np.array_equal(nullcone(g), elements[~g._pmap_rows(elements).any(axis=1)])
+
+
+def test_an_unclosed_matrix_model_is_refused():
+    # X^p = 0 is x^[p] = 0 only when X^p is the model matrix of x^[p], so a
+    # model whose p-th powers leave its span is refused where an algebra gets
+    # its model: from_matrix_basis checks the span's closure, and load_lie
+    # and RestrictedLieAlgebra validate the model against the p-map
+    # (_validate_model).  pmap_eval (_pmap_rows) keeps its own check.
+    f2 = field_make(2, 1)
+    swap = Mat(f2, [[0, 1], [1, 0]])  # swap^2 = I lies outside span{swap}
+    with pytest.raises(PreconditionError, match="not closed under p-th powers"):
+        from_matrix_basis(f2, [swap])
+    with pytest.raises(PreconditionError, match="p-th power disagrees"):
+        load_lie({"p": 2, "dim": 1, "matrix_model": [[0, 1, 1, 0]]})
+    with pytest.raises(PreconditionError, match="p-th power disagrees"):
+        RestrictedLieAlgebra(f2, {}, [(0,)], matrix_model=[swap])
+    unchecked = RestrictedLieAlgebra(f2, {}, [(0,)], matrix_model=[swap], validate="none")
+    with pytest.raises(PreconditionError, match="outside the span"):
+        unchecked.pmap_eval((1,))
+
+
 def test_nullcone_budget():
     with pytest.raises(BudgetError):
         nullcone(special_linear(2, F5), budget=10)
@@ -379,13 +410,13 @@ _SPAN_CASES = {  # name -> (algebra, basis rows)
     "sl2_F9": lambda: _whole(special_linear(2, field_make(3, 2))),
     "sl2_F25": lambda: _whole(special_linear(2, field_make(5, 2))),
     "h3_F27": lambda: _whole(heisenberg(1, field_make(3, 3))),
-    # the Killing form of sl_3 is 0 in characteristic 3, its trace form is not
+    # the Killing form of sl_3 is 0 in characteristic 3, sigma_2 of its model is not
     "sl3_F3": lambda: _whole(special_linear(3, F3)),
     "sl3_F5": lambda: _whole(special_linear(3, F5)),
     "sl3_F5_gl": lambda: _whole(_gl_based(special_linear(3, F5), 2)),
-    # no matrix model: the Killing form
+    # no matrix model: sigma_2 of ad x
     "sl2_struct_F5": lambda: _whole(sl2_structure_only(F5)),
-    # tr(X^2) = tr(X)^2 = 0 on sl_n in characteristic 2: the form test is skipped
+    # tr(X^2) = tr(X)^2 = 0 on sl_n in characteristic 2, sigma_2 is not
     "sl4_F2": lambda: _whole(special_linear(4, field_make(2, 1))),
     "h5_F3": lambda: _whole(heisenberg(2, F3)),
     "dim0_F9": lambda: _whole(abelian_p_trivial(0, field_make(3, 2))),
@@ -405,13 +436,19 @@ def test_nilpotent_span_matches_all_points_filter(name):
 
 
 def _form_matrix(g, x):
-    """The matrix the trace form squares: x's model matrix, else ad(x)."""
+    """The matrix whose sigma_2 the form takes: x's model matrix, else ad(x)."""
     return g.matrix_of(x) if g.matrix_model else Mat(g.field, g.ad(x))
 
 
-def _pointwise_square_trace(g, x):
-    m = _form_matrix(g, x)
-    return (m @ m).trace()
+def _pointwise_sigma_2(g, x):
+    """The sum of the principal 2 x 2 minors of _form_matrix(g, x), minor by
+    minor."""
+    f, m = g.field, _form_matrix(g, x).tolist()
+    total = 0
+    for i, j in itertools.combinations(range(len(m)), 2):
+        minor = f.add(f.mul(m[i][i], m[j][j]), f.neg(f.mul(m[i][j], m[j][i])))
+        total = f.add(total, minor)
+    return total
 
 
 def _leading_one(f, v):
@@ -424,18 +461,26 @@ def _leading_one(f, v):
                                   "sl2_struct_F5", "sl4_F2"])
 def test_nilpotent_span_takes_one_pth_power_per_line(monkeypatch, name):
     # at most one p-th power per line, and as many as there are lines whose
-    # square trace is 0; those are counted here point by point, one
-    # coefficient vector with first nonzero coefficient 1 per line
+    # sigma_2 is 0; those are counted here point by point, one coefficient
+    # vector with first nonzero coefficient 1 per line.  With a matrix model
+    # the power is the model matrices' matpow, else _pmap_rows; a power is
+    # recorded as its raveled matrix or coordinate row, and the model is
+    # faithful, so distinct lines give distinct projective rows either way.
     g, basis = _SPAN_CASES[name]()
     f, d = g.field, len(basis)
     seen = []
-    pmap_rows = RestrictedLieAlgebra._pmap_rows
+    pmap_rows, matpow = RestrictedLieAlgebra._pmap_rows, type(f).matpow
 
-    def counted(self, x):
+    def counted_pmap(self, x):
         seen.append(x.copy())
         return pmap_rows(self, x)
 
-    monkeypatch.setattr(RestrictedLieAlgebra, "_pmap_rows", counted)
+    def counted_matpow(self, a, e):
+        seen.append(np.asarray(a).reshape(len(a), -1))
+        return matpow(self, a, e)
+
+    monkeypatch.setattr(RestrictedLieAlgebra, "_pmap_rows", counted_pmap)
+    monkeypatch.setattr(type(f), "matpow", counted_matpow)
     lie._nilpotent_span(g, basis)
     rows = [tuple(v) for part in seen for v in part.tolist()]
     assert len({_leading_one(f, v) for v in rows}) == len(rows)
@@ -443,36 +488,44 @@ def test_nilpotent_span_takes_one_pth_power_per_line(monkeypatch, name):
     for coeffs in itertools.product(range(f.q), repeat=d):
         if any(coeffs) and next(c for c in coeffs if c) == f.one:
             x = tuple(f.matmul(np.array(coeffs, dtype=np.int64), basis).tolist())
-            vanishing += _pointwise_square_trace(g, x) == 0
+            vanishing += _pointwise_sigma_2(g, x) == 0
     assert len(rows) == vanishing
     assert max(map(len, seen)) <= lie._CHUNK
 
 
 @pytest.mark.parametrize("name,skipped", [("sl3_F3", False), ("sl3_F5", False),
-                                          ("sl2_struct_F5", False), ("sl4_F2", True),
+                                          ("sl2_struct_F5", False), ("sl4_F2", False),
                                           ("h5_F3", True), ("h3_F27", True)])
 def test_trace_form_is_the_square_trace(name, skipped):
-    # the Gram matrix is tr(M_a M_b) (the Killing form without a model); its
-    # quadratic form is tr(X^2) and vanishes identically exactly when skipped
+    # the quadratic form is sigma_2 of the model matrix (of ad x without a
+    # model), point by point, and vanishes identically exactly when skipped;
+    # on these traceless matrices it is -tr(X^2)/2 when p != 2
     g, _ = _SPAN_CASES[name]()
     f, form = g.field, lie._trace_form(g)
     assert lie._trace_form(g) is form  # once per algebra
-    basis = [g.basis_vec(i) for i in range(g.dim)]
-    for a, b in itertools.product(range(g.dim), repeat=2):
-        assert form[a, b] == (_form_matrix(g, basis[a]) @ _form_matrix(g, basis[b])).trace()
-    elements = np.array(list(itertools.islice(g.iter_elements(), 0, None, 7)), dtype=np.int64)
+    step = max(7, g.element_count() // 3000)
+    elements = np.array(list(itertools.islice(g.iter_elements(), 0, None, step)), dtype=np.int64)
     values = f.quadratic(elements, form)
-    assert values.tolist() == [_pointwise_square_trace(g, tuple(x)) for x in elements.tolist()]
+    assert values.tolist() == [_pointwise_sigma_2(g, tuple(x)) for x in elements.tolist()]
     assert (not values.any()) == skipped
+    if f.p != 2:
+        half = f.inv(2)
+        assert values.tolist() == [f.neg(f.mul(half, (_form_matrix(g, x) @ _form_matrix(g, x)).trace()))
+                                   for x in map(tuple, elements.tolist())]
     if name == "sl3_F3":  # the Killing form would reject nothing here
+        basis = [g.basis_vec(i) for i in range(g.dim)]
         assert all((Mat(f, g.ad(u)) @ Mat(f, g.ad(v))).trace() == 0
                    for u, v in itertools.product(basis, repeat=2))
+    if name == "sl4_F2":  # nor would the square trace
+        assert all((_form_matrix(g, x) @ _form_matrix(g, x)).trace() == 0
+                   for x in map(tuple, elements.tolist()))
 
 
 _FORM_ALGEBRAS = {
     "sl2_F9": lambda: special_linear(2, field_make(3, 2)),
     "sl2_F25": lambda: special_linear(2, field_make(5, 2)),
     "sl3_F3": lambda: special_linear(3, F3),
+    "sl3_F2": lambda: special_linear(3, field_make(2, 1)),
     "sl2_struct_F5": lambda: sl2_structure_only(F5),
     "sl2_struct_F7": lambda: sl2_structure_only(field_make(7, 1)),
 }

@@ -426,6 +426,8 @@ def test_orbit_class():
     assert oc.local_rank.value == 4 and oc.local_rank.exact  # floor(16/4)
     oc = OrbitClass.of(Partition((4,)), 3)  # not in the restricted nullcone
     assert oc.local_rank is None
+    for n, p in [(2, 3), (4, 5), (6, 3)]:  # the zero orbit has no local rank
+        assert OrbitClass.of(Partition((1,) * n), p).local_rank is None
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -445,4 +447,6 @@ def test_sln_report_shape():
     assert parts[(4,)]["local_rank"] == 3
     assert parts[(2, 2)]["local_rank"] == ">=4"
     assert parts[(2, 1, 1)]["witness_dims"] == [4, 4]
-    assert parts[(1, 1, 1, 1)]["local_rank"] == 4
+    # local rank is defined at nonzero points only; 0 is in the nullcone
+    assert parts[(1, 1, 1, 1)]["local_rank"] is None
+    assert parts[(1, 1, 1, 1)]["in_nullcone"] is True
