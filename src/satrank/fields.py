@@ -485,7 +485,10 @@ class Mat:
 
     def __init__(self, field: FieldSpec, array):
         self.field = field
-        a = np.array(array, dtype=np.int64)
+        try:
+            a = np.array(array, dtype=np.int64)
+        except OverflowError:  # codes of a field with q > 2**63, or raw ints past int64
+            raise PreconditionError(f"matrix entries over {field!r} do not fit in int64") from None
         if a.ndim != 2:
             raise PreconditionError("matrix data must be 2-dimensional")
         self.a = a

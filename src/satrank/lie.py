@@ -30,15 +30,15 @@ exactly the maximal elementary subalgebras, and a clique of
 (q^r - 1)/(q - 1) classes has rank r.  One enumeration (satrank.cliques,
 shared with satrank.groups) gives r(x) for every class at once.
 
-The graph lives on integer coordinates in the space that was enumerated:
-F_q^dim for srk_brute, F_q^d in the centralizer basis for local_rank.  The
-callers' budget checks bound q^dim and q^d, so a dense int32 table with one
-entry per coordinate code maps every nonzero scalar multiple of a class to
-the class index.  The classes commuting with u are the span closure of
-ker ad(u): one vector per line of the kernel, looked up in the table.  Those
-commuting masks are built for a batch of classes at a time: one stacked
-product ad(u) . basis^T, one stacked elimination (fields._kernels), and span
-closures batched by kernel dimension.  A witness is the least basis of a
+The graph lives on integer coordinates of a coordinate subspace F_q^d of
+the searched algebra (span B below).  The callers' budget checks bound
+q^dim, so a dense int32 table with one entry per coordinate code maps every
+nonzero scalar multiple of a class to the class index.  The classes
+commuting with u are the span closure of ker ad(u): one vector per line of
+the kernel, looked up in the table.  Those commuting masks are built for a
+batch of classes at a time: one stacked ad(u) restricted to the subspace's
+columns, one stacked elimination (fields._kernels), and span closures
+batched by kernel dimension.  A witness is the least basis of a
 maximal-rank subalgebra through the point, picked greedily against the
 cliques (_TupleSearch.max_tuple_containing).
 
@@ -50,6 +50,13 @@ So the nullcone is (V(g) n span B) + C, the maximal elementary subalgebras
 are W + C for the maximal cliques W on the classes of V(g) n span B, and
 srk_brute searches that graph only: r(b + c) = dim C + r_B(b) for b != 0.
 C = {0} leaves the whole graph.
+
+Every elementary subalgebra through x lies in the centralizer z(x), a
+restricted subalgebra since ad(y^[p]) = ad(y)^p, and x is central and
+p-nilpotent there, so x lies in C(z(x)).  So r(x) = T(z(x)), the largest
+rank of an elementary subalgebra of z(x): dim C(z(x)) plus the largest
+clique rank of the same search run on z(x), which _subalgebra builds with
+its own structure constants (and g's matrix model restricted to it).
 
 Local rank is invariant under automorphisms of (g, [p]), so srk_brute needs
 it at one class per orbit.  On a search of at least _ORBIT_MIN_CLASSES
@@ -179,7 +186,7 @@ class RestrictedLieAlgebra:
         """x^[p] for every row of the code array x (N x dim)."""
         f, p = self.field, self.field.p
         if self.matrix_model:
-            powers = f.matpow(self._matrices(x), p).reshape(len(x), -1)
+            powers = f.matpow(self._matrices(x), p).reshape(len(x), self._model[0].size)
             coords, inside = self._coord_solver.solve_rows(powers)
             if not inside.all():
                 raise PreconditionError("p-th power lies outside the span of the model basis")
@@ -431,7 +438,7 @@ def nullcone(g: RestrictedLieAlgebra, budget: int = DEFAULT_BUDGET) -> np.ndarra
     if total > budget:
         raise BudgetError(f"nullcone needs {total} points > budget {budget}")
     f, centre = g.field, _central_elementary(g)
-    vecs = _nilpotent_span(g, np.eye(g.dim, dtype=np.int64)[_off_pivots(centre)])[1]
+    vecs = _nilpotent_span(g, _off_pivots(centre))
     if not len(centre):
         return vecs
     shifts = _combinations(f, np.arange(f.q ** len(centre), dtype=np.int64), centre)
@@ -478,46 +485,46 @@ _CHUNK = 1 << 11  # combinations per batch; bounds the p-th power temporaries
 _MASK_BITS_PER_BUDGET = 32
 
 
-def _nilpotent_span(g: RestrictedLieAlgebra, basis):
-    """The F_q-combinations of the rows of basis whose p-th power is zero.
+def _nilpotent_span(g: RestrictedLieAlgebra, keep):
+    """The p-nilpotent vectors of span B, for B the standard basis vectors of
+    g at the columns where the bool mask keep holds: an (N, dim) int64 array
+    of coordinate rows in lexicographic order, zero first.
 
-    Combination number r has coefficients _digits(r), so ascending r is
-    lexicographic coefficient order.  Returns (codes, vecs): the ascending
-    numbers r of the p-nilpotent combinations, zero first, and those
-    combinations in g's coordinates.  (cx)^[p] = c^p x^[p], so the p-th
-    power is taken at most once per line, on the _line_codes combinations
-    in batches of _CHUNK, and each p-nilpotent one is expanded by the q - 1
-    nonzero scalars.
+    A vector of span B is zero off keep, so combination number r of B, with
+    coefficients _digits(r) at keep, comes in lexicographic order in
+    ascending r.  (cx)^[p] = c^p x^[p], so the p-th power is taken at most
+    once per line, on the _line_codes combinations in batches of _CHUNK, and
+    each p-nilpotent one is expanded by the q - 1 nonzero scalars.
 
-    A line is first tested against sigma_2 (_trace_form), pulled back to
-    basis; only the lines with sigma_2 = 0 get a p-th power.  That rejects no
+    A line is first tested against sigma_2 (_trace_form), restricted to B;
+    only the lines with sigma_2 = 0 get a p-th power.  That rejects no
     p-nilpotent x: x^[p] = 0 forces ad(x)^p = ad(x^[p]) = 0 and, with a
     matrix model, X^p = 0, and sigma_2 vanishes on nilpotent matrices.  Where
     it vanishes identically as a quadratic form (Heisenberg and abelian
     algebras) the test is skipped.
 
     With a matrix model x^[p] = 0 is read as X^p = 0 on the model matrices of
-    the combinations, taken straight from those of the basis rows.  That
-    needs the model to be faithful (_CoordSolver checks it) and its p-th
-    powers to be the p-map's (from_matrix_basis builds the p-map from them,
-    and RestrictedLieAlgebra.validate checks them in _validate_model, so a
-    model whose p-th powers leave its span is refused there).  An n x n
-    matrix with X^p = 0 is nilpotent, and a nilpotent one has X^n = 0, so
+    the combinations, taken straight from those of B.  That needs the model
+    to be faithful (_CoordSolver checks it) and its p-th powers to be the
+    p-map's (from_matrix_basis builds the p-map from them, and
+    RestrictedLieAlgebra.validate checks them in _validate_model, so a model
+    whose p-th powers leave its span is refused there).  An n x n matrix
+    with X^p = 0 is nilpotent, and a nilpotent one has X^n = 0, so
     X^min(p, n) = 0 is the same test.  Without a model the p-th power is
     _pmap_rows (Jacobson's formula).
     """
-    f, d = g.field, len(basis)
+    f, d = g.field, int(keep.sum())
     place = _place_values(f.q, d)
-    form = f.matmul(f.matmul(basis, _trace_form(g)), basis.T)
+    form = _trace_form(g)[np.ix_(keep, keep)]
     # Q(x) = x . form . x^T vanishes identically when its coefficients do:
     # the diagonal and form[i, j] + form[j, i] off it
     if not (form.diagonal().any() or f.varr_add(form, form.T).any()):
         form = None
     if g.matrix_model:
         shape = g._model.shape[1:]
-        model = f.matmul(basis, g._model.reshape(g.dim, -1))  # the basis rows' matrices
+        model = g._model.reshape(g.dim, -1)[keep]  # the matrices of B
     scalars = np.arange(1, f.q, dtype=np.int64)[:, None, None]
-    codes, vecs = [np.zeros(1, dtype=np.int64)], [np.zeros((1, basis.shape[1]), dtype=np.int64)]
+    codes, coeffs = [np.zeros(1, dtype=np.int64)], [np.zeros((1, d), dtype=np.int64)]
     for r in _line_codes(f.q, d):
         digits = _digits(r, f.q, d)
         if form is not None:
@@ -525,16 +532,21 @@ def _nilpotent_span(g: RestrictedLieAlgebra, basis):
         if g.matrix_model:
             m = f.matmul(digits, model).reshape((-1,) + shape)
             digits = digits[~f.matpow(m, min(f.p, shape[0])).any(axis=(1, 2))]
-            v = f.matmul(digits, basis)
         else:
-            v = f.matmul(digits, basis)
-            nil = ~g._pmap_rows(v).any(axis=1)
-            digits, v = digits[nil], v[nil]
-        codes.append((f.varr_mul(scalars, digits) @ place).ravel())
-        vecs.append(f.varr_mul(scalars, v).reshape(-1, v.shape[1]))
-    codes, vecs = np.concatenate(codes), np.concatenate(vecs)  # drops the pieces
-    order = np.argsort(codes)
-    return codes[order], vecs[order]
+            digits = digits[~g._pmap_rows(_placed(digits, keep)).any(axis=1)]
+        multiples = f.varr_mul(scalars, digits).reshape(-1, d)
+        codes.append(multiples @ place)
+        coeffs.append(multiples)
+    codes, coeffs = np.concatenate(codes), np.concatenate(coeffs)  # drops the pieces
+    return _placed(coeffs[np.argsort(codes)], keep)
+
+
+def _placed(coeffs, keep):
+    """The rows that hold the rows of coeffs at the columns where the bool
+    mask keep holds and zero elsewhere."""
+    out = np.zeros((len(coeffs), len(keep)), dtype=np.int64)
+    out[:, keep] = coeffs
+    return out
 
 
 def _trace_form(g: RestrictedLieAlgebra) -> np.ndarray:
@@ -743,21 +755,22 @@ def _verified(g: RestrictedLieAlgebra, a):
 class _TupleSearch:
     """Local ranks and witnesses over a fixed projective point set.
 
-    Points are projective classes of p-nilpotent elements inside a subspace
-    of g with basis rows `basis` (d x dim): for srk_brute the standard basis
-    vectors B off the pivots of the central elementary ideal (the identity
-    when that is {0}), for local_rank the centralizer basis.  Row i of coords
-    holds class i's coordinates in that basis and row i of points (n x dim)
-    the same vector in g's coordinates.  A coordinate vector's code is its
-    dot product with q**(d-1), ..., q, 1, and _table sends the code of every
-    nonzero multiple of class i to i and every other code to n.
+    Points are projective classes of p-nilpotent elements of span B, for B
+    the d standard basis vectors of g at the columns where the bool mask keep
+    holds: the columns off the pivots of the central elementary ideal (all
+    of them when that is {0}; _quotient_search).  Row i of coords (n x d)
+    holds class i's coordinates in B, its entries at those columns, and row i
+    of points (n x dim) the same vector in g's coordinates.  A coordinate
+    vector's code is its dot product with q**(d-1), ..., q, 1, and _table
+    sends the code of every nonzero multiple of class i to i and every other
+    code to n.
 
     automorphisms are verified automorphisms of (g, [p]) as d x d matrices
     acting on coordinate rows (srk_brute passes _automorphisms(g, coords)).
     labels[i] is the least class of class i's orbit under the group they
     generate, and the roots are the classes with labels[i] == i; without
     automorphisms every class is a root.  commuting[i] is the bitmask of the
-    classes in ker(ad(points[i]) . basis^T), built batch by batch in
+    classes in ker(ad(points[i]) . B^T), built batch by batch in
     _commuting_masks for the roots and their neighbours, and later for any
     class a witness search asks about; the other entries are 0.  cliques
     holds (rank, bitmask) for each maximal clique of the commuting graph that
@@ -768,15 +781,14 @@ class _TupleSearch:
     most _MASK_BITS_PER_BUDGET * budget bits.
     """
 
-    def __init__(self, g: RestrictedLieAlgebra, coords, basis, budget, automorphisms=()):
+    def __init__(self, g: RestrictedLieAlgebra, coords, keep, budget, automorphisms=()):
         self.g = g
         self.f = f = g.field
-        self.n = len(coords)
-        self.basis = basis
+        self.n, d = coords.shape
+        self.keep = keep
         self.coords = coords
-        self.points = f.matmul(coords, basis)
+        self.points = _placed(coords, keep)
         self._budget = budget
-        d = len(basis)
         scalars = np.arange(1, f.q, dtype=np.int64)
         multiples = f.varr_mul(scalars[:, None, None], coords[None])  # [c - 1, i] = c * coords[i]
         self._place = _place_values(f.q, d)
@@ -798,7 +810,7 @@ class _TupleSearch:
         """(rank, bitmask) of the maximal cliques of adj that meet roots; a
         maximal clique of rank r has (q**r - 1) / (q - 1) classes."""
         q = self.f.q
-        rank_of = {(q ** r - 1) // (q - 1): r for r in range(len(self.basis) + 1)}
+        rank_of = {(q ** r - 1) // (q - 1): r for r in range(self.coords.shape[1] + 1)}
         return [(rank_of[c.bit_count()], c) for c in _maximal_cliques(adj, self._budget, roots)]
 
     def _orbit_labels(self, automorphisms):
@@ -834,9 +846,9 @@ class _TupleSearch:
 
         BudgetError first when the masks built by the end would hold more
         than _MASK_BITS_PER_BUDGET * budget bits.  A batch of classes takes
-        one stacked product ad(u) . basis^T and one stacked elimination for
-        all its u; the kernels of equal dimension then go through _span_masks
-        together.
+        one stacked ad(u), whose columns at keep are ad(u) . B^T, and one
+        stacked elimination for all its u; the kernels of equal dimension then
+        go through _span_masks together.
         """
         masks, built = self.commuting, self._built
         which = np.array([i for i in which.tolist() if not masks[i]], dtype=np.int64)
@@ -846,11 +858,11 @@ class _TupleSearch:
                 f"commuting masks: {built + len(which)} masks of {self.n} classes are {total} bits "
                 f"> budget {bound} bits ({_MASK_BITS_PER_BUDGET} per budget unit); "
                 f"{built} masks built so far")
-        f, g, d = self.f, self.g, len(self.basis)
+        f, g, d = self.f, self.g, self.coords.shape[1]
         step = (_CHUNK << 2) // max(1, g.dim * d)  # (step, dim, d) stacks: <= 4 * _CHUNK codes
         for start in range(0, len(which), step):
             part = which[start:start + step]
-            vectors, free = _kernels(f, f.matmul(g.ad(self.points[part]), self.basis.T))
+            vectors, free = _kernels(f, g.ad(self.points[part])[..., self.keep])
             dims = free.sum(axis=1)
             for k in np.flatnonzero(np.bincount(dims)).tolist():
                 rows = np.flatnonzero(dims == k)
@@ -899,8 +911,9 @@ class _TupleSearch:
         order that defines "least"), and classes[j] is the class of points[j]
         modulo an ideal of dimension centre_dim that lies in every maximal
         elementary subalgebra, or n when points[j] lies in that ideal.
-        srk_brute passes g's classes and its central elementary ideal; by
-        default the candidates are the search's own classes.  So r is
+        srk_brute and local_rank pass the classes of the searched algebra's
+        nullcone and its central elementary ideal; by default the candidates
+        are the search's own classes.  So r is
         centre_dim plus s, the largest rank of a clique through classes[xi]
         (through any class when that is n).
 
@@ -1004,9 +1017,17 @@ def _projective_reps(f, vecs):
 def local_rank(g: RestrictedLieAlgebra, x: Vec, budget: int = DEFAULT_BUDGET) -> LocalRank:
     """Largest elementary-subalgebra dimension at x, with a witness containing x.
 
-    The cliques run over the nullcone of the centralizer z(x); x commutes
-    with all of it, so every maximal clique there contains x.  budget caps
-    the points of z(x) and the nodes of the clique search.
+    Every elementary subalgebra through x lies in the centralizer z(x), a
+    restricted subalgebra (ad(y^[p]) = ad(y)^p) in which x is central and
+    p-nilpotent, so x lies in its central elementary ideal C(z(x)) and
+    r(x) = T(z(x)), the largest rank of an elementary subalgebra of z(x):
+    dim C(z(x)) plus the largest clique rank of srk_brute's search on z(x)
+    (_subalgebra, _quotient_search), run with no automorphisms.  The
+    centralizer's basis rows are in RREF, so a point's coordinates in z(x)
+    are its entries at their pivots, and the lexicographic order and the
+    projective representatives of z(x) are g's: the witness is the least
+    one in g's order.  budget caps the points of z(x), the commuting-mask
+    bits and the nodes of the clique search.
     """
     x = tuple(x)
     if not any(x):
@@ -1014,19 +1035,39 @@ def local_rank(g: RestrictedLieAlgebra, x: Vec, budget: int = DEFAULT_BUDGET) ->
     if any(g.pmap_eval(x)):
         raise PreconditionError("x is outside the restricted nullcone")
     f = g.field
-    zbasis = centralizer(g, x)
-    d = len(zbasis)
-    if f.q ** d > budget:
-        raise BudgetError(f"centralizer has {f.q ** d} points > budget {budget}")
-    basis = np.array(zbasis, dtype=np.int64)
-    codes, vecs = _nilpotent_span(g, basis)
-    rows = _projective_reps(f, vecs)
-    rows = rows[np.lexsort(vecs[rows].T[::-1])]  # in g's lexicographic order
-    search = _TupleSearch(g, _digits(codes[rows], f.q, d), basis, budget)
-    xi = int(search._table[codes[(vecs == x).all(axis=1)][0]])
-    r, witness, _ = search.max_tuple_containing(xi)
+    zbasis = np.array(centralizer(g, x), dtype=np.int64)
+    if f.q ** len(zbasis) > budget:
+        raise BudgetError(f"centralizer has {f.q ** len(zbasis)} points > budget {budget}")
+    zbasis = _rref(f, zbasis[None])[0][0]
+    h = _subalgebra(g, zbasis)
+    vecs = nullcone(h, budget=budget)
+    search, reps, of = _quotient_search(h, vecs, budget, orbits=False)
+    points = f.matmul(vecs[reps], zbasis)
+    lead = next(c for c in x if c)  # x's projective representative is x / lead
+    rep = f.varr_scale(f.inv(lead), np.array(x, dtype=np.int64))
+    xi = int(np.flatnonzero((points == rep).all(axis=1))[0])
+    r, witness, _ = search.max_tuple_containing(xi, points, of[reps], len(_central_elementary(h)))
     witness[0] = x  # report the caller's point, not its projective representative
     return LocalRank(rank=r, witness=ElementarySubalgebra(tuple(witness)))
+
+
+def _subalgebra(g: RestrictedLieAlgebra, rows) -> RestrictedLieAlgebra:
+    """The restricted subalgebra spanned by rows, the RREF basis rows of a
+    subspace of g closed under the bracket and the p-map, in that basis.
+
+    A vector of the span has as coordinates its entries at the pivot columns
+    of rows, so the structure constants are read there off ad(rows) . rows^T
+    and the p-map off g's p-th powers of the rows.  g's matrix model, when
+    it has one, restricts to the model matrices of the rows, so the sigma_2
+    filter and the X^p = 0 test of _nilpotent_span apply to the subalgebra
+    too.  The tables are right by construction and are not validated.
+    """
+    f, pivots = g.field, ~_off_pivots(rows)
+    h = RestrictedLieAlgebra(f, {}, g._pmap_rows(rows)[:, pivots], validate="none")
+    h._adb = f.matmul(g.ad(rows), rows.T)[:, pivots]  # h._adb[i][:, j]: [rows[i], rows[j]]
+    if g.matrix_model:
+        h._set_model(_CoordSolver(f, [Mat(f, m) for m in g._matrices(rows)]))
+    return h
 
 
 class SrkBrute(NamedTuple):
@@ -1047,7 +1088,7 @@ def srk_brute(g: RestrictedLieAlgebra, budget: int = DEFAULT_BUDGET) -> SrkBrute
     Every maximal elementary subalgebra is W + C, for the central elementary
     ideal C (_central_elementary) and W a maximal clique on the classes of
     V(g) n span B, B the standard basis vectors off C's pivots.  So one
-    search over those classes (_TupleSearch, in B's coordinates) gives every
+    search over those classes (_quotient_search) gives every
     local rank: r(b + c) = dim C + r_B(b) for b != 0, and r(c) = dim C plus
     the largest clique rank for c in C, nonzero.  Local ranks are
     scalar-invariant, so they are found per projective class and expanded
@@ -1062,23 +1103,36 @@ def srk_brute(g: RestrictedLieAlgebra, budget: int = DEFAULT_BUDGET) -> SrkBrute
     if len(vecs) == 1:  # just 0
         return SrkBrute(srk=0, r_min=0, o_rmin_count=0, o_rmin=vecs[1:],
                         witness=None, note="restricted nullcone is {0}; srk reported as 0")
+    search, reps, of = _quotient_search(g, vecs, budget, orbits=True)
+    centre_dim = len(_central_elementary(g))
+    ranks = centre_dim + np.array(search.ranks + [max(search.ranks, default=0)])[of]
+    m = int(ranks[1:].min())
+    o_rmin = vecs[1:][ranks[1:] == m]
+    _, wit, _ = search.max_tuple_containing(int(np.argmax(ranks[reps] == m)), vecs[reps],
+                                            of[reps], centre_dim)
+    return SrkBrute(srk=m, r_min=m, o_rmin_count=len(o_rmin), o_rmin=o_rmin,
+                    witness=ElementarySubalgebra(tuple(wit)), note="")
+
+
+def _quotient_search(g: RestrictedLieAlgebra, vecs, budget, orbits):
+    """The search on the classes of V(g) n span B, B the standard basis
+    vectors off the pivots of the central elementary ideal C, and where it
+    puts each nullcone point.
+
+    vecs is nullcone(g).  Returns (search, reps, of): the _TupleSearch in B's
+    coordinates, with the verified automorphisms (_automorphisms) when
+    orbits; the ascending indices of the rows of vecs that are one point per
+    projective class (_projective_reps); and of[i], the class of vecs[i]
+    modulo C, or search.n when vecs[i] lies in C.
+    """
     f, centre = g.field, _central_elementary(g)
     keep = _off_pivots(centre)
     reps = _projective_reps(f, vecs)  # one point per class of g, in lexicographic order
     # the classes of V(g) n span B are those zero on C's pivots, and their
     # coordinates in B are their entries off the pivots
     classes = vecs[np.ix_(reps[~vecs[np.ix_(reps, ~keep)].any(axis=1)], keep)]
-    basis = np.eye(g.dim, dtype=np.int64)[keep]
-    search = _TupleSearch(g, classes, basis, budget, _automorphisms(g, classes))
-    # every point's class modulo C, n for the points of C; vecs[0] is zero
-    of = search._table[_part_in_span(f, vecs, centre, keep) @ search._place]
-    ranks = len(centre) + np.array(search.ranks + [max(search.ranks, default=0)])[of]
-    m = int(ranks[1:].min())
-    o_rmin = vecs[1:][ranks[1:] == m]
-    _, wit, _ = search.max_tuple_containing(int(np.argmax(ranks[reps] == m)), vecs[reps],
-                                            of[reps], len(centre))
-    return SrkBrute(srk=m, r_min=m, o_rmin_count=len(o_rmin), o_rmin=o_rmin,
-                    witness=ElementarySubalgebra(tuple(wit)), note="")
+    search = _TupleSearch(g, classes, keep, budget, _automorphisms(g, classes) if orbits else ())
+    return search, reps, search._table[_part_in_span(f, vecs, centre, keep) @ search._place]
 
 
 def _part_in_span(f, vecs, centre, keep):

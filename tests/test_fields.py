@@ -537,6 +537,14 @@ def test_codes_past_int64_are_refused():
             op()
 
 
+def test_mat_refuses_codes_past_int64():
+    # a Mat holds int64 codes: the code p - 1 of F_p, p > 2**63, is refused
+    # as a precondition, not an OverflowError
+    p = 9223372036854775837
+    with pytest.raises(PreconditionError, match="do not fit in int64"):
+        Mat(field_make(p), [[p - 1]])
+
+
 def test_kernel_regimes():
     # float64 for BLAS-sized products whose sums stay below 2**53, int64
     # below 2**63, Python ints above

@@ -383,30 +383,36 @@ def test_toral_nullcone_trivial():
     assert res.o_rmin.shape == (0, 2) and res.o_rmin_count == 0
 
 
-def _nilpotent_span_all_points(g, basis):
+def _nilpotent_span_all_points(g, keep):
     """The filter the line enumeration replaced: the p-th power of every
-    combination, in ascending code order."""
-    f = g.field
-    codes, vecs = [], []
+    combination of the standard basis vectors at keep, in ascending code
+    order."""
+    f, basis = g.field, np.eye(g.dim, dtype=np.int64)[keep]
+    vecs = []
     for r in lie._code_chunks(f.q ** len(basis)):
         v = lie._combinations(f, r, basis)
-        nil = ~g._pmap_rows(v).any(axis=1)
-        codes.append(r[nil])
-        vecs.append(v[nil])
-    return np.concatenate(codes), np.concatenate(vecs)
+        vecs.append(v[~g._pmap_rows(v).any(axis=1)])
+    return np.concatenate(vecs)
 
 
 def _whole(g):
-    return g, np.eye(g.dim, dtype=np.int64)
+    return g, np.ones(g.dim, dtype=bool)
 
 
 def _sl4_f3_highest_root_centralizer():
-    # the centralizer basis local_rank enumerates at x = E_03
+    # the centralizer of x = E_03 as local_rank builds it: a model of 9
+    # matrices inside sl_4
     g = special_linear(4, F3)
-    return g, np.array(centralizer(g, g.basis_vec(2)), dtype=np.int64)
+    return _whole(_centralizer_subalgebra(g, g.basis_vec(2))[0])
 
 
-_SPAN_CASES = {  # name -> (algebra, basis rows)
+def _off_centre(g):
+    # the basis vectors off the pivots of the central elementary ideal, as
+    # nullcone enumerates them
+    return g, lie._off_pivots(lie._central_elementary(g))
+
+
+_SPAN_CASES = {  # name -> (algebra, bool mask of the standard basis vectors spanned)
     "sl2_F9": lambda: _whole(special_linear(2, field_make(3, 2))),
     "sl2_F25": lambda: _whole(special_linear(2, field_make(5, 2))),
     "h3_F27": lambda: _whole(heisenberg(1, field_make(3, 3))),
@@ -421,18 +427,18 @@ _SPAN_CASES = {  # name -> (algebra, basis rows)
     "h5_F3": lambda: _whole(heisenberg(2, F3)),
     "dim0_F9": lambda: _whole(abelian_p_trivial(0, field_make(3, 2))),
     "centralizer_sl4_F3": _sl4_f3_highest_root_centralizer,
+    "h5_F3_off_centre": lambda: _off_centre(heisenberg(2, F3)),
+    "sl4_F3_centralizer_off_centre": lambda: _off_centre(_sl4_f3_highest_root_centralizer()[0]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_SPAN_CASES))
 def test_nilpotent_span_matches_all_points_filter(name):
-    g, basis = _SPAN_CASES[name]()
-    codes, vecs = lie._nilpotent_span(g, basis)
-    want_codes, want_vecs = _nilpotent_span_all_points(g, basis)
-    assert codes.dtype == want_codes.dtype and vecs.dtype == want_vecs.dtype
-    assert vecs.shape == want_vecs.shape
-    assert np.array_equal(codes, want_codes) and np.array_equal(vecs, want_vecs)
-    assert codes[0] == 0 and not vecs[0].any()
+    g, keep = _SPAN_CASES[name]()
+    vecs = lie._nilpotent_span(g, keep)
+    want = _nilpotent_span_all_points(g, keep)
+    assert vecs.dtype == want.dtype and vecs.shape == want.shape
+    assert np.array_equal(vecs, want) and not vecs[0].any()
 
 
 def _form_matrix(g, x):
@@ -466,8 +472,9 @@ def test_nilpotent_span_takes_one_pth_power_per_line(monkeypatch, name):
     # the power is the model matrices' matpow, else _pmap_rows; a power is
     # recorded as its raveled matrix or coordinate row, and the model is
     # faithful, so distinct lines give distinct projective rows either way.
-    g, basis = _SPAN_CASES[name]()
-    f, d = g.field, len(basis)
+    g, keep = _SPAN_CASES[name]()
+    f, basis = g.field, np.eye(g.dim, dtype=np.int64)[keep]
+    d = len(basis)
     seen = []
     pmap_rows, matpow = RestrictedLieAlgebra._pmap_rows, type(f).matpow
 
@@ -481,7 +488,7 @@ def test_nilpotent_span_takes_one_pth_power_per_line(monkeypatch, name):
 
     monkeypatch.setattr(RestrictedLieAlgebra, "_pmap_rows", counted_pmap)
     monkeypatch.setattr(type(f), "matpow", counted_matpow)
-    lie._nilpotent_span(g, basis)
+    lie._nilpotent_span(g, keep)
     rows = [tuple(v) for part in seen for v in part.tolist()]
     assert len({_leading_one(f, v) for v in rows}) == len(rows)
     vanishing = 0
@@ -693,33 +700,42 @@ def _naive_span_mask(f, index, vecs):
     return mask
 
 
-@pytest.mark.parametrize("case", ["h3_F5", "sl2_F9", "local_h3_F5", "local_sl3_F3"])
+@pytest.mark.parametrize("case", ["h3_F5", "sl2_F9", "local_h5_F3", "local_sl3_F3",
+                                  "local_sl4_F2"])
 def test_search_span_masks_and_commuting_masks(monkeypatch, case):
-    # srk_brute searches F_q^dim itself; local_rank searches the centralizer in
-    # its own basis, so its masks go through ker(ad u . B)
+    # srk_brute searches g itself (as if its central elementary ideal were
+    # {0}); local_rank searches the centralizer z(x), an algebra of its own,
+    # modulo C(z(x)), so its masks are checked against the brackets of z(x).
+    # z(x_1) of h_5/F_3 is span(x_1, x_2, y_2, z) with C = span(x_1, z), 4
+    # classes; z(E_01) of sl_3/F_3 has 4 classes modulo C = span(E_01), and
+    # z(E_03) of sl_4/F_2 has dimension 9, C = span(E_03), 21 classes
     if case == "h3_F5":
         g = heisenberg(1, F5)
         run = lambda: srk_brute(g)
     elif case == "sl2_F9":
         g = special_linear(2, field_make(3, 2))
         run = lambda: srk_brute(g)
-    elif case == "local_h3_F5":
-        g = heisenberg(1, F5)
-        run = lambda: local_rank(g, (1, 2, 0))
-    else:
+    elif case == "local_h5_F3":
+        g = heisenberg(2, F3)
+        run = lambda: local_rank(g, g.basis_vec(0))
+    elif case == "local_sl3_F3":
         g = special_linear(3, F3)
-        x = g.coords_of_matrix(Mat(F3, [[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
-        run = lambda: local_rank(g, x)
-    search = _captured_search(monkeypatch, run)
-    f, (pts, index) = g.field, _points(search)
-    assert search.n > 3
+        run = lambda: local_rank(g, g.basis_vec(0))
+    else:
+        g = special_linear(4, field_make(2, 1))
+        run = lambda: local_rank(g, g.basis_vec(2))
+    # local_rank takes no automorphisms; left unpatched, its search keeps the
+    # quotient by C(z(x))
+    search = _captured_search(monkeypatch, run, automorphisms=case.startswith("local"))
+    h, (pts, index) = search.g, _points(search)
+    assert search.n > 3 and (h is g) == (not case.startswith("local"))
     rng = random.Random(case)
     for _ in range(12):
         chosen = rng.sample(range(search.n), rng.randint(1, 3))
-        naive = _naive_span_mask(f, index, [pts[i] for i in chosen])
+        naive = _naive_span_mask(h.field, index, [pts[i] for i in chosen])
         assert search._span_masks(search.coords[chosen][None])[0] == naive
     for i, u in enumerate(pts):
-        direct = sum(1 << j for j, v in enumerate(pts) if not any(g.bracket(u, v)))
+        direct = sum(1 << j for j, v in enumerate(pts) if not any(h.bracket(u, v)))
         assert search.commuting[i] == direct
 
 
@@ -906,15 +922,29 @@ def _classes(g):
     return vecs[lie._projective_reps(g.field, vecs)]
 
 
-def _gl_based(g, seed):
-    """g in a random basis of F_q^dim, rebuilt with from_matrix_basis from
-    the model matrices of the new basis vectors, as the benchmark disguises
-    its sl_n inputs."""
+def _random_change(g, seed):
+    """A random invertible dim x dim matrix over g's field."""
     rng = np.random.default_rng(seed)
     while True:
         a = rng.integers(0, g.field.q, size=(g.dim, g.dim))
         if mat_rank(Mat(g.field, a)) == g.dim:
-            return from_matrix_basis(g.field, [g.matrix_of(tuple(row)) for row in a.tolist()])
+            return a
+
+
+def _gl_based(g, seed):
+    """g in a random basis of F_q^dim, rebuilt with from_matrix_basis from
+    the model matrices of the new basis vectors, as the benchmark disguises
+    its sl_n inputs."""
+    a = _random_change(g, seed)
+    return from_matrix_basis(g.field, [g.matrix_of(tuple(row)) for row in a.tolist()])
+
+
+def _disguised(g, seed):
+    """(_gl_based of g, or _gl_rebased without a model, the map from g's
+    coordinates of a vector to the new ones)."""
+    f, a = g.field, _random_change(g, seed)
+    moved = (_gl_based if g.matrix_model else _gl_rebased)(g, seed)
+    return moved, lambda v: mat_solve(Mat(f, a.T), list(v))
 
 
 _ORBIT_CASES = {
@@ -1133,11 +1163,7 @@ def test_central_elementary_matches_the_pointwise_filter(name):
 def _gl_rebased(g, seed):
     """g in a random basis of F_q^dim, rebuilt from brackets and p-th powers
     as the benchmark disguises its structure-constant inputs."""
-    rng = np.random.default_rng(seed)
-    while True:
-        a = rng.integers(0, g.field.q, size=(g.dim, g.dim))
-        if mat_rank(Mat(g.field, a)) == g.dim:
-            return _rebased(g, a)
+    return _rebased(g, _random_change(g, seed))
 
 
 _QUOTIENT_CASES = {
@@ -1299,6 +1325,121 @@ def test_local_rank_golden_witnesses():
     res = local_rank(h, h.basis_vec(2))  # z is central: the centralizer is all of h
     assert res.rank == 2
     assert [list(v) for v in res.witness.basis] == [[0, 0, 1], [0, 1, 0]]
+
+
+# ---------------------------------------------------------------------------
+# local rank on the centralizer subalgebra
+# ---------------------------------------------------------------------------
+
+def _centralizer_subalgebra(g, x):
+    """(z(x) built by lie._subalgebra, its RREF basis rows in g's coordinates)."""
+    rows = _rref(g.field, np.array(centralizer(g, x), dtype=np.int64)[None])[0][0]
+    return lie._subalgebra(g, rows), rows
+
+
+_LOCAL_CASES = {
+    "sl3_F3": lambda: special_linear(3, F3),
+    "sl4_F2": lambda: special_linear(4, field_make(2, 1)),
+    "h5_F3": lambda: heisenberg(2, F3),
+    "h3_F9": lambda: heisenberg(1, field_make(3, 2)),
+    "sl2_struct_F5": lambda: sl2_structure_only(F5),
+}
+
+
+def _sample_points(g, count, seed):
+    """count nonzero nullcone points of g, drawn at random, in ascending order."""
+    vecs = nullcone(g)[1:]
+    picks = sorted(random.Random(seed).sample(range(len(vecs)), min(count, len(vecs))))
+    return [tuple(v) for v in vecs[picks].tolist()]
+
+
+@pytest.mark.parametrize("name", ["sl3_F3", "sl4_F2", "h5_F3"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_subalgebra_of_a_centralizer_validates(name, seed):
+    # in a random basis, so the centralizer rows are no standard basis
+    # vectors: the structure constants, the p-map and the model of z(x) pass
+    # validate() and agree with g's on the rows
+    g, _ = _disguised(_LOCAL_CASES[name](), seed)
+    f = g.field
+    for x in _sample_points(g, 4, seed):
+        h, rows = _centralizer_subalgebra(g, x)
+        assert h.dim == len(rows) and bool(h.matrix_model) == bool(g.matrix_model)
+        h.validate()
+        rng = random.Random(f"{name}:{seed}:{x}")
+        for _ in range(6):
+            u, v = (tuple(rng.randrange(f.q) for _ in range(h.dim)) for _ in range(2))
+            gu, gv = (f.matmul(np.array(w, dtype=np.int64), rows) for w in (u, v))
+            assert (f.matmul(np.array(h.bracket(u, v)), rows) == g.bracket(gu, gv)).all()
+            assert (f.matmul(np.array(h.pmap_eval(u)), rows) == g.pmap_eval(gu)).all()
+            if h.matrix_model:
+                assert h.matrix_of(u) == g.matrix_of(tuple(gu.tolist()))
+
+
+@pytest.mark.parametrize("name", sorted(_LOCAL_CASES))
+def test_local_rank_is_the_whole_centralizer_graph(name):
+    # local_rank searches z(x) modulo C(z(x)); a test-only search over the
+    # commuting graph of all the nullcone classes of z(x), with no quotient,
+    # gives the same rank and, in the same candidate order, the same witness
+    g = _LOCAL_CASES[name]()
+    f = g.field
+    for x in _sample_points(g, 6, name):
+        h, rows = _centralizer_subalgebra(g, x)
+        vecs = nullcone(h)
+        classes = vecs[lie._projective_reps(f, vecs)]
+        whole = lie._TupleSearch(h, classes, np.ones(h.dim, dtype=bool), lie.DEFAULT_BUDGET)
+        xi = [tuple(f.matmul(c, rows).tolist()) for c in classes].index(_leading_one(f, x))
+        r, witness, _ = whole.max_tuple_containing(xi)
+        res = local_rank(g, x)
+        assert res.rank == r == max(whole.ranks)
+        tail = [tuple(f.matmul(np.array(w), rows).tolist()) for w in witness[1:]]
+        assert list(res.witness.basis) == [x] + tail
+
+
+@pytest.mark.parametrize("name", sorted(_LOCAL_CASES))
+def test_local_rank_invariant_under_base_change(name):
+    g = _LOCAL_CASES[name]()
+    gl, to_new = _disguised(g, 5)
+    for x in _sample_points(g, 6, name):
+        res, y = local_rank(g, x), to_new(x)
+        moved = local_rank(gl, y)
+        assert moved.rank == res.rank and moved.witness.basis[0] == y
+        assert is_elementary(gl, moved.witness.basis)
+
+
+def test_local_rank_sl6_F3_frontier():
+    # z(x) has 3^13 points at (3,2,1) and 3^12 at (3,3); the whole-centralizer
+    # search stopped on the mask budget at (3,2,1) (28795 classes), z(x)
+    # modulo C(z(x)) has 3199
+    from satrank.slnorbits import Partition, jordan_matrix
+    g = special_linear(6, F3)
+    for parts, rank in [((3, 2, 1), 7), ((3, 3), 6)]:
+        x = tuple(sl_coords(F3, jordan_matrix(Partition(parts), F3).a).tolist())
+        res = local_rank(g, x, budget=2 * 10 ** 7)
+        assert res.rank == rank and res.witness.basis[0] == x
+        assert is_elementary(g, res.witness.basis)
+
+
+@pytest.mark.parametrize("name", ["sl3_F3", "h5_F3", "sl2_struct_F5"])
+def test_pmap_rows_of_no_rows(name):
+    # a model algebra (sl_3) and two Jacobson ones: an empty stack has an
+    # empty p-th power, and _verified keeps nothing of an empty stack
+    g = _LOCAL_CASES[name]()
+    empty = np.zeros((0, g.dim), dtype=np.int64)
+    assert g._pmap_rows(empty).shape == (0, g.dim)
+    assert lie._verified(g, empty.reshape(0, g.dim, g.dim)).shape == (0, g.dim, g.dim)
+
+
+def test_srk_brute_on_a_centralizer_without_nilpotent_derivations():
+    # z(E_03) of sl_4/F_3 in a random basis: 220 quotient classes reach the
+    # derivation orbits, and no basis derivation has D^p = 0, so the
+    # candidate stack is empty
+    x = Mat(F3, [[0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+    results = []
+    for g in (special_linear(4, F3), _gl_based(special_linear(4, F3), 1)):
+        h, _ = _centralizer_subalgebra(g, g.coords_of_matrix(x))
+        results.append(srk_brute(h))
+    assert not len(lie._derivation_exps(h))
+    assert [(r.srk, r.o_rmin_count) for r in results] == [(3, 1008)] * 2
 
 
 
