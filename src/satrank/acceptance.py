@@ -230,8 +230,8 @@ def _check_exp_law(n, field):
     keys = keys[order]
     assert (np.diff(keys) != 0).all()  # the points are distinct
 
-    def row_sums(i):
-        want = field.varr_add(pts[i], pts).reshape(len(pts), -1) @ weights
+    def row_sums(rows):  # rows: a column of point indices
+        want = field.varr_add(pts[rows], pts).reshape(len(rows), len(pts), -1) @ weights
         at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
         assert (keys[at] == want).all()  # x + y lies in u_e
         return order[at]

@@ -104,29 +104,63 @@ def is_prime(n: int) -> bool:
 # polynomial helpers over F_p (coefficient tuples, little endian)
 # ---------------------------------------------------------------------------
 
-def _divides(g, f, p):
-    """Whether monic g divides f over F_p."""
-    r = list(f)
-    dg = len(g) - 1
-    while len(r) - 1 >= dg:
-        lead = r[-1] % p
-        if lead:
-            shift = len(r) - 1 - dg
-            for i in range(dg + 1):
-                r[shift + i] = (r[shift + i] - lead * g[i]) % p
-        r.pop()
-    return all(c % p == 0 for c in r)
+def _poly_mulmod(a, b, f, p):
+    """a * b mod the monic f over F_p, for a and b of degree < deg f."""
+    k = len(f) - 1
+    prod = [0] * (2 * k - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    for d in range(2 * k - 2, k - 1, -1):  # x^d = x^(d-k) (x^k - f)
+        c = prod[d] % p
+        if c:
+            for i in range(k):
+                prod[d - k + i] -= c * f[i]
+    return [c % p for c in prod[:k]]
+
+
+def _poly_gcd_degree(a, b, p):
+    """The degree of gcd(a, b) over F_p, for a nonzero (gcd(a, 0) = a)."""
+    def trim(c):
+        c = [x % p for x in c]
+        while c and not c[-1]:
+            c.pop()
+        return c
+
+    a, b = trim(a), trim(b)
+    while b:  # a, b = b, a mod b
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            c, shift = a[-1] * inv % p, len(a) - len(b)
+            for i, bi in enumerate(b):
+                a[shift + i] = (a[shift + i] - c * bi) % p
+            a = trim(a)
+        a, b = b, a
+    return len(a) - 1
 
 
 def _is_irreducible(modulus, p, k):
-    # exhaustive factor scan; fine for k <= 4
+    """Rabin's test: the monic modulus f of degree k is irreducible over F_p
+    exactly when f divides x^(p^k) - x and gcd(f, x^(p^(k/r)) - x) = 1 for
+    every prime r dividing k.  The powers x^(p^i) are taken mod f, p-th power
+    after p-th power, so the cost is O(k^3 log p) whatever p."""
     if k == 1:
         return True
-    for d in range(1, k // 2 + 1):
-        for m in range(p ** d):
-            g = [(m // p ** i) % p for i in range(d)] + [1]
-            if _divides(g, modulus, p):
-                return False
+    mul = functools.partial(_poly_mulmod, f=modulus, p=p)
+    x = [0, 1] + [0] * (k - 2)
+    frobenius = [x]  # frobenius[i] = x^(p^i) mod f
+    for _ in range(k):
+        frobenius.append(_power(frobenius[-1], p, mul, [1] + [0] * (k - 1)))
+    if frobenius[k] != x:
+        return False
+    for r in range(2, k + 1):
+        if k % r or not is_prime(r):
+            continue
+        shifted = list(frobenius[k // r])
+        shifted[1] -= 1
+        if _poly_gcd_degree(modulus, shifted, p) > 0:
+            return False
     return True
 
 

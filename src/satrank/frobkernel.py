@@ -116,35 +116,50 @@ def srk_sln2(n: int, field: FieldSpec) -> Sln2Result:
     return Sln2Result(value=2 * (n - 1), pair=pair, datum=datum)
 
 
+# product entries per block of _check_rows.  Small blocks keep the
+# temporaries in cache and FieldSpec._reduce on its libdivide path; criterion
+# 9's exp-law sweeps took 21.9, 17.9, 20.4 and 22.7 ms in blocks of 2**13,
+# 2**14, 2**15 and 2**16 entries (25.6 ms one row at a time; 2-vCPU VM).
+_CHECK_BLOCK = 1 << 14
+
+
 def _check_rows(field: FieldSpec, table, row_sums) -> int:
     """Check table[x_i + x_j] = table[i] @ table[j] for every pair; returns the pair count.
 
     table is the (N, n, n) code stack of the images of the points x_0, ...,
-    x_{N-1}, and row_sums(i) the length-N index array of the points
-    x_i + x_j.  Each row i is one stacked product table[i] @ table; a failure
-    raises AssertionError naming the first failing pair (i, j) in row-major
-    order.
+    x_{N-1}, and row_sums(rows), for a column of row indices i, the
+    (len(rows), N) index array of the points x_i + x_j.  The rows are taken
+    in blocks of at most _CHECK_BLOCK product entries; a block's products
+    table[i] @ table[j] are one 2-D product of its matrices stacked by rows
+    with the side-by-side table [T_0 | T_1 | ...].  A failure raises
+    AssertionError naming the first failing pair (i, j) in row-major order.
     """
-    checked = 0
-    for i in range(len(table)):
-        bad = (table[row_sums(i)] != field.matmul(table[i], table)).any(axis=(1, 2))
-        if bad.any():
-            raise AssertionError(f"homomorphism fails at ({i}, {int(bad.argmax())})")
-        checked += len(bad)
-    return checked
+    count, n = len(table), table.shape[-1]
+    rows = table.reshape(count * n, n)
+    side = np.swapaxes(table, 0, 1).reshape(n, count * n)  # [T_0 | T_1 | ...]
+    step = max(1, _CHECK_BLOCK // (count * n * n))
+    for start in range(0, count, step):
+        stop = min(start + step, count)
+        prod = field.matmul(rows[start * n:stop * n], side).reshape(stop - start, n, count, n)
+        want = table[row_sums(np.arange(start, stop)[:, None])]  # want[i, j]: image of x_i + x_j
+        bad = prod != want.transpose(0, 2, 1, 3)
+        if bad.any():  # one reduction over the block; the pairs only on failure
+            i, j = np.argwhere(bad.any(axis=(1, 3)))[0]
+            raise AssertionError(f"homomorphism fails at ({start + i}, {j})")
+    return count * count
 
 
 def homomorphism_sweep(pair: NilPair) -> int:
     """Exhaustively confirm eval(s+t) = eval(s) eval(t); returns pair count.
 
     The images of all q codes are one stacked evaluation, and _check_rows
-    compares them one row of pairs at a time.
+    compares them in blocks of rows of pairs.
     """
     pair.validate()
     f = pair.alpha0.field
     codes = np.arange(f.q, dtype=np.int64)  # f.elements() in order: code s is row s
     table = _one_param_images(pair, codes)
-    return _check_rows(f, table, lambda s: f.varr_add(s, codes))
+    return _check_rows(f, table, lambda rows: f.varr_add(rows, codes))
 
 
 def frob2_report(n: int, p: int) -> dict:

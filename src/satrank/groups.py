@@ -35,7 +35,8 @@ _GATHER_CAP = 1 << 18  # entries per block of products in the commuting test
 
 
 def perm_mul(a: Perm, b: Perm) -> Perm:
-    return tuple(a[b[i]] for i in range(len(b)))
+    """The composite a . b, i -> a[b[i]]."""
+    return tuple([a[i] for i in b])  # a list comprehension: half the cost of a generator
 
 
 def perm_inv(a: Perm) -> Perm:

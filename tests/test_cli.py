@@ -656,6 +656,26 @@ def test_huge_p_exits_at_once(capsys, tmp_path, p, exit_code):
         assert code == exit_code and out == "" and f"p={p}" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["lie-srk", "--file", "{lie}"],
+    ["lie-srk", "--file", "{lie61}"],
+    ["frob2-verify-exp", "--n", "2", "--p", "1000003", "--k", "2"],
+    ["sln-witness", "--n", "3", "--p", "1000003", "--partition", "2,1", "--k", "2"],
+], ids=["lie_srk", "lie_srk_p61", "frob2_verify_exp", "sln_witness"])
+def test_extension_field_over_budget_exits_at_once(capsys, tmp_path, argv):
+    # field_make's irreducibility test costs O(k^3 log p), not the p^(k/2)
+    # candidate factors of a scan, so the budget checks after it come at once
+    import time
+    paths = {"lie": tmp_path / "lie.json", "lie61": tmp_path / "lie61.json"}
+    paths["lie"].write_text(json.dumps({"p": 1000003, "k": 2, "dim": 1}))
+    paths["lie61"].write_text(json.dumps({"p": 2 ** 61 - 1, "k": 2, "dim": 1}))
+    argv = [a.format(**paths) for a in argv]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == "" and "budget" in err
+
+
 def _heisenberg_file(tmp_path, n, p):
     # h_{2n+1}/F_p by structure constants, [x_i, y_i] = z
     path = tmp_path / f"h{2 * n + 1}.json"

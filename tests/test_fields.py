@@ -13,6 +13,7 @@ from satrank.fields import (
     Mat,
     _blas_matmul,
     _blas_shape,
+    _is_irreducible,
     _kernels,
     _rref,
     field_make,
@@ -52,6 +53,71 @@ def test_field_make_f9_smallest_irreducible():
             cands.append((c, b, 1))
     irred = [m for m in cands if m in naive_irreducible_quadratics(3)]
     assert field_make(3, 2).modulus == irred[0] == (1, 0, 1)  # x^2 + 1
+
+
+def _divides(g, f, p):
+    """Whether monic g divides f over F_p, by long division."""
+    r = list(f)
+    dg = len(g) - 1
+    while len(r) - 1 >= dg:
+        lead = r[-1] % p
+        if lead:
+            shift = len(r) - 1 - dg
+            for i in range(dg + 1):
+                r[shift + i] = (r[shift + i] - lead * g[i]) % p
+        r.pop()
+    return all(c % p == 0 for c in r)
+
+
+def _irreducible_by_scan(modulus, p, k):
+    """The exhaustive test field_make ran before Rabin's: no monic factor of
+    degree <= k/2."""
+    for d in range(1, k // 2 + 1):
+        for m in range(p ** d):
+            if _divides([(m // p ** i) % p for i in range(d)] + [1], modulus, p):
+                return False
+    return True
+
+
+_PRIMES_TO_23 = [2, 3, 5, 7, 11, 13, 17, 19, 23]
+
+
+@pytest.mark.parametrize("p", _PRIMES_TO_23)
+def test_rabin_irreducibility_is_the_factor_scan(p):
+    # every monic candidate for p <= 7 and for k <= 2; for larger p and k the
+    # candidates field_make scans up to its modulus and a seeded sample
+    rng = np.random.default_rng(p)
+    for k in range(1, 5):
+        candidates = [tuple((m // p ** i) % p for i in range(k)) + (1,) for m in range(p ** k)]
+        if p > 7 and k > 2:
+            first = next(i for i, m in enumerate(candidates) if _irreducible_by_scan(m, p, k))
+            picks = set(range(first + 1)) | set(rng.choice(len(candidates), 60).tolist())
+            candidates = [candidates[i] for i in sorted(picks)]
+        for m in candidates:
+            assert _is_irreducible(m, p, k) == _irreducible_by_scan(m, p, k), m
+
+
+@pytest.mark.parametrize("p", _PRIMES_TO_23)
+def test_field_make_modulus_is_the_first_scanned_irreducible(p):
+    for k in range(1, 5):
+        first = next(m for m in (tuple((m // p ** i) % p for i in range(k)) + (1,)
+                                 for m in range(p ** k))
+                     if k == 1 or _irreducible_by_scan(m, p, k))
+        assert field_make(p, k).modulus == first
+
+
+def test_extension_moduli_are_pinned():
+    assert {(p, k): field_make(p, k).modulus for p, k in [(3, 2), (5, 2), (3, 3), (3, 4)]} == {
+        (3, 2): (1, 0, 1), (5, 2): (2, 0, 1), (3, 3): (1, 2, 0, 1), (3, 4): (2, 1, 0, 0, 1)}
+
+
+def test_irreducibility_of_a_huge_prime_is_fast():
+    import time
+    p = 2 ** 61 - 1  # p = 3 mod 4, so -1 is not a square mod p
+    start = time.perf_counter()
+    assert _is_irreducible((1, 0, 1), p, 2)
+    assert not _is_irreducible((p - 4, 0, 1), p, 2)  # x^2 - 4 = (x - 2)(x + 2)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_field_make_rejects_non_prime():

@@ -83,10 +83,10 @@ def test_sl2_validates_fully():
 
 
 def test_matrix_model_solved_once(monkeypatch):
-    # from_matrix_basis solves the 8 commutator rows and the p-th powers of
+    # from_matrix_basis solves the 8 x 8 commutators and the 8 p-th powers of
     # sl_3 once, with one solver, and does not check the tables it got
-    # against that same solve a second time
-    made, calls = [], []
+    # against that same solve a second time: d^2 + d rows in all
+    made, rows = [], []
     init, solve_rows = lie._CoordSolver.__init__, lie._CoordSolver.solve_rows
 
     def counting_init(self, *args):
@@ -94,13 +94,13 @@ def test_matrix_model_solved_once(monkeypatch):
         init(self, *args)
 
     def counting_solve_rows(self, flat):
-        calls.append(len(flat))
+        rows.append(flat.size // flat.shape[-1])
         return solve_rows(self, flat)
 
     monkeypatch.setattr(lie._CoordSolver, "__init__", counting_init)
     monkeypatch.setattr(lie._CoordSolver, "solve_rows", counting_solve_rows)
     g = special_linear.__wrapped__(3, F5)
-    assert len(made) == 1 and len(calls) == 9
+    assert len(made) == 1 and sum(rows) == 8 * 8 + 8
     assert g.coords_of_matrix(g.matrix_of(g.basis_vec(2))) == g.basis_vec(2)
 
 
@@ -152,6 +152,94 @@ def test_coord_solver_rejects_a_dependent_basis(field):
     for extra in (mats[0] + mats[1].scale(2), Mat.zeros(field, 3, 3), mats[2]):
         with pytest.raises(PreconditionError):
             lie._CoordSolver(field, mats + [extra])
+
+
+def _support_bracket(g, x, y):
+    """[x, y] as the ad tensor contracted over the supports of x and y only."""
+    f = g.field
+    x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
+    i, j = np.flatnonzero(x), np.flatnonzero(y)
+    return tuple(f.matmul(x[i], f.matmul(g._adb[i][:, :, j], y[j])).tolist())
+
+
+_BRACKET_CASES = {
+    "sl3_F3": lambda: special_linear(3, F3),
+    "h5_F3": lambda: heisenberg(2, F3),
+    "sl2_F9": lambda: special_linear(2, field_make(3, 2)),
+    "h3_F27": lambda: heisenberg(1, field_make(3, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BRACKET_CASES))
+def test_bracket_is_the_support_restricted_contraction(name):
+    g = _BRACKET_CASES[name]()
+    rng = np.random.default_rng(g.dim * g.field.q)
+    vecs = ([g.zero()] + [g.basis_vec(i) for i in range(g.dim)]
+            + [tuple(v) for v in rng.integers(0, g.field.q, (10, g.dim)).tolist()])
+    for x in vecs:
+        for y in vecs:
+            got = g.bracket(x, y)
+            assert got == _support_bracket(g, x, y)
+            assert all(type(c) is int for c in got)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("n", [3, 4])
+def test_from_matrix_basis_tensor_is_the_dict_built_one(n, seed):
+    # the tables of a random GL basis, once from the commutator tensor and
+    # once from brackets solved pair by pair and handed over as a dict
+    g = _gl_based(special_linear(n, F5), seed)
+    f, mats = g.field, g.matrix_model
+    flat = np.stack([(a @ b - b @ a).a.ravel() for a in mats for b in mats])
+    coords, inside = _reference_solve(f, mats, flat)
+    assert inside.all()
+    pairs = itertools.product(range(g.dim), repeat=2)
+    brackets = {ij: {k: c for k, c in enumerate(row) if c} for ij, row in zip(pairs, coords.tolist())}
+    ref = RestrictedLieAlgebra(f, brackets, g.pmap, labels=g.labels, matrix_model=mats)
+    assert g._adb.dtype == ref._adb.dtype and np.array_equal(g._adb, ref._adb)
+    assert np.array_equal(g._pmap, ref._pmap) and g.pmap == ref.pmap
+
+
+def _commutator_rows(solver, i):
+    """solve_rows of the commutators [m_i, m_j] over all j, one row of i alone."""
+    f, model = solver.field, solver.model
+    comm = f.varr_add(f.matmul(model[i], model), f.varr_neg(f.matmul(model, model[i])))
+    return solver.solve_rows(comm.reshape(solver.dim, -1))
+
+
+def test_commutators_across_blocks():
+    g = special_linear(7, F5)  # d = 48 and 49 entries per matrix: several blocks
+    solver = g._coord_solver
+    assert 1 < lie._COMMUTATOR_BLOCK // (g.dim * 49) < g.dim // 3
+    adb, inside = solver.commutators()
+    assert inside.all() and np.array_equal(adb, g._adb)
+    for i in range(g.dim):
+        coords, row_inside = _commutator_rows(solver, i)
+        assert row_inside.all() and np.array_equal(adb[i], coords.T)
+
+
+def test_a_model_leaving_its_span_in_a_late_block_is_named():
+    # sl_7 in the top left 7 x 7 block of 9 x 9 matrices, then E_78 and E_87:
+    # [E_78, E_87] = E_77 - E_88 leaves the span, and every other commutator
+    # lies in it, so the first bad pair is (48, 49), in the last block
+    g = special_linear(7, F5)
+    mats = np.zeros((50, 9, 9), dtype=np.int64)
+    mats[:48, :7, :7] = g._model
+    mats[48, 7, 8] = mats[49, 8, 7] = 1
+    model = [Mat(F5, m) for m in mats]
+    solver = lie._CoordSolver(F5, model)
+    step = lie._COMMUTATOR_BLOCK // (50 * 81)
+    assert 48 // step == 49 // step == (50 - 1) // step > 1  # the last of several blocks
+    first = next((i, int(np.flatnonzero(~inside)[0]))
+                 for i, (_, inside) in enumerate(_commutator_rows(solver, i) for i in range(50))
+                 if not inside.all())
+    assert first == (48, 49)
+    brackets = {(i, j): {k: c for k, c in enumerate(g._adb[i][:, j].tolist()) if c}
+                for i in range(48) for j in range(48)}
+    with pytest.raises(PreconditionError, match=r"disagrees with table at \(48,49\)$"):
+        RestrictedLieAlgebra(F5, brackets, [(0,) * 50] * 50, matrix_model=model)
+    with pytest.raises(PreconditionError, match="not closed under commutators"):
+        from_matrix_basis(F5, model)
 
 
 @pytest.mark.parametrize("field", [F5, field_make(3, 2)], ids=["F5", "F9"])

@@ -99,17 +99,36 @@ def test_check_rows_checks_every_row():
     pair = _pair(4, f)
     table = np.array([eval_one_param(pair, s).a for s in f.elements()])
     codes = np.arange(f.q)
-    assert _check_rows(f, table, lambda s: f.varr_add(s, codes)) == f.q ** 2
+    assert _check_rows(f, table, lambda rows: f.varr_add(rows, codes)) == f.q ** 2
     for row in range(f.q):
         for col in (0, f.q - 1):
-            def sums(s, row=row, col=col):
-                out = f.varr_add(s, codes)
-                if s == row:  # a wrong index at (row, col) alone
-                    out[col] = f.add(out[col], 1)
+            def sums(rows, row=row, col=col):
+                out = f.varr_add(rows, codes)
+                at = rows[:, 0] == row  # a wrong index at (row, col) alone
+                out[at, col] = f.varr_add(out[at, col], 1)
                 return out
 
             with pytest.raises(AssertionError, match=rf"\({row}, {col}\)$"):
                 _check_rows(f, table, sums)
+
+
+def test_check_rows_names_a_failure_in_the_second_block():
+    # 49 images of 5 x 5 matrices: rows 0, ..., step - 1 make the first block
+    f = field_make(7, 2)
+    codes = np.arange(f.q)
+    table = frobkernel._one_param_images(_pair(5, f), codes)
+    step = frobkernel._CHECK_BLOCK // (f.q * 25)
+    assert 3 < step < f.q
+    for row, col in [(step, 0), (step + 3, 17), (f.q - 1, f.q - 1)]:
+        def sums(rows, row=row, col=col):
+            out = f.varr_add(rows, codes)
+            for r, c in [(row, col), (f.q - 1, f.q - 1)]:  # and the last pair
+                at = rows[:, 0] == r
+                out[at, c] = f.varr_add(out[at, c], 1)
+            return out
+
+        with pytest.raises(AssertionError, match=rf"\({row}, {col}\)$"):
+            _check_rows(f, table, sums)
 
 
 @pytest.mark.parametrize("bad", range(7))
@@ -120,7 +139,7 @@ def test_check_rows_names_the_pairwise_first_failure(bad):
     s, t = _first_sweep_failure(f, [Mat(f, m) for m in table])
     codes = np.arange(f.q)
     with pytest.raises(AssertionError, match=rf"\({s}, {t}\)$"):
-        _check_rows(f, table, lambda s: f.varr_add(s, codes))
+        _check_rows(f, table, lambda rows: f.varr_add(rows, codes))
 
 
 def _u_e_points(n, f):
