@@ -32,9 +32,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _budget(args):
-    """--budget, else SATRANK_BUDGET, else DEFAULT_BUDGET; negative is invalid input."""
+    """--budget where the subcommand has it, else SATRANK_BUDGET, else
+    DEFAULT_BUDGET; negative is invalid input."""
     from .lie import DEFAULT_BUDGET
-    budget, source = args.budget, "--budget"
+    budget, source = getattr(args, "budget", None), "--budget"
     if budget is None:
         env, source = os.environ.get("SATRANK_BUDGET"), "SATRANK_BUDGET"
         try:
@@ -182,12 +183,12 @@ def _cmd_lie_nullcone(args):
 
 def _cmd_sln_srk(args):
     from .slnorbits import sln_srk_report
-    return sln_srk_report(args.n, args.p)
+    return sln_srk_report(args.n, args.p, _budget(args))
 
 
 def _cmd_sln_orbits(args):
     from .slnorbits import sln_report
-    return sln_report(args.n, args.p)
+    return sln_report(args.n, args.p, _budget(args))
 
 
 def _cmd_sln_centralizer(args):

@@ -266,7 +266,7 @@ def load_group(data) -> tuple:
     """Parse {"degree": n, "generators": [[...], ...], "p": p}; returns (group, p).
 
     degree, p, element_bound and every generator entry must be JSON integers,
-    and p must be prime, and element_bound must be >= 0.  A degree above
+    and p must be prime, and degree and element_bound must be >= 0.  A degree above
     element_bound raises BudgetError before any permutation is built: every
     permutation has degree entries.
     """
@@ -284,6 +284,8 @@ def load_group(data) -> tuple:
         raise PreconditionError(f"p={p} is not prime")
     if bound < 0:
         raise PreconditionError(f"element_bound must be >= 0, got {bound}")
+    if degree < 0:
+        raise PreconditionError(f"degree must be >= 0, got {degree}")
     if degree > bound:
         raise BudgetError(f"degree {degree} exceeds element bound {bound}")
     return PermGroup(degree, gens, element_bound=bound), p

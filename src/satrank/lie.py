@@ -40,7 +40,8 @@ batch of classes at a time: one stacked ad(u) restricted to the subspace's
 columns, one stacked elimination (fields._kernels), and span closures
 batched by kernel dimension.  A witness is the least basis of a
 maximal-rank subalgebra through the point, picked greedily against the
-cliques (_TupleSearch.max_tuple_containing).
+maximal cliques through the picks (_TupleSearch.max_tuple_containing); one
+clique query, _TupleSearch._cliques_through, gives the ranks and the picks.
 
 Every maximal elementary subalgebra holds the central elementary ideal
 C = {x central : x^[p] = 0} (_central_elementary): adding C keeps a subalgebra
@@ -807,16 +808,16 @@ class _TupleSearch:
     acting on coordinate rows (srk_brute passes _automorphisms(g, coords)).
     labels[i] is the least class of class i's orbit under the group they
     generate, and the roots are the classes with labels[i] == i; without
-    automorphisms every class is a root.  commuting[i] is the bitmask of the
-    classes in ker(ad(points[i]) . B^T), built batch by batch in
-    _commuting_masks for the roots and their neighbours, and later for any
-    class a witness search asks about; the other entries are 0.  cliques
-    holds (rank, bitmask) for each maximal clique of the commuting graph that
-    meets a root, a maximal elementary subalgebra of the subspace, and
-    ranks[i] is the largest rank of a clique through labels[i], that is
-    r(points[i]) there: local rank is invariant under automorphisms.  Each
-    clique enumeration visits at most budget nodes, and the masks hold at
-    most _MASK_BITS_PER_BUDGET * budget bits.
+    automorphisms every class is a root.  One clique query,
+    _cliques_through, serves the ranks and the witnesses: commuting[i] is the
+    bitmask of the classes in ker(ad(points[i]) . B^T), built batch by batch
+    for the classes a query starts from and their neighbours, and 0 for the
+    others.  cliques holds (rank, bitmask) for each maximal clique of the
+    commuting graph that meets a root, a maximal elementary subalgebra of
+    the subspace, and ranks[i] is the largest rank of a clique through
+    labels[i], that is r(points[i]) there: local rank is invariant under
+    automorphisms.  Each clique enumeration visits at most budget nodes, and
+    the masks hold at most _MASK_BITS_PER_BUDGET * budget bits.
     """
 
     def __init__(self, g: RestrictedLieAlgebra, coords, keep, budget, automorphisms=()):
@@ -833,23 +834,28 @@ class _TupleSearch:
         self._table = np.full(f.q ** d, self.n, dtype=np.int32)  # n: no class
         self._table[multiples @ self._place] = np.arange(self.n, dtype=np.int32)
         self.labels = self._orbit_labels(automorphisms)
-        roots = np.flatnonzero(self.labels == np.arange(self.n))
         self.commuting, self._built = [0] * self.n, 0
-        self._commuting_masks(roots)
-        self._roots = _bitset(roots, self.n)
-        self.cliques = self._cliques(self.commuting, self._roots)
+        self._roots = _bitset(np.flatnonzero(self.labels == np.arange(self.n)), self.n)
+        self.cliques = self._cliques_through(self._roots)
         best = [0] * self.n
         for r, c in self.cliques:
             for i in _bits(c & self._roots):
                 best[i] = max(best[i], r)
         self.ranks = [best[i] for i in self.labels.tolist()]
 
-    def _cliques(self, adj, roots):
-        """(rank, bitmask) of the maximal cliques of adj that meet roots; a
-        maximal clique of rank r has (q**r - 1) / (q - 1) classes."""
+    def _cliques_through(self, members):
+        """(rank, bitmask) of the maximal cliques of the commuting graph that
+        meet the classes in the bitmask members; a maximal clique of rank r
+        has (q**r - 1) / (q - 1) classes.  The search reads the masks of those
+        classes and of their neighbours only, and builds them first."""
+        which = np.flatnonzero(_flags(members, self.n))
+        self._build_masks(which)
+        reach = functools.reduce(operator.or_, (self.commuting[i] for i in which.tolist()), 0)
+        self._build_masks(np.flatnonzero(_flags(reach, self.n)))
         q = self.f.q
         rank_of = {(q ** r - 1) // (q - 1): r for r in range(self.coords.shape[1] + 1)}
-        return [(rank_of[c.bit_count()], c) for c in _maximal_cliques(adj, self._budget, roots)]
+        return [(rank_of[c.bit_count()], c)
+                for c in _maximal_cliques(self.commuting, self._budget, members)]
 
     def _orbit_labels(self, automorphisms):
         """labels[i], the least class in the orbit of class i.
@@ -868,15 +874,6 @@ class _TupleSearch:
                 labels = np.minimum(labels, labels[image])
             if (labels == old).all():
                 return labels
-
-    def _commuting_masks(self, roots):
-        """commuting[i] for the roots and then for their neighbours.
-
-        The cliques through the roots use no other mask.
-        """
-        self._build_masks(roots)
-        reach = functools.reduce(operator.or_, (self.commuting[i] for i in roots.tolist()), 0)
-        self._build_masks(np.fromiter(_bits(reach), dtype=np.int64))
 
     def _build_masks(self, which):
         """Fill commuting[i] for the classes i in which that have none yet,
@@ -957,12 +954,14 @@ class _TupleSearch:
 
         The witness is picked greedily: each pick is the least candidate
         outside the span of the picks so far whose class, with the classes
-        of those picks, lies in a clique of rank s (_allowed, else
-        _clique_through).  A candidate passed over at one pick lies in no
-        rank-r subalgebra over the picks, so none later either: the greedy
-        basis is the lexicographically least tuple that spans one.  The
-        constant third entry keeps the (r, witness, exhausted) shape that
-        bench/layers.py reads.
+        of those picks, lies in a clique of rank s (_allowed).  In srk_brute
+        and local_rank the first pick outside the ideal is a root, so their
+        picks read cliques only; a pick of another class enumerates the
+        cliques through the least class picked.  A candidate passed over at
+        one pick lies in no rank-r subalgebra over the picks, so none later
+        either: the greedy basis is the lexicographically least tuple that
+        spans one.  The constant third entry keeps the (r, witness,
+        exhausted) shape that bench/layers.py reads.
         """
         f, n = self.f, self.n
         if points is None:
@@ -975,14 +974,7 @@ class _TupleSearch:
             cols = np.flatnonzero(pivots[0])
             residual = f.varr_add(points, f.varr_neg(f.matmul(points[:, cols], span[0])))
             outside = residual.any(axis=1)
-            allowed = self._allowed(members, s)
-            if allowed is not None:
-                j = int(np.flatnonzero(outside & allowed[classes])[0])
-            else:  # a clique search per class that commutes with the picks
-                near = np.append(_flags(self._common(members), n), True)
-                j = next(j for j in np.flatnonzero(outside & near[classes]).tolist()
-                         if classes[j] == n
-                         or self._clique_through(members | 1 << int(classes[j]), s))
+            j = int(np.flatnonzero(outside & self._allowed(members, s)[classes])[0])
             picks.append(j)
             if classes[j] < n:
                 members |= 1 << int(classes[j])
@@ -990,35 +982,22 @@ class _TupleSearch:
 
     def _allowed(self, members, s):
         """Flags over the classes, and a last True for "in the ideal": class
-        v lies with the classes in members in a clique of rank s.  None when
-        that takes a clique search per class.
+        v lies with the classes in members in a clique of rank s.
 
-        When members holds a root, every maximal clique through members is
-        one of cliques; with no members, the rank of v decides.
+        With no members, the rank of v decides.  Otherwise the maximal
+        cliques through members are among those through any one member:
+        cliques when members holds a root, else those through the least
+        member, enumerated on demand.
         """
+        if not members:
+            return np.append(np.array(self.ranks, dtype=np.int64) == s, True)
         if members & self._roots:
-            union = functools.reduce(operator.or_, (c for r, c in self.cliques
-                                                    if r == s and c & members == members), 0)
-            flags = _flags(union, self.n)
-        elif not members:
-            flags = np.array(self.ranks, dtype=np.int64) == s
+            cliques = self.cliques
         else:
-            return None
-        return np.append(flags, True)
-
-    def _common(self, members):
-        """The bitmask of the classes that commute with all classes in members."""
-        self._build_masks(np.fromiter(_bits(members), dtype=np.int64))
-        return functools.reduce(operator.and_, (self.commuting[i] for i in _bits(members)))
-
-    def _clique_through(self, members, s):
-        """Whether a clique of rank s contains the classes in members: the
-        maximal cliques through them are those of the graph on their common
-        neighbours, all through the least member."""
-        common = self._common(members)
-        self._build_masks(np.fromiter(_bits(common), dtype=np.int64))
-        adj = [m & common for m in self.commuting]
-        return any(r == s for r, _ in self._cliques(adj, members & -members))
+            cliques = self._cliques_through(members & -members)
+        union = functools.reduce(operator.or_, (c for r, c in cliques
+                                                if r == s and c & members == members), 0)
+        return np.append(_flags(union, self.n), True)
 
 
 def _bitset(indices, n):

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import BudgetError, PreconditionError
 from .fields import FieldSpec, Mat, _rref, field_make, is_prime, mat_solve
-from .lie import ElementarySubalgebra, from_matrix_basis, is_elementary, sl_coords
+from .lie import DEFAULT_BUDGET, ElementarySubalgebra, from_matrix_basis, is_elementary, sl_coords
 
 
 @dataclass(frozen=True, order=True)
@@ -253,7 +253,9 @@ def xi_to_matrices(lam: Partition, combos, field: FieldSpec) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=None)
+# bounded: an orbit table visits each of its p(n) partitions once, while
+# reproduce-paper revisits 41 partitions, which 64 entries keep
+@functools.lru_cache(maxsize=64)
 def _cells(lam: Partition) -> dict:
     """(rows, cols) of the matrix entries of each in-bound xi_i^(j,s): it
     sends e^u v_i to e^(u+s) v_j, which is zero from u + s = lam_j on, so
@@ -498,13 +500,16 @@ class OrbitClass:
         return cls(lam, kind, info)
 
 
-def srk_sln(n: int, p: int) -> Rank:
+def srk_sln(n: int, p: int, budget: int = DEFAULT_BUDGET) -> Rank:
     """Saturation rank of sl_n in characteristic p.
 
     Exact n-1 for p >= n-1.  At p = n-2 the rank strictly exceeds n-1 and is
     at least n (strict_inequality flag).  Below that the value is the
     dimension of the validated witness at the top nullcone partition, a
-    certified lower bound only.
+    certified lower bound only.  That witness has n basis matrices (lam_i - 1
+    shift maps inside each block lam_i and one more per block), so
+    validating it forms n^2 commutators of n^2 entries: BudgetError before
+    any matrix is built when n^4 exceeds budget.
     """
     if n < 2:
         raise PreconditionError("n must be >= 2")
@@ -516,6 +521,9 @@ def srk_sln(n: int, p: int) -> Rank:
         return Rank(value=n, exact=False, note="strict_inequality")
     # p < n-2: build and validate the witness at the dense orbit of V(sl_n),
     # as an algebra on its own span; x_top lies in that span
+    if n ** 4 > budget:
+        raise BudgetError(f"top-orbit witness: {n}^2 commutators of {n}^2 entries are "
+                          f"{n ** 4} > budget {budget}")
     top = nullcone_top_partition(n, p)
     field = field_make(p, 1)
     mats = _case_split_witness(top, field)
@@ -536,18 +544,18 @@ def o_rmin_sln(n: int, p: int):
     return [Partition((n,)), Partition((n - 1, 1))]
 
 
-def sln_srk_report(n: int, p: int) -> dict:
-    """{n, p, srk, exact[, note]} for srk_sln(n, p)."""
-    srk = srk_sln(n, p)
+def sln_srk_report(n: int, p: int, budget: int = DEFAULT_BUDGET) -> dict:
+    """{n, p, srk, exact[, note]} for srk_sln(n, p, budget)."""
+    srk = srk_sln(n, p, budget)
     report = {"n": n, "p": p, "srk": srk.value, "exact": srk.exact}
     if srk.note:
         report["note"] = srk.note
     return report
 
 
-def sln_report(n: int, p: int) -> dict:
+def sln_report(n: int, p: int, budget: int = DEFAULT_BUDGET) -> dict:
     field = field_make(p, 1)
-    report = sln_srk_report(n, p)
+    report = sln_srk_report(n, p, budget)
     orbits = []
     for lam in partitions(n):
         oc = OrbitClass.of(lam, p)

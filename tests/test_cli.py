@@ -465,6 +465,13 @@ def test_group_srk_rejects_negative_element_bound(capsys, tmp_path):
     assert code == 2 and out == "" and "element_bound must be >= 0" in err
 
 
+def test_group_srk_rejects_negative_degree(capsys, tmp_path):
+    path = tmp_path / "degree.json"
+    path.write_text(json.dumps({"degree": -1, "generators": [], "p": 2}))
+    code, out, err = run_cli(capsys, "group-srk", "--file", str(path))
+    assert code == 2 and out == "" and "degree must be >= 0, got -1" in err
+
+
 def test_lie_nullcone_rejects_negative_list_limit(capsys, h3_file):
     code, out, err = run_cli(capsys, "lie-nullcone", "--file", h3_file, "--list-limit", "-1")
     assert code == 2 and out == "" and "--list-limit must be >= 0" in err
@@ -811,6 +818,27 @@ def test_sln_witness_budget_bounds_the_subregular_family(capsys, monkeypatch):
     bad = ["sln-witness", "--n", "5", "--p", "3", "--partition", "4,1", "--budget", "0"]
     code, _, err = run_cli(capsys, *bad)
     assert code == 2 and "p >= n-1" in err
+
+
+@pytest.mark.parametrize("command", ["sln-srk", "sln-orbits"])
+def test_sln_top_orbit_witness_counts_against_the_budget(capsys, monkeypatch, command):
+    import time
+    # at p < n - 2 the top-orbit witness has n basis matrices of n x n, and
+    # validating it forms n^4 commutator entries: refused before any is built
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, command, "--n", "200", "--p", "3")
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err == ("satrank: budget exceeded: top-orbit witness: 200^2 commutators of 200^2 "
+                   "entries are 1600000000 > budget 10000000\n")
+    assert run_cli(capsys, command, "--n", "57", "--p", "3")[0] == 3  # 57^4 > 10^7
+    monkeypatch.setenv("SATRANK_BUDGET", str(6 ** 4))
+    assert run_cli(capsys, command, "--n", "6", "--p", "3")[0] == 0
+    monkeypatch.setenv("SATRANK_BUDGET", str(6 ** 4 - 1))
+    assert run_cli(capsys, command, "--n", "6", "--p", "3")[0] == 3
+    assert run_cli(capsys, command, "--n", "6", "--p", "5")[0] == 0  # closed form: no witness
+    monkeypatch.setenv("SATRANK_BUDGET", "-1")
+    assert run_cli(capsys, command, "--n", "6", "--p", "3")[0] == 2
 
 
 def test_frob2_verify_exp_budget_bounds_the_sweep(capsys, monkeypatch):

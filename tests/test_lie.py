@@ -1,7 +1,9 @@
+import ast
 import functools
 import hashlib
 import itertools
 import json
+import pathlib
 import random
 
 import numpy as np
@@ -1090,9 +1092,10 @@ def test_reduced_search_matches_the_whole_graph(monkeypatch, name, orbits):
 
 @pytest.mark.parametrize("name", ["sl3_F3", "sl3_F3_gl", "sl4_F2"])
 def test_witness_through_any_class_matches_the_whole_graph(monkeypatch, name):
-    # with orbits, the cliques through a class that is no root are not
-    # enumerated, and each pick is decided by a clique search among the
-    # classes commuting with the picks so far
+    # with orbits, the cliques through a class that is no root are not among
+    # the search's cliques; a witness through it enumerates the maximal
+    # cliques through the least class picked, which srk_brute and local_rank
+    # never need (test_first_pick_outside_the_ideal_is_a_root)
     g = _ORBIT_CASES[name]()
     whole = _captured_search(monkeypatch, lambda: srk_brute(g))
     monkeypatch.undo()
@@ -1328,6 +1331,45 @@ def test_srk_adds_under_direct_sums(a, b):
     ga, gb = build[a](), build[b]()
     total = srk_brute(_direct_sum(ga, gb))
     assert total.srk == total.r_min == srk_brute(ga).srk + srk_brute(gb).srk
+
+
+_ROOT_PICK_CASES = {**_ORBIT_CASES, **{f"quotient_{k}": v for k, v in _QUOTIENT_CASES.items()},
+                    "h7_F5_gl": lambda: _gl_rebased(heisenberg(3, F5), 3)}
+
+
+@pytest.mark.parametrize("gate", [None, 0], ids=["default", "orbits_always"])
+@pytest.mark.parametrize("name", sorted(_ROOT_PICK_CASES))
+def test_first_pick_outside_the_ideal_is_a_root(monkeypatch, name, gate):
+    # srk_brute's first pick is the least point of minimal rank, and that
+    # point's class is the least of its orbit; local_rank takes no
+    # automorphisms.  So every witness pick is decided by the rank alone
+    # (no class picked yet) or by the cliques through a root
+    if gate is not None:
+        monkeypatch.setattr(lie, "_ORBIT_MIN_CLASSES", gate)
+    asked, allowed = [], lie._TupleSearch._allowed
+
+    def spy(self, members, s):
+        asked.append((members, self._roots))
+        return allowed(self, members, s)
+
+    monkeypatch.setattr(lie._TupleSearch, "_allowed", spy)
+    g = _ROOT_PICK_CASES[name]()
+    res = srk_brute(g)
+    vecs = nullcone(g)
+    for x in (vecs[1], vecs[len(vecs) // 2], res.witness.basis[0]):
+        local_rank(g, tuple(x))
+    assert len(asked) >= 3 * (res.srk - 1)
+    assert all(members == 0 or members & roots for members, roots in asked)
+
+
+def test_one_clique_query_in_lie():
+    # the ranks and the witnesses share _TupleSearch._cliques_through, the
+    # only caller of the clique engine in satrank.lie
+    tree = ast.parse(pathlib.Path(lie.__file__).read_text())
+    callers = [f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+               for node in ast.walk(f) if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Name) and node.func.id == "_maximal_cliques"]
+    assert callers == ["_cliques_through"]
 
 
 @pytest.mark.parametrize("name", ["h3", "sl2", "abelian2"])

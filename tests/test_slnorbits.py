@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from satrank import PreconditionError
+from satrank import BudgetError, PreconditionError, slnorbits
 from satrank.fields import Mat, field_make, mat_kernel_basis, mat_rank
 from satrank.lie import is_elementary, special_linear
 from satrank.slnorbits import (
@@ -390,6 +390,27 @@ def test_srk_sln_small_p_flags():
     assert res.value == 5 and not res.exact and res.note == "strict_inequality"
     res = srk_sln(7, 3)  # p < n-2: witness-derived bound
     assert res.value == 7 and not res.exact and res.note == "derived-not-paper"
+
+
+@pytest.mark.parametrize("n,p", [(5, 2), (7, 3), (8, 3), (9, 2), (11, 5), (12, 7)])
+def test_srk_sln_budget_counts_the_witness_commutators(n, p):
+    # the top-orbit witness has n basis matrices, so its check forms n^4
+    # commutator entries, and the budget gate counts exactly those
+    top = nullcone_top_partition(n, p)
+    assert len(slnorbits._case_split_witness(top, field_make(p, 1))) == n
+    assert srk_sln(n, p, budget=n ** 4) == srk_sln(n, p)
+    with pytest.raises(BudgetError, match="top-orbit witness"):
+        srk_sln(n, p, budget=n ** 4 - 1)
+    assert srk_sln(n, 13, budget=0).exact  # p >= n - 1: the closed form takes no work
+
+
+def test_cells_cache_stays_bounded():
+    # an orbit table visits each partition once, so the cache of cell
+    # positions keeps a bounded number of them, not all p(n)
+    slnorbits._cells.cache_clear()
+    sln_report(12, 11)
+    info = slnorbits._cells.cache_info()
+    assert info.misses > info.maxsize >= info.currsize
 
 
 def test_srk_sln_preconditions():
