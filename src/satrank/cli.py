@@ -13,6 +13,7 @@ Identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -320,9 +321,14 @@ _DISPATCH = {
 }
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """build_parser() once per process; parsing leaves the parser unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "reproduce-paper":
             return 0 if _cmd_reproduce_paper(args) else 1

@@ -15,12 +15,15 @@ A search can be restricted to the maximal cliques that meet a set of roots.
 Its top node then branches over the roots instead of over the pivot's
 non-neighbours, as Bron-Kerbosch's own top loop does over every vertex: root
 v's node has the roots before v as done, so a clique is found once, under its
-least root.  That search reads adj only at the roots and their neighbours;
-satrank.lie passes one root per automorphism orbit of classes and builds only
-those masks.
+least root.  That search reads adj only at the roots and their neighbours,
+and its callers build only those rows: satrank.lie passes one root per
+automorphism orbit of classes, satrank.groups one per conjugacy class of
+elements of order p, both from _orbit_labels.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .errors import BudgetError
 
@@ -101,3 +104,22 @@ def _root_nodes(adj, roots):
         nbrs = adj[v] & ~(1 << v)
         yield 1 << v, nbrs & ~earlier, nbrs & earlier
         earlier |= 1 << v
+
+
+def _orbit_labels(n, images):
+    """labels[i], the least vertex in the orbit of vertex i under the
+    permutations images (index arrays on range(n)).
+
+    Each label takes the least label of its vertex's images until nothing
+    changes.  The labels then hold the least vertex reachable by words in the
+    images: in a finite permutation group, the orbit.  The vertices with
+    labels[i] == i are roots for _maximal_cliques when the images preserve
+    the graph.
+    """
+    labels = np.arange(n)
+    while True:
+        old = labels
+        for image in images:
+            labels = np.minimum(labels, labels[image])
+        if (labels == old).all():
+            return labels

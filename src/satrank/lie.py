@@ -86,7 +86,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .cliques import _bits, _maximal_cliques
+from .cliques import _bits, _maximal_cliques, _orbit_labels
 from .errors import BudgetError, PreconditionError, expect
 from .fields import FieldSpec, Mat, _kernels, _rref, field_make, mat_kernel_basis
 
@@ -833,7 +833,10 @@ class _TupleSearch:
         self._place = _place_values(f.q, d)
         self._table = np.full(f.q ** d, self.n, dtype=np.int32)  # n: no class
         self._table[multiples @ self._place] = np.arange(self.n, dtype=np.int32)
-        self.labels = self._orbit_labels(automorphisms)
+        # each automorphism permutes the classes (image codes through _table);
+        # 4 to 6 label rounds on sl_3 over F_5 and F_7
+        self.labels = _orbit_labels(self.n, [self._table[f.matmul(coords, a) @ self._place]
+                                             for a in automorphisms])
         self.commuting, self._built = [0] * self.n, 0
         self._roots = _bitset(np.flatnonzero(self.labels == np.arange(self.n)), self.n)
         self.cliques = self._cliques_through(self._roots)
@@ -856,24 +859,6 @@ class _TupleSearch:
         rank_of = {(q ** r - 1) // (q - 1): r for r in range(self.coords.shape[1] + 1)}
         return [(rank_of[c.bit_count()], c)
                 for c in _maximal_cliques(self.commuting, self._budget, members)]
-
-    def _orbit_labels(self, automorphisms):
-        """labels[i], the least class in the orbit of class i.
-
-        Each automorphism permutes the classes (image codes through _table),
-        and each label takes the least label of its class's images until
-        nothing changes.  The labels then hold the least class reachable by
-        words in the automorphisms: in a finite permutation group, the
-        orbit.  A few rounds suffice (4 to 6 on sl_3 over F_5 and F_7).
-        """
-        labels = np.arange(self.n)
-        images = [self._table[self.f.matmul(self.coords, a) @ self._place] for a in automorphisms]
-        while True:
-            old = labels
-            for image in images:
-                labels = np.minimum(labels, labels[image])
-            if (labels == old).all():
-                return labels
 
     def _build_masks(self, which):
         """Fill commuting[i] for the classes i in which that have none yet,

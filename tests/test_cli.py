@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from satrank.cli import build_parser as _build_parser
 from satrank.cli import main
 from satrank.slnorbits import partitions
 
@@ -374,6 +375,34 @@ def test_exit_codes(capsys, h3_file, tmp_path):
     with pytest.raises(SystemExit) as exc:  # sln-centralizer works over F_p only
         main(["sln-centralizer", "--n", "3", "--p", "3", "--partition", "2,1", "--k", "2"])
     assert exc.value.code == 64
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch, d8_file, h3_file):
+    # main builds its parser once per process: alternating subcommands and
+    # formats print what a freshly built parser gives, and usage errors in
+    # between still exit 64
+    from satrank import cli
+    calls = [["group-srk", "--file", d8_file], ["sln-srk", "--n", "3", "--p", "5", "--format", "table"],
+             ["lie-srk", "--file", h3_file, "--format", "table"], ["group-srk", "--file", d8_file,
+             "--format", "table"], ["sln-srk", "--n", "3", "--p", "5"], ["lie-srk", "--file", h3_file]]
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or _build_parser())
+    cli._parser.cache_clear()
+    shared = []
+    for argv in calls + calls[::-1]:
+        shared.append(run_cli(capsys, *argv))
+        for bad in (["no-such-command"], ["group-srk"], [argv[0], "--format", "xml"]):
+            with pytest.raises(SystemExit) as exc:
+                main(bad)
+            assert exc.value.code == 64 and "error:" in capsys.readouterr().err
+    assert built == [1]
+    fresh = []
+    for argv in calls + calls[::-1]:
+        cli._parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert len(built) == 1 + len(fresh)
+    assert shared == fresh and all(code == 0 for code, _, _ in shared)
+    assert len({out for _, out, _ in shared}) == len(calls)
 
 
 @pytest.mark.parametrize("n", ["-1", "0", "1"])

@@ -1,13 +1,19 @@
+import ast
 import hashlib
 import itertools
 import json
+import pathlib
 import random
+import time
+from operator import itemgetter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satrank import BudgetError, PreconditionError, oracle
+from satrank import BudgetError, PreconditionError, groups, oracle
+from satrank.cliques import _bits
 from satrank.groups import (
     PermGroup,
     cyclic,
@@ -368,3 +374,163 @@ def test_metamorphic_direct_products_and_relabelling():
             assert len(getattr(rg.elemab, field)) == \
                 len(getattr(ra.elemab, field)) * len(getattr(rb.elemab, field))
         assert _answers(_relabelled(g, trial), p) == _answers(g, p)
+
+
+@pytest.mark.parametrize("build, order, exponent", [
+    (lambda: symmetric(0), 1, 1),
+    (lambda: symmetric(1), 1, 1),
+    (lambda: symmetric(2), 2, 2),
+    (lambda: symmetric(5), 120, 60),
+    (lambda: elementary_abelian(2, 0), 1, 1),
+    (lambda: elementary_abelian(3, 0), 1, 1),
+    (lambda: elementary_abelian(5, 1), 5, 5),
+    (lambda: elementary_abelian(3, 3), 27, 3),
+], ids=["S0", "S1", "S2", "S5", "Z2^0", "Z3^0", "Z5^1", "Z3^3"])
+def test_constructors_build_the_named_group(build, order, exponent):
+    g = build()
+    orders = [perm_order(x) for x in g.elements()]
+    assert len(orders) == order
+    assert max(orders) <= exponent and all(exponent % k == 0 for k in orders)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: symmetric(-1),
+    lambda: elementary_abelian(3, -1),
+    lambda: elementary_abelian(4, 2),
+    lambda: elementary_abelian(1, 2),
+    lambda: elementary_abelian(0, 1),
+], ids=["S-1", "Z3^-1", "Z4^2", "Z1^2", "Z0^1"])
+def test_constructors_refuse_what_is_not_the_named_group(build):
+    with pytest.raises(PreconditionError):
+        build()
+
+
+def _bfs_closure(degree, gens):
+    """Breadth-first closure over itemgetter products: the element listing
+    before stabilizer chains, kept as a reference."""
+    e = tuple(range(degree))
+    seen, frontier = {e}, [e]
+    right = [itemgetter(*g) for g in gens] if degree > 1 else []
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in right:
+                y = g(x)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
+def _whole_graph_maximal_elemab(g, p):
+    """maximal_elemab before the root query: every commuting row, one clique
+    search over the whole graph, classes as conjugation orbits of the sorted
+    cliques."""
+    els = sorted(_bfs_closure(g.degree, g.generators))
+    if p > g.degree:
+        return [], []
+    x = y = np.array(els, dtype=np.min_scalar_type(g.degree))
+    for _ in range(p - 1):
+        y = np.take_along_axis(x, y, axis=1)
+    ident = np.arange(g.degree)
+    t = x[(y == ident).all(axis=1) & (x != ident).any(axis=1)]
+    if not len(t):
+        return [], []
+    products = t[:, t]  # [i, j] = x_i o x_j
+    commute = (products == products.swapaxes(0, 1)).all(axis=2)
+    adj = [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in commute]
+    cliques = sorted(_maximal_cliques(adj), key=lambda c: list(_bits(c)))
+    torsion = [tuple(r) for r in t.tolist()]
+    index = {z: i for i, z in enumerate(torsion)}
+    conj = [[index[perm_mul(perm_mul(h, z), perm_inv(h))] for z in torsion] for h in g.generators]
+    reps, seen = [], set()
+    for c in cliques:
+        if c not in seen:
+            reps.append(c)
+            seen.add(c)
+            orbit = [c]
+            for s in orbit:
+                for perm in conj:
+                    image = sum(1 << perm[i] for i in _bits(s))
+                    if image not in seen:
+                        seen.add(image)
+                        orbit.append(image)
+    subs = {c: _subgroup_from_elements(
+        g.degree, p, frozenset([g.identity()] + [torsion[i] for i in _bits(c)])) for c in cliques}
+    return [subs[c] for c in reps], [subs[c] for c in cliques]
+
+
+_ROOT_QUERY_CASES = [(f"S{n}", lambda n=n: symmetric(n), p) for n in range(2, 8) for p in (2, 3, 5)] + [
+    ("S4xS4", lambda: direct_product(symmetric(4), symmetric(4)), 2),
+    ("D8xD8", lambda: direct_product(dihedral_square(), dihedral_square()), 2),
+    ("Q8", quaternion8, 2),
+    ("Z2^5", lambda: elementary_abelian(2, 5), 2),
+    ("Z3^3", lambda: elementary_abelian(3, 3), 3),
+    ("Z5^2", lambda: elementary_abelian(5, 2), 5),
+    ("S3xS5_p2", lambda: direct_product(symmetric(3), symmetric(5)), 2),
+    ("S3xS5_p3", lambda: direct_product(symmetric(3), symmetric(5)), 3),
+    ("S4xC257", lambda: direct_product(symmetric(4), cyclic(257)), 2),  # uint16 rows
+]
+
+
+@pytest.mark.parametrize("name, build, p", _ROOT_QUERY_CASES, ids=[c[0] + f"_{c[2]}" for c in _ROOT_QUERY_CASES])
+def test_root_query_matches_the_whole_graph(name, build, p):
+    g = _relabelled(build(), f"roots:{name}")
+    assert g.elements() == tuple(sorted(_bfs_closure(g.degree, g.generators)))
+    res = maximal_elemab(g, p)
+    reps, subs = _whole_graph_maximal_elemab(g, p)
+    assert res.representatives == reps
+    assert res.all_subgroups == subs
+
+
+def test_root_query_builds_fewer_commuting_rows(monkeypatch):
+    # S7 at p = 3: 350 elements of order 3 in two classes; the search reads
+    # the rows of the two roots and of their neighbours only
+    built = []
+    real = groups._commuting_rows
+    monkeypatch.setattr(groups, "_commuting_rows",
+                        lambda t, which, adj: built.extend(which) or real(t, which, adj))
+    res = maximal_elemab(symmetric(7), 3)
+    assert len(built) == len(set(built)) < 350
+    assert len(res.all_subgroups) == 70 and len(res.representatives) == 1
+
+
+def test_one_clique_query_in_groups():
+    # maximal_elemab makes the module's one clique search, through its roots
+    tree = ast.parse(pathlib.Path(groups.__file__).read_text())
+    calls = [(f.name, len(node.args)) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+             for node in ast.walk(f) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "_maximal_cliques"]
+    assert calls == [("maximal_elemab", 3)]
+
+
+def test_the_bound_stops_the_stabilizer_chain():
+    # |S_30| is about 2.7e32: the orbits so far pass 20000 after three levels
+    gens = symmetric(30).generators
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match="^group closure exceeds element bound 20000$"):
+        PermGroup(30, gens).elements()
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(BudgetError, match="^group closure exceeds element bound 20000$"):
+        groups._schreier_sims(30, gens, 20000)  # refused before any element row exists
+
+
+def _best_of(runs, f):
+    best = float("inf")
+    for _ in range(runs):
+        start = time.perf_counter()
+        f()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_wide_group_rows_no_slower_than_the_bfs_closure():
+    # cyclic(2000): one level whose orbit is 2000 breadth-first layers deep
+    g = cyclic(2000)
+    rows = groups._element_rows(g.degree, g.generators, g.element_bound)
+    assert rows.tolist() == [[(i + k) % 2000 for i in range(2000)] for k in range(2000)]
+    chain = _best_of(3, lambda: groups._element_rows(g.degree, g.generators, g.element_bound))
+    bfs = _best_of(3, lambda: np.array(sorted(_bfs_closure(g.degree, g.generators)),
+                                       dtype=np.uint16))
+    assert chain <= bfs
