@@ -14,10 +14,18 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .fields import Mat, field_make, is_prime, mat_solve
-from .frobkernel import _check_rows, homomorphism_sweep, srk_height_bound, srk_sln2
+from .fields import Mat, _rref, field_make, is_prime, mat_solve
+from .frobkernel import _CHECK_BLOCK, _check_rows, homomorphism_sweep, srk_height_bound, srk_sln2
 from .groups import dihedral_square, group_ranks
-from .lie import abelian_p_trivial, heisenberg, is_elementary, special_linear, srk_brute, toral
+from .lie import (
+    _elementary_conditions,
+    abelian_p_trivial,
+    heisenberg,
+    is_elementary,
+    special_linear,
+    srk_brute,
+    toral,
+)
 from .oracle import oracle_srk_lie
 from .slnorbits import (
     Partition,
@@ -27,13 +35,12 @@ from .slnorbits import (
     lower_orbit_witness,
     o_rmin_sln,
     partitions,
-    rank_sequence,
+    rank_sequences,
     regular_powers,
     srk_sln,
     subregular_witnesses,
     xi_basis,
-    xi_bracket,
-    xi_compose,
+    xi_product_table,
     xi_to_matrices,
 )
 
@@ -104,13 +111,31 @@ def criterion_4_subregular():
         subs = subregular_witnesses(n, f)
         expected = 2 if (n, p) == (3, 2) else f.q + 1
         assert len(subs) == expected, (n, p, len(subs))
-        for s in subs:
-            assert s.rank == n - 1
-            assert is_elementary(alg, s.basis)
-            assert all(not any(alg.bracket(v, xj)) for v in s.basis)
-            assert mat_solve(Mat(f, s.basis).t(), xj) is not None
+        assert all(s.rank == n - 1 for s in subs)
+        _check_subregular(alg, np.array([s.basis for s in subs], dtype=np.int64), xj)
         out[f"n{n}_p{p}"] = len(subs)
     return out
+
+
+def _check_subregular(alg, bases, xj):
+    """Every basis of the (W, n - 1, dim) stack spans an elementary
+    subalgebra that holds x_tau (the coordinates xj) and centralizes it.
+
+    Each condition is one stacked check over all W bases; a failure names
+    the condition and the first basis that fails it.
+    """
+    f, (count, k, dim) = alg.field, bases.shape
+    with_x = np.concatenate([bases, np.broadcast_to(np.asarray(xj), (count, 1, dim))], axis=1)
+    conditions = [*_elementary_conditions(alg, bases),
+                  # [x_tau, v] for every row v: the rows times ad(x_tau) transposed
+                  ~f.matmul(bases, alg.ad(xj).T).any(axis=(1, 2)),
+                  _rref(f, with_x)[1].sum(axis=1) == k]
+    names = ["dependent rows", "non-commuting rows", "nonzero p-map",
+             "x_tau not centralized", "x_tau outside the span"]
+    for name, ok in zip(names, conditions):
+        if not ok.all():
+            raise AssertionError(f"subregular witness {ok.argmin()} of sl_{k + 1} "
+                                 f"over F_{f.q}: {name}")
 
 
 def criterion_5_lower_orbits():
@@ -188,28 +213,36 @@ def criterion_8_bound_attained():
 
 def _check_shift_maps(lam, field):
     """The matrix map of the shift maps (xi_to_matrices) is a homomorphism
-    for compose and bracket on the shift basis of lam; returns the number of
-    basis pairs.
+    for compose and bracket on the shift basis of lam, with the products of
+    the basis read from xi_product_table, the calculus of xi_compose and
+    xi_bracket; returns the number of basis pairs.
 
-    All products come from one stacked matmul, the brackets from rows and
-    columns of that stack.  Row a stacks the images of a . b and [a, b] for
-    every b and compares them at once; a failure names the first failing
-    basis pair in row-major order.
+    All matrix products come from one stacked matmul.  The image of a . b is
+    the matrix at table[a, b], a zero matrix where that is -1, and the one of
+    [a, b] is that image minus the one at table[b, a].  Rows of pairs are
+    compared in blocks of at most _CHECK_BLOCK entries; a failure names the
+    first failing basis pair in row-major order.
     """
     basis = xi_basis(lam)
-    assert len(basis) == sum(min(a, b) for a in lam.parts for b in lam.parts)
+    count, n = len(basis), lam.n
+    assert count == sum(min(a, b) for a in lam.parts for b in lam.parts)
     m = xi_to_matrices(lam, basis, field)
     prod = field.matmul(m[:, None], m[None])  # prod[a, b] = m[a] @ m[b]
-    checked = 0
-    for i, a in enumerate(basis):
-        compose = xi_to_matrices(lam, [xi_compose(a, b) for b in basis], field)
-        bracket = xi_to_matrices(lam, [xi_bracket(a, b) for b in basis], field)
-        comm = field.varr_add(prod[i], field.varr_neg(prod[:, i]))
-        bad = ((compose != prod[i]) | (bracket != comm)).any(axis=(1, 2))
+    images = np.concatenate([m, np.zeros((1, n, n), dtype=np.int64)])  # images[-1] = 0
+    table = xi_product_table(lam)
+    step = max(1, _CHECK_BLOCK // (count * n * n))
+    for start in range(0, count, step):
+        rows = slice(start, start + step)
+        compose = images[table[rows]]
+        bad = (compose != prod[rows]).any(axis=(2, 3))
+        bracket = field.varr_add(compose, field.varr_neg(images[table[:, rows].T]))
+        comm = field.varr_add(prod[rows], field.varr_neg(prod[:, rows].swapaxes(0, 1)))
+        bad |= (bracket != comm).any(axis=(2, 3))
         if bad.any():
-            raise AssertionError(f"shift maps of {lam.parts} fail at ({a}, {basis[bad.argmax()]})")
-        checked += len(bad)
-    return checked
+            a, b = np.argwhere(bad)[0]
+            raise AssertionError(f"shift maps of {lam.parts} fail at "
+                                 f"({basis[start + a]}, {basis[b]})")
+    return count * count
 
 
 def _check_exp_law(n, field):
@@ -247,12 +280,11 @@ def criterion_9_property_suites():
     pairs = 0
     for n in range(1, 9):
         pts = list(partitions(n))
-        ranks = {lam: rank_sequence(jordan_matrix(lam, f5)) for lam in pts}
-        for mu in pts:
-            for lam in pts:
-                assert dominance_leq(mu, lam) == all(
-                    a <= b for a, b in zip(ranks[mu], ranks[lam]))
-                pairs += 1
+        ranks = rank_sequences(f5, [jordan_matrix(lam, f5).a for lam in pts])
+        below = (ranks[:, None] <= ranks[None]).all(axis=2)  # below[a, b]: every rank of a <= b's
+        for (a, mu), (b, lam) in itertools.product(enumerate(pts), repeat=2):
+            assert dominance_leq(mu, lam) == below[a, b]
+            pairs += 1
     # shift-map count identity and matrix homomorphism, n <= 6
     hom_pairs = 0
     for n in range(1, 7):

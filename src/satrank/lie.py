@@ -672,12 +672,21 @@ def is_elementary(g: RestrictedLieAlgebra, basis) -> bool:
     and are p-nilpotent when every b_i^[p] is zero.
     """
     b = np.array(basis, dtype=np.int64).reshape(-1, g.dim)
-    if not len(b):
-        return True
+    return not len(b) or all(bool(c[0]) for c in _elementary_conditions(g, b[None]))
+
+
+def _elementary_conditions(g: RestrictedLieAlgebra, bases):
+    """is_elementary's three conditions on each basis of a (W, k, dim) code
+    stack, yielded in turn as (W,) bool arrays, so that a caller may stop at
+    the first that fails: independent rows, pairwise commuting rows, zero
+    p-maps."""
     f = g.field
-    return bool(_rref(f, b[None])[1].sum() == len(b)
-                and not f.matmul(g.ad(b), b.T).any()
-                and not g._pmap_rows(b).any())
+    count, k, dim = bases.shape
+    rows = bases.reshape(-1, dim)
+    yield _rref(f, bases)[1].sum(axis=1) == k
+    brackets = f.matmul(g.ad(rows).reshape(count, k, dim, dim), bases.transpose(0, 2, 1)[:, None])
+    yield ~brackets.reshape(count, -1).any(axis=1)
+    yield ~g._pmap_rows(rows).reshape(count, -1).any(axis=1)
 
 
 @dataclass(frozen=True)

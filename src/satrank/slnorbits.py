@@ -123,12 +123,21 @@ def nullcone_top_partition(n: int, p: int) -> Partition:
 
 
 def rank_sequence(m: Mat) -> list:
-    """[rank(m^k) for k = 1, ..., n] for an n x n matrix m, from one stacked
-    elimination of the powers."""
-    f, powers = m.field, [m.a]
-    for _ in range(m.rows - 1):
-        powers.append(f.matmul(powers[-1], m.a))
-    return _rref(f, np.stack(powers))[1].sum(axis=1).tolist()
+    """[rank(m^k) for k = 1, ..., n] for an n x n matrix m."""
+    return rank_sequences(m.field, m.a[None])[0].tolist()
+
+
+def rank_sequences(field: FieldSpec, mats) -> np.ndarray:
+    """The rank sequences of an (M, n, n) code stack, as an (M, n) array:
+    row i is [rank(m_i^k) for k = 1, ..., n], from one stacked elimination
+    of every power of every matrix."""
+    mats = np.asarray(mats, dtype=np.int64)
+    count, n = len(mats), mats.shape[-1]
+    powers = [mats]
+    for _ in range(n - 1):
+        powers.append(field.matmul(powers[-1], mats))
+    stack = np.stack(powers, axis=1).reshape(count * n, n, n)
+    return _rref(field, stack)[1].sum(axis=1).reshape(count, n)
 
 
 def partition_of_nilpotent(m: Mat) -> Partition:
@@ -210,14 +219,15 @@ def xi_basis(lam: Partition):
 
 
 def xi_compose(a: XiCombination, b: XiCombination) -> XiCombination:
-    """a . b as endomorphisms, bilinear in the terms:
-    xi_i^(j,s) . xi_p^(q,r) = delta(q,i) xi_p^(j,s+r)."""
+    """a . b as endomorphisms, bilinear in the terms, each product of two
+    shift maps read from xi_product_table."""
     if a.lam != b.lam:
         raise PreconditionError("composition across different partitions")
     return XiCombination(a.lam, _add_product({}, a, b, 1))
 
 
 def xi_bracket(a: XiCombination, b: XiCombination) -> XiCombination:
+    """a . b - b . a, through the same table."""
     if a.lam != b.lam:
         raise PreconditionError("bracket across different partitions")
     return XiCombination(a.lam, _add_product(_add_product({}, a, b, 1), b, a, -1))
@@ -225,11 +235,51 @@ def xi_bracket(a: XiCombination, b: XiCombination) -> XiCombination:
 
 def _add_product(out, a, b, sign):
     """out with sign * (a . b) added to its (i, j, s) -> coefficient terms."""
-    for (i, j, s), ca in a.terms.items():
-        for (p, q, r), cb in b.terms.items():
-            if q == i and s + r in _shifts(a.lam, p, j):
-                out[p, j, s + r] = out.get((p, j, s + r), 0) + sign * ca * cb
+    keys, index, table = _products(a.lam)
+    for ka, ca in a.terms.items():
+        row = table[index[ka]]
+        for kb, cb in b.terms.items():
+            k = int(row[index[kb]])
+            if k >= 0:
+                out[keys[k]] = out.get(keys[k], 0) + sign * ca * cb
     return out
+
+
+def xi_product_table(lam: Partition) -> np.ndarray:
+    """The (N, N) products of the shift basis, in xi_basis order: entry
+    [a, b] is the position of basis[a] . basis[b] in the basis, or -1 where
+    the product is zero.  Read-only; the table is cached per partition."""
+    return _products(lam).table
+
+
+class _Products(NamedTuple):
+    keys: list           # the (i, j, s) of xi_basis(lam), in order
+    index: dict          # (i, j, s) -> its position in keys
+    table: np.ndarray    # xi_product_table(lam)
+
+
+@functools.lru_cache(maxsize=64)  # the same bound as _cells
+def _products(lam: Partition) -> _Products:
+    """The shift-basis products by the closed rule
+    xi_i^(j,s) . xi_p^(q,r) = delta(q,i) xi_p^(j,s+r), within the _shifts
+    bounds, for every pair at once.  The triples with first indices (i, j)
+    are consecutive in xi_basis order, from the least s, so the product
+    (p, j, s + r) sits at start[p, j] + s + r - low[p, j]."""
+    parts = np.array(lam.parts)
+    low = np.maximum(parts[None, :] - parts[:, None], 0)  # low[i, j]: least s of xi_i^(j,s)
+    sizes = (parts[None, :] - low).ravel()  # shifts per (i, j), row-major
+    start = np.concatenate([[0], np.cumsum(sizes)[:-1]]).reshape(low.shape)
+    ii, jj = np.divmod(np.repeat(np.arange(sizes.size), sizes), len(parts))
+    ss = np.arange(sizes.sum()) - start[ii, jj] + low[ii, jj]
+    # a along axis 0, b along axis 1: a = (i, j, s), b = (p, q, r)
+    i, j, s = ii[:, None], jj[:, None], ss[:, None]
+    p, q, r = ii[None, :], jj[None, :], ss[None, :]
+    lo = low[p, j]
+    ok = (q == i) & (s + r >= lo) & (s + r < parts[j])
+    table = np.where(ok, start[p, j] + s + r - lo, -1)
+    table.flags.writeable = False
+    keys = list(zip((ii + 1).tolist(), (jj + 1).tolist(), ss.tolist()))
+    return _Products(keys, {key: k for k, key in enumerate(keys)}, table)
 
 
 def xi_to_matrix(lam: Partition, x: XiCombination, field: FieldSpec) -> Mat:
@@ -414,16 +464,11 @@ def _case_split_witness(lam: Partition, field: FieldSpec):
         combos.append(xi_term(lam, t, s, lam.parts[s - 1] - 1))
         combos.append(xi_term(lam, t, 1, lam.parts[0] - 1))
     else:
-        # several 1x1 blocks: use powers of the shift chain through them
-        chain = XiCombination(lam)
-        for i in range(1, ones):
-            chain = chain + xi_term(lam, s + i + 1, s + i, 0)
-        power = chain
-        chain_mats = []
-        for _ in range(ones - 1):
-            chain_mats.append(power)
-            power = xi_compose(power, chain)
-        combos.extend(chain_mats)
+        # several 1x1 blocks: use the powers of the shift chain through them,
+        # chain = sum_i xi_(s+i+1)^(s+i,0), so chain^k = sum_i xi_(s+i+k)^(s+i,0)
+        for k in range(1, ones):
+            combos.append(XiCombination(lam, {(s + i + k, s + i, 0): 1
+                                              for i in range(1, ones - k + 1)}))
         for i in range(1, s + 1):
             combos.append(xi_term(lam, i, i + 1, lam.parts[i] - 1))
         combos.append(xi_term(lam, t, 1, lam.parts[0] - 1))
@@ -553,9 +598,34 @@ def sln_srk_report(n: int, p: int, budget: int = DEFAULT_BUDGET) -> dict:
     return report
 
 
+def partition_count(n: int, cap: Optional[int] = None) -> tuple:
+    """(n, p(n)), the number of partitions of n by Euler's pentagonal
+    recurrence, without enumerating them.  With a cap the recurrence stops
+    at the first m with p(m) > cap and returns (m, p(m)); p is
+    nondecreasing, so then p(n) >= p(m) > cap as well."""
+    counts = [1]
+    while len(counts) <= n and (cap is None or counts[-1] <= cap):
+        m, total, k = len(counts), 0, 1
+        while (g := k * (3 * k - 1) // 2) <= m:  # the pentagonal numbers g, g + k
+            sign = 1 if k % 2 else -1
+            total += sign * (counts[m - g] + (counts[m - g - k] if g + k <= m else 0))
+            k += 1
+        counts.append(total)
+    return len(counts) - 1, counts[-1]
+
+
 def sln_report(n: int, p: int, budget: int = DEFAULT_BUDGET) -> dict:
+    """sln_srk_report plus one row per partition of n, each with the
+    dimensions of the witnesses built for it.  The table is charged n^2
+    entries, one n x n matrix, per row: BudgetError (phase "orbit table")
+    before any row is built when p(n) n^2 exceeds budget."""
     field = field_make(p, 1)
     report = sln_srk_report(n, p, budget)
+    m, rows = partition_count(n, budget // (n * n))
+    if rows * n * n > budget:
+        rel = "=" if m == n else ">="
+        raise BudgetError(f"orbit table: p({n}) {rel} {rows} rows of {n}^2 entries, "
+                          f"{rows * n * n} > budget {budget}")
     orbits = []
     for lam in partitions(n):
         oc = OrbitClass.of(lam, p)

@@ -870,6 +870,24 @@ def test_sln_top_orbit_witness_counts_against_the_budget(capsys, monkeypatch, co
     assert run_cli(capsys, command, "--n", "6", "--p", "3")[0] == 2
 
 
+def test_sln_orbits_table_counts_against_the_budget(capsys, monkeypatch):
+    import time
+    # p(n) rows of n^2 entries, counted without enumerating the partitions;
+    # the recurrence stops at p(29) = 4565, whose rows already pass 10^7
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "sln-orbits", "--n", "50", "--p", "3")
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err == ("satrank: budget exceeded: orbit table: p(50) >= 4565 rows of 50^2 "
+                   "entries, 11412500 > budget 10000000\n")
+    monkeypatch.setenv("SATRANK_BUDGET", str(15 * 49))
+    assert run_cli(capsys, "sln-orbits", "--n", "7", "--p", "7")[0] == 0
+    monkeypatch.setenv("SATRANK_BUDGET", str(15 * 49 - 1))
+    code, _, err = run_cli(capsys, "sln-orbits", "--n", "7", "--p", "7")
+    assert code == 3 and "orbit table: p(7) = 15 rows" in err
+    assert run_cli(capsys, "sln-srk", "--n", "7", "--p", "7")[0] == 0  # no table
+
+
 def test_frob2_verify_exp_budget_bounds_the_sweep(capsys, monkeypatch):
     import time
     start = time.perf_counter()

@@ -15,9 +15,11 @@ from satrank.slnorbits import (
     lower_orbit_witness,
     nullcone_top_partition,
     o_rmin_sln,
+    partition_count,
     partition_of_nilpotent,
     partitions,
     rank_sequence,
+    rank_sequences,
     regular_witness,
     sln_report,
     srk_sln,
@@ -26,6 +28,7 @@ from satrank.slnorbits import (
     xi_basis,
     xi_bracket,
     xi_compose,
+    xi_product_table,
     xi_term,
     xi_to_matrix,
 )
@@ -84,6 +87,24 @@ def test_jordan_matrix_examples():
             assert mat_rank(x) == sum(max(part - k, 0) for part in parts)
         assert rank_sequence(j) == [sum(max(part - k, 0) for part in parts)
                                     for k in range(1, lam.n + 1)]
+
+
+def test_stacked_rank_sequences_match_one_matrix_at_a_time():
+    rng = np.random.default_rng(5)
+    for n in range(1, 9):
+        pts = list(partitions(n))
+        mats = [jordan_matrix(lam, F5) for lam in pts]
+        ranks = rank_sequences(F5, [m.a for m in mats])
+        assert ranks.shape == (len(pts), n)
+        for lam, m, row in zip(pts, mats, ranks.tolist()):
+            assert row == rank_sequence(m)
+            assert row == [sum(max(part - k, 0) for part in lam.parts) for k in range(1, n + 1)]
+    # matrices that are not nilpotent, against mat_rank of each power
+    for n in (1, 2, 4, 5):
+        stack = rng.integers(0, 3, size=(6, n, n))
+        for m, row in zip(stack, rank_sequences(F3, stack).tolist()):
+            m = Mat(F3, m)
+            assert row == [mat_rank(m ** k) for k in range(1, n + 1)] == rank_sequence(m)
 
 
 def test_partition_of_nilpotent_roundtrip():
@@ -208,6 +229,21 @@ def test_xi_matrix_homomorphism_exhaustive():
                     assert xi_to_matrix(lam, xi_compose(a, b), F5) == mats[a] @ mats[b]
                     comm = mats[a] @ mats[b] - mats[b] @ mats[a]
                     assert xi_to_matrix(lam, xi_bracket(a, b), F5) == comm
+
+
+def test_product_table_is_the_closed_rule():
+    """xi_i^(j,s) . xi_p^(q,r) = delta(q,i) xi_p^(j,s+r) within bounds, n <= 6."""
+    for n in range(1, 7):
+        for lam in partitions(n):
+            keys = [next(iter(el.terms)) for el in xi_basis(lam)]
+            want = np.full((len(keys), len(keys)), -1)
+            for a, (i, j, s) in enumerate(keys):
+                for b, (p, q, r) in enumerate(keys):
+                    if q == i and s + r in slnorbits._shifts(lam, p, j):
+                        want[a, b] = keys.index((p, j, s + r))
+            table = xi_product_table(lam)
+            assert table.tolist() == want.tolist()
+            assert not table.flags.writeable and xi_product_table(lam) is table
 
 
 def test_xi_matrices_commute_with_jordan():
@@ -411,6 +447,36 @@ def test_cells_cache_stays_bounded():
     sln_report(12, 11)
     info = slnorbits._cells.cache_info()
     assert info.misses > info.maxsize >= info.currsize
+
+
+def test_partition_count_is_the_number_of_partitions():
+    for n in range(0, 21):
+        assert partition_count(n) == (n, sum(1 for _ in partitions(n)) if n else 1)
+    assert partition_count(100) == (100, 190569292)
+    # with a cap it stops at the first count above it, a lower bound on p(n)
+    assert partition_count(50, 4000) == (29, 4565)
+    assert partition_count(50, 204226) == (50, 204226)
+    assert partition_count(10 ** 9, 0) == (0, 1)
+
+
+def test_orbit_table_counts_against_the_budget(monkeypatch):
+    # p(6) = 11 rows of 6^2 entries, refused before any row is built
+    assert sln_report(6, 7, budget=11 * 36)["orbits"]
+
+    def no_rows(lam, p):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(OrbitClass, "of", no_rows)
+    with pytest.raises(BudgetError, match=r"^orbit table: p\(6\) = 11 rows of 6\^2 entries, "
+                                          r"396 > budget 395$"):
+        sln_report(6, 7, budget=11 * 36 - 1)
+    # the default budget admits p(30) = 5604 and p(32) = 8349 rows of n^2
+    # entries, not p(33) = 10143 rows of 1089
+    for n in (30, 32):
+        with pytest.raises(AssertionError, match="a row was built"):
+            sln_report(n, 31)
+    with pytest.raises(BudgetError, match=r"p\(33\) = 10143 rows of 33\^2 entries, 11045727 >"):
+        sln_report(33, 37)
 
 
 def test_srk_sln_preconditions():

@@ -15,12 +15,13 @@ from satrank.fields import Mat, field_make
 from satrank.frobkernel import NilPair, _check_rows, eval_one_param, homomorphism_sweep
 from satrank.slnorbits import (
     Partition,
+    XiCombination,
     jordan_matrix,
     regular_powers,
-    xi,
     xi_basis,
     xi_bracket,
     xi_compose,
+    xi_product_table,
     xi_to_matrix,
 )
 
@@ -190,39 +191,77 @@ def _first_shift_failure(lam, f, compose, bracket):
     return None
 
 
+def _table_calculus(lam, table):
+    """compose and bracket of the shift basis read from a product table, as
+    xi_compose and xi_bracket read xi_product_table."""
+    basis = xi_basis(lam)
+    at = {el: k for k, el in enumerate(basis)}
+
+    def compose(a, b):
+        k = table[at[a], at[b]]
+        return basis[k] if k >= 0 else XiCombination(lam)
+
+    return compose, lambda a, b: compose(a, b) + compose(b, a).scale(-1)
+
+
+def test_table_calculus_is_the_library_calculus():
+    for parts in [(3, 2, 1), (2, 2), (4, 1, 1)]:
+        lam = Partition(parts)
+        compose, bracket = _table_calculus(lam, xi_product_table(lam))
+        for a in xi_basis(lam):
+            for b in xi_basis(lam):
+                assert compose(a, b) == xi_compose(a, b)
+                assert bracket(a, b) == xi_bracket(a, b)
+        assert _first_shift_failure(lam, F5, compose, bracket) is None
+
+
+# A fault in the calculus is a fault in its product table: "compose" corrupts
+# the entry of a0 . b0, "bracket" the entry of b0 . a0, which reaches the pair
+# (a0, b0) through its bracket a0 . b0 - b0 . a0.  The corrupted entry points
+# at another basis element, or at one where the product was zero.
 @pytest.mark.parametrize("which", ["compose", "bracket"])
 @pytest.mark.parametrize("parts,at", [((3, 2, 1), 5), ((2, 2), 0), ((4, 1, 1), 13)])
 def test_shift_maps_name_the_pairwise_first_failure(monkeypatch, which, parts, at):
     lam = Partition(parts)
     basis = xi_basis(lam)
-    a0, b0 = basis[at % len(basis)], basis[(3 * at + 1) % len(basis)]
-
-    def skewed(op):
-        def wrong(a, b):
-            out = op(a, b)
-            if (a, b) == (a0, b0):  # one corrupted product: the identity map added
-                for i in range(1, lam.length + 1):
-                    out = out + xi_compose(xi(lam, i, i, 0), xi(lam, i, i, 0))
-            return out
-        return wrong
-
-    compose = skewed(xi_compose) if which == "compose" else xi_compose
-    bracket = skewed(xi_bracket) if which == "bracket" else xi_bracket
-    assert _first_shift_failure(lam, F5, compose, bracket) == (a0, b0)
-    monkeypatch.setattr(acceptance, "xi_compose", compose)
-    monkeypatch.setattr(acceptance, "xi_bracket", bracket)
-    with pytest.raises(AssertionError, match=re.escape(f"fail at ({a0}, {b0})") + "$"):
+    a0, b0 = at % len(basis), (3 * at + 1) % len(basis)
+    row, col = (a0, b0) if which == "compose" else (b0, a0)
+    table = xi_product_table(lam).copy()
+    table[row, col] = 1 if table[row, col] == 0 else 0
+    a, b = _first_shift_failure(lam, F5, *_table_calculus(lam, table))
+    assert {basis.index(a), basis.index(b)} == {a0, b0}  # (a0, b0) or (b0, a0)
+    monkeypatch.setattr(acceptance, "xi_product_table", lambda lam: table)
+    with pytest.raises(AssertionError, match=re.escape(f"fail at ({a}, {b})") + "$"):
         acceptance._check_shift_maps(lam, F5)
 
 
 def test_shift_maps_catch_a_flipped_bracket(monkeypatch):
+    # every product taken in the wrong order: a . b read as b . a, which
+    # flips every bracket
     lam = Partition((3, 1))
-    expect = _first_shift_failure(lam, F5, xi_compose, lambda a, b: xi_bracket(b, a))
+    table = xi_product_table(lam).T
+    expect = _first_shift_failure(lam, F5, *_table_calculus(lam, table))
     assert expect is not None
-    monkeypatch.setattr(acceptance, "xi_bracket", lambda a, b: xi_bracket(b, a))
+    monkeypatch.setattr(acceptance, "xi_product_table", lambda lam: table)
     with pytest.raises(AssertionError) as info:
         acceptance._check_shift_maps(lam, F5)
     assert str(info.value).endswith(f"({expect[0]}, {expect[1]})")
+
+
+@pytest.mark.parametrize("parts", [(1, 1, 1, 1, 1, 1), (2, 1, 1, 1, 1)])
+def test_shift_maps_name_a_failure_in_a_later_block(monkeypatch, parts):
+    lam = Partition(parts)
+    basis = xi_basis(lam)
+    step = acceptance._CHECK_BLOCK // (len(basis) * lam.n ** 2)
+    assert 1 < step < len(basis)  # the rows take more than one block
+    for row, col in [(step, 0), (step + 1, 7), (len(basis) - 1, len(basis) - 1)]:
+        table = xi_product_table(lam).copy()
+        table[row, col] = 1 if table[row, col] == 0 else 0
+        a, b = _first_shift_failure(lam, F5, *_table_calculus(lam, table))
+        assert basis.index(a) >= step or basis.index(b) >= step
+        monkeypatch.setattr(acceptance, "xi_product_table", lambda lam: table)
+        with pytest.raises(AssertionError, match=re.escape(f"fail at ({a}, {b})") + "$"):
+            acceptance._check_shift_maps(lam, F5)
 
 
 def test_shift_maps_count_every_pair():
