@@ -258,27 +258,23 @@ class _Products(NamedTuple):
     table: np.ndarray    # xi_product_table(lam)
 
 
-@functools.lru_cache(maxsize=64)  # the same bound as _cells
+@functools.lru_cache(maxsize=32)  # the 29 partitions of n <= 6 of criterion 9
 def _products(lam: Partition) -> _Products:
     """The shift-basis products by the closed rule
-    xi_i^(j,s) . xi_p^(q,r) = delta(q,i) xi_p^(j,s+r), within the _shifts
-    bounds, for every pair at once.  The triples with first indices (i, j)
-    are consecutive in xi_basis order, from the least s, so the product
-    (p, j, s + r) sits at start[p, j] + s + r - low[p, j]."""
-    parts = np.array(lam.parts)
-    low = np.maximum(parts[None, :] - parts[:, None], 0)  # low[i, j]: least s of xi_i^(j,s)
-    sizes = (parts[None, :] - low).ravel()  # shifts per (i, j), row-major
-    start = np.concatenate([[0], np.cumsum(sizes)[:-1]]).reshape(low.shape)
-    ii, jj = np.divmod(np.repeat(np.arange(sizes.size), sizes), len(parts))
-    ss = np.arange(sizes.sum()) - start[ii, jj] + low[ii, jj]
-    # a along axis 0, b along axis 1: a = (i, j, s), b = (p, q, r)
-    i, j, s = ii[:, None], jj[:, None], ss[:, None]
-    p, q, r = ii[None, :], jj[None, :], ss[None, :]
-    lo = low[p, j]
-    ok = (q == i) & (s + r >= lo) & (s + r < parts[j])
-    table = np.where(ok, start[p, j] + s + r - lo, -1)
+    xi_i^(j,s) . xi_p^(q,r) = delta(q,i) xi_p^(j,s+r), for every pair at
+    once: the product is the basis map (p, j, s + r), or zero where no such
+    map is in xi_basis.  The table is int32 and filled only at the pairs
+    with q = i."""
+    keys = [key for x in xi_basis(lam) for key in x.terms]
+    ii, jj, ss = np.array(keys).T
+    # where[i, j, s]: the position of (i, j, s) in keys, -1 for no map;
+    # s + r < 2 lam_1, so the s axis covers every sum
+    where = np.full((lam.length + 1, lam.length + 1, 2 * lam.parts[0]), -1, dtype=np.int32)
+    where[ii, jj, ss] = np.arange(len(keys))
+    a, b = np.nonzero(ii[:, None] == jj[None, :])  # a = (i, j, s), b = (p, q, r), q = i
+    table = np.full((len(keys), len(keys)), -1, dtype=np.int32)
+    table[a, b] = where[ii[b], jj[a], ss[a] + ss[b]]
     table.flags.writeable = False
-    keys = list(zip((ii + 1).tolist(), (jj + 1).tolist(), ss.tolist()))
     return _Products(keys, {key: k for k, key in enumerate(keys)}, table)
 
 
@@ -598,20 +594,20 @@ def sln_srk_report(n: int, p: int, budget: int = DEFAULT_BUDGET) -> dict:
     return report
 
 
-def partition_count(n: int, cap: Optional[int] = None) -> tuple:
-    """(n, p(n)), the number of partitions of n by Euler's pentagonal
-    recurrence, without enumerating them.  With a cap the recurrence stops
-    at the first m with p(m) > cap and returns (m, p(m)); p is
-    nondecreasing, so then p(n) >= p(m) > cap as well."""
+def partition_count(n: int, cap: int) -> int:
+    """p(n), the number of partitions of n, by Euler's pentagonal recurrence
+    without enumerating them.  The recurrence stops at the first p(m) above
+    cap and returns it; p is nondecreasing, so the result is above cap
+    exactly when p(n) is."""
     counts = [1]
-    while len(counts) <= n and (cap is None or counts[-1] <= cap):
+    while len(counts) <= n and counts[-1] <= cap:
         m, total, k = len(counts), 0, 1
         while (g := k * (3 * k - 1) // 2) <= m:  # the pentagonal numbers g, g + k
             sign = 1 if k % 2 else -1
             total += sign * (counts[m - g] + (counts[m - g - k] if g + k <= m else 0))
             k += 1
         counts.append(total)
-    return len(counts) - 1, counts[-1]
+    return counts[-1]
 
 
 def sln_report(n: int, p: int, budget: int = DEFAULT_BUDGET) -> dict:
@@ -621,11 +617,10 @@ def sln_report(n: int, p: int, budget: int = DEFAULT_BUDGET) -> dict:
     before any row is built when p(n) n^2 exceeds budget."""
     field = field_make(p, 1)
     report = sln_srk_report(n, p, budget)
-    m, rows = partition_count(n, budget // (n * n))
-    if rows * n * n > budget:
-        rel = "=" if m == n else ">="
-        raise BudgetError(f"orbit table: p({n}) {rel} {rows} rows of {n}^2 entries, "
-                          f"{rows * n * n} > budget {budget}")
+    cap = budget // (n * n)  # p(n) n^2 > budget exactly when p(n) > cap
+    if partition_count(n, cap) > cap:
+        raise BudgetError(f"orbit table: p({n}) rows of {n}^2 entries, "
+                          f"p({n}) > budget {budget} // {n}^2 = {cap}")
     orbits = []
     for lam in partitions(n):
         oc = OrbitClass.of(lam, p)

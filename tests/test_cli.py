@@ -873,18 +873,18 @@ def test_sln_top_orbit_witness_counts_against_the_budget(capsys, monkeypatch, co
 def test_sln_orbits_table_counts_against_the_budget(capsys, monkeypatch):
     import time
     # p(n) rows of n^2 entries, counted without enumerating the partitions;
-    # the recurrence stops at p(29) = 4565, whose rows already pass 10^7
+    # the recurrence stops at p(29) = 4565, above 10^7 // 50^2 = 4000
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "sln-orbits", "--n", "50", "--p", "3")
     assert time.perf_counter() - start < 1
     assert code == 3 and out == ""
-    assert err == ("satrank: budget exceeded: orbit table: p(50) >= 4565 rows of 50^2 "
-                   "entries, 11412500 > budget 10000000\n")
+    assert err == ("satrank: budget exceeded: orbit table: p(50) rows of 50^2 "
+                   "entries, p(50) > budget 10000000 // 50^2 = 4000\n")
     monkeypatch.setenv("SATRANK_BUDGET", str(15 * 49))
     assert run_cli(capsys, "sln-orbits", "--n", "7", "--p", "7")[0] == 0
     monkeypatch.setenv("SATRANK_BUDGET", str(15 * 49 - 1))
     code, _, err = run_cli(capsys, "sln-orbits", "--n", "7", "--p", "7")
-    assert code == 3 and "orbit table: p(7) = 15 rows" in err
+    assert code == 3 and "orbit table: p(7) rows of 7^2 entries, p(7) > budget 734 // 7^2 = 14" in err
     assert run_cli(capsys, "sln-srk", "--n", "7", "--p", "7")[0] == 0  # no table
 
 

@@ -243,7 +243,8 @@ def test_product_table_is_the_closed_rule():
                         want[a, b] = keys.index((p, j, s + r))
             table = xi_product_table(lam)
             assert table.tolist() == want.tolist()
-            assert not table.flags.writeable and xi_product_table(lam) is table
+            assert table.dtype == np.int32 and not table.flags.writeable
+            assert xi_product_table(lam) is table
 
 
 def test_xi_matrices_commute_with_jordan():
@@ -451,12 +452,13 @@ def test_cells_cache_stays_bounded():
 
 def test_partition_count_is_the_number_of_partitions():
     for n in range(0, 21):
-        assert partition_count(n) == (n, sum(1 for _ in partitions(n)) if n else 1)
-    assert partition_count(100) == (100, 190569292)
-    # with a cap it stops at the first count above it, a lower bound on p(n)
-    assert partition_count(50, 4000) == (29, 4565)
-    assert partition_count(50, 204226) == (50, 204226)
-    assert partition_count(10 ** 9, 0) == (0, 1)
+        assert partition_count(n, 10 ** 9) == (sum(1 for _ in partitions(n)) if n else 1)
+    assert partition_count(100, 10 ** 9) == 190569292
+    # the recurrence stops at the first count above the cap, p(29) = 4565
+    assert partition_count(50, 4000) == 4565
+    assert partition_count(50, 204226) == 204226
+    assert partition_count(11, 42) == 56  # p(10) = 42 is not above the cap
+    assert partition_count(10 ** 9, 0) == 1
 
 
 def test_orbit_table_counts_against_the_budget(monkeypatch):
@@ -467,15 +469,15 @@ def test_orbit_table_counts_against_the_budget(monkeypatch):
         raise AssertionError("a row was built")
 
     monkeypatch.setattr(OrbitClass, "of", no_rows)
-    with pytest.raises(BudgetError, match=r"^orbit table: p\(6\) = 11 rows of 6\^2 entries, "
-                                          r"396 > budget 395$"):
+    with pytest.raises(BudgetError, match=r"^orbit table: p\(6\) rows of 6\^2 entries, "
+                                          r"p\(6\) > budget 395 // 6\^2 = 10$"):
         sln_report(6, 7, budget=11 * 36 - 1)
     # the default budget admits p(30) = 5604 and p(32) = 8349 rows of n^2
     # entries, not p(33) = 10143 rows of 1089
     for n in (30, 32):
         with pytest.raises(AssertionError, match="a row was built"):
             sln_report(n, 31)
-    with pytest.raises(BudgetError, match=r"p\(33\) = 10143 rows of 33\^2 entries, 11045727 >"):
+    with pytest.raises(BudgetError, match=r"p\(33\) > budget 10000000 // 33\^2 = 9182$"):
         sln_report(33, 37)
 
 
