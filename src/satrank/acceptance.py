@@ -3,6 +3,10 @@
 Each criterion is a callable returning a details dict; a failed check raises
 AssertionError.  run_all drives them and is shared by the test suite and the
 `satrank reproduce-paper` subcommand.
+
+Criteria 4 and 5 check every sl_n witness with one stacked routine,
+_check_witnesses: each basis spans an elementary subalgebra that holds its
+own point, x_tau at the subregular orbit, x_lambda below it.
 """
 
 from __future__ import annotations
@@ -14,14 +18,14 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .fields import Mat, _rref, field_make, is_prime, mat_solve
+from .fields import _rref, field_make, is_prime
 from .frobkernel import _CHECK_BLOCK, _check_rows, homomorphism_sweep, srk_height_bound, srk_sln2
 from .groups import dihedral_square, group_ranks
 from .lie import (
     _elementary_conditions,
     abelian_p_trivial,
     heisenberg,
-    is_elementary,
+    sl_coords,
     special_linear,
     srk_brute,
     toral,
@@ -105,66 +109,66 @@ def criterion_4_subregular():
     cases = [(3, 2), (3, 3), (4, 3), (4, 5), (5, 5), (6, 5), (6, 7)]
     for n, p in cases:
         f = field_make(p, 1)
-        alg = special_linear(n, f)
-        lam = Partition((n - 1, 1))
-        xj = alg.coords_of_matrix(jordan_matrix(lam, f))
         subs = subregular_witnesses(n, f)
         expected = 2 if (n, p) == (3, 2) else f.q + 1
         assert len(subs) == expected, (n, p, len(subs))
         assert all(s.rank == n - 1 for s in subs)
-        _check_subregular(alg, np.array([s.basis for s in subs], dtype=np.int64), xj)
+        xj = sl_coords(f, jordan_matrix(Partition((n - 1, 1)), f).a)
+        names = [f"subregular witness {w} of sl_{n} over F_{p}" for w in range(len(subs))]
+        _check_witnesses(special_linear(n, f), np.array([s.basis for s in subs], dtype=np.int64),
+                         np.broadcast_to(xj, (len(subs), len(xj))), names, "x_tau")
         out[f"n{n}_p{p}"] = len(subs)
     return out
 
 
-def _check_subregular(alg, bases, xj):
-    """Every basis of the (W, n - 1, dim) stack spans an elementary
-    subalgebra that holds x_tau (the coordinates xj) and centralizes it.
-
-    Each condition is one stacked check over all W bases; a failure names
-    the condition and the first basis that fails it.
+def _check_witnesses(alg, bases, points, names, point):
+    """Every basis of the (W, k, dim) stack spans an elementary subalgebra
+    of alg that holds its row of the (W, dim) points, which the conditions
+    call point; the rows commute, so it centralizes that point too.
+    Witnesses are checked in blocks of at most _CHECK_BLOCK ad entries,
+    k dim^2 each; a failure names the first failing witness, by its entry
+    of names, and its first failing condition.
     """
     f, (count, k, dim) = alg.field, bases.shape
-    with_x = np.concatenate([bases, np.broadcast_to(np.asarray(xj), (count, 1, dim))], axis=1)
-    conditions = [*_elementary_conditions(alg, bases),
-                  # [x_tau, v] for every row v: the rows times ad(x_tau) transposed
-                  ~f.matmul(bases, alg.ad(xj).T).any(axis=(1, 2)),
-                  _rref(f, with_x)[1].sum(axis=1) == k]
-    names = ["dependent rows", "non-commuting rows", "nonzero p-map",
-             "x_tau not centralized", "x_tau outside the span"]
-    for name, ok in zip(names, conditions):
+    conditions = ["dependent rows", "non-commuting rows", "nonzero p-map", f"{point} outside the span"]
+    step = max(1, _CHECK_BLOCK // (k * dim * dim))
+    for start in range(0, count, step):
+        b, x = bases[start:start + step], points[start:start + step]
+        with_x = np.concatenate([b, x[:, None]], axis=1)
+        ok = np.array([*_elementary_conditions(alg, b),
+                       # rank [B; x] = k, read off the transpose: k + 1 pivot columns at most
+                       _rref(f, with_x.transpose(0, 2, 1))[1].sum(axis=1) == k])
         if not ok.all():
-            raise AssertionError(f"subregular witness {ok.argmin()} of sl_{k + 1} "
-                                 f"over F_{f.q}: {name}")
+            w = ok.all(axis=0).argmin()
+            raise AssertionError(f"{names[start + w]}: {conditions[ok[:, w].argmin()]}")
 
 
 def criterion_5_lower_orbits():
     """Lower-orbit witnesses of dimension >= n; floor(n^2/4) at (2,1^(n-2))."""
-    out = {}
+    out, maxima = {}, {}
     for n in (4, 5, 6, 7):
         p = _smallest_prime_geq(lower_orbit_min_p(n))
         f = field_make(p, 1)
+        cases = [(lam, False) for lam in partitions(n)
+                 if dominance_leq(lam, Partition((n - 2, 2))) and lam.parts[0] <= p]
+        out[f"n{n}_p{p}_orbits"] = len(cases)
+        if n in (4, 5):  # and the floor(n^2/4) nilradical witness at (2,1^(n-2))
+            cases.append((Partition((2,) + (1,) * (n - 2)), True))
+        subs = [lower_orbit_witness(lam, f, maximal) for lam, maximal in cases]
+        assert all(w.rank >= n for w in subs), (n, p, [w.rank for w in subs])
+        if n in (4, 5):
+            assert subs[-1].rank == n * n // 4
+            maxima[f"max_witness_n{n}"] = subs[-1].rank
         alg = special_linear(n, f)
-        checked = 0
-        for lam in partitions(n):
-            if not dominance_leq(lam, Partition((n - 2, 2))) or lam.parts[0] > p:
-                continue
-            w = lower_orbit_witness(lam, f)
-            assert w.rank >= n, (n, p, lam, w.rank)
-            assert is_elementary(alg, w.basis)
-            xj = alg.coords_of_matrix(jordan_matrix(lam, f))
-            assert mat_solve(Mat(f, w.basis).t(), xj) is not None
-            checked += 1
-        out[f"n{n}_p{p}_orbits"] = checked
-    for n, expect in [(4, 4), (5, 6)]:
-        p = _smallest_prime_geq(lower_orbit_min_p(n))
-        f = field_make(p, 1)
-        lam = Partition((2,) + (1,) * (n - 2))
-        w = lower_orbit_witness(lam, f, maximal=True)
-        assert w.rank == expect == n * n // 4
-        assert is_elementary(special_linear(n, f), w.basis)
-        out[f"max_witness_n{n}"] = w.rank
-    return out
+        points = sl_coords(f, np.array([jordan_matrix(lam, f).a for lam, _ in cases]))
+        names = [f"{'maximal' if maximal else 'lower-orbit'} witness {lam.parts} of sl_{n} "
+                 f"over F_{p}" for lam, maximal in cases]
+        ranks = [w.rank for w in subs]
+        for k in sorted(set(ranks)):  # one stacked check per rank
+            group = [i for i, r in enumerate(ranks) if r == k]
+            _check_witnesses(alg, np.array([subs[i].basis for i in group], dtype=np.int64),
+                             points[group], [names[i] for i in group], "x_lambda")
+    return {**out, **maxima}
 
 
 def criterion_6_o_rmin():
@@ -253,7 +257,7 @@ def _check_exp_law(n, field):
     the stacked basis of u_e, and x + y is found by its matrix: each matrix
     is keyed by its entries read as base-q digits.
     """
-    basis = np.array([b.a for b in regular_powers(n, field)])
+    basis = regular_powers(n, field)
     coeffs = np.array(list(itertools.product(range(field.q), repeat=len(basis))))
     pts = field.matmul(coeffs, basis.reshape(len(basis), -1)).reshape(-1, n, n)
     assert field.q ** (n * n) < 2 ** 63  # the keys fit in int64

@@ -219,11 +219,11 @@ def _cmd_sln_witness(args):
     field = field_make(args.p, args.k)
     kind = OrbitClass.of(lam, args.p).kind
     if kind == "regular":
-        subs = [regular_witness(n, field)]
+        subs = [regular_witness(n, field, budget)]
     elif kind == "subregular":
         subs = subregular_witnesses(n, field, budget)
     else:
-        subs = [lower_orbit_witness(lam, field, maximal=args.maximal)]
+        subs = [lower_orbit_witness(lam, field, args.maximal, budget)]
     out = [{"dim": s.rank, "basis_matrices": sl_matrices(n, field, s.basis).tolist()}
            for s in subs]
     return {"n": n, "p": args.p, "partition": list(lam.parts), "witnesses": out}

@@ -106,7 +106,7 @@ def srk_sln2(n: int, field: FieldSpec) -> Sln2Result:
     """
     if n < 2:
         raise PreconditionError("n must be >= 2")
-    e = regular_powers(n, field)[0]  # refuses p < n
+    e = Mat(field, regular_powers(n, field)[0])  # refuses p < n
     e0 = e + (e @ e)
     pair = NilPair(alpha0=e, alpha1=e0).validate()
     if partition_of_nilpotent(e0) != Partition((n,)):

@@ -101,16 +101,17 @@ def jordan_matrix(lam: Partition, field: FieldSpec) -> Mat:
     return Mat(field, a)
 
 
-def regular_powers(n: int, field: FieldSpec):
-    """[e, e^2, ..., e^(n-1)] for the regular nilpotent e = x_(n); they are
-    p-nilpotent, and span an elementary subalgebra, only for p >= n."""
+def regular_powers(n: int, field: FieldSpec, budget: Optional[int] = None) -> np.ndarray:
+    """e, e^2, ..., e^(n-1) for the regular nilpotent e = x_(n), as an
+    (n - 1, n, n) code stack: e^s is the shift map xi_1^(1,s) of (n).  They
+    are p-nilpotent, and span an elementary subalgebra, only for p >= n.
+    With a budget, BudgetError before any matrix is built when their
+    (n - 1) n^2 matrix entries exceed it."""
     if field.p < n:
         raise PreconditionError(f"powers of the regular nilpotent need p >= n = {n}, got {field.p}")
-    e = jordan_matrix(Partition((n,)), field)
-    powers = []
-    for _ in range(n - 1):
-        powers.append(powers[-1] @ e if powers else e)
-    return powers
+    _charge("the regular witness", n - 1, n, budget)
+    lam = Partition((n,))
+    return xi_to_matrices(lam, [xi_term(lam, 1, 1, s) for s in range(1, n)], field)
 
 
 def nullcone_top_partition(n: int, p: int) -> Partition:
@@ -334,7 +335,8 @@ def centralizer_sl_basis(lam: Partition, field: FieldSpec) -> CentralizerBasis:
     p = field.p
     t = lam.length
     blocks = [xi_term(lam, i, i, 0) for i in range(1, t + 1)]
-    singles = [c for c in xi_basis(lam) if c not in blocks]
+    # every basis map is one term (i, j, s); the blocks are those with i == j, s == 0
+    singles = [c for c in xi_basis(lam) if not any(i == j and not s for i, j, s in c.terms)]
     weights = [part % p for part in lam.parts]
     if all(w == 0 for w in weights):
         return CentralizerBasis(basis=singles + blocks, degenerate=True)
@@ -350,15 +352,26 @@ def centralizer_sl_basis(lam: Partition, field: FieldSpec) -> CentralizerBasis:
 # ---------------------------------------------------------------------------
 
 def _subalgebra_from_mats(field, mats) -> ElementarySubalgebra:
-    basis = tuple(map(tuple, sl_coords(field, [m.a for m in mats]).tolist()))
+    """The witness spanned by a (k, n, n) code stack of traceless matrices."""
+    basis = tuple(map(tuple, sl_coords(field, mats).tolist()))
     return ElementarySubalgebra(basis=basis)
 
 
-def regular_witness(n: int, field: FieldSpec) -> ElementarySubalgebra:
-    """span{e, ..., e^(n-1)} for the regular nilpotent; needs n >= 2 and p >= n."""
+def _charge(witness: str, k: int, n: int, budget: Optional[int]):
+    """BudgetError when the k n^2 matrix entries of a witness exceed budget;
+    None means unbounded."""
+    entries = k * n * n
+    if budget is not None and entries > budget:
+        raise BudgetError(f"{witness} has {entries} matrix entries, over the budget {budget}")
+
+
+def regular_witness(n: int, field: FieldSpec, budget: Optional[int] = None) -> ElementarySubalgebra:
+    """span{e, ..., e^(n-1)} for the regular nilpotent (regular_powers); needs
+    n >= 2 and p >= n.  With a budget, BudgetError before any matrix is built
+    when its (n - 1) n^2 matrix entries exceed it."""
     if n < 2:
         raise PreconditionError("n must be >= 2")
-    return _subalgebra_from_mats(field, regular_powers(n, field))
+    return _subalgebra_from_mats(field, regular_powers(n, field, budget))
 
 
 def subregular_witnesses(n: int, field: FieldSpec, budget: Optional[int] = None):
@@ -374,33 +387,28 @@ def subregular_witnesses(n: int, field: FieldSpec, budget: Optional[int] = None)
     """
     family = _subregular_family(n, field)
     first = next(family)
-    entries = (field.q + 1) * (n - 1) * n * n
-    if budget is not None and entries > budget:
-        raise BudgetError(f"the subregular family has {entries} matrix entries, "
-                          f"over the budget {budget}")
+    _charge("the subregular family", (field.q + 1) * (n - 1), n, budget)
     return [first, *family]
 
 
 def _subregular_family(n: int, field: FieldSpec):
-    """The members of subregular_witnesses, one at a time."""
+    """The members of subregular_witnesses, one at a time.  sl_coords is
+    linear, so the last row of the member at (a : b) is a c_A + b c_B, for
+    the coordinates c_A, c_B of the corners xi_1^(2,0) and xi_2^(1,n-2)."""
     p = field.p
     if n < 3:
         raise PreconditionError("subregular witnesses need n >= 3")
-    special = (n == 3 and p == 2)
-    if not special and p < n - 1:
+    if p < n - 1 and (n, p) != (3, 2):
         raise PreconditionError("subregular witnesses need p >= n-1")
     lam = Partition((n - 1, 1))
-    shifts = [xi_to_matrix(lam, xi_term(lam, 1, 1, s), field) for s in range(1, n - 1)]
-    corner_a = xi_to_matrix(lam, xi_term(lam, 1, 2, 0), field)
-    corner_b = xi_to_matrix(lam, xi_term(lam, 2, 1, n - 2), field)
-    if special:
-        for corner in (corner_a, corner_b):
-            yield _subalgebra_from_mats(field, shifts + [corner])
-        return
-    pline = itertools.chain(((field.one, b) for b in field.elements()), [(0, field.one)])
-    for a, b in pline:
-        mixed = corner_a.scale(a) + corner_b.scale(b)
-        yield _subalgebra_from_mats(field, shifts + [mixed])
+    combos = [xi_term(lam, 1, 1, s) for s in range(1, n - 1)]
+    combos += [xi_term(lam, 1, 2, 0), xi_term(lam, 2, 1, n - 2)]
+    coords = sl_coords(field, xi_to_matrices(lam, combos, field))
+    shifts = tuple(map(tuple, coords[:-2].tolist()))
+    bs = [0] if (n, p) == (3, 2) else field.elements()  # at (3, 2) only a b = 0 survives
+    for ab in itertools.chain(((field.one, b) for b in bs), [(0, field.one)]):
+        mixed = field.matmul(np.array(ab, dtype=np.int64), coords[-2:])
+        yield ElementarySubalgebra(basis=shifts + (tuple(mixed.tolist()),))
 
 
 def highest_root_witness(n: int, field: FieldSpec, contain=None) -> ElementarySubalgebra:
@@ -422,8 +430,8 @@ def highest_root_witness(n: int, field: FieldSpec, contain=None) -> ElementarySu
         for j in range(n1, n):
             a = np.zeros((n, n), dtype=np.int64)
             a[perm[i], perm[j]] = field.one
-            mats.append(Mat(field, a))
-    return _subalgebra_from_mats(field, mats)
+            mats.append(a)
+    return _subalgebra_from_mats(field, np.array(mats))
 
 
 def lower_orbit_min_p(n: int) -> int:
@@ -438,8 +446,10 @@ def _nilradical_orbit(lam: Partition) -> bool:
     return lam in (Partition((2,) + (1,) * (n - 2)), Partition((1,) * n))
 
 
-def _case_split_witness(lam: Partition, field: FieldSpec):
-    """Dimension >= n witness containing x_lam, per the three-branch construction."""
+def _case_split_witness(lam: Partition, field: FieldSpec, budget: Optional[int] = None):
+    """The (k, n, n) code stack of a dimension >= n witness containing x_lam,
+    per the three-branch construction.  With a budget, BudgetError before
+    any matrix is built when its k n^2 matrix entries exceed it."""
     t = lam.length
     n = lam.n
     s = max((i + 1 for i in range(t) if lam.parts[i] >= 2), default=0)
@@ -468,16 +478,18 @@ def _case_split_witness(lam: Partition, field: FieldSpec):
         for i in range(1, s + 1):
             combos.append(xi_term(lam, i, i + 1, lam.parts[i] - 1))
         combos.append(xi_term(lam, t, 1, lam.parts[0] - 1))
-    mats = [xi_to_matrix(lam, c, field) for c in combos]
-    return mats
+    _charge("the case-split witness", len(combos), n, budget)
+    return xi_to_matrices(lam, combos, field)
 
 
-def lower_orbit_witness(lam: Partition, field: FieldSpec,
-                        maximal: bool = False) -> ElementarySubalgebra:
+def lower_orbit_witness(lam: Partition, field: FieldSpec, maximal: bool = False,
+                        budget: Optional[int] = None) -> ElementarySubalgebra:
     """Elementary subalgebra of dimension >= n containing x_lam, lam below (n-2,2).
 
     With maximal=True (only for (2,1^(n-2)) and (1^n)) the floor(n^2/4)
-    nilradical witness is returned instead of the case-split one.
+    nilradical witness is returned instead of the case-split one.  With a
+    budget, BudgetError before any matrix is built when the k n^2 matrix
+    entries of its k basis matrices exceed it.
     """
     n = lam.n
     if n < 4:
@@ -486,17 +498,15 @@ def lower_orbit_witness(lam: Partition, field: FieldSpec,
         raise PreconditionError(f"{lam} is not below (n-2, 2)")
     if field.p < lower_orbit_min_p(n):
         raise PreconditionError("lower-orbit witnesses need p >= max(2, n-2)")
-    if maximal:
-        if not _nilradical_orbit(lam):
-            raise PreconditionError(
-                "the maximal nilradical witness applies to (2,1^(n-2)) and (1^n) only")
+    if maximal and not _nilradical_orbit(lam):
+        raise PreconditionError(
+            "the maximal nilradical witness applies to (2,1^(n-2)) and (1^n) only")
+    if maximal or lam == Partition((1,) * n):
+        # at (1^n), x_lam = 0: the case split degenerates, the nilradical witness applies
+        _charge("the nilradical witness", (n + 1) // 2 * (n // 2), n, budget)
         contain = "x_lambda" if lam.parts[0] == 2 else None
         return highest_root_witness(n, field, contain=contain)
-    if lam == Partition((1,) * n):
-        # x_lam = 0; the case split degenerates, the nilradical witness applies
-        return highest_root_witness(n, field)
-    mats = _case_split_witness(lam, field)
-    return _subalgebra_from_mats(field, mats)
+    return _subalgebra_from_mats(field, _case_split_witness(lam, field, budget))
 
 
 # ---------------------------------------------------------------------------
@@ -568,8 +578,8 @@ def srk_sln(n: int, p: int, budget: int = DEFAULT_BUDGET) -> Rank:
     top = nullcone_top_partition(n, p)
     field = field_make(p, 1)
     mats = _case_split_witness(top, field)
-    span = from_matrix_basis(field, mats)
-    rows = sl_coords(field, [m.a for m in mats + [jordan_matrix(top, field)]])
+    span = from_matrix_basis(field, [Mat._wrap(field, m) for m in mats])
+    rows = sl_coords(field, np.concatenate([mats, jordan_matrix(top, field).a[None]]))
     if not (is_elementary(span, np.eye(span.dim, dtype=np.int64))
             and mat_solve(Mat(field, rows[:-1]).t(), rows[-1]) is not None):
         raise PreconditionError(f"witness construction failed for top partition {top} at p={p}")

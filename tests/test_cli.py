@@ -849,6 +849,44 @@ def test_sln_witness_budget_bounds_the_subregular_family(capsys, monkeypatch):
     assert code == 2 and "p >= n-1" in err
 
 
+@pytest.mark.parametrize("partition,witness,k", [
+    (",".join("1" * 60), "nilradical", 30 * 30),  # ceil(n/2) floor(n/2) matrices
+    ("60", "regular", 59),  # n - 1 powers
+    ("58,2", "case-split", 60),  # its combinations
+], ids=["ones", "regular", "case_split"])
+def test_sln_witness_budget_bounds_every_orbit_kind(capsys, partition, witness, k):
+    import time
+    # refused before any of the k matrices of 60 x 60 is built
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "sln-witness", "--n", "60", "--p", "61",
+                             "--partition", partition, "--budget", "1000")
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err == (f"satrank: budget exceeded: the {witness} witness has {k * 3600} "
+                   f"matrix entries, over the budget 1000\n")
+
+
+@pytest.mark.parametrize("partition,extra,entries", [
+    ("5", [], 4 * 25), ("3,1,1", [], 5 * 25), ("1,1,1,1,1", [], 6 * 25),
+    ("2,1,1,1", ["--maximal"], 6 * 25),
+])
+def test_sln_witness_budget_admits_exactly_the_witness_entries(capsys, partition, extra, entries):
+    argv = ["sln-witness", "--n", "5", "--p", "5", "--partition", partition, *extra]
+    code, out, _ = run_cli(capsys, *argv, "--budget", str(entries))
+    assert code == 0
+    assert [len(w["basis_matrices"]) * 25 for w in json.loads(out)["witnesses"]] == [entries]
+    assert run_cli(capsys, *argv, "--budget", str(entries - 1))[0] == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "60", "--p", "7", "--partition", "60"],  # p < n
+    ["--n", "60", "--p", "7", "--partition", ",".join("1" * 60)],  # p < n - 2
+    ["--n", "5", "--p", "5", "--partition", "3,1,1", "--maximal"],  # no nilradical orbit
+], ids=["regular", "lower", "maximal"])
+def test_sln_witness_refuses_invalid_input_before_the_budget(capsys, argv):
+    assert run_cli(capsys, "sln-witness", *argv, "--budget", "0")[0] == 2
+
+
 @pytest.mark.parametrize("command", ["sln-srk", "sln-orbits"])
 def test_sln_top_orbit_witness_counts_against_the_budget(capsys, monkeypatch, command):
     import time

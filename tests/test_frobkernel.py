@@ -87,7 +87,7 @@ def test_trunc_exp_additive_on_commuting_exhaustive():
         if p < n:
             continue
         f = field_make(p, 1)
-        basis = regular_powers(n, f)
+        basis = [Mat(f, m) for m in regular_powers(n, f)]
         d = len(basis)
         pts = []
         for coeffs in itertools.product(range(f.q), repeat=d):
@@ -158,7 +158,11 @@ def test_conjugation_equivariance():
 
 
 def test_regular_powers_span_u_e():
-    basis = regular_powers(3, F5)
+    # the shift maps of (n) are the powers of the Jordan matrix
+    for n, f in [(2, F5), (5, F5), (6, F7)]:
+        e = jordan_matrix(Partition((n,)), f)
+        assert [Mat(f, m) for m in regular_powers(n, f)] == [e ** s for s in range(1, n)]
+    basis = [Mat(F5, m) for m in regular_powers(3, F5)]
     assert len(basis) == 2
     with pytest.raises(PreconditionError):
         regular_powers(4, field_make(3, 1))

@@ -441,6 +441,24 @@ def test_srk_sln_budget_counts_the_witness_commutators(n, p):
     assert srk_sln(n, 13, budget=0).exact  # p >= n - 1: the closed form takes no work
 
 
+@pytest.mark.parametrize("witness,build,first", [
+    ("nilradical", lambda n, f, b: lower_orbit_witness(Partition((1,) * n), f, budget=b), 80),
+    ("regular", regular_witness, 216),
+    ("case-split", lambda n, f, b: lower_orbit_witness(Partition((n - 2, 2)), f, budget=b), 216),
+])
+def test_witness_budget_refuses_from_the_stated_n(witness, build, first):
+    # at the default budget 10^7; each refusal comes before any matrix is
+    # built and names the entries, so the last admitted n is read from one
+    # with the budget 0
+    f = field_make(223, 1)
+    with pytest.raises(BudgetError, match=f"^the {witness} witness has") as err:
+        build(first, f, 10 ** 7)
+    with pytest.raises(BudgetError, match=f"^the {witness} witness has") as below:
+        build(first - 1, f, 0)
+    entries = [int(e.value.args[0].split()[4]) for e in (err, below)]
+    assert entries[1] <= 10 ** 7 < entries[0]
+
+
 def test_cells_cache_stays_bounded():
     # an orbit table visits each partition once, so the cache of cell
     # positions keeps a bounded number of them, not all p(n)

@@ -144,7 +144,7 @@ def test_check_rows_names_the_pairwise_first_failure(bad):
 
 
 def _u_e_points(n, f):
-    basis = regular_powers(n, f)
+    basis = [Mat(f, m) for m in regular_powers(n, f)]
     pts = []
     for coeffs in itertools.product(range(f.q), repeat=len(basis)):
         x = Mat.zeros(f, n, n)
