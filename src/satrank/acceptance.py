@@ -7,6 +7,12 @@ AssertionError.  run_all drives them and is shared by the test suite and the
 Criteria 4 and 5 check every sl_n witness with one stacked routine,
 _check_witnesses: each basis spans an elementary subalgebra that holds its
 own point, x_tau at the subregular orbit, x_lambda below it.
+
+Every sweep of criteria 7 and 9 asks whether a map of points is a
+homomorphism, image(x_i + x_j) = image(x_i) image(x_j) for every pair, and
+asks it through frobkernel._check_rows: the one-parameter subgroups of
+criterion 7 (homomorphism_sweep), and criterion 9's shift maps under
+composition and truncated exponentials on u_e.
 """
 
 from __future__ import annotations
@@ -217,35 +223,22 @@ def criterion_8_bound_attained():
 
 def _check_shift_maps(lam, field):
     """The matrix map of the shift maps (xi_to_matrices) is a homomorphism
-    for compose and bracket on the shift basis of lam, with the products of
-    the basis read from xi_product_table, the calculus of xi_compose and
-    xi_bracket; returns the number of basis pairs.
+    for compose on the shift basis of lam, with the products of the basis
+    read from xi_product_table, the calculus of xi_compose; returns the
+    number of basis pairs.  The bracket a . b - b . a needs no check of its
+    own: both of its terms are compared here, at (a, b) and at (b, a).
 
-    All matrix products come from one stacked matmul.  The image of a . b is
-    the matrix at table[a, b], a zero matrix where that is -1, and the one of
-    [a, b] is that image minus the one at table[b, a].  Rows of pairs are
-    compared in blocks of at most _CHECK_BLOCK entries; a failure names the
-    first failing basis pair in row-major order.
+    _check_rows takes the basis images and one zero matrix, appended last,
+    with the table padded by -1 for its row and column: -1 is where a
+    product is zero, and indexes that zero matrix.
     """
     basis = xi_basis(lam)
-    count, n = len(basis), lam.n
+    count = len(basis)
     assert count == sum(min(a, b) for a in lam.parts for b in lam.parts)
-    m = xi_to_matrices(lam, basis, field)
-    prod = field.matmul(m[:, None], m[None])  # prod[a, b] = m[a] @ m[b]
-    images = np.concatenate([m, np.zeros((1, n, n), dtype=np.int64)])  # images[-1] = 0
-    table = xi_product_table(lam)
-    step = max(1, _CHECK_BLOCK // (count * n * n))
-    for start in range(0, count, step):
-        rows = slice(start, start + step)
-        compose = images[table[rows]]
-        bad = (compose != prod[rows]).any(axis=(2, 3))
-        bracket = field.varr_add(compose, field.varr_neg(images[table[:, rows].T]))
-        comm = field.varr_add(prod[rows], field.varr_neg(prod[:, rows].swapaxes(0, 1)))
-        bad |= (bracket != comm).any(axis=(2, 3))
-        if bad.any():
-            a, b = np.argwhere(bad)[0]
-            raise AssertionError(f"shift maps of {lam.parts} fail at "
-                                 f"({basis[start + a]}, {basis[b]})")
+    images = np.pad(xi_to_matrices(lam, basis, field), ((0, 1), (0, 0), (0, 0)))  # images[-1] = 0
+    table = np.pad(xi_product_table(lam), (0, 1), constant_values=-1)
+    _check_rows(field, images, lambda rows: table[rows[:, 0]],
+                lambda a, b: f"shift maps of {lam.parts} fail at ({basis[a]}, {basis[b]})")
     return count * count
 
 
@@ -253,28 +246,19 @@ def _check_exp_law(n, field):
     """exp(x + y) = exp(x) exp(y) for every pair of points of u_e; returns the
     number of pairs.
 
-    The points are the coefficient vectors (in itertools.product order) times
-    the stacked basis of u_e, and x + y is found by its matrix: each matrix
-    is keyed by its entries read as base-q digits.
+    The points are the coefficient vectors c, in itertools.product order,
+    times the stacked basis of u_e, so x_i + x_j is the point numbered by
+    (c_i + c_j) . (q^(n-2), ..., q, 1); the basis is independent, so the
+    q^(n-1) points are distinct.
     """
-    basis = regular_powers(n, field)
-    coeffs = np.array(list(itertools.product(range(field.q), repeat=len(basis))))
-    pts = field.matmul(coeffs, basis.reshape(len(basis), -1)).reshape(-1, n, n)
-    assert field.q ** (n * n) < 2 ** 63  # the keys fit in int64
-    weights = field.q ** np.arange(n * n, dtype=np.int64)
-    keys = pts.reshape(len(pts), -1) @ weights
-    order = np.argsort(keys)
-    keys = keys[order]
-    assert (np.diff(keys) != 0).all()  # the points are distinct
-
-    def row_sums(rows):  # rows: a column of point indices
-        want = field.varr_add(pts[rows], pts).reshape(len(rows), len(pts), -1) @ weights
-        at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-        assert (keys[at] == want).all()  # x + y lies in u_e
-        return order[at]
-
+    basis = regular_powers(n, field).reshape(n - 1, -1)
+    assert _rref(field, basis[None])[1].sum() == n - 1
+    coeffs = np.array(list(itertools.product(range(field.q), repeat=n - 1)))
+    pts = field.matmul(coeffs, basis).reshape(-1, n, n)
+    digits = field.q ** np.arange(n - 2, -1, -1)
     assert not field.matpow(pts, field.p).any()  # exp(x) is the truncated exponential
-    return _check_rows(field, field.trunc_exp(pts), row_sums)
+    return _check_rows(field, field.trunc_exp(pts),
+                       lambda rows: field.varr_add(coeffs[rows], coeffs) @ digits)
 
 
 def criterion_9_property_suites():

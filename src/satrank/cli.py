@@ -231,14 +231,14 @@ def _cmd_sln_witness(args):
 
 def _cmd_frob2_srk(args):
     from .frobkernel import frob2_report
-    return frob2_report(args.n, args.p)
+    return frob2_report(args.n, args.p, _budget(args))
 
 
 def _cmd_frob2_verify_exp(args):
     from .frobkernel import homomorphism_sweep, srk_sln2
     budget = _budget(args)
     field = field_make(args.p, args.k)
-    pair = srk_sln2(args.n, field).pair  # refuses n < 2 and p < n first
+    pair = srk_sln2(args.n, field, budget).pair  # refuses n < 2 and p < n first
     pairs = field.q ** 2
     if pairs > budget:
         raise BudgetError(f"the sweep checks {pairs} pairs, over the budget {budget}")

@@ -410,10 +410,6 @@ class FieldSpec:
             return self._reduce(-a)
         return self._negative(a) if self._neg_t is None else self._neg_t[a]
 
-    def varr_scale(self, c, a):
-        """c * a for a scalar c."""
-        return self.varr_mul(c, a)
-
     def varr_inv(self, a):
         """Elementwise inverse, with 0 sent to 0."""
         if self._inv_t is not None:
@@ -465,7 +461,7 @@ class FieldSpec:
             if not power.any():
                 break
             inv_fact = inv_fact * pow(t, -1, self.p) % self.p
-            exp = self.varr_add(exp, self.varr_scale(inv_fact, power))
+            exp = self.varr_add(exp, self.varr_mul(inv_fact, power))
         return exp
 
     def __eq__(self, other):
@@ -573,7 +569,7 @@ class Mat:
         return Mat._wrap(self.field, self.field.matmul(self.a, other.a))
 
     def scale(self, c: int):
-        return Mat._wrap(self.field, self.field.varr_scale(c % self.field.q, self.a))
+        return Mat._wrap(self.field, self.field.varr_mul(c % self.field.q, self.a))
 
     def __pow__(self, e: int):
         if self.rows != self.cols:
@@ -654,7 +650,7 @@ def _rref_matrix(field, a):
             det = field.neg(det)
         lead = int(a[r, c])
         det = field.mul(det, lead)
-        row = field.varr_scale(field.inv(lead), a[r])
+        row = field.varr_mul(field.inv(lead), a[r])
         factors = field.varr_neg(a[:, c])
         factors[r] = 0
         a = field.varr_add(a, field.varr_mul(factors[:, None], row))

@@ -13,13 +13,13 @@ unipotent of dimension n-1 whose height-2 kernel has complexity 2(n-1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import PreconditionError
 from .fields import FieldSpec, Mat, field_make, mat_is_p_nilpotent
-from .slnorbits import Partition, partition_of_nilpotent, regular_powers
+from .slnorbits import Partition, _charge, jordan_matrix, partition_of_nilpotent
 
 
 def trunc_exp(x: Mat) -> Mat:
@@ -96,17 +96,22 @@ class Sln2Result(NamedTuple):
     datum: ElemAbComplexity
 
 
-def srk_sln2(n: int, field: FieldSpec) -> Sln2Result:
+def srk_sln2(n: int, field: FieldSpec, budget: Optional[int] = None) -> Sln2Result:
     """srk of the second Frobenius kernel of SL_n over field: 2(n-1) for p >= n.
 
     The witness pair is (e, e + e^2) with e regular nilpotent; e + e^2 is
     again regular (Jordan type (n), checked), and the elementary abelian
     subgroup carrying the value is the height-2 kernel of u_e, i.e. n-1
-    height-2 factors of complexity 2(n-1).
+    height-2 factors of complexity 2(n-1).  That check stacks the n powers
+    of e + e^2: with a budget, BudgetError before any matrix is built when
+    their n^3 entries exceed it; None means unbounded.
     """
     if n < 2:
         raise PreconditionError("n must be >= 2")
-    e = Mat(field, regular_powers(n, field)[0])  # refuses p < n
+    if field.p < n:
+        raise PreconditionError(f"srk of SL_n(2) needs p >= n = {n}, got {field.p}")
+    _charge("the rank sequence of e + e^2", n, n, budget)
+    e = jordan_matrix(Partition((n,)), field)
     e0 = e + (e @ e)
     pair = NilPair(alpha0=e, alpha1=e0).validate()
     if partition_of_nilpotent(e0) != Partition((n,)):
@@ -123,7 +128,8 @@ def srk_sln2(n: int, field: FieldSpec) -> Sln2Result:
 _CHECK_BLOCK = 1 << 14
 
 
-def _check_rows(field: FieldSpec, table, row_sums) -> int:
+def _check_rows(field: FieldSpec, table, row_sums,
+                fails=lambda i, j: f"homomorphism fails at ({i}, {j})") -> int:
     """Check table[x_i + x_j] = table[i] @ table[j] for every pair; returns the pair count.
 
     table is the (N, n, n) code stack of the images of the points x_0, ...,
@@ -132,7 +138,8 @@ def _check_rows(field: FieldSpec, table, row_sums) -> int:
     in blocks of at most _CHECK_BLOCK product entries; a block's products
     table[i] @ table[j] are one 2-D product of its matrices stacked by rows
     with the side-by-side table [T_0 | T_1 | ...].  A failure raises
-    AssertionError naming the first failing pair (i, j) in row-major order.
+    AssertionError with the message fails(i, j) for the first failing pair
+    (i, j) in row-major order.
     """
     count, n = len(table), table.shape[-1]
     rows = table.reshape(count * n, n)
@@ -145,7 +152,7 @@ def _check_rows(field: FieldSpec, table, row_sums) -> int:
         bad = prod != want.transpose(0, 2, 1, 3)
         if bad.any():  # one reduction over the block; the pairs only on failure
             i, j = np.argwhere(bad.any(axis=(1, 3)))[0]
-            raise AssertionError(f"homomorphism fails at ({start + i}, {j})")
+            raise AssertionError(fails(start + i, j))
     return count * count
 
 
@@ -162,8 +169,9 @@ def homomorphism_sweep(pair: NilPair) -> int:
     return _check_rows(f, table, lambda rows: f.varr_add(rows, codes))
 
 
-def frob2_report(n: int, p: int) -> dict:
-    res = srk_sln2(n, field_make(p, 1))
+def frob2_report(n: int, p: int, budget: Optional[int] = None) -> dict:
+    """The witness pair and value of srk_sln2(n, F_p, budget)."""
+    res = srk_sln2(n, field_make(p, 1), budget)
     return {
         "n": n,
         "p": p,

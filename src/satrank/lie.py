@@ -744,7 +744,7 @@ def _automorphisms(g: RestrictedLieAlgebra, classes):
         # the image of b in B's coordinates drops its part in C
         return f.varr_add(a[:, :, keep], f.varr_neg(f.matmul(a[:, :, ~keep], centre[:, keep])))
     picks = sorted({j * len(classes) // _GENERATOR_SOURCES for j in range(_GENERATOR_SOURCES)})
-    xs = np.concatenate([f.varr_scale(f.p ** i, classes[picks]) for i in range(f.k)])
+    xs = np.concatenate([f.varr_mul(f.p ** i, classes[picks]) for i in range(f.k)])
     if g.matrix_model:
         m = g._matrices(xs)
         exp, exp_neg = np.split(f.trunc_exp(np.concatenate([m, f.varr_neg(m)])), 2)
@@ -773,7 +773,7 @@ def _derivation_exps(g: RestrictedLieAlgebra):
     rhs = f.varr_add(np.einsum("ai,blj->abijl", eye, adb), np.einsum("aj,ilb->abijl", eye, adb))
     ders = _left_kernel(f, f.varr_add(lhs, f.varr_neg(rhs)).reshape(n * n, -1)).reshape(-1, n, n)
     ders = ders[~f.matpow(ders, f.p).any(axis=(1, 2))]
-    return f.trunc_exp(np.concatenate([f.varr_scale(f.p ** i, ders) for i in range(f.k)]))
+    return f.trunc_exp(np.concatenate([f.varr_mul(f.p ** i, ders) for i in range(f.k)]))
 
 
 def _verified(g: RestrictedLieAlgebra, a):
@@ -1055,7 +1055,7 @@ def local_rank(g: RestrictedLieAlgebra, x: Vec, budget: int = DEFAULT_BUDGET) ->
     search, reps, of = _quotient_search(h, vecs, budget, orbits=False)
     points = f.matmul(vecs[reps], zbasis)
     lead = next(c for c in x if c)  # x's projective representative is x / lead
-    rep = f.varr_scale(f.inv(lead), np.array(x, dtype=np.int64))
+    rep = f.varr_mul(f.inv(lead), np.array(x, dtype=np.int64))
     xi = int(np.flatnonzero((points == rep).all(axis=1))[0])
     r, witness, _ = search.max_tuple_containing(xi, points, of[reps], len(_central_elementary(h)))
     witness[0] = x  # report the caller's point, not its projective representative

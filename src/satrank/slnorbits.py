@@ -300,8 +300,9 @@ def xi_to_matrices(lam: Partition, combos, field: FieldSpec) -> np.ndarray:
     return out
 
 
-# bounded: an orbit table visits each of its p(n) partitions once, while
-# reproduce-paper revisits 41 partitions, which 64 entries keep
+# bounded: a sweep over the witnesses of every partition of n visits each
+# of its p(n) partitions once, while reproduce-paper revisits 41
+# partitions, which 64 entries keep
 @functools.lru_cache(maxsize=64)
 def _cells(lam: Partition) -> dict:
     """(rows, cols) of the matrix entries of each in-bound xi_i^(j,s): it
@@ -446,12 +447,10 @@ def _nilradical_orbit(lam: Partition) -> bool:
     return lam in (Partition((2,) + (1,) * (n - 2)), Partition((1,) * n))
 
 
-def _case_split_witness(lam: Partition, field: FieldSpec, budget: Optional[int] = None):
-    """The (k, n, n) code stack of a dimension >= n witness containing x_lam,
-    per the three-branch construction.  With a budget, BudgetError before
-    any matrix is built when its k n^2 matrix entries exceed it."""
+def _case_split_combos(lam: Partition) -> list:
+    """The k >= n shift-map combinations spanning a witness containing x_lam,
+    per the three-branch construction."""
     t = lam.length
-    n = lam.n
     s = max((i + 1 for i in range(t) if lam.parts[i] >= 2), default=0)
     combos = []
     for i in range(1, s + 1):
@@ -478,7 +477,15 @@ def _case_split_witness(lam: Partition, field: FieldSpec, budget: Optional[int] 
         for i in range(1, s + 1):
             combos.append(xi_term(lam, i, i + 1, lam.parts[i] - 1))
         combos.append(xi_term(lam, t, 1, lam.parts[0] - 1))
-    _charge("the case-split witness", len(combos), n, budget)
+    return combos
+
+
+def _case_split_witness(lam: Partition, field: FieldSpec, budget: Optional[int] = None):
+    """The (k, n, n) code stack of the matrices of _case_split_combos.  With a
+    budget, BudgetError before any matrix is built when its k n^2 matrix
+    entries exceed it."""
+    combos = _case_split_combos(lam)
+    _charge("the case-split witness", len(combos), lam.n, budget)
     return xi_to_matrices(lam, combos, field)
 
 
@@ -622,7 +629,8 @@ def partition_count(n: int, cap: int) -> int:
 
 def sln_report(n: int, p: int, budget: int = DEFAULT_BUDGET) -> dict:
     """sln_srk_report plus one row per partition of n, each with the
-    dimensions of the witnesses built for it.  The table is charged n^2
+    dimensions of its witnesses; a lower orbit's are read off its
+    construction, without building the matrices.  The table is charged n^2
     entries, one n x n matrix, per row: BudgetError (phase "orbit table")
     before any row is built when p(n) n^2 exceeds budget."""
     field = field_make(p, 1)
@@ -652,9 +660,11 @@ def sln_report(n: int, p: int, budget: int = DEFAULT_BUDGET) -> dict:
                 # every member has the n - 1 basis matrices of the first
                 dims = [next(_subregular_family(n, field)).rank]
             elif n >= 4 and p >= lower_orbit_min_p(n):  # a lower orbit
-                dims = [lower_orbit_witness(lam, field).rank]
+                # the dimensions of lower_orbit_witness, without its matrices
+                nilradical = (n + 1) // 2 * (n // 2)
+                dims = [nilradical if lam.parts[0] == 1 else len(_case_split_combos(lam))]
                 if _nilradical_orbit(lam):
-                    dims.append(lower_orbit_witness(lam, field, maximal=True).rank)
+                    dims.append(nilradical)
             entry["witness_dims"] = dims
         orbits.append(entry)
     report["orbits"] = orbits

@@ -926,6 +926,28 @@ def test_sln_orbits_table_counts_against_the_budget(capsys, monkeypatch):
     assert run_cli(capsys, "sln-srk", "--n", "7", "--p", "7")[0] == 0  # no table
 
 
+def test_frob2_budget_bounds_the_witness_check(capsys, monkeypatch):
+    # both commands check that e + e^2 is regular, n^3 entries, under the
+    # budget; frob2-srk has no --budget and reads SATRANK_BUDGET
+    import time
+    start = time.perf_counter()
+    for command in ("frob2-srk", "frob2-verify-exp"):
+        code, out, err = run_cli(capsys, command, "--n", "216", "--p", "223")
+        assert code == 3 and out == ""
+        assert "the rank sequence of e + e^2 has 10077696 matrix entries" in err
+    assert time.perf_counter() - start < 1
+    monkeypatch.setenv("SATRANK_BUDGET", "27")
+    assert run_cli(capsys, "frob2-srk", "--n", "3", "--p", "5")[0] == 0
+    monkeypatch.setenv("SATRANK_BUDGET", "26")
+    assert run_cli(capsys, "frob2-srk", "--n", "3", "--p", "5")[0] == 3
+    assert run_cli(capsys, "frob2-verify-exp", "--n", "3", "--p", "5")[0] == 3
+    assert run_cli(capsys, "frob2-verify-exp", "--n", "3", "--p", "5", "--budget", "27")[0] == 0
+    monkeypatch.setenv("SATRANK_BUDGET", "0")  # invalid input exits 2 first
+    for argv in (["--n", "3", "--p", "2"], ["--n", "1", "--p", "5"], ["--n", "3", "--p", "4"]):
+        assert run_cli(capsys, "frob2-srk", *argv)[0] == 2
+        assert run_cli(capsys, "frob2-verify-exp", *argv)[0] == 2
+
+
 def test_frob2_verify_exp_budget_bounds_the_sweep(capsys, monkeypatch):
     import time
     start = time.perf_counter()

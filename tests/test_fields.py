@@ -153,8 +153,8 @@ def test_field_axioms_exhaustive_small(p, k):
             assert f.varr_mul(np.full(f.q, f.mul(x, y)), arr).tolist() == \
                 f.varr_mul(np.full(f.q, x), f.varr_mul(np.full(f.q, y), arr)).tolist()
             # distributivity x*(y+z) = x*y + x*z
-            lhs = f.varr_scale(x, f.varr_add(np.full(f.q, y), arr))
-            rhs = f.varr_add(np.full(f.q, f.mul(x, y)), f.varr_scale(x, arr))
+            lhs = f.varr_mul(x, f.varr_add(np.full(f.q, y), arr))
+            rhs = f.varr_add(np.full(f.q, f.mul(x, y)), f.varr_mul(x, arr))
             assert (lhs == rhs).all()
     for x in els[1:]:
         assert f.mul(x, f.inv(x)) == f.one
@@ -574,7 +574,7 @@ def test_products_past_int64_are_exact():
     assert f.varr_mul(top, top) == 1 and f.varr_mul(p - 1, p - 1) == 1
     assert f.mul(top, top) == 1 and f.pow(top, 3) == p - 1 and f.inv(top) == p - 1
     assert f.varr_mul(np.array([p - 1, 2]), np.array([p - 1, p - 1])).tolist() == [1, p - 2]
-    assert f.varr_scale(p - 1, np.array([p - 1, 2])).tolist() == [1, p - 2]
+    assert f.varr_mul(p - 1, np.array([p - 1, 2])).tolist() == [1, p - 2]
     assert f.quadratic(np.array([[p - 1, p - 1]]), np.array([[p - 1, 0], [0, p - 1]])).tolist() \
         == [p - 2]  # -1 - 1
     rng = np.random.default_rng(0)

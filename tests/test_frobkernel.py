@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from satrank import PreconditionError
+from satrank import BudgetError, PreconditionError, frobkernel
 from satrank.fields import Mat, field_make, mat_det, mat_is_p_nilpotent
 from satrank.frobkernel import (
     ElemAbComplexity,
@@ -209,6 +209,31 @@ def test_complexity_examples():
         e = ElemAbComplexity(mults)
         r = len(mults)
         assert sum(mults) <= complexity(e) <= r * sum(mults)
+
+
+def test_srk_sln2_budget_bounds_the_rank_sequence(monkeypatch):
+    # the check that e + e^2 is regular stacks its n powers, n^3 entries
+    assert srk_sln2(5, F7, budget=5 ** 3).value == 8
+    with pytest.raises(BudgetError, match="e \\+ e\\^2 has 125 matrix entries, over the budget 124$"):
+        srk_sln2(5, F7, budget=5 ** 3 - 1)
+    with pytest.raises(PreconditionError):  # invalid input before the budget
+        srk_sln2(8, F7, budget=0)
+    with pytest.raises(PreconditionError):
+        srk_sln2(1, F7, budget=0)
+    assert frob2_report(3, 5, budget=27)["srk_sln2"] == 4
+    with pytest.raises(BudgetError):
+        frob2_report(3, 5, budget=26)
+
+    def built(*args):
+        raise RuntimeError("a matrix was built")
+
+    # at the default budget of 10^7, n <= 215 is admitted, before any matrix
+    monkeypatch.setattr(frobkernel, "jordan_matrix", built)
+    f = field_make(223, 1)
+    with pytest.raises(RuntimeError):
+        srk_sln2(215, f, budget=10 ** 7)
+    with pytest.raises(BudgetError):
+        srk_sln2(216, f, budget=10 ** 7)
 
 
 def test_frob2_report():

@@ -709,7 +709,7 @@ def test_is_elementary_matches_the_pairwise_loop(case):
     assert seen == {(False, True), (True, True), (True, False)}
     x = pts[0]
     assert is_elementary(g, [])
-    assert not is_elementary(g, [x, tuple(g.field.varr_scale(2, np.array(x)).tolist())])
+    assert not is_elementary(g, [x, tuple(g.field.varr_mul(2, np.array(x)).tolist())])
     assert not is_elementary(g, [x, g.zero()])
     if case == "sl3_F3":  # h_5's p-map is zero: all of it is p-nilpotent
         t = g.coords_of_matrix(Mat(F3, [[1, 0, 0], [0, 2, 0], [0, 0, 0]]))

@@ -459,11 +459,45 @@ def test_witness_budget_refuses_from_the_stated_n(witness, build, first):
     assert entries[1] <= 10 ** 7 < entries[0]
 
 
+def test_orbit_table_builds_no_lower_orbit_matrices(monkeypatch):
+    # at p = n - 2 the regular and subregular orbits lie outside the
+    # nullcone, so every witness row is a lower orbit: their dimensions are
+    # read off the constructions, and no matrix or coordinate is built
+    want = {(9, 7): sln_report(9, 7), (7, 5): sln_report(7, 5)}
+
+    def built(*args):
+        raise AssertionError("a witness matrix was built")
+
+    monkeypatch.setattr(slnorbits, "xi_to_matrices", built)
+    monkeypatch.setattr(slnorbits, "sl_coords", built)
+    for (n, p), report in want.items():
+        assert sln_report(n, p) == report
+        lower = [o for o in report["orbits"] if o.get("witness_dims")]
+        assert lower and all(o["kind"] == "lower" for o in lower)
+
+
+def test_orbit_table_dims_are_the_witness_ranks():
+    f = field_make(7, 1)
+    for n in (4, 5, 6, 7, 8):
+        for row in sln_report(n, 7)["orbits"]:
+            lam = Partition(row["partition"])
+            if row["kind"] != "lower" or not row["in_nullcone"]:
+                continue
+            ranks = [lower_orbit_witness(lam, f).rank]
+            if slnorbits._nilradical_orbit(lam):
+                ranks.append(lower_orbit_witness(lam, f, maximal=True).rank)
+            assert row["witness_dims"] == ranks, (n, lam)
+
+
 def test_cells_cache_stays_bounded():
-    # an orbit table visits each partition once, so the cache of cell
-    # positions keeps a bounded number of them, not all p(n)
+    # a sweep over the lower-orbit witnesses of n = 12 visits each partition
+    # once, so the cache of cell positions keeps a bounded number of them,
+    # not all p(n)
     slnorbits._cells.cache_clear()
-    sln_report(12, 11)
+    f = field_make(11, 1)
+    for lam in partitions(12):
+        if dominance_leq(lam, Partition((10, 2))):
+            lower_orbit_witness(lam, f)
     info = slnorbits._cells.cache_info()
     assert info.misses > info.maxsize >= info.currsize
 
