@@ -14,13 +14,11 @@ correction terms s_i(x, y) off as t-coefficients of (ad(tx+y))^(p-1)(x) over
 g[t].  All field arithmetic, batched or not, goes through satrank.fields.
 
 The saturation rank machinery works over the restricted nullcone
-V(g) = {x : x^[p] = 0}.  It is a cone, (cx)^[p] = c^p x^[p], so it is
-enumerated by lines: at most one p-th power per projective class, then each
-p-nilpotent line expanded by the nonzero scalars.  A line gets its p-th
-power only where sigma_2, the sum of the principal 2 x 2 minors, of its
-model matrix X (else of ad(x)) vanishes, as it does on every nilpotent
-matrix in every characteristic.  With a model the power is read as X^p = 0,
-with no solve back to coordinates.
+V(g) = {x : x^[p] = 0}, a cone since (cx)^[p] = c^p x^[p].  _nilpotent_span
+takes at most one p-th power per line, and only where sigma_2, the sum of
+the principal 2 x 2 minors of the line's model matrix X (else of ad(x)),
+vanishes, as it does on every nilpotent matrix; with a model the power is
+read as X^p = 0.
 The local rank r(x) is the largest dimension of an elementary subalgebra
 through x, and srk(g) is the minimum of the local ranks over nonzero
 nullcone points.  Pairwise commuting p-nilpotent vectors span an elementary
@@ -34,14 +32,10 @@ The graph lives on integer coordinates of a coordinate subspace F_q^d of
 the searched algebra (span B below).  The callers' budget checks bound
 q^dim, so a dense int32 table with one entry per coordinate code maps every
 nonzero scalar multiple of a class to the class index.  The classes
-commuting with u are the span closure of ker ad(u): one vector per line of
-the kernel, looked up in the table.  Those commuting masks are built for a
-batch of classes at a time: one stacked ad(u) restricted to the subspace's
-columns, one stacked elimination (fields._kernels), and span closures
-batched by kernel dimension.  A witness is the least basis of a
-maximal-rank subalgebra through the point, picked greedily against the
-maximal cliques through the picks (_TupleSearch.max_tuple_containing); one
-clique query, _TupleSearch._cliques_through, gives the ranks and the picks.
+commuting with u are the span closure of ker ad(u), built for a batch of
+classes at a time (_TupleSearch._build_masks).  A witness is the least
+basis of a maximal-rank subalgebra through the point, picked greedily
+against the maximal cliques through the picks (max_tuple_containing).
 
 Every maximal elementary subalgebra holds the central elementary ideal
 C = {x central : x^[p] = 0} (_central_elementary): adding C keeps a subalgebra
@@ -50,28 +44,10 @@ columns, g = span B + C, and (b + c)^[p] = b^[p], [b + c, b' + c'] = [b, b'].
 So the nullcone is (V(g) n span B) + C, the maximal elementary subalgebras
 are W + C for the maximal cliques W on the classes of V(g) n span B, and
 srk_brute searches that graph only: r(b + c) = dim C + r_B(b) for b != 0.
-C = {0} leaves the whole graph.
-
-Every elementary subalgebra through x lies in the centralizer z(x), a
-restricted subalgebra since ad(y^[p]) = ad(y)^p, and x is central and
-p-nilpotent there, so x lies in C(z(x)).  So r(x) = T(z(x)), the largest
-rank of an elementary subalgebra of z(x): dim C(z(x)) plus the largest
-clique rank of the same search run on z(x), which _subalgebra builds with
-its own structure constants (and g's matrix model restricted to it).
-
-Local rank is invariant under automorphisms of (g, [p]), so srk_brute needs
-it at one class per orbit.  On a search of at least _ORBIT_MIN_CLASSES
-classes, _automorphisms builds a few candidates and keeps those that pass
-one stacked check on the basis brackets and p-th powers: truncated
-exponentials of nullcone classes when C = {0}, and on the quotient the
-truncated exponentials of the nilpotent basis derivations, acting on g/C in
-B's coordinates (inner automorphisms fix g/C pointwise on Heisenberg
-algebras).  The orbits come from label propagation over the code -> class
-table, and the least class of each is its root.  Masks are built for the
-roots and their neighbours only, and the clique search starts from the roots
-(satrank.cliques), so it finds exactly the maximal cliques that meet a root;
-every class takes its root's rank.  Without automorphisms every class is a
-root.
+local_rank runs the same search on the centralizer z(x) (r(x) = T(z(x)),
+_subalgebra).  Local rank is invariant under automorphisms of (g, [p]), so
+srk_brute needs it at one class per orbit of the verified automorphisms
+(_automorphisms); the clique search starts from the orbit roots only.
 """
 
 from __future__ import annotations
@@ -91,7 +67,7 @@ from .errors import BudgetError, PreconditionError, expect
 from .fields import FieldSpec, Mat, _kernels, _rref, field_make, mat_kernel_basis
 
 DEFAULT_BUDGET = 10_000_000
-# commutator entries per block of _CoordSolver.commutators.  Small blocks
+# commutator entries per block of _commutator_blocks.  Small blocks
 # keep the temporaries small and FieldSpec._reduce on its libdivide path:
 # twelve cold special_linear builds (n <= 7) took 9.4, 8.7, 9.4, 11.1 and
 # 11.8 ms in blocks of 2**13, 2**14, 2**15 and 2**16 entries and unblocked
@@ -261,17 +237,14 @@ class RestrictedLieAlgebra:
 
     def _validate_jacobi(self):
         # given antisymmetry, the Jacobi identity on all basis triples says
-        # ad([b_i, b_j]) = ad(b_i) ad(b_j) - ad(b_j) ad(b_i); column k of
+        # ad([b_i, b_j]) = ad(b_i) ad(b_j) - ad(b_j) ad(b_i), and column k of
         # either side is the triple (i, j, k)
-        f = self.field
-        for i in range(self.dim):
-            lhs = self.ad(self._adb[i].T)  # row j of _adb[i].T is [b_i, b_j]
-            rhs = f.varr_add(f.matmul(self._adb[i], self._adb),
-                             f.varr_neg(f.matmul(self._adb, self._adb[i])))
-            bad = (lhs != rhs).any(axis=1)
+        for start, comm in _commutator_blocks(self.field, self._adb):
+            lhs = self.ad(np.swapaxes(self._adb[start:start + len(comm)], 1, 2))
+            bad = (lhs != comm).any(axis=2)  # [i, j, k]
             if bad.any():
-                j, k = np.argwhere(bad)[0]
-                raise PreconditionError(f"Jacobi fails on basis triple ({i},{j},{k})")
+                i, j, k = np.argwhere(bad)[0]
+                raise PreconditionError(f"Jacobi fails on basis triple ({start + i},{j},{k})")
 
     def _validate_restricted(self):
         # ad(b_i^[p]) == ad(b_i)^p as matrices; ad(b_i) is _adb[i]
@@ -345,30 +318,32 @@ class _CoordSolver:
     def commutators(self):
         """(adb, inside) for the commutators [m_i, m_j] of the basis matrices:
         adb[i][:, j] holds the coordinates of [m_i, m_j] (the ad tensor of
-        RestrictedLieAlgebra) and inside[i, j] whether it lies in the span.
-
-        The i are taken in blocks of at most _COMMUTATOR_BLOCK commutator
-        entries, so that the temporaries stay small whatever d.  A block's
-        products m_i m_j and m_j m_i are two 2-D products, of its matrices
-        stacked by rows with every m_j side by side and the other way round,
-        and its commutators take one solve_rows.
-        """
-        f, model, d = self.field, self.model, self.dim
-        n = model.shape[-1]
-        rows = model.reshape(d * n, n)  # m_0 over m_1 over ...
-        cols = np.swapaxes(model, 0, 1).reshape(n, d * n)  # [m_0 | m_1 | ...]
-        adb = np.empty((d, d, d), dtype=np.int64)
-        inside = np.empty((d, d), dtype=bool)
-        step = max(1, _COMMUTATOR_BLOCK // (d * n * n))
-        for start in range(0, d, step):
-            stop = min(start + step, d)
-            b = stop - start
-            ij = f.matmul(rows[start * n:stop * n], cols).reshape(b, n, d, n)  # [i, :, j]: m_i m_j
-            ji = f.matmul(rows, cols[:, start * n:stop * n]).reshape(d, n, b, n)  # [j, :, i]: m_j m_i
-            comm = f.varr_add(ij.transpose(0, 2, 1, 3), f.varr_neg(ji.transpose(2, 0, 1, 3)))
-            coords, inside[start:stop] = self.solve_rows(comm.reshape(b, d, n * n))
+        RestrictedLieAlgebra) and inside[i, j] whether it lies in the span;
+        one solve_rows per block of _commutator_blocks."""
+        adb = np.empty((self.dim,) * 3, dtype=np.int64)
+        inside = np.empty((self.dim, self.dim), dtype=bool)
+        for start, comm in _commutator_blocks(self.field, self.model):
+            stop = start + len(comm)
+            coords, inside[start:stop] = self.solve_rows(comm.reshape(len(comm), self.dim, -1))
             adb[start:stop] = np.swapaxes(coords, 1, 2)
         return adb, inside
+
+
+def _commutator_blocks(f, mats):
+    """(start, comm) with comm[i - start, j] = m_i m_j - m_j m_i for the
+    (d, n, n) stack mats, the i in blocks of at most _COMMUTATOR_BLOCK
+    commutator entries, so that the temporaries stay small whatever d.  A
+    block's products m_i m_j and m_j m_i are two 2-D products, of its
+    matrices stacked by rows with every m_j side by side and the other way
+    round."""
+    d, n = len(mats), mats.shape[-1]
+    rows, cols = mats.reshape(d * n, n), np.swapaxes(mats, 0, 1).reshape(n, d * n)
+    step = max(1, _COMMUTATOR_BLOCK // max(1, d * n * n))
+    for start in range(0, d, step):
+        block = slice(start * n, (start + step) * n)
+        ij = f.matmul(rows[block], cols).reshape(-1, n, d, n)  # [i, :, j]: m_i m_j
+        ji = f.matmul(rows, cols[:, block]).reshape(d, n, -1, n)  # [j, :, i]: m_j m_i
+        yield start, f.varr_add(ij.transpose(0, 2, 1, 3), f.varr_neg(ji.transpose(2, 0, 1, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -398,12 +373,7 @@ def abelian_p_trivial(dim: int, field: FieldSpec) -> RestrictedLieAlgebra:
 
 def toral(dim: int, field: FieldSpec) -> RestrictedLieAlgebra:
     """Abelian with b_i^[p] = b_i; its restricted nullcone is {0}."""
-    pmap = []
-    for i in range(dim):
-        row = [0] * dim
-        row[i] = field.one
-        pmap.append(tuple(row))
-    return RestrictedLieAlgebra(field, {}, pmap, validate="full")
+    return RestrictedLieAlgebra(field, {}, np.eye(dim, dtype=np.int64), validate="full")
 
 
 def from_matrix_basis(field: FieldSpec, mats, labels=None) -> RestrictedLieAlgebra:
@@ -467,11 +437,8 @@ def nullcone(g: RestrictedLieAlgebra, budget: int = DEFAULT_BUDGET) -> np.ndarra
 
     It is (V(g) n span B) + C for the central elementary ideal C and the
     standard basis vectors B off its pivot columns (_central_elementary), so
-    p-th powers are taken on span B only and the sums with C are array adds.
-    Within span B they are taken only on the lines where sigma_2 (_trace_form)
-    vanishes: x^[p] = 0 forces ad(x)^p = ad(x^[p]) = 0 and, with a matrix
-    model, X^p = 0, and sigma_2 of a nilpotent matrix is 0, so the form
-    rejects no nullcone point (_nilpotent_span).
+    p-th powers are taken on span B only (_nilpotent_span, on the lines where
+    sigma_2 vanishes) and the sums with C are array adds.
     """
     total = g.element_count()
     if total > budget:
@@ -529,55 +496,70 @@ def _nilpotent_span(g: RestrictedLieAlgebra, keep):
     g at the columns where the bool mask keep holds: an (N, dim) int64 array
     of coordinate rows in lexicographic order, zero first.
 
-    A vector of span B is zero off keep, so combination number r of B, with
-    coefficients _digits(r) at keep, comes in lexicographic order in
-    ascending r.  (cx)^[p] = c^p x^[p], so the p-th power is taken at most
-    once per line, on the _line_codes combinations in batches of _CHUNK, and
-    each p-nilpotent one is expanded by the q - 1 nonzero scalars.
-
-    A line is first tested against sigma_2 (_trace_form), restricted to B;
-    only the lines with sigma_2 = 0 get a p-th power.  That rejects no
-    p-nilpotent x: x^[p] = 0 forces ad(x)^p = ad(x^[p]) = 0 and, with a
-    matrix model, X^p = 0, and sigma_2 vanishes on nilpotent matrices.  Where
-    it vanishes identically as a quadratic form (Heisenberg and abelian
-    algebras) the test is skipped.
-
-    With a matrix model x^[p] = 0 is read as X^p = 0 on the model matrices of
-    the combinations, taken straight from those of B.  That needs the model
-    to be faithful (_CoordSolver checks it) and its p-th powers to be the
-    p-map's (from_matrix_basis builds the p-map from them, and
-    RestrictedLieAlgebra.validate checks them in _validate_model, so a model
-    whose p-th powers leave its span is refused there).  An n x n matrix
-    with X^p = 0 is nilpotent, and a nilpotent one has X^n = 0, so
-    X^min(p, n) = 0 is the same test.  Without a model the p-th power is
-    _pmap_rows (Jacobson's formula).
+    A vector of span B is zero off keep, and its d entries at keep are a
+    high half a (d - d // 2 digits) over a low half b, so its code is
+    code(a) * q**(d // 2) + code(b).  (cx)^[p] = c^p x^[p]: one p-th power
+    per line at most, on the pairs with a = 0 and b a line representative
+    (first nonzero digit 1), or a a line representative.  Those pass
+    sigma_2 (_trace_form) first, for a block of a's against every b as one
+    _split_form table, unless it vanishes identically (Heisenberg and
+    abelian algebras).  That rejects no p-nilpotent x: x^[p] = 0 forces
+    ad(x)^p = ad(x^[p]) = 0 and, with a model, X^p = 0, and sigma_2 vanishes
+    on nilpotent matrices.  The survivors take their p-th powers in batches
+    of at most _CHUNK: X^min(p, n) = 0 on X = X_a + X_b with a model (it is
+    faithful and its p-th powers are the p-map's, as _CoordSolver and
+    validate check, and X^p = 0 gives X^n = 0), else _pmap_rows.  Nilpotent
+    lines are expanded by the q - 1 nonzero scalars in code space, and the
+    codes are sorted once.
     """
     f, d = g.field, int(keep.sum())
-    place = _place_values(f.q, d)
+    d1, d2 = d - d // 2, d // 2
+    a, b = (_digits(np.arange(f.q ** h, dtype=np.int64), f.q, h) for h in (d1, d2))
+    a = a[np.append(0, _projective_reps(f, a))]  # 0, then one a per line
+    lines = np.zeros(len(b), dtype=bool)  # the b that are line representatives
+    lines[_projective_reps(f, b)] = True
+    scalars = np.arange(1, f.q, dtype=np.int64)[:, None, None]
+    # [c - 1, i]: the share of a[i] (of b[i]) in the code of c * (a, b)
+    high = f.varr_mul(scalars, a) @ _place_values(f.q, d1) * f.q ** d2
+    low = f.varr_mul(scalars, b) @ _place_values(f.q, d2)
     form = _trace_form(g)[np.ix_(keep, keep)]
     # Q(x) = x . form . x^T vanishes identically when its coefficients do:
     # the diagonal and form[i, j] + form[j, i] off it
-    if not (form.diagonal().any() or f.varr_add(form, form.T).any()):
-        form = None
+    tested = form.diagonal().any() or f.varr_add(form, form.T).any()
+    if tested:
+        left, right = _split_form(f, form, a, b)
     if g.matrix_model:
-        shape = g._model.shape[1:]
+        n = g._model.shape[-1]
         model = g._model.reshape(g.dim, -1)[keep]  # the matrices of B
-    scalars = np.arange(1, f.q, dtype=np.int64)[:, None, None]
-    codes, coeffs = [np.zeros(1, dtype=np.int64)], [np.zeros((1, d), dtype=np.int64)]
-    for r in _line_codes(f.q, d):
-        digits = _digits(r, f.q, d)
-        if form is not None:
-            digits = digits[f.quadratic(digits, form) == 0]
-        if g.matrix_model:
-            m = f.matmul(digits, model).reshape((-1,) + shape)
-            digits = digits[~f.matpow(m, min(f.p, shape[0])).any(axis=(1, 2))]
-        else:
-            digits = digits[~g._pmap_rows(_placed(digits, keep)).any(axis=1)]
-        multiples = f.varr_mul(scalars, digits).reshape(-1, d)
-        codes.append(multiples @ place)
-        coeffs.append(multiples)
-    codes, coeffs = np.concatenate(codes), np.concatenate(coeffs)  # drops the pieces
-    return _placed(coeffs[np.argsort(codes)], keep)
+        xa, xb = f.matmul(a, model[:d1]), f.matmul(b, model[d1:])
+    codes, step = [np.zeros(1, dtype=np.int64)], max(1, (_CHUNK << 3) // len(b))
+    for start in range(0, len(a), step):  # tables of 8 * _CHUNK entries, or one row
+        rows = slice(start, start + step)
+        ok = f.matmul(left[rows], right) == 0 if tested else np.ones((len(a[rows]), len(b)), bool)
+        if not start:
+            ok[0] &= lines
+        ia, ib = np.nonzero(ok)
+        ia += start
+        for s in range(0, len(ia), _CHUNK):
+            i, j = ia[s:s + _CHUNK], ib[s:s + _CHUNK]
+            if g.matrix_model:
+                m = f.varr_add(xa[i], xb[j]).reshape(-1, n, n)
+                zero = ~f.matpow(m, min(f.p, n)).any(axis=(1, 2))
+            else:
+                zero = ~g._pmap_rows(_placed(np.hstack([a[i], b[j]]), keep)).any(axis=1)
+            codes.append((high[:, i[zero]] + low[:, j[zero]]).ravel())
+    return _placed(_digits(np.sort(np.concatenate(codes)), f.q, d), keep)
+
+
+def _split_form(f, form, a, b):
+    """(left, right) with left[i] . right[:, j] = Q(a[i] + b[j]), for the
+    quadratic form Q(x) = x . form . x^T and x split into a high part a and
+    a low part b: Q(a + b) = Q_11(a) + Q_22(b) + a . (G_12 + G_21^T) . b^T is
+    [a . (G_12 + G_21^T), Q_11(a), 1] . [b^T; 1; Q_22(b)]."""
+    h = a.shape[1]
+    left = np.hstack([f.matmul(a, f.varr_add(form[:h, h:], form[h:, :h].T)),
+                      f.quadratic(a, form[:h, :h])[:, None], np.ones((len(a), 1), dtype=np.int64)])
+    return left, np.vstack([b.T, np.ones(len(b), dtype=np.int64), f.quadratic(b, form[h:, h:])])
 
 
 def _placed(coeffs, keep):
@@ -614,22 +596,18 @@ def _trace_form(g: RestrictedLieAlgebra) -> np.ndarray:
     return g._form
 
 
-def _code_chunks(total):
-    """0, 1, ..., total - 1 as ascending arrays of at most _CHUNK codes."""
-    for start in range(0, total, _CHUNK):
-        yield np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-
-
 def _line_codes(q, d):
     """The codes whose digit vectors have first nonzero digit 1, one per line
-    of F_q^d, as ascending arrays of at most _CHUNK codes.  They serve the
-    nullcone (_nilpotent_span) and the span closures of the commuting masks.
+    of F_q^d, as ascending arrays of at most _CHUNK codes: the lines of a
+    kernel whose span closure is a commuting mask (_span_masks).
 
     They fill the ranges [q**t, 2 q**t) for t < d; entry i of the listing
     lies in range t with (q**t - 1) / (q - 1) <= i.
     """
     offsets = (q ** np.arange(d, dtype=np.int64) - 1) // (q - 1)
-    for i in _code_chunks((q ** d - 1) // (q - 1)):
+    total = (q ** d - 1) // (q - 1)
+    for start in range(0, total, _CHUNK):
+        i = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
         t = np.searchsorted(offsets, i, side="right") - 1
         yield q ** t + i - offsets[t]
 

@@ -131,14 +131,14 @@ def rank_sequence(m: Mat) -> list:
 def rank_sequences(field: FieldSpec, mats) -> np.ndarray:
     """The rank sequences of an (M, n, n) code stack, as an (M, n) array:
     row i is [rank(m_i^k) for k = 1, ..., n], from one stacked elimination
-    of every power of every matrix."""
+    of every power of every matrix, written into one (M, n, n, n) stack."""
     mats = np.asarray(mats, dtype=np.int64)
     count, n = len(mats), mats.shape[-1]
-    powers = [mats]
-    for _ in range(n - 1):
-        powers.append(field.matmul(powers[-1], mats))
-    stack = np.stack(powers, axis=1).reshape(count * n, n, n)
-    return _rref(field, stack)[1].sum(axis=1).reshape(count, n)
+    powers = np.empty((count, n, n, n), dtype=np.int64)  # [i, k - 1]: m_i^k
+    powers[:, 0] = mats
+    for k in range(1, n):
+        powers[:, k] = field.matmul(powers[:, k - 1], mats)
+    return _rref(field, powers.reshape(count * n, n, n))[1].sum(axis=1).reshape(count, n)
 
 
 def partition_of_nilpotent(m: Mat) -> Partition:

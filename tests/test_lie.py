@@ -5,6 +5,7 @@ import itertools
 import json
 import pathlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -299,6 +300,72 @@ def test_validation_names_the_broken_identity():
         RestrictedLieAlgebra(F3, table, [(0, 0, 0)] * 3, matrix_model=sl2.matrix_model)
 
 
+def _pointwise_jacobi_failure(g):
+    """The first basis triple (i, j, k) in row-major order where
+    [[b_i, b_j], b_k] differs from [b_i, [b_j, b_k]] - [b_j, [b_i, b_k]],
+    with every bracket read off the table coefficient by coefficient; None
+    when the identity holds on every triple."""
+    f, n = g.field, g.dim
+
+    def bracket(x, y):
+        out = [0] * n
+        for a, b in itertools.product(range(n), repeat=2):
+            c = f.mul(x[a], y[b])
+            for t in range(n) if c else ():
+                out[t] = f.add(out[t], f.mul(c, int(g._adb[a, t, b])))
+        return out
+
+    basis = [list(g.basis_vec(i)) for i in range(n)]
+    for i, j, k in itertools.product(range(n), repeat=3):
+        u, v, w = basis[i], basis[j], basis[k]
+        rhs = [f.add(x, f.neg(y))
+               for x, y in zip(bracket(u, bracket(v, w)), bracket(v, bracket(u, w)))]
+        if bracket(bracket(u, v), w) != rhs:
+            return i, j, k
+    return None
+
+
+_JACOBI_ALGEBRAS = {
+    "sl2_F5": lambda: special_linear(2, F5),
+    "sl2_F9": lambda: special_linear(2, field_make(3, 2)),
+    "sl2_struct_F5": lambda: sl2_structure_only(F5),
+    "h5_F3": lambda: heisenberg(2, F3),
+    "sl3_F3": lambda: special_linear(3, F3),
+}
+
+
+@pytest.mark.parametrize("block", ["default", "one", "two"])
+@pytest.mark.parametrize("name", sorted(_JACOBI_ALGEBRAS))
+def test_jacobi_check_names_the_pointwise_first_failure(monkeypatch, name, block):
+    # antisymmetric changes to a valid table: the blocked check must name
+    # the triple that the pointwise reference finds first, whatever the
+    # block size (one or two i per block, or _COMMUTATOR_BLOCK's default)
+    g = _JACOBI_ALGEBRAS[name]()
+    f, n = g.field, g.dim
+    if block != "default":
+        monkeypatch.setattr(lie, "_COMMUTATOR_BLOCK", {"one": 1, "two": 2 * n ** 3}[block])
+    assert _pointwise_jacobi_failure(g) is None
+    g._validate_jacobi()
+    rng, failures = random.Random(f"{name}-{block}"), 0
+    for trial in range(3):
+        adb = g._adb.copy()
+        for _ in range(1 + trial % 2):
+            i, j = rng.sample(range(n), 2)
+            k, c = rng.randrange(n), rng.randrange(1, f.q)
+            adb[i, k, j] = f.add(int(adb[i, k, j]), c)
+            adb[j, k, i] = f.add(int(adb[j, k, i]), f.neg(c))
+        h = RestrictedLieAlgebra._from_arrays(f, adb, g._pmap)
+        want = _pointwise_jacobi_failure(h)
+        if want is None:
+            h._validate_jacobi()
+            continue
+        failures += 1
+        with pytest.raises(PreconditionError) as err:
+            h.validate()
+        assert str(err.value) == "Jacobi fails on basis triple ({},{},{})".format(*want)
+    assert failures
+
+
 @pytest.mark.parametrize("field", [F3, field_make(3, 2)], ids=["F3", "F9"])
 def test_zero_dimensional_algebra(field):
     g = abelian_p_trivial(0, field)
@@ -478,9 +545,9 @@ def _nilpotent_span_all_points(g, keep):
     combination of the standard basis vectors at keep, in ascending code
     order."""
     f, basis = g.field, np.eye(g.dim, dtype=np.int64)[keep]
-    vecs = []
-    for r in lie._code_chunks(f.q ** len(basis)):
-        v = lie._combinations(f, r, basis)
+    vecs, total = [], f.q ** len(basis)
+    for start in range(0, total, lie._CHUNK):
+        v = lie._combinations(f, np.arange(start, min(start + lie._CHUNK, total)), basis)
         vecs.append(v[~g._pmap_rows(v).any(axis=1)])
     return np.concatenate(vecs)
 
@@ -530,6 +597,61 @@ def test_nilpotent_span_matches_all_points_filter(name):
     assert vecs.dtype == want.dtype and vecs.shape == want.shape
     assert np.array_equal(vecs, want) and not vecs[0].any()
 
+
+# name -> (algebra, d = the number of standard basis vectors the scan spans)
+_POINTWISE_NULLCONES = {
+    "sl2_F9": (lambda: special_linear(2, field_make(3, 2)), 3),  # model, k > 1
+    "sl2_F25": (lambda: special_linear(2, field_make(5, 2)), 3),
+    # sigma_2 skipped; h3_F27 takes 0.4 ms per pmap_eval, 8 s in all, and
+    # test_nilpotent_span_matches_all_points_filter covers it in batches
+    "h3_F9": (lambda: heisenberg(1, field_make(3, 2)), 2),
+    "sl3_F3_gl": (lambda: _gl_based(special_linear(3, F3), 4), 8),
+    # a nonzero central elementary ideal
+    "centralizer_sl4_F3": (lambda: _sl4_f3_highest_root_centralizer()[0], 8),
+    "abelian2_F9": (lambda: abelian_p_trivial(2, field_make(3, 2)), 0),
+    "toral1_F5": (lambda: toral(1, F5), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_POINTWISE_NULLCONES))
+def test_nullcone_is_the_pointwise_enumeration(name):
+    # every element in itertools.product order, kept where pmap_eval is zero
+    build, d = _POINTWISE_NULLCONES[name]
+    g = build()
+    assert int(lie._off_pivots(lie._central_elementary(g)).sum()) == d
+    want = [list(x) for x in g.iter_elements() if not any(g.pmap_eval(x))]
+    vecs = nullcone(g)
+    assert vecs.dtype == np.int64 and vecs.shape == (len(want), g.dim)
+    assert vecs.tolist() == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(p_k=st.sampled_from([(2, 1), (3, 1), (7, 1), (2, 2), (3, 2), (2, 3)]),
+       h=st.integers(0, 4), low=st.integers(0, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_split_form_table_is_the_quadratic_form(p_k, h, low, seed):
+    # entry [i, j] of the split table is Q of the row a[i] followed by b[j],
+    # for any Gram matrix, symmetric or not
+    f, rng = field_make(*p_k), np.random.default_rng(seed)
+    form = rng.integers(0, f.q, size=(h + low, h + low))
+    a, b = rng.integers(0, f.q, size=(5, h)), rng.integers(0, f.q, size=(7, low))
+    left, right = lie._split_form(f, form, a, b)
+    rows = np.hstack([np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1))])
+    assert f.matmul(left, right).ravel().tolist() == f.quadratic(rows, form).tolist()
+
+
+def test_nullcone_scan_memory_bound():
+    # the scan holds sigma_2 tables of a block of a's by every b, and codes
+    # until the end; its peak on sl_3/F_5 stays below 3 MB (warm caches)
+    g = special_linear(3, F5)
+    nullcone(g)
+    tracemalloc.start()
+    try:
+        vecs = nullcone(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vecs.shape == (15625, 8)
+    assert peak <= 3_000_000
 
 def _form_matrix(g, x):
     """The matrix whose sigma_2 the form takes: x's model matrix, else ad(x)."""

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from satrank import BudgetError, PreconditionError, slnorbits
-from satrank.fields import Mat, field_make, mat_kernel_basis, mat_rank
+from satrank.fields import Mat, _rref, field_make, mat_kernel_basis, mat_rank
 from satrank.lie import is_elementary, special_linear
 from satrank.slnorbits import (
     OrbitClass,
@@ -106,6 +108,35 @@ def test_stacked_rank_sequences_match_one_matrix_at_a_time():
             m = Mat(F3, m)
             assert row == [mat_rank(m ** k) for k in range(1, n + 1)] == rank_sequence(m)
 
+
+
+def _peak(fn):
+    """(fn(), the tracemalloc peak in bytes while it ran)."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_rank_sequences_hold_one_stack_of_powers():
+    # the powers go straight into one (count, n, n, n) stack: the same ranks
+    # as a list of powers joined by np.stack, at a peak lower by about that
+    # stack's size
+    mats = np.random.default_rng(2).integers(0, 7, size=(3, 40, 40))
+    f, (count, n, _) = field_make(7, 1), mats.shape
+
+    def listed():
+        powers = [mats]
+        for _ in range(n - 1):
+            powers.append(f.matmul(powers[-1], mats))
+        stack = np.stack(powers, axis=1).reshape(count * n, n, n)
+        return _rref(f, stack)[1].sum(axis=1).reshape(count, n)
+
+    want, listed_peak = _peak(listed)
+    got, peak = _peak(lambda: rank_sequences(f, mats))
+    assert np.array_equal(got, want) and got.shape == (count, n)
+    assert peak <= listed_peak - count * n ** 3 * 8 // 2
 
 def test_partition_of_nilpotent_roundtrip():
     for n in range(1, 7):
