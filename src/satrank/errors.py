@@ -24,3 +24,12 @@ def expect(value, kind, what):
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise PreconditionError(f"{what} must be {_JSON_NAMES[kind]}, got {value!r:.60}")
     return value
+
+
+def expect_each(values, kind, what):
+    """values, a list, after expect on every item: one pass over the item
+    types, and the item loop only when some type is not exactly kind."""
+    if not set(map(type, values)) <= {kind}:
+        for value in values:
+            expect(value, kind, what)
+    return values

@@ -443,10 +443,12 @@ class FieldSpec:
                              self._dtype(x.shape[-1] * self._digit_bound))
 
     def matpow(self, a, e: int):
-        """a**e for e >= 0, for a square matrix or a stack of them."""
-        a = np.array(a, dtype=np.int64)
-        eye = np.broadcast_to(np.eye(a.shape[-1], dtype=np.int64), a.shape).copy()
-        return _power(a, e, self.matmul, eye)
+        """a**e for e >= 0, for a square matrix or a stack of them; never a
+        itself (e = 1 returns a copy)."""
+        a = np.asarray(a, dtype=np.int64)
+        if e == 0:
+            return np.broadcast_to(np.eye(a.shape[-1], dtype=np.int64), a.shape).copy()
+        return a.copy() if e == 1 else _power(a, e, self.matmul, None)
 
     def trunc_exp(self, m):
         """sum_{t<p} m^t / t! for a square matrix or a stack of them: the

@@ -63,7 +63,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .cliques import _bits, _maximal_cliques, _orbit_labels
-from .errors import BudgetError, PreconditionError, expect
+from .errors import BudgetError, PreconditionError, expect, expect_each
 from .fields import FieldSpec, Mat, _kernels, _rref, field_make, mat_kernel_basis
 
 DEFAULT_BUDGET = 10_000_000
@@ -90,18 +90,12 @@ class RestrictedLieAlgebra:
     def __init__(self, field: FieldSpec, brackets, pmap, labels=None,
                  matrix_model=None, validate="full"):
         dim = len(pmap)
-        # ad tensor: adb[i][:, j] = coords of [b_i, b_j]
-        adb = np.zeros((dim, dim, dim), dtype=np.int64)
-        for (i, j), out in brackets.items():
-            for k, c in out.items():
-                adb[i, k, j] = c % field.q
-        pmap = np.array([[int(c) % field.q for c in row] for row in pmap],
-                        dtype=np.int64).reshape(dim, dim)
-        self._init(field, adb, pmap, labels)
-        if matrix_model:
-            if len(matrix_model) != self.dim:
-                raise PreconditionError("matrix model must have one matrix per basis vector")
-            self._set_model(_CoordSolver(field, matrix_model))
+        # the ad tensor: adb[i][:, j] holds the coordinates of [b_i, b_j]
+        i, j, k, c = np.array([(i, j, k, c) for (i, j), out in brackets.items() for k, c in out.items()],
+                              dtype=np.int64).reshape(-1, 4).T
+        self._init(field, _scatter(dim, (i, k, j), c % field.q),
+                   np.asarray(pmap, dtype=np.int64).reshape(dim, dim) % field.q, labels,
+                   matrix_model and _CoordSolver(field, matrix_model))
         if validate == "full":
             self.validate()
         elif validate != "none":
@@ -111,31 +105,28 @@ class RestrictedLieAlgebra:
     def _from_arrays(cls, field, adb, pmap, labels=None, solver=None):
         """The algebra with ad tensor adb (adb[i][:, j] the coordinates of
         [b_i, b_j]), p-map rows pmap and, when given, the matrix model of the
-        _CoordSolver solver, all as reduced code arrays.  For tables that are
-        right by construction: nothing is validated."""
+        _CoordSolver solver, all as reduced code arrays.  Nothing is
+        validated."""
         g = cls.__new__(cls)
-        g._init(field, adb, pmap, labels)
-        if solver is not None:
-            g._set_model(solver)
+        g._init(field, adb, pmap, labels, solver)
         return g
 
-    def _init(self, field, adb, pmap, labels):
+    def _init(self, field, adb, pmap, labels, solver=None):
         self.field = field
         self.dim = len(pmap)
         self.labels = list(labels) if labels else [f"b{i}" for i in range(self.dim)]
         if len(self.labels) != self.dim:
             raise PreconditionError("label count must match dimension")
-        self._adb = adb
+        self._adb = np.ascontiguousarray(adb)
         self._pmap = np.ascontiguousarray(pmap)  # not a view that keeps a solve's array alive
-        self.pmap = [tuple(row) for row in pmap.tolist()]
+        self.pmap = list(map(tuple, pmap.tolist()))
         self._central = None  # _central_elementary's basis, once asked for
         self._form = None  # _trace_form's Gram matrix, once asked for
         self.matrix_model = self._coord_solver = None
-
-    def _set_model(self, solver):
-        self.matrix_model = solver.mats
-        self._coord_solver = solver
-        self._model = solver.model
+        if solver:
+            if solver.dim != self.dim:
+                raise PreconditionError("matrix model must have one matrix per basis vector")
+            self.matrix_model, self._coord_solver, self._model = solver.mats, solver, solver.model
 
     # -- structure access ----------------------------------------------------
 
@@ -218,13 +209,18 @@ class RestrictedLieAlgebra:
     # -- validation ------------------------------------------------------------
 
     def validate(self):
-        """Antisymmetry, then the matrix model against the tables (when there
-        is one), then the Jacobi identity and restrictedness."""
-        f = self.field
+        """Antisymmetry, then the matrix model against the tables when there
+        is one, else the Jacobi identity and restrictedness.
+
+        A model that passes implies both: its basis is independent
+        (_CoordSolver), so the table bracket is the commutator of gl_m pulled
+        back through an injective linear map, and ad(X^p) = ad(X)^p in
+        characteristic p (ad X = L_X - R_X, and L_X, R_X commute), which is
+        restrictedness (Jacobson, Lie Algebras, ch. V)."""
         # antisymmetry on the stored table: [b_i, b_j] = -[b_j, b_i], [b_i, b_i] = 0
         for i in range(self.dim):
             # column j of _adb[i] is [b_i, b_j], row j of _adb[:, :, i] is [b_j, b_i]
-            bad = (self._adb[i] != f.varr_neg(self._adb[:, :, i].T)).any(axis=0)
+            bad = (self._adb[i] != self.field.varr_neg(self._adb[:, :, i].T)).any(axis=0)
             if bad.any():
                 raise PreconditionError(
                     f"bracket table is not antisymmetric at ({i},{np.flatnonzero(bad)[0]})")
@@ -232,8 +228,9 @@ class RestrictedLieAlgebra:
                 raise PreconditionError(f"[b_{i}, b_{i}] != 0")
         if self.matrix_model:
             self._validate_model()
-        self._validate_jacobi()
-        self._validate_restricted()
+        else:
+            self._validate_jacobi()
+            self._validate_restricted()
 
     def _validate_jacobi(self):
         # given antisymmetry, the Jacobi identity on all basis triples says
@@ -248,11 +245,9 @@ class RestrictedLieAlgebra:
 
     def _validate_restricted(self):
         # ad(b_i^[p]) == ad(b_i)^p as matrices; ad(b_i) is _adb[i]
-        lhs = self.ad(self._pmap)
-        rhs = self.field.matpow(self._adb, self.field.p)
-        for i in range(self.dim):
-            if (lhs[i] != rhs[i]).any():
-                raise PreconditionError(f"restrictedness fails: ad(b_{i}^[p]) != ad(b_{i})^p")
+        bad = (self.ad(self._pmap) != self.field.matpow(self._adb, self.field.p)).any(axis=(1, 2))
+        for i in np.flatnonzero(bad)[:1]:
+            raise PreconditionError(f"restrictedness fails: ad(b_{i}^[p]) != ad(b_{i})^p")
 
     def _validate_model(self):
         f, solver = self.field, self._coord_solver
@@ -364,16 +359,16 @@ def heisenberg(n: int, field: FieldSpec) -> RestrictedLieAlgebra:
         brackets[(n + i, i)] = {2 * n: field.neg(one)}
     labels = [f"x{i+1}" for i in range(n)] + [f"y{i+1}" for i in range(n)] + ["z"]
     pmap = [(0,) * dim] * dim
-    return RestrictedLieAlgebra(field, brackets, pmap, labels=labels, validate="full")
+    return RestrictedLieAlgebra(field, brackets, pmap, labels=labels)
 
 
 def abelian_p_trivial(dim: int, field: FieldSpec) -> RestrictedLieAlgebra:
-    return RestrictedLieAlgebra(field, {}, [(0,) * dim] * dim, validate="full")
+    return RestrictedLieAlgebra(field, {}, [(0,) * dim] * dim)
 
 
 def toral(dim: int, field: FieldSpec) -> RestrictedLieAlgebra:
     """Abelian with b_i^[p] = b_i; its restricted nullcone is {0}."""
-    return RestrictedLieAlgebra(field, {}, np.eye(dim, dtype=np.int64), validate="full")
+    return RestrictedLieAlgebra(field, {}, np.eye(dim, dtype=np.int64))
 
 
 def from_matrix_basis(field: FieldSpec, mats, labels=None) -> RestrictedLieAlgebra:
@@ -1137,22 +1132,74 @@ def _part_in_span(f, vecs, centre, keep):
 # JSON interface
 # ---------------------------------------------------------------------------
 
-def _coeff(field, payload):
-    """A coefficient: an integer mod p, or the list of a residue's digits."""
-    if isinstance(payload, list):
-        digits = [expect(c, int, "coefficient digit") for c in payload]
-        return field.from_coeffs(digits + [0] * (field.k - len(digits)))
-    return field.from_int(expect(payload, int, "coefficient"))
+def _scatter(dim, index, codes):
+    """The int64 array of shape (dim,) * len(index) that holds codes at the
+    index arrays index and zeros elsewhere."""
+    out = np.zeros((dim,) * len(index), dtype=np.int64)
+    out[tuple(index)] = codes
+    return out
+
+
+def _last(keys):
+    """Whether each position of the key array holds its key's last occurrence."""
+    return _scatter(len(keys), [len(keys) - 1 - np.unique(keys[::-1], return_index=True)[1]], 1) > 0
+
+
+def _indices(values, key, dim):
+    """The JSON indices values as an int64 array, each checked to lie in
+    [0, dim) before numpy could wrap a negative one."""
+    for i in (min(expect_each(values, int, f"index {key}"), default=0), max(values, default=0)):
+        if not 0 <= i < dim:
+            raise PreconditionError(f"index {key}={i} outside [0, {dim})")
+    return np.array(values, dtype=np.int64)
+
+
+def _codes(field, payloads):
+    """The codes of a list of JSON coefficients: an integer n is the digit
+    list [n], and a list holds the little-endian base-p digits of a residue,
+    at most k of them, each read mod p (so an integer maps by Z -> F_p)."""
+    # plane t holds digit t of every coefficient, zero past a list's end
+    planes = [expect_each(plane, int, "coefficient") for plane in itertools.zip_longest(
+        *[c if isinstance(c, list) else [c] for c in payloads], fillvalue=0)]
+    if len(planes) > field.k:
+        raise PreconditionError(f"a coefficient has more than k = {field.k} digits")
+    planes = (np.array(planes, dtype=object) % field.p).astype(np.int64)  # integers of any size
+    return field.p ** np.arange(len(planes)) @ planes.reshape(len(planes), len(payloads))
+
+
+def _terms(field, dim, data, key, heads):
+    """The table of the JSON list data[key] of entries, objects with the
+    indices heads and an "out" list of {"k": index, "c": coefficient} terms:
+    table[heads..., k] is the term's code, from the last entry of each head
+    and in it the last term of each k.  Also the table of 1 at the heads
+    that have an entry."""
+    entries = expect_each(expect(data.get(key, []), list, key), dict, f"{key} entry")
+    outs = [expect(e.get("out", []), list, "out") for e in entries]
+    terms = expect_each(list(itertools.chain.from_iterable(outs)), dict, f"{key} term")
+    hs = [_indices([e[h] for e in entries], h, dim) for h in heads]
+    ks = _indices([t["k"] for t in terms], "k", dim)
+    owner = np.repeat(np.arange(len(entries)), list(map(len, outs)))
+    keep = _last(np.ravel_multi_index(hs, (dim,) * len(hs)))[owner] & _last(owner * dim + ks)
+    index = [h[owner][keep] for h in hs] + [ks[keep]]
+    return _scatter(dim, index, _codes(field, [t["c"] for t in terms])[keep]), _scatter(dim, hs, 1)
 
 
 def load_lie(data, budget: Optional[int] = None) -> RestrictedLieAlgebra:
     """Parse the structure-constant JSON schema into an algebra.
 
     p, k, dim, every index and every coefficient must be JSON integers (a
-    coefficient may also be a list of integer digits), labels a list of
-    strings, and matrix_model a list of flat square matrices of one size;
-    anything else raises PreconditionError.  With a budget, an algebra of
-    more than budget elements raises BudgetError before any table is built.
+    coefficient may also be a list of at most k integer digits), labels a
+    list of strings, and matrix_model a list of flat square matrices of one
+    size; anything else raises PreconditionError.  With a budget, an algebra
+    of more than budget elements raises BudgetError before any table is
+    built.
+
+    Every list of indices and of coefficients is checked in one pass and
+    reduced to codes at once.  Where an (i, j) bracket entry or a p-map
+    entry i repeats, the last one counts, and in an entry the last term of
+    each k; [b_j, b_i] = -[b_i, b_j] wherever (j, i) has no entry.  The
+    tables then pass validate(): antisymmetry, then the model check when
+    there is a model, else the Jacobi identity and restrictedness.
     """
     if isinstance(data, str):
         with open(data) as fp:
@@ -1167,50 +1214,27 @@ def load_lie(data, budget: Optional[int] = None) -> RestrictedLieAlgebra:
         field = field_make(p, k)
         if budget is not None and (dim >= budget.bit_length() or field.q ** dim > budget):
             raise BudgetError(f"the algebra has {field.q}**{dim} elements > budget {budget}")
-
-        def index(entry, key):
-            i = expect(entry[key], int, f"index {key}")
-            if not 0 <= i < dim:
-                raise PreconditionError(f"index {key}={i} outside [0, {dim})")
-            return i
-
-        def entries(container, key, what):
-            return [expect(e, dict, what) for e in expect(container.get(key, []), list, key)]
-
+        field._dtype(0)  # refuses a field whose codes do not fit in int64
         labels = data.get("labels")
         if labels is not None:
-            labels = [expect(label, str, "label") for label in expect(labels, list, "labels")]
-        declared = {}
-        for entry in entries(data, "brackets", "bracket entry"):
-            i, j = index(entry, "i"), index(entry, "j")
-            declared[(i, j)] = {index(t, "k"): _coeff(field, t["c"])
-                                for t in entries(entry, "out", "bracket term")}
-        brackets = dict(declared)
-        for (i, j), out in declared.items():
-            if (j, i) not in declared:
-                brackets[(j, i)] = {kk: field.neg(c) for kk, c in out.items()}
-        pmap = [(0,) * dim for _ in range(dim)]
-        for entry in entries(data, "pmap", "pmap entry"):
-            i = index(entry, "i")
-            row = [0] * dim
-            for t in entries(entry, "out", "pmap term"):
-                row[index(t, "k")] = _coeff(field, t["c"])
-            pmap[i] = tuple(row)
-        model = None
-        if data.get("matrix_model"):
-            flats = [expect(flat, list, "model matrix")
-                     for flat in expect(data["matrix_model"], list, "matrix_model")]
-            if len({len(flat) for flat in flats}) != 1:
-                raise PreconditionError("matrix model matrices must all have one size")
+            labels = expect_each(expect(labels, list, "labels"), str, "label")
+        brackets, declared = _terms(field, dim, data, "brackets", ("i", "j"))
+        pmap = _terms(field, dim, data, "pmap", ("i",))[0]
+        model = data.get("matrix_model")
+        if model:
+            flats = expect_each(expect(model, list, "matrix_model"), list, "model matrix")
             n = math.isqrt(len(flats[0]))
-            if n * n != len(flats[0]):
-                raise PreconditionError("matrix model entries must form square matrices")
-            model = [Mat(field, np.array([_coeff(field, e) for e in flat],
-                                         dtype=np.int64).reshape(n, n)) for flat in flats]
+            if set(map(len, flats)) != {n * n}:
+                raise PreconditionError("matrix model matrices must be square and of one size")
+            stack = _codes(field, list(itertools.chain.from_iterable(flats)))
+            model = _CoordSolver(field, [Mat._wrap(field, m) for m in stack.reshape(-1, n, n)])
     except KeyError as exc:
         raise PreconditionError(f"malformed Lie algebra input: missing key {exc}")
-    return RestrictedLieAlgebra(field, brackets, pmap, labels=labels,
-                                matrix_model=model, validate="full")
+    # brackets[i, j] is [b_i, b_j] where (i, j) has an entry, else -brackets[j, i]
+    brackets = np.where(declared[:, :, None], brackets, field.varr_neg(brackets.swapaxes(0, 1)))
+    g = RestrictedLieAlgebra._from_arrays(field, brackets.transpose(0, 2, 1), pmap, labels, model)
+    g.validate()
+    return g
 
 
 def lie_report(g: RestrictedLieAlgebra, budget: int = DEFAULT_BUDGET) -> dict:

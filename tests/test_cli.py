@@ -574,7 +574,7 @@ def _locations(node, path=()):
 
 
 @st.composite
-def _mutated(draw, base):
+def _mutated(draw, base, out_of_range=_OUT_OF_RANGE):
     """base after one to three edits: drop a key or item, give a value the
     wrong type, or replace it with an out-of-range integer."""
     data = copy.deepcopy(base)
@@ -590,7 +590,7 @@ def _mutated(draw, base):
         if edit == "drop":
             del node[path[-1]]
         else:
-            node[path[-1]] = draw(st.sampled_from(_WRONG_TYPES if edit == "type" else _OUT_OF_RANGE))
+            node[path[-1]] = draw(st.sampled_from(_WRONG_TYPES if edit == "type" else out_of_range))
     return data
 
 
@@ -606,6 +606,40 @@ def _exit_code(tmp_dir, argv, data):
 @given(data=_mutated(_h3_input()))
 def test_lie_srk_fuzzed_input_exits_cleanly(tmp_path_factory, data):
     code = _exit_code(tmp_path_factory.mktemp("lie"), ["lie-srk", "--budget", "200"], data)
+    assert code in (0, 2, 3)
+
+
+def _sl2_f9_input():
+    """sl_2 over F_9 with its matrix model, every coefficient a digit list,
+    each bracket pair given once (i < j), as the benchmark writes its Lie
+    inputs."""
+    from satrank.fields import field_make
+    from satrank.lie import special_linear
+
+    g = special_linear(2, field_make(3, 2))
+    digits = g.field.coeffs
+    brackets = [{"i": i, "j": j, "out": [{"k": k, "c": list(digits(c))}
+                                         for k, c in enumerate(g._adb[i][:, j].tolist()) if c]}
+                for i in range(3) for j in range(i + 1, 3)]
+    pmap = [{"i": i, "out": [{"k": k, "c": list(digits(c))} for k, c in enumerate(row) if c]}
+            for i, row in enumerate(g.pmap)]
+    model = [[list(digits(c)) for c in m.a.ravel().tolist()] for m in g.matrix_model]
+    return {"p": 3, "k": 2, "dim": 3, "brackets": brackets, "pmap": pmap, "matrix_model": model}
+
+
+def test_sl2_f9_input_loads(capsys, tmp_path):
+    path = tmp_path / "sl2.json"
+    path.write_text(json.dumps(_sl2_f9_input()))
+    code, out, _ = run_cli(capsys, "lie-srk", "--budget", "1000", "--file", str(path))
+    assert code == 0 and json.loads(out)["srk"] == 1
+
+
+# integers past int64 as well: a negative index must be refused before numpy
+# indexing could wrap it, and a huge coefficient is reduced mod p
+@settings(max_examples=150, deadline=None)
+@given(data=_mutated(_sl2_f9_input(), _OUT_OF_RANGE + [10 ** 30, -10 ** 30]))
+def test_lie_srk_fuzzed_model_input_exits_cleanly(tmp_path_factory, data):
+    code = _exit_code(tmp_path_factory.mktemp("lie"), ["lie-srk", "--budget", "1000"], data)
     assert code in (0, 2, 3)
 
 

@@ -393,6 +393,35 @@ def test_kernel_matpow_agrees_with_repeated_products(p, k):
         acc = f.matmul(acc, a)
 
 
+@pytest.mark.parametrize("p,k", KERNEL_FIELDS)
+def test_matpow_shapes_and_fresh_results(p, k):
+    # e = 0 is an identity stack of the input's shape, e = 1 a copy that
+    # shares no memory with the input, and every power of a (4, 2, 3, 3)
+    # stack is the repeated product slice by slice
+    f = field_make(p, k)
+    a = np.random.default_rng(p + k).integers(0, f.q, size=(4, 2, 3, 3))
+    eye = f.matpow(a, 0)
+    assert eye.shape == a.shape and eye.dtype == np.int64
+    assert (eye == np.eye(3, dtype=np.int64)).all()
+    eye[0, 0, 0, 0] = 5 % f.q  # writable, and no view of a shared identity
+    assert f.matpow(a, 0)[0, 0, 0, 0] == 1
+    for source in (a, a.astype(np.int32), a[1]):
+        once = f.matpow(source, 1)
+        assert once.dtype == np.int64 and (once == source).all()
+        assert not np.shares_memory(once, source)
+    acc = a.copy()
+    for e in range(1, 6):
+        power = f.matpow(a, e)
+        assert not np.shares_memory(power, a)
+        assert (power == acc).all()
+        for s, t in itertools.product(range(4), range(2)):
+            slice_acc = np.eye(3, dtype=np.int64)
+            for _ in range(e):
+                slice_acc = f.matmul(slice_acc, a[s, t])
+            assert (power[s, t] == slice_acc).all()
+        acc = f.matmul(acc, a)
+
+
 def _naive_trunc_exp(f, m):
     """sum_{t<p} m^t / t! for one matrix, by scalar ops and naive_matmul."""
     n = len(m)

@@ -6,6 +6,7 @@ import json
 import pathlib
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1877,3 +1878,251 @@ def test_load_lie_malformed():
     bad["brackets"][0]["out"][0]["k"] = 5  # out of range index
     with pytest.raises((PreconditionError, IndexError)):
         load_lie(bad)
+
+
+@pytest.mark.parametrize("path,value", [
+    (("brackets", 0, "i"), -1), (("brackets", 0, "j"), -3), (("brackets", 0, "out", 0, "k"), -1),
+    (("pmap", 2, "i"), -1), (("pmap", 2, "i"), 3), (("brackets", 0, "j"), 10 ** 30),
+    (("brackets", 0, "out", 0, "k"), -10 ** 30),
+])
+def test_load_lie_refuses_indices_outside_the_basis(path, value):
+    # a negative index is refused, not wrapped round by numpy indexing
+    data = heisenberg_json()
+    data["pmap"][2]["out"] = [{"k": 2, "c": 0}]
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(PreconditionError, match=rf"index {path[-1]}={value} outside \[0, 3\)"):
+        load_lie(data)
+
+
+def test_load_lie_reduces_huge_coefficients_and_refuses_long_digit_lists():
+    data = heisenberg_json()
+    data["brackets"][0]["out"][0]["c"] = 10 ** 30 + 3 * 10 ** 40  # 1 mod 3
+    assert load_lie(data).bracket((1, 0, 0), (0, 1, 0)) == (0, 0, 1)
+    data["brackets"][0]["out"][0]["c"] = [-10 ** 30]  # 2 mod 3
+    assert load_lie(data).bracket((1, 0, 0), (0, 1, 0)) == (0, 0, 2)
+    data["brackets"][0]["out"][0]["c"] = [1, 0]  # two digits over F_3
+    with pytest.raises(PreconditionError, match="more than k = 1 digits"):
+        load_lie(data)
+
+
+def test_load_lie_refuses_a_field_whose_codes_pass_int64():
+    # p = nextprime(2**64): codes past int64 are refused before any array
+    # is built, rather than overflowing in one
+    p = 18446744073709551629
+    data = {"p": p, "dim": 1, "pmap": [{"i": 0, "out": [{"k": 0, "c": p - 1}]}]}
+    with pytest.raises(PreconditionError, match="do not fit in int64"):
+        load_lie(data)
+    with pytest.raises(BudgetError):
+        load_lie(data, budget=10 ** 6)
+
+
+# ---------------------------------------------------------------------------
+# the JSON loader against a dict walk, and what a valid model implies
+# ---------------------------------------------------------------------------
+
+def _reference_tables(data):
+    """(adb, pmap, model stack or None, labels) of a structure-constant
+    input, read entry by entry into dicts: the last entry of a pair (i, j)
+    or of a p-map index i counts, and in it the last term of each k; an
+    integer coefficient n is n mod p, a digit list the residue with those
+    digits mod p; a pair (j, i) with no entry of its own is -[b_i, b_j]."""
+    f, dim = field_make(data["p"], data.get("k", 1)), data["dim"]
+
+    def code(c):
+        if isinstance(c, list):
+            return f.from_coeffs(c + [0] * (f.k - len(c)))
+        return f.from_int(c)
+
+    declared = {}
+    for e in data.get("brackets", []):
+        declared[e["i"], e["j"]] = {t["k"]: code(t["c"]) for t in e.get("out", [])}
+    adb = np.zeros((dim,) * 3, dtype=np.int64)
+    for (i, j), out in declared.items():
+        for k, c in out.items():
+            adb[i, k, j] = c
+            if (j, i) not in declared:
+                adb[j, k, i] = f.neg(c)
+    pmap = {}
+    for e in data.get("pmap", []):
+        pmap[e["i"]] = {t["k"]: code(t["c"]) for t in e.get("out", [])}
+    rows = np.zeros((dim, dim), dtype=np.int64)
+    for i, out in pmap.items():
+        for k, c in out.items():
+            rows[i, k] = c
+    model = None
+    if data.get("matrix_model"):
+        n = int(round(len(data["matrix_model"][0]) ** 0.5))
+        model = np.array([[code(c) for c in flat] for flat in data["matrix_model"]],
+                         dtype=np.int64).reshape(-1, n, n)
+    return adb, rows, model, data.get("labels") or [f"b{i}" for i in range(dim)]
+
+
+# integers past int64 included; 10**30 is 1 mod 3
+_RAW_INTS = st.one_of(st.integers(-40, 40),
+                      st.sampled_from([10 ** 30, -10 ** 30, 3 * 10 ** 30, 2 ** 63, -2 ** 63 - 1]))
+
+
+@st.composite
+def _structure_inputs(draw):
+    """Structure-constant inputs over F_3, F_9 or F_27 of dim <= 5, tables
+    not checked: repeated pairs, both orders of a pair, repeated k in an
+    entry, entries with an empty or absent out, int and digit-list
+    coefficients, p-map entries given twice and, half the time, a matrix
+    model in row echelon form (so its basis is independent)."""
+    p, k = draw(st.sampled_from([(3, 1), (3, 2), (3, 3)]))
+    dim = draw(st.integers(1, 5))
+    index = st.integers(0, dim - 1)
+    coeff = st.one_of(_RAW_INTS, st.lists(_RAW_INTS, max_size=k))
+    out = st.lists(st.fixed_dictionaries({"k": index, "c": coeff}), max_size=4)
+    data = {
+        "p": p, "k": k, "dim": dim,
+        "brackets": draw(st.lists(st.fixed_dictionaries({"i": index, "j": index},
+                                                        optional={"out": out}), max_size=12)),
+        "pmap": draw(st.lists(st.fixed_dictionaries({"i": index}, optional={"out": out}),
+                              max_size=7)),
+    }
+    if draw(st.booleans()):
+        data["labels"] = [f"v{i}" for i in range(dim)]
+    if draw(st.booleans()):
+        # matrix t is zero before its pivot position, nonzero there
+        pivots = sorted(draw(st.lists(st.integers(0, 8), min_size=dim, max_size=dim, unique=True)))
+        zero = st.sampled_from([0, 3, -3, 3 * 10 ** 30, [], [0] * k, [3, -3][:k]])
+        unit = st.sampled_from([1, 2, -1, 10 ** 30, -10 ** 30, [1], [2, 5][:k], [0, 1] if k > 1 else [4]])
+        data["matrix_model"] = [[draw(zero if e < at else unit if e == at else coeff)
+                                 for e in range(9)] for at in pivots]
+    return data
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=_structure_inputs())
+def test_load_lie_tables_are_the_dict_walk(data):
+    # validation off: the tables of unchecked inputs are compared as read
+    with mock.patch.object(RestrictedLieAlgebra, "validate", lambda self: None):
+        g = load_lie(data)
+    adb, pmap, model, labels = _reference_tables(data)
+    assert g._adb.dtype == np.int64 and np.array_equal(g._adb, adb)
+    assert g._pmap.dtype == np.int64 and np.array_equal(g._pmap, pmap)
+    assert g.pmap == [tuple(r) for r in pmap.tolist()] and g.labels == labels
+    if model is None:
+        assert g.matrix_model is None
+    else:
+        assert np.array_equal(g._model, model)
+        assert [m.a.tolist() for m in g.matrix_model] == model.tolist()
+
+
+def _spelled(draw, f, c):
+    """A JSON coefficient of code c: its digit list, with the trailing zeros
+    dropped or not and multiples of p added, or an integer when c is in F_p."""
+    digits = list(f.coeffs(c))
+    while digits and not digits[-1] and draw(st.booleans()):
+        digits.pop()
+    digits = [d + f.p * draw(st.sampled_from([0, 1, -2, 10 ** 30, -10 ** 30])) for d in digits]
+    if len(digits) <= 1 and draw(st.booleans()):
+        return digits[0] if digits else f.p * draw(st.sampled_from([0, -1, 10 ** 30]))
+    return digits
+
+
+_VALID_SOURCES = {
+    "sl2_F9": lambda: special_linear(2, field_make(3, 2)),
+    "sl2_F27_gl": lambda: _gl_based(special_linear(2, field_make(3, 3)), 4),
+    "sl3_F3_gl": lambda: _gl_based(special_linear(3, F3), 2),
+    "h3_F27": lambda: heisenberg(1, field_make(3, 3)),
+    "h5_F3_gl": lambda: _gl_rebased(heisenberg(2, F3), 5),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(_VALID_SOURCES)), data=st.data())
+def test_load_lie_reads_every_spelling_of_a_valid_algebra(name, data):
+    # a valid algebra written with garbage entries that later entries
+    # override, with one or both orders of each pair and with every
+    # coefficient spelled at random: validated, and the source's tables
+    g = _VALID_SOURCES[name]()
+    f, dim = g.field, g.dim
+    draw = data.draw
+    pairs = [(i, j) for i in range(dim) for j in range(dim)
+             if i < j or (i > j and draw(st.booleans()))]
+    brackets, pmap = [], []
+    for i, j in draw(st.permutations(pairs)):
+        if draw(st.booleans()):
+            brackets.append({"i": i, "j": j, "out": [{"k": 0, "c": 1}, {"k": dim - 1, "c": [2]}]})
+        out = [{"k": k, "c": _spelled(draw, f, c)} for k, c in enumerate(g._adb[i][:, j].tolist())
+               if c or draw(st.booleans())]
+        brackets.append({"i": i, "j": j, "out": draw(st.permutations(out))})
+    for i in draw(st.permutations(range(dim))):
+        if draw(st.booleans()):
+            pmap.append({"i": i, "out": [{"k": 0, "c": 1}]})
+        pmap.append({"i": i, "out": [{"k": k, "c": _spelled(draw, f, c)}
+                                     for k, c in enumerate(g.pmap[i]) if c]})
+    doc = {"p": f.p, "k": f.k, "dim": dim, "brackets": brackets, "pmap": pmap}
+    if g.matrix_model:
+        doc["matrix_model"] = [[_spelled(draw, f, c) for c in m.a.ravel().tolist()]
+                               for m in g.matrix_model]
+    h = load_lie(json.loads(json.dumps(doc)))
+    assert np.array_equal(h._adb, g._adb) and h.pmap == g.pmap
+    assert (h.matrix_model is None) == (g.matrix_model is None)
+    if g.matrix_model:
+        assert np.array_equal(h._model, g._model)
+
+
+def _conjugated(g, seed):
+    """from_matrix_basis of the model matrices of g conjugated by a seeded
+    random P in GL_n, in a seeded random basis."""
+    f, n = g.field, g._model.shape[-1]
+    rng = np.random.default_rng(seed)
+    while True:
+        p = rng.integers(0, f.q, size=(n, n))
+        if mat_rank(Mat(f, p)) == n:
+            break
+    p_inv = np.array([mat_solve(Mat(f, p), e) for e in np.eye(n, dtype=np.int64)]).T
+    mats = [f.matmul(f.matmul(p, g.matrix_of(tuple(row)).a), p_inv)
+            for row in _random_change(g, seed).tolist()]
+    return from_matrix_basis(f, [Mat(f, m) for m in mats])
+
+
+_MODEL_ZOO = {
+    **{f"sl{n}_F{q}": (lambda n=n, p=p, k=k: special_linear(n, field_make(p, k)))
+       for n in (2, 3, 4) for p, k, q in ((2, 1, 2), (3, 1, 3), (5, 1, 5), (3, 2, 9))},
+    **{f"sl{n}_F{p}_conjugate{seed}": (lambda n=n, p=p, seed=seed:
+                                       _conjugated(special_linear(n, field_make(p, 1)), seed))
+       for n, p, seed in ((2, 3, 1), (3, 2, 2), (3, 5, 3), (4, 3, 4))},
+    # sl_2 over F_9 and F_25 in a random basis, as the lie-ext workload
+    # builds its sl_2 inputs
+    **{f"sl2_F{q}_gl{seed}": (lambda p=p, seed=seed:
+                              _gl_based(special_linear(2, field_make(p, 2)), seed))
+       for p, q in ((3, 9), (5, 25)) for seed in (1, 7)},
+}
+
+
+def _passes(check):
+    try:
+        check()
+    except PreconditionError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name", sorted(_MODEL_ZOO))
+def test_a_valid_model_implies_jacobi_and_restrictedness(name):
+    # validate skips the Jacobi and restrictedness sweeps when the model
+    # check passes; they pass on every zoo algebra, and on every antisymmetric
+    # perturbation of its tables that the model check lets through
+    g = _MODEL_ZOO[name]()
+    assert _passes(g._validate_model)
+    g._validate_jacobi()
+    g._validate_restricted()
+    f, rng = g.field, random.Random(name)
+    for trial in range(4):
+        adb, pmap = g._adb.copy(), g._pmap.copy()
+        i, j, k = rng.sample(range(g.dim), 2) + [rng.randrange(g.dim)]
+        c = rng.randrange(f.q) if trial else 0
+        adb[i, k, j], adb[j, k, i] = c, f.neg(c)
+        if trial % 2:
+            pmap[i, k] = rng.randrange(f.q)
+        h = RestrictedLieAlgebra._from_arrays(f, adb, pmap, solver=g._coord_solver)
+        if _passes(h._validate_model):
+            h._validate_jacobi()
+            h._validate_restricted()
