@@ -168,15 +168,16 @@ def _cmd_lie_srk(args):
 
 
 def _cmd_lie_nullcone(args):
-    from .lie import load_lie, nullcone
+    from .lie import load_lie, nullcone, point_rows
     if args.list_limit < 0:
         raise PreconditionError(f"--list-limit must be >= 0, got {args.list_limit}")
     budget = _budget(args)
     g = load_lie(args.file, budget=budget)
-    pts = nullcone(g, budget=budget)
-    report = {"dim": g.dim, "q": g.field.q, "count": len(pts)}
-    if len(pts) <= args.list_limit:
-        report["points"] = [[list(g.field.coeffs(c)) for c in v] for v in pts.tolist()]
+    codes = nullcone(g, budget=budget)
+    report = {"dim": g.dim, "q": g.field.q, "count": len(codes)}
+    if len(codes) <= args.list_limit:
+        rows = point_rows(g, codes).tolist()
+        report["points"] = [[list(g.field.coeffs(c)) for c in v] for v in rows]
     else:
         report["points_omitted"] = True
     return report

@@ -3,9 +3,11 @@
 An algebra of dimension n over F_q keeps, per basis pair, the bracket
 coordinates [b_i, b_j] and, per basis vector, the p-map image b_i^[p]; an
 optional matrix model realizes the basis inside gl_m and must agree with both
-tables.  Elements are coordinate tuples of field codes; point sets, such as
-the nullcone and srk_brute's o_rmin, are int64 arrays with one coordinate
-row per point.
+tables.  Elements are coordinate tuples of field codes.  A point set, such
+as the nullcone, is one ascending int64 array of codes, a point's code being
+its coordinates read as base-q digits, most significant first; point_rows
+expands codes to coordinate rows where a caller reads coordinates (the
+classes of a search, a witness, srk_brute's o_rmin).
 
 x^[p] is evaluated for a whole array of elements at once.  Matrix models take
 the batched p-th matrix power and solve back to coordinates; otherwise
@@ -30,8 +32,9 @@ shared with satrank.groups) gives r(x) for every class at once.
 
 The graph lives on integer coordinates of a coordinate subspace F_q^d of
 the searched algebra (span B below).  The callers' budget checks bound
-q^dim, so a dense int32 table with one entry per coordinate code maps every
-nonzero scalar multiple of a class to the class index.  The classes
+q^dim, so a dense table with one entry per coordinate code, in the least
+unsigned dtype that holds the class count, maps every nonzero scalar
+multiple of a class to the class index.  The classes
 commuting with u are the span closure of ker ad(u), built for a batch of
 classes at a time (_TupleSearch._build_masks).  A witness is the least
 basis of a maximal-rank subalgebra through the point, picked greedily
@@ -91,10 +94,10 @@ class RestrictedLieAlgebra:
                  matrix_model=None, validate="full"):
         dim = len(pmap)
         # the ad tensor: adb[i][:, j] holds the coordinates of [b_i, b_j]
-        i, j, k, c = np.array([(i, j, k, c) for (i, j), out in brackets.items() for k, c in out.items()],
-                              dtype=np.int64).reshape(-1, 4).T
+        terms = [(i, j, k, c) for (i, j), out in brackets.items() for k, c in out.items()]
+        i, j, k, c = _int64(terms, "bracket term (i, j, k, c)").reshape(-1, 4).T
         self._init(field, _scatter(dim, (i, k, j), c % field.q),
-                   np.asarray(pmap, dtype=np.int64).reshape(dim, dim) % field.q, labels,
+                   _int64(pmap, "p-map entry {}").reshape(dim, dim) % field.q, labels,
                    matrix_model and _CoordSolver(field, matrix_model))
         if validate == "full":
             self.validate()
@@ -324,6 +327,17 @@ class _CoordSolver:
         return adb, inside
 
 
+def _int64(rows, entry):
+    """rows as an int64 array.  Where numpy would raise OverflowError,
+    PreconditionError names the first row i with a value past int64 as
+    entry.format(i) and the row."""
+    try:
+        return np.asarray(rows, dtype=np.int64)
+    except OverflowError:
+        i = next(i for i, row in enumerate(rows) if not all(-2 ** 63 <= v < 2 ** 63 for v in row))
+        raise PreconditionError(f"{entry.format(i)} = {tuple(rows[i])} does not fit in int64") from None
+
+
 def _commutator_blocks(f, mats):
     """(start, comm) with comm[i - start, j] = m_i m_j - m_j m_i for the
     (d, n, n) stack mats, the i in blocks of at most _COMMUTATOR_BLOCK
@@ -427,24 +441,37 @@ def special_linear(n: int, field: FieldSpec) -> RestrictedLieAlgebra:
 # ---------------------------------------------------------------------------
 
 def nullcone(g: RestrictedLieAlgebra, budget: int = DEFAULT_BUDGET) -> np.ndarray:
-    """All x with x^[p] = 0: an (N, dim) int64 array of coordinate rows in
-    lexicographic order, zero first.
+    """All x with x^[p] = 0, as the ascending int64 array of their codes, zero
+    first.  x's code is its dot product with q**(dim-1), ..., q, 1, so the
+    order is lexicographic; point_rows expands codes to coordinate rows.
 
     It is (V(g) n span B) + C for the central elementary ideal C and the
     standard basis vectors B off its pivot columns (_central_elementary), so
     p-th powers are taken on span B only (_nilpotent_span, on the lines where
-    sigma_2 vanishes) and the sums with C are array adds.
+    sigma_2 vanishes) and the sums with C are taken one coordinate column at a
+    time, in code space.  PreconditionError when the codes of g's q**dim
+    elements would not fit in int64.
     """
     total = g.element_count()
     if total > budget:
         raise BudgetError(f"nullcone needs {total} points > budget {budget}")
+    if total >= 2 ** 63:
+        raise PreconditionError(f"nullcone codes of {g!r}: q**dim = {total} does not fit in int64")
     f, centre = g.field, _central_elementary(g)
-    vecs = _nilpotent_span(g, _off_pivots(centre))
+    codes = _nilpotent_span(g, _off_pivots(centre))
     if not len(centre):
-        return vecs
+        return codes
     shifts = _combinations(f, np.arange(f.q ** len(centre), dtype=np.int64), centre)
-    vecs = f.varr_add(vecs[:, None], shifts[None]).reshape(-1, g.dim)
-    return np.take(vecs, np.argsort(vecs @ _place_values(f.q, g.dim)), axis=0)
+    sums = 0  # [i, s]: the code of codes[i] + shifts[s]
+    for digit, shift in zip(_digit_columns(codes, f.q, g.dim), shifts.T):
+        sums = sums * f.q + f.varr_add(digit[:, None], shift)
+    return np.sort(sums, axis=None)
+
+
+def point_rows(g: RestrictedLieAlgebra, codes) -> np.ndarray:
+    """The (N, dim) int64 coordinate rows of the points of g with the given
+    codes (as nullcone returns them)."""
+    return _digits(np.asarray(codes, dtype=np.int64), g.field.q, g.dim)
 
 
 def _central_elementary(g: RestrictedLieAlgebra) -> np.ndarray:
@@ -488,35 +515,35 @@ _MASK_BITS_PER_BUDGET = 32
 
 def _nilpotent_span(g: RestrictedLieAlgebra, keep):
     """The p-nilpotent vectors of span B, for B the standard basis vectors of
-    g at the columns where the bool mask keep holds: an (N, dim) int64 array
-    of coordinate rows in lexicographic order, zero first.
+    g at the columns where the bool mask keep holds: the ascending int64
+    array of their codes (nullcone's), zero first.
 
     A vector of span B is zero off keep, and its d entries at keep are a
-    high half a (d - d // 2 digits) over a low half b, so its code is
-    code(a) * q**(d // 2) + code(b).  (cx)^[p] = c^p x^[p]: one p-th power
-    per line at most, on the pairs with a = 0 and b a line representative
-    (first nonzero digit 1), or a a line representative.  Those pass
-    sigma_2 (_trace_form) first, for a block of a's against every b as one
-    _split_form table, unless it vanishes identically (Heisenberg and
-    abelian algebras).  That rejects no p-nilpotent x: x^[p] = 0 forces
+    high half a (d - d // 2 digits) over a low half b, so its code is the
+    sum of the codes of a and b placed at their columns.
+    (cx)^[p] = c^p x^[p]: one p-th power per line at most, on the pairs with
+    a = 0 and b a line representative (first nonzero digit 1), or a a line
+    representative.  Those pass sigma_2 (_trace_form) first, for a block of
+    a's against every b as one _split_form table, unless it vanishes
+    identically (Heisenberg and abelian algebras).  That rejects no p-nilpotent x: x^[p] = 0 forces
     ad(x)^p = ad(x^[p]) = 0 and, with a model, X^p = 0, and sigma_2 vanishes
     on nilpotent matrices.  The survivors take their p-th powers in batches
     of at most _CHUNK: X^min(p, n) = 0 on X = X_a + X_b with a model (it is
     faithful and its p-th powers are the p-map's, as _CoordSolver and
     validate check, and X^p = 0 gives X^n = 0), else _pmap_rows.  Nilpotent
     lines are expanded by the q - 1 nonzero scalars in code space, and the
-    codes are sorted once.
+    codes are sorted once, in place.
     """
     f, d = g.field, int(keep.sum())
     d1, d2 = d - d // 2, d // 2
     a, b = (_digits(np.arange(f.q ** h, dtype=np.int64), f.q, h) for h in (d1, d2))
-    a = a[np.append(0, _projective_reps(f, a))]  # 0, then one a per line
+    a = a[np.append(0, _projective_reps(f.q, np.arange(len(a)), d1))]  # 0, then one a per line
     lines = np.zeros(len(b), dtype=bool)  # the b that are line representatives
-    lines[_projective_reps(f, b)] = True
+    lines[_projective_reps(f.q, np.arange(len(b)), d2)] = True
     scalars = np.arange(1, f.q, dtype=np.int64)[:, None, None]
     # [c - 1, i]: the share of a[i] (of b[i]) in the code of c * (a, b)
-    high = f.varr_mul(scalars, a) @ _place_values(f.q, d1) * f.q ** d2
-    low = f.varr_mul(scalars, b) @ _place_values(f.q, d2)
+    place = _place_values(f.q, g.dim)[keep]
+    high, low = f.varr_mul(scalars, a) @ place[:d1], f.varr_mul(scalars, b) @ place[d1:]
     form = _trace_form(g)[np.ix_(keep, keep)]
     # Q(x) = x . form . x^T vanishes identically when its coefficients do:
     # the diagonal and form[i, j] + form[j, i] off it
@@ -543,7 +570,9 @@ def _nilpotent_span(g: RestrictedLieAlgebra, keep):
             else:
                 zero = ~g._pmap_rows(_placed(np.hstack([a[i], b[j]]), keep)).any(axis=1)
             codes.append((high[:, i[zero]] + low[:, j[zero]]).ravel())
-    return _placed(_digits(np.sort(np.concatenate(codes)), f.q, d), keep)
+    codes = np.concatenate(codes)
+    codes.sort()
+    return codes
 
 
 def _split_form(f, form, a, b):
@@ -625,6 +654,15 @@ def _digits(codes, q, d):
         np.subtract(codes, q * high, out=out[i])
         codes = high
     return out.T
+
+
+def _digit_columns(codes, q, d):
+    """The base-q digits of codes, most significant first, one array per
+    digit, so that a caller holds one column at a time (_digits holds all)."""
+    for place in _place_values(q, d).tolist():
+        digit = codes // place
+        codes = codes - digit * place
+        yield digit
 
 
 def _combinations(f, codes, basis):
@@ -780,11 +818,12 @@ class _TupleSearch:
     the d standard basis vectors of g at the columns where the bool mask keep
     holds: the columns off the pivots of the central elementary ideal (all
     of them when that is {0}; _quotient_search).  Row i of coords (n x d)
-    holds class i's coordinates in B, its entries at those columns, and row i
-    of points (n x dim) the same vector in g's coordinates.  A coordinate
-    vector's code is its dot product with q**(d-1), ..., q, 1, and _table
-    sends the code of every nonzero multiple of class i to i and every other
-    code to n.
+    holds class i's coordinates in B, its entries at those columns; x_i is
+    the same vector in g's coordinates, _placed(coords, keep)[i].  A
+    coordinate vector's code is its dot product with q**(d-1), ..., q, 1,
+    and _table sends the code of every nonzero multiple of class i to i and
+    every other code to n; the codes of the q - 1 multiples are summed one
+    column of coords at a time.
 
     automorphisms are verified automorphisms of (g, [p]) as d x d matrices
     acting on coordinate rows (srk_brute passes _automorphisms(g, coords)).
@@ -792,12 +831,12 @@ class _TupleSearch:
     generate, and the roots are the classes with labels[i] == i; without
     automorphisms every class is a root.  One clique query,
     _cliques_through, serves the ranks and the witnesses: commuting[i] is the
-    bitmask of the classes in ker(ad(points[i]) . B^T), built batch by batch
+    bitmask of the classes in ker(ad(x_i) . B^T), built batch by batch
     for the classes a query starts from and their neighbours, and 0 for the
     others.  cliques holds (rank, bitmask) for each maximal clique of the
     commuting graph that meets a root, a maximal elementary subalgebra of
     the subspace, and ranks[i] is the largest rank of a clique through
-    labels[i], that is r(points[i]) there: local rank is invariant under
+    labels[i], that is r(x_i) there: local rank is invariant under
     automorphisms.  Each clique enumeration visits at most budget nodes, and
     the masks hold at most _MASK_BITS_PER_BUDGET * budget bits.
     """
@@ -808,13 +847,14 @@ class _TupleSearch:
         self.n, d = coords.shape
         self.keep = keep
         self.coords = coords
-        self.points = _placed(coords, keep)
         self._budget = budget
-        scalars = np.arange(1, f.q, dtype=np.int64)
-        multiples = f.varr_mul(scalars[:, None, None], coords[None])  # [c - 1, i] = c * coords[i]
         self._place = _place_values(f.q, d)
-        self._table = np.full(f.q ** d, self.n, dtype=np.int32)  # n: no class
-        self._table[multiples @ self._place] = np.arange(self.n, dtype=np.int32)
+        # [c - 1, i]: the code of c * coords[i], one column at a time
+        multiples = sum((f.varr_mul(np.arange(1, f.q)[:, None], column) * place
+                         for column, place in zip(coords.T, self._place.tolist())),
+                        np.zeros((f.q - 1, self.n), dtype=np.int64))
+        self._table = np.full(f.q ** d, self.n, dtype=np.min_scalar_type(self.n))  # n: no class
+        self._table[multiples] = np.arange(self.n)
         # each automorphism permutes the classes (image codes through _table);
         # 4 to 6 label rounds on sl_3 over F_5 and F_7
         self.labels = _orbit_labels(self.n, [self._table[f.matmul(coords, a) @ self._place]
@@ -864,7 +904,7 @@ class _TupleSearch:
         step = (_CHUNK << 2) // max(1, g.dim * d)  # (step, dim, d) stacks: <= 4 * _CHUNK codes
         for start in range(0, len(which), step):
             part = which[start:start + step]
-            vectors, free = _kernels(f, g.ad(self.points[part])[..., self.keep])
+            vectors, free = _kernels(f, g.ad(_placed(self.coords[part], self.keep))[..., self.keep])
             dims = free.sum(axis=1)
             for k in np.flatnonzero(np.bincount(dims)).tolist():
                 rows = np.flatnonzero(dims == k)
@@ -904,48 +944,51 @@ class _TupleSearch:
         data, w = packed.tobytes(), packed.shape[1]
         return [int.from_bytes(data[i * w:(i + 1) * w], "little") for i in range(len(vecs))]
 
-    def max_tuple_containing(self, xi, points=None, classes=None, centre_dim=0):
+    def max_tuple_containing(self, xi, codes=None, classes=None, centre_dim=0):
         """(r, witness, True): the largest rank r of an elementary subalgebra
         through candidate xi, and the least basis, in candidate order, of
         such a subalgebra that starts with the candidate.
 
-        The candidates are the rows of points (in g's coordinates, in the
-        order that defines "least"), and classes[j] is the class of points[j]
-        modulo an ideal of dimension centre_dim that lies in every maximal
-        elementary subalgebra, or n when points[j] lies in that ideal.
-        srk_brute and local_rank pass the classes of the searched algebra's
-        nullcone and its central elementary ideal; by default the candidates
-        are the search's own classes.  So r is
-        centre_dim plus s, the largest rank of a clique through classes[xi]
-        (through any class when that is n).
+        The candidates are the points of g with the ascending codes codes
+        (nullcone's, so their order is the one that defines "least"), and
+        classes[j] is the class of candidate j modulo an ideal of dimension
+        centre_dim that lies in every maximal elementary subalgebra, or n
+        when candidate j lies in that ideal.  srk_brute and local_rank pass
+        the classes of the searched algebra's nullcone and its central
+        elementary ideal; by default the candidates are the search's own
+        classes.  So r is centre_dim plus s, the largest rank of a clique
+        through classes[xi] (through any class when that is n).
 
         The witness is picked greedily: each pick is the least candidate
         outside the span of the picks so far whose class, with the classes
-        of those picks, lies in a clique of rank s (_allowed).  In srk_brute
-        and local_rank the first pick outside the ideal is a root, so their
+        of those picks, lies in a clique of rank s (_allowed); the span is
+        read as the codes of its q**len(picks) points.  In srk_brute and
+        local_rank the first pick outside the ideal is a root, so their
         picks read cliques only; a pick of another class enumerates the
         cliques through the least class picked.  A candidate passed over at
         one pick lies in no rank-r subalgebra over the picks, so none later
         either: the greedy basis is the lexicographically least tuple that
-        spans one.  The constant third entry keeps the (r, witness,
-        exhausted) shape that bench/layers.py reads.
+        spans one.  Only the picks are expanded to rows.  The constant third
+        entry keeps the (r, witness, exhausted) shape that bench/layers.py
+        reads.
         """
-        f, n = self.f, self.n
-        if points is None:
-            points, classes = self.points, np.arange(n)
+        f, g, n = self.f, self.g, self.n
+        place = _place_values(f.q, g.dim)
+        if codes is None:
+            codes, classes = _placed(self.coords, self.keep) @ place, np.arange(n)
         ranks = np.array(self.ranks + [max(self.ranks, default=0)], dtype=np.int64)
         s = int(ranks[classes[xi]])
         picks, members = [xi], 0 if classes[xi] == n else 1 << int(classes[xi])
         for _ in range(centre_dim + s - 1):
-            span, pivots = _rref(f, points[picks][None])
-            cols = np.flatnonzero(pivots[0])
-            residual = f.varr_add(points, f.varr_neg(f.matmul(points[:, cols], span[0])))
-            outside = residual.any(axis=1)
-            j = int(np.flatnonzero(outside & self._allowed(members, s)[classes])[0])
+            span = _combinations(f, np.arange(f.q ** len(picks)), point_rows(g, codes[picks])) @ place
+            at = np.searchsorted(codes, span) % len(codes)  # a span code past them all meets codes[0]
+            allowed = self._allowed(members, s)[classes]
+            allowed[at[codes[at] == span]] = False  # the candidates inside the span
+            j = int(np.argmax(allowed))
             picks.append(j)
             if classes[j] < n:
                 members |= 1 << int(classes[j])
-        return centre_dim + s, [tuple(v) for v in points[picks].tolist()], True
+        return centre_dim + s, [tuple(v) for v in point_rows(g, codes[picks]).tolist()], True
 
     def _allowed(self, members, s):
         """Flags over the classes, and a last True for "in the ideal": class
@@ -985,17 +1028,17 @@ class LocalRank(NamedTuple):
     witness: ElementarySubalgebra
 
 
-def _projective_reps(f, vecs):
-    """The ascending indices of the rows of vecs whose first nonzero
-    coordinate is 1.
+def _projective_reps(q, codes, d):
+    """The ascending indices of the entries of the ascending codes of
+    length-d digit vectors whose first nonzero digit is 1: the codes in
+    [q**t, 2 q**t) for t < d.
 
-    vecs must be closed under F_q^x scaling (a nullcone is), so these rows
+    codes must be closed under F_q^x scaling (a nullcone's are), so these
     are exactly one representative per projective class.
     """
-    if not vecs.shape[1]:  # F_q^0 has no nonzero vector
-        return np.zeros(0, dtype=np.int64)
-    lead = vecs[np.arange(len(vecs)), (vecs != 0).argmax(axis=1)]
-    return np.flatnonzero(lead == f.one)
+    powers = q ** np.arange(d, dtype=np.int64)
+    bounds = zip(np.searchsorted(codes, powers), np.searchsorted(codes, 2 * powers))
+    return np.concatenate([np.arange(0)] + [np.arange(lo, hi) for lo, hi in bounds])
 
 
 def local_rank(g: RestrictedLieAlgebra, x: Vec, budget: int = DEFAULT_BUDGET) -> LocalRank:
@@ -1024,15 +1067,16 @@ def local_rank(g: RestrictedLieAlgebra, x: Vec, budget: int = DEFAULT_BUDGET) ->
         raise BudgetError(f"centralizer has {f.q ** len(zbasis)} points > budget {budget}")
     zbasis = _rref(f, zbasis[None])[0][0]
     h = _subalgebra(g, zbasis)
-    vecs = nullcone(h, budget=budget)
-    search, reps, of = _quotient_search(h, vecs, budget, orbits=False)
-    points = f.matmul(vecs[reps], zbasis)
+    codes = nullcone(h, budget=budget)
+    search, reps, of = _quotient_search(h, codes, budget, orbits=False)
     lead = next(c for c in x if c)  # x's projective representative is x / lead
-    rep = f.varr_mul(f.inv(lead), np.array(x, dtype=np.int64))
-    xi = int(np.flatnonzero((points == rep).all(axis=1))[0])
-    r, witness, _ = search.max_tuple_containing(xi, points, of[reps], len(_central_elementary(h)))
-    witness[0] = x  # report the caller's point, not its projective representative
-    return LocalRank(rank=r, witness=ElementarySubalgebra(tuple(witness)))
+    rep = f.varr_mul(f.inv(lead), np.array(x, dtype=np.int64))[~_off_pivots(zbasis)]
+    codes = codes[reps]
+    xi = int(np.searchsorted(codes, rep @ _place_values(f.q, h.dim)))
+    r, witness, _ = search.max_tuple_containing(xi, codes, of[reps], len(_central_elementary(h)))
+    witness = f.matmul(np.array(witness), zbasis).tolist()  # in g's coordinates
+    # report the caller's point, not its projective representative
+    return LocalRank(rank=r, witness=ElementarySubalgebra((x,) + tuple(map(tuple, witness[1:]))))
 
 
 def _subalgebra(g: RestrictedLieAlgebra, rows) -> RestrictedLieAlgebra:
@@ -1076,56 +1120,69 @@ def srk_brute(g: RestrictedLieAlgebra, budget: int = DEFAULT_BUDGET) -> SrkBrute
     scalar-invariant, so they are found per projective class and expanded
     back to points, and they are constant on the orbits of the verified
     automorphisms (_automorphisms), so the cliques are enumerated through
-    the orbit roots only.  The witness is the least maximal tuple through the
-    least point of minimal rank, in g's lexicographic order.  budget caps
-    the nullcone points, the commuting-mask bits and the nodes of each
-    clique search.
+    the orbit roots only.  The least local rank is dim C plus the least
+    clique rank (dim C alone when V(g) = C).  The witness is the least maximal tuple through the
+    least point of minimal rank, in g's lexicographic order.  The points
+    stay codes until the search is done; only o_rmin is expanded to rows.
+    budget caps the nullcone points, the commuting-mask bits and the nodes
+    of each clique search.
     """
-    vecs = nullcone(g, budget=budget)
-    if len(vecs) == 1:  # just 0
-        return SrkBrute(srk=0, r_min=0, o_rmin_count=0, o_rmin=vecs[1:],
+    codes = nullcone(g, budget=budget)
+    if len(codes) == 1:  # just 0
+        return SrkBrute(srk=0, r_min=0, o_rmin_count=0, o_rmin=point_rows(g, codes[1:]),
                         witness=None, note="restricted nullcone is {0}; srk reported as 0")
-    search, reps, of = _quotient_search(g, vecs, budget, orbits=True)
+    search, reps, of = _quotient_search(g, codes, budget, orbits=True)
     centre_dim = len(_central_elementary(g))
-    ranks = centre_dim + np.array(search.ranks + [max(search.ranks, default=0)])[of]
-    m = int(ranks[1:].min())
-    o_rmin = vecs[1:][ranks[1:] == m]
-    _, wit, _ = search.max_tuple_containing(int(np.argmax(ranks[reps] == m)), vecs[reps],
-                                            of[reps], centre_dim)
-    return SrkBrute(srk=m, r_min=m, o_rmin_count=len(o_rmin), o_rmin=o_rmin,
+    ranks = search.ranks + [max(search.ranks, default=0)]  # a point of C has the largest
+    least = (np.array(ranks) == min(ranks))[of]
+    _, wit, _ = search.max_tuple_containing(int(np.argmax(least[reps])), codes[reps], of[reps],
+                                            centre_dim)
+    codes = codes[1:][least[1:]]
+    del search, reps, of, least  # o_rmin's rows take the place of the search
+    m = centre_dim + min(ranks)
+    return SrkBrute(srk=m, r_min=m, o_rmin_count=len(codes), o_rmin=point_rows(g, codes),
                     witness=ElementarySubalgebra(tuple(wit)), note="")
 
 
-def _quotient_search(g: RestrictedLieAlgebra, vecs, budget, orbits):
+def _quotient_search(g: RestrictedLieAlgebra, codes, budget, orbits):
     """The search on the classes of V(g) n span B, B the standard basis
     vectors off the pivots of the central elementary ideal C, and where it
     puts each nullcone point.
 
-    vecs is nullcone(g).  Returns (search, reps, of): the _TupleSearch in B's
-    coordinates, with the verified automorphisms (_automorphisms) when
-    orbits; the ascending indices of the rows of vecs that are one point per
-    projective class (_projective_reps); and of[i], the class of vecs[i]
-    modulo C, or search.n when vecs[i] lies in C.
+    codes is nullcone(g).  Returns (search, reps, of): the _TupleSearch in
+    B's coordinates, with the verified automorphisms (_automorphisms) when
+    orbits; the ascending indices of the codes that are one point per
+    projective class (_projective_reps); and of[i], the class of point
+    codes[i] modulo C, or search.n when it lies in C.  Rows are built for
+    the classes only.
     """
     f, centre = g.field, _central_elementary(g)
     keep = _off_pivots(centre)
-    reps = _projective_reps(f, vecs)  # one point per class of g, in lexicographic order
-    # the classes of V(g) n span B are those zero on C's pivots, and their
-    # coordinates in B are their entries off the pivots
-    classes = vecs[np.ix_(reps[~vecs[np.ix_(reps, ~keep)].any(axis=1)], keep)]
+    reps = _projective_reps(f.q, codes, g.dim)  # one point per class of g, in lexicographic order
+    parts = _part_codes(f, codes, centre, keep)
+    # the classes of V(g) n span B are the representatives that are zero on
+    # C's pivots, and their B-codes are their parts
+    pivots = codes[reps, None] // _place_values(f.q, g.dim)[~keep] % f.q
+    classes = _digits(parts[reps[~pivots.any(axis=1)]], f.q, int(keep.sum()))
     search = _TupleSearch(g, classes, keep, budget, _automorphisms(g, classes) if orbits else ())
-    return search, reps, search._table[_part_in_span(f, vecs, centre, keep) @ search._place]
+    return search, reps, search._table[parts]
 
 
-def _part_in_span(f, vecs, centre, keep):
-    """The coordinates in B of b, for each row x = b + c of vecs with b in
-    span B and c in C: c = x[pivots] . centre, since centre is in RREF, and
-    B's coordinates are the entries off the pivots.  One elementwise product
-    per row of centre keeps the temporaries at the size of the result."""
-    part, negated = vecs[:, keep], f.varr_neg(centre[:, keep])
-    for t, col in enumerate(np.flatnonzero(~keep).tolist()):
-        part = f.varr_add(part, f.varr_mul(vecs[:, col, None], negated[t]))
-    return part
+def _part_codes(f, codes, centre, keep):
+    """The code in B's coordinates of b, for each point x = b + c with b in
+    span B and c in C: c = x[pivots] . centre, since centre is in RREF, so
+    b's coordinates in B are x's entries off the pivots less c's, read one
+    digit column at a time, most significant first."""
+    parts, pivots = np.zeros_like(codes), []  # pivots[t]: x's digit at centre[t]'s pivot
+    for kept, digit, column in zip(keep.tolist(), _digit_columns(codes, f.q, len(keep)),
+                                   f.varr_neg(centre).T):
+        if kept:
+            for x_t, c in zip(pivots, column.tolist()):
+                digit = f.varr_add(digit, f.varr_mul(x_t, c))
+            parts = parts * f.q + digit
+        else:
+            pivots.append(digit)
+    return parts
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import itertools
 import json
 import pathlib
 import random
+import re
 import tracemalloc
 from unittest import mock
 
@@ -26,6 +27,7 @@ from satrank.lie import (
     load_lie,
     local_rank,
     nullcone,
+    point_rows,
     sl_coords,
     sl_matrices,
     special_linear,
@@ -370,7 +372,8 @@ def test_jacobi_check_names_the_pointwise_first_failure(monkeypatch, name, block
 @pytest.mark.parametrize("field", [F3, field_make(3, 2)], ids=["F3", "F9"])
 def test_zero_dimensional_algebra(field):
     g = abelian_p_trivial(0, field)
-    assert g.pmap_eval(()) == () and nullcone(g).shape == (1, 0)
+    assert g.pmap_eval(()) == () and nullcone(g).tolist() == [0]
+    assert point_rows(g, nullcone(g)).shape == (1, 0)
     assert srk_brute(g).srk == 0
 
 def test_pmap_examples():
@@ -489,12 +492,14 @@ _NULLCONE_FILTER_CASES = {
 @pytest.mark.parametrize("name", sorted(_NULLCONE_FILTER_CASES))
 def test_nullcone_is_the_pointwise_filter_as_an_array(name):
     # iter_elements runs in lexicographic order, so the list comparison also
-    # pins the row order, zero first
+    # pins the order of the codes, zero first
     g = _NULLCONE_FILTER_CASES[name]()
-    pts = nullcone(g)
-    assert isinstance(pts, np.ndarray) and pts.dtype == np.int64
-    assert pts.ndim == 2 and pts.shape[1] == g.dim
+    codes = nullcone(g)
+    assert isinstance(codes, np.ndarray) and codes.dtype == np.int64 and codes.ndim == 1
+    pts = point_rows(g, codes)
+    assert pts.dtype == np.int64 and pts.shape == (len(codes), g.dim)
     assert pts.tolist() == [list(x) for x in g.iter_elements() if not any(g.pmap_eval(x))]
+    assert (codes == pts @ g.field.q ** np.arange(g.dim - 1, -1, -1)).all()
 
 
 @pytest.mark.parametrize("n,p,seed", [(3, 2, 0), (4, 2, 1), (3, 3, 2)])
@@ -506,7 +511,7 @@ def test_nullcone_is_the_pmap_scan_in_a_random_basis(n, p, seed):
     # only nonzero form)
     g = _gl_based(special_linear(n, field_make(p, 1)), seed)
     elements = np.array(list(g.iter_elements()), dtype=np.int64)
-    assert np.array_equal(nullcone(g), elements[~g._pmap_rows(elements).any(axis=1)])
+    assert np.array_equal(point_rows(g, nullcone(g)), elements[~g._pmap_rows(elements).any(axis=1)])
 
 
 def test_an_unclosed_matrix_model_is_refused():
@@ -533,9 +538,40 @@ def test_nullcone_budget():
         nullcone(special_linear(2, F5), budget=10)
 
 
+@pytest.mark.parametrize("p,dim", [(2, 63), (2, 64), (3, 40)])
+def test_nullcone_refuses_codes_past_int64(p, dim):
+    # a point's code is < q**dim, which here passes 2**63 (3**40 > 2**63 >
+    # 3**39), so the codes would wrap whatever the budget: such a nullcone is
+    # refused before any scan
+    g = toral(dim, field_make(p, 1))
+    for run in (nullcone, srk_brute):
+        with pytest.raises(PreconditionError, match="does not fit in int64"):
+            run(g, budget=2 ** 70)
+
+
+@pytest.mark.parametrize("name", ["sl2_F9", "h3_F9", "sl3_F3_gl", "centralizer_sl4_F3"])
+def test_codes_are_the_rows_read_in_base_q(name):
+    # point_rows inverts the codes, the representatives are the rows whose
+    # first nonzero coordinate is 1, and a part is b's code for x = b + c
+    g = _POINTWISE_NULLCONES[name][0]()
+    f, codes = g.field, nullcone(g)
+    rows = point_rows(g, codes)
+    assert (rows @ f.q ** np.arange(g.dim - 1, -1, -1) == codes).all()
+    leads = [next((c for c in v if c), 0) for v in rows.tolist()]
+    assert lie._projective_reps(f.q, codes, g.dim).tolist() == \
+        [i for i, c in enumerate(leads) if c == f.one]
+    centre = lie._central_elementary(g)
+    keep = lie._off_pivots(centre)
+    # c = x[pivots] . centre, and b = x - c is zero on the pivots
+    parts = f.varr_add(rows, f.varr_neg(f.matmul(rows[:, ~keep], centre)))
+    assert not parts[:, ~keep].any()
+    place = f.q ** np.arange(keep.sum() - 1, -1, -1)
+    assert (lie._part_codes(f, codes, centre, keep) == parts[:, keep] @ place).all()
+
+
 def test_toral_nullcone_trivial():
     t = toral(2, F3)
-    assert nullcone(t).tolist() == [[0, 0]]
+    assert nullcone(t).tolist() == [0]
     res = srk_brute(t)
     assert res.srk == 0 and "0" in res.note
     assert res.o_rmin.shape == (0, 2) and res.o_rmin_count == 0
@@ -593,10 +629,10 @@ _SPAN_CASES = {  # name -> (algebra, bool mask of the standard basis vectors spa
 @pytest.mark.parametrize("name", sorted(_SPAN_CASES))
 def test_nilpotent_span_matches_all_points_filter(name):
     g, keep = _SPAN_CASES[name]()
-    vecs = lie._nilpotent_span(g, keep)
-    want = _nilpotent_span_all_points(g, keep)
-    assert vecs.dtype == want.dtype and vecs.shape == want.shape
-    assert np.array_equal(vecs, want) and not vecs[0].any()
+    codes = lie._nilpotent_span(g, keep)
+    vecs, want = point_rows(g, codes), _nilpotent_span_all_points(g, keep)
+    assert codes.dtype == np.int64 and vecs.shape == want.shape
+    assert np.array_equal(vecs, want) and codes[0] == 0
 
 
 # name -> (algebra, d = the number of standard basis vectors the scan spans)
@@ -621,7 +657,7 @@ def test_nullcone_is_the_pointwise_enumeration(name):
     g = build()
     assert int(lie._off_pivots(lie._central_elementary(g)).sum()) == d
     want = [list(x) for x in g.iter_elements() if not any(g.pmap_eval(x))]
-    vecs = nullcone(g)
+    vecs = point_rows(g, nullcone(g))
     assert vecs.dtype == np.int64 and vecs.shape == (len(want), g.dim)
     assert vecs.tolist() == want
 
@@ -651,8 +687,25 @@ def test_nullcone_scan_memory_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert vecs.shape == (15625, 8)
+    assert vecs.shape == (15625,)
     assert peak <= 3_000_000
+
+
+def test_srk_brute_memory_bound():
+    # srk_brute keeps the nullcone as codes and builds rows for the classes,
+    # the witness picks and o_rmin only, which it expands after the search
+    # is released; on sl_3/F_5 (15625 points, 3906 classes) the peak stays
+    # below 3.5 MB (warm caches), where rows for every point took 5.2 MB
+    g = special_linear(3, F5)
+    srk_brute(g)
+    tracemalloc.start()
+    try:
+        res = srk_brute(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.o_rmin.shape == (15624, 8)
+    assert peak <= 3_500_000
 
 def _form_matrix(g, x):
     """The matrix whose sigma_2 the form takes: x's model matrix, else ad(x)."""
@@ -758,7 +811,7 @@ def test_nullcone_rows_have_zero_trace_form(name, seed):
     # basis, rebuilt from the model when there is one
     g = _FORM_ALGEBRAS[name]()
     g = (_gl_based if g.matrix_model else _gl_rebased)(g, seed)
-    pts = nullcone(g)
+    pts = point_rows(g, nullcone(g))
     assert len(pts) > 1
     assert not g.field.quadratic(pts, lie._trace_form(g)).any()
 
@@ -813,7 +866,7 @@ def _is_elementary_pairwise(g, basis):
 @pytest.mark.parametrize("case", ["sl3_F3", "h5_F3"])
 def test_is_elementary_matches_the_pairwise_loop(case):
     g = special_linear(3, F3) if case == "sl3_F3" else heisenberg(2, F3)
-    pts = [v for v in nullcone(g) if any(v)]
+    pts = [tuple(v) for v in point_rows(g, nullcone(g)[1:]).tolist()]
     commutes = _commutes(g, pts)
     rng = random.Random(case)
     seen = set()
@@ -893,7 +946,7 @@ def _captured_search(monkeypatch, run, automorphisms=False):
 
 def _points(search):
     """The search's class points as tuples, and the point -> class dict."""
-    pts = [tuple(v) for v in search.points.tolist()]
+    pts = [tuple(v) for v in lie._placed(search.coords, search.keep).tolist()]
     return pts, {v: i for i, v in enumerate(pts)}
 
 
@@ -1131,8 +1184,8 @@ def test_h7_F3_frontier(monkeypatch):
 
 def _classes(g):
     """One point per projective class of nonzero nullcone points, in srk_brute's order."""
-    vecs = nullcone(g)
-    return vecs[lie._projective_reps(g.field, vecs)]
+    codes = nullcone(g)
+    return point_rows(g, codes[lie._projective_reps(g.field.q, codes, g.dim)])
 
 
 def _random_change(g, seed):
@@ -1478,7 +1531,7 @@ def test_first_pick_outside_the_ideal_is_a_root(monkeypatch, name, gate):
     monkeypatch.setattr(lie._TupleSearch, "_allowed", spy)
     g = _ROOT_PICK_CASES[name]()
     res = srk_brute(g)
-    vecs = nullcone(g)
+    vecs = point_rows(g, nullcone(g))
     for x in (vecs[1], vecs[len(vecs) // 2], res.witness.basis[0]):
         local_rank(g, tuple(x))
     assert len(asked) >= 3 * (res.srk - 1)
@@ -1601,7 +1654,7 @@ _LOCAL_CASES = {
 
 def _sample_points(g, count, seed):
     """count nonzero nullcone points of g, drawn at random, in ascending order."""
-    vecs = nullcone(g)[1:]
+    vecs = point_rows(g, nullcone(g)[1:])
     picks = sorted(random.Random(seed).sample(range(len(vecs)), min(count, len(vecs))))
     return [tuple(v) for v in vecs[picks].tolist()]
 
@@ -1637,8 +1690,8 @@ def test_local_rank_is_the_whole_centralizer_graph(name):
     f = g.field
     for x in _sample_points(g, 6, name):
         h, rows = _centralizer_subalgebra(g, x)
-        vecs = nullcone(h)
-        classes = vecs[lie._projective_reps(f, vecs)]
+        codes = nullcone(h)
+        classes = point_rows(h, codes[lie._projective_reps(f.q, codes, h.dim)])
         whole = lie._TupleSearch(h, classes, np.ones(h.dim, dtype=bool), lie.DEFAULT_BUDGET)
         xi = [tuple(f.matmul(c, rows).tolist()) for c in classes].index(_leading_one(f, x))
         r, witness, _ = whole.max_tuple_containing(xi)
@@ -1710,9 +1763,10 @@ def test_srk_brute_golden_sl2_f25_matrix_model():
 
 def test_nullcone_golden_h3_f27_jacobson():
     # structure constants only, k = 3: x^[p] goes through Jacobson's formula
-    pts = nullcone(heisenberg(1, field_make(3, 3)))
+    g = heisenberg(1, field_make(3, 3))
+    pts = nullcone(g)
     assert len(pts) == 27 ** 3
-    assert hashlib.sha256(json.dumps(pts.tolist()).encode()).hexdigest() == \
+    assert hashlib.sha256(json.dumps(point_rows(g, pts).tolist()).encode()).hexdigest() == \
         "37b8691d6ccd431bec492b03bbb8acb49d41253f84b5bb219a8e417312f8e8af"
 
 
@@ -1785,11 +1839,11 @@ def test_srk_le_max_local_rank():
     # the minimum over the nullcone never exceeds the largest witness rank
     for g in (special_linear(2, F3), heisenberg(1, F3)):
         res = srk_brute(g)
-        ranks = [local_rank(g, x).rank for x in nullcone(g) if any(x)]
+        ranks = [local_rank(g, x).rank for x in point_rows(g, nullcone(g)[1:]).tolist()]
         assert res.srk == min(ranks) <= max(ranks)
     g = heisenberg(2, F3)
     res = srk_brute(g)
-    sample = [x for x in nullcone(g) if any(x)][::40]
+    sample = point_rows(g, nullcone(g)[1:]).tolist()[::40]
     ranks = [local_rank(g, x).rank for x in sample]
     assert res.srk <= max(ranks) and res.srk == min(ranks)
 
@@ -1809,7 +1863,7 @@ def test_adjoint_invariance_sl2():
             m = m @ Mat(f, t)
         return m
 
-    pts = [v for v in nullcone(sl2) if any(v)]
+    pts = point_rows(sl2, nullcone(sl2)[1:]).tolist()
     for x in pts[:6]:
         rx = local_rank(sl2, x).rank
         for _ in range(3):
@@ -1906,6 +1960,22 @@ def test_load_lie_reduces_huge_coefficients_and_refuses_long_digit_lists():
     data["brackets"][0]["out"][0]["c"] = [1, 0]  # two digits over F_3
     with pytest.raises(PreconditionError, match="more than k = 1 digits"):
         load_lie(data)
+
+
+@pytest.mark.parametrize("brackets,pmap,named", [
+    ({(0, 1): {2: 2 ** 70}}, [(0, 0, 0)] * 3, f"bracket term (i, j, k, c) = (0, 1, 2, {2 ** 70})"),
+    ({(0, 1): {2: -2 ** 63 - 1}}, [(0, 0, 0)] * 3,
+     f"bracket term (i, j, k, c) = (0, 1, 2, {-2 ** 63 - 1})"),
+    ({}, [(0, 0, 0), (0, 2 ** 64, 0), (0, 0, 0)], f"p-map entry 1 = (0, {2 ** 64}, 0)"),
+], ids=["bracket", "bracket_negative", "pmap"])
+def test_dict_constructor_names_an_entry_past_int64(brackets, pmap, named):
+    # the dict constructor takes field codes; a value past int64 is refused
+    # by name where numpy would raise OverflowError
+    with pytest.raises(PreconditionError, match=re.escape(named + " does not fit in int64")):
+        RestrictedLieAlgebra(F3, brackets, pmap)
+    # at the edge of int64 the codes are reduced mod q
+    g = RestrictedLieAlgebra(F3, {}, [(0, 0, 2 ** 63 - 1)] * 3, validate="none")
+    assert g.pmap == [(0, 0, (2 ** 63 - 1) % 3)] * 3
 
 
 def test_load_lie_refuses_a_field_whose_codes_pass_int64():
