@@ -50,7 +50,7 @@ _I64_EXACT = 1 << 63  # int64 holds every integer below this
 # int64, 2.8 us in float64; (64 x 8) @ (8 x 8): 6.4 against 4.8 us; 2-vCPU
 # VM).  OpenBLAS keeps a call of at most _BLAS_CALL multiply-adds on one
 # thread (more wakes workers that then spin between calls), so larger
-# products are cut into row blocks of that size.
+# products are cut into blocks of that size.
 _BLAS_MIN = 1 << 12
 _BLAS_CALL = 1 << 18
 # numpy divides int64 by a scalar with libdivide, but x % p and np.divmod take
@@ -488,17 +488,23 @@ def _blas_shape(a, b):
     which loses to int64 on 3 x 3 slices (834 of them: 58 against 49 us)."""
     if b.ndim != 2 or a.ndim < 2 or a.size * b.shape[1] < _BLAS_MIN:
         return False
-    return b.shape[1] > 1 and a.size > a.shape[-1] and 2 * b.size <= _BLAS_CALL
+    return b.shape[1] > 1 and a.size > a.shape[-1]
 
 
 def _blas_matmul(a, b):
     """a @ b for a float64 (..., n, m) stack a and an (m, l) matrix b, as one
-    2-D product in row blocks of at most _BLAS_CALL multiply-adds."""
+    2-D product in blocks of at most _BLAS_CALL multiply-adds: blocks of
+    rows by all of b, or, where two rows by all of b would pass that, by a
+    block of b's columns."""
     flat = a.reshape(-1, a.shape[-1])
     out = np.empty((len(flat), b.shape[1]))
-    step = _BLAS_CALL // b.size
-    for start in range(0, len(flat), step):
-        np.matmul(flat[start:start + step], b, out=out[start:start + step])
+    width = min(b.shape[1], max(1, _BLAS_CALL // (2 * len(b))))  # columns per call
+    step = max(1, _BLAS_CALL // (len(b) * width))  # rows per call
+    for col in range(0, b.shape[1], width):
+        cols = slice(col, col + width)
+        for start in range(0, len(flat), step):
+            rows = slice(start, start + step)
+            np.matmul(flat[rows], b[:, cols], out=out[rows, cols])
     return out.reshape(a.shape[:-1] + b.shape[1:])
 
 

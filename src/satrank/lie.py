@@ -47,6 +47,8 @@ columns, g = span B + C, and (b + c)^[p] = b^[p], [b + c, b' + c'] = [b, b'].
 So the nullcone is (V(g) n span B) + C, the maximal elementary subalgebras
 are W + C for the maximal cliques W on the classes of V(g) n span B, and
 srk_brute searches that graph only: r(b + c) = dim C + r_B(b) for b != 0.
+_nullcone adds C once, giving each point's b as an index into V(g) n span B,
+held in B-codes (coordinates in B read in base q) that give the classes.
 local_rank runs the same search on the centralizer z(x) (r(x) = T(z(x)),
 _subalgebra).  Local rank is invariant under automorphisms of (g, [p]), so
 srk_brute needs it at one class per orbit of the verified automorphisms
@@ -125,6 +127,7 @@ class RestrictedLieAlgebra:
         self.pmap = list(map(tuple, pmap.tolist()))
         self._central = None  # _central_elementary's basis, once asked for
         self._form = None  # _trace_form's Gram matrix, once asked for
+        self._cone = None  # the last nullcone's _nullcone
         self.matrix_model = self._coord_solver = None
         if solver:
             if solver.dim != self.dim:
@@ -220,15 +223,15 @@ class RestrictedLieAlgebra:
         back through an injective linear map, and ad(X^p) = ad(X)^p in
         characteristic p (ad X = L_X - R_X, and L_X, R_X commute), which is
         restrictedness (Jacobson, Lie Algebras, ch. V)."""
-        # antisymmetry on the stored table: [b_i, b_j] = -[b_j, b_i], [b_i, b_i] = 0
-        for i in range(self.dim):
-            # column j of _adb[i] is [b_i, b_j], row j of _adb[:, :, i] is [b_j, b_i]
-            bad = (self._adb[i] != self.field.varr_neg(self._adb[:, :, i].T)).any(axis=0)
-            if bad.any():
-                raise PreconditionError(
-                    f"bracket table is not antisymmetric at ({i},{np.flatnonzero(bad)[0]})")
-            if self._adb[i][:, i].any():
-                raise PreconditionError(f"[b_{i}, b_{i}] != 0")
+        # on the stored table, bad[i, j] for [b_i, b_j] != -[b_j, b_i] and
+        # bad[i, dim] for [b_i, b_i] != 0, which p = 2 does not exclude
+        adb = self._adb  # adb[i][:, j] is [b_i, b_j]
+        bad = np.column_stack([(adb != self.field.varr_neg(adb.transpose(2, 1, 0))).any(axis=1),
+                               np.diagonal(adb, axis1=0, axis2=2).any(axis=0)])
+        for i, j in np.argwhere(bad)[:1]:  # the first in row-major order
+            if j < self.dim:
+                raise PreconditionError(f"bracket table is not antisymmetric at ({i},{j})")
+            raise PreconditionError(f"[b_{i}, b_{i}] != 0")
         if self.matrix_model:
             self._validate_model()
         else:
@@ -444,13 +447,24 @@ def nullcone(g: RestrictedLieAlgebra, budget: int = DEFAULT_BUDGET) -> np.ndarra
     """All x with x^[p] = 0, as the ascending int64 array of their codes, zero
     first.  x's code is its dot product with q**(dim-1), ..., q, 1, so the
     order is lexicographic; point_rows expands codes to coordinate rows.
+    PreconditionError when g's q**dim codes pass int64.  All of _nullcone is
+    left in g._cone, where srk_brute and local_rank take it: they call
+    nullcone by name, which bench/layers.py traces.
+    """
+    g._cone = _nullcone(g, budget)
+    return g._cone[0]
 
-    It is (V(g) n span B) + C for the central elementary ideal C and the
+
+def _nullcone(g: RestrictedLieAlgebra, budget):
+    """(codes, span, part): nullcone's codes, the ascending B-codes span of
+    V(g) n span B, and part[i], the index in span of the b with
+    codes[i] = b + c, c in C, in the least unsigned dtype that holds len(span).
+
+    V(g) = (V(g) n span B) + C for the central elementary ideal C and the
     standard basis vectors B off its pivot columns (_central_elementary), so
-    p-th powers are taken on span B only (_nilpotent_span, on the lines where
-    sigma_2 vanishes) and the sums with C are taken one coordinate column at a
-    time, in code space.  PreconditionError when the codes of g's q**dim
-    elements would not fit in int64.
+    p-th powers are taken on span B only (_nilpotent_span), and C is added
+    here, one digit column of g at a time: b is zero on C's pivots, where
+    the digit is c's.
     """
     total = g.element_count()
     if total > budget:
@@ -458,14 +472,21 @@ def nullcone(g: RestrictedLieAlgebra, budget: int = DEFAULT_BUDGET) -> np.ndarra
     if total >= 2 ** 63:
         raise PreconditionError(f"nullcone codes of {g!r}: q**dim = {total} does not fit in int64")
     f, centre = g.field, _central_elementary(g)
-    codes = _nilpotent_span(g, _off_pivots(centre))
+    keep = _off_pivots(centre)
+    span = _nilpotent_span(g, keep)
+    dtype = np.min_scalar_type(len(span))
     if not len(centre):
-        return codes
+        return span, span, np.arange(len(span), dtype=dtype)
     shifts = _combinations(f, np.arange(f.q ** len(centre), dtype=np.int64), centre)
-    sums = 0  # [i, s]: the code of codes[i] + shifts[s]
-    for digit, shift in zip(_digit_columns(codes, f.q, g.dim), shifts.T):
-        sums = sums * f.q + f.varr_add(digit[:, None], shift)
-    return np.sort(sums, axis=None)
+    digits = _digit_columns(span, f.q, int(keep.sum()))
+    codes = 0  # [i, s]: the code of span[i] + shifts[s]
+    for kept, shift in zip(keep.tolist(), shifts.T):
+        codes = codes * f.q + (f.varr_add(next(digits)[:, None], shift) if kept else shift)
+    part = np.argsort(codes, axis=None)
+    codes = codes.ravel()
+    codes.sort()  # in place: with part, two arrays of the nullcone's size
+    part //= len(shifts)
+    return codes, span, part.astype(dtype)
 
 
 def point_rows(g: RestrictedLieAlgebra, codes) -> np.ndarray:
@@ -516,11 +537,10 @@ _MASK_BITS_PER_BUDGET = 32
 def _nilpotent_span(g: RestrictedLieAlgebra, keep):
     """The p-nilpotent vectors of span B, for B the standard basis vectors of
     g at the columns where the bool mask keep holds: the ascending int64
-    array of their codes (nullcone's), zero first.
+    array of their B-codes (read from their d entries at keep), zero first.
 
-    A vector of span B is zero off keep, and its d entries at keep are a
-    high half a (d - d // 2 digits) over a low half b, so its code is the
-    sum of the codes of a and b placed at their columns.
+    Those d entries are a high half a (d - d // 2 digits) over a low half b,
+    so the B-code is the sum of the codes of a and b placed at their digits.
     (cx)^[p] = c^p x^[p]: one p-th power per line at most, on the pairs with
     a = 0 and b a line representative (first nonzero digit 1), or a a line
     representative.  Those pass sigma_2 (_trace_form) first, for a block of
@@ -542,7 +562,7 @@ def _nilpotent_span(g: RestrictedLieAlgebra, keep):
     lines[_projective_reps(f.q, np.arange(len(b)), d2)] = True
     scalars = np.arange(1, f.q, dtype=np.int64)[:, None, None]
     # [c - 1, i]: the share of a[i] (of b[i]) in the code of c * (a, b)
-    place = _place_values(f.q, g.dim)[keep]
+    place = _place_values(f.q, d)
     high, low = f.varr_mul(scalars, a) @ place[:d1], f.varr_mul(scalars, b) @ place[d1:]
     form = _trace_form(g)[np.ix_(keep, keep)]
     # Q(x) = x . form . x^T vanishes identically when its coefficients do:
@@ -620,20 +640,20 @@ def _trace_form(g: RestrictedLieAlgebra) -> np.ndarray:
     return g._form
 
 
-def _line_codes(q, d):
-    """The codes whose digit vectors have first nonzero digit 1, one per line
-    of F_q^d, as ascending arrays of at most _CHUNK codes: the lines of a
-    kernel whose span closure is a commuting mask (_span_masks).
+def _line_digits(q, d):
+    """The digit vectors with first nonzero digit 1, one per line of F_q^d,
+    in ascending code order as arrays of at most _CHUNK rows: the lines of
+    a kernel whose span closure is a commuting mask (_span_masks).
 
-    They fill the ranges [q**t, 2 q**t) for t < d; entry i of the listing
-    lies in range t with (q**t - 1) / (q - 1) <= i.
+    Their codes fill the ranges [q**t, 2 q**t) for t < d; entry i of the
+    listing lies in range t with (q**t - 1) / (q - 1) <= i.
     """
     offsets = (q ** np.arange(d, dtype=np.int64) - 1) // (q - 1)
     total = (q ** d - 1) // (q - 1)
     for start in range(0, total, _CHUNK):
         i = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
         t = np.searchsorted(offsets, i, side="right") - 1
-        yield q ** t + i - offsets[t]
+        yield _digits(q ** t + i - offsets[t], q, d)
 
 
 def _place_values(q, d):
@@ -817,11 +837,11 @@ class _TupleSearch:
     Points are projective classes of p-nilpotent elements of span B, for B
     the d standard basis vectors of g at the columns where the bool mask keep
     holds: the columns off the pivots of the central elementary ideal (all
-    of them when that is {0}; _quotient_search).  Row i of coords (n x d)
-    holds class i's coordinates in B, its entries at those columns; x_i is
-    the same vector in g's coordinates, _placed(coords, keep)[i].  A
-    coordinate vector's code is its dot product with q**(d-1), ..., q, 1,
-    and _table sends the code of every nonzero multiple of class i to i and
+    of them when that is {0}).  Row i of coords (n x d) holds class i's
+    coordinates in B, its entries at those columns; x_i is the same vector
+    in g's coordinates, _placed(coords, keep)[i].  A coordinate vector's
+    B-code is its dot product with q**(d-1), ..., q, 1, and _table sends
+    the B-code of every nonzero multiple of class i to i and
     every other code to n; the codes of the q - 1 multiples are summed one
     column of coords at a time.
 
@@ -926,14 +946,12 @@ class _TupleSearch:
         count, k, _ = kernels.shape
         lines = (f.q ** k - 1) // (f.q - 1)
         size = max(1, _CHUNK // max(min(lines, _CHUNK), (self.n >> 7) + 1))
-        masks = []
-        for start in range(0, count, size):
-            part = kernels[start:start + size]
-            bits = [0] * len(part)
-            for r in _line_codes(f.q, k):
-                vecs = f.matmul(_digits(r, f.q, k), part)
-                bits = [a | b for a, b in zip(bits, self._masks_of(vecs))]
-            masks += bits
+        masks = [0] * count
+        for digits in _line_digits(f.q, k):
+            for start in range(0, count, size):
+                batch = slice(start, start + size)
+                found = self._masks_of(f.matmul(digits, kernels[batch]))
+                masks[batch] = [a | b for a, b in zip(masks[batch], found)]
         return masks
 
     def _masks_of(self, vecs):
@@ -1068,7 +1086,7 @@ def local_rank(g: RestrictedLieAlgebra, x: Vec, budget: int = DEFAULT_BUDGET) ->
     zbasis = _rref(f, zbasis[None])[0][0]
     h = _subalgebra(g, zbasis)
     codes = nullcone(h, budget=budget)
-    search, reps, of = _quotient_search(h, codes, budget, orbits=False)
+    search, reps, of = _quotient_search(h, h._cone, budget, orbits=False)
     lead = next(c for c in x if c)  # x's projective representative is x / lead
     rep = f.varr_mul(f.inv(lead), np.array(x, dtype=np.int64))[~_off_pivots(zbasis)]
     codes = codes[reps]
@@ -1128,61 +1146,42 @@ def srk_brute(g: RestrictedLieAlgebra, budget: int = DEFAULT_BUDGET) -> SrkBrute
     of each clique search.
     """
     codes = nullcone(g, budget=budget)
+    cone, g._cone = g._cone, None
     if len(codes) == 1:  # just 0
         return SrkBrute(srk=0, r_min=0, o_rmin_count=0, o_rmin=point_rows(g, codes[1:]),
                         witness=None, note="restricted nullcone is {0}; srk reported as 0")
-    search, reps, of = _quotient_search(g, codes, budget, orbits=True)
+    search, reps, of = _quotient_search(g, cone, budget, orbits=True)
     centre_dim = len(_central_elementary(g))
     ranks = search.ranks + [max(search.ranks, default=0)]  # a point of C has the largest
     least = (np.array(ranks) == min(ranks))[of]
     _, wit, _ = search.max_tuple_containing(int(np.argmax(least[reps])), codes[reps], of[reps],
                                             centre_dim)
     codes = codes[1:][least[1:]]
-    del search, reps, of, least  # o_rmin's rows take the place of the search
+    del search, reps, of, least, cone  # o_rmin's rows take the place of the search
     m = centre_dim + min(ranks)
     return SrkBrute(srk=m, r_min=m, o_rmin_count=len(codes), o_rmin=point_rows(g, codes),
                     witness=ElementarySubalgebra(tuple(wit)), note="")
 
 
-def _quotient_search(g: RestrictedLieAlgebra, codes, budget, orbits):
+def _quotient_search(g: RestrictedLieAlgebra, cone, budget, orbits):
     """The search on the classes of V(g) n span B, B the standard basis
     vectors off the pivots of the central elementary ideal C, and where it
     puts each nullcone point.
 
-    codes is nullcone(g).  Returns (search, reps, of): the _TupleSearch in
-    B's coordinates, with the verified automorphisms (_automorphisms) when
-    orbits; the ascending indices of the codes that are one point per
-    projective class (_projective_reps); and of[i], the class of point
-    codes[i] modulo C, or search.n when it lies in C.  Rows are built for
-    the classes only.
+    cone is _nullcone(g)'s (codes, span, part).  Returns (search, reps, of):
+    the _TupleSearch in B's coordinates, with the verified automorphisms
+    (_automorphisms) when orbits; the ascending indices of the codes that are
+    one point per projective class of g (_projective_reps); and of[i], the
+    class of point codes[i] modulo C, or search.n when it lies in C.  The
+    classes are span's projective representatives, in B's order, which is
+    g's on span B.  Rows are built for the classes only.
     """
-    f, centre = g.field, _central_elementary(g)
-    keep = _off_pivots(centre)
-    reps = _projective_reps(f.q, codes, g.dim)  # one point per class of g, in lexicographic order
-    parts = _part_codes(f, codes, centre, keep)
-    # the classes of V(g) n span B are the representatives that are zero on
-    # C's pivots, and their B-codes are their parts
-    pivots = codes[reps, None] // _place_values(f.q, g.dim)[~keep] % f.q
-    classes = _digits(parts[reps[~pivots.any(axis=1)]], f.q, int(keep.sum()))
+    codes, span, part = cone
+    f, keep = g.field, _off_pivots(_central_elementary(g))
+    d = int(keep.sum())
+    classes = _digits(span[_projective_reps(f.q, span, d)], f.q, d)
     search = _TupleSearch(g, classes, keep, budget, _automorphisms(g, classes) if orbits else ())
-    return search, reps, search._table[parts]
-
-
-def _part_codes(f, codes, centre, keep):
-    """The code in B's coordinates of b, for each point x = b + c with b in
-    span B and c in C: c = x[pivots] . centre, since centre is in RREF, so
-    b's coordinates in B are x's entries off the pivots less c's, read one
-    digit column at a time, most significant first."""
-    parts, pivots = np.zeros_like(codes), []  # pivots[t]: x's digit at centre[t]'s pivot
-    for kept, digit, column in zip(keep.tolist(), _digit_columns(codes, f.q, len(keep)),
-                                   f.varr_neg(centre).T):
-        if kept:
-            for x_t, c in zip(pivots, column.tolist()):
-                digit = f.varr_add(digit, f.varr_mul(x_t, c))
-            parts = parts * f.q + digit
-        else:
-            pivots.append(digit)
-    return parts
+    return search, _projective_reps(f.q, codes, g.dim), search._table[span][part]
 
 
 # ---------------------------------------------------------------------------

@@ -657,6 +657,12 @@ def test_kernel_regimes():
     assert not blas((8, 8), (8, 8))  # below _BLAS_MIN multiply-adds
     assert not blas((1, 4096), (4096, 2)) and not blas((4096, 8), (8, 1))
     assert not blas((8,), (8, 4096))
+    # a right operand of more than _BLAS_CALL / 2 entries is cut into blocks
+    # of its columns
+    assert blas((64, 64), (64, 4096))
+    rng = np.random.default_rng(0)
+    a, b = rng.integers(0, 5, (64, 64)), rng.integers(0, 5, (64, 4096))
+    assert np.array_equal(f.matmul(a, b), a @ b % 5)
 
 
 # (k, inner, the largest prime below the float64 bound, a prime above it):

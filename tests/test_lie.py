@@ -337,6 +337,57 @@ _JACOBI_ALGEBRAS = {
 }
 
 
+def _looped_antisymmetry_failure(g):
+    """The message of the per-basis-vector antisymmetry loop that validate's
+    stacked comparison replaced, or None when the table passes it."""
+    for i in range(g.dim):
+        # column j of _adb[i] is [b_i, b_j], row j of _adb[:, :, i] is [b_j, b_i]
+        bad = (g._adb[i] != g.field.varr_neg(g._adb[:, :, i].T)).any(axis=0)
+        if bad.any():
+            return f"bracket table is not antisymmetric at ({i},{np.flatnonzero(bad)[0]})"
+        if g._adb[i][:, i].any():
+            return f"[b_{i}, b_{i}] != 0"
+    return None
+
+
+_ANTISYMMETRY_ALGEBRAS = {
+    "sl3_F3": lambda: special_linear(3, F3),
+    "sl2_F9": lambda: special_linear(2, field_make(3, 2)),
+    # antisymmetry does not imply [b_i, b_i] = 0 in characteristic 2
+    "sl4_F2": lambda: special_linear(4, field_make(2, 1)),
+    "h5_F3": lambda: heisenberg(2, F3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ANTISYMMETRY_ALGEBRAS))
+def test_antisymmetry_check_names_the_looped_first_failure(name):
+    # a valid table with a few entries overwritten, one in three times on
+    # the diagonal [b_i, b_i]: validate names what the loop finds first, and
+    # passes on to the Jacobi identity when the loop finds nothing
+    g = _ANTISYMMETRY_ALGEBRAS[name]()
+    f, n = g.field, g.dim
+    rng, kinds = random.Random(name), set()
+    for trial in range(24):
+        adb = g._adb.copy()
+        for _ in range(1 + trial % 3):
+            i, j, k = (rng.randrange(n) for _ in range(3))
+            adb[i, k, i if trial % 3 == 0 else j] = rng.randrange(f.q)
+        h = RestrictedLieAlgebra._from_arrays(f, adb, g._pmap)
+        want = _looped_antisymmetry_failure(h)
+        try:
+            h.validate()
+            got = None
+        except PreconditionError as err:
+            got = str(err)
+        if want is None:
+            assert got is None or not re.match(r"bracket table|\[b_\d+, b_\d+\] != 0", got)
+        else:
+            assert got == want
+            kinds.add("antisymmetry" if want.startswith("bracket") else "diagonal")
+    # in odd characteristic a nonzero [b_i, b_i] is not antisymmetric at (i, i)
+    assert kinds == ({"antisymmetry", "diagonal"} if f.p == 2 else {"antisymmetry"})
+
+
 @pytest.mark.parametrize("block", ["default", "one", "two"])
 @pytest.mark.parametrize("name", sorted(_JACOBI_ALGEBRAS))
 def test_jacobi_check_names_the_pointwise_first_failure(monkeypatch, name, block):
@@ -549,12 +600,16 @@ def test_nullcone_refuses_codes_past_int64(p, dim):
             run(g, budget=2 ** 70)
 
 
-@pytest.mark.parametrize("name", ["sl2_F9", "h3_F9", "sl3_F3_gl", "centralizer_sl4_F3"])
+@pytest.mark.parametrize("name", ["sl2_F9", "h3_F9", "sl3_F3_gl", "centralizer_sl4_F3",
+                                  "h5_F3_gl1"])
 def test_codes_are_the_rows_read_in_base_q(name):
     # point_rows inverts the codes, the representatives are the rows whose
-    # first nonzero coordinate is 1, and a part is b's code for x = b + c
+    # first nonzero coordinate is 1, and point i is b + c with b the point of
+    # span B with B-code span[part[i]] and c in the central elementary ideal
     g = _POINTWISE_NULLCONES[name][0]()
-    f, codes = g.field, nullcone(g)
+    f = g.field
+    codes, span, part = lie._nullcone(g, lie.DEFAULT_BUDGET)
+    assert np.array_equal(nullcone(g), codes)
     rows = point_rows(g, codes)
     assert (rows @ f.q ** np.arange(g.dim - 1, -1, -1) == codes).all()
     leads = [next((c for c in v if c), 0) for v in rows.tolist()]
@@ -562,11 +617,11 @@ def test_codes_are_the_rows_read_in_base_q(name):
         [i for i, c in enumerate(leads) if c == f.one]
     centre = lie._central_elementary(g)
     keep = lie._off_pivots(centre)
-    # c = x[pivots] . centre, and b = x - c is zero on the pivots
-    parts = f.varr_add(rows, f.varr_neg(f.matmul(rows[:, ~keep], centre)))
-    assert not parts[:, ~keep].any()
-    place = f.q ** np.arange(keep.sum() - 1, -1, -1)
-    assert (lie._part_codes(f, codes, centre, keep) == parts[:, keep] @ place).all()
+    assert (np.diff(span) > 0).all() and part.dtype == np.min_scalar_type(len(span))
+    c = f.varr_add(rows, f.varr_neg(lie._placed(lie._digits(span[part], f.q, keep.sum()), keep)))
+    # c = c[pivots] . centre, since centre is in RREF, exactly when c lies in C
+    assert (c == f.matmul(c[:, ~keep], centre)).all()
+    assert (np.bincount(part, minlength=len(span)) == f.q ** len(centre)).all()
 
 
 def test_toral_nullcone_trivial():
@@ -623,14 +678,18 @@ _SPAN_CASES = {  # name -> (algebra, bool mask of the standard basis vectors spa
     "centralizer_sl4_F3": _sl4_f3_highest_root_centralizer,
     "h5_F3_off_centre": lambda: _off_centre(heisenberg(2, F3)),
     "sl4_F3_centralizer_off_centre": lambda: _off_centre(_sl4_f3_highest_root_centralizer()[0]),
+    # C's basis row, (1, 2, 1, 2, 2), is nonzero at every column of B
+    "h5_F3_gl_off_centre": lambda: _off_centre(_gl_rebased(heisenberg(2, F3), 1)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_SPAN_CASES))
 def test_nilpotent_span_matches_all_points_filter(name):
+    # the B-codes read at the columns of B
     g, keep = _SPAN_CASES[name]()
     codes = lie._nilpotent_span(g, keep)
-    vecs, want = point_rows(g, codes), _nilpotent_span_all_points(g, keep)
+    vecs = lie._placed(lie._digits(codes, g.field.q, keep.sum()), keep)
+    want = _nilpotent_span_all_points(g, keep)
     assert codes.dtype == np.int64 and vecs.shape == want.shape
     assert np.array_equal(vecs, want) and codes[0] == 0
 
@@ -645,6 +704,8 @@ _POINTWISE_NULLCONES = {
     "sl3_F3_gl": (lambda: _gl_based(special_linear(3, F3), 4), 8),
     # a nonzero central elementary ideal
     "centralizer_sl4_F3": (lambda: _sl4_f3_highest_root_centralizer()[0], 8),
+    # a central elementary ideal whose basis row is nonzero off its pivot
+    "h5_F3_gl1": (lambda: _gl_rebased(heisenberg(2, F3), 1), 4),
     "abelian2_F9": (lambda: abelian_p_trivial(2, field_make(3, 2)), 0),
     "toral1_F5": (lambda: toral(1, F5), 1),
 }
