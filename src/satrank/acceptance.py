@@ -131,13 +131,14 @@ def _check_witnesses(alg, bases, points, names, point):
     """Every basis of the (W, k, dim) stack spans an elementary subalgebra
     of alg that holds its row of the (W, dim) points, which the conditions
     call point; the rows commute, so it centralizes that point too.
-    Witnesses are checked in blocks of at most _CHECK_BLOCK ad entries,
-    k dim^2 each; a failure names the first failing witness, by its entry
-    of names, and its first failing condition.
+    Witnesses are checked on alg's matrix model (sl_n's n x n matrices), in
+    blocks of at most _CHECK_BLOCK entries of the products X_a X_b, k^2 n^2
+    per witness; a failure names the first failing witness, by its entry of
+    names, and its first failing condition.
     """
-    f, (count, k, dim) = alg.field, bases.shape
+    f, (count, k, _) = alg.field, bases.shape
     conditions = ["dependent rows", "non-commuting rows", "nonzero p-map", f"{point} outside the span"]
-    step = max(1, _CHECK_BLOCK // (k * dim * dim))
+    step = max(1, _CHECK_BLOCK // (k * k * alg._model[0].size))
     for start in range(0, count, step):
         b, x = bases[start:start + step], points[start:start + step]
         with_x = np.concatenate([b, x[:, None]], axis=1)

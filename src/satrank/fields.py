@@ -641,7 +641,10 @@ def _rref_matrix(field, a):
     pivots, negated for each row swap).
 
     Rows are swapped into place, and each pivot column is cleared by one
-    rank-1 update of the whole array.
+    rank-1 update of the whole array, skipped where the pivot is the
+    column's only nonzero entry (the update would add zeros).  A nearly
+    reduced matrix, such as [B | I_d] for sl_n's basis, then costs a scaling
+    per pivot.
     """
     a = a.copy()
     rows, cols = a.shape
@@ -661,7 +664,8 @@ def _rref_matrix(field, a):
         row = field.varr_mul(field.inv(lead), a[r])
         factors = field.varr_neg(a[:, c])
         factors[r] = 0
-        a = field.varr_add(a, field.varr_mul(factors[:, None], row))
+        if factors.any():
+            a = field.varr_add(a, field.varr_mul(factors[:, None], row))
         a[r] = row
         pivots.append(c)
         if r + 1 == rows:

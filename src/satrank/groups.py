@@ -41,7 +41,9 @@ _GATHER_CAP = 1 << 18  # entries per block of products in the commuting test
 
 def perm_mul(a: Perm, b: Perm) -> Perm:
     """The composite a . b, i -> a[b[i]]."""
-    return tuple([a[i] for i in b])  # a list comprehension: half the cost of a generator
+    if len(b) < 2:  # itemgetter() raises, and itemgetter(i) returns a[i] bare
+        return tuple([a[i] for i in b])
+    return itemgetter(*b)(a)
 
 
 def perm_inv(a: Perm) -> Perm:

@@ -74,7 +74,7 @@ from .fields import FieldSpec, Mat, _kernels, _rref, field_make, mat_kernel_basi
 DEFAULT_BUDGET = 10_000_000
 # commutator entries per block of _commutator_blocks.  Small blocks
 # keep the temporaries small and FieldSpec._reduce on its libdivide path:
-# twelve cold special_linear builds (n <= 7) took 9.4, 8.7, 9.4, 11.1 and
+# twelve cold sl_n tensor builds (n <= 7) took 9.4, 8.7, 9.4, 11.1 and
 # 11.8 ms in blocks of 2**13, 2**14, 2**15 and 2**16 entries and unblocked
 # (2-vCPU VM).
 _COMMUTATOR_BLOCK = 1 << 14
@@ -89,7 +89,9 @@ class RestrictedLieAlgebra:
     the coordinates of b_i^[p].  Coefficients are field codes (use
     field.neg/from_int rather than raw negative ints over extension fields).
     validate="full" runs validate(); "none" skips it, for tables that are
-    right by construction.
+    right by construction.  An algebra made with a matrix model but no ad
+    tensor (special_linear) solves the tensor from the model on first read
+    of _adb and keeps it.
     """
 
     def __init__(self, field: FieldSpec, brackets, pmap, labels=None,
@@ -110,8 +112,9 @@ class RestrictedLieAlgebra:
     def _from_arrays(cls, field, adb, pmap, labels=None, solver=None):
         """The algebra with ad tensor adb (adb[i][:, j] the coordinates of
         [b_i, b_j]), p-map rows pmap and, when given, the matrix model of the
-        _CoordSolver solver, all as reduced code arrays.  Nothing is
-        validated."""
+        _CoordSolver solver, all as reduced code arrays.  adb may be None
+        when a solver is given: _adb is then its commutators, on first read.
+        Nothing is validated."""
         g = cls.__new__(cls)
         g._init(field, adb, pmap, labels, solver)
         return g
@@ -122,7 +125,8 @@ class RestrictedLieAlgebra:
         self.labels = list(labels) if labels else [f"b{i}" for i in range(self.dim)]
         if len(self.labels) != self.dim:
             raise PreconditionError("label count must match dimension")
-        self._adb = np.ascontiguousarray(adb)
+        if adb is not None:
+            self._adb = np.ascontiguousarray(adb)
         self._pmap = np.ascontiguousarray(pmap)  # not a view that keeps a solve's array alive
         self.pmap = list(map(tuple, pmap.tolist()))
         self._central = None  # _central_elementary's basis, once asked for
@@ -133,6 +137,10 @@ class RestrictedLieAlgebra:
             if solver.dim != self.dim:
                 raise PreconditionError("matrix model must have one matrix per basis vector")
             self.matrix_model, self._coord_solver, self._model = solver.mats, solver, solver.model
+
+    @functools.cached_property
+    def _adb(self):
+        return self._coord_solver.commutators()[0]
 
     # -- structure access ----------------------------------------------------
 
@@ -394,6 +402,12 @@ def from_matrix_basis(field: FieldSpec, mats, labels=None) -> RestrictedLieAlgeb
     adb, inside = solver.commutators()
     if not inside.all():
         raise PreconditionError("matrix span is not closed under commutators")
+    return _model_algebra(field, solver, labels, adb)
+
+
+def _model_algebra(field, solver, labels, adb=None):
+    """The algebra of the _CoordSolver solver's matrices with ad tensor adb
+    (None: solved on first read), its p-map solved here."""
     pmap, inside = solver.solve_rows(field.matpow(solver.model, field.p).reshape(solver.dim, -1))
     if not inside.all():
         raise PreconditionError("matrix span is not closed under p-th powers")
@@ -430,13 +444,15 @@ def sl_matrices(n: int, field: FieldSpec, coords) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def special_linear(n: int, field: FieldSpec) -> RestrictedLieAlgebra:
     """sl_n as a restricted matrix algebra: basis E_ij (i != j) in row-major
-    order, then h_i = E_ii - E_(i+1)(i+1), as sl_matrices lays them out."""
+    order, then h_i = E_ii - E_(i+1)(i+1), as sl_matrices lays them out.
+    sl_n is closed under commutators, so only the d p-th powers are solved
+    here; the (d, d, d) ad tensor is solved on first use (_adb)."""
     if n < 2:
         raise PreconditionError("n must be >= 2")
     mats = sl_matrices(n, field, np.eye(n * n - 1, dtype=np.int64))
     labels = ([f"E{i}{j}" for i in range(n) for j in range(n) if i != j]
               + [f"h{i+1}" for i in range(n - 1)])
-    return from_matrix_basis(field, [Mat(field, m) for m in mats], labels=labels)
+    return _model_algebra(field, _CoordSolver(field, [Mat(field, m) for m in mats]), labels)
 
 
 # ---------------------------------------------------------------------------
@@ -699,8 +715,9 @@ def is_elementary(g: RestrictedLieAlgebra, basis) -> bool:
     """Independent, pairwise commuting, p-map zero.
 
     The rows B of basis are independent when every row of their RREF holds
-    a pivot, commute when every [b_i, b_j], read off ad(B) . B^T, is zero,
-    and are p-nilpotent when every b_i^[p] is zero.
+    a pivot.  With a matrix model they commute when their model matrices do
+    and are p-nilpotent when each matrix's p-th power is zero; otherwise
+    every [b_i, b_j], read off ad(B) . B^T, and every b_i^[p] is zero.
     """
     b = np.array(basis, dtype=np.int64).reshape(-1, g.dim)
     return not len(b) or all(bool(c[0]) for c in _elementary_conditions(g, b[None]))
@@ -710,11 +727,24 @@ def _elementary_conditions(g: RestrictedLieAlgebra, bases):
     """is_elementary's three conditions on each basis of a (W, k, dim) code
     stack, yielded in turn as (W,) bool arrays, so that a caller may stop at
     the first that fails: independent rows, pairwise commuting rows, zero
-    p-maps."""
+    p-maps.
+
+    With a matrix model the last two read the (W, k, n, n) model matrices:
+    a validated model is an injective map that carries the bracket to the
+    commutator and x^[p] to X^p, so [x_a, x_b] = 0 exactly when
+    X_a X_b = X_b X_a, and x^[p] = 0 exactly when X^p = 0.  That takes
+    k^2 n^2 entries per basis, where ad(B) takes k dim^2 = k (n^2 - 1)^2 for
+    sl_n."""
     f = g.field
     count, k, dim = bases.shape
-    rows = bases.reshape(-1, dim)
     yield _rref(f, bases)[1].sum(axis=1) == k
+    if g.matrix_model:
+        m = g._matrices(bases)
+        products = f.matmul(m[:, :, None], m[:, None])  # [w, a, b]: X_a X_b
+        yield (products == products.swapaxes(1, 2)).reshape(count, -1).all(axis=1)
+        yield ~f.matpow(m, f.p).reshape(count, -1).any(axis=1)
+        return
+    rows = bases.reshape(-1, dim)
     brackets = f.matmul(g.ad(rows).reshape(count, k, dim, dim), bases.transpose(0, 2, 1)[:, None])
     yield ~brackets.reshape(count, -1).any(axis=1)
     yield ~g._pmap_rows(rows).reshape(count, -1).any(axis=1)

@@ -137,10 +137,11 @@ def test_subregular_check_names_each_fault(fault):
         _check_as_criterion_4(alg, bases, xj, n)
 
 
-@pytest.mark.parametrize("block", [None, 2 * 4 * 24 * 24])
+@pytest.mark.parametrize("block", [None, 2 * 4 * 4 * 5 * 5])
 def test_witness_check_names_the_first_failing_witness_across_blocks(monkeypatch, block):
-    # sl_5 has 6 subregular witnesses of 4 rows in 24 coordinates: one block
-    # at the default size, three blocks of two at 2 * 4 * 24^2 ad entries.
+    # sl_5 has 6 subregular witnesses of 4 rows of 5 x 5 matrices: one block
+    # at the default size, three blocks of two at 2 * 4^2 * 5^2 product
+    # entries.
     # Witness 3 (second block) fails on its p-map, witness 5 (third) on the
     # earlier condition of dependent rows: witness 3 is the one named.
     if block:

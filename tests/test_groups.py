@@ -44,6 +44,15 @@ def test_d8_presentation():
     assert len(g.elements()) == 8
 
 
+def test_perm_mul_small_degrees():
+    # tuples at every degree, also below the two indices itemgetter needs
+    assert perm_mul((), ()) == ()
+    assert perm_mul((0,), (0,)) == (0,)
+    assert perm_mul((1, 0), (0, 1)) == perm_mul((0, 1), (1, 0)) == (1, 0)
+    assert perm_mul((1, 0), (1, 0)) == (0, 1)
+    assert perm_mul((1, 2, 0), (0, 2, 1)) == (1, 0, 2)  # i -> a[b[i]]
+
+
 def test_group_elements_examples():
     assert PermGroup(1, []).elements() == ((0,),)
     assert len(dihedral_square().elements()) == 8

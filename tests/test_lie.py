@@ -89,9 +89,10 @@ def test_sl2_validates_fully():
 
 
 def test_matrix_model_solved_once(monkeypatch):
-    # from_matrix_basis solves the 8 x 8 commutators and the 8 p-th powers of
-    # sl_3 once, with one solver, and does not check the tables it got
-    # against that same solve a second time: d^2 + d rows in all
+    # special_linear solves the 8 p-th powers of sl_3 with one solver, and
+    # the 8 x 8 commutators once, on the first read of the ad tensor;
+    # from_matrix_basis solves both at construction, d^2 + d rows in all,
+    # and does not check the tables it got against that same solve again
     made, rows = [], []
     init, solve_rows = lie._CoordSolver.__init__, lie._CoordSolver.solve_rows
 
@@ -106,8 +107,21 @@ def test_matrix_model_solved_once(monkeypatch):
     monkeypatch.setattr(lie._CoordSolver, "__init__", counting_init)
     monkeypatch.setattr(lie._CoordSolver, "solve_rows", counting_solve_rows)
     g = special_linear.__wrapped__(3, F5)
-    assert len(made) == 1 and sum(rows) == 8 * 8 + 8
+    assert len(made) == 1 and sum(rows) == 8
     assert g.coords_of_matrix(g.matrix_of(g.basis_vec(2))) == g.basis_vec(2)
+    rows.clear()
+    x = g.ad(g.basis_vec(0))
+    assert sum(rows) == 8 * 8
+    assert g.bracket(g.basis_vec(0), g.basis_vec(1)) == tuple(x[:, 1].tolist())
+    assert np.array_equal(g.ad(g.basis_vec(0)), x) and sum(rows) == 8 * 8
+    rows.clear()
+    h = special_linear.__wrapped__(3, F5)
+    h.bracket(h.basis_vec(0), h.basis_vec(1))
+    h.ad(h.basis_vec(1))
+    assert sum(rows) == 8 + 8 * 8
+    rows.clear()
+    from_matrix_basis(F5, g.matrix_model)
+    assert len(made) == 3 and sum(rows) == 8 * 8 + 8
 
 
 def _reference_solve(field, mats, flat):
@@ -952,6 +966,67 @@ def test_is_elementary_matches_the_pairwise_loop(case):
         t = g.coords_of_matrix(Mat(F3, [[1, 0, 0], [0, 2, 0], [0, 0, 0]]))
         assert any(g.pmap_eval(t))
         assert not is_elementary(g, [t]) and not _is_elementary_pairwise(g, [t])
+
+
+def _mixed_bases(g, rng, count, k):
+    """count bases of k rows, as a (count, k, dim) stack: combinations of the
+    commuting, square-zero E_0j (j > 0), and in three quarters of them the
+    last row a copy of the first (zero when k = 1: dependent either way),
+    E_10 (p-nilpotent, not commuting with E_01) or a random vector."""
+    f, n = g.field, g._model.shape[-1]
+
+    def unit(i, j):
+        m = np.zeros((n, n), dtype=np.int64)
+        m[i, j] = f.one
+        return g.coords_of_matrix(Mat(f, m))
+
+    pool = np.array([unit(0, j) for j in range(1, n)])
+    bases = f.matmul(rng.integers(0, f.q, (count, k, len(pool))), pool)
+    kinds = rng.integers(0, 4, count)
+    bases[kinds == 1, -1] = bases[kinds == 1, 0] if k > 1 else 0
+    bases[kinds == 2, -1] = unit(1, 0)
+    bases[kinds == 3, -1] = rng.integers(0, f.q, ((kinds == 3).sum(), g.dim))
+    return bases
+
+
+@pytest.mark.parametrize("case", ["sl3_F5", "sl4_F3", "sl2_F9", "gl_sl3_F5"])
+def test_model_route_gives_the_ad_route_flags(case):
+    # _elementary_conditions reads the model matrices when there is a model;
+    # the same tables without the solver take the ad route
+    if case == "gl_sl3_F5":
+        g = _gl_based(special_linear(3, F5), 1)
+    else:
+        n, p, e = {"sl3_F5": (3, 5, 1), "sl4_F3": (4, 3, 1), "sl2_F9": (2, 3, 2)}[case]
+        g = special_linear(n, field_make(p, e))
+    plain = RestrictedLieAlgebra._from_arrays(g.field, g._adb, g._pmap)
+    assert g.matrix_model and not plain.matrix_model
+    rng = np.random.default_rng(list(case.encode()))
+    seen = set()
+    for k in (1, 2, 3):
+        bases = _mixed_bases(g, rng, 200, k)
+        flags = [c.tolist() for c in lie._elementary_conditions(g, bases)]
+        assert flags == [c.tolist() for c in lie._elementary_conditions(plain, bases)]
+        seen |= {(i, v) for i, c in enumerate(flags) for v in c}
+    assert seen == {(i, v) for i in range(3) for v in (False, True)}  # each flag both ways
+
+
+def test_sl_elementary_check_memory_bound():
+    # with its model, sl_10/F_13 (dim 99) is built without its 99^3 ad
+    # tensor, and the floor(10^2/4) = 25 rows of the (2, 1^8) witness are
+    # checked on 10 x 10 matrices; the ad tensor alone is 7.8 MB
+    from satrank.slnorbits import Partition, lower_orbit_witness
+    f = field_make(13, 1)
+    witness = lower_orbit_witness(Partition((2,) + (1,) * 8), f, maximal=True)
+    special_linear.__wrapped__(4, f)  # warm the field's caches
+    tracemalloc.start()
+    try:
+        g = special_linear.__wrapped__(10, f)
+        ok = is_elementary(g, witness.basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok and witness.rank == 25
+    assert peak <= 1_500_000
 
 
 def test_local_rank_examples():
