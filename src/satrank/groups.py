@@ -295,16 +295,34 @@ def _subgroup_from_elements(degree, p, elems):
     return ElemAbSubgroup(rank=rank, generators=tuple(gens), elements=frozenset(elems))
 
 
-class MaximalElemAb(NamedTuple):
-    representatives: list  # one ElemAbSubgroup per conjugacy class, sorted
-    all_subgroups: list    # every maximal elementary abelian subgroup, sorted
+class MaximalElemAb:
+    """The maximal elementary abelian p-subgroups of a group as cliques of
+    its elements of order p (maximal_elemab).  representatives holds one
+    ElemAbSubgroup per conjugacy class, sorted, built up front: conjugates
+    share a rank, so a rank report reads these alone.  all_subgroups, every
+    one of them, sorted, is built on first read and kept; each
+    representative is the same object as its entry there.
+    """
+
+    def __init__(self, cliques=(), reps=(), subgroup=None):
+        self._cliques, self._subgroup = cliques, subgroup
+        self._reps = dict(zip(reps, map(subgroup, reps)))
+        self.representatives = list(self._reps.values())
+
+    @functools.cached_property
+    def all_subgroups(self) -> list:
+        return [self._reps[c] if c in self._reps else self._subgroup(c)
+                for c in sorted(self._cliques)]
 
 
 def maximal_elemab(g: PermGroup, p: int) -> MaximalElemAb:
     """All maximal elementary abelian p-subgroups, plus conjugacy representatives:
     the sets C | {e} for the maximal cliques C of the commuting graph (module
     docstring).  Classes are orbits under conjugation by the generators, each
-    represented by its least member in sorted-element order.
+    represented by its least member in sorted-element order.  The cliques,
+    their orbits and the representatives are found here, but only the
+    representatives become ElemAbSubgroups now; the rest wait for the first
+    read of all_subgroups.
 
     Every maximal clique is conjugate to one through a root, the least element
     of its conjugacy class, so one clique search through the roots, which
@@ -317,14 +335,14 @@ def maximal_elemab(g: PermGroup, p: int) -> MaximalElemAb:
         raise PreconditionError(f"p={p} is not prime")
     x = g.element_rows()
     if p > g.degree:  # an element of order p is a product of p-cycles
-        return MaximalElemAb([], [])
+        return MaximalElemAb()
     y = x
     for _ in range(p - 1):
         y = np.take_along_axis(x, y, axis=1)  # x o x^k = x^(k+1)
     ident = np.arange(g.degree)
     t = x[(y == ident).all(axis=1) & (x != ident).any(axis=1)]  # sorted, as x is
     if not len(t):
-        return MaximalElemAb([], [])
+        return MaximalElemAb()
     conj = _conjugations(t, g.generators)
     labels = _orbit_labels(len(t), conj)
     roots = np.flatnonzero(labels == np.arange(len(t))).tolist()
@@ -346,11 +364,9 @@ def maximal_elemab(g: PermGroup, p: int) -> MaximalElemAb:
                     if image not in seen:
                         seen.add(image)
                         orbit.append(image)
-    cliques = sorted(seen)
-    torsion = [tuple(r) for r in t.tolist()]
-    subs = {c: _subgroup_from_elements(
-        g.degree, p, frozenset([g.identity()] + [torsion[i] for i in c])) for c in cliques}
-    return MaximalElemAb([subs[c] for c in reps], [subs[c] for c in cliques])
+    e = g.identity()
+    return MaximalElemAb(seen, reps, lambda c: _subgroup_from_elements(
+        g.degree, p, frozenset([e] + list(map(tuple, t[list(c)].tolist())))))
 
 
 def _conjugations(t, generators):
@@ -396,10 +412,12 @@ def group_ranks(g: PermGroup, p: int):
 
     srk is the minimal rank of a maximal elementary abelian p-subgroup,
     quillen_dim the maximal one (the support variety dimension), and
-    equidimensional whether they agree.
+    equidimensional whether they agree.  Conjugate subgroups share a rank,
+    so the ranks are read off the class representatives; the full list of
+    subgroups is not built.
     """
     res = maximal_elemab(g, p)
-    ranks = {s.rank for s in res.all_subgroups}
+    ranks = {s.rank for s in res.representatives}
     return GroupRanks(min(ranks), max(ranks), len(ranks) == 1, res) if ranks else None
 
 

@@ -91,7 +91,8 @@ class RestrictedLieAlgebra:
     validate="full" runs validate(); "none" skips it, for tables that are
     right by construction.  An algebra made with a matrix model but no ad
     tensor (special_linear) solves the tensor from the model on first read
-    of _adb and keeps it.
+    of _adb and keeps it, with which commutators lie in the model's span,
+    so that validate() does not solve them again.
     """
 
     def __init__(self, field: FieldSpec, brackets, pmap, labels=None,
@@ -127,6 +128,7 @@ class RestrictedLieAlgebra:
             raise PreconditionError("label count must match dimension")
         if adb is not None:
             self._adb = np.ascontiguousarray(adb)
+        self._solved_inside = None  # set when _adb is solved from the model
         self._pmap = np.ascontiguousarray(pmap)  # not a view that keeps a solve's array alive
         self.pmap = list(map(tuple, pmap.tolist()))
         self._central = None  # _central_elementary's basis, once asked for
@@ -140,7 +142,8 @@ class RestrictedLieAlgebra:
 
     @functools.cached_property
     def _adb(self):
-        return self._coord_solver.commutators()[0]
+        adb, self._solved_inside = self._coord_solver.commutators()
+        return adb
 
     # -- structure access ----------------------------------------------------
 
@@ -265,8 +268,12 @@ class RestrictedLieAlgebra:
 
     def _validate_model(self):
         f, solver = self.field, self._coord_solver
-        adb, inside = solver.commutators()
-        bad = ~inside | (adb != self._adb).any(axis=1)  # bad[i, j]: at [b_i, b_j]
+        adb = self._adb
+        if self._solved_inside is None:  # given tables: solve the model against them
+            commutators, inside = solver.commutators()
+            bad = ~inside | (commutators != adb).any(axis=1)  # bad[i, j]: at [b_i, b_j]
+        else:  # adb is the model's own solve: only its closure is left to check
+            bad = ~self._solved_inside
         if bad.any():
             i, j = np.argwhere(bad)[0]  # the first in row-major order
             raise PreconditionError(f"model commutator disagrees with table at ({i},{j})")
@@ -566,7 +573,8 @@ def _nilpotent_span(g: RestrictedLieAlgebra, keep):
     on nilpotent matrices.  The survivors take their p-th powers in batches
     of at most _CHUNK: X^min(p, n) = 0 on X = X_a + X_b with a model (it is
     faithful and its p-th powers are the p-map's, as _CoordSolver and
-    validate check, and X^p = 0 gives X^n = 0), else _pmap_rows.  Nilpotent
+    validate check, and X^p = 0 gives X^n = 0), tested on X's first row
+    before the whole matrix (_nilpotent_matrices), else _pmap_rows.  Nilpotent
     lines are expanded by the q - 1 nonzero scalars in code space, and the
     codes are sorted once, in place.
     """
@@ -601,14 +609,30 @@ def _nilpotent_span(g: RestrictedLieAlgebra, keep):
         for s in range(0, len(ia), _CHUNK):
             i, j = ia[s:s + _CHUNK], ib[s:s + _CHUNK]
             if g.matrix_model:
-                m = f.varr_add(xa[i], xb[j]).reshape(-1, n, n)
-                zero = ~f.matpow(m, min(f.p, n)).any(axis=(1, 2))
+                zero = _nilpotent_matrices(f, f.varr_add(xa[i], xb[j]).reshape(-1, n, n), min(f.p, n))
             else:
                 zero = ~g._pmap_rows(_placed(np.hstack([a[i], b[j]]), keep)).any(axis=1)
             codes.append((high[:, i[zero]] + low[:, j[zero]]).ravel())
     codes = np.concatenate(codes)
     codes.sort()
     return codes
+
+
+def _nilpotent_matrices(f, m, e):
+    """Whether X^e = 0, for each X of the (c, n, n) stack m.  From n = 3 on,
+    the first row e_0^T X^e goes first, as e - 1 stacked row-by-matrix
+    products, and the full power is taken only where it is zero: X^e = 0
+    forces e_0^T X^e = 0.  At n = 2 a row is half the matrix, and the power
+    is taken at once."""
+    zero = np.ones(len(m), dtype=bool)
+    if m.shape[-1] > 2:
+        row = m[:, :1]
+        for _ in range(e - 1):
+            row = f.matmul(row, m)
+        zero = ~row.any(axis=(1, 2))
+        m = m[zero]
+    zero[zero] = ~f.matpow(m, e).any(axis=(1, 2))
+    return zero
 
 
 def _split_form(f, form, a, b):

@@ -491,6 +491,8 @@ def test_root_query_matches_the_whole_graph(name, build, p):
     reps, subs = _whole_graph_maximal_elemab(g, p)
     assert res.representatives == reps
     assert res.all_subgroups == subs
+    found = res.all_subgroups
+    assert all(found[found.index(r)] is r for r in res.representatives)
 
 
 def test_root_query_builds_fewer_commuting_rows(monkeypatch):
@@ -503,6 +505,45 @@ def test_root_query_builds_fewer_commuting_rows(monkeypatch):
     res = maximal_elemab(symmetric(7), 3)
     assert len(built) == len(set(built)) < 350
     assert len(res.all_subgroups) == 70 and len(res.representatives) == 1
+
+
+def _counting_subgroups(monkeypatch):
+    """A list that grows by one entry per _subgroup_from_elements call."""
+    built, real = [], groups._subgroup_from_elements
+    monkeypatch.setattr(groups, "_subgroup_from_elements",
+                        lambda degree, p, elems: built.append(elems) or real(degree, p, elems))
+    return built
+
+
+def test_group_report_builds_only_the_representatives(monkeypatch):
+    # S7 at p = 2: 2 classes of maximal elementary abelian 2-subgroups out of
+    # many; the report reads one subgroup per class
+    built = _counting_subgroups(monkeypatch)
+    report = group_report(symmetric(7), 2)
+    assert len(report["classes"]) == 2 and len(built) == 2
+
+
+def test_all_subgroups_are_built_on_first_read(monkeypatch):
+    g = symmetric(7)
+    built = _counting_subgroups(monkeypatch)
+    res = maximal_elemab(g, 2)
+    assert len(built) == len(res.representatives) == 2
+    subs = res.all_subgroups
+    assert len(built) == len(subs) > 2  # the conjugates, once each
+    assert res.all_subgroups is subs and len(built) == len(subs)
+    # the eager reference: every clique's subgroup built up front in a dict
+    reps, eager = _whole_graph_maximal_elemab(g, 2)
+    assert subs == eager
+    assert res.representatives == reps
+    assert all(subs[subs.index(r)] is r for r in res.representatives)
+
+
+@pytest.mark.parametrize("build, p", [(lambda: cyclic(5), 3), (lambda: symmetric(3), 5)],
+                         ids=["no_3_torsion", "p_above_degree"])
+def test_maximal_elemab_without_torsion_is_empty(monkeypatch, build, p):
+    built = _counting_subgroups(monkeypatch)
+    res = maximal_elemab(build(), p)
+    assert res.representatives == [] and res.all_subgroups == [] and not built
 
 
 def test_one_clique_query_in_groups():

@@ -90,7 +90,8 @@ def test_sl2_validates_fully():
 
 def test_matrix_model_solved_once(monkeypatch):
     # special_linear solves the 8 p-th powers of sl_3 with one solver, and
-    # the 8 x 8 commutators once, on the first read of the ad tensor;
+    # the 8 x 8 commutators once, on the first read of the ad tensor, which
+    # validate() makes and then checks without solving them again;
     # from_matrix_basis solves both at construction, d^2 + d rows in all,
     # and does not check the tables it got against that same solve again
     made, rows = [], []
@@ -119,9 +120,15 @@ def test_matrix_model_solved_once(monkeypatch):
     h.bracket(h.basis_vec(0), h.basis_vec(1))
     h.ad(h.basis_vec(1))
     assert sum(rows) == 8 + 8 * 8
+    k = special_linear.__wrapped__(3, F5)
+    rows.clear()
+    k.validate()
+    assert sum(rows) == 8 * 8 + 8
+    k.validate()
+    assert sum(rows) == 8 * 8 + 8 + 8
     rows.clear()
     from_matrix_basis(F5, g.matrix_model)
-    assert len(made) == 3 and sum(rows) == 8 * 8 + 8
+    assert len(made) == 4 and sum(rows) == 8 * 8 + 8
 
 
 def _reference_solve(field, mats, flat):
@@ -258,6 +265,10 @@ def test_a_model_leaving_its_span_in_a_late_block_is_named():
                 for i in range(48) for j in range(48)}
     with pytest.raises(PreconditionError, match=r"disagrees with table at \(48,49\)$"):
         RestrictedLieAlgebra(F5, brackets, [(0,) * 50] * 50, matrix_model=model)
+    # the same first pair when the tables are the model's own solve, on first read
+    lazy = lie._model_algebra(F5, solver, None)
+    with pytest.raises(PreconditionError, match=r"disagrees with table at \(48,49\)$"):
+        lazy.validate()
     with pytest.raises(PreconditionError, match="not closed under commutators"):
         from_matrix_basis(F5, model)
 
@@ -810,25 +821,26 @@ def test_nilpotent_span_takes_one_pth_power_per_line(monkeypatch, name):
     # at most one p-th power per line, and as many as there are lines whose
     # sigma_2 is 0; those are counted here point by point, one coefficient
     # vector with first nonzero coefficient 1 per line.  With a matrix model
-    # the power is the model matrices' matpow, else _pmap_rows; a power is
-    # recorded as its raveled matrix or coordinate row, and the model is
-    # faithful, so distinct lines give distinct projective rows either way.
+    # the power is _nilpotent_matrices on the model matrices, else
+    # _pmap_rows; a power is recorded as its raveled matrix or coordinate
+    # row, and the model is faithful, so distinct lines give distinct
+    # projective rows either way.
     g, keep = _SPAN_CASES[name]()
     f, basis = g.field, np.eye(g.dim, dtype=np.int64)[keep]
     d = len(basis)
     seen = []
-    pmap_rows, matpow = RestrictedLieAlgebra._pmap_rows, type(f).matpow
+    pmap_rows, nilpotent = RestrictedLieAlgebra._pmap_rows, lie._nilpotent_matrices
 
     def counted_pmap(self, x):
         seen.append(x.copy())
         return pmap_rows(self, x)
 
-    def counted_matpow(self, a, e):
-        seen.append(np.asarray(a).reshape(len(a), -1))
-        return matpow(self, a, e)
+    def counted_nilpotent(f, m, e):
+        seen.append(m.reshape(len(m), -1))
+        return nilpotent(f, m, e)
 
     monkeypatch.setattr(RestrictedLieAlgebra, "_pmap_rows", counted_pmap)
-    monkeypatch.setattr(type(f), "matpow", counted_matpow)
+    monkeypatch.setattr(lie, "_nilpotent_matrices", counted_nilpotent)
     lie._nilpotent_span(g, keep)
     rows = [tuple(v) for part in seen for v in part.tolist()]
     assert len({_leading_one(f, v) for v in rows}) == len(rows)
@@ -839,6 +851,30 @@ def test_nilpotent_span_takes_one_pth_power_per_line(monkeypatch, name):
             vanishing += _pointwise_sigma_2(g, x) == 0
     assert len(rows) == vanishing
     assert max(map(len, seen)) <= lie._CHUNK
+
+
+def test_nilpotent_matrices_takes_the_full_power_after_the_row(monkeypatch):
+    # on sl_4 over F_2 the first row of X^2 rejects most sigma_2 survivors,
+    # but some pass it and fail the full power, so both stages do work
+    g, keep = _SPAN_CASES["sl4_F2"]()
+    f = g.field
+    tested, powered, failed = [], [], []
+    nilpotent, matpow = lie._nilpotent_matrices, type(f).matpow
+
+    def counted_nilpotent(f, m, e):
+        tested.append(len(m))
+        return nilpotent(f, m, e)
+
+    def counted_matpow(self, a, e):
+        out = matpow(self, a, e)
+        powered.append(len(a))
+        failed.append(int(out.any(axis=(1, 2)).sum()))
+        return out
+
+    monkeypatch.setattr(lie, "_nilpotent_matrices", counted_nilpotent)
+    monkeypatch.setattr(type(f), "matpow", counted_matpow)
+    lie._nilpotent_span(g, keep)
+    assert 0 < sum(failed) < sum(powered) < sum(tested)
 
 
 @pytest.mark.parametrize("name,skipped", [("sl3_F3", False), ("sl3_F5", False),
