@@ -83,75 +83,26 @@ def _parse_partition(text: str):
     return Partition(parts)
 
 
-def _add_common(sp, default_format="json"):
-    sp.add_argument("--out", default=None, help="write the report to a file")
-    sp.add_argument("--format", choices=["json", "table"], default=default_format)
+def build_parser(command=None) -> _Parser:
+    """The satrank parser: every subcommand of _COMMANDS, or only command's.
 
-
-def build_parser() -> _Parser:
+    The one-subcommand parser parses command's arguments as the full one
+    does and prints the same help, usage lines and errors for them: its
+    subcommand metavar lists every subcommand, as the full parser's usage
+    line does.  main builds it when argv[0] names a subcommand: one
+    subparser costs a fraction of them all.
+    """
     parser = _Parser(prog="satrank", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("group-srk", help="saturation rank of a permutation group")
-    sp.add_argument("--file", required=True)
-    _add_common(sp)
-
-    sp = sub.add_parser("lie-srk", help="brute-force saturation rank of a restricted Lie algebra")
-    sp.add_argument("--file", required=True)
-    sp.add_argument("--budget", type=int, default=None)
-    _add_common(sp)
-
-    sp = sub.add_parser("lie-nullcone", help="restricted nullcone of a Lie algebra")
-    sp.add_argument("--file", required=True)
-    sp.add_argument("--budget", type=int, default=None)
-    sp.add_argument("--list-limit", type=int, default=5000)
-    _add_common(sp)
-
-    sp = sub.add_parser("sln-srk", help="closed-form srk(sl_n)")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    _add_common(sp)
-
-    sp = sub.add_parser("sln-orbits", help="orbit table with local ranks and witness dims")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    _add_common(sp)
-
-    sp = sub.add_parser("sln-centralizer", help="traceless centralizer basis at a Jordan type")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--partition", required=True, help="comma separated, e.g. 3,1")
-    _add_common(sp)
-
-    sp = sub.add_parser("sln-witness", help="elementary subalgebra witnesses at a Jordan type")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--partition", required=True)
-    sp.add_argument("--maximal", action="store_true")
-    sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--budget", type=int, default=None)
-    _add_common(sp)
-
-    sp = sub.add_parser("frob2-srk", help="saturation rank of the second Frobenius kernel")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    _add_common(sp)
-
-    sp = sub.add_parser("frob2-verify-exp", help="exhaustive homomorphism sweep of exp maps")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--budget", type=int, default=None)
-    _add_common(sp)
-
-    sp = sub.add_parser("oracle-crosscheck", help="agreement of oracles with structured modules")
-    sp.add_argument("--seed", type=int, default=0)
-    _add_common(sp)
-
-    sp = sub.add_parser("reproduce-paper", help="run the acceptance table, PASS/FAIL per line "
-                        "(--format json: every criterion with its details)")
-    _add_common(sp, default_format="table")
-
+    if command is None:
+        names, metavar = list(_COMMANDS), None
+    else:
+        names, metavar = [command], "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        _, text, arguments = _COMMANDS[name]
+        sp = sub.add_parser(name, help=text)
+        for flag, kwargs in arguments:
+            sp.add_argument(flag, **kwargs)
     return parser
 
 
@@ -308,32 +259,60 @@ def _cmd_reproduce_paper(args):
     return ok
 
 
-_DISPATCH = {
-    "group-srk": _cmd_group_srk,
-    "lie-srk": _cmd_lie_srk,
-    "lie-nullcone": _cmd_lie_nullcone,
-    "sln-srk": _cmd_sln_srk,
-    "sln-orbits": _cmd_sln_orbits,
-    "sln-centralizer": _cmd_sln_centralizer,
-    "sln-witness": _cmd_sln_witness,
-    "frob2-srk": _cmd_frob2_srk,
-    "frob2-verify-exp": _cmd_frob2_verify_exp,
-    "oracle-crosscheck": _cmd_oracle_crosscheck,
+_FILE = ("--file", {"required": True})
+_BUDGET = ("--budget", {"type": int, "default": None})
+_N = ("--n", {"type": int, "required": True})
+_P = ("--p", {"type": int, "required": True})
+_K = ("--k", {"type": int, "default": 1})
+_OUT = ("--out", {"default": None, "help": "write the report to a file"})
+_JSON = ("--format", {"choices": ["json", "table"], "default": "json"})
+
+# subcommand: (handler, help, its arguments as (flag, add_argument keywords)),
+# in the order of the help listing
+_COMMANDS = {
+    "group-srk": (_cmd_group_srk, "saturation rank of a permutation group",
+                  [_FILE, _OUT, _JSON]),
+    "lie-srk": (_cmd_lie_srk, "brute-force saturation rank of a restricted Lie algebra",
+                [_FILE, _BUDGET, _OUT, _JSON]),
+    "lie-nullcone": (_cmd_lie_nullcone, "restricted nullcone of a Lie algebra",
+                     [_FILE, _BUDGET, ("--list-limit", {"type": int, "default": 5000}),
+                      _OUT, _JSON]),
+    "sln-srk": (_cmd_sln_srk, "closed-form srk(sl_n)", [_N, _P, _OUT, _JSON]),
+    "sln-orbits": (_cmd_sln_orbits, "orbit table with local ranks and witness dims",
+                   [_N, _P, _OUT, _JSON]),
+    "sln-centralizer": (_cmd_sln_centralizer, "traceless centralizer basis at a Jordan type",
+                        [_N, _P, ("--partition", {"required": True,
+                                                  "help": "comma separated, e.g. 3,1"}),
+                         _OUT, _JSON]),
+    "sln-witness": (_cmd_sln_witness, "elementary subalgebra witnesses at a Jordan type",
+                    [_N, _P, ("--partition", {"required": True}),
+                     ("--maximal", {"action": "store_true"}), _K, _BUDGET, _OUT, _JSON]),
+    "frob2-srk": (_cmd_frob2_srk, "saturation rank of the second Frobenius kernel",
+                  [_N, _P, _OUT, _JSON]),
+    "frob2-verify-exp": (_cmd_frob2_verify_exp, "exhaustive homomorphism sweep of exp maps",
+                         [_N, _P, _K, _BUDGET, _OUT, _JSON]),
+    "oracle-crosscheck": (_cmd_oracle_crosscheck, "agreement of oracles with structured modules",
+                          [("--seed", {"type": int, "default": 0}), _OUT, _JSON]),
+    "reproduce-paper": (_cmd_reproduce_paper, "run the acceptance table, PASS/FAIL per line "
+                        "(--format json: every criterion with its details)",
+                        [_OUT, ("--format", {"choices": ["json", "table"], "default": "table"})]),
 }
 
 
 @functools.cache
-def _parser() -> _Parser:
-    """build_parser() once per process; parsing leaves the parser unchanged."""
-    return build_parser()
+def _parser(command) -> _Parser:
+    """build_parser(command) once per process and command; parsing leaves
+    the parser unchanged."""
+    return build_parser(command)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    args = _parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         if args.command == "reproduce-paper":
             return 0 if _cmd_reproduce_paper(args) else 1
-        report = _DISPATCH[args.command](args)
+        report = _COMMANDS[args.command][0](args)
         _emit(report, args)
         if args.command == "oracle-crosscheck" and not report["all_pass"]:
             return 1

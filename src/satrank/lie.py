@@ -555,6 +555,18 @@ _CHUNK = 1 << 11  # combinations per batch; bounds the p-th power temporaries
 # commuting-mask bits allowed per unit of budget: the default budget admits
 # 3.2e8 bits (40 MB), sl_3/F_5's full graph takes 1.5e7 and h_7/F_3's 1.2e6
 _MASK_BITS_PER_BUDGET = 32
+# _TupleSearch._build_masks' cost model, in ns of a 2.1 GHz Xeon core: a row
+# test per entry of its (dim, n) product, a span closure per coefficient of
+# its line vectors (lines * k * d), and a stacked elimination of a (b, dim, d)
+# stack as fixed + d * (per column + per entry * b * dim * d).  Fitted on
+# per-batch timings of h_7/F_5, h_9/F_3, sl_4/F_3, sl_5/F_2 and the lie-ext
+# inputs; with _ROW_NS at 10, sl_5/F_2's k = 12 kernels took the slower test
+_ROW_NS = 4.5
+_SPAN_NS = 1.3
+_ELIM_NS = (100_000, 25_000, 5)
+# row-test product entries per block: fields._reduce takes up to 2**15 of them
+# by libdivide, and larger blocks ran slower on sl_5/F_2
+_ROW_BLOCK = _CHUNK << 4
 
 
 def _nilpotent_span(g: RestrictedLieAlgebra, keep):
@@ -907,7 +919,9 @@ class _TupleSearch:
     _cliques_through, serves the ranks and the witnesses: commuting[i] is the
     bitmask of the classes in ker(ad(x_i) . B^T), built batch by batch
     for the classes a query starts from and their neighbours, and 0 for the
-    others.  cliques holds (rank, bitmask) for each maximal clique of the
+    others; _build_masks takes each from a row test or from the span of a
+    kernel basis, whichever its cost model says is cheaper, and both give
+    the same bits.  cliques holds (rank, bitmask) for each maximal clique of the
     commuting graph that meets a root, a maximal elementary subalgebra of
     the subspace, and ranks[i] is the largest rank of a clique through
     labels[i], that is r(x_i) there: local rank is invariant under
@@ -961,10 +975,15 @@ class _TupleSearch:
         batch by batch; a built mask has its own bit, so it is never 0.
 
         BudgetError first when the masks built by the end would hold more
-        than _MASK_BITS_PER_BUDGET * budget bits.  A batch of classes takes
-        one stacked ad(u), whose columns at keep are ad(u) . B^T, and one
-        stacked elimination for all its u; the kernels of equal dimension then
-        go through _span_masks together.
+        than _MASK_BITS_PER_BUDGET * budget bits.  A batch of classes u takes
+        one stacked ad(u), whose columns at keep are ad(u) . B^T, and each
+        mask comes from one of two exact tests, whichever the cost model
+        (_ROW_NS, _SPAN_NS, _ELIM_NS) says is cheaper: _row_masks, which needs
+        ad(u) . B^T only, or _span_masks on a basis of its kernel.  A batch
+        whose row tests cost less than its stacked elimination is row-tested
+        whole; otherwise one stacked elimination gives every kernel, and the
+        kernels of each dimension k go through _span_masks together when their
+        (q**k - 1) / (q - 1) lines are cheaper to close than the row tests.
         """
         masks, built = self.commuting, self._built
         which = np.array([i for i in which.tolist() if not masks[i]], dtype=np.int64)
@@ -975,17 +994,46 @@ class _TupleSearch:
                 f"> budget {bound} bits ({_MASK_BITS_PER_BUDGET} per budget unit); "
                 f"{built} masks built so far")
         f, g, d = self.f, self.g, self.coords.shape[1]
+        row = _ROW_NS * g.dim * self.n  # one class's row test
+        fixed, per_column, per_entry = _ELIM_NS
         step = (_CHUNK << 2) // max(1, g.dim * d)  # (step, dim, d) stacks: <= 4 * _CHUNK codes
         for start in range(0, len(which), step):
             part = which[start:start + step]
-            vectors, free = _kernels(f, g.ad(_placed(self.coords[part], self.keep))[..., self.keep])
-            dims = free.sum(axis=1)
-            for k in np.flatnonzero(np.bincount(dims)).tolist():
-                rows = np.flatnonzero(dims == k)
-                kernels = vectors[rows][free[rows]].reshape(len(rows), k, d)
-                for i, mask in zip(part[rows].tolist(), self._span_masks(kernels)):
+            ads = g.ad(_placed(self.coords[part], self.keep))[..., self.keep]
+            if len(part) * row < fixed + d * (per_column + per_entry * ads.size):
+                done = [(part, self._row_masks(ads))]
+            else:
+                vectors, free = _kernels(f, ads)
+                dims = free.sum(axis=1)
+                done = []
+                for k in np.flatnonzero(np.bincount(dims)).tolist():
+                    rows = np.flatnonzero(dims == k)
+                    if _SPAN_NS * k * d * ((f.q ** k - 1) // (f.q - 1)) < row:
+                        kernels = vectors[rows][free[rows]].reshape(len(rows), k, d)
+                        done.append((part[rows], self._span_masks(kernels)))
+                    else:
+                        done.append((part[rows], self._row_masks(ads[rows])))
+            for classes, found in done:
+                for i, mask in zip(classes.tolist(), found):
                     masks[i] = mask
         self._built = built + len(which)
+
+    def _row_masks(self, ads):
+        """Bitmasks of the classes j with ads[s] . coords[j] = 0, for a stack
+        of (dim, d) matrices ads[s] = ad(u_s) . B^T: the classes that commute
+        with u_s, the same set as _span_masks of a basis of ker ads[s].
+
+        Every product takes the whole stack by a block of columns of
+        coords^T, a multiple of 8 of them, so that a block of about
+        _ROW_BLOCK entries packs into whole bytes and the class count does
+        not set the memory taken.  One class by many columns would spend as
+        long converting coords as multiplying.
+        """
+        f, n = self.f, self.n
+        width = max(8, _ROW_BLOCK // (len(ads) * ads.shape[1]) >> 3 << 3)
+        return _packed_ints(np.concatenate(
+            [np.packbits(~f.matmul(ads, self.coords[lo:lo + width].T).any(axis=1), axis=1,
+                         bitorder="little") for lo in range(0, n, width)], axis=1))
 
     def _span_masks(self, kernels):
         """Bitmasks of the classes in the span of the rows of each kernels[s] (k x d).
@@ -1012,9 +1060,7 @@ class _TupleSearch:
         """Bitmasks of the classes among the coordinate rows of each vecs[s]."""
         bits = np.zeros((len(vecs), self.n + 1), dtype=bool)
         bits[np.arange(len(vecs))[:, None], self._table[vecs @ self._place]] = True
-        packed = np.packbits(bits[:, :-1], axis=1, bitorder="little")
-        data, w = packed.tobytes(), packed.shape[1]
-        return [int.from_bytes(data[i * w:(i + 1) * w], "little") for i in range(len(vecs))]
+        return _packed_ints(np.packbits(bits[:, :-1], axis=1, bitorder="little"))
 
     def max_tuple_containing(self, xi, codes=None, classes=None, centre_dim=0):
         """(r, witness, True): the largest rank r of an elementary subalgebra
@@ -1080,6 +1126,14 @@ class _TupleSearch:
         union = functools.reduce(operator.or_, (c for r, c in cliques
                                                 if r == s and c & members == members), 0)
         return np.append(_flags(union, self.n), True)
+
+
+def _packed_ints(packed):
+    """The ints whose little-endian bytes are the rows of the 2-D uint8 array
+    packed: np.packbits(bits, axis=1, bitorder="little") gives the bitmasks
+    of the rows of the bool array bits."""
+    data, w = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(data[i * w:(i + 1) * w], "little") for i in range(len(packed))]
 
 
 def _bitset(indices, n):
@@ -1251,7 +1305,11 @@ def _scatter(dim, index, codes):
 
 
 def _last(keys):
-    """Whether each position of the key array holds its key's last occurrence."""
+    """Whether each position of the key array holds its key's last occurrence:
+    every one when the keys strictly increase, as they do in a file written
+    in index order, without np.unique's sort."""
+    if (keys[1:] > keys[:-1]).all():
+        return np.ones(len(keys), dtype=bool)
     return _scatter(len(keys), [len(keys) - 1 - np.unique(keys[::-1], return_index=True)[1]], 1) > 0
 
 

@@ -378,7 +378,8 @@ def test_exit_codes(capsys, h3_file, tmp_path):
 
 
 def test_one_parser_serves_every_call(capsys, monkeypatch, d8_file, h3_file):
-    # main builds its parser once per process: alternating subcommands and
+    # main builds one parser per subcommand named first, and the full parser
+    # once for any other argv, per process: alternating subcommands and
     # formats print what a freshly built parser gives, and usage errors in
     # between still exit 64
     from satrank import cli
@@ -386,7 +387,8 @@ def test_one_parser_serves_every_call(capsys, monkeypatch, d8_file, h3_file):
              ["lie-srk", "--file", h3_file, "--format", "table"], ["group-srk", "--file", d8_file,
              "--format", "table"], ["sln-srk", "--n", "3", "--p", "5"], ["lie-srk", "--file", h3_file]]
     built = []
-    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or _build_parser())
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda command=None: built.append(command) or _build_parser(command))
     cli._parser.cache_clear()
     shared = []
     for argv in calls + calls[::-1]:
@@ -395,14 +397,42 @@ def test_one_parser_serves_every_call(capsys, monkeypatch, d8_file, h3_file):
             with pytest.raises(SystemExit) as exc:
                 main(bad)
             assert exc.value.code == 64 and "error:" in capsys.readouterr().err
-    assert built == [1]
-    fresh = []
+    assert sorted(built, key=str) == sorted({argv[0] for argv in calls} | {None}, key=str)
+    first, fresh = len(built), []
     for argv in calls + calls[::-1]:
         cli._parser.cache_clear()
         fresh.append(run_cli(capsys, *argv))
-    assert len(built) == 1 + len(fresh)
+    assert built[first:] == [argv[0] for argv in calls + calls[::-1]]
     assert shared == fresh and all(code == 0 for code, _, _ in shared)
     assert len({out for _, out, _ in shared}) == len(calls)
+
+
+def _parsed(parse, argv):
+    """(exit code, stdout, stderr) of parse(argv), which must exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+def test_one_subcommand_parser_prints_what_the_full_parser_prints(monkeypatch, columns):
+    # main parses with one subcommand's parser when argv[0] names it: help
+    # text, usage lines and usage errors must be the full parser's, byte for
+    # byte, at any terminal width
+    from satrank import cli
+    monkeypatch.setenv("COLUMNS", columns)
+    full = _build_parser().parse_args
+    assert _parsed(main, ["--help"]) == _parsed(full, ["--help"])
+    assert _parsed(main, ["--help"])[1].count("\n") > 10
+    for name in cli._COMMANDS:
+        for argv in ([name, "--help"], [name, "--format", "xml"], [name, "--bogus"]):
+            code, out, err = _parsed(main, argv)
+            assert (code, out, err) == _parsed(full, argv)
+            assert code == (0 if argv[1] == "--help" else 64) and (out if code == 0 else err)
+    # the subcommand metavar of the top-level usage lists every subcommand
+    assert cli.build_parser("lie-srk").format_usage() == _build_parser().format_usage()
 
 
 @pytest.mark.parametrize("n", ["-1", "0", "1"])

@@ -3,6 +3,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import pathlib
 import random
 import re
@@ -1138,33 +1139,30 @@ def _naive_span_mask(f, index, vecs):
     return mask
 
 
-@pytest.mark.parametrize("case", ["h3_F5", "sl2_F9", "local_h5_F3", "local_sl3_F3",
-                                  "local_sl4_F2"])
+# case: (algebra, the run that builds the search on it); local_rank searches
+# the centralizer z(x), an algebra of its own, modulo C(z(x)).  z(x_1) of
+# h_5/F_3 is span(x_1, x_2, y_2, z) with C = span(x_1, z), 4 classes; z(E_01)
+# of sl_3/F_3 has 4 classes modulo C = span(E_01), and z(E_03) of sl_4/F_2
+# has dimension 9, C = span(E_03), 21 classes
+_MASK_CASES = {
+    "h3_F5": (lambda: heisenberg(1, F5), srk_brute),
+    "sl2_F9": (lambda: special_linear(2, field_make(3, 2)), srk_brute),
+    "local_h5_F3": (lambda: heisenberg(2, F3), lambda g: local_rank(g, g.basis_vec(0))),
+    "local_sl3_F3": (lambda: special_linear(3, F3), lambda g: local_rank(g, g.basis_vec(0))),
+    "local_sl4_F2": (lambda: special_linear(4, field_make(2, 1)),
+                     lambda g: local_rank(g, g.basis_vec(2))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MASK_CASES))
 def test_search_span_masks_and_commuting_masks(monkeypatch, case):
     # srk_brute searches g itself (as if its central elementary ideal were
-    # {0}); local_rank searches the centralizer z(x), an algebra of its own,
-    # modulo C(z(x)), so its masks are checked against the brackets of z(x).
-    # z(x_1) of h_5/F_3 is span(x_1, x_2, y_2, z) with C = span(x_1, z), 4
-    # classes; z(E_01) of sl_3/F_3 has 4 classes modulo C = span(E_01), and
-    # z(E_03) of sl_4/F_2 has dimension 9, C = span(E_03), 21 classes
-    if case == "h3_F5":
-        g = heisenberg(1, F5)
-        run = lambda: srk_brute(g)
-    elif case == "sl2_F9":
-        g = special_linear(2, field_make(3, 2))
-        run = lambda: srk_brute(g)
-    elif case == "local_h5_F3":
-        g = heisenberg(2, F3)
-        run = lambda: local_rank(g, g.basis_vec(0))
-    elif case == "local_sl3_F3":
-        g = special_linear(3, F3)
-        run = lambda: local_rank(g, g.basis_vec(0))
-    else:
-        g = special_linear(4, field_make(2, 1))
-        run = lambda: local_rank(g, g.basis_vec(2))
+    # {0}); local_rank's masks are checked against the brackets of z(x)
+    build, run = _MASK_CASES[case]
+    g = build()
     # local_rank takes no automorphisms; left unpatched, its search keeps the
     # quotient by C(z(x))
-    search = _captured_search(monkeypatch, run, automorphisms=case.startswith("local"))
+    search = _captured_search(monkeypatch, lambda: run(g), automorphisms=case.startswith("local"))
     h, (pts, index) = search.g, _points(search)
     assert search.n > 3 and (h is g) == (not case.startswith("local"))
     rng = random.Random(case)
@@ -1193,6 +1191,66 @@ def test_commuting_masks_across_batches(monkeypatch):
         chosen = rng.sample(range(search.n), rng.randint(1, 3))
         naive = _naive_span_mask(g.field, index, [pts[i] for i in chosen])
         assert search._span_masks(search.coords[chosen][None])[0] == naive
+
+
+# _build_masks' cost model forced to one test: whole batches row-tested with
+# no elimination, the row test after the stacked elimination, or every
+# kernel closed by _span_masks; and the mask test each rule must not call
+_MASK_RULES = {
+    "default": ({}, None),
+    "row": ({"_ROW_NS": 0}, "_span_masks"),
+    "row_after_elimination": ({"_ELIM_NS": (0, 0, 0), "_SPAN_NS": math.inf}, "_span_masks"),
+    "span": ({"_ROW_NS": math.inf}, "_row_masks"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MASK_CASES) + ["sl3_F3"])
+def test_commuting_masks_same_by_either_test(monkeypatch, case):
+    # the row test and the span closure give the same bits, so whichever the
+    # cost model picks, the masks, srk_brute's payload and local_rank's
+    # witness stay the same; sl_3/F_3's 364 classes take several batches
+    build, run = _MASK_CASES.get(case, (lambda: special_linear(3, F3), srk_brute))
+    g = build()
+    seen, eliminations, kernels = {}, {}, lie._kernels
+    for rule, (costs, unused) in _MASK_RULES.items():
+        calls = []
+        with monkeypatch.context() as m:
+            for name, value in costs.items():
+                m.setattr(lie, name, value)
+            if unused:
+                m.setattr(lie._TupleSearch, unused, None)
+            m.setattr(lie, "_kernels", lambda f, a: calls.append(1) or kernels(f, a))
+            result = run(g)
+            search = _captured_search(m, lambda: run(g), automorphisms=case.startswith("local"))
+        seen[rule] = (search.commuting, _payload_digest(result) if run is srk_brute else result)
+        eliminations[rule] = len(calls)
+    assert all(s == seen["default"] for s in seen.values())
+    # the row rule skips the stacked eliminations that the other rules make
+    assert eliminations["row"] < min(eliminations["row_after_elimination"], eliminations["span"])
+
+
+@pytest.mark.parametrize("row_block", [1, 100, 4000, lie._ROW_BLOCK])
+def test_row_masks_blocks_stay_under_their_bound(monkeypatch, row_block):
+    # a row-test product takes the whole stack by a multiple of 8 columns of
+    # coords^T: at most _ROW_BLOCK entries, or 8 columns where those pass it;
+    # the masks do not depend on the split
+    g = special_linear(3, F3)
+    search = _captured_search(monkeypatch, lambda: srk_brute(g))
+    sizes, matmul = [], type(g.field).matmul
+
+    def spy(self, a, b):
+        out = matmul(self, a, b)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(lie, "_ROW_BLOCK", row_block)
+    monkeypatch.setattr(type(g.field), "matmul", spy)
+    for count in (1, 20, search.n):
+        ads = g.ad(lie._placed(search.coords[:count], search.keep))[..., search.keep]
+        sizes.clear()
+        assert search._row_masks(ads) == search.commuting[:count]
+        assert max(sizes) <= max(row_block, 8 * count * g.dim)
+        assert sum(sizes) == count * g.dim * search.n
 
 
 def _commutes(g, pts):
