@@ -75,7 +75,10 @@ def _subgroup_from_elements(degree, p, elems):
 
 def all_subgroups(g: PermGroup, cap: int = 5000):
     """Every subgroup, by joining cyclic subgroups until the lattice closes.
-    The elements come from this module's own closure, not g.elements()."""
+    The elements come from this module's own closure, not g.elements().
+
+    Each subgroup is joined with every cyclic subgroup once, in the round
+    after it is found, by the generator list that produced it."""
     els = sorted(_closure(g.degree, g.generators, g.element_bound))
     if len(els) > cap:
         raise BudgetError(f"group order {len(els)} exceeds oracle cap {cap}")
@@ -84,17 +87,19 @@ def all_subgroups(g: PermGroup, cap: int = 5000):
     for x in els:
         c = _closure(g.degree, [x])
         cyclics[c] = min(cyclics.get(c, x), x)
-    lattice = {frozenset({e})} | set(cyclics)
+    lattice = {frozenset({e}): []}
+    lattice.update((c, [x]) for c, x in cyclics.items())
     frontier = list(cyclics)
     while frontier:
         new = []
-        for h in list(lattice):
+        for h in frontier:
             for c in cyclics:
                 if c <= h:
                     continue
-                j = _closure(g.degree, [cyclics[c]] + sorted(h))
+                gens = lattice[h] + [cyclics[c]]
+                j = _closure(g.degree, gens)
                 if j not in lattice:
-                    lattice.add(j)
+                    lattice[j] = gens
                     new.append(j)
         frontier = new
     return sorted(lattice, key=lambda s: (len(s), sorted(s)))
@@ -150,7 +155,8 @@ def oracle_srk_lie(g: RestrictedLieAlgebra, budget: SearchBudget = SearchBudget(
     dimension containing the point, by enumerating subalgebras as subspaces.
 
     Subspaces are grown one projective point at a time and kept only if every
-    point lies in the nullcone and every pair of points commutes.
+    point lies in the nullcone and every pair of points commutes.  Each
+    subspace is checked once, however many bases reach it.
     """
     f = g.field
     pts = _nullcone_points(g, budget)
@@ -160,12 +166,9 @@ def oracle_srk_lie(g: RestrictedLieAlgebra, budget: SearchBudget = SearchBudget(
         return 0
     reps = sorted({_canonical_projective(f, v) for v in nonzero})
 
-    def span_points(basis):
-        acc = [g.zero()]
-        for v in basis:
-            acc = acc + [_vec_add(f, w, _vec_scale(f, c, v))
-                         for w in acc for c in range(1, f.q)]
-        return acc
+    def span_points(points, y):
+        multiples = [_vec_scale(f, c, y) for c in range(1, f.q)]
+        return list(points) + [_vec_add(f, w, m) for w in points for m in multiples]
 
     def is_elementary_pointwise(points):
         for u in points:
@@ -189,16 +192,16 @@ def oracle_srk_lie(g: RestrictedLieAlgebra, budget: SearchBudget = SearchBudget(
             if y in points:
                 continue
             nb = basis + (y,)
-            np_ = span_points(nb)
+            np_ = span_points(points, y)
             examined += 1
             if examined > budget.max_points:
                 raise BudgetError("oracle subspace enumeration exceeded its cap")
-            if not is_elementary_pointwise(np_):
-                continue
             key = frozenset(np_)
             if key in seen:
                 continue
             seen.add(key)
+            if not is_elementary_pointwise(np_):
+                continue
             d = len(nb)
             for w in np_:
                 if any(w):

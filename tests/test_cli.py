@@ -358,6 +358,21 @@ def test_oracle_crosscheck(capsys):
     assert json.loads(out)["all_pass"] is True
 
 
+# sha256 of the stdout of oracle-crosscheck, recorded before the lattice
+# joins went frontier-only and each subspace was checked once
+_ORACLE_CROSSCHECK_PINS = {
+    0: "dea0dd027d09173ad703bc0a033c7f07d9e78724fb309adbbe83a145c719f50e",
+    1: "865e25c595382a3b64175c0b647320347e1c51aacf9ef6501380955df1031938",
+    7: "1633fcabdcf30a65172560a4af5d712282f0850a2a737233469fc499c0820ece",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_ORACLE_CROSSCHECK_PINS))
+def test_oracle_crosscheck_pinned(capsys, seed):
+    digest = _digest(capsys, "oracle-crosscheck", "--seed", seed)
+    assert digest == (0, _ORACLE_CROSSCHECK_PINS[seed])
+
+
 def test_exit_codes(capsys, h3_file, tmp_path):
     code, _, err = run_cli(capsys, "sln-srk", "--n", "4", "--p", "4")
     assert code == 2 and "precondition" in err
