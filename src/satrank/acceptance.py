@@ -24,8 +24,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .fields import _rref, field_make, is_prime
-from .frobkernel import _CHECK_BLOCK, _check_rows, homomorphism_sweep, srk_height_bound, srk_sln2
+from .fields import _PRODUCT_BLOCK, _rref, field_make, is_prime
+from .frobkernel import _check_rows, homomorphism_sweep, srk_height_bound, srk_sln2
 from .groups import dihedral_square, group_ranks
 from .lie import (
     _elementary_conditions,
@@ -119,7 +119,7 @@ def criterion_4_subregular():
         expected = 2 if (n, p) == (3, 2) else f.q + 1
         assert len(subs) == expected, (n, p, len(subs))
         assert all(s.rank == n - 1 for s in subs)
-        xj = sl_coords(f, jordan_matrix(Partition((n - 1, 1)), f).a)
+        xj = sl_coords(f, jordan_matrix(Partition((n - 1, 1)), f))
         names = [f"subregular witness {w} of sl_{n} over F_{p}" for w in range(len(subs))]
         _check_witnesses(special_linear(n, f), np.array([s.basis for s in subs], dtype=np.int64),
                          np.broadcast_to(xj, (len(subs), len(xj))), names, "x_tau")
@@ -132,13 +132,13 @@ def _check_witnesses(alg, bases, points, names, point):
     of alg that holds its row of the (W, dim) points, which the conditions
     call point; the rows commute, so it centralizes that point too.
     Witnesses are checked on alg's matrix model (sl_n's n x n matrices), in
-    blocks of at most _CHECK_BLOCK entries of the products X_a X_b, k^2 n^2
+    blocks of at most _PRODUCT_BLOCK entries of the products X_a X_b, k^2 n^2
     per witness; a failure names the first failing witness, by its entry of
     names, and its first failing condition.
     """
     f, (count, k, _) = alg.field, bases.shape
     conditions = ["dependent rows", "non-commuting rows", "nonzero p-map", f"{point} outside the span"]
-    step = max(1, _CHECK_BLOCK // (k * k * alg._model[0].size))
+    step = max(1, _PRODUCT_BLOCK // (k * k * alg._model[0].size))
     for start in range(0, count, step):
         b, x = bases[start:start + step], points[start:start + step]
         with_x = np.concatenate([b, x[:, None]], axis=1)
@@ -167,7 +167,7 @@ def criterion_5_lower_orbits():
             assert subs[-1].rank == n * n // 4
             maxima[f"max_witness_n{n}"] = subs[-1].rank
         alg = special_linear(n, f)
-        points = sl_coords(f, np.array([jordan_matrix(lam, f).a for lam, _ in cases]))
+        points = sl_coords(f, [jordan_matrix(lam, f) for lam, _ in cases])
         names = [f"{'maximal' if maximal else 'lower-orbit'} witness {lam.parts} of sl_{n} "
                  f"over F_{p}" for lam, maximal in cases]
         ranks = [w.rank for w in subs]
@@ -269,7 +269,7 @@ def criterion_9_property_suites():
     pairs = 0
     for n in range(1, 9):
         pts = list(partitions(n))
-        ranks = rank_sequences(f5, [jordan_matrix(lam, f5).a for lam in pts])
+        ranks = rank_sequences(f5, [jordan_matrix(lam, f5) for lam in pts])
         below = (ranks[:, None] <= ranks[None]).all(axis=2)  # below[a, b]: every rank of a <= b's
         for (a, mu), (b, lam) in itertools.product(enumerate(pts), repeat=2):
             assert dominance_leq(mu, lam) == below[a, b]

@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import PreconditionError
-from .fields import FieldSpec, Mat, field_make, mat_is_p_nilpotent
+from .fields import _PRODUCT_BLOCK, FieldSpec, Mat, field_make, mat_is_p_nilpotent
 from .slnorbits import Partition, _charge, jordan_matrix, partition_of_nilpotent
 
 
@@ -121,13 +121,6 @@ def srk_sln2(n: int, field: FieldSpec, budget: Optional[int] = None) -> Sln2Resu
     return Sln2Result(value=2 * (n - 1), pair=pair, datum=datum)
 
 
-# product entries per block of _check_rows.  Small blocks keep the
-# temporaries in cache and FieldSpec._reduce on its libdivide path; criterion
-# 9's exp-law sweeps took 21.9, 17.9, 20.4 and 22.7 ms in blocks of 2**13,
-# 2**14, 2**15 and 2**16 entries (25.6 ms one row at a time; 2-vCPU VM).
-_CHECK_BLOCK = 1 << 14
-
-
 def _check_rows(field: FieldSpec, table, row_sums,
                 fails=lambda i, j: f"homomorphism fails at ({i}, {j})") -> int:
     """Check table[x_i + x_j] = table[i] @ table[j] for every pair; returns the pair count.
@@ -135,7 +128,7 @@ def _check_rows(field: FieldSpec, table, row_sums,
     table is the (N, n, n) code stack of the images of the points x_0, ...,
     x_{N-1}, and row_sums(rows), for a column of row indices i, the
     (len(rows), N) index array of the points x_i + x_j.  The rows are taken
-    in blocks of at most _CHECK_BLOCK product entries; a block's products
+    in blocks of at most _PRODUCT_BLOCK product entries; a block's products
     table[i] @ table[j] are one 2-D product of its matrices stacked by rows
     with the side-by-side table [T_0 | T_1 | ...].  A failure raises
     AssertionError with the message fails(i, j) for the first failing pair
@@ -144,7 +137,7 @@ def _check_rows(field: FieldSpec, table, row_sums,
     count, n = len(table), table.shape[-1]
     rows = table.reshape(count * n, n)
     side = np.swapaxes(table, 0, 1).reshape(n, count * n)  # [T_0 | T_1 | ...]
-    step = max(1, _CHECK_BLOCK // (count * n * n))
+    step = max(1, _PRODUCT_BLOCK // (count * n * n))
     for start in range(0, count, step):
         stop = min(start + step, count)
         prod = field.matmul(rows[start * n:stop * n], side).reshape(stop - start, n, count, n)

@@ -69,15 +69,9 @@ import numpy as np
 
 from .cliques import _bits, _maximal_cliques, _orbit_labels
 from .errors import BudgetError, PreconditionError, expect, expect_each
-from .fields import FieldSpec, Mat, _kernels, _rref, field_make, mat_kernel_basis
+from .fields import _PRODUCT_BLOCK, FieldSpec, Mat, _kernels, _rref, field_make, mat_kernel_basis
 
 DEFAULT_BUDGET = 10_000_000
-# commutator entries per block of _commutator_blocks.  Small blocks
-# keep the temporaries small and FieldSpec._reduce on its libdivide path:
-# twelve cold sl_n tensor builds (n <= 7) took 9.4, 8.7, 9.4, 11.1 and
-# 11.8 ms in blocks of 2**13, 2**14, 2**15 and 2**16 entries and unblocked
-# (2-vCPU VM).
-_COMMUTATOR_BLOCK = 1 << 14
 
 Vec = tuple
 
@@ -103,7 +97,7 @@ class RestrictedLieAlgebra:
         i, j, k, c = _int64(terms, "bracket term (i, j, k, c)").reshape(-1, 4).T
         self._init(field, _scatter(dim, (i, k, j), c % field.q),
                    _int64(pmap, "p-map entry {}").reshape(dim, dim) % field.q, labels,
-                   matrix_model and _CoordSolver(field, matrix_model))
+                   None if matrix_model is None else _CoordSolver(field, matrix_model))
         if validate == "full":
             self.validate()
         elif validate != "none":
@@ -134,11 +128,15 @@ class RestrictedLieAlgebra:
         self._central = None  # _central_elementary's basis, once asked for
         self._form = None  # _trace_form's Gram matrix, once asked for
         self._cone = None  # the last nullcone's _nullcone
-        self.matrix_model = self._coord_solver = None
-        if solver:
-            if solver.dim != self.dim:
-                raise PreconditionError("matrix model must have one matrix per basis vector")
-            self.matrix_model, self._coord_solver, self._model = solver.mats, solver, solver.model
+        self._coord_solver = solver
+        self._model = None if solver is None else solver.model  # the (dim, n, n) model stack
+        if solver is not None and solver.dim != self.dim:
+            raise PreconditionError("matrix model must have one matrix per basis vector")
+
+    @property
+    def matrix_model(self):
+        """The model matrices of the basis vectors, as a list of Mat (copies), or None."""
+        return None if self._model is None else [Mat(self.field, m) for m in self._model]
 
     @functools.cached_property
     def _adb(self):
@@ -167,7 +165,7 @@ class RestrictedLieAlgebra:
         return (0,) * self.dim
 
     def matrix_of(self, x: Vec) -> Mat:
-        if not self.matrix_model:
+        if self._model is None:
             raise PreconditionError("algebra has no matrix model")
         return Mat(self.field, self._matrices(np.asarray(x, dtype=np.int64)))
 
@@ -177,12 +175,16 @@ class RestrictedLieAlgebra:
         return m.reshape(x.shape[:-1] + self._model.shape[1:])
 
     def coords_of_matrix(self, m: Mat) -> Vec:
-        if not self._coord_solver:
+        if self._model is None:
             raise PreconditionError("algebra has no matrix model")
-        coords = self._coord_solver.solve(m)
-        if coords is None:
+        m = np.asarray(m, dtype=np.int64)
+        if m.shape != self._model.shape[1:]:
+            raise PreconditionError(f"matrix of shape {m.shape}, model matrices of "
+                                    f"{self._model.shape[1:]}")
+        coords, inside = self._coord_solver.solve_rows(m.ravel())
+        if not inside:
             raise PreconditionError("matrix lies outside the span of the model basis")
-        return coords
+        return tuple(coords.tolist())
 
     # -- p-map ----------------------------------------------------------------
 
@@ -193,7 +195,7 @@ class RestrictedLieAlgebra:
     def _pmap_rows(self, x):
         """x^[p] for every row of the code array x (N x dim)."""
         f, p = self.field, self.field.p
-        if self.matrix_model:
+        if self._model is not None:
             powers = f.matpow(self._matrices(x), p).reshape(len(x), self._model[0].size)
             coords, inside = self._coord_solver.solve_rows(powers)
             if not inside.all():
@@ -243,7 +245,7 @@ class RestrictedLieAlgebra:
             if j < self.dim:
                 raise PreconditionError(f"bracket table is not antisymmetric at ({i},{j})")
             raise PreconditionError(f"[b_{i}, b_{i}] != 0")
-        if self.matrix_model:
+        if self._model is not None:
             self._validate_model()
         else:
             self._validate_jacobi()
@@ -297,9 +299,11 @@ class RestrictedLieAlgebra:
 class _CoordSolver:
     """Precomputed elimination expressing matrices in a fixed matrix basis.
 
-    Row-reducing [B | I_d], with the d raveled basis matrices (N entries
-    each) as the rows of B, gives R = E . B in RREF with pivot columns P and
-    R[:, P] = I.  A raveled matrix m lies in the span exactly when
+    The basis is model, a (d, n, n) code stack or anything that np.asarray
+    reads as one (a list of Mat), and the solver keeps that one stack.
+    Row-reducing [B | I_d], with the d raveled basis matrices (N = n^2
+    entries each) as the rows of B, gives R = E . B in RREF with pivot
+    columns P and R[:, P] = I.  A raveled matrix m lies in the span exactly when
     m = m[P] . R, and then its coordinates are m[P] . E; the residual
     m - m[P] . R is zero on P, so only its other columns are checked.  One
     d x N matrix [E | -R[:, rest]] gives both from the d entries m[P]:
@@ -307,12 +311,16 @@ class _CoordSolver:
     them.  The elimination takes d pivot steps, not N.
     """
 
-    def __init__(self, field, basis_mats):
-        self.field = field
-        self.mats = list(basis_mats)
-        self.dim = d = len(self.mats)
-        self.model = np.stack([m.a for m in self.mats])
-        b = self.model.reshape(d, -1)
+    def __init__(self, field, model):
+        try:
+            model = np.asarray(model, dtype=np.int64)
+        except ValueError:  # matrices of several sizes
+            model = None
+        if model is None or model.ndim != 3 or not model.size or model.shape[1] != model.shape[2]:
+            raise PreconditionError("a matrix model is a nonempty list of square matrices of one size")
+        self.field, self.model = field, model
+        self.dim = d = len(model)
+        b = model.reshape(d, -1)
         n = b.shape[1]
         r, pivots = _rref(field, np.concatenate([b, np.eye(d, dtype=np.int64)], axis=1)[None])
         if pivots[0, :n].sum() != d:
@@ -326,10 +334,6 @@ class _CoordSolver:
         t = f.matmul(flat[..., self._pcs], self._e_t)
         residual = f.varr_add(t[..., self.dim:], flat[..., self._rest])
         return t[..., : self.dim], ~residual.any(axis=-1)
-
-    def solve(self, m: Mat) -> Optional[Vec]:
-        coords, inside = self.solve_rows(m.a.ravel())
-        return tuple(coords.tolist()) if inside else None
 
     def commutators(self):
         """(adb, inside) for the commutators [m_i, m_j] of the basis matrices:
@@ -358,14 +362,14 @@ def _int64(rows, entry):
 
 def _commutator_blocks(f, mats):
     """(start, comm) with comm[i - start, j] = m_i m_j - m_j m_i for the
-    (d, n, n) stack mats, the i in blocks of at most _COMMUTATOR_BLOCK
+    (d, n, n) stack mats, the i in blocks of at most _PRODUCT_BLOCK
     commutator entries, so that the temporaries stay small whatever d.  A
     block's products m_i m_j and m_j m_i are two 2-D products, of its
     matrices stacked by rows with every m_j side by side and the other way
     round."""
     d, n = len(mats), mats.shape[-1]
     rows, cols = mats.reshape(d * n, n), np.swapaxes(mats, 0, 1).reshape(n, d * n)
-    step = max(1, _COMMUTATOR_BLOCK // max(1, d * n * n))
+    step = max(1, _PRODUCT_BLOCK // max(1, d * n * n))
     for start in range(0, d, step):
         block = slice(start * n, (start + step) * n)
         ij = f.matmul(rows[block], cols).reshape(-1, n, d, n)  # [i, :, j]: m_i m_j
@@ -404,7 +408,8 @@ def toral(dim: int, field: FieldSpec) -> RestrictedLieAlgebra:
 
 
 def from_matrix_basis(field: FieldSpec, mats, labels=None) -> RestrictedLieAlgebra:
-    """Algebra spanned by commutator-closed, p-power-closed matrices."""
+    """Algebra spanned by commutator-closed, p-power-closed matrices, given
+    as a list of Mat or as a (d, n, n) code stack, which the algebra keeps."""
     solver = _CoordSolver(field, mats)
     adb, inside = solver.commutators()
     if not inside.all():
@@ -459,7 +464,7 @@ def special_linear(n: int, field: FieldSpec) -> RestrictedLieAlgebra:
     mats = sl_matrices(n, field, np.eye(n * n - 1, dtype=np.int64))
     labels = ([f"E{i}{j}" for i in range(n) for j in range(n) if i != j]
               + [f"h{i+1}" for i in range(n - 1)])
-    return _model_algebra(field, _CoordSolver(field, [Mat(field, m) for m in mats]), labels)
+    return _model_algebra(field, _CoordSolver(field, mats), labels)
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +611,7 @@ def _nilpotent_span(g: RestrictedLieAlgebra, keep):
     tested = form.diagonal().any() or f.varr_add(form, form.T).any()
     if tested:
         left, right = _split_form(f, form, a, b)
-    if g.matrix_model:
+    if g._model is not None:
         n = g._model.shape[-1]
         model = g._model.reshape(g.dim, -1)[keep]  # the matrices of B
         xa, xb = f.matmul(a, model[:d1]), f.matmul(b, model[d1:])
@@ -620,7 +625,7 @@ def _nilpotent_span(g: RestrictedLieAlgebra, keep):
         ia += start
         for s in range(0, len(ia), _CHUNK):
             i, j = ia[s:s + _CHUNK], ib[s:s + _CHUNK]
-            if g.matrix_model:
+            if g._model is not None:
                 zero = _nilpotent_matrices(f, f.varr_add(xa[i], xb[j]).reshape(-1, n, n), min(f.p, n))
             else:
                 zero = ~g._pmap_rows(_placed(np.hstack([a[i], b[j]]), keep)).any(axis=1)
@@ -679,7 +684,7 @@ def _trace_form(g: RestrictedLieAlgebra) -> np.ndarray:
     """
     if g._form is None:
         f = g.field
-        mats = g._model if g.matrix_model else g._adb
+        mats = g._adb if g._model is None else g._model
         n = mats.shape[-1]
         upper = np.triu(np.ones((n, n), dtype=np.int64), 1)  # the pairs i < j
         diagonals = np.diagonal(mats, axis1=1, axis2=2)
@@ -774,7 +779,7 @@ def _elementary_conditions(g: RestrictedLieAlgebra, bases):
     f = g.field
     count, k, dim = bases.shape
     yield _rref(f, bases)[1].sum(axis=1) == k
-    if g.matrix_model:
+    if g._model is not None:
         m = g._matrices(bases)
         products = f.matmul(m[:, :, None], m[:, None])  # [w, a, b]: X_a X_b
         yield (products == products.swapaxes(1, 2)).reshape(count, -1).all(axis=1)
@@ -842,7 +847,7 @@ def _automorphisms(g: RestrictedLieAlgebra, classes):
         return f.varr_add(a[:, :, keep], f.varr_neg(f.matmul(a[:, :, ~keep], centre[:, keep])))
     picks = sorted({j * len(classes) // _GENERATOR_SOURCES for j in range(_GENERATOR_SOURCES)})
     xs = np.concatenate([f.varr_mul(f.p ** i, classes[picks]) for i in range(f.k)])
-    if g.matrix_model:
+    if g._model is not None:
         m = g._matrices(xs)
         exp, exp_neg = np.split(f.trunc_exp(np.concatenate([m, f.varr_neg(m)])), 2)
         images = f.matmul(f.matmul(exp[:, None], g._model[None]), exp_neg[:, None])
@@ -1218,7 +1223,7 @@ def _subalgebra(g: RestrictedLieAlgebra, rows) -> RestrictedLieAlgebra:
     """
     f, pivots = g.field, ~_off_pivots(rows)
     adb = f.matmul(g.ad(rows), rows.T)[:, pivots]  # adb[i][:, j]: [rows[i], rows[j]]
-    solver = _CoordSolver(f, [Mat(f, m) for m in g._matrices(rows)]) if g.matrix_model else None
+    solver = None if g._model is None else _CoordSolver(f, g._matrices(rows))
     return RestrictedLieAlgebra._from_arrays(f, adb, g._pmap_rows(rows)[:, pivots], solver=solver)
 
 
@@ -1388,14 +1393,14 @@ def load_lie(data, budget: Optional[int] = None) -> RestrictedLieAlgebra:
             labels = expect_each(expect(labels, list, "labels"), str, "label")
         brackets, declared = _terms(field, dim, data, "brackets", ("i", "j"))
         pmap = _terms(field, dim, data, "pmap", ("i",))[0]
-        model = data.get("matrix_model")
+        model = data.get("matrix_model") or None  # an empty model is none
         if model:
             flats = expect_each(expect(model, list, "matrix_model"), list, "model matrix")
             n = math.isqrt(len(flats[0]))
-            if set(map(len, flats)) != {n * n}:
-                raise PreconditionError("matrix model matrices must be square and of one size")
+            if not n or set(map(len, flats)) != {n * n}:
+                raise PreconditionError("matrix model matrices must be nonempty, square and of one size")
             stack = _codes(field, list(itertools.chain.from_iterable(flats)))
-            model = _CoordSolver(field, [Mat._wrap(field, m) for m in stack.reshape(-1, n, n)])
+            model = _CoordSolver(field, stack.reshape(-1, n, n))
     except KeyError as exc:
         raise PreconditionError(f"malformed Lie algebra input: missing key {exc}")
     # brackets[i, j] is [b_i, b_j] where (i, j) has an entry, else -brackets[j, i]

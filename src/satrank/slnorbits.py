@@ -33,7 +33,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import BudgetError, PreconditionError
-from .fields import FieldSpec, Mat, _rref, field_make, is_prime, mat_solve
+from .fields import FieldSpec, Mat, _rref, field_make, is_prime
 from .lie import DEFAULT_BUDGET, ElementarySubalgebra, from_matrix_basis, is_elementary, sl_coords
 
 
@@ -125,7 +125,7 @@ def nullcone_top_partition(n: int, p: int) -> Partition:
 
 def rank_sequence(m: Mat) -> list:
     """[rank(m^k) for k = 1, ..., n] for an n x n matrix m."""
-    return rank_sequences(m.field, m.a[None])[0].tolist()
+    return rank_sequences(m.field, [m])[0].tolist()
 
 
 def rank_sequences(field: FieldSpec, mats) -> np.ndarray:
@@ -578,17 +578,17 @@ def srk_sln(n: int, p: int, budget: int = DEFAULT_BUDGET) -> Rank:
     if p == n - 2:
         return Rank(value=n, exact=False, note="strict_inequality")
     # p < n-2: build and validate the witness at the dense orbit of V(sl_n),
-    # as an algebra on its own span; x_top lies in that span
+    # as an algebra on its own span, and find x_top in that span by the
+    # span's own coordinate solve
     if n ** 4 > budget:
         raise BudgetError(f"top-orbit witness: {n}^2 commutators of {n}^2 entries are "
                           f"{n ** 4} > budget {budget}")
     top = nullcone_top_partition(n, p)
     field = field_make(p, 1)
-    mats = _case_split_witness(top, field)
-    span = from_matrix_basis(field, [Mat._wrap(field, m) for m in mats])
-    rows = sl_coords(field, np.concatenate([mats, jordan_matrix(top, field).a[None]]))
+    span = from_matrix_basis(field, _case_split_witness(top, field))
+    x_top = np.ravel(jordan_matrix(top, field))
     if not (is_elementary(span, np.eye(span.dim, dtype=np.int64))
-            and mat_solve(Mat(field, rows[:-1]).t(), rows[-1]) is not None):
+            and span._coord_solver.solve_rows(x_top)[1]):
         raise PreconditionError(f"witness construction failed for top partition {top} at p={p}")
     return Rank(value=span.dim, exact=False, note="derived-not-paper")
 

@@ -145,7 +145,7 @@ def test_witness_check_names_the_first_failing_witness_across_blocks(monkeypatch
     # Witness 3 (second block) fails on its p-map, witness 5 (third) on the
     # earlier condition of dependent rows: witness 3 is the one named.
     if block:
-        monkeypatch.setattr(acceptance, "_CHECK_BLOCK", block)
+        monkeypatch.setattr(acceptance, "_PRODUCT_BLOCK", block)
     n = p = 5
     alg, bases, xj, coords = _subregular_case(n, p)
     bases[3, 0] = coords(Mat.identity(alg.field, n))

@@ -577,6 +577,7 @@ def _with(path, value):
     _with(["labels"], ["x", 1, "z"]),
     # three matrices for dim 3, but 2 x 2, 2 x 2 and 3 x 3
     _with(["matrix_model"], [[0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0, 0, 0, 0, 0, 0]]),
+    _with(["matrix_model"], [[]]),  # 0 x 0 matrices
     _with(["p"], 3.7),
     _with(["p"], True),
     _with(["k"], "1"),
@@ -586,7 +587,7 @@ def _with(path, value):
     _with(["brackets", 0, "out", 0, "c"], 1.5),
     _with(["brackets", 0], [0, 1]),
     [_h3_input()],
-], ids=["labels_int", "label_int", "model_sizes", "p_float", "p_bool", "k_text", "dim_float",
+], ids=["labels_int", "label_int", "model_sizes", "model_empty", "p_float", "p_bool", "k_text", "dim_float",
         "index_float", "coeff_digit_float", "coeff_float", "entry_list", "top_level_list"])
 def test_lie_srk_rejects_malformed_input(capsys, tmp_path, data):
     path = tmp_path / "bad.json"

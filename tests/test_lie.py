@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satrank import BudgetError, PreconditionError, lie
+from satrank import BudgetError, PreconditionError, lie, slnorbits
 from satrank.fields import Mat, _rref, field_make, mat_rank, mat_solve
 from satrank.lie import (
     RestrictedLieAlgebra,
@@ -171,7 +171,8 @@ def test_coord_solver_matches_full_elimination(field, shape):
     assert inside[:40].all() and not inside[40:].all()
     assert (coords[inside] == ref_coords[inside]).all()
     assert (coords[:40] == c).all()
-    assert solver.solve(Mat(field, flat[0].reshape(mats[0].a.shape))) == tuple(c[0].tolist())
+    one, one_inside = solver.solve_rows(flat[0])  # one raveled matrix, as coords_of_matrix asks
+    assert one_inside and one.tolist() == c[0].tolist()
 
 
 @pytest.mark.parametrize("field", [F5, field_make(3, 2)], ids=["F5", "F9"])
@@ -180,6 +181,59 @@ def test_coord_solver_rejects_a_dependent_basis(field):
     for extra in (mats[0] + mats[1].scale(2), Mat.zeros(field, 3, 3), mats[2]):
         with pytest.raises(PreconditionError):
             lie._CoordSolver(field, mats + [extra])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: from_matrix_basis(F3, []),
+    lambda: from_matrix_basis(F3, np.zeros((0, 2, 2), dtype=np.int64)),
+    lambda: from_matrix_basis(F3, [Mat.identity(F3, 2), Mat.identity(F3, 3)]),
+    lambda: from_matrix_basis(F3, np.zeros((1, 0, 0), dtype=np.int64)),
+    lambda: from_matrix_basis(F3, np.eye(2, dtype=np.int64)),
+    lambda: RestrictedLieAlgebra(F3, {}, [(0,)], matrix_model=[Mat(F3, [[1, 0, 0]])]),
+    lambda: RestrictedLieAlgebra(F3, {}, [(0,)], matrix_model=[]),
+], ids=["empty", "empty_stack", "ragged", "zero_size", "one_matrix", "non_square", "empty_list"])
+def test_a_model_that_is_no_stack_of_square_matrices_is_refused(build):
+    with pytest.raises(PreconditionError, match="nonempty list of square matrices of one size"):
+        build()
+
+
+@pytest.mark.parametrize("n,field", [(2, F3), (3, F5), (2, field_make(3, 2))],
+                         ids=["sl2_F3", "sl3_F5", "sl2_F9"])
+def test_from_matrix_basis_reads_a_code_stack_as_its_mats(n, field):
+    g = special_linear(n, field)
+    from_mats = from_matrix_basis(field, g.matrix_model)
+    from_stack = from_matrix_basis(field, g._model.copy())
+    for name in ("_adb", "_pmap", "_model"):
+        assert np.array_equal(getattr(from_mats, name), getattr(from_stack, name)), name
+    assert from_mats.pmap == from_stack.pmap == g.pmap
+
+
+def test_the_model_is_held_once():
+    # one (d, n, n) stack, shared with the solver; matrix_model hands out copies
+    g = special_linear(3, F5)
+    assert g._coord_solver.model is g._model and g._model.shape == (8, 3, 3)
+    assert not hasattr(g._coord_solver, "mats") and not hasattr(lie._CoordSolver, "solve")
+    before = g._model.copy()
+    mats = g.matrix_model
+    assert [m.tolist() for m in mats] == before.tolist()
+    mats[0].a[0, 1] = 2
+    mats[1] = mats[1] + mats[1]
+    assert np.array_equal(g._model, before) and g.matrix_model[0].tolist() == before[0].tolist()
+    assert heisenberg(1, F5).matrix_model is None and heisenberg(1, F5)._model is None
+
+
+def test_coords_of_matrix_refuses_another_shape():
+    # 2 x 2 once raised IndexError; a 4 x 4 E_03 read its flat index 3 as
+    # E_10 of a 3 x 3 matrix, and a 4 x 4 E_33 came out as zero
+    g = special_linear(3, F3)
+    for shape, entry in [((2, 2), (0, 1)), ((4, 4), (0, 3)), ((4, 4), (3, 3))]:
+        m = np.zeros(shape, dtype=np.int64)
+        m[entry] = 1
+        with pytest.raises(PreconditionError, match=r"shape \(\d, \d\), model matrices of \(3, 3\)"):
+            g.coords_of_matrix(Mat(F3, m))
+    e01 = np.zeros((3, 3), dtype=np.int64)
+    e01[0, 1] = 1
+    assert g.coords_of_matrix(Mat(F3, e01)) == g.coords_of_matrix(e01) == g.basis_vec(0)
 
 
 def _support_bracket(g, x, y):
@@ -238,7 +292,7 @@ def _commutator_rows(solver, i):
 def test_commutators_across_blocks():
     g = special_linear(7, F5)  # d = 48 and 49 entries per matrix: several blocks
     solver = g._coord_solver
-    assert 1 < lie._COMMUTATOR_BLOCK // (g.dim * 49) < g.dim // 3
+    assert 1 < lie._PRODUCT_BLOCK // (g.dim * 49) < g.dim // 3
     adb, inside = solver.commutators()
     assert inside.all() and np.array_equal(adb, g._adb)
     for i in range(g.dim):
@@ -256,7 +310,7 @@ def test_a_model_leaving_its_span_in_a_late_block_is_named():
     mats[48, 7, 8] = mats[49, 8, 7] = 1
     model = [Mat(F5, m) for m in mats]
     solver = lie._CoordSolver(F5, model)
-    step = lie._COMMUTATOR_BLOCK // (50 * 81)
+    step = lie._PRODUCT_BLOCK // (50 * 81)
     assert 48 // step == 49 // step == (50 - 1) // step > 1  # the last of several blocks
     first = next((i, int(np.flatnonzero(~inside)[0]))
                  for i, (_, inside) in enumerate(_commutator_rows(solver, i) for i in range(50))
@@ -419,11 +473,11 @@ def test_antisymmetry_check_names_the_looped_first_failure(name):
 def test_jacobi_check_names_the_pointwise_first_failure(monkeypatch, name, block):
     # antisymmetric changes to a valid table: the blocked check must name
     # the triple that the pointwise reference finds first, whatever the
-    # block size (one or two i per block, or _COMMUTATOR_BLOCK's default)
+    # block size (one or two i per block, or _PRODUCT_BLOCK's default)
     g = _JACOBI_ALGEBRAS[name]()
     f, n = g.field, g.dim
     if block != "default":
-        monkeypatch.setattr(lie, "_COMMUTATOR_BLOCK", {"one": 1, "two": 2 * n ** 3}[block])
+        monkeypatch.setattr(lie, "_PRODUCT_BLOCK", {"one": 1, "two": 2 * n ** 3}[block])
     assert _pointwise_jacobi_failure(g) is None
     g._validate_jacobi()
     rng, failures = random.Random(f"{name}-{block}"), 0
@@ -1778,6 +1832,21 @@ def test_one_clique_query_in_lie():
     assert callers == ["_cliques_through"]
 
 
+def test_matrix_models_stay_code_stacks():
+    # Mat is the public edge only: these functions build none, and srk_sln
+    # reads x_top's membership off its span's own coordinate solve
+    def called(module, name):
+        tree = ast.parse(pathlib.Path(module.__file__).read_text())
+        node = next(n for n in ast.walk(tree)
+                    if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == name)
+        return {ast.unparse(c.func) for c in ast.walk(node) if isinstance(c, ast.Call)}
+
+    for module, name in [(lie, "_CoordSolver"), (lie, "special_linear"), (lie, "_subalgebra"),
+                         (lie, "load_lie"), (slnorbits, "srk_sln")]:
+        assert not {c for c in called(module, name) if c == "Mat" or c.startswith("Mat.")}, name
+    assert not called(slnorbits, "srk_sln") & {"mat_solve", "sl_coords"}
+
+
 @pytest.mark.parametrize("name", ["h3", "sl2", "abelian2"])
 def test_srk_is_invariant_under_extension_to_f9(name):
     build = {"h3": lambda f: heisenberg(1, f), "sl2": lambda f: special_linear(2, f),
@@ -2153,6 +2222,8 @@ def test_load_lie_with_model():
     g = load_lie(data)
     assert g.matrix_model is not None
     assert srk_brute(g).srk == 1
+    data["matrix_model"] = []  # an empty list is no model
+    assert load_lie(data).matrix_model is None
 
 
 def test_load_lie_malformed():

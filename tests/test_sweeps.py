@@ -120,7 +120,7 @@ def test_check_rows_names_a_failure_in_the_second_block():
     f = field_make(7, 2)
     codes = np.arange(f.q)
     table = frobkernel._one_param_images(_pair(5, f), codes)
-    step = frobkernel._CHECK_BLOCK // (f.q * 25)
+    step = frobkernel._PRODUCT_BLOCK // (f.q * 25)
     assert 3 < step < f.q
     for row, col in [(step, 0), (step + 3, 17), (f.q - 1, f.q - 1)]:
         def sums(rows, row=row, col=col):
@@ -299,7 +299,7 @@ def test_shift_maps_name_a_failure_in_a_later_block(monkeypatch, parts):
     lam = Partition(parts)
     basis = xi_basis(lam)
     # _check_rows takes the basis images and a zero matrix: N + 1 rows
-    step = frobkernel._CHECK_BLOCK // ((len(basis) + 1) * lam.n ** 2)
+    step = frobkernel._PRODUCT_BLOCK // ((len(basis) + 1) * lam.n ** 2)
     assert 1 < step < len(basis)  # the rows take more than one block
     for row, col in [(step, 0), (step + 1, 7), (len(basis) - 1, len(basis) - 1)]:
         table = xi_product_table(lam).copy()
