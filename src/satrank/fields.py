@@ -572,10 +572,16 @@ class Mat:
     def copy(self):
         return Mat._wrap(self.field, self.a.copy())
 
+    # numpy operators defer to Mat's own, so that ndarray + Mat raises
+    # TypeError rather than computing unreduced codes
+    __array_ufunc__ = None
+
     def __array__(self, dtype=None, copy=None):
         # the codes, so that np.asarray(x, dtype=np.int64) reads a Mat, a
-        # list of Mats and a code array alike
-        return np.array(self.a, dtype=dtype, copy=copy)
+        # list of Mats and a code array alike.  NumPy 1 passes no copy, and
+        # refuses copy=None in np.array, so copy is not passed on.
+        a = self.a if dtype is None else self.a.astype(dtype, copy=False)
+        return a.copy() if copy else a
 
     def __add__(self, other):
         return Mat._wrap(self.field, self.field.varr_add(self.a, other.a))

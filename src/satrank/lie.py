@@ -82,6 +82,8 @@ class RestrictedLieAlgebra:
     brackets maps (i, j) to {k: c} with [b_i, b_j] = sum_k c b_k; pmap lists
     the coordinates of b_i^[p].  Coefficients are field codes (use
     field.neg/from_int rather than raw negative ints over extension fields).
+    matrix_model lists the matrices of the basis vectors as Mat; the algebra
+    keeps a copy, and None or an empty list is no model.
     validate="full" runs validate(); "none" skips it, for tables that are
     right by construction.  An algebra made with a matrix model but no ad
     tensor (special_linear) solves the tensor from the model on first read
@@ -95,9 +97,10 @@ class RestrictedLieAlgebra:
         # the ad tensor: adb[i][:, j] holds the coordinates of [b_i, b_j]
         terms = [(i, j, k, c) for (i, j), out in brackets.items() for k, c in out.items()]
         i, j, k, c = _int64(terms, "bracket term (i, j, k, c)").reshape(-1, 4).T
+        model = [] if matrix_model is None else list(matrix_model)  # [] is no model
         self._init(field, _scatter(dim, (i, k, j), c % field.q),
                    _int64(pmap, "p-map entry {}").reshape(dim, dim) % field.q, labels,
-                   None if matrix_model is None else _CoordSolver(field, matrix_model))
+                   _CoordSolver(field, model) if model else None)
         if validate == "full":
             self.validate()
         elif validate != "none":
@@ -299,8 +302,8 @@ class RestrictedLieAlgebra:
 class _CoordSolver:
     """Precomputed elimination expressing matrices in a fixed matrix basis.
 
-    The basis is model, a (d, n, n) code stack or anything that np.asarray
-    reads as one (a list of Mat), and the solver keeps that one stack.
+    The basis is model: a (d, n, n) code stack, which the solver keeps as
+    it is, or a list of d Mat (or code matrices), which it stacks anew.
     Row-reducing [B | I_d], with the d raveled basis matrices (N = n^2
     entries each) as the rows of B, gives R = E . B in RREF with pivot
     columns P and R[:, P] = I.  A raveled matrix m lies in the span exactly when
@@ -312,10 +315,9 @@ class _CoordSolver:
     """
 
     def __init__(self, field, model):
-        try:
-            model = np.asarray(model, dtype=np.int64)
-        except ValueError:  # matrices of several sizes
-            model = None
+        if not isinstance(model, np.ndarray):
+            mats = [np.asarray(m, dtype=np.int64) for m in model]
+            model = np.stack(mats) if len({m.shape for m in mats}) == 1 else None
         if model is None or model.ndim != 3 or not model.size or model.shape[1] != model.shape[2]:
             raise PreconditionError("a matrix model is a nonempty list of square matrices of one size")
         self.field, self.model = field, model
@@ -409,8 +411,8 @@ def toral(dim: int, field: FieldSpec) -> RestrictedLieAlgebra:
 
 def from_matrix_basis(field: FieldSpec, mats, labels=None) -> RestrictedLieAlgebra:
     """Algebra spanned by commutator-closed, p-power-closed matrices, given
-    as a list of Mat or as a (d, n, n) code stack, which the algebra keeps."""
-    solver = _CoordSolver(field, mats)
+    as a list of Mat or as a (d, n, n) code stack; the algebra keeps a copy."""
+    solver = _CoordSolver(field, list(mats))
     adb, inside = solver.commutators()
     if not inside.all():
         raise PreconditionError("matrix span is not closed under commutators")

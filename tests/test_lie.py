@@ -190,11 +190,40 @@ def test_coord_solver_rejects_a_dependent_basis(field):
     lambda: from_matrix_basis(F3, np.zeros((1, 0, 0), dtype=np.int64)),
     lambda: from_matrix_basis(F3, np.eye(2, dtype=np.int64)),
     lambda: RestrictedLieAlgebra(F3, {}, [(0,)], matrix_model=[Mat(F3, [[1, 0, 0]])]),
-    lambda: RestrictedLieAlgebra(F3, {}, [(0,)], matrix_model=[]),
-], ids=["empty", "empty_stack", "ragged", "zero_size", "one_matrix", "non_square", "empty_list"])
+], ids=["empty", "empty_stack", "ragged", "zero_size", "one_matrix", "non_square"])
 def test_a_model_that_is_no_stack_of_square_matrices_is_refused(build):
     with pytest.raises(PreconditionError, match="nonempty list of square matrices of one size"):
         build()
+
+
+def test_an_empty_model_list_is_no_model():
+    g = RestrictedLieAlgebra(F3, {}, [(0,)], matrix_model=[])
+    assert g.matrix_model is None and g._coord_solver is None
+
+
+def test_a_mat_reads_as_its_codes_and_refuses_numpy_operators():
+    m = Mat(F3, [[1, 2], [0, 1]])
+    # NumPy 1 calls __array__ with no copy argument, or with a dtype only
+    assert m.__array__() is m.a and m.__array__(np.int64) is m.a
+    assert m.__array__(np.float64).tolist() == [[1.0, 2.0], [0.0, 1.0]]
+    assert m.__array__(copy=True) is not m.a and np.array_equal(m.__array__(copy=True), m.a)
+    assert np.asarray([m, m], dtype=np.int64).shape == (2, 2, 2)
+    # numpy arithmetic would give unreduced codes: it raises instead
+    for op in (lambda: np.int64(2) * m, lambda: np.add(m.a, m), lambda: m.a * m):
+        with pytest.raises(TypeError):
+            op()
+
+
+def test_from_matrix_basis_copies_a_code_stack():
+    g = special_linear(2, F3)
+    stack = g._model.copy()
+    h = from_matrix_basis(F3, stack)
+    stack[0, 0, 1] = 2
+    assert h._model is not stack and np.array_equal(h._model, g._model)
+    model = [Mat(F3, m) for m in g._model]
+    k = RestrictedLieAlgebra(F3, {}, g.pmap, matrix_model=model, validate="none")
+    model[0].a[0, 1] = 2
+    assert np.array_equal(k._model, g._model)
 
 
 @pytest.mark.parametrize("n,field", [(2, F3), (3, F5), (2, field_make(3, 2))],
